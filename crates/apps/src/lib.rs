@@ -46,7 +46,7 @@ pub mod sm;
 pub mod util;
 
 use commchar_mesh::NetLog;
-use commchar_trace::CommTrace;
+use commchar_trace::{CommTrace, MAX_NODES};
 
 /// Which strategy runs the application.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,6 +108,100 @@ pub struct AppOutput {
     /// Application-specific correctness figure (e.g. residual, checksum).
     pub check: f64,
 }
+
+/// Why an application cannot run at a requested processor count — the
+/// typed form of each kernel's precondition (see [`AppId::check`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AppError {
+    /// The processor count is 0 or above [`MAX_NODES`].
+    ProcsOutOfRange {
+        /// The requested count.
+        procs: usize,
+    },
+    /// The kernel needs a power-of-two processor count.
+    NotPowerOfTwo {
+        /// The kernel.
+        app: &'static str,
+        /// The requested count.
+        procs: usize,
+    },
+    /// The kernel needs at least `min` processors.
+    TooFewProcs {
+        /// The kernel.
+        app: &'static str,
+        /// The requested count.
+        procs: usize,
+        /// The smallest count it runs on.
+        min: usize,
+    },
+    /// The kernel splits `size` units of work (`what`) evenly over its
+    /// processors, and `procs` does not divide them.
+    Indivisible {
+        /// The kernel.
+        app: &'static str,
+        /// The requested count.
+        procs: usize,
+        /// The units being split (keys, bodies, z-planes, …).
+        what: &'static str,
+        /// How many there are at this problem size.
+        size: usize,
+    },
+}
+
+impl AppError {
+    /// `Ok` when `procs` is a power of two.
+    pub(crate) fn power_of_two(app: &'static str, procs: usize) -> Result<(), AppError> {
+        if procs.is_power_of_two() {
+            Ok(())
+        } else {
+            Err(AppError::NotPowerOfTwo { app, procs })
+        }
+    }
+
+    /// `Ok` when `procs` is at least `min`.
+    pub(crate) fn at_least(app: &'static str, procs: usize, min: usize) -> Result<(), AppError> {
+        if procs >= min {
+            Ok(())
+        } else {
+            Err(AppError::TooFewProcs { app, procs, min })
+        }
+    }
+
+    /// `Ok` when `procs` divides `size` units of `what`.
+    pub(crate) fn divides(
+        app: &'static str,
+        procs: usize,
+        what: &'static str,
+        size: usize,
+    ) -> Result<(), AppError> {
+        if size > 0 && size.is_multiple_of(procs) {
+            Ok(())
+        } else {
+            Err(AppError::Indivisible { app, procs, what, size })
+        }
+    }
+}
+
+impl std::fmt::Display for AppError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AppError::ProcsOutOfRange { procs } => {
+                write!(f, "processor count {procs} is out of range (1..={MAX_NODES})")
+            }
+            AppError::NotPowerOfTwo { app, procs } => {
+                write!(f, "{app} needs a power-of-two processor count, got {procs}")
+            }
+            AppError::TooFewProcs { app, procs, min } => {
+                write!(f, "{app} needs at least {min} processors, got {procs}")
+            }
+            AppError::Indivisible { app, procs, what, size } => {
+                write!(f, "{app} cannot split {size} {what} evenly over {procs} processors")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AppError {}
 
 /// Identifier for each of the seven applications.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -172,71 +266,46 @@ impl AppId {
         }
     }
 
-    /// Runs the application at the given processor count and scale.
+    /// Checks that the application can run on `procs` processors at
+    /// `scale`, before anything runs: the count must lie in
+    /// `1..=`[`MAX_NODES`], and each kernel adds its own precondition — the
+    /// same function its run path asserts, so no precondition is written
+    /// twice.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on invalid processor counts (each kernel documents its own
-    /// constraints; all accept powers of two between 2 and 32, and the
-    /// suitably-sized kernels scale to 1024+ — e.g. [`sm::fft1d`] at any
-    /// power of two with `2·nprocs ≤ points`).
-    pub fn run(self, nprocs: usize, scale: Scale) -> AppOutput {
-        self.run_engine(nprocs, scale, commchar_mesh::EngineKind::Recurrence)
+    /// The [`AppError`] naming the first precondition `procs` violates.
+    pub fn check(self, procs: usize, scale: Scale) -> Result<(), AppError> {
+        if procs == 0 || procs > MAX_NODES {
+            return Err(AppError::ProcsOutOfRange { procs });
+        }
+        match self {
+            AppId::Fft1d => sm::fft1d::check(procs, sm::fft1d::points(scale)),
+            AppId::Is => sm::is::check(procs, sm::is::sizes(scale).0),
+            AppId::Cholesky | AppId::Maxflow => Ok(()),
+            AppId::Nbody => sm::nbody::check(procs, sm::nbody::sizes(scale).0),
+            AppId::Fft3d => mp::fft3d::check(procs, mp::fft3d::grid(scale)),
+            AppId::Mg => mp::mg::check(procs, mp::mg::grid(scale, procs)),
+            AppId::Allreduce => mp::allreduce::check(procs),
+            AppId::Halo => mp::halo::check(procs),
+        }
     }
 
-    /// Like [`AppId::run`] but with an explicit closed-loop network engine.
+    /// Runs the application on `nprocs` processors at `scale`, on the
+    /// network `mesh` (topology, routing policy and virtual-channel
+    /// budget) with the closed-loop `engine`, sharding the
+    /// execution-driven simulator over `sim_jobs` workers (1 = serial,
+    /// 0 = one per hardware thread; never changes results).
     ///
-    /// For shared-memory kernels (dynamic strategy) the engine sits inside
-    /// the execution-driven simulation and steers it. Message-passing
-    /// kernels use the static strategy — acquisition is engine-free and the
-    /// engine choice applies when the trace is replayed — so `engine` is
-    /// ignored here.
-    ///
-    /// # Panics
-    ///
-    /// Same constraints as [`AppId::run`].
-    pub fn run_engine(
-        self,
-        nprocs: usize,
-        scale: Scale,
-        engine: commchar_mesh::EngineKind,
-    ) -> AppOutput {
-        self.run_sim(nprocs, scale, engine, 1)
-    }
-
-    /// Like [`AppId::run_engine`] with an explicit shard count for the
-    /// execution-driven simulator's conservative-window parallel engine
-    /// (`sim_jobs`; 1 = serial, 0 = one shard per hardware thread).
-    ///
-    /// The shard count never changes simulation results — traces are
-    /// bit-identical for any value — only wall-clock time. Message-passing
-    /// kernels acquire traces without the simulator, so `sim_jobs` is
-    /// ignored there, like `engine`.
+    /// Shared-memory kernels (dynamic strategy) run with `engine` and
+    /// `mesh` inside the execution-driven simulation, which they steer.
+    /// Message-passing kernels (static strategy) acquire their traces
+    /// network-free — the network applies when the trace is causally
+    /// replayed — so `engine`, `sim_jobs` and `mesh` are ignored there.
     ///
     /// # Panics
     ///
-    /// Same constraints as [`AppId::run`].
-    pub fn run_sim(
-        self,
-        nprocs: usize,
-        scale: Scale,
-        engine: commchar_mesh::EngineKind,
-        sim_jobs: usize,
-    ) -> AppOutput {
-        self.run_net(nprocs, scale, engine, sim_jobs, commchar_mesh::MeshConfig::for_nodes(nprocs))
-    }
-
-    /// Like [`AppId::run_sim`] with an explicit network configuration —
-    /// topology (mesh or torus), routing policy and virtual-channel
-    /// budget. Shared-memory kernels run with `mesh` inside the closed
-    /// loop, so wraparound links and the routing policy steer their
-    /// execution; message-passing kernels acquire their traces network-free
-    /// (the configuration applies at causal replay), so `mesh` is ignored
-    /// there, like `engine` and `sim_jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Same constraints as [`AppId::run`], plus `mesh` must have at least
+    /// Panics when [`AppId::check`] fails, or when `mesh` has fewer than
     /// `nprocs` nodes.
     pub fn run_net(
         self,
@@ -246,16 +315,18 @@ impl AppId {
         sim_jobs: usize,
         mesh: commchar_mesh::MeshConfig,
     ) -> AppOutput {
-        let cfg = commchar_spasm::MachineConfig::new(nprocs)
-            .with_mesh(mesh)
-            .with_engine(engine)
-            .with_sim_jobs(sim_jobs);
+        let cfg = || {
+            commchar_spasm::MachineConfig::new(nprocs)
+                .with_mesh(mesh)
+                .with_engine(engine)
+                .with_sim_jobs(sim_jobs)
+        };
         match self {
-            AppId::Fft1d => sm::fft1d::run_cfg(cfg, scale),
-            AppId::Is => sm::is::run_cfg(cfg, scale),
-            AppId::Cholesky => sm::cholesky::run_cfg(cfg, scale),
-            AppId::Nbody => sm::nbody::run_cfg(cfg, scale),
-            AppId::Maxflow => sm::maxflow::run_cfg(cfg, scale),
+            AppId::Fft1d => sm::fft1d::run_cfg(cfg(), scale),
+            AppId::Is => sm::is::run_cfg(cfg(), scale),
+            AppId::Cholesky => sm::cholesky::run_cfg(cfg(), scale),
+            AppId::Nbody => sm::nbody::run_cfg(cfg(), scale),
+            AppId::Maxflow => sm::maxflow::run_cfg(cfg(), scale),
             AppId::Fft3d => mp::fft3d::run(nprocs, scale),
             AppId::Mg => mp::mg::run(nprocs, scale),
             AppId::Allreduce => mp::allreduce::run(nprocs, scale),

@@ -20,7 +20,7 @@
 use commchar_sp2::{run_mp as sp2_run, Rank, Sp2Config};
 
 use crate::util::XorShift;
-use crate::{AppClass, AppOutput, Scale};
+use crate::{AppClass, AppError, AppOutput, Scale};
 
 const TAG_RING: u32 = 41;
 
@@ -42,6 +42,11 @@ fn ring_step(r: &mut Rank, out: &[f64]) -> Vec<f64> {
     r.recv(pred, TAG_RING)
 }
 
+/// The kernel's precondition: a ring needs at least two ranks.
+pub(crate) fn check(nprocs: usize) -> Result<(), AppError> {
+    AppError::at_least("allreduce", nprocs, 2)
+}
+
 /// Runs the kernel: `rounds` ring allreduces over vectors of
 /// `nprocs · chunk` elements each.
 ///
@@ -49,7 +54,7 @@ fn ring_step(r: &mut Rank, out: &[f64]) -> Vec<f64> {
 ///
 /// Panics unless `nprocs ≥ 2` and `chunk ≥ 1`.
 pub fn run_sized(nprocs: usize, chunk: usize, rounds: usize) -> AppOutput {
-    assert!(nprocs >= 2, "a ring needs at least two ranks");
+    check(nprocs).unwrap_or_else(|e| panic!("{e}"));
     assert!(chunk >= 1, "chunk must be nonempty");
     let cfg = Sp2Config::new(nprocs);
 

@@ -12,9 +12,9 @@
 use commchar_sp2::{run_mp as sp2_run, Rank, Sp2Config};
 
 use crate::util::{fft_inplace, XorShift};
-use crate::{AppClass, AppOutput, Scale};
+use crate::{AppClass, AppError, AppOutput, Scale};
 
-fn grid(scale: Scale) -> usize {
+pub(crate) fn grid(scale: Scale) -> usize {
     match scale {
         Scale::Tiny => 8,
         Scale::Small => 16,
@@ -30,7 +30,7 @@ fn grid(scale: Scale) -> usize {
 /// Panics unless `m` is a power of two divisible by `nprocs`.
 pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
     assert!(m.is_power_of_two(), "grid must be a power of two");
-    assert!(m.is_multiple_of(nprocs) && m >= nprocs, "ranks must evenly divide z-planes");
+    check(nprocs, m).unwrap_or_else(|e| panic!("{e}"));
     let cfg = Sp2Config::new(nprocs);
 
     let out = sp2_run(cfg, move |r| body(r, m, iters));
@@ -44,6 +44,11 @@ pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
         exec_ticks: out.exec_ticks,
         check: m.pow(3) as f64,
     }
+}
+
+/// The kernel's precondition: the ranks split the `m` z-planes evenly.
+pub(crate) fn check(nprocs: usize, m: usize) -> Result<(), AppError> {
+    AppError::divides("3d-fft", nprocs, "z-planes", m)
 }
 
 fn body(r: &mut Rank, m: usize, iters: usize) {

@@ -16,7 +16,7 @@
 use commchar_sp2::{run_mp as sp2_run, Rank, Sp2Config};
 
 use crate::util::XorShift;
-use crate::{AppClass, AppOutput, Scale};
+use crate::{AppClass, AppError, AppOutput, Scale};
 
 const TAG_TO_SUCC: u32 = 51;
 const TAG_TO_PRED: u32 = 52;
@@ -51,13 +51,18 @@ fn ring_exchange(
     (from_pred, from_succ)
 }
 
+/// The kernel's precondition: an exchange needs at least two ranks.
+pub(crate) fn check(nprocs: usize) -> Result<(), AppError> {
+    AppError::at_least("halo", nprocs, 2)
+}
+
 /// Runs the kernel: `iters` diffusion steps on `m × m` tiles.
 ///
 /// # Panics
 ///
 /// Panics unless `nprocs ≥ 2` and `m ≥ 2`.
 pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
-    assert!(nprocs >= 2, "halo exchange needs at least two ranks");
+    check(nprocs).unwrap_or_else(|e| panic!("{e}"));
     assert!(m >= 2, "tile must be at least 2×2");
     let cfg = Sp2Config::new(nprocs);
 

@@ -10,9 +10,9 @@
 use commchar_sp2::{run_mp as sp2_run, Rank, Sp2Config};
 
 use crate::util::XorShift;
-use crate::{AppClass, AppOutput, Scale};
+use crate::{AppClass, AppError, AppOutput, Scale};
 
-fn grid(scale: Scale, nprocs: usize) -> usize {
+pub(crate) fn grid(scale: Scale, nprocs: usize) -> usize {
     let base = match scale {
         Scale::Tiny => 8,
         Scale::Small => 16,
@@ -132,6 +132,14 @@ fn norm2(r: &mut Rank, v: &[f64]) -> f64 {
     r.allreduce_sum(&[local])[0].sqrt()
 }
 
+/// The kernel's precondition: a power-of-two rank count, each rank
+/// owning at least two of the `m` z-planes (whole plane pairs, so the
+/// restriction stays z-local).
+pub(crate) fn check(nprocs: usize, m: usize) -> Result<(), AppError> {
+    AppError::power_of_two("mg", nprocs)?;
+    AppError::divides("mg", nprocs, "z-plane pairs", m / 2)
+}
+
 /// Runs the kernel. The run asserts the V-cycles reduce the residual;
 /// `check` is the final residual norm (must be finite and positive).
 ///
@@ -140,8 +148,8 @@ fn norm2(r: &mut Rank, v: &[f64]) -> f64 {
 /// Panics unless `nprocs` is a power of two and `m` is a power of two with
 /// `m ≥ 2·nprocs`.
 pub fn run_sized(nprocs: usize, m: usize, cycles: usize) -> AppOutput {
-    assert!(nprocs.is_power_of_two(), "MG requires a power-of-two rank count");
-    assert!(m.is_power_of_two() && m >= 2 * nprocs, "grid must be a power of two ≥ 2p");
+    assert!(m.is_power_of_two(), "grid must be a power of two");
+    check(nprocs, m).unwrap_or_else(|e| panic!("{e}"));
     let cfg = Sp2Config::new(nprocs);
 
     let out = sp2_run(cfg, move |r| {

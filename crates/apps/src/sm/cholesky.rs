@@ -26,21 +26,13 @@ fn sizes(scale: Scale) -> (usize, usize) {
 const SEED: u64 = 99;
 const SPARSITY: f64 = 0.35;
 
-/// Runs the kernel with explicit sizes. The run asserts the factor matches
-/// the sequential reference; `check` is Σ|L| of the reference factor.
+/// Runs the kernel with explicit sizes on an explicitly configured
+/// machine. The run asserts the factor matches the sequential reference;
+/// `check` is Σ|L| of the reference factor.
 ///
 /// # Panics
 ///
 /// Panics if `band < 2` or `n < band`.
-pub fn run_sized(nprocs: usize, n: usize, band: usize) -> AppOutput {
-    run_sized_with(MachineConfig::new(nprocs), n, band)
-}
-
-/// Like [`run_sized`] but on an explicitly configured machine.
-///
-/// # Panics
-///
-/// Same constraints as [`run_sized`].
 pub fn run_sized_with(cfg: MachineConfig, n: usize, band: usize) -> AppOutput {
     let nprocs = cfg.nprocs;
     assert!(band >= 2 && n >= band, "degenerate band");
@@ -137,12 +129,6 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, band: usize) -> AppOutput {
     }
 }
 
-/// Runs at the default size for `scale`.
-pub fn run(nprocs: usize, scale: Scale) -> AppOutput {
-    let (n, band) = sizes(scale);
-    run_sized(nprocs, n, band)
-}
-
 /// Runs at the default size for `scale` on a caller-configured machine
 /// (e.g. with a different network engine or coherence protocol).
 pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
@@ -156,14 +142,14 @@ mod tests {
 
     #[test]
     fn cholesky_factors_correctly() {
-        let out = run_sized(4, 24, 5);
+        let out = run_sized_with(MachineConfig::new(4), 24, 5);
         assert!(!out.trace.is_empty());
         assert!(out.check > 0.0);
     }
 
     #[test]
     fn cholesky_two_procs() {
-        let out = run_sized(2, 16, 4);
+        let out = run_sized_with(MachineConfig::new(2), 16, 4);
         assert_eq!(out.nprocs, 2);
     }
 }

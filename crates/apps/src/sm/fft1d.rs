@@ -9,10 +9,10 @@
 
 use commchar_spasm::{run as spasm_run, Ctx, MachineConfig, Region};
 
-use crate::{AppClass, AppOutput, Scale};
+use crate::{AppClass, AppError, AppOutput, Scale};
 
 /// Problem size by scale.
-fn points(scale: Scale) -> usize {
+pub(crate) fn points(scale: Scale) -> usize {
     match scale {
         Scale::Tiny => 256,
         Scale::Small => 1024,
@@ -20,29 +20,29 @@ fn points(scale: Scale) -> usize {
     }
 }
 
-/// Runs the kernel: forward FFT of a deterministic signal.
+/// The kernel's precondition on `nprocs` for an `n`-point transform: a
+/// power of two, with every processor owning at least one of the `n/2`
+/// butterflies of each stage.
+pub(crate) fn check(nprocs: usize, n: usize) -> Result<(), AppError> {
+    AppError::power_of_two("1d-fft", nprocs)?;
+    AppError::divides("1d-fft", nprocs, "butterflies", n / 2)
+}
+
+/// Runs the kernel on an explicitly configured machine (processor count,
+/// protocol, cache geometry, network parameters): a forward FFT of a
+/// deterministic `n`-point signal.
 ///
 /// `check` is the total spectral magnitude Σ|X_k|² / n, which by Parseval
 /// equals Σ|x_j|² and is validated in tests.
 ///
 /// # Panics
 ///
-/// Panics unless `nprocs` is a power of two and `nprocs ≤ points`.
-pub fn run_sized(nprocs: usize, n: usize) -> AppOutput {
-    run_sized_with(MachineConfig::new(nprocs), n)
-}
-
-/// Like [`run_sized`] but on an explicitly configured machine (protocol,
-/// cache geometry, network parameters) — used by the machine-sensitivity
-/// ablations.
-///
-/// # Panics
-///
-/// Same constraints as [`run_sized`].
+/// Panics unless `n` is a power of two and the processor count meets
+/// the kernel's precondition (a power of two, `2·nprocs ≤ n`).
 pub fn run_sized_with(cfg: MachineConfig, n: usize) -> AppOutput {
     let nprocs = cfg.nprocs;
-    assert!(nprocs.is_power_of_two(), "fft1d needs a power-of-two processor count");
-    assert!(n.is_power_of_two() && n >= 2 * nprocs, "fft1d size must be a power of two ≥ 2p");
+    assert!(n.is_power_of_two(), "fft1d size must be a power of two");
+    check(nprocs, n).unwrap_or_else(|e| panic!("{e}"));
 
     let out = spasm_run(
         cfg,
@@ -118,11 +118,6 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize) -> AppOutput {
     }
 }
 
-/// Runs at the default size for `scale`.
-pub fn run(nprocs: usize, scale: Scale) -> AppOutput {
-    run_sized(nprocs, points(scale))
-}
-
 /// Runs at the default size for `scale` on a caller-configured machine
 /// (e.g. with a different network engine or coherence protocol).
 pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
@@ -191,7 +186,7 @@ mod tests {
 
     #[test]
     fn fft1d_runs_and_communicates() {
-        let out = run_sized(4, 64);
+        let out = run_sized_with(MachineConfig::new(4), 64);
         assert_eq!(out.name, "1d-fft");
         assert!(!out.trace.is_empty(), "staged FFT must communicate");
         assert!(out.exec_ticks > 0);
@@ -203,7 +198,7 @@ mod tests {
         // The kernel asserts Parseval internally via the barrier-synced
         // check accumulation; a wrong butterfly would panic the comparison
         // below at Tiny scale.
-        let out = run_sized(2, 32);
+        let out = run_sized_with(MachineConfig::new(2), 32);
         assert!(out.check > 0.0);
     }
 }

@@ -12,9 +12,9 @@
 use commchar_spasm::{run as spasm_run, MachineConfig};
 
 use crate::util::XorShift;
-use crate::{AppClass, AppOutput, Scale};
+use crate::{AppClass, AppError, AppOutput, Scale};
 
-fn sizes(scale: Scale) -> (usize, usize) {
+pub(crate) fn sizes(scale: Scale) -> (usize, usize) {
     // (keys, key range)
     match scale {
         Scale::Tiny => (2_048, 64),
@@ -23,24 +23,21 @@ fn sizes(scale: Scale) -> (usize, usize) {
     }
 }
 
-/// Runs the kernel with explicit sizes. The run internally asserts the
-/// output permutation is sorted; `check` is the number of keys.
-///
-/// # Panics
-///
-/// Panics unless `nprocs` divides `nkeys`.
-pub fn run_sized(nprocs: usize, nkeys: usize, range: usize) -> AppOutput {
-    run_sized_with(MachineConfig::new(nprocs), nkeys, range)
+/// The kernel's precondition: the keys split evenly over the processors.
+pub(crate) fn check(nprocs: usize, nkeys: usize) -> Result<(), AppError> {
+    AppError::divides("is", nprocs, "keys", nkeys)
 }
 
-/// Like [`run_sized`] but on an explicitly configured machine.
+/// Runs the kernel with explicit sizes on an explicitly configured
+/// machine. The run internally asserts the output permutation is sorted;
+/// `check` is the number of keys.
 ///
 /// # Panics
 ///
-/// Same constraints as [`run_sized`].
+/// Panics unless the processor count divides `nkeys`.
 pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutput {
     let nprocs = cfg.nprocs;
-    assert!(nkeys.is_multiple_of(nprocs), "keys must divide evenly among processors");
+    check(nprocs, nkeys).unwrap_or_else(|e| panic!("{e}"));
 
     let out = spasm_run(
         cfg,
@@ -144,12 +141,6 @@ pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutp
     }
 }
 
-/// Runs at the default size for `scale`.
-pub fn run(nprocs: usize, scale: Scale) -> AppOutput {
-    let (nkeys, range) = sizes(scale);
-    run_sized(nprocs, nkeys, range)
-}
-
 /// Runs at the default size for `scale` on a caller-configured machine
 /// (e.g. with a different network engine or coherence protocol).
 pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
@@ -163,14 +154,14 @@ mod tests {
 
     #[test]
     fn is_sorts_and_communicates() {
-        let out = run_sized(4, 512, 32);
+        let out = run_sized_with(MachineConfig::new(4), 512, 32);
         assert!(!out.trace.is_empty());
         assert_eq!(out.check, 512.0);
     }
 
     #[test]
     fn is_works_on_two_procs() {
-        let out = run_sized(2, 128, 16);
+        let out = run_sized_with(MachineConfig::new(2), 128, 16);
         assert_eq!(out.nprocs, 2);
     }
 }

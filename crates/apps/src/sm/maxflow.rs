@@ -25,14 +25,9 @@ const SEED: u64 = 4242;
 const QLOCK: u32 = 1999;
 const VLOCK: u32 = 2000;
 
-/// Runs the kernel on a generated layered network. The run asserts the
-/// computed flow equals the sequential Edmonds–Karp reference; `check` is
-/// that reference value.
-pub fn run_sized(nprocs: usize, layers: usize, width: usize) -> AppOutput {
-    run_sized_with(MachineConfig::new(nprocs), layers, width)
-}
-
-/// Like [`run_sized`] but on an explicitly configured machine.
+/// Runs the kernel on a generated layered network, on an explicitly
+/// configured machine. The run asserts the computed flow equals the
+/// sequential Edmonds–Karp reference; `check` is that reference value.
 pub fn run_sized_with(cfg: MachineConfig, layers: usize, width: usize) -> AppOutput {
     let nprocs = cfg.nprocs;
     let (n, edge_list) = gen_layered_graph(layers, width, SEED);
@@ -261,12 +256,6 @@ fn discharge(
     }
 }
 
-/// Runs at the default size for `scale`.
-pub fn run(nprocs: usize, scale: Scale) -> AppOutput {
-    let (layers, width) = sizes(scale);
-    run_sized(nprocs, layers, width)
-}
-
 /// Runs at the default size for `scale` on a caller-configured machine
 /// (e.g. with a different network engine or coherence protocol).
 pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
@@ -280,14 +269,14 @@ mod tests {
 
     #[test]
     fn maxflow_matches_reference() {
-        let out = run_sized(4, 3, 3);
+        let out = run_sized_with(MachineConfig::new(4), 3, 3);
         assert!(out.check > 0.0);
         assert!(!out.trace.is_empty());
     }
 
     #[test]
     fn maxflow_two_procs_small() {
-        let out = run_sized(2, 2, 2);
+        let out = run_sized_with(MachineConfig::new(2), 2, 2);
         assert_eq!(out.nprocs, 2);
     }
 }

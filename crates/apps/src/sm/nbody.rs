@@ -8,9 +8,9 @@
 use commchar_spasm::{run as spasm_run, MachineConfig};
 
 use crate::util::XorShift;
-use crate::{AppClass, AppOutput, Scale};
+use crate::{AppClass, AppError, AppOutput, Scale};
 
-fn sizes(scale: Scale) -> (usize, usize) {
+pub(crate) fn sizes(scale: Scale) -> (usize, usize) {
     // (bodies, steps)
     match scale {
         Scale::Tiny => (48, 2),
@@ -55,24 +55,22 @@ fn reference(n: usize, steps: usize) -> f64 {
     pos.iter().flat_map(|p| p.iter()).map(|v| v.abs()).sum()
 }
 
-/// Runs the kernel with explicit sizes. The run asserts final positions
-/// match the sequential reference; `check` is that reference's Σ|pos|.
-///
-/// # Panics
-///
-/// Panics unless `nprocs` divides the body count.
-pub fn run_sized(nprocs: usize, n: usize, steps: usize) -> AppOutput {
-    run_sized_with(MachineConfig::new(nprocs), n, steps)
+/// The kernel's precondition: the bodies split evenly over the
+/// processors.
+pub(crate) fn check(nprocs: usize, n: usize) -> Result<(), AppError> {
+    AppError::divides("nbody", nprocs, "bodies", n)
 }
 
-/// Like [`run_sized`] but on an explicitly configured machine.
+/// Runs the kernel with explicit sizes on an explicitly configured
+/// machine. The run asserts final positions match the sequential
+/// reference; `check` is that reference's Σ|pos|.
 ///
 /// # Panics
 ///
-/// Same constraints as [`run_sized`].
+/// Panics unless the processor count divides the body count.
 pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
     let nprocs = cfg.nprocs;
-    assert!(n.is_multiple_of(nprocs), "bodies must divide evenly among processors");
+    check(nprocs, n).unwrap_or_else(|e| panic!("{e}"));
     let expected = reference(n, steps);
 
     let out = spasm_run(
@@ -170,12 +168,6 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
     }
 }
 
-/// Runs at the default size for `scale`.
-pub fn run(nprocs: usize, scale: Scale) -> AppOutput {
-    let (n, steps) = sizes(scale);
-    run_sized(nprocs, n, steps)
-}
-
 /// Runs at the default size for `scale` on a caller-configured machine
 /// (e.g. with a different network engine or coherence protocol).
 pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
@@ -189,14 +181,14 @@ mod tests {
 
     #[test]
     fn nbody_matches_reference() {
-        let out = run_sized(4, 24, 2);
+        let out = run_sized_with(MachineConfig::new(4), 24, 2);
         assert!(!out.trace.is_empty());
         assert!(out.check > 0.0);
     }
 
     #[test]
     fn nbody_single_step() {
-        let out = run_sized(2, 8, 1);
+        let out = run_sized_with(MachineConfig::new(2), 8, 1);
         assert_eq!(out.nprocs, 2);
     }
 }

@@ -4,8 +4,8 @@
 
 use commchar_apps::{AppId, Scale};
 use commchar_mesh::{
-    FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole,
-    StreamingLog,
+    EngineKind, FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId,
+    OnlineWormhole, StreamingLog,
 };
 use commchar_stats::fit::fit_best;
 use commchar_stats::Dist;
@@ -71,16 +71,21 @@ fn bench_stats(c: &mut Criterion) {
 fn bench_simulators(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulators");
     group.sample_size(10);
-    group.bench_function("spasm/is_tiny_4p", |b| b.iter(|| AppId::Is.run(4, Scale::Tiny)));
-    group.bench_function("sp2/fft3d_tiny_4p", |b| b.iter(|| AppId::Fft3d.run(4, Scale::Tiny)));
+    let run = |app: AppId| {
+        app.run_net(4, Scale::Tiny, EngineKind::Recurrence, 1, MeshConfig::for_nodes(4))
+    };
+    group.bench_function("spasm/is_tiny_4p", |b| b.iter(|| run(AppId::Is)));
+    group.bench_function("sp2/fft3d_tiny_4p", |b| b.iter(|| run(AppId::Fft3d)));
     group.finish();
 }
 
 fn bench_replay(c: &mut Criterion) {
-    let out = AppId::Fft3d.run(4, Scale::Tiny);
     let mesh = MeshConfig::for_nodes(4);
+    let out = AppId::Fft3d.run_net(4, Scale::Tiny, EngineKind::Recurrence, 1, mesh);
     c.bench_function("trace/causal_replay_fft3d", |b| {
-        b.iter(|| CausalReplayer::new(mesh).replay(black_box(&out.trace)))
+        b.iter(|| {
+            CausalReplayer::new(mesh).try_replay(black_box(&out.trace), EngineKind::Recurrence)
+        })
     });
 }
 

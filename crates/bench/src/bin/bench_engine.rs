@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
-use commchar_core::{characterize, run_workload_engine};
+use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
 use commchar_mesh::{
     EngineKind, FlitLevel, IncrementalFlit, MeshConfig, MeshModel, NetEngine, NetMessage, NodeId,
@@ -97,11 +97,11 @@ struct AppRow {
 fn fidelity(scale: Scale) -> Vec<AppRow> {
     let mut rows = Vec::new();
     for app in [AppId::Is, AppId::Nbody, AppId::Fft3d] {
-        let rec = run_workload_engine(app, 8, scale, EngineKind::Recurrence);
-        let flit = run_workload_engine(app, 8, scale, EngineKind::flit());
+        let run = |engine| acquire(&RunSpec { engine, ..RunSpec::new(app, 8, scale, 42) }).unwrap();
+        let (rec, flit) = (run(EngineKind::Recurrence), run(EngineKind::flit()));
         let (rs, fs) = (rec.netlog.summary(), flit.netlog.summary());
-        let rec_sig = characterize(&rec);
-        let flit_sig = characterize(&flit);
+        let rec_sig = characterize(&rec, 1).unwrap();
+        let flit_sig = characterize(&flit, 1).unwrap();
         rows.push(AppRow {
             app: app.name(),
             rec_mean: rs.mean_latency,

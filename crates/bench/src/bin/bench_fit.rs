@@ -27,11 +27,12 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use commchar_apps::{AppId, Scale};
 use commchar_bench::fit_reference::characterize_reference;
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
-use commchar_core::{characterize_jobs, run_workload, CommSignature, Workload};
-use commchar_mesh::MeshConfig;
+use commchar_core::{characterize, CommSignature, Workload};
+use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::{pack_trace_with_block_len, TraceWriter};
@@ -69,7 +70,7 @@ fn synthetic(seed: u64, nodes: usize, count: usize) -> Workload {
         trace.push(synth_event(&mut rng, i, &mut t, nodes));
     }
     let mesh = MeshConfig::for_nodes(nodes);
-    let netlog = CausalReplayer::new(mesh).replay(&trace);
+    let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
     Workload {
         name: format!("synthetic_{nodes}src"),
         class: commchar_apps::AppClass::MessagePassing,
@@ -89,11 +90,8 @@ fn workloads(quick: bool) -> Vec<(&'static str, Workload)> {
         // sort/sweep cost dominates under the old pipeline.
         ("synthetic_64src", synthetic(42, 64, 100_000 * scale)),
         ("synthetic_256src", synthetic(7, 256, 60_000 * scale)),
-        ("app_3d-fft", run_workload(commchar_apps::AppId::Fft3d, 8, commchar_apps::Scale::Small)),
-        (
-            "app_cholesky",
-            run_workload(commchar_apps::AppId::Cholesky, 8, commchar_apps::Scale::Small),
-        ),
+        ("app_3d-fft", commchar_bench::workload(AppId::Fft3d, 8, Scale::Small)),
+        ("app_cholesky", commchar_bench::workload(AppId::Cholesky, 8, Scale::Small)),
     ]
 }
 
@@ -267,8 +265,8 @@ fn main() {
         // Cross-check first: identical reports between worker counts, and
         // reference agreement, or the numbers are meaningless.
         let reference = characterize_reference(&w);
-        let seq = characterize_jobs(&w, 1);
-        let par = characterize_jobs(&w, 4);
+        let seq = characterize(&w, 1).unwrap();
+        let par = characterize(&w, 4).unwrap();
         assert_eq!(
             signature_report(&seq),
             signature_report(&par),
@@ -282,11 +280,11 @@ fn main() {
             assert_eq!(sig.nprocs, w.nprocs);
         });
         let t_seq = time_best(iters, || {
-            let sig = characterize_jobs(&w, 1);
+            let sig = characterize(&w, 1).unwrap();
             assert_eq!(sig.nprocs, w.nprocs);
         });
         let t_par = time_best(iters, || {
-            let sig = characterize_jobs(&w, 4);
+            let sig = characterize(&w, 4).unwrap();
             assert_eq!(sig.nprocs, w.nprocs);
         });
         let speedup = t_ref / t_par;

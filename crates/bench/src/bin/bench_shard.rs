@@ -20,9 +20,9 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
-use commchar_core::{characterize, run_workload_sim};
+use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
-use commchar_mesh::{EngineKind, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
+use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
 
 const WIDTH: u16 = 32;
 const HEIGHT: u16 = 32;
@@ -211,14 +211,15 @@ fn bench_spasm(quick: bool, iters: u32, jobs: usize) -> Section {
     // the all-to-all exchange give the shards real cross-boundary
     // traffic.
     let (app, procs, scale) = (AppId::Fft1d, 1024, Scale::Full);
-    let engine = EngineKind::Recurrence;
+    let run = |sim_jobs| acquire(&RunSpec { sim_jobs, ..RunSpec::new(app, procs, scale, 42) });
+    let run = |sim_jobs| run(sim_jobs).unwrap_or_else(|e| panic!("{e}"));
 
     // Identity first, on the full acquisition output: trace bytes, netlog
     // bytes and execution time must all survive sharding.
-    let serial_w = run_workload_sim(app, procs, scale, engine, 1);
+    let serial_w = run(1);
     let check_jobs: &[usize] = if quick { &[4] } else { &[2, 4, 8] };
     for &n in check_jobs {
-        let w = run_workload_sim(app, procs, scale, engine, n);
+        let w = run(n);
         assert_eq!(w.exec_ticks, serial_w.exec_ticks, "sim-jobs {n}: exec time diverged");
         assert_eq!(
             w.trace.events(),
@@ -237,16 +238,16 @@ fn bench_spasm(quick: bool, iters: u32, jobs: usize) -> Section {
     }
 
     let t_serial = time_best(iters, || {
-        let w = run_workload_sim(app, procs, scale, engine, 1);
+        let w = run(1);
         assert_eq!(w.trace.len(), serial_w.trace.len());
     });
     let t_sharded = time_best(iters, || {
-        let w = run_workload_sim(app, procs, scale, engine, jobs);
+        let w = run(jobs);
         assert_eq!(w.trace.len(), serial_w.trace.len());
     });
 
     // End-to-end: the acquired kilo-processor workload must characterize.
-    let sig = characterize(&serial_w);
+    let sig = characterize(&serial_w, 1).unwrap_or_else(|e| panic!("{e}"));
     println!(
         "characterized {} at {procs} procs: {} messages, {} fitted sources",
         app.name(),

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use commchar_core::run_workload;
+use commchar_apps::{AppId, Scale};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{pack_trace, unpack_trace, unpack_trace_parallel};
 
@@ -85,12 +85,11 @@ fn workloads(quick: bool) -> Vec<Workload> {
         Workload { name: "synthetic_16n", trace: synthetic(7, 16, 10_000 * scale) },
         Workload {
             name: "app_3d-fft",
-            trace: run_workload(commchar_apps::AppId::Fft3d, 8, commchar_apps::Scale::Small).trace,
+            trace: commchar_bench::workload(AppId::Fft3d, 8, Scale::Small).trace,
         },
         Workload {
             name: "app_cholesky",
-            trace: run_workload(commchar_apps::AppId::Cholesky, 8, commchar_apps::Scale::Small)
-                .trace,
+            trace: commchar_bench::workload(AppId::Cholesky, 8, Scale::Small).trace,
         },
     ]
 }

@@ -7,7 +7,7 @@
 //! the spatial signature.
 
 use commchar_core::report::table;
-use commchar_mesh::MeshConfig;
+use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_sp2::{run_mp, Sp2Config};
 use commchar_stats::spatial::{classify, normalize};
 use commchar_trace::replay::CausalReplayer;
@@ -22,7 +22,7 @@ fn spatial_peak(nprocs: usize, tree: bool) -> (f64, String, f64) {
         }
     });
     let mesh = MeshConfig::for_nodes(nprocs);
-    let log = CausalReplayer::new(mesh).replay(&out.trace);
+    let log = CausalReplayer::new(mesh).try_replay(&out.trace, EngineKind::Recurrence).unwrap();
     let counts = log.spatial_counts(nprocs);
     // Fraction of all messages destined to p0, and the consensus model of
     // a representative non-root source.

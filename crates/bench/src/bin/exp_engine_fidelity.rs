@@ -13,16 +13,16 @@
 
 use commchar_apps::{AppId, Scale};
 use commchar_core::report::table;
-use commchar_core::{characterize, run_workload_engine};
+use commchar_core::{acquire, characterize, RunSpec};
 use commchar_mesh::EngineKind;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("engine fidelity: recurrence vs cycle-accurate flit, closed loop\n");
     let mut rows = Vec::new();
     for app in [AppId::Is, AppId::Cholesky, AppId::Nbody, AppId::Fft3d] {
         for kind in [EngineKind::Recurrence, EngineKind::flit()] {
-            let w = run_workload_engine(app, 8, Scale::Tiny, kind);
-            let sig = characterize(&w);
+            let w = acquire(&RunSpec { engine: kind, ..RunSpec::new(app, 8, Scale::Tiny, 42) })?;
+            let sig = characterize(&w, 1)?;
             let s = w.netlog.summary();
             rows.push(vec![
                 app.name().to_string(),
@@ -45,4 +45,5 @@ fn main() {
     println!(" uses the static strategy, so only the replayed latencies change.");
     println!(" A fitted distribution family that survives the engine swap is");
     println!(" robust to network-model fidelity — the methodology's claim.)");
+    Ok(())
 }

@@ -20,7 +20,7 @@ pub mod fit_reference;
 
 use commchar_apps::{AppId, Scale};
 use commchar_core::suite::{cell_matrix, SuiteReport, SuiteRunner};
-use commchar_core::{characterize, run_workload, CommSignature, Workload};
+use commchar_core::{acquire, characterize, CommSignature, RunSpec, Workload};
 
 /// Command-line options shared by the experiment binaries.
 #[derive(Clone, Copy, Debug)]
@@ -86,10 +86,16 @@ impl ExpOptions {
     }
 }
 
-/// Runs and characterizes one application.
+/// Acquires one application's workload on the default network and engine,
+/// panicking on a bad processor count (these are developer tools).
+pub fn workload(app: AppId, procs: usize, scale: Scale) -> Workload {
+    acquire(&RunSpec::new(app, procs, scale, 42)).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Runs and characterizes one application, panicking on failure.
 pub fn run_and_characterize(app: AppId, opts: ExpOptions) -> (Workload, CommSignature) {
-    let w = run_workload(app, opts.procs, opts.scale);
-    let sig = characterize(&w);
+    let w = workload(app, opts.procs, opts.scale);
+    let sig = characterize(&w, 1).unwrap_or_else(|e| panic!("{e}"));
     (w, sig)
 }
 
@@ -106,10 +112,11 @@ pub fn run_suite(opts: ExpOptions) -> Vec<(Workload, CommSignature)> {
 
 /// Runs the full suite through the parallel [`SuiteRunner`], returning the
 /// deterministic [`SuiteReport`] (signatures in input order regardless of
-/// worker interleaving, plus per-cell wall-clock and messages/sec).
+/// worker interleaving, plus per-cell wall-clock and messages/sec),
+/// panicking with the first failing cell's error.
 pub fn run_suite_report(opts: ExpOptions, seed: u64) -> SuiteReport {
     let cells = cell_matrix(AppId::all(), &[opts.procs], &[opts.scale], seed);
-    SuiteRunner::new(opts.jobs).run(cells)
+    SuiteRunner::new(opts.jobs).run(cells).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

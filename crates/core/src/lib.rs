@@ -1,21 +1,24 @@
 //! # commchar-core
 //!
 //! The end-to-end communication characterization pipeline — the paper's
-//! methodology as a library:
+//! methodology as a library. One plain data value, [`RunSpec`], describes
+//! a run (application, processors, scale, seed, network, engine,
+//! simulator shards), and each stage is one fallible function:
 //!
-//! 1. **Acquire** a communication workload ([`run_workload`]): shared-memory
+//! 1. **Acquire** a communication workload ([`acquire`]): shared-memory
 //!    applications execute on the execution-driven CC-NUMA simulator with
-//!    the mesh in the loop (*dynamic strategy*); message-passing
+//!    the network in the loop (*dynamic strategy*); message-passing
 //!    applications execute on the SP2-modelled runtime and their traces are
-//!    causally replayed through the same mesh (*static strategy*).
+//!    causally replayed through the same network (*static strategy*).
+//!    Invalid processor counts come back as a typed [`RunError`] before
+//!    anything runs.
 //! 2. **Analyze** the network log ([`characterize`]): fit the message
 //!    inter-arrival time distribution (per source and aggregate), classify
 //!    each source's spatial distribution, and summarize the volume
-//!    attribute — producing a [`CommSignature`]. [`characterize_jobs`] fans
-//!    the per-source fits across worker threads (the CLI's `--jobs` knob)
-//!    with results identical to the serial path; [`try_characterize`]
-//!    surfaces degenerate inputs (an empty log) as a typed [`CharError`]
-//!    instead of panicking.
+//!    attribute — producing a [`CommSignature`]. The per-source fits fan
+//!    out over `jobs` worker threads (the CLI's `--jobs` knob) with results
+//!    identical to the serial path; degenerate inputs (an empty log) are a
+//!    typed [`CharError`].
 //! 3. **Synthesize** ([`synthesize`]): turn the signature back into an
 //!    open-loop [`commchar_traffic::TrafficModel`], usable to drive network
 //!    studies with realistic workloads (and to validate the fits against
@@ -25,28 +28,27 @@
 //! parallel through [`suite::SuiteRunner`], which fans cells across scoped
 //! worker threads and returns results in deterministic input order.
 //!
-//! Both strategies drive the mesh through a pluggable closed-loop engine
-//! ([`commchar_mesh::NetEngine`]): the default channel-recurrence wormhole
-//! model, or the cycle-accurate flit-level router run incrementally.
-//! [`run_workload_engine`] and [`suite::SuiteRunner::with_engine`] select
-//! it (the CLI's `--engine` flag); [`run_workload`] keeps the recurrence
-//! default. [`run_workload_sim`] and [`suite::SuiteRunner::with_sim_jobs`]
-//! additionally shard the execution-driven simulator itself (the CLI's
-//! `--sim-jobs` flag) — event-identical to serial, so no output depends
-//! on it. [`run_workload_net`] also selects the network itself — a torus
-//! with wraparound links and/or the minimal-adaptive routing policy (the
-//! CLI's `--topology` / `--routing` flags) — raising the virtual-channel
-//! budget to the escape-channel minimum the pair needs.
+//! Both strategies drive the network through a pluggable closed-loop
+//! engine ([`commchar_mesh::NetEngine`]): the default channel-recurrence
+//! wormhole model, or the cycle-accurate flit-level router run
+//! incrementally ([`RunSpec::engine`], the CLI's `--engine`).
+//! [`RunSpec::sim_jobs`] shards the simulators themselves (the CLI's
+//! `--sim-jobs`) — event-identical to serial, so no output depends on it.
+//! [`RunSpec::topology`] and [`RunSpec::routing`] select the network — a
+//! torus with wraparound links and/or the minimal-adaptive routing policy
+//! (the CLI's `--topology` / `--routing`) — with the virtual-channel
+//! budget raised to the escape-channel minimum the pair needs.
 //!
 //! # Example
 //!
 //! ```no_run
 //! use commchar_apps::{AppId, Scale};
-//! use commchar_core::{characterize, run_workload};
+//! use commchar_core::{acquire, characterize, RunSpec};
 //!
-//! let w = run_workload(AppId::Is, 8, Scale::Tiny);
-//! let sig = characterize(&w);
+//! let w = acquire(&RunSpec::new(AppId::Is, 8, Scale::Tiny, 42))?;
+//! let sig = characterize(&w, 1)?;
 //! println!("{}", sig.temporal.aggregate.dist);
+//! # Ok::<(), commchar_core::RunError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,12 +59,12 @@ pub mod phases;
 pub mod report;
 pub mod suite;
 
-use commchar_apps::{AppClass, AppId, Scale};
+use commchar_apps::{AppClass, AppError, AppId, Scale};
 use commchar_mesh::{EngineKind, MeshConfig, NetLog, NetSummary, Routing, Topology};
 use commchar_stats::fit::{fit_best, FitResult};
 use commchar_stats::spatial::SpatialFit;
 use commchar_stats::Dist;
-use commchar_trace::replay::CausalReplayer;
+use commchar_trace::replay::{CausalReplayer, ReplayError};
 use commchar_trace::CommTrace;
 use commchar_traffic::{LengthDist, SourceModel, TrafficModel};
 
@@ -85,95 +87,136 @@ pub struct Workload {
     pub exec_ticks: u64,
 }
 
-/// Runs an application end-to-end and produces its workload, driving the
-/// 2-D mesh by the strategy appropriate to its class.
-///
-/// # Panics
-///
-/// Panics on invalid processor counts for the chosen kernel.
-pub fn run_workload(app: AppId, nprocs: usize, scale: Scale) -> Workload {
-    run_workload_engine(app, nprocs, scale, EngineKind::Recurrence)
+/// One run of the pipeline as plain data: which application, at what
+/// size, on which network and engine. [`acquire`] turns it into a
+/// [`Workload`]; the suite runs a list of them ([`suite::SuiteCell`] is
+/// this type).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RunSpec {
+    /// Application to run.
+    pub app: AppId,
+    /// Processor count.
+    pub procs: usize,
+    /// Problem scale.
+    pub scale: Scale,
+    /// Seed for synthetic generation from the fitted model.
+    pub seed: u64,
+    /// Network topology (mesh, or torus with wraparound links).
+    pub topology: Topology,
+    /// Route-computation policy.
+    pub routing: Routing,
+    /// Closed-loop network engine: in the execution loop for the dynamic
+    /// strategy, at causal replay for the static one.
+    pub engine: EngineKind,
+    /// Shards for the simulators — the execution-driven machine and the
+    /// flit router's drain (1 = serial, 0 = one per hardware thread).
+    /// Never changes any output.
+    pub sim_jobs: usize,
 }
 
-/// Like [`run_workload`] but with an explicit closed-loop network engine.
-///
-/// Dynamic-strategy applications run with the chosen engine *in the loop*
-/// (its delivery times steer the simulated processors); static-strategy
-/// applications acquire their trace engine-free and the choice applies at
-/// causal replay. [`EngineKind::Recurrence`] reproduces [`run_workload`]
-/// exactly.
-///
-/// # Panics
-///
-/// Panics on invalid processor counts for the chosen kernel.
-pub fn run_workload_engine(
-    app: AppId,
-    nprocs: usize,
-    scale: Scale,
-    engine: EngineKind,
-) -> Workload {
-    run_workload_sim(app, nprocs, scale, engine, 1)
+impl RunSpec {
+    /// A run on the default network and engine: a mesh with
+    /// dimension-order routing, the recurrence engine, a serial simulator.
+    pub fn new(app: AppId, procs: usize, scale: Scale, seed: u64) -> RunSpec {
+        RunSpec {
+            app,
+            procs,
+            scale,
+            seed,
+            topology: Topology::Mesh,
+            routing: Routing::Dimension,
+            engine: EngineKind::Recurrence,
+            sim_jobs: 1,
+        }
+    }
+
+    /// Returns the spec retargeted to another (topology × routing) pair —
+    /// how the suite adds network-contrast rows for the same workload.
+    #[must_use]
+    pub fn with_net(mut self, topology: Topology, routing: Routing) -> RunSpec {
+        self.topology = topology;
+        self.routing = routing;
+        self
+    }
 }
 
-/// Like [`run_workload_engine`] with an explicit shard count for the
-/// execution-driven simulator's conservative-window parallel engine
-/// (the CLI's `--sim-jobs`; 1 = serial, 0 = one shard per hardware
-/// thread). Sharding never changes the acquired workload — the trace and
-/// log are bit-identical for any value — only the wall-clock time of
-/// dynamic-strategy acquisition. Static-strategy applications ignore it.
-///
-/// # Panics
-///
-/// Panics on invalid processor counts for the chosen kernel.
-pub fn run_workload_sim(
-    app: AppId,
-    nprocs: usize,
-    scale: Scale,
-    engine: EngineKind,
-    sim_jobs: usize,
-) -> Workload {
-    run_workload_net(app, nprocs, scale, engine, sim_jobs, Topology::Mesh, Routing::Dimension)
+/// Why a [`RunSpec`] could not be run through the pipeline.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RunError {
+    /// The application cannot run at the requested processor count.
+    App(AppError),
+    /// Causal replay of a static-strategy trace failed.
+    Replay(ReplayError),
+    /// The acquired workload could not be characterized.
+    Char(CharError),
 }
 
-/// Like [`run_workload_sim`] with an explicit network: the `topology`
-/// (mesh, or torus with wraparound links) and the `routing` policy
-/// (dimension-order, or minimal-adaptive). The network is built by
-/// [`MeshConfig::for_nodes_net`], which raises the virtual-channel budget
-/// to the escape-channel minimum the chosen (topology × routing) pair
-/// needs for deadlock freedom. Dynamic-strategy applications execute with
-/// that network in the closed loop; static-strategy traces are causally
-/// replayed through it. Mesh + dimension-order reproduces
-/// [`run_workload_sim`] exactly.
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::App(e) => write!(f, "{e}"),
+            RunError::Replay(e) => write!(f, "{e}"),
+            RunError::Char(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<AppError> for RunError {
+    fn from(e: AppError) -> Self {
+        RunError::App(e)
+    }
+}
+
+impl From<ReplayError> for RunError {
+    fn from(e: ReplayError) -> Self {
+        RunError::Replay(e)
+    }
+}
+
+impl From<CharError> for RunError {
+    fn from(e: CharError) -> Self {
+        RunError::Char(e)
+    }
+}
+
+/// Acquires the workload `spec` describes, driving its network by the
+/// strategy appropriate to the application's class.
 ///
-/// # Panics
+/// The network is built by [`MeshConfig::for_nodes_net`], which raises the
+/// virtual-channel budget to the escape-channel minimum the (topology ×
+/// routing) pair needs for deadlock freedom. Dynamic-strategy
+/// applications execute with that network and `spec.engine` in the
+/// closed loop; static-strategy traces are acquired network-free and
+/// causally replayed through it. `spec.sim_jobs` never changes the
+/// workload, only the wall-clock time.
 ///
-/// Panics on invalid processor counts for the chosen kernel.
-pub fn run_workload_net(
-    app: AppId,
-    nprocs: usize,
-    scale: Scale,
-    engine: EngineKind,
-    sim_jobs: usize,
-    topology: Topology,
-    routing: Routing,
-) -> Workload {
-    let mesh = MeshConfig::for_nodes_net(nprocs, topology, routing);
-    let out = app.run_net(nprocs, scale, engine, sim_jobs, mesh);
+/// # Errors
+///
+/// [`RunError::App`] when the processor count fails [`AppId::check`] —
+/// reported before anything runs — and [`RunError::Replay`] when the
+/// static-strategy replay fails.
+pub fn acquire(spec: &RunSpec) -> Result<Workload, RunError> {
+    spec.app.check(spec.procs, spec.scale)?;
+    let mesh = MeshConfig::for_nodes_net(spec.procs, spec.topology, spec.routing);
+    let out = spec.app.run_net(spec.procs, spec.scale, spec.engine, spec.sim_jobs, mesh);
     let netlog = match out.netlog {
         Some(log) => log, // dynamic strategy: closed-loop co-simulation
-        None => CausalReplayer::new(mesh) // static strategy
-            .try_replay(&out.trace, engine)
-            .unwrap_or_else(|e| panic!("{e}")),
+        None => {
+            CausalReplayer::new(mesh) // static strategy
+                .try_replay_into(&out.trace, spec.engine, spec.sim_jobs, NetLog::new())?
+        }
     };
-    Workload {
+    Ok(Workload {
         name: out.name.to_string(),
         class: out.class,
-        nprocs,
+        nprocs: spec.procs,
         mesh,
         trace: out.trace,
         netlog,
         exec_ticks: out.exec_ticks,
-    }
+    })
 }
 
 /// The temporal attribute: fitted inter-arrival distributions plus
@@ -288,40 +331,6 @@ impl std::error::Error for CharError {}
 
 /// Analyzes a workload into its communication signature.
 ///
-/// Equivalent to [`try_characterize`] but panicking on degenerate input —
-/// the convenient form for workloads produced by [`run_workload`], which
-/// are never degenerate.
-///
-/// # Panics
-///
-/// Panics if the workload's trace is empty or has fewer than two
-/// inter-arrival gaps (see [`CharError`]).
-pub fn characterize(w: &Workload) -> CommSignature {
-    try_characterize(w).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Analyzes a workload into its communication signature, fanning the
-/// per-source distribution fits across `jobs` worker threads — see
-/// [`try_characterize_jobs`].
-///
-/// # Panics
-///
-/// Panics on degenerate input (see [`CharError`]).
-pub fn characterize_jobs(w: &Workload, jobs: usize) -> CommSignature {
-    try_characterize_jobs(w, jobs).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Analyzes a workload into its communication signature, sequentially.
-///
-/// # Errors
-///
-/// [`CharError`] on an empty or temporally degenerate trace.
-pub fn try_characterize(w: &Workload) -> Result<CommSignature, CharError> {
-    try_characterize_jobs(w, 1)
-}
-
-/// Analyzes a workload into its communication signature.
-///
 /// The trace attributes come from [`analyze::try_analyze_trace`] — the
 /// same grouped-run fit path the out-of-core driver
 /// [`analyze::try_analyze_blocks`] uses, so streamed and batch analyses
@@ -334,7 +343,7 @@ pub fn try_characterize(w: &Workload) -> Result<CommSignature, CharError> {
 /// # Errors
 ///
 /// [`CharError`] on an empty or temporally degenerate trace.
-pub fn try_characterize_jobs(w: &Workload, jobs: usize) -> Result<CommSignature, CharError> {
+pub fn characterize(w: &Workload, jobs: usize) -> Result<CommSignature, CharError> {
     let a = analyze::try_analyze_trace(&w.trace, w.mesh.shape, jobs)?;
     Ok(CommSignature {
         name: w.name.clone(),
@@ -504,10 +513,18 @@ pub fn synthesize_phased(
 mod tests {
     use super::*;
 
+    fn tiny(app: AppId) -> Workload {
+        acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap()
+    }
+
+    fn sig(w: &Workload) -> CommSignature {
+        characterize(w, 1).unwrap()
+    }
+
     #[test]
     fn phased_synthesis_tracks_the_burst_structure() {
-        let w = run_workload(AppId::Nbody, 4, Scale::Tiny);
-        let sig = characterize(&w);
+        let w = tiny(AppId::Nbody);
+        let sig = sig(&w);
         let synth = synthesize_phased(&w, &sig, 8, 5);
         assert!(!synth.is_empty());
         synth.check().unwrap();
@@ -542,10 +559,10 @@ mod tests {
 
     #[test]
     fn pipeline_end_to_end_shared_memory() {
-        let w = run_workload(AppId::Is, 4, Scale::Tiny);
+        let w = tiny(AppId::Is);
         assert_eq!(w.class, AppClass::SharedMemory);
         assert_eq!(w.trace.len(), w.netlog.records().len());
-        let sig = characterize(&w);
+        let sig = sig(&w);
         assert_eq!(sig.nprocs, 4);
         assert!(sig.temporal.aggregate.r2 > 0.5, "aggregate fit too poor");
         assert!(sig.volume.messages > 0);
@@ -554,18 +571,18 @@ mod tests {
 
     #[test]
     fn pipeline_end_to_end_message_passing() {
-        let w = run_workload(AppId::Fft3d, 4, Scale::Tiny);
+        let w = tiny(AppId::Fft3d);
         assert_eq!(w.class, AppClass::MessagePassing);
         // Static strategy: trace replayed through the mesh.
         assert_eq!(w.trace.len(), w.netlog.records().len());
-        let sig = characterize(&w);
+        let sig = sig(&w);
         assert!(sig.network.mean_latency > 0.0);
     }
 
     #[test]
     fn synthesized_model_generates_comparable_traffic() {
-        let w = run_workload(AppId::Nbody, 4, Scale::Tiny);
-        let sig = characterize(&w);
+        let w = tiny(AppId::Nbody);
+        let sig = sig(&w);
         let model = synthesize(&sig, w.mesh);
         let span = w.netlog.summary().span;
         let synth = model.generate(span, 11);
@@ -577,7 +594,7 @@ mod tests {
 
     #[test]
     fn per_kind_characterization_partitions_the_trace() {
-        let w = run_workload(AppId::Is, 4, Scale::Tiny);
+        let w = tiny(AppId::Is);
         let kinds = [
             commchar_trace::EventKind::Control,
             commchar_trace::EventKind::Data,
@@ -608,7 +625,7 @@ mod tests {
                 commchar_trace::EventKind::Data,
             ));
         }
-        let netlog = CausalReplayer::new(mesh).replay(&trace);
+        let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
         Workload {
             name: "degenerate".into(),
             class: AppClass::MessagePassing,
@@ -622,46 +639,21 @@ mod tests {
 
     #[test]
     fn degenerate_traces_yield_typed_errors_not_panics() {
-        assert_eq!(try_characterize(&degenerate_workload(0)).err(), Some(CharError::EmptyTrace));
+        assert_eq!(characterize(&degenerate_workload(0), 1).err(), Some(CharError::EmptyTrace));
         // One message: zero gaps. Two messages: one gap. Both degenerate.
         assert_eq!(
-            try_characterize(&degenerate_workload(1)).err(),
+            characterize(&degenerate_workload(1), 1).err(),
             Some(CharError::DegenerateTemporal { gaps: 0 })
         );
         assert_eq!(
-            try_characterize(&degenerate_workload(2)).err(),
+            characterize(&degenerate_workload(2), 1).err(),
             Some(CharError::DegenerateTemporal { gaps: 1 })
         );
         // Three messages is the smallest characterizable trace.
-        let sig = try_characterize(&degenerate_workload(3)).unwrap();
+        let sig = characterize(&degenerate_workload(3), 1).unwrap();
         assert_eq!(sig.volume.messages, 3);
         let msg = CharError::DegenerateTemporal { gaps: 1 }.to_string();
         assert!(msg.contains("degenerate"), "unhelpful message: {msg}");
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate trace")]
-    fn characterize_panic_message_names_the_problem() {
-        let _ = characterize(&degenerate_workload(1));
-    }
-
-    #[test]
-    fn net_default_reproduces_run_workload_sim() {
-        // Mesh + dimension-order is the historical configuration; the
-        // net-aware entry point must reproduce it to the byte.
-        let a = run_workload(AppId::Is, 4, Scale::Tiny);
-        let b = run_workload_net(
-            AppId::Is,
-            4,
-            Scale::Tiny,
-            EngineKind::Recurrence,
-            1,
-            Topology::Mesh,
-            Routing::Dimension,
-        );
-        assert_eq!(a.mesh, b.mesh);
-        assert_eq!(a.trace.to_jsonl(), b.trace.to_jsonl());
-        assert_eq!(a.netlog.records(), b.netlog.records());
     }
 
     #[test]
@@ -671,18 +663,12 @@ mod tests {
         // with minimal-adaptive routing, and the full characterization
         // pipeline follows through.
         for app in [AppId::Is, AppId::Halo] {
-            let w = run_workload_net(
-                app,
-                4,
-                Scale::Tiny,
-                EngineKind::flit(),
-                1,
-                Topology::Torus,
-                Routing::Adaptive,
-            );
+            let spec =
+                RunSpec::new(app, 4, Scale::Tiny, 42).with_net(Topology::Torus, Routing::Adaptive);
+            let w = acquire(&RunSpec { engine: EngineKind::flit(), ..spec }).unwrap();
             assert_eq!(w.mesh.shape.topology(), Topology::Torus);
             assert!(w.mesh.virtual_channels >= w.mesh.vc_classes());
-            let sig = characterize(&w);
+            let sig = sig(&w);
             assert!(sig.volume.messages > 0);
             assert!(sig.network.mean_latency > 0.0);
         }
@@ -694,15 +680,8 @@ mod tests {
         // whole mesh but a single wrap link on the torus: same trace
         // (static acquisition is network-free), strictly fewer mean hops.
         let run = |topology| {
-            run_workload_net(
-                AppId::Allreduce,
-                8,
-                Scale::Tiny,
-                EngineKind::Recurrence,
-                1,
-                topology,
-                Routing::Dimension,
-            )
+            let spec = RunSpec::new(AppId::Allreduce, 8, Scale::Tiny, 42);
+            acquire(&spec.with_net(topology, Routing::Dimension)).unwrap()
         };
         let mesh = run(Topology::Mesh);
         let torus = run(Topology::Torus);
@@ -713,8 +692,8 @@ mod tests {
 
     #[test]
     fn burstiness_is_computed() {
-        let w = run_workload(AppId::Nbody, 4, Scale::Tiny);
-        let sig = characterize(&w);
+        let w = tiny(AppId::Nbody);
+        let sig = sig(&w);
         let b = sig.temporal.burstiness;
         assert!(b.cv2 > 0.0, "nbody traffic must have variance");
         assert!(b.cv2.is_finite());
@@ -722,8 +701,8 @@ mod tests {
 
     #[test]
     fn mp_collectives_make_p0_the_favorite() {
-        let w = run_workload(AppId::Fft3d, 4, Scale::Tiny);
-        let sig = characterize(&w);
+        let w = tiny(AppId::Fft3d);
+        let sig = sig(&w);
         // At least one non-zero source classifies p0 as favorite or shows
         // p0-dominated observed traffic.
         let mut favored = 0;

@@ -4,8 +4,8 @@
 use commchar_apps::AppClass;
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
-use commchar_core::{characterize, synthesize, try_characterize_jobs, Workload};
-use commchar_mesh::MeshConfig;
+use commchar_core::{characterize, synthesize, Workload};
+use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_stats::spatial::SpatialModel;
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
@@ -19,7 +19,7 @@ fn workload_from(model: &commchar_traffic::TrafficModel, duration: u64, seed: u6
     let n = model.nodes();
     let mesh = MeshConfig::for_nodes(n);
     let trace = model.generate(duration, seed);
-    let netlog = CausalReplayer::new(mesh).replay(&trace);
+    let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
     Workload {
         name: "synthetic".into(),
         class: AppClass::MessagePassing,
@@ -43,7 +43,7 @@ proptest! {
         let model = uniform_poisson(n, rate, 32);
         let w = workload_from(&model, 200_000, seed);
         prop_assume!(w.trace.len() > 500);
-        let sig = characterize(&w);
+        let sig = characterize(&w, 1).unwrap();
 
         // Temporal: aggregate rate = n * per-source rate.
         let mean = sig.temporal.aggregate.dist.mean();
@@ -72,7 +72,7 @@ proptest! {
         let model = hotspot(n, hot, 0.6, 0.004, 32);
         let w = workload_from(&model, 150_000, seed);
         prop_assume!(w.trace.len() > 400);
-        let sig = characterize(&w);
+        let sig = characterize(&w, 1).unwrap();
         let mut favored = 0;
         let mut classified = 0;
         for (s, sp) in sig.spatial.iter().enumerate() {
@@ -115,7 +115,7 @@ proptest! {
         }
         trace.sort();
         let mesh = MeshConfig::for_nodes(n);
-        let netlog = CausalReplayer::new(mesh).replay(&trace);
+        let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
         let w = Workload {
             name: "prop".into(),
             class: AppClass::MessagePassing,
@@ -125,8 +125,8 @@ proptest! {
             netlog,
             exec_ticks: 20_000,
         };
-        let seq = try_characterize_jobs(&w, 1).unwrap();
-        let par = try_characterize_jobs(&w, jobs).unwrap();
+        let seq = characterize(&w, 1).unwrap();
+        let par = characterize(&w, jobs).unwrap();
         prop_assert_eq!(signature_report(&seq), signature_report(&par));
         prop_assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
@@ -174,7 +174,7 @@ proptest! {
         let model = uniform_poisson(6, 0.005, 16);
         let w = workload_from(&model, 120_000, seed);
         prop_assume!(w.trace.len() > 400);
-        let sig = characterize(&w);
+        let sig = characterize(&w, 1).unwrap();
         let again = synthesize(&sig, w.mesh);
         let regen = again.generate(120_000, seed + 1);
         let r1 = w.trace.len() as f64;

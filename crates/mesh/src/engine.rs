@@ -30,7 +30,7 @@
 use commchar_des::SimTime;
 
 use crate::flit::ClosedLoop;
-use crate::sink::{LogSink, StreamingLog};
+use crate::sink::LogSink;
 use crate::{MeshConfig, NetLog, NetMessage, OnlineWormhole, Routing, Topology};
 
 /// An error surfaced by a closed-loop engine instead of a panic.
@@ -128,49 +128,22 @@ pub enum EngineKind {
     /// The cycle-accurate flit router in incremental mode
     /// ([`IncrementalFlit`]) — slower, but the final log is
     /// cycle-identical to a batch [`FlitLevel`](crate::FlitLevel) run.
-    FlitLevel {
-        /// Worker threads for the sharded drain (`--sim-jobs`): `1` is
-        /// the exact serial engine, `0` means one per hardware thread,
-        /// `N > 1` runs the conservative-window sharded engine. The
-        /// output is byte-identical for every value.
-        sim_jobs: usize,
-    },
+    /// Drivers take the shard count for its final drain (`--sim-jobs`)
+    /// separately; the output is byte-identical for every value.
+    FlitLevel,
 }
 
 impl EngineKind {
-    /// The single-threaded flit engine — what `--engine flit` parses to.
+    /// The flit engine — what `--engine flit` parses to.
     pub fn flit() -> EngineKind {
-        EngineKind::FlitLevel { sim_jobs: 1 }
-    }
-
-    /// Whether this is the flit engine (at any `sim_jobs`).
-    pub fn is_flit(self) -> bool {
-        matches!(self, EngineKind::FlitLevel { .. })
-    }
-
-    /// The `--sim-jobs` value carried by the flit engine (`1` for the
-    /// recurrence engine, which has no simulation threads to tune).
-    pub fn sim_jobs(self) -> usize {
-        match self {
-            EngineKind::Recurrence => 1,
-            EngineKind::FlitLevel { sim_jobs } => sim_jobs,
-        }
-    }
-
-    /// Returns this kind with `--sim-jobs` applied (a no-op for the
-    /// recurrence engine, which is already a closed form).
-    pub fn with_sim_jobs(self, sim_jobs: usize) -> EngineKind {
-        match self {
-            EngineKind::Recurrence => EngineKind::Recurrence,
-            EngineKind::FlitLevel { .. } => EngineKind::FlitLevel { sim_jobs },
-        }
+        EngineKind::FlitLevel
     }
 
     /// The flag spelling of this kind (`"recurrence"` / `"flit"`).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Recurrence => "recurrence",
-            EngineKind::FlitLevel { .. } => "flit",
+            EngineKind::FlitLevel => "flit",
         }
     }
 
@@ -283,51 +256,23 @@ impl IncrementalFlit {
     ///
     /// Panics when the configuration lacks the virtual channels its
     /// (topology × routing) pair needs for deadlock freedom — use
-    /// [`IncrementalFlit::try_new`] for the typed
+    /// [`IncrementalFlit::try_with_sink`] for the typed
     /// [`EngineError::UnsupportedTopology`].
     pub fn new(cfg: MeshConfig) -> Self {
-        IncrementalFlit::with_sink(cfg, NetLog::new())
-    }
-
-    /// [`new`](IncrementalFlit::new), surfacing an undersized
-    /// virtual-channel budget as [`EngineError::UnsupportedTopology`]
-    /// instead of a panic.
-    pub fn try_new(cfg: MeshConfig) -> Result<Self, EngineError> {
-        IncrementalFlit::try_with_sink(cfg, NetLog::new())
-    }
-}
-
-impl IncrementalFlit<StreamingLog> {
-    /// Creates an idle closed-loop router accumulating into a
-    /// [`StreamingLog`] sized for this mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an undersized virtual-channel budget (see
-    /// [`IncrementalFlit::new`]).
-    pub fn streaming(cfg: MeshConfig) -> Self {
-        let nodes = cfg.shape.nodes();
-        IncrementalFlit::with_sink(cfg, StreamingLog::new(nodes))
+        IncrementalFlit::try_with_sink(cfg, NetLog::new()).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 impl<S: LogSink> IncrementalFlit<S> {
-    /// Creates an idle closed-loop router delivering records into `sink`.
+    /// Creates an idle closed-loop router delivering records into `sink`
+    /// (a [`NetLog`], or a [`StreamingLog`](crate::StreamingLog) for
+    /// online statistics only).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an undersized virtual-channel budget (see
-    /// [`IncrementalFlit::new`]).
-    pub fn with_sink(cfg: MeshConfig, sink: S) -> Self {
-        match IncrementalFlit::try_with_sink(cfg, sink) {
-            Ok(engine) => engine,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`with_sink`](IncrementalFlit::with_sink), surfacing an undersized
-    /// virtual-channel budget as [`EngineError::UnsupportedTopology`]
-    /// instead of a panic.
+    /// [`EngineError::UnsupportedTopology`] when the configuration lacks
+    /// the virtual channels its (topology × routing) pair needs for
+    /// deadlock freedom.
     pub fn try_with_sink(cfg: MeshConfig, sink: S) -> Result<Self, EngineError> {
         Ok(IncrementalFlit {
             cfg,
@@ -428,10 +373,6 @@ mod tests {
         }
         assert_eq!(EngineKind::parse("csim"), None);
         assert_eq!(EngineKind::default(), EngineKind::Recurrence);
-        assert!(EngineKind::flit().is_flit());
-        assert!(!EngineKind::Recurrence.is_flit());
-        assert_eq!(EngineKind::flit().with_sim_jobs(4).sim_jobs(), 4);
-        assert_eq!(EngineKind::Recurrence.with_sim_jobs(4).sim_jobs(), 1);
     }
 
     #[test]

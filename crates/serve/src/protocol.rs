@@ -227,7 +227,9 @@ pub enum Msg {
     },
     /// Opens a characterization session over `nodes` processors.
     OpenSession {
-        /// Processor count of the stream (bounds endpoint validation).
+        /// Processor count of the stream (bounds endpoint validation;
+        /// the server refuses 0 and anything above
+        /// [`MAX_NODES`](commchar_trace::MAX_NODES)).
         nodes: u32,
     },
     /// Appends CCTRACE1-encoded event blocks to a session, in time order.

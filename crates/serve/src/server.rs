@@ -284,7 +284,7 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: Msg) -> Outcome {
             context: "duplicate Hello".to_string(),
         })),
         Msg::OpenSession { nodes } => {
-            if nodes == 0 || nodes > u16::MAX as u32 + 1 {
+            if nodes == 0 || nodes as usize > commchar_trace::MAX_NODES {
                 return Outcome::reply(Msg::Error(ServeError::Malformed {
                     context: format!("cannot open a session over {nodes} nodes"),
                 }));

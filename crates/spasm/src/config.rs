@@ -1,6 +1,7 @@
 //! Simulated machine configuration.
 
 use commchar_mesh::{EngineKind, MeshConfig};
+use commchar_trace::MAX_NODES;
 
 pub use crate::protocol::Protocol;
 
@@ -12,7 +13,7 @@ pub use crate::protocol::Protocol;
 /// sized to the processor count.
 #[derive(Clone, Copy, Debug)]
 pub struct MachineConfig {
-    /// Number of processors (1–4096; one per mesh node).
+    /// Number of processors (1–[`MAX_NODES`]; one per mesh node).
     pub nprocs: usize,
     /// Private cache capacity in lines.
     pub cache_lines: usize,
@@ -41,7 +42,8 @@ pub struct MachineConfig {
     /// high-fidelity alternative).
     pub engine: EngineKind,
     /// Worker shards for the conservative-window parallel engine (1 =
-    /// serial; 0 = one per hardware thread). Any value yields bit-identical
+    /// serial; 0 = one per hardware thread); with the flit engine it also
+    /// shards the router's final drain. Any value yields bit-identical
     /// results — see [`crate::run_with`].
     pub sim_jobs: usize,
 }
@@ -51,10 +53,10 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `nprocs` is 0 or exceeds 4096 (one mesh node per
-    /// processor; the full-map directory scales with the count).
+    /// Panics if `nprocs` is 0 or exceeds [`MAX_NODES`] (one mesh node
+    /// per processor; the full-map directory scales with the count).
     pub fn new(nprocs: usize) -> Self {
-        assert!((1..=4096).contains(&nprocs), "nprocs must be in 1..=4096");
+        assert!((1..=MAX_NODES).contains(&nprocs), "nprocs must be in 1..={MAX_NODES}");
         MachineConfig {
             nprocs,
             cache_lines: 256,

@@ -142,8 +142,8 @@ where
 {
     match cfg.engine {
         EngineKind::Recurrence => run_with(cfg, setup, body, OnlineWormhole::new(cfg.mesh)),
-        EngineKind::FlitLevel { sim_jobs } => {
-            run_with(cfg, setup, body, IncrementalFlit::new(cfg.mesh).with_sim_jobs(sim_jobs))
+        EngineKind::FlitLevel => {
+            run_with(cfg, setup, body, IncrementalFlit::new(cfg.mesh).with_sim_jobs(cfg.sim_jobs))
         }
     }
 }

@@ -181,11 +181,8 @@ fn r2(obs: &[f64], pred: &[f64], src: usize) -> f64 {
 ///
 /// `dist(src, j)` supplies the mesh distance used by the locality model.
 /// Equivalent to [`classify_with_count`] without sampling-noise awareness.
-///
-/// # Panics
-///
-/// Panics if `probs.len() < 3` — classification needs at least two
-/// candidate destinations.
+/// With fewer than two candidate destinations (`probs.len() < 3`) every
+/// model predicts the same vector, and the result is an exact `Uniform`.
 pub fn classify(probs: &[f64], src: usize, dist: &dyn Fn(usize, usize) -> f64) -> SpatialFit {
     classify_with_count(probs, src, dist, None)
 }
@@ -194,10 +191,6 @@ pub fn classify(probs: &[f64], src: usize, dist: &dyn Fn(usize, usize) -> f64) -
 /// observed probabilities) widens the uniform-preference tolerance to the
 /// expected sampling-noise SSE — 3σ-scaled `Σ p(1−p)/m` — so finite observations of
 /// genuinely uniform traffic are not misclassified as bimodal.
-///
-/// # Panics
-///
-/// Panics if `probs.len() < 3`.
 pub fn classify_with_count(
     probs: &[f64],
     src: usize,
@@ -205,7 +198,9 @@ pub fn classify_with_count(
     samples: Option<u64>,
 ) -> SpatialFit {
     let n = probs.len();
-    assert!(n >= 3, "need at least three nodes to classify spatial traffic");
+    if n < 3 {
+        return SpatialFit { model: SpatialModel::Uniform, sse: 0.0, r2: 1.0 };
+    }
 
     let mut candidates: Vec<SpatialModel> = vec![SpatialModel::Uniform];
 
@@ -325,6 +320,13 @@ mod tests {
 
     fn flat_dist(_: usize, _: usize) -> f64 {
         1.0
+    }
+
+    #[test]
+    fn a_single_destination_is_exactly_uniform() {
+        let fit = classify_with_count(&[0.0, 1.0], 0, &flat_dist, Some(40));
+        assert_eq!(fit.model, SpatialModel::Uniform);
+        assert_eq!(fit.sse, 0.0);
     }
 
     #[test]

@@ -33,6 +33,13 @@
 pub mod profile;
 pub mod replay;
 
+/// The largest processor (node) count the toolkit accepts from outside
+/// the program: JSON-lines and CCTRACE1 headers, CCSERVE1 sessions,
+/// simulated machines and application runs. Per-source analysis keeps
+/// dense `nodes × nodes` destination matrices, so a node count is bounded
+/// before anything is allocated by it.
+pub const MAX_NODES: usize = 4096;
+
 /// Classification of a communication event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
@@ -180,10 +187,17 @@ impl CommTrace {
                 header_no + 1,
                 excerpt(header)
             )
-        })? as usize;
+        })?;
         if nodes == 0 {
             return Err(format!("line {}: header declares zero nodes", header_no + 1));
         }
+        if nodes > MAX_NODES as u64 {
+            return Err(format!(
+                "line {}: header declares {nodes} nodes, above the {MAX_NODES}-node limit",
+                header_no + 1
+            ));
+        }
+        let nodes = nodes as usize;
         let mut trace = CommTrace::new(nodes);
         for (i, line) in lines {
             let ev = serde_json::parse_event(line)

@@ -21,14 +21,13 @@ use std::collections::{BinaryHeap, HashMap};
 use commchar_des::SimTime;
 use commchar_mesh::{
     EngineError, EngineKind, IncrementalFlit, LogSink, MeshConfig, NetEngine, NetLog, NetMessage,
-    NodeId, OnlineWormhole, StreamingLog,
+    NodeId, OnlineWormhole,
 };
 
 use crate::CommTrace;
 
-/// Why a replay could not complete — surfaced as a value on the fallible
-/// paths ([`CausalReplayer::try_replay`] and friends) and as a panic with
-/// the same message on the infallible ones.
+/// Why a replay could not complete ([`CausalReplayer::try_replay`] and
+/// friends).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplayError {
     /// The trace failed [`CommTrace::check`].
@@ -112,70 +111,44 @@ impl CausalReplayer {
         CausalReplayer { cfg }
     }
 
-    /// Replays the trace through the wormhole network and returns the log.
+    /// Replays the trace through a network engine selected at runtime
+    /// (the flit engine with a serial drain), returning its retained log.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the trace fails [`CommTrace::check`] or references nodes
-    /// outside the mesh.
-    pub fn replay(&self, trace: &CommTrace) -> NetLog {
-        self.replay_into(trace, NetLog::new())
-    }
-
-    /// Replays the trace with online statistics only — O(bins + P²)
-    /// memory however long the trace, at the price of losing per-message
-    /// records. Shorthand for [`replay_into`](Self::replay_into) with a
-    /// [`StreamingLog`] sized for the mesh.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`replay`](Self::replay).
-    pub fn replay_streaming(&self, trace: &CommTrace) -> StreamingLog {
-        self.replay_into(trace, StreamingLog::new(self.cfg.shape.nodes()))
-    }
-
-    /// Replays the trace through a network engine selected at runtime,
-    /// returning its retained log or a [`ReplayError`].
+    /// [`ReplayError`] on a broken trace, a mesh too small for it, a
+    /// causal stall, or an engine rejection.
     pub fn try_replay(&self, trace: &CommTrace, kind: EngineKind) -> Result<NetLog, ReplayError> {
-        match kind {
-            EngineKind::Recurrence => self.replay_engine(trace, OnlineWormhole::new(self.cfg)),
-            EngineKind::FlitLevel { sim_jobs } => {
-                self.replay_engine(trace, IncrementalFlit::new(self.cfg).with_sim_jobs(sim_jobs))
-            }
-        }
+        self.try_replay_into(trace, kind, 1, NetLog::new())
     }
 
-    /// Replays the trace through a runtime-selected engine with online
-    /// statistics only — the fallible, engine-generic counterpart of
-    /// [`replay_streaming`](Self::replay_streaming).
-    pub fn try_replay_streaming(
+    /// Replays the trace through a runtime-selected engine, delivering
+    /// every completed message to `sink` — a [`NetLog`] to keep records,
+    /// or a [`StreamingLog`](commchar_mesh::StreamingLog) for online
+    /// statistics in O(bins + P²) memory however long the trace. With the
+    /// flit engine, `sim_jobs` shards its final drain (`1` = serial, `0` =
+    /// one per hardware thread); the output is byte-identical for any
+    /// value, and the recurrence engine ignores it.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_replay`](Self::try_replay).
+    pub fn try_replay_into<S: LogSink>(
         &self,
         trace: &CommTrace,
         kind: EngineKind,
-    ) -> Result<StreamingLog, ReplayError> {
-        let sink = StreamingLog::new(self.cfg.shape.nodes());
+        sim_jobs: usize,
+        sink: S,
+    ) -> Result<S, ReplayError> {
         match kind {
             EngineKind::Recurrence => {
                 self.replay_engine(trace, OnlineWormhole::with_sink(self.cfg, sink))
             }
-            EngineKind::FlitLevel { sim_jobs } => {
-                let net = IncrementalFlit::with_sink(self.cfg, sink).with_sim_jobs(sim_jobs);
+            EngineKind::FlitLevel => {
+                let net = IncrementalFlit::try_with_sink(self.cfg, sink)?.with_sim_jobs(sim_jobs);
                 self.replay_engine(trace, net)
             }
         }
-    }
-
-    /// Replays the trace, delivering every completed message to `sink`.
-    /// Shorthand for [`replay_engine`](Self::replay_engine) over the
-    /// recurrence model; any [`LogSink`] works.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace fails [`CommTrace::check`] or references nodes
-    /// outside the mesh.
-    pub fn replay_into<S: LogSink>(&self, trace: &CommTrace, sink: S) -> S {
-        self.replay_engine(trace, OnlineWormhole::with_sink(self.cfg, sink))
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Replays the trace through any closed-loop [`NetEngine`] — the
@@ -301,13 +274,17 @@ mod tests {
         CommEvent::new(id, t, src, dst, bytes, EventKind::Data)
     }
 
+    fn replay(rep: &CausalReplayer, tr: &CommTrace) -> NetLog {
+        rep.try_replay(tr, EngineKind::Recurrence).unwrap()
+    }
+
     #[test]
     fn replay_without_deps_keeps_think_times() {
         let mut tr = CommTrace::new(4);
         tr.push(ev(0, 0, 0, 1, 8));
         tr.push(ev(1, 100, 0, 1, 8));
         let cfg = MeshConfig::for_nodes(4);
-        let log = CausalReplayer::new(cfg).replay(&tr);
+        let log = replay(&CausalReplayer::new(cfg), &tr);
         let r1 = log.records().iter().find(|r| r.id == 1).unwrap();
         assert_eq!(r1.inject, 100);
     }
@@ -322,7 +299,7 @@ mod tests {
         tr.push(ev(1, 1, 1, 2, 8).after(0));
         let cfg = MeshConfig::for_nodes(4);
         let rep = CausalReplayer::new(cfg);
-        let log = rep.replay(&tr);
+        let log = replay(&rep, &tr);
         let d0 = log.records().iter().find(|r| r.id == 0).unwrap().delivered;
         let i1 = log.records().iter().find(|r| r.id == 1).unwrap().inject;
         assert!(i1 >= d0, "dependent send at {i1} before delivery {d0}");
@@ -347,7 +324,7 @@ mod tests {
             tr.push(e);
         }
         let cfg = MeshConfig::for_nodes(4);
-        let log = CausalReplayer::new(cfg).replay(&tr);
+        let log = replay(&CausalReplayer::new(cfg), &tr);
         let mut delivered = std::collections::HashMap::new();
         for r in log.records() {
             delivered.insert(r.id, r.delivered);
@@ -357,14 +334,6 @@ mod tests {
                 assert!(r.inject >= delivered[&(r.id - 1)]);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "internally consistent")]
-    fn broken_trace_rejected() {
-        let mut tr = CommTrace::new(4);
-        tr.push(ev(0, 0, 0, 1, 8).after(42));
-        CausalReplayer::new(MeshConfig::for_nodes(4)).replay(&tr);
     }
 
     #[test]
@@ -385,8 +354,9 @@ mod tests {
         }
         let cfg = MeshConfig::for_nodes(8);
         let rep = CausalReplayer::new(cfg);
-        let log = rep.replay(&tr);
-        let stream = rep.replay_streaming(&tr);
+        let log = replay(&rep, &tr);
+        let sink = commchar_mesh::StreamingLog::new(8);
+        let stream = rep.try_replay_into(&tr, EngineKind::Recurrence, 1, sink).unwrap();
         assert_eq!(log.records().len() as u64, stream.messages());
         let a = log.summary();
         let b = stream.summary();
@@ -399,15 +369,15 @@ mod tests {
     }
 
     #[test]
-    fn try_replay_recurrence_matches_infallible_replay() {
+    fn try_replay_recurrence_matches_the_generic_engine_path() {
         let mut tr = CommTrace::new(4);
         tr.push(ev(0, 0, 0, 1, 8));
         tr.push(ev(1, 50, 2, 3, 24).after(0));
         tr.push(ev(2, 100, 0, 1, 8));
         let cfg = MeshConfig::for_nodes(4);
         let rep = CausalReplayer::new(cfg);
-        let a = rep.replay(&tr);
-        let b = rep.try_replay(&tr, EngineKind::Recurrence).unwrap();
+        let a = rep.replay_engine(&tr, OnlineWormhole::new(cfg)).unwrap();
+        let b = replay(&rep, &tr);
         assert_eq!(a.records(), b.records());
         assert_eq!(a.utilization(), b.utilization());
     }
@@ -463,7 +433,7 @@ mod tests {
             }
         }
         let cfg = MeshConfig::for_nodes(8);
-        let log = CausalReplayer::new(cfg).replay(&tr);
+        let log = replay(&CausalReplayer::new(cfg), &tr);
         assert_eq!(log.records().len(), tr.len());
         log.check_invariants(cfg.shape).unwrap();
     }

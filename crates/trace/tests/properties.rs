@@ -1,6 +1,6 @@
 //! Property-based tests for traces, profiling and causal replay.
 
-use commchar_mesh::MeshConfig;
+use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_trace::profile::{interarrival_aggregate, interarrival_by_source, profile};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
@@ -76,7 +76,7 @@ proptest! {
     fn causal_replay_preserves_happens_before(trace in arb_trace(8, 60)) {
         prop_assume!(!trace.is_empty());
         let cfg = MeshConfig::for_nodes(8);
-        let log = CausalReplayer::new(cfg).replay(&trace);
+        let log = CausalReplayer::new(cfg).try_replay(&trace, EngineKind::Recurrence).unwrap();
         prop_assert_eq!(log.records().len(), trace.len());
         log.check_invariants(cfg.shape).unwrap();
 
@@ -131,8 +131,8 @@ proptest! {
         prop_assume!(!trace.is_empty());
         let cfg = MeshConfig::for_nodes(5);
         let rep = CausalReplayer::new(cfg);
-        let a = rep.replay(&trace);
-        let b = rep.replay(&trace);
+        let a = rep.try_replay(&trace, EngineKind::Recurrence).unwrap();
+        let b = rep.try_replay(&trace, EngineKind::Recurrence).unwrap();
         prop_assert_eq!(a.records(), b.records());
     }
 }

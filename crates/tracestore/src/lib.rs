@@ -137,6 +137,12 @@ pub enum TraceStoreError {
         /// What was being decoded when the varint overflowed.
         context: &'static str,
     },
+    /// An event stream's header declares more processors than
+    /// [`MAX_NODES`](commchar_trace::MAX_NODES).
+    TooManyNodes {
+        /// The declared node count.
+        nodes: u64,
+    },
     /// Structurally valid bytes describing an impossible trace (footer
     /// inconsistency, out-of-range endpoint, unknown kind code, …).
     Corrupt(String),
@@ -164,6 +170,11 @@ impl std::fmt::Display for TraceStoreError {
             TraceStoreError::VarintOverflow { context } => {
                 write!(f, "varint out of range while decoding {context}")
             }
+            TraceStoreError::TooManyNodes { nodes } => write!(
+                f,
+                "header declares {nodes} nodes, above the {}-node limit",
+                commchar_trace::MAX_NODES
+            ),
             TraceStoreError::Corrupt(msg) => write!(f, "corrupt trace store: {msg}"),
             TraceStoreError::Jsonl(msg) => write!(f, "JSON-lines trace: {msg}"),
             TraceStoreError::Io(e) => write!(f, "I/O error: {e}"),

@@ -33,12 +33,24 @@ fn parse_header(head: &[u8]) -> Result<(StreamKind, usize, usize), TraceStoreErr
     }
     let mut header = Cursor::new(&head[MAGIC.len()..]);
     let kind = StreamKind::from_code(header.byte("stream kind")?)?;
-    let nodes = header.varint("node count")? as usize;
-    let header_end = MAGIC.len() + header.pos();
-    if kind == StreamKind::Events && nodes == 0 {
-        return Err(TraceStoreError::Corrupt("header declares zero nodes".into()));
+    let nodes = check_nodes(kind, header.varint("node count")?)?;
+    Ok((kind, nodes, MAGIC.len() + header.pos()))
+}
+
+/// Validates a header's node count: an event stream needs at least one
+/// node and at most [`MAX_NODES`](commchar_trace::MAX_NODES), checked
+/// before any consumer sizes per-node state by it. (A record stream's
+/// count is advisory.)
+fn check_nodes(kind: StreamKind, nodes: u64) -> Result<usize, TraceStoreError> {
+    if kind == StreamKind::Events {
+        if nodes == 0 {
+            return Err(TraceStoreError::Corrupt("header declares zero nodes".into()));
+        }
+        if nodes > commchar_trace::MAX_NODES as u64 {
+            return Err(TraceStoreError::TooManyNodes { nodes });
+        }
     }
-    Ok((kind, nodes, header_end))
+    Ok(nodes as usize)
 }
 
 /// Longest possible header: magic + kind byte + 10-byte varint.
@@ -695,7 +707,7 @@ impl<R: std::io::Read> StreamBlockReader<R> {
     /// # Errors
     ///
     /// [`TraceStoreError`] on I/O failure, a bad magic, an unknown stream
-    /// kind, or a malformed node-count varint.
+    /// kind, or a malformed or out-of-range node count.
     pub fn new(mut src: R) -> Result<Self, TraceStoreError> {
         let mut head = [0u8; 9]; // magic + kind byte
         src.read_exact(&mut head).map_err(|e| match e.kind() {
@@ -722,10 +734,8 @@ impl<R: std::io::Read> StreamBlockReader<R> {
             }
             shift += 7;
         }
-        if kind == StreamKind::Events && nodes == 0 {
-            return Err(TraceStoreError::Corrupt("header declares zero nodes".into()));
-        }
-        Ok(StreamBlockReader { src, kind, nodes: nodes as usize, blocks: 0, done: false })
+        let nodes = check_nodes(kind, nodes)?;
+        Ok(StreamBlockReader { src, kind, nodes, blocks: 0, done: false })
     }
 
     /// Stream kind from the header.

@@ -3,7 +3,7 @@
 //! of a packed trace is record-identical to replaying the source
 //! JSON-lines trace.
 
-use commchar_mesh::MeshConfig;
+use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
@@ -101,8 +101,8 @@ proptest! {
         let from_packed = load_trace(&pack_trace(&trace)).unwrap();
         let cfg = MeshConfig::for_nodes(8);
         let rep = CausalReplayer::new(cfg);
-        let log_jsonl = rep.replay(&from_jsonl);
-        let log_packed = rep.replay(&from_packed);
+        let log_jsonl = rep.try_replay(&from_jsonl, EngineKind::Recurrence).unwrap();
+        let log_packed = rep.try_replay(&from_packed, EngineKind::Recurrence).unwrap();
         prop_assert_eq!(log_jsonl.records(), log_packed.records());
     }
 

@@ -8,13 +8,13 @@
 //! ```
 
 use commchar::analytic::AnalyticModel;
-use commchar::core::{characterize, run_workload, synthesize};
+use commchar::core::{acquire, characterize, synthesize, RunSpec};
 use commchar::mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
 use commchar_apps::{AppId, Scale};
 
-fn main() {
-    let w = run_workload(AppId::Maxflow, 8, Scale::Small);
-    let sig = characterize(&w);
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let w = acquire(&RunSpec::new(AppId::Maxflow, 8, Scale::Small, 42))?;
+    let sig = characterize(&w, 1)?;
     let model = synthesize(&sig, w.mesh);
     println!(
         "characterized {}: {} + {}\n",
@@ -63,4 +63,5 @@ fn main() {
         simulated,
         100.0 * (analytic.mean_latency - simulated).abs() / simulated
     );
+    Ok(())
 }

@@ -7,16 +7,16 @@
 //! ```
 
 use commchar::core::report::{spatial_consensus, table};
-use commchar::core::{characterize, run_workload};
+use commchar::core::{acquire, characterize, RunSpec};
 use commchar_apps::{AppId, Scale};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let procs = 8;
     println!("communication characterization of the application suite ({procs} processors)\n");
     let mut rows = Vec::new();
     for &app in AppId::all() {
-        let w = run_workload(app, procs, Scale::Small);
-        let sig = characterize(&w);
+        let w = acquire(&RunSpec::new(app, procs, Scale::Small, 42))?;
+        let sig = characterize(&w, 1)?;
         rows.push(vec![
             sig.name.clone(),
             sig.class.name().to_string(),
@@ -30,4 +30,5 @@ fn main() {
         "{}",
         table(&["application", "class", "msgs", "inter-arrival fit", "R²", "spatial model"], &rows)
     );
+    Ok(())
 }

@@ -10,7 +10,7 @@
 //! cargo run --release --example network_design
 //! ```
 
-use commchar::core::{characterize, run_workload, synthesize};
+use commchar::core::{acquire, characterize, synthesize, RunSpec};
 use commchar::mesh::{FlitLevel, MeshModel, NetMessage, NodeId, OnlineWormhole};
 use commchar_apps::{AppId, Scale};
 use commchar_des::SimTime;
@@ -29,10 +29,10 @@ fn to_msgs(trace: &commchar::trace::CommTrace) -> Vec<NetMessage> {
         .collect()
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Characterize once...
-    let w = run_workload(AppId::Cholesky, 8, Scale::Small);
-    let sig = characterize(&w);
+    let w = acquire(&RunSpec::new(AppId::Cholesky, 8, Scale::Small, 42))?;
+    let sig = characterize(&w, 1)?;
     let model = synthesize(&sig, w.mesh);
     let span = w.netlog.summary().span;
     let msgs = to_msgs(&model.generate(span, 7));
@@ -68,4 +68,5 @@ fn main() {
     }
     println!("\n(wider channels shrink every worm; virtual channels trade a little mean");
     println!(" latency for tail latency — decisions now possible without the application)");
+    Ok(())
 }

@@ -4,13 +4,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use commchar::core::{characterize, run_workload};
+use commchar::core::{acquire, characterize, RunSpec};
 use commchar_apps::{AppId, Scale};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Acquire: run Integer Sort on 8 simulated processors, with the
     //    2-D wormhole mesh in the loop.
-    let workload = run_workload(AppId::Is, 8, Scale::Small);
+    let workload = acquire(&RunSpec::new(AppId::Is, 8, Scale::Small, 42))?;
     println!(
         "ran {} on {} processors: {} messages over {} cycles",
         workload.name,
@@ -20,7 +20,7 @@ fn main() {
     );
 
     // 2. Analyze: fit the three communication attributes.
-    let sig = characterize(&workload);
+    let sig = characterize(&workload, 1)?;
     println!(
         "\ntemporal:  inter-arrival ~ {} (R² = {:.4})",
         sig.temporal.aggregate.dist, sig.temporal.aggregate.r2
@@ -43,4 +43,5 @@ fn main() {
         synthetic.len(),
         workload.trace.len()
     );
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //! cargo run --release --example synthetic_traffic
 //! ```
 
-use commchar::core::{characterize, run_workload, synthesize};
+use commchar::core::{acquire, characterize, synthesize, RunSpec};
 use commchar::mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
 use commchar::traffic::patterns::uniform_poisson;
 use commchar_apps::{AppId, Scale};
@@ -28,10 +28,10 @@ fn replay(trace: &commchar::trace::CommTrace, mesh: commchar::mesh::MeshConfig) 
     OnlineWormhole::new(mesh).simulate(&msgs).summary().mean_latency
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = AppId::Cholesky;
-    let w = run_workload(app, 8, Scale::Small);
-    let sig = characterize(&w);
+    let w = acquire(&RunSpec::new(app, 8, Scale::Small, 42))?;
+    let sig = characterize(&w, 1)?;
     let span = w.netlog.summary().span.max(1);
 
     let original = replay(&w.trace, w.mesh);
@@ -51,4 +51,5 @@ fn main() {
     let eu = 100.0 * (uniform_lat - original).abs() / original;
     println!("\nfitted model error {em:.1}% vs uniform assumption error {eu:.1}% —");
     println!("the characterized workload is the realistic ICN driver the paper argues for.");
+    Ok(())
 }

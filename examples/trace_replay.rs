@@ -7,13 +7,14 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use commchar::mesh::MeshConfig;
+use commchar::mesh::{EngineKind, MeshConfig};
 use commchar::trace::replay::CausalReplayer;
 use commchar_apps::{AppId, Scale};
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Trace 3D-FFT at the application (MPI) level.
-    let out = AppId::Fft3d.run(8, Scale::Small);
+    let mesh = MeshConfig::for_nodes(8);
+    let out = AppId::Fft3d.run_net(8, Scale::Small, EngineKind::Recurrence, 1, mesh);
     println!(
         "traced {} on the SP2 model: {} messages, {} ticks\n",
         out.name,
@@ -21,10 +22,10 @@ fn main() {
         out.exec_ticks
     );
 
-    let mesh = MeshConfig::for_nodes(8);
     let rep = CausalReplayer::new(mesh);
+    let causal_log = rep.try_replay(&out.trace, EngineKind::Recurrence)?;
 
-    let causal = rep.replay(&out.trace).summary();
+    let causal = causal_log.summary();
     let naive = rep.replay_naive(&out.trace).summary();
 
     println!(
@@ -38,7 +39,6 @@ fn main() {
 
     // Causality check: in the causal replay no dependent message is
     // injected before its dependency is delivered.
-    let causal_log = rep.replay(&out.trace);
     let by_id: std::collections::HashMap<u64, &commchar::mesh::MsgRecord> =
         causal_log.records().iter().map(|r| (r.id, r)).collect();
     let mut violations = 0;
@@ -53,4 +53,5 @@ fn main() {
     }
     println!("\ncausality violations in the causal replay: {violations} (must be 0)");
     assert_eq!(violations, 0);
+    Ok(())
 }

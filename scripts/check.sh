@@ -25,10 +25,15 @@
 # --engine flit --topology torus, where the sharded flit router at
 # --sim-jobs 1 and --sim-jobs 4 must print byte-identical reports: band
 # sharding stays deterministic under wraparound routes and escape VCs),
-# and a serve smoke (a server on an ephemeral port, the fixture replayed
+# a serve smoke (a server on an ephemeral port, the fixture replayed
 # through serve-feed — once from a file, once streamed over stdin with
 # --trace - — and each final report diffed against offline characterize
-# --no-replay: the wire must not change a byte).
+# --no-replay: the wire must not change a byte), and a no-panic smoke
+# (bad processor counts and an oversized trace header must exit 1 with
+# an `error:` line, never a panic).
+#
+# The benchmark package (benchmark/, a workspace of its own) is gated
+# too: fmt, clippy with warnings denied, and its tests in release mode.
 #
 # Flags:
 #   --bench-smoke   additionally run the flit throughput, sharded
@@ -70,6 +75,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> benchmark package (fmt / clippy -D warnings / tests)"
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+fi
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+fi
+cargo test --release --manifest-path benchmark/Cargo.toml -q
 
 echo "==> trace round-trip smoke (pack / cat / diff)"
 tmpdir="$(mktemp -d)"
@@ -140,6 +154,24 @@ wait "$serve_pid"
 cargo run --release -q -- characterize --trace "$tmpdir/t.jsonl" --no-replay >"$tmpdir/sig.offline.txt"
 diff "$tmpdir/sig.served.txt" "$tmpdir/sig.offline.txt"
 diff "$tmpdir/sig.piped.txt" "$tmpdir/sig.offline.txt"
+
+echo "==> no-panic smoke (bad input exits 1 with an error: line)"
+expect_error() {
+    local status=0
+    cargo run --release -q -- "$@" >/dev/null 2>"$tmpdir/err.txt" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q '^error:' "$tmpdir/err.txt" \
+        || grep -q 'panicked' "$tmpdir/err.txt"; then
+        echo "check.sh: 'commchar $*' exited $status:" >&2
+        cat "$tmpdir/err.txt" >&2
+        exit 1
+    fi
+    echo "    $(head -n 1 "$tmpdir/err.txt")"
+}
+printf '{"nodes":4097}\n' >"$tmpdir/wide.jsonl"
+expect_error run 1d-fft --procs 3 --scale tiny
+expect_error run is --procs 0
+expect_error suite --procs 3 --scale tiny
+expect_error characterize --trace "$tmpdir/wide.jsonl" --no-replay
 
 if [ "$bench_smoke" -eq 1 ]; then
     echo "==> flit throughput bench (quick smoke)"

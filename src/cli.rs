@@ -9,9 +9,9 @@ use std::fmt::Write as _;
 use commchar_apps::{AppId, Scale};
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, suite_table, suite_timing};
-use commchar_core::suite::{cell_matrix, SuiteRunner};
-use commchar_core::{characterize, run_workload_net, synthesize, try_characterize_jobs, Workload};
-use commchar_mesh::{EngineKind, MeshConfig, Routing, Topology};
+use commchar_core::suite::SuiteRunner;
+use commchar_core::{acquire, characterize, synthesize, RunError, RunSpec, Workload};
+use commchar_mesh::{EngineKind, LogSink, MeshConfig, NetLog, Routing, StreamingLog, Topology};
 use commchar_serve::{ServeClient, ServeError};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::CommTrace;
@@ -39,13 +39,24 @@ impl From<String> for CliError {
     }
 }
 
+impl From<RunError> for CliError {
+    fn from(e: RunError) -> Self {
+        CliError(e.to_string())
+    }
+}
+
 impl From<TraceStoreError> for CliError {
     fn from(e: TraceStoreError) -> Self {
         CliError(e.to_string())
     }
 }
 
-fn parse_app(name: &str) -> Result<AppId, CliError> {
+/// Parses an application name (see [`AppId::name`]).
+///
+/// # Errors
+///
+/// Returns an error naming the valid applications otherwise.
+pub fn parse_app(name: &str) -> Result<AppId, CliError> {
     AppId::all().iter().copied().find(|a| a.name() == name).ok_or_else(|| {
         let names: Vec<&str> = AppId::all().iter().map(|a| a.name()).collect();
         CliError(format!("unknown application {name:?}; expected one of {names:?}"))
@@ -98,43 +109,7 @@ pub fn parse_routing(s: &str) -> Result<Routing, CliError> {
 fn engine_tag(engine: EngineKind) -> &'static str {
     match engine {
         EngineKind::Recurrence => "",
-        EngineKind::FlitLevel { .. } => "flit engine; ",
-    }
-}
-
-/// Parsed common options.
-#[derive(Clone, Copy, Debug)]
-pub struct Common {
-    /// Processor count (default 8).
-    pub procs: usize,
-    /// Problem scale (default small).
-    pub scale: Scale,
-    /// Seed for synthetic generation (default 42).
-    pub seed: u64,
-    /// Closed-loop network engine (default recurrence).
-    pub engine: EngineKind,
-    /// Shards for the execution-driven simulator's conservative-window
-    /// parallel engine (default 1 = serial; 0 = one per hardware thread).
-    /// Never changes output — sharded runs are event-identical to serial.
-    pub sim_jobs: usize,
-    /// Network topology (default mesh; torus adds wraparound links and
-    /// the escape virtual channels they need).
-    pub topology: Topology,
-    /// Route-computation policy (default dimension-order).
-    pub routing: Routing,
-}
-
-impl Default for Common {
-    fn default() -> Self {
-        Common {
-            procs: 8,
-            scale: Scale::Small,
-            seed: 42,
-            engine: EngineKind::Recurrence,
-            sim_jobs: 1,
-            topology: Topology::Mesh,
-            routing: Routing::Dimension,
-        }
+        EngineKind::FlitLevel => "flit engine; ",
     }
 }
 
@@ -147,28 +122,14 @@ impl Default for Common {
 /// A [`CliError`] (instead of a panic) when the trace is empty or has too
 /// few inter-arrival gaps to fit — see [`commchar_core::CharError`].
 pub fn report_signature(w: &Workload, jobs: usize) -> Result<String, CliError> {
-    let sig = try_characterize_jobs(w, jobs).map_err(|e| CliError(e.to_string()))?;
+    let sig = characterize(w, jobs).map_err(|e| CliError(e.to_string()))?;
     Ok(commchar_core::report::signature_report(&sig))
 }
 
-/// Acquires a workload under the full set of common options: engine,
-/// simulator shards, topology and routing policy.
-fn run_common(app: AppId, common: Common) -> Workload {
-    run_workload_net(
-        app,
-        common.procs,
-        common.scale,
-        common.engine,
-        common.sim_jobs,
-        common.topology,
-        common.routing,
-    )
-}
-
-/// `commchar run <app>`: run an application and return (report, trace).
-pub fn cmd_run(app: &str, common: Common) -> Result<(String, CommTrace), CliError> {
-    let app = parse_app(app)?;
-    let w = run_common(app, common);
+/// `commchar run <app>`: run the application `spec` describes and return
+/// (report, trace).
+pub fn cmd_run(spec: RunSpec) -> Result<(String, CommTrace), CliError> {
+    let w = acquire(&spec)?;
     let report = format!(
         "ran {} on {} processors: {} messages, {} ticks\n",
         w.name,
@@ -182,29 +143,23 @@ pub fn cmd_run(app: &str, common: Common) -> Result<(String, CommTrace), CliErro
 /// `commchar characterize <app> [--jobs N]`: full signature report for an
 /// application. `jobs` parallelizes the per-source fits; the report text
 /// does not depend on it.
-pub fn cmd_characterize_app(app: &str, common: Common, jobs: usize) -> Result<String, CliError> {
-    let app = parse_app(app)?;
-    let w = run_common(app, common);
-    report_signature(&w, jobs)
+pub fn cmd_characterize_app(spec: RunSpec, jobs: usize) -> Result<String, CliError> {
+    report_signature(&acquire(&spec)?, jobs)
 }
 
 /// `commchar characterize --trace <file contents> [--jobs N]`: signature
 /// report for a saved trace (replayed causally through a fitted-size
-/// network of the chosen topology and routing policy). Accepts either
-/// trace format, sniffed by magic bytes. `jobs` parallelizes the
-/// per-source fits; the report text does not depend on it.
+/// network of `spec`'s topology, routing policy and engine; the rest of
+/// `spec` is unused). Accepts either trace format, sniffed by magic
+/// bytes. `jobs` parallelizes the per-source fits; the report text does
+/// not depend on it.
 pub fn cmd_characterize_trace(
     input: &[u8],
     jobs: usize,
-    engine: EngineKind,
-    topology: Topology,
-    routing: Routing,
+    spec: RunSpec,
 ) -> Result<String, CliError> {
     let trace = load_trace(input)?;
-    let mesh = MeshConfig::for_nodes_net(trace.nodes(), topology, routing);
-    let netlog = CausalReplayer::new(mesh)
-        .try_replay(&trace, engine)
-        .map_err(|e| CliError(e.to_string()))?;
+    let (mesh, netlog) = replay_with(&trace, spec, |_| NetLog::new())?;
     let exec = netlog.summary().span;
     let w = Workload {
         name: "trace".to_string(),
@@ -253,19 +208,28 @@ pub fn cmd_characterize_stream(
 }
 
 /// `commchar generate <app>`: fit an application and produce a synthetic
-/// trace of the same span.
-pub fn cmd_generate_trace(app: &str, common: Common) -> Result<CommTrace, CliError> {
-    let app = parse_app(app)?;
-    let w = run_common(app, common);
-    let sig = characterize(&w);
+/// trace of the same span, seeded by `spec.seed`.
+pub fn cmd_generate_trace(spec: RunSpec) -> Result<CommTrace, CliError> {
+    let w = acquire(&spec)?;
+    let sig = characterize(&w, 1).map_err(RunError::from)?;
     let model = synthesize(&sig, w.mesh);
     let span = w.netlog.summary().span.max(1);
-    Ok(model.generate(span, common.seed))
+    Ok(model.generate(span, spec.seed))
 }
 
-/// `commchar generate <app>`: the synthetic trace as JSON-lines.
-pub fn cmd_generate(app: &str, common: Common) -> Result<String, CliError> {
-    Ok(cmd_generate_trace(app, common)?.to_jsonl())
+/// Causally replays `trace` through a network sized for it with `spec`'s
+/// topology, routing policy, engine and simulator shards, delivering into
+/// the sink `make_sink` builds for that network.
+fn replay_with<S: LogSink>(
+    trace: &CommTrace,
+    spec: RunSpec,
+    make_sink: impl FnOnce(&MeshConfig) -> S,
+) -> Result<(MeshConfig, S), CliError> {
+    let mesh = MeshConfig::for_nodes_net(trace.nodes(), spec.topology, spec.routing);
+    let sink = CausalReplayer::new(mesh)
+        .try_replay_into(trace, spec.engine, spec.sim_jobs, make_sink(&mesh))
+        .map_err(|e| CliError(e.to_string()))?;
+    Ok((mesh, sink))
 }
 
 /// `commchar replay --streaming <trace file contents>`: causal replay
@@ -273,17 +237,9 @@ pub fn cmd_generate(app: &str, common: Common) -> Result<String, CliError> {
 /// trace, at the price of per-message records (quantiles become
 /// histogram-approximate). Accepts either trace format, sniffed by magic
 /// bytes.
-pub fn cmd_replay_streaming(
-    input: &[u8],
-    engine: EngineKind,
-    topology: Topology,
-    routing: Routing,
-) -> Result<String, CliError> {
+pub fn cmd_replay_streaming(input: &[u8], spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace(input)?;
-    let mesh = MeshConfig::for_nodes_net(trace.nodes(), topology, routing);
-    let stream = CausalReplayer::new(mesh)
-        .try_replay_streaming(&trace, engine)
-        .map_err(|e| CliError(e.to_string()))?;
+    let (_, stream) = replay_with(&trace, spec, |m| StreamingLog::new(m.shape.nodes()))?;
     let s = stream.summary();
     let mut out = String::new();
     let _ = writeln!(
@@ -291,8 +247,8 @@ pub fn cmd_replay_streaming(
         "replayed {} messages on a {} -node {} ({}streaming, {} histogram bins)",
         s.messages,
         trace.nodes(),
-        topology.name(),
-        engine_tag(engine),
+        spec.topology.name(),
+        engine_tag(spec.engine),
         stream.latency_histogram().bins()
     );
     let _ = writeln!(
@@ -315,25 +271,19 @@ pub fn cmd_replay_streaming(
 /// comparison, which always uses the recurrence model as the fixed
 /// open-loop baseline). Accepts either trace format, sniffed by magic
 /// bytes.
-pub fn cmd_replay(
-    input: &[u8],
-    engine: EngineKind,
-    topology: Topology,
-    routing: Routing,
-) -> Result<String, CliError> {
+pub fn cmd_replay(input: &[u8], spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace(input)?;
-    let mesh = MeshConfig::for_nodes_net(trace.nodes(), topology, routing);
-    let rep = CausalReplayer::new(mesh);
-    let causal = rep.try_replay(&trace, engine).map_err(|e| CliError(e.to_string()))?.summary();
-    let naive = rep.replay_naive(&trace).summary();
+    let (mesh, causal) = replay_with(&trace, spec, |_| NetLog::new())?;
+    let causal = causal.summary();
+    let naive = CausalReplayer::new(mesh).replay_naive(&trace).summary();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "replayed {} messages on a {} -node {}{}",
         causal.messages,
         trace.nodes(),
-        topology.name(),
-        if engine.is_flit() { " (flit engine)" } else { "" }
+        spec.topology.name(),
+        if spec.engine == EngineKind::FlitLevel { " (flit engine)" } else { "" }
     );
     let _ = writeln!(
         out,
@@ -566,24 +516,26 @@ pub fn cmd_serve_feed_stream(
 /// the table always carries the network-contrast rows — the same
 /// known-shape traffic characterized across dimension-ordered and
 /// minimal-adaptive routing on both the mesh and the wraparound torus.
-pub fn cmd_suite(common: Common, jobs: usize) -> (String, String) {
-    let mut cells = cell_matrix(AppId::all(), &[common.procs], &[common.scale], common.seed)
-        .into_iter()
-        .map(|c| c.with_net(common.topology, common.routing))
-        .collect::<Vec<_>>();
+/// Every cell takes `spec`'s procs, scale, seed, engine and simulator
+/// shards; `spec.app` is unused.
+///
+/// # Errors
+///
+/// The first failing cell's error, in table order (for any `jobs`).
+pub fn cmd_suite(spec: RunSpec, jobs: usize) -> Result<(String, String), CliError> {
+    let cell = |app| RunSpec { app, ..spec };
+    let mut cells: Vec<RunSpec> = AppId::all().iter().map(|&app| cell(app)).collect();
     for app in [AppId::Allreduce, AppId::Halo] {
-        let base = cell_matrix(&[app], &[common.procs], &[common.scale], common.seed)[0];
         for topology in [Topology::Mesh, Topology::Torus] {
             for routing in [Routing::Dimension, Routing::Adaptive] {
-                if (topology, routing) != (common.topology, common.routing) {
-                    cells.push(base.with_net(topology, routing));
+                if (topology, routing) != (spec.topology, spec.routing) {
+                    cells.push(cell(app).with_net(topology, routing));
                 }
             }
         }
     }
-    let report =
-        SuiteRunner::new(jobs).with_engine(common.engine).with_sim_jobs(common.sim_jobs).run(cells);
-    (suite_table(&report), suite_timing(&report))
+    let report = SuiteRunner::new(jobs).run(cells)?;
+    Ok((suite_table(&report), suite_timing(&report)))
 }
 
 /// Usage text.
@@ -702,16 +654,27 @@ APPLICATIONS:
 mod tests {
     use super::*;
 
+    /// A tiny-scale run of `app` on 4 processors with seed 1, on the
+    /// default network and engine.
+    fn tiny(app: AppId) -> RunSpec {
+        RunSpec::new(app, 4, Scale::Tiny, 1)
+    }
+
+    /// Flags for the trace commands (the application is unused there).
+    fn net(topology: Topology, routing: Routing, engine: EngineKind) -> RunSpec {
+        RunSpec { engine, ..tiny(AppId::Is).with_net(topology, routing) }
+    }
+
+    const REC: EngineKind = EngineKind::Recurrence;
     const MESH: Topology = Topology::Mesh;
     const DIM: Routing = Routing::Dimension;
 
     #[test]
     fn run_and_characterize_app() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (report, trace) = cmd_run("is", common).unwrap();
+        let (report, trace) = cmd_run(tiny(AppId::Is)).unwrap();
         assert!(report.contains("ran is on 4 processors"));
         assert!(!trace.is_empty());
-        let sig = cmd_characterize_app("is", common, 1).unwrap();
+        let sig = cmd_characterize_app(tiny(AppId::Is), 1).unwrap();
         assert!(sig.contains("temporal attribute"));
         assert!(sig.contains("spatial attribute"));
         assert!(sig.contains("volume attribute"));
@@ -721,24 +684,22 @@ mod tests {
     fn sim_jobs_does_not_change_dynamic_strategy_output() {
         // The sharded execution-driven simulator must be invisible in the
         // CLI's output: same run report, same trace, same signature.
-        let serial = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let sharded = Common { sim_jobs: 4, ..serial };
-        let (rep_s, tr_s) = cmd_run("is", serial).unwrap();
-        let (rep_p, tr_p) = cmd_run("is", sharded).unwrap();
+        let sharded = |spec| RunSpec { sim_jobs: 4, ..spec };
+        let (rep_s, tr_s) = cmd_run(tiny(AppId::Is)).unwrap();
+        let (rep_p, tr_p) = cmd_run(sharded(tiny(AppId::Is))).unwrap();
         assert_eq!(rep_s, rep_p);
         assert_eq!(tr_s.to_jsonl(), tr_p.to_jsonl(), "trace must not depend on --sim-jobs");
         assert_eq!(
-            cmd_characterize_app("maxflow", serial, 1).unwrap(),
-            cmd_characterize_app("maxflow", sharded, 1).unwrap(),
+            cmd_characterize_app(tiny(AppId::Maxflow), 1).unwrap(),
+            cmd_characterize_app(sharded(tiny(AppId::Maxflow)), 1).unwrap(),
             "characterize report must not depend on --sim-jobs"
         );
     }
 
     #[test]
     fn characterize_jobs_does_not_change_the_report() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let serial = cmd_characterize_app("is", common, 1).unwrap();
-        let parallel = cmd_characterize_app("is", common, 4).unwrap();
+        let serial = cmd_characterize_app(tiny(AppId::Is), 1).unwrap();
+        let parallel = cmd_characterize_app(tiny(AppId::Is), 4).unwrap();
         assert_eq!(serial, parallel, "characterize report must not depend on --jobs");
     }
 
@@ -749,35 +710,32 @@ mod tests {
         tr.push(commchar_trace::CommEvent::new(0, 0, 0, 1, 8, commchar_trace::EventKind::Data));
         tr.push(commchar_trace::CommEvent::new(1, 9, 0, 1, 8, commchar_trace::EventKind::Data));
         let err =
-            cmd_characterize_trace(tr.to_jsonl().as_bytes(), 1, EngineKind::Recurrence, MESH, DIM)
-                .unwrap_err();
+            cmd_characterize_trace(tr.to_jsonl().as_bytes(), 1, net(MESH, DIM, REC)).unwrap_err();
         assert!(err.0.contains("degenerate"), "unexpected error: {err}");
     }
 
     #[test]
     fn unknown_app_is_an_error() {
-        assert!(cmd_run("linpack", Common::default()).is_err());
+        assert!(parse_app("linpack").is_err());
+        assert_eq!(parse_app("3d-fft").unwrap(), AppId::Fft3d);
         assert!(parse_scale("huge").is_err());
         assert_eq!(parse_scale("tiny").unwrap(), Scale::Tiny);
     }
 
     #[test]
     fn trace_roundtrip_through_cli() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("3d-fft", common).unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
         let jsonl = trace.to_jsonl();
-        let report =
-            cmd_characterize_trace(jsonl.as_bytes(), 2, EngineKind::Recurrence, MESH, DIM).unwrap();
+        let report = cmd_characterize_trace(jsonl.as_bytes(), 2, net(MESH, DIM, REC)).unwrap();
         assert!(report.contains("processors  : 4"));
-        let replay = cmd_replay(jsonl.as_bytes(), EngineKind::Recurrence, MESH, DIM).unwrap();
+        let replay = cmd_replay(jsonl.as_bytes(), net(MESH, DIM, REC)).unwrap();
         assert!(replay.contains("causal:"));
         assert!(replay.contains("naive :"));
     }
 
     #[test]
     fn trace_commands_roundtrip_both_formats() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("3d-fft", common).unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
         let jsonl = trace.to_jsonl();
         let packed = cmd_trace_pack(jsonl.as_bytes(), 0).unwrap();
         assert!(packed.len() < jsonl.len());
@@ -785,24 +743,20 @@ mod tests {
         assert_eq!(cmd_trace_cat(&packed).unwrap(), jsonl);
         assert_eq!(cmd_trace_pack(&packed, 0).unwrap(), packed);
         // every trace-consuming command accepts the packed form too.
-        let rec = EngineKind::Recurrence;
-        let from_jsonl = cmd_characterize_trace(jsonl.as_bytes(), 1, rec, MESH, DIM).unwrap();
-        let from_packed = cmd_characterize_trace(&packed, 1, rec, MESH, DIM).unwrap();
+        let rec = net(MESH, DIM, REC);
+        let from_jsonl = cmd_characterize_trace(jsonl.as_bytes(), 1, rec).unwrap();
+        let from_packed = cmd_characterize_trace(&packed, 1, rec).unwrap();
         assert_eq!(from_jsonl, from_packed);
+        assert_eq!(cmd_replay(jsonl.as_bytes(), rec).unwrap(), cmd_replay(&packed, rec).unwrap());
         assert_eq!(
-            cmd_replay(jsonl.as_bytes(), rec, MESH, DIM).unwrap(),
-            cmd_replay(&packed, rec, MESH, DIM).unwrap()
-        );
-        assert_eq!(
-            cmd_replay_streaming(jsonl.as_bytes(), rec, MESH, DIM).unwrap(),
-            cmd_replay_streaming(&packed, rec, MESH, DIM).unwrap()
+            cmd_replay_streaming(jsonl.as_bytes(), rec).unwrap(),
+            cmd_replay_streaming(&packed, rec).unwrap()
         );
     }
 
     #[test]
     fn trace_stat_reports_both_formats() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("nbody", common).unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Nbody)).unwrap();
         let jsonl = trace.to_jsonl();
         let packed = cmd_trace_pack(jsonl.as_bytes(), 0).unwrap();
         let s_jsonl = cmd_trace_stat(jsonl.as_bytes()).unwrap();
@@ -816,8 +770,7 @@ mod tests {
 
     #[test]
     fn trace_stat_breaks_out_blocks() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("nbody", common).unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Nbody)).unwrap();
         let n = trace.len();
         assert!(n > 40, "need a multi-block trace, got {n} events");
         // Small blocks force more than STAT_BLOCKS_LISTED of them.
@@ -831,8 +784,7 @@ mod tests {
 
     #[test]
     fn stream_and_no_replay_reports_are_identical() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("3d-fft", common).unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
         let packed = cmd_trace_pack(trace.to_jsonl().as_bytes(), 37).unwrap();
         let batch = cmd_characterize_trace_only(&packed, 1).unwrap();
         assert!(batch.contains("temporal attribute"));
@@ -851,14 +803,14 @@ mod tests {
     fn trace_commands_reject_garbage_with_typed_errors() {
         let err = cmd_trace_cat(b"CCTRACE1\xffgarbage").unwrap_err();
         assert!(err.0.contains("stream kind"), "unexpected error: {err}");
-        let err = cmd_replay(b"not json at all", EngineKind::Recurrence, MESH, DIM).unwrap_err();
+        let err = cmd_replay(b"not json at all", net(MESH, DIM, REC)).unwrap_err();
         assert!(err.0.contains("line 1"), "unexpected error: {err}");
     }
 
     #[test]
     fn generate_produces_parseable_trace() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 9, ..Common::default() };
-        let jsonl = cmd_generate("nbody", common).unwrap();
+        let jsonl =
+            cmd_generate_trace(RunSpec { seed: 9, ..tiny(AppId::Nbody) }).unwrap().to_jsonl();
         let parsed = CommTrace::from_jsonl(&jsonl).unwrap();
         assert!(!parsed.is_empty());
         assert_eq!(parsed.nodes(), 4);
@@ -866,8 +818,7 @@ mod tests {
 
     #[test]
     fn suite_runs_all_apps_and_is_deterministic_across_jobs() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (table, timing) = cmd_suite(common, 4);
+        let (table, timing) = cmd_suite(tiny(AppId::Is), 4).unwrap();
         for a in AppId::all() {
             assert!(table.contains(a.name()), "suite table missing {a:?}");
         }
@@ -877,36 +828,25 @@ mod tests {
         // (topology × routing) pair — the network-contrast rows.
         assert!(table.contains("torus"), "missing torus contrast rows:\n{table}");
         assert!(table.contains("adaptive"), "missing adaptive contrast rows:\n{table}");
-        let (serial_table, _) = cmd_suite(common, 1);
+        let (serial_table, _) = cmd_suite(tiny(AppId::Is), 1).unwrap();
         assert_eq!(table, serial_table, "suite table must not depend on --jobs");
     }
 
     #[test]
     fn torus_and_adaptive_flow_through_the_cli() {
-        let common = Common {
-            procs: 4,
-            scale: Scale::Tiny,
-            seed: 1,
-            engine: EngineKind::flit(),
-            topology: Topology::Torus,
-            routing: Routing::Adaptive,
-            ..Common::default()
-        };
+        let torus = net(Topology::Torus, Routing::Adaptive, EngineKind::flit());
         // Acquisition end-to-end on the torus with the adaptive policy,
         // for both strategies, through the cycle-accurate engine.
-        let (report, trace) = cmd_run("allreduce", common).unwrap();
+        let (report, trace) = cmd_run(RunSpec { app: AppId::Allreduce, ..torus }).unwrap();
         assert!(report.contains("ran allreduce on 4 processors"));
-        let sig = cmd_characterize_app("is", common, 1).unwrap();
+        let sig = cmd_characterize_app(torus, 1).unwrap();
         assert!(sig.contains("network behaviour"));
         // Replay names the topology in its header.
         let jsonl = trace.to_jsonl();
-        let out =
-            cmd_replay(jsonl.as_bytes(), EngineKind::flit(), Topology::Torus, Routing::Adaptive)
-                .unwrap();
+        let out = cmd_replay(jsonl.as_bytes(), torus).unwrap();
         assert!(out.contains("-node torus"), "replay header: {out}");
         let streaming =
-            cmd_replay_streaming(jsonl.as_bytes(), EngineKind::Recurrence, Topology::Torus, DIM)
-                .unwrap();
+            cmd_replay_streaming(jsonl.as_bytes(), net(Topology::Torus, DIM, REC)).unwrap();
         assert!(streaming.contains("-node torus"), "streaming header: {streaming}");
     }
 
@@ -922,11 +862,8 @@ mod tests {
 
     #[test]
     fn streaming_replay_reports_summary() {
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("3d-fft", common).unwrap();
-        let out =
-            cmd_replay_streaming(trace.to_jsonl().as_bytes(), EngineKind::Recurrence, MESH, DIM)
-                .unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
+        let out = cmd_replay_streaming(trace.to_jsonl().as_bytes(), net(MESH, DIM, REC)).unwrap();
         assert!(out.contains("streaming"));
         assert!(out.contains("mean latency"));
         assert!(out.contains("inter-arrival"));
@@ -934,28 +871,21 @@ mod tests {
 
     #[test]
     fn flit_engine_runs_every_command_surface() {
-        let common = Common {
-            procs: 4,
-            scale: Scale::Tiny,
-            seed: 1,
-            engine: EngineKind::flit(),
-            ..Common::default()
-        };
+        let flit = net(MESH, DIM, EngineKind::flit());
         // run: closed-loop acquisition through the cycle-accurate router.
-        let (report, trace) = cmd_run("is", common).unwrap();
+        let (report, trace) = cmd_run(flit).unwrap();
         assert!(report.contains("ran is on 4 processors"));
         assert!(!trace.is_empty());
         // characterize: full signature on a flit-acquired workload.
-        let sig = cmd_characterize_app("is", common, 1).unwrap();
+        let sig = cmd_characterize_app(flit, 1).unwrap();
         assert!(sig.contains("temporal attribute"));
         // replay: the header names the engine; the recurrence header does not.
         let jsonl = trace.to_jsonl();
-        let flit = cmd_replay(jsonl.as_bytes(), EngineKind::flit(), MESH, DIM).unwrap();
-        assert!(flit.contains("(flit engine)"));
-        let rec = cmd_replay(jsonl.as_bytes(), EngineKind::Recurrence, MESH, DIM).unwrap();
+        let out = cmd_replay(jsonl.as_bytes(), flit).unwrap();
+        assert!(out.contains("(flit engine)"));
+        let rec = cmd_replay(jsonl.as_bytes(), net(MESH, DIM, REC)).unwrap();
         assert!(!rec.contains("flit"));
-        let streaming =
-            cmd_replay_streaming(jsonl.as_bytes(), EngineKind::flit(), MESH, DIM).unwrap();
+        let streaming = cmd_replay_streaming(jsonl.as_bytes(), flit).unwrap();
         assert!(streaming.contains("flit engine; streaming"));
     }
 
@@ -975,8 +905,7 @@ mod tests {
         .unwrap();
         let addr = server.local_addr().to_string();
         let handle = server.spawn();
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("3d-fft", common).unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
         let jsonl = trace.to_jsonl();
         let offline = cmd_characterize_trace_only(jsonl.as_bytes(), 1).unwrap();
         // Tiny blocks + mid-stream polls + a protocol shutdown at the end.
@@ -997,8 +926,7 @@ mod tests {
         .unwrap();
         let addr = server.local_addr().to_string();
         let handle = server.spawn();
-        let common = Common { procs: 4, scale: Scale::Tiny, seed: 1, ..Common::default() };
-        let (_, trace) = cmd_run("3d-fft", common).unwrap();
+        let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
         let jsonl = trace.to_jsonl();
         let offline = cmd_characterize_trace_only(jsonl.as_bytes(), 1).unwrap();
         // Pipe-style input: the packed bytes arrive through an io::Read,

@@ -2,15 +2,18 @@
 
 use std::process::ExitCode;
 
-use commchar::cli::{self, Common};
+use commchar::apps::{AppId, Scale};
+use commchar::cli;
+use commchar::core::RunSpec;
 
 struct Args {
     positional: Vec<String>,
-    common: Common,
+    /// The run flags; the application is set from the command's
+    /// positional argument where it takes one.
+    spec: RunSpec,
     out: Option<String>,
     trace: Option<String>,
     jobs: usize,
-    sim_jobs: Option<usize>,
     block_jobs: usize,
     block_len: usize,
     streaming: bool,
@@ -25,14 +28,26 @@ struct Args {
     shutdown: bool,
 }
 
+/// The value following `flag`.
+fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, String> {
+    it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value following `flag`, parsed as an integer.
+fn number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+) -> Result<T, String> {
+    value(it, flag)?.parse().map_err(|_| format!("{flag} needs an integer"))
+}
+
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         positional: Vec::new(),
-        common: Common::default(),
+        spec: RunSpec::new(AppId::all()[0], 8, Scale::Small, 42),
         out: None,
         trace: None,
         jobs: 0,
-        sim_jobs: None,
         block_jobs: 0,
         block_len: 0,
         streaming: false,
@@ -48,117 +63,42 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "--jobs needs an integer")?;
-            }
-            "--sim-jobs" => {
-                args.sim_jobs = Some(
-                    it.next()
-                        .ok_or("--sim-jobs needs a value")?
-                        .parse()
-                        .map_err(|_| "--sim-jobs needs an integer")?,
-                );
-            }
-            "--block-jobs" => {
-                args.block_jobs = it
-                    .next()
-                    .ok_or("--block-jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "--block-jobs needs an integer")?;
-            }
-            "--block-len" => {
-                args.block_len = it
-                    .next()
-                    .ok_or("--block-len needs a value")?
-                    .parse()
-                    .map_err(|_| "--block-len needs an integer")?;
-            }
+        let flag = a.as_str();
+        match flag {
+            "--jobs" => args.jobs = number(&mut it, flag)?,
+            "--sim-jobs" => args.spec.sim_jobs = number(&mut it, flag)?,
+            "--block-jobs" => args.block_jobs = number(&mut it, flag)?,
+            "--block-len" => args.block_len = number(&mut it, flag)?,
             "--streaming" => args.streaming = true,
             "--stream" => args.stream = true,
             "--no-replay" => args.no_replay = true,
             "--packed" => args.packed = true,
-            "--procs" => {
-                args.common.procs = it
-                    .next()
-                    .ok_or("--procs needs a value")?
-                    .parse()
-                    .map_err(|_| "--procs needs an integer")?;
-            }
+            "--procs" => args.spec.procs = number(&mut it, flag)?,
             "--scale" => {
-                args.common.scale =
-                    cli::parse_scale(it.next().ok_or("--scale needs a value")?).map_err(|e| e.0)?;
+                args.spec.scale = cli::parse_scale(&value(&mut it, flag)?).map_err(|e| e.0)?
             }
             "--engine" => {
-                args.common.engine = cli::parse_engine(it.next().ok_or("--engine needs a value")?)
-                    .map_err(|e| e.0)?;
+                args.spec.engine = cli::parse_engine(&value(&mut it, flag)?).map_err(|e| e.0)?;
             }
             "--topology" => {
-                args.common.topology =
-                    cli::parse_topology(it.next().ok_or("--topology needs a value")?)
-                        .map_err(|e| e.0)?;
+                args.spec.topology =
+                    cli::parse_topology(&value(&mut it, flag)?).map_err(|e| e.0)?;
             }
             "--routing" => {
-                args.common.routing =
-                    cli::parse_routing(it.next().ok_or("--routing needs a value")?)
-                        .map_err(|e| e.0)?;
+                args.spec.routing = cli::parse_routing(&value(&mut it, flag)?).map_err(|e| e.0)?;
             }
-            "--seed" => {
-                args.common.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer")?;
-            }
-            "--addr" => {
-                args.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone();
-            }
-            "--serve-workers" => {
-                args.serve_workers = it
-                    .next()
-                    .ok_or("--serve-workers needs a value")?
-                    .parse()
-                    .map_err(|_| "--serve-workers needs an integer")?;
-            }
-            "--session-buffer" => {
-                args.session_buffer = it
-                    .next()
-                    .ok_or("--session-buffer needs a value")?
-                    .parse()
-                    .map_err(|_| "--session-buffer needs an integer (bytes)")?;
-            }
-            "--idle-timeout" => {
-                args.idle_timeout = it
-                    .next()
-                    .ok_or("--idle-timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--idle-timeout needs an integer (seconds)")?;
-            }
-            "--poll-every" => {
-                args.poll_every = it
-                    .next()
-                    .ok_or("--poll-every needs a value")?
-                    .parse()
-                    .map_err(|_| "--poll-every needs an integer")?;
-            }
+            "--seed" => args.spec.seed = number(&mut it, flag)?,
+            "--addr" => args.addr = value(&mut it, flag)?,
+            "--serve-workers" => args.serve_workers = number(&mut it, flag)?,
+            "--session-buffer" => args.session_buffer = number(&mut it, flag)?,
+            "--idle-timeout" => args.idle_timeout = number(&mut it, flag)?,
+            "--poll-every" => args.poll_every = number(&mut it, flag)?,
             "--shutdown" => args.shutdown = true,
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?.clone()),
-            "--trace" => args.trace = Some(it.next().ok_or("--trace needs a path")?.clone()),
+            "--out" => args.out = Some(value(&mut it, flag)?),
+            "--trace" => args.trace = Some(value(&mut it, flag)?),
             other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
             other => args.positional.push(other.to_string()),
         }
-    }
-    // `--sim-jobs` shards whichever simulators the command runs: the
-    // execution-driven CC-NUMA machine behind shared-memory apps, and —
-    // position-independent of `--engine`, so it is folded in after the
-    // loop — the flit router's row bands when that engine is selected.
-    if let Some(n) = args.sim_jobs {
-        args.common.sim_jobs = n;
-        args.common.engine = args.common.engine.with_sim_jobs(n);
     }
     Ok(args)
 }
@@ -197,13 +137,19 @@ fn read_trace(args: &Args) -> Result<Vec<u8>, String> {
     read_file(args.trace.as_ref().ok_or("this command needs --trace FILE")?)
 }
 
+/// The run flags with the application named by positional argument 1.
+fn app_spec(args: &Args, missing: &str) -> Result<RunSpec, String> {
+    let app = args.positional.get(1).ok_or(missing)?;
+    Ok(RunSpec { app: cli::parse_app(app).map_err(|e| e.0)?, ..args.spec })
+}
+
 fn run(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
     let cmd = args.positional.first().map(String::as_str);
     match cmd {
         Some("run") => {
-            let app = args.positional.get(1).ok_or("run needs an application name")?;
-            let (report, trace) = cli::cmd_run(app, args.common).map_err(|e| e.0)?;
+            let spec = app_spec(&args, "run needs an application name")?;
+            let (report, trace) = cli::cmd_run(spec).map_err(|e| e.0)?;
             print!("{report}");
             if args.out.is_some() {
                 emit_trace(&trace, &args)?;
@@ -219,35 +165,25 @@ fn run(argv: &[String]) -> Result<(), String> {
                 if args.no_replay {
                     cli::cmd_characterize_trace_only(&input, args.jobs).map_err(|e| e.0)?
                 } else {
-                    cli::cmd_characterize_trace(
-                        &input,
-                        args.jobs,
-                        args.common.engine,
-                        args.common.topology,
-                        args.common.routing,
-                    )
-                    .map_err(|e| e.0)?
+                    cli::cmd_characterize_trace(&input, args.jobs, args.spec).map_err(|e| e.0)?
                 }
             } else {
-                let app =
-                    args.positional.get(1).ok_or("characterize needs an app or --trace FILE")?;
-                cli::cmd_characterize_app(app, args.common, args.jobs).map_err(|e| e.0)?
+                let spec = app_spec(&args, "characterize needs an app or --trace FILE")?;
+                cli::cmd_characterize_app(spec, args.jobs).map_err(|e| e.0)?
             };
             emit(&text, &None)
         }
         Some("generate") => {
-            let app = args.positional.get(1).ok_or("generate needs an application name")?;
-            let trace = cli::cmd_generate_trace(app, args.common).map_err(|e| e.0)?;
+            let spec = app_spec(&args, "generate needs an application name")?;
+            let trace = cli::cmd_generate_trace(spec).map_err(|e| e.0)?;
             emit_trace(&trace, &args)
         }
         Some("replay") => {
             let input = read_trace(&args)?;
-            let (topology, routing) = (args.common.topology, args.common.routing);
             let text = if args.streaming {
-                cli::cmd_replay_streaming(&input, args.common.engine, topology, routing)
-                    .map_err(|e| e.0)?
+                cli::cmd_replay_streaming(&input, args.spec).map_err(|e| e.0)?
             } else {
-                cli::cmd_replay(&input, args.common.engine, topology, routing).map_err(|e| e.0)?
+                cli::cmd_replay(&input, args.spec).map_err(|e| e.0)?
             };
             emit(&text, &None)
         }
@@ -274,7 +210,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             }
         }
         Some("suite") => {
-            let (table, timing) = cli::cmd_suite(args.common, args.jobs);
+            let (table, timing) = cli::cmd_suite(args.spec, args.jobs).map_err(|e| e.0)?;
             eprint!("{timing}");
             emit(&table, &None)
         }

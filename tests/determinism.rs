@@ -1,14 +1,14 @@
 //! Integration: simulations are bit-deterministic across runs, regardless
 //! of host thread scheduling.
 
-use commchar::core::{characterize, run_workload};
+use commchar::core::{acquire, characterize, RunSpec};
 use commchar_apps::{AppId, Scale};
 
 #[test]
 fn shared_memory_runs_are_deterministic() {
     for &app in &[AppId::Is, AppId::Cholesky, AppId::Maxflow] {
-        let a = run_workload(app, 4, Scale::Tiny);
-        let b = run_workload(app, 4, Scale::Tiny);
+        let a = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
+        let b = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
         assert_eq!(a.exec_ticks, b.exec_ticks, "{app}: exec time differs");
         assert_eq!(a.trace.len(), b.trace.len(), "{app}: trace length differs");
         for (x, y) in a.trace.events().iter().zip(b.trace.events()) {
@@ -23,8 +23,8 @@ fn shared_memory_runs_are_deterministic() {
 #[test]
 fn message_passing_runs_are_deterministic() {
     for &app in &[AppId::Fft3d, AppId::Mg] {
-        let a = run_workload(app, 4, Scale::Tiny);
-        let b = run_workload(app, 4, Scale::Tiny);
+        let a = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
+        let b = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
         assert_eq!(a.exec_ticks, b.exec_ticks, "{app}: exec time differs");
         for (x, y) in a.trace.events().iter().zip(b.trace.events()) {
             assert_eq!(x, y, "{app}: trace event differs");
@@ -34,9 +34,9 @@ fn message_passing_runs_are_deterministic() {
 
 #[test]
 fn characterization_is_deterministic() {
-    let w = run_workload(AppId::Is, 4, Scale::Tiny);
-    let s1 = characterize(&w);
-    let s2 = characterize(&w);
+    let w = acquire(&RunSpec::new(AppId::Is, 4, Scale::Tiny, 42)).unwrap();
+    let s1 = characterize(&w, 1).unwrap();
+    let s2 = characterize(&w, 1).unwrap();
     assert_eq!(s1.temporal.aggregate.dist, s2.temporal.aggregate.dist);
     assert_eq!(s1.volume.messages, s2.volume.messages);
     for (a, b) in s1.spatial.iter().zip(&s2.spatial) {

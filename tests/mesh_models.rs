@@ -72,7 +72,13 @@ fn hotspot_contends_more_than_uniform_in_both_models() {
 
 #[test]
 fn flit_model_conserves_messages_on_app_trace() {
-    let out = commchar_apps::AppId::Fft3d.run(4, commchar_apps::Scale::Tiny);
+    let out = commchar_apps::AppId::Fft3d.run_net(
+        4,
+        commchar_apps::Scale::Tiny,
+        Default::default(),
+        1,
+        MeshConfig::for_nodes(4),
+    );
     let mesh = MeshConfig::for_nodes(4);
     let msgs = to_msgs(&out.trace);
     let log = FlitLevel::new(mesh).simulate(&msgs);

@@ -1,7 +1,7 @@
 //! Integration: the paper's headline qualitative findings must hold in
 //! the reproduction.
 
-use commchar::core::{characterize, run_workload};
+use commchar::core::{acquire, characterize, RunSpec};
 use commchar::stats::spatial::SpatialModel;
 use commchar_apps::{AppId, Scale};
 
@@ -10,8 +10,8 @@ use commchar_apps::{AppId, Scale};
 /// messages and the rest get equal numbers").
 #[test]
 fn is_has_favorite_processor_pattern() {
-    let w = run_workload(AppId::Is, 8, Scale::Tiny);
-    let sig = characterize(&w);
+    let w = acquire(&RunSpec::new(AppId::Is, 8, Scale::Tiny, 42)).unwrap();
+    let sig = characterize(&w, 1).unwrap();
     let bimodal = sig
         .spatial
         .iter()
@@ -24,8 +24,8 @@ fn is_has_favorite_processor_pattern() {
 /// 1D-FFT's exchange phase spreads traffic: near-uniform spatial pattern.
 #[test]
 fn fft1d_is_spatially_spread() {
-    let w = run_workload(AppId::Fft1d, 8, Scale::Tiny);
-    let sig = characterize(&w);
+    let w = acquire(&RunSpec::new(AppId::Fft1d, 8, Scale::Tiny, 42)).unwrap();
+    let sig = characterize(&w, 1).unwrap();
     for sp in sig.spatial.iter().flatten() {
         let peak = sp.observed.iter().cloned().fold(0.0, f64::max);
         assert!(peak < 0.5, "a single destination dominates 1D-FFT: {peak}");
@@ -36,7 +36,7 @@ fn fft1d_is_spatially_spread() {
 /// the volume distribution stays uniform — the paper's Figure 9.
 #[test]
 fn fft3d_count_favorite_volume_uniform() {
-    let w = run_workload(AppId::Fft3d, 8, Scale::Tiny);
+    let w = acquire(&RunSpec::new(AppId::Fft3d, 8, Scale::Tiny, 42)).unwrap();
     let n = w.nprocs;
     let counts = w.netlog.spatial_counts(n);
     let bytes = w.netlog.volume_bytes(n);
@@ -58,8 +58,8 @@ fn fft3d_count_favorite_volume_uniform() {
 /// be well below 3D-FFT's all-to-all.
 #[test]
 fn mg_is_more_local_than_fft3d() {
-    let mg = run_workload(AppId::Mg, 8, Scale::Tiny);
-    let fft = run_workload(AppId::Fft3d, 8, Scale::Tiny);
+    let mg = acquire(&RunSpec::new(AppId::Mg, 8, Scale::Tiny, 42)).unwrap();
+    let fft = acquire(&RunSpec::new(AppId::Fft3d, 8, Scale::Tiny, 42)).unwrap();
     let mg_hops = mg.netlog.summary().mean_hops;
     let fft_hops = fft.netlog.summary().mean_hops;
     assert!(
@@ -72,7 +72,7 @@ fn mg_is_more_local_than_fft3d() {
 /// as protocol traffic always is.
 #[test]
 fn sm_lengths_are_bimodal() {
-    let w = run_workload(AppId::Cholesky, 4, Scale::Tiny);
+    let w = acquire(&RunSpec::new(AppId::Cholesky, 4, Scale::Tiny, 42)).unwrap();
     let mut lengths: Vec<u32> = w.netlog.lengths();
     lengths.sort_unstable();
     lengths.dedup();
@@ -87,8 +87,8 @@ fn sm_lengths_are_bimodal() {
 #[test]
 fn sm_interarrivals_fit_exponential_family() {
     for &app in &[AppId::Fft1d, AppId::Is, AppId::Maxflow] {
-        let w = run_workload(app, 8, Scale::Tiny);
-        let sig = characterize(&w);
+        let w = acquire(&RunSpec::new(app, 8, Scale::Tiny, 42)).unwrap();
+        let sig = characterize(&w, 1).unwrap();
         let fam = sig.temporal.aggregate.dist.family_name();
         assert!(
             matches!(

@@ -1,13 +1,13 @@
 //! Integration: the full characterization pipeline over every application
 //! at tiny scale.
 
-use commchar::core::{characterize, run_workload, synthesize};
+use commchar::core::{acquire, characterize, synthesize, RunSpec};
 use commchar_apps::{AppClass, AppId, Scale};
 
 #[test]
 fn every_application_characterizes() {
     for &app in AppId::all() {
-        let w = run_workload(app, 4, Scale::Tiny);
+        let w = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
         assert!(!w.trace.is_empty(), "{app}: empty trace");
         assert_eq!(
             w.trace.len(),
@@ -17,7 +17,7 @@ fn every_application_characterizes() {
         w.netlog.check_invariants(w.mesh.shape).unwrap_or_else(|e| panic!("{app}: {e}"));
         w.trace.check().unwrap_or_else(|e| panic!("{app}: {e}"));
 
-        let sig = characterize(&w);
+        let sig = characterize(&w, 1).unwrap();
         assert_eq!(sig.nprocs, 4);
         assert!(sig.volume.messages > 0);
         assert!(
@@ -38,17 +38,17 @@ fn every_application_characterizes() {
 
 #[test]
 fn strategies_match_their_classes() {
-    let sm = run_workload(AppId::Fft1d, 4, Scale::Tiny);
+    let sm = acquire(&RunSpec::new(AppId::Fft1d, 4, Scale::Tiny, 42)).unwrap();
     assert_eq!(sm.class, AppClass::SharedMemory);
-    let mp = run_workload(AppId::Mg, 4, Scale::Tiny);
+    let mp = acquire(&RunSpec::new(AppId::Mg, 4, Scale::Tiny, 42)).unwrap();
     assert_eq!(mp.class, AppClass::MessagePassing);
 }
 
 #[test]
 fn synthesis_round_trip_all_apps() {
     for &app in AppId::all() {
-        let w = run_workload(app, 4, Scale::Tiny);
-        let sig = characterize(&w);
+        let w = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
+        let sig = characterize(&w, 1).unwrap();
         let model = synthesize(&sig, w.mesh);
         let span = w.netlog.summary().span.max(1000);
         let synth = model.generate(span, 3);
@@ -68,8 +68,8 @@ fn synthesis_round_trip_all_apps() {
 
 #[test]
 fn scaling_processors_scales_traffic() {
-    let w4 = run_workload(AppId::Nbody, 4, Scale::Tiny);
-    let w8 = run_workload(AppId::Nbody, 8, Scale::Tiny);
+    let w4 = acquire(&RunSpec::new(AppId::Nbody, 4, Scale::Tiny, 42)).unwrap();
+    let w8 = acquire(&RunSpec::new(AppId::Nbody, 8, Scale::Tiny, 42)).unwrap();
     // More processors, same problem: more cross-processor traffic.
     assert!(
         w8.trace.len() > w4.trace.len(),
