@@ -50,57 +50,57 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, band: usize) -> AppOutput {
             let task = m.alloc(1);
             (l, task, n, band)
         },
-        move |ctx, &(l, task, n, band)| {
+        move |mut ctx, (l, task, n, band)| async move {
             let p = ctx.proc_id();
             const QLOCK: u32 = 1000;
             for j in 0..n {
                 // cdiv(j) by the column's owner.
                 if j % ctx.nprocs() == p {
-                    let diag = ctx.read_f64(l, j * band);
+                    let diag = ctx.read_f64(l, j * band).await;
                     assert!(diag > 0.0, "lost positive definiteness at {j}");
                     let s = diag.sqrt();
-                    ctx.write_f64(l, j * band, s);
+                    ctx.write_f64(l, j * band, s).await;
                     for d in 1..band.min(n - j) {
-                        let v = ctx.read_f64(l, j * band + d);
-                        ctx.write_f64(l, j * band + d, v / s);
+                        let v = ctx.read_f64(l, j * band + d).await;
+                        ctx.write_f64(l, j * band + d, v / s).await;
                         ctx.compute(4);
                     }
                     for d in band.min(n - j)..band {
-                        ctx.write_f64(l, j * band + d, 0.0);
+                        ctx.write_f64(l, j * band + d, 0.0).await;
                     }
                     // Reset the task counter for the update phase.
-                    ctx.write(task, 0, 0);
+                    ctx.write(task, 0, 0).await;
                 }
-                ctx.barrier((j % 64) as u32);
+                ctx.barrier((j % 64) as u32).await;
 
                 // cmod updates: dynamic task queue over target columns
                 // j+1 .. j+band-1.
                 let ntasks = (band - 1).min(n - 1 - j);
                 loop {
-                    ctx.lock(QLOCK);
-                    let t = ctx.read(task, 0);
-                    ctx.write(task, 0, t + 1);
-                    ctx.unlock(QLOCK);
+                    ctx.lock(QLOCK).await;
+                    let t = ctx.read(task, 0).await;
+                    ctx.write(task, 0, t + 1).await;
+                    ctx.unlock(QLOCK).await;
                     let t = t as usize;
                     if t >= ntasks {
                         break;
                     }
                     let target = j + 1 + t; // column to update
-                    let ljk = ctx.read_f64(l, j * band + (target - j));
+                    let ljk = ctx.read_f64(l, j * band + (target - j)).await;
                     ctx.compute(2);
                     if ljk != 0.0 {
                         for d in 0..band - (target - j) {
                             if target + d >= n {
                                 break;
                             }
-                            let lv = ctx.read_f64(l, j * band + (target - j + d));
-                            let cur = ctx.read_f64(l, target * band + d);
-                            ctx.write_f64(l, target * band + d, cur - ljk * lv);
+                            let lv = ctx.read_f64(l, j * band + (target - j + d)).await;
+                            let cur = ctx.read_f64(l, target * band + d).await;
+                            ctx.write_f64(l, target * band + d, cur - ljk * lv).await;
                             ctx.compute(4);
                         }
                     }
                 }
-                ctx.barrier(64 + (j % 64) as u32);
+                ctx.barrier(64 + (j % 64) as u32).await;
             }
 
             // Verify against the sequential reference inside the run.
@@ -109,12 +109,12 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, band: usize) -> AppOutput {
                     band_cholesky_reference(&gen_band_spd(n, band, SPARSITY, SEED), n, band);
                 let mut err: f64 = 0.0;
                 for (i, &e) in expected.iter().enumerate() {
-                    let got = ctx.read_f64(l, i);
+                    let got = ctx.read_f64(l, i).await;
                     err = err.max((got - e).abs());
                 }
                 assert!(err < 1e-8, "parallel Cholesky diverges from reference: {err}");
             }
-            ctx.barrier(950);
+            ctx.barrier(950).await;
         },
     );
 

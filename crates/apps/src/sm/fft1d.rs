@@ -60,25 +60,25 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize) -> AppOutput {
             }
             (re, im, chk, n)
         },
-        move |ctx, &(re, im, chk, n)| {
-            fft_parallel(ctx, re, im, n);
+        move |mut ctx, (re, im, chk, n)| async move {
+            fft_parallel(&mut ctx, re, im, n).await;
             // Each processor accumulates |X|² over its slice.
             let p = ctx.proc_id();
             let chunk = n / ctx.nprocs();
             let mut acc = 0.0;
             for j in p * chunk..(p + 1) * chunk {
-                let r = ctx.read_f64(re, j);
-                let i = ctx.read_f64(im, j);
+                let r = ctx.read_f64(re, j).await;
+                let i = ctx.read_f64(im, j).await;
                 acc += r * r + i * i;
                 ctx.compute(4);
             }
-            ctx.write_f64(chk, p, acc / n as f64);
-            ctx.barrier(900);
+            ctx.write_f64(chk, p, acc / n as f64).await;
+            ctx.barrier(900).await;
             if p == 0 {
                 // Parseval check inside the simulated run: Σ|X|²/n = Σ|x|².
                 let mut total = 0.0;
                 for q in 0..ctx.nprocs() {
-                    total += ctx.read_f64(chk, q);
+                    total += ctx.read_f64(chk, q).await;
                 }
                 let expected: f64 = (0..n)
                     .map(|j| {
@@ -126,7 +126,7 @@ pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
 
 /// The parallel FFT body: bit-reversal then staged butterflies, with a
 /// barrier separating stages. Butterfly index space is split evenly.
-fn fft_parallel(ctx: &mut Ctx, re: Region, im: Region, n: usize) {
+async fn fft_parallel(ctx: &mut Ctx, re: Region, im: Region, n: usize) {
     let p = ctx.proc_id();
     let nprocs = ctx.nprocs();
     let bits = n.trailing_zeros();
@@ -137,16 +137,16 @@ fn fft_parallel(ctx: &mut Ctx, re: Region, im: Region, n: usize) {
     for i in p * chunk..(p + 1) * chunk {
         let j = ((i as u64).reverse_bits() >> (64 - bits)) as usize;
         if i < j {
-            let (ar, ai) = (ctx.read_f64(re, i), ctx.read_f64(im, i));
-            let (br, bi) = (ctx.read_f64(re, j), ctx.read_f64(im, j));
-            ctx.write_f64(re, i, br);
-            ctx.write_f64(im, i, bi);
-            ctx.write_f64(re, j, ar);
-            ctx.write_f64(im, j, ai);
+            let (ar, ai) = (ctx.read_f64(re, i).await, ctx.read_f64(im, i).await);
+            let (br, bi) = (ctx.read_f64(re, j).await, ctx.read_f64(im, j).await);
+            ctx.write_f64(re, i, br).await;
+            ctx.write_f64(im, i, bi).await;
+            ctx.write_f64(re, j, ar).await;
+            ctx.write_f64(im, j, ai).await;
         }
         ctx.compute(2);
     }
-    ctx.barrier(901);
+    ctx.barrier(901).await;
 
     // Butterfly stages.
     let half = n / 2;
@@ -164,17 +164,17 @@ fn fft_parallel(ctx: &mut Ctx, re: Region, im: Region, n: usize) {
             let t = a + hl;
             let ang = ang0 * k as f64;
             let (wr, wi) = (ang.cos(), ang.sin());
-            let (ar, ai) = (ctx.read_f64(re, a), ctx.read_f64(im, a));
-            let (br, bi) = (ctx.read_f64(re, t), ctx.read_f64(im, t));
+            let (ar, ai) = (ctx.read_f64(re, a).await, ctx.read_f64(im, a).await);
+            let (br, bi) = (ctx.read_f64(re, t).await, ctx.read_f64(im, t).await);
             let tr = br * wr - bi * wi;
             let ti = br * wi + bi * wr;
-            ctx.write_f64(re, a, ar + tr);
-            ctx.write_f64(im, a, ai + ti);
-            ctx.write_f64(re, t, ar - tr);
-            ctx.write_f64(im, t, ai - ti);
+            ctx.write_f64(re, a, ar + tr).await;
+            ctx.write_f64(im, a, ai + ti).await;
+            ctx.write_f64(re, t, ar - tr).await;
+            ctx.write_f64(im, t, ai - ti).await;
             ctx.compute(10);
         }
-        ctx.barrier(910 + stage);
+        ctx.barrier(910 + stage).await;
         len <<= 1;
         stage += 1;
     }

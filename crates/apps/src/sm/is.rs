@@ -52,7 +52,7 @@ pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutp
             }
             (keys, buckets, offsets, sorted, nkeys, range)
         },
-        move |ctx, &(keys, buckets, offsets, sorted, nkeys, range)| {
+        move |mut ctx, (keys, buckets, offsets, sorted, nkeys, range)| async move {
             let p = ctx.proc_id();
             let nprocs = ctx.nprocs();
             let chunk = nkeys / nprocs;
@@ -60,7 +60,7 @@ pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutp
             // Phase 1: local counting (reads own chunk; private counts).
             let mut local = vec![0u64; range];
             for i in p * chunk..(p + 1) * chunk {
-                let k = ctx.read(keys, i) as usize;
+                let k = ctx.read(keys, i).await as usize;
                 local[k] += 1;
                 ctx.compute(2);
             }
@@ -72,26 +72,26 @@ pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutp
                     continue;
                 }
                 let lock_id = (b / 16) as u32;
-                ctx.lock(lock_id);
-                let cur = ctx.read(buckets, b);
-                ctx.write(buckets, b, cur + c);
-                ctx.unlock(lock_id);
+                ctx.lock(lock_id).await;
+                let cur = ctx.read(buckets, b).await;
+                ctx.write(buckets, b, cur + c).await;
+                ctx.unlock(lock_id).await;
             }
-            ctx.barrier(800);
+            ctx.barrier(800).await;
 
             // Phase 3: p0 computes exclusive prefix sums (the favorite
             // processor phase).
             if p == 0 {
                 let mut acc = 0u64;
                 for b in 0..range {
-                    let c = ctx.read(buckets, b);
-                    ctx.write(offsets, b, acc);
+                    let c = ctx.read(buckets, b).await;
+                    ctx.write(offsets, b, acc).await;
                     acc += c;
                     ctx.compute(1);
                 }
                 assert_eq!(acc as usize, nkeys, "bucket counts must cover all keys");
             }
-            ctx.barrier(801);
+            ctx.barrier(801).await;
 
             // Phase 4: place keys. Each processor re-counts its chunk
             // locally to compute stable within-bucket offsets, claiming a
@@ -102,31 +102,31 @@ pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutp
                     continue;
                 }
                 let lock_id = (b / 16) as u32;
-                ctx.lock(lock_id);
-                let base = ctx.read(offsets, b);
-                ctx.write(offsets, b, base + c);
-                ctx.unlock(lock_id);
+                ctx.lock(lock_id).await;
+                let base = ctx.read(offsets, b).await;
+                ctx.write(offsets, b, base + c).await;
+                ctx.unlock(lock_id).await;
                 claim[b] = base;
             }
             for i in p * chunk..(p + 1) * chunk {
-                let k = ctx.read(keys, i) as usize;
+                let k = ctx.read(keys, i).await as usize;
                 let pos = claim[k];
                 claim[k] += 1;
-                ctx.write(sorted, pos as usize, k as u64);
+                ctx.write(sorted, pos as usize, k as u64).await;
                 ctx.compute(2);
             }
-            ctx.barrier(802);
+            ctx.barrier(802).await;
 
             // Phase 5: p0 verifies sortedness inside the simulation.
             if p == 0 {
                 let mut prev = 0u64;
                 for i in 0..nkeys {
-                    let v = ctx.read(sorted, i);
+                    let v = ctx.read(sorted, i).await;
                     assert!(v >= prev, "IS output not sorted at {i}: {v} < {prev}");
                     prev = v;
                 }
             }
-            ctx.barrier(803);
+            ctx.barrier(803).await;
         },
     );
 

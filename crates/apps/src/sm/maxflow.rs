@@ -92,66 +92,67 @@ pub fn run_sized_with(cfg: MachineConfig, layers: usize, width: usize) -> AppOut
             m.init(qmeta, 3, 0); // done
             (off, adj_r, eto, res, h, ex, queue, inq, qmeta, n)
         },
-        move |ctx, &(off, adj_r, eto, res, h, ex, queue, inq, qmeta, n)| {
+        move |mut ctx, (off, adj_r, eto, res, h, ex, queue, inq, qmeta, n)| async move {
             let qcap = (n + 4) as u64;
             let sink = (n - 1) as u64;
             let hmax = 2 * n as u64 + 1;
             loop {
                 // Acquire work.
-                ctx.lock(QLOCK);
-                if ctx.read(qmeta, 3) == 1 {
-                    ctx.unlock(QLOCK);
+                ctx.lock(QLOCK).await;
+                if ctx.read(qmeta, 3).await == 1 {
+                    ctx.unlock(QLOCK).await;
                     break;
                 }
-                let head = ctx.read(qmeta, 0);
-                let tail = ctx.read(qmeta, 1);
+                let head = ctx.read(qmeta, 0).await;
+                let tail = ctx.read(qmeta, 1).await;
                 let u = if head < tail {
-                    let u = ctx.read(queue, (head % qcap) as usize);
-                    ctx.write(qmeta, 0, head + 1);
-                    ctx.write(inq, u as usize, 0);
-                    let fl = ctx.read(qmeta, 2);
-                    ctx.write(qmeta, 2, fl + 1);
+                    let u = ctx.read(queue, (head % qcap) as usize).await;
+                    ctx.write(qmeta, 0, head + 1).await;
+                    ctx.write(inq, u as usize, 0).await;
+                    let fl = ctx.read(qmeta, 2).await;
+                    ctx.write(qmeta, 2, fl + 1).await;
                     Some(u)
-                } else if ctx.read(qmeta, 2) == 0 {
-                    ctx.write(qmeta, 3, 1);
+                } else if ctx.read(qmeta, 2).await == 0 {
+                    ctx.write(qmeta, 3, 1).await;
                     None
                 } else {
                     None
                 };
-                ctx.unlock(QLOCK);
+                ctx.unlock(QLOCK).await;
                 let Some(u) = u else {
                     // Either done (flag now set) or others still working.
                     ctx.compute(200);
                     continue;
                 };
 
-                discharge(ctx, u as usize, off, adj_r, eto, res, h, ex, inq, queue, qmeta, n);
+                discharge(&mut ctx, u as usize, off, adj_r, eto, res, h, ex, inq, queue, qmeta, n)
+                    .await;
 
                 // Re-queue if still active, and retire from in_flight.
-                ctx.lock(QLOCK);
-                let still = ctx.read(ex, u as usize) > 0
-                    && ctx.read(h, u as usize) < hmax
+                ctx.lock(QLOCK).await;
+                let still = ctx.read(ex, u as usize).await > 0
+                    && ctx.read(h, u as usize).await < hmax
                     && u != sink
                     && u != 0;
-                if still && ctx.read(inq, u as usize) == 0 {
-                    let tail = ctx.read(qmeta, 1);
-                    ctx.write(queue, (tail % qcap) as usize, u);
-                    ctx.write(qmeta, 1, tail + 1);
-                    ctx.write(inq, u as usize, 1);
+                if still && ctx.read(inq, u as usize).await == 0 {
+                    let tail = ctx.read(qmeta, 1).await;
+                    ctx.write(queue, (tail % qcap) as usize, u).await;
+                    ctx.write(qmeta, 1, tail + 1).await;
+                    ctx.write(inq, u as usize, 1).await;
                 }
-                let fl = ctx.read(qmeta, 2);
-                ctx.write(qmeta, 2, fl - 1);
-                ctx.unlock(QLOCK);
+                let fl = ctx.read(qmeta, 2).await;
+                ctx.write(qmeta, 2, fl - 1).await;
+                ctx.unlock(QLOCK).await;
             }
 
-            ctx.barrier(600);
+            ctx.barrier(600).await;
             if ctx.proc_id() == 0 {
-                let got = ctx.read(ex, n - 1);
+                let got = ctx.read(ex, n - 1).await;
                 let (gn, gedges) = gen_layered_graph(layers, width, SEED);
                 let expected = max_flow_reference(gn, &gedges);
                 assert_eq!(got, expected, "push-relabel flow disagrees with reference");
             }
-            ctx.barrier(601);
+            ctx.barrier(601).await;
         },
     );
 
@@ -168,7 +169,7 @@ pub fn run_sized_with(cfg: MachineConfig, layers: usize, width: usize) -> AppOut
 
 /// One discharge of vertex `u`: push along admissible edges, then relabel.
 #[allow(clippy::too_many_arguments)]
-fn discharge(
+async fn discharge(
     ctx: &mut commchar_spasm::Ctx,
     u: usize,
     off: commchar_spasm::Region,
@@ -183,8 +184,8 @@ fn discharge(
     n: usize,
 ) {
     let qcap = (n + 4) as u64;
-    let start = ctx.read(off, u) as usize;
-    let end = ctx.read(off, u + 1) as usize;
+    let start = ctx.read(off, u).await as usize;
+    let end = ctx.read(off, u + 1).await as usize;
     let hmax = 2 * n as u64 + 1;
 
     for round in 0..2 * n {
@@ -192,52 +193,52 @@ fn discharge(
         // Push phase.
         let mut pushed_any = false;
         for ei in start..end {
-            let e = ctx.read(adj_r, ei) as usize;
-            let v = ctx.read(eto, e) as usize;
+            let e = ctx.read(adj_r, ei).await as usize;
+            let v = ctx.read(eto, e).await as usize;
             let (a, b) = if u < v { (u, v) } else { (v, u) };
-            ctx.lock(VLOCK + a as u32);
-            ctx.lock(VLOCK + b as u32);
-            let r = ctx.read(res, e);
-            let hu = ctx.read(h, u);
-            let hv = ctx.read(h, v);
-            let exu = ctx.read(ex, u);
+            ctx.lock(VLOCK + a as u32).await;
+            ctx.lock(VLOCK + b as u32).await;
+            let r = ctx.read(res, e).await;
+            let hu = ctx.read(h, u).await;
+            let hv = ctx.read(h, v).await;
+            let exu = ctx.read(ex, u).await;
             let mut became_active = false;
             if r > 0 && hu == hv + 1 && exu > 0 {
                 let delta = exu.min(r);
-                ctx.write(res, e, r - delta);
-                let rb = ctx.read(res, e ^ 1);
-                ctx.write(res, e ^ 1, rb + delta);
-                ctx.write(ex, u, exu - delta);
-                let exv = ctx.read(ex, v);
-                ctx.write(ex, v, exv + delta);
+                ctx.write(res, e, r - delta).await;
+                let rb = ctx.read(res, e ^ 1).await;
+                ctx.write(res, e ^ 1, rb + delta).await;
+                ctx.write(ex, u, exu - delta).await;
+                let exv = ctx.read(ex, v).await;
+                ctx.write(ex, v, exv + delta).await;
                 became_active = exv == 0 && v != 0 && v != n - 1;
                 pushed_any = true;
             }
-            ctx.unlock(VLOCK + b as u32);
-            ctx.unlock(VLOCK + a as u32);
+            ctx.unlock(VLOCK + b as u32).await;
+            ctx.unlock(VLOCK + a as u32).await;
             if became_active {
-                ctx.lock(QLOCK);
-                if ctx.read(inq, v) == 0 && ctx.read(h, v) < hmax {
-                    let tail = ctx.read(qmeta, 1);
-                    ctx.write(queue, (tail % qcap) as usize, v as u64);
-                    ctx.write(qmeta, 1, tail + 1);
-                    ctx.write(inq, v, 1);
+                ctx.lock(QLOCK).await;
+                if ctx.read(inq, v).await == 0 && ctx.read(h, v).await < hmax {
+                    let tail = ctx.read(qmeta, 1).await;
+                    ctx.write(queue, (tail % qcap) as usize, v as u64).await;
+                    ctx.write(qmeta, 1, tail + 1).await;
+                    ctx.write(inq, v, 1).await;
                 }
-                ctx.unlock(QLOCK);
+                ctx.unlock(QLOCK).await;
             }
             ctx.compute(4);
         }
-        if ctx.read(ex, u) == 0 {
+        if ctx.read(ex, u).await == 0 {
             return;
         }
         // Relabel phase.
-        ctx.lock(VLOCK + u as u32);
+        ctx.lock(VLOCK + u as u32).await;
         let mut min_h = u64::MAX;
         for ei in start..end {
-            let e = ctx.read(adj_r, ei) as usize;
-            if ctx.read(res, e) > 0 {
-                let v = ctx.read(eto, e) as usize;
-                min_h = min_h.min(ctx.read(h, v));
+            let e = ctx.read(adj_r, ei).await as usize;
+            if ctx.read(res, e).await > 0 {
+                let v = ctx.read(eto, e).await as usize;
+                min_h = min_h.min(ctx.read(h, v).await);
             }
             ctx.compute(2);
         }
@@ -245,10 +246,10 @@ fn discharge(
             true
         } else {
             let new_h = min_h + 1;
-            ctx.write(h, u, new_h);
+            ctx.write(h, u, new_h).await;
             new_h >= hmax
         };
-        ctx.unlock(VLOCK + u as u32);
+        ctx.unlock(VLOCK + u as u32).await;
         if give_up {
             return;
         }

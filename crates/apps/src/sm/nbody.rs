@@ -92,7 +92,7 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
             }
             (pos, vel, mass, n, steps)
         },
-        move |ctx, &(pos, vel, mass, n, steps)| {
+        move |mut ctx, (pos, vel, mass, n, steps)| async move {
             let p = ctx.proc_id();
             let nprocs = ctx.nprocs();
             let mine = n / nprocs;
@@ -105,9 +105,9 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
                 let mut ms = vec![0.0f64; n];
                 for i in 0..n {
                     for k in 0..3 {
-                        snap[3 * i + k] = ctx.read_f64(pos, 3 * i + k);
+                        snap[3 * i + k] = ctx.read_f64(pos, 3 * i + k).await;
                     }
-                    ms[i] = ctx.read_f64(mass, i);
+                    ms[i] = ctx.read_f64(mass, i).await;
                 }
                 // Phase 2: local force accumulation.
                 let mut forces = vec![[0.0f64; 3]; mine];
@@ -129,23 +129,23 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
                         ctx.compute(12);
                     }
                 }
-                ctx.barrier(700 + (step % 8) as u32);
+                ctx.barrier(700 + (step % 8) as u32).await;
                 // Phase 3: update owned bodies.
                 for (fi, i) in (lo..hi).enumerate() {
                     for k in 0..3 {
-                        let v = ctx.read_f64(vel, 3 * i + k) + DT * forces[fi][k] / ms[i];
-                        ctx.write_f64(vel, 3 * i + k, v);
-                        ctx.write_f64(pos, 3 * i + k, snap[3 * i + k] + DT * v);
+                        let v = ctx.read_f64(vel, 3 * i + k).await + DT * forces[fi][k] / ms[i];
+                        ctx.write_f64(vel, 3 * i + k, v).await;
+                        ctx.write_f64(pos, 3 * i + k, snap[3 * i + k] + DT * v).await;
                         ctx.compute(6);
                     }
                 }
-                ctx.barrier(710 + (step % 8) as u32);
+                ctx.barrier(710 + (step % 8) as u32).await;
             }
             // In-run verification against the sequential reference.
             if p == 0 {
                 let mut sum = 0.0;
                 for i in 0..3 * n {
-                    sum += ctx.read_f64(pos, i).abs();
+                    sum += ctx.read_f64(pos, i).await.abs();
                 }
                 let expected = reference(n, steps);
                 assert!(
@@ -153,7 +153,7 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
                     "nbody diverged: {sum} vs {expected}"
                 );
             }
-            ctx.barrier(730);
+            ctx.barrier(730).await;
         },
     );
 

@@ -3,59 +3,62 @@
 //! patterns. The communication signature the methodology extracts depends
 //! on the simulated machine's protocol; this quantifies by how much.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use commchar_core::report::table;
 use commchar_spasm::{run, Ctx, MachineConfig, Protocol, Region};
 
-fn private_rmw(ctx: &mut Ctx, r: &Region) {
+async fn private_rmw(mut ctx: Ctx, r: Region) {
     // Each processor read-modify-writes its own blocks (no sharing):
     // the pattern MESI's Exclusive state exists for.
     let p = ctx.proc_id();
     for round in 0..8 {
         for i in 0..16 {
             let slot = (p * 16 + i) * 4;
-            let v = ctx.read(*r, slot);
-            ctx.write(*r, slot, v + round);
+            let v = ctx.read(r, slot).await;
+            ctx.write(r, slot, v + round).await;
         }
     }
 }
 
-fn migratory(ctx: &mut Ctx, r: &Region) {
+async fn migratory(mut ctx: Ctx, r: Region) {
     // A data block migrates processor to processor (lock-passing style).
     let n = ctx.nprocs();
     for round in 0..12u64 {
         if ctx.proc_id() == (round as usize) % n {
             for i in 0..8 {
-                let v = ctx.read(*r, i);
-                ctx.write(*r, i, v + 1);
+                let v = ctx.read(r, i).await;
+                ctx.write(r, i, v + 1).await;
             }
         }
-        ctx.barrier(round as u32);
+        ctx.barrier(round as u32).await;
     }
 }
 
-fn producer_consumer(ctx: &mut Ctx, r: &Region) {
+async fn producer_consumer(mut ctx: Ctx, r: Region) {
     // p0 produces, everyone consumes each round.
     for round in 0..12u64 {
         if ctx.proc_id() == 0 {
             for i in 0..8 {
-                ctx.write(*r, i, round * 10 + i as u64);
+                ctx.write(r, i, round * 10 + i as u64).await;
             }
         }
-        ctx.barrier(round as u32);
+        ctx.barrier(round as u32).await;
         for i in 0..8 {
-            assert_eq!(ctx.read(*r, i), round * 10 + i as u64);
+            assert_eq!(ctx.read(r, i).await, round * 10 + i as u64);
         }
-        ctx.barrier(100 + round as u32);
+        ctx.barrier(100 + round as u32).await;
     }
 }
 
 fn main() {
     println!("A4: MSI vs MESI protocol ablation (8 processors)\n");
-    type Body = fn(&mut Ctx, &Region);
+    type Body = fn(Ctx, Region) -> Pin<Box<dyn Future<Output = ()> + Send>>;
     let patterns: [(&str, Body); 3] = [
-        ("private-rmw", private_rmw),
-        ("migratory", migratory),
-        ("producer-consumer", producer_consumer),
+        ("private-rmw", |c, r| Box::pin(private_rmw(c, r))),
+        ("migratory", |c, r| Box::pin(migratory(c, r))),
+        ("producer-consumer", |c, r| Box::pin(producer_consumer(c, r))),
     ];
     let mut rows = Vec::new();
     for (name, body) in patterns {

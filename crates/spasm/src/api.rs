@@ -1,12 +1,17 @@
 //! The application-facing API: shared regions and the per-processor
 //! context whose operations trap into the simulation engine.
 
-use crossbeam::channel::{Receiver, Sender};
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::Arc;
+use std::task::{Context, Poll};
+
+use parking_lot::Mutex;
 
 /// A handle to a contiguous shared-memory region of 64-bit words.
 ///
-/// Regions are allocated during setup (see [`Setup::alloc`]) and captured
-/// by the application closure; accesses go through [`Ctx`].
+/// Regions are allocated during setup (see [`Setup::alloc`]) and handed
+/// to every processor's body; accesses go through [`Ctx`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Region {
     pub(crate) base: usize,
@@ -67,35 +72,14 @@ impl Setup {
     }
 }
 
-/// Requests a processor thread can make of the engine.
+/// Requests a processor's body can make of the engine.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ProcRequest {
-    Read {
-        addr: usize,
-    },
-    Write {
-        addr: usize,
-        value: u64,
-    },
-    Barrier {
-        id: u32,
-    },
-    Lock {
-        id: u32,
-    },
-    Unlock {
-        id: u32,
-    },
-    Finish,
-    /// The processor thread panicked; the payload describes the fault.
-    Fault,
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ProcMsg {
-    pub proc: usize,
-    pub elapsed: u64,
-    pub req: ProcRequest,
+    Read { addr: usize },
+    Write { addr: usize, value: u64 },
+    Barrier { id: u32 },
+    Lock { id: u32 },
+    Unlock { id: u32 },
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -104,24 +88,61 @@ pub(crate) struct Reply {
     pub value: u64,
 }
 
+/// The hand-off point between one processor's body and the shard that
+/// polls it: a trap leaves its request here and suspends; the shard takes
+/// the request, simulates it, and leaves the reply before polling the
+/// body again.
+#[derive(Debug, Default)]
+pub(crate) struct Slot {
+    /// The trapped request, with the local computation since the
+    /// previous trap.
+    pub request: Option<(u64, ProcRequest)>,
+    pub reply: Option<Reply>,
+    /// Local computation after the last trap, recorded when the
+    /// processor's [`Ctx`] is dropped.
+    pub tail: u64,
+}
+
+/// Suspends its task exactly once: the first poll returns `Pending`, the
+/// next (made by the shard once the reply is in the slot) `Ready`.
+struct Suspend(bool);
+
+impl Future for Suspend {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if self.0 {
+            Poll::Ready(())
+        } else {
+            self.0 = true;
+            Poll::Pending
+        }
+    }
+}
+
 /// The per-processor execution context.
 ///
-/// Every shared access or synchronization call blocks the calling thread
-/// until the simulation engine has carried the operation through the cache,
-/// directory protocol and network — this is what makes the simulation
-/// execution-driven: the application's control flow sees simulated
-/// latencies.
+/// Every shared access or synchronization call is an `async fn` that
+/// suspends the processor's body until the simulation engine has carried
+/// the operation through the cache, directory protocol and network — this
+/// is what makes the simulation execution-driven: the application's
+/// control flow sees simulated latencies. A body may await only these
+/// operations; awaiting any other future that suspends is a misuse the
+/// engine reports with a panic.
 #[derive(Debug)]
 pub struct Ctx {
-    pub(crate) proc: usize,
-    pub(crate) nprocs: usize,
-    pub(crate) elapsed: u64,
-    pub(crate) now: u64,
-    pub(crate) tx: Sender<ProcMsg>,
-    pub(crate) rx: Receiver<Reply>,
+    proc: usize,
+    nprocs: usize,
+    elapsed: u64,
+    now: u64,
+    slot: Arc<Mutex<Slot>>,
 }
 
 impl Ctx {
+    pub(crate) fn new(proc: usize, nprocs: usize, slot: Arc<Mutex<Slot>>) -> Self {
+        Ctx { proc, nprocs, elapsed: 0, now: 0, slot }
+    }
+
     /// This processor's id, `0..nprocs`.
     pub fn proc_id(&self) -> usize {
         self.proc
@@ -142,11 +163,11 @@ impl Ctx {
         self.elapsed += cycles;
     }
 
-    fn rpc(&mut self, req: ProcRequest) -> Reply {
-        let msg = ProcMsg { proc: self.proc, elapsed: self.elapsed, req };
+    async fn rpc(&mut self, req: ProcRequest) -> Reply {
+        self.slot.lock().request = Some((self.elapsed, req));
         self.elapsed = 0;
-        self.tx.send(msg).expect("engine hung up");
-        let reply = self.rx.recv().expect("engine hung up");
+        Suspend(false).await;
+        let reply = self.slot.lock().reply.take().expect("spasm trap resumed without a reply");
         self.now = reply.time;
         reply
     }
@@ -156,10 +177,10 @@ impl Ctx {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds for the region.
-    pub fn read(&mut self, region: Region, idx: usize) -> u64 {
+    pub async fn read(&mut self, region: Region, idx: usize) -> u64 {
         assert!(idx < region.len, "read index {idx} out of bounds");
         self.elapsed += 1; // issue cost
-        self.rpc(ProcRequest::Read { addr: region.base + idx }).value
+        self.rpc(ProcRequest::Read { addr: region.base + idx }).await.value
     }
 
     /// Writes a shared word (simulated STORE).
@@ -167,10 +188,10 @@ impl Ctx {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds for the region.
-    pub fn write(&mut self, region: Region, idx: usize, value: u64) {
+    pub async fn write(&mut self, region: Region, idx: usize, value: u64) {
         assert!(idx < region.len, "write index {idx} out of bounds");
         self.elapsed += 1;
-        self.rpc(ProcRequest::Write { addr: region.base + idx, value });
+        self.rpc(ProcRequest::Write { addr: region.base + idx, value }).await;
     }
 
     /// Reads a shared f64 (bit-cast from the word).
@@ -178,8 +199,8 @@ impl Ctx {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds for the region.
-    pub fn read_f64(&mut self, region: Region, idx: usize) -> f64 {
-        f64::from_bits(self.read(region, idx))
+    pub async fn read_f64(&mut self, region: Region, idx: usize) -> f64 {
+        f64::from_bits(self.read(region, idx).await)
     }
 
     /// Writes a shared f64 (bit-cast into the word).
@@ -187,18 +208,18 @@ impl Ctx {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds for the region.
-    pub fn write_f64(&mut self, region: Region, idx: usize, value: f64) {
-        self.write(region, idx, value.to_bits());
+    pub async fn write_f64(&mut self, region: Region, idx: usize, value: f64) {
+        self.write(region, idx, value.to_bits()).await;
     }
 
     /// Waits at barrier `id` until all processors arrive.
-    pub fn barrier(&mut self, id: u32) {
-        self.rpc(ProcRequest::Barrier { id });
+    pub async fn barrier(&mut self, id: u32) {
+        self.rpc(ProcRequest::Barrier { id }).await;
     }
 
     /// Acquires lock `id` (FIFO-granted at the lock's home node).
-    pub fn lock(&mut self, id: u32) {
-        self.rpc(ProcRequest::Lock { id });
+    pub async fn lock(&mut self, id: u32) {
+        self.rpc(ProcRequest::Lock { id }).await;
     }
 
     /// Releases lock `id`.
@@ -206,17 +227,15 @@ impl Ctx {
     /// # Panics
     ///
     /// The engine panics if the caller does not hold the lock.
-    pub fn unlock(&mut self, id: u32) {
-        self.rpc(ProcRequest::Unlock { id });
+    pub async fn unlock(&mut self, id: u32) {
+        self.rpc(ProcRequest::Unlock { id }).await;
     }
+}
 
-    pub(crate) fn finish(&mut self) {
-        let msg = ProcMsg { proc: self.proc, elapsed: self.elapsed, req: ProcRequest::Finish };
-        let _ = self.tx.send(msg);
-    }
-
-    pub(crate) fn fault(&mut self) {
-        let msg = ProcMsg { proc: self.proc, elapsed: self.elapsed, req: ProcRequest::Fault };
-        let _ = self.tx.send(msg);
+impl Drop for Ctx {
+    /// Hands the computation after the last trap to the shard, which
+    /// counts it into the processor's finishing time.
+    fn drop(&mut self) {
+        self.slot.lock().tail = self.elapsed;
     }
 }

@@ -1,23 +1,27 @@
-//! The execution-driven simulation front end: processor threads, the
+//! The execution-driven simulation front end: processor bodies, the
 //! sharded event-loop engine, and run assembly.
 //!
-//! One OS thread runs per simulated processor; each shared access sends a
-//! request to the engine and blocks until the engine has simulated the
-//! access to completion. The machine itself — caches, directory, event
-//! calendar — is partitioned into source-contiguous shards advanced in
-//! conservative time windows (see [`crate::shard`]); a single shard
-//! degenerates to the classic serial loop, and every shard count produces
-//! bit-identical results. Network messages are injected in nondecreasing
-//! time order at window edges, as the wormhole model requires.
+//! Each simulated processor's body is a future built by the application
+//! closure. Every shared access is an `async` trap that leaves its request
+//! in the processor's slot and suspends, and the shard owning the
+//! processor polls the body again once it has simulated the access to
+//! completion — no thread runs per processor, and a trap costs a return to
+//! the shard loop rather than a thread handoff. The machine itself —
+//! bodies, caches, directory, event calendar — is partitioned into
+//! source-contiguous shards advanced in conservative time windows (see
+//! [`crate::shard`]); a single shard degenerates to the classic serial
+//! loop, and every shard count produces bit-identical results. Network
+//! messages are injected in nondecreasing time order at window edges, as
+//! the wormhole model requires.
 
+use std::future::Future;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use commchar_mesh::{EngineKind, IncrementalFlit, NetEngine, NetLog, OnlineWormhole};
-use crossbeam::channel::{unbounded, Sender};
 
-use crate::api::{Ctx, ProcMsg, Reply, Setup};
-use crate::shard::{self, ShardCore};
+use crate::api::{Ctx, Setup};
+use crate::shard::{self, Body, ShardCore};
 use crate::MachineConfig;
 use commchar_trace::CommTrace;
 
@@ -78,15 +82,6 @@ impl SpasmRun {
 /// router's wedge report.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpasmError {
-    /// The engine tried to hand a reply to a processor whose thread has
-    /// already exited (its reply channel is closed) — the co-simulation
-    /// cannot make progress without it.
-    ProcessorHungUp {
-        /// The processor that could not be resumed.
-        proc: usize,
-        /// One status line per processor at the moment of the failure.
-        report: String,
-    },
     /// The simulation stopped making progress with work still pending:
     /// either the application deadlocked (every remaining processor is
     /// blocked on a reply that can never come) or the conservative
@@ -101,13 +96,6 @@ pub enum SpasmError {
 impl std::fmt::Display for SpasmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SpasmError::ProcessorHungUp { proc, report } => {
-                write!(
-                    f,
-                    "cannot resume p{proc}: processor thread hung up \
-                     (reply channel closed)\n{report}"
-                )
-            }
             SpasmError::Wedged { report } => write!(f, "{report}"),
         }
     }
@@ -118,27 +106,32 @@ impl std::error::Error for SpasmError {}
 /// Runs `body` on every simulated processor of a machine configured by
 /// `cfg`, after `setup` has allocated and initialized shared memory.
 ///
+/// `body` is called once per processor with its [`Ctx`] and a clone of
+/// the value returned by `setup` (typically a tuple of
+/// [`Region`](crate::Region)s plus problem parameters), and returns the
+/// processor's program as a future — usually an `async move` block that
+/// awaits the [`Ctx`] traps. The shard owning the processor polls that
+/// future; it may await only [`Ctx`] operations.
+///
 /// The network engine closing the co-simulation loop is chosen by
 /// `cfg.engine`; see [`run_with`] to supply one directly. The machine is
 /// advanced by `cfg.sim_jobs` worker shards
 /// ([`MachineConfig::with_sim_jobs`]); the shard count never changes the
 /// results, only the wall-clock time.
 ///
-/// The value returned by `setup` (typically a tuple of
-/// [`Region`](crate::Region)s plus
-/// problem parameters) is cloned into every processor's closure.
-///
 /// # Panics
 ///
-/// Panics if a processor thread panics, hangs up mid-simulation
-/// ([`SpasmError::ProcessorHungUp`]), deadlocks
-/// ([`SpasmError::Wedged`]), or on protocol-level misuse (e.g. unlocking
-/// a lock the caller does not hold).
-pub fn run<R, S, B>(cfg: MachineConfig, setup: S, body: B) -> SpasmRun
+/// A panic inside a body unwinds to the caller with the body's own
+/// payload. Also panics if the application deadlocks
+/// ([`SpasmError::Wedged`]), if a body awaits a future that is not a
+/// [`Ctx`] trap, or on protocol-level misuse (e.g. unlocking a lock the
+/// caller does not hold).
+pub fn run<R, S, B, F>(cfg: MachineConfig, setup: S, body: B) -> SpasmRun
 where
-    R: Clone + Send + 'static,
+    R: Clone,
     S: FnOnce(&mut Setup) -> R,
-    B: Fn(&mut Ctx, &R) + Send + Sync + 'static,
+    B: Fn(Ctx, R) -> F,
+    F: Future<Output = ()> + Send + 'static,
 {
     match cfg.engine {
         EngineKind::Recurrence => run_with(cfg, setup, body, OnlineWormhole::new(cfg.mesh)),
@@ -154,33 +147,31 @@ where
 /// # Panics
 ///
 /// As [`run`].
-pub fn run_with<R, S, B, N>(cfg: MachineConfig, setup: S, body: B, net: N) -> SpasmRun
+pub fn run_with<R, S, B, F, N>(cfg: MachineConfig, setup: S, body: B, net: N) -> SpasmRun
 where
-    R: Clone + Send + 'static,
+    R: Clone,
     S: FnOnce(&mut Setup) -> R,
-    B: Fn(&mut Ctx, &R) + Send + Sync + 'static,
+    B: Fn(Ctx, R) -> F,
+    F: Future<Output = ()> + Send + 'static,
     N: NetEngine<Sink = NetLog> + Send + 'static,
 {
-    // A failed run means other threads may still be blocked on replies
-    // that will never come: panic before joining, as the old in-line
-    // expect did.
     try_run_with(cfg, setup, body, net).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_with`], but surfacing engine-level failures (hung-up
-/// processors, application deadlock, wedged windows) as a typed
-/// [`SpasmError`] instead of a panic. Application panics inside `body`
-/// still propagate as panics.
-pub fn try_run_with<R, S, B, N>(
+/// [`run_with`], but surfacing engine-level failures (application
+/// deadlock, wedged windows) as a typed [`SpasmError`] instead of a
+/// panic. Application panics inside `body` still propagate as panics.
+pub fn try_run_with<R, S, B, F, N>(
     cfg: MachineConfig,
     setup: S,
     body: B,
     net: N,
 ) -> Result<SpasmRun, SpasmError>
 where
-    R: Clone + Send + 'static,
+    R: Clone,
     S: FnOnce(&mut Setup) -> R,
-    B: Fn(&mut Ctx, &R) + Send + Sync + 'static,
+    B: Fn(Ctx, R) -> F,
+    F: Future<Output = ()> + Send + 'static,
     N: NetEngine<Sink = NetLog> + Send + 'static,
 {
     let mut s = Setup { mem: Vec::new(), nprocs: cfg.nprocs };
@@ -194,76 +185,34 @@ where
     let shards = commchar_pool::resolve_jobs_for(cfg.sim_jobs, cfg.nprocs);
     let plan = shard::partition(cfg.nprocs, shards);
 
-    let body = Arc::new(body);
-    let mut cores = Vec::with_capacity(shards);
-    let mut handles = Vec::with_capacity(cfg.nprocs);
-    for (sid, &(lo, hi)) in plan.iter().enumerate() {
-        let (req_tx, req_rx) = unbounded::<ProcMsg>();
-        let mut reply_txs: Vec<Sender<Reply>> = Vec::with_capacity(hi - lo);
-        for p in lo..hi {
-            let (tx, rx) = unbounded::<Reply>();
-            reply_txs.push(tx);
-            let mut ctx =
-                Ctx { proc: p, nprocs: cfg.nprocs, elapsed: 0, now: 0, tx: req_tx.clone(), rx };
-            let body = Arc::clone(&body);
-            let shared = shared.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("spasm-p{p}"))
-                    // Processor bodies are shallow (a closure trapping on
-                    // every shared access); a small stack keeps
-                    // 1024-processor machines affordable.
-                    .stack_size(512 * 1024)
-                    .spawn(move || {
-                        // A panicking processor must tell the engine before
-                        // it dies, or every other processor would wait
-                        // forever.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            body(&mut ctx, &shared);
-                        }));
-                        match result {
-                            Ok(()) => ctx.finish(),
-                            Err(payload) => {
-                                ctx.fault();
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                    })
-                    .expect("failed to spawn processor thread"),
-            );
-        }
-        drop(req_tx);
-        cores.push(ShardCore::new(cfg, sid, lo, hi, Arc::clone(&mem), req_rx, reply_txs));
-    }
+    let cores = plan
+        .iter()
+        .enumerate()
+        .map(|(sid, &(lo, hi))| {
+            let procs = (lo..hi)
+                .map(|p| {
+                    let slot = Arc::default();
+                    let ctx = Ctx::new(p, cfg.nprocs, Arc::clone(&slot));
+                    (Box::pin(body(ctx, shared.clone())) as Body, slot)
+                })
+                .collect();
+            ShardCore::new(cfg, sid, (lo, hi), Arc::clone(&mem), procs)
+        })
+        .collect();
 
-    match shard::drive(cfg, cores, net) {
-        Ok(d) => {
-            for h in handles {
-                h.join().expect("processor thread panicked");
-            }
-            Ok(SpasmRun {
-                trace: d.trace,
-                netlog: d.netlog,
-                exec_cycles: d.exec_cycles,
-                nprocs: cfg.nprocs,
-                reads: d.reads,
-                writes: d.writes,
-                hits: d.hits,
-                misses: d.misses,
-                barriers: d.barriers,
-                locks: d.locks,
-            })
-        }
-        Err(e) => {
-            // The shard cores (and with them every reply sender) are gone;
-            // processor threads die on the closed channels. Their panics
-            // are expected collateral — the typed error is the story.
-            for h in handles {
-                let _ = h.join();
-            }
-            Err(e)
-        }
-    }
+    let d = shard::drive(cfg, cores, net)?;
+    Ok(SpasmRun {
+        trace: d.trace,
+        netlog: d.netlog,
+        exec_cycles: d.exec_cycles,
+        nprocs: cfg.nprocs,
+        reads: d.reads,
+        writes: d.writes,
+        hits: d.hits,
+        misses: d.misses,
+        barriers: d.barriers,
+        locks: d.locks,
+    })
 }
 
 #[cfg(test)]
@@ -282,12 +231,12 @@ mod tests {
         let out = run(
             cfg(1),
             |m| m.alloc(128),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 for i in 0..128 {
-                    ctx.write(r, i, i as u64);
+                    ctx.write(r, i, i as u64).await;
                 }
                 for i in 0..128 {
-                    assert_eq!(ctx.read(r, i), i as u64);
+                    assert_eq!(ctx.read(r, i).await, i as u64);
                 }
             },
         );
@@ -302,12 +251,12 @@ mod tests {
         let out = run(
             cfg(4),
             |m| m.alloc(64),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 let p = ctx.proc_id();
-                ctx.write(r, p * 4, (p * 100) as u64);
-                ctx.barrier(0);
+                ctx.write(r, p * 4, (p * 100) as u64).await;
+                ctx.barrier(0).await;
                 for q in 0..ctx.nprocs() {
-                    assert_eq!(ctx.read(r, q * 4), (q * 100) as u64);
+                    assert_eq!(ctx.read(r, q * 4).await, (q * 100) as u64);
                 }
             },
         );
@@ -321,11 +270,11 @@ mod tests {
         let out = run(
             cfg(2),
             |m| m.alloc(4),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 if ctx.proc_id() == 0 {
-                    ctx.write(r, 0, 7);
+                    ctx.write(r, 0, 7).await;
                     for _ in 0..100 {
-                        assert_eq!(ctx.read(r, 0), 7);
+                        assert_eq!(ctx.read(r, 0).await, 7);
                     }
                 }
             },
@@ -344,14 +293,14 @@ mod tests {
         let out = run(
             cfg(n),
             |m| m.alloc(4),
-            |ctx, &r| {
-                ctx.read(r, 0);
-                ctx.barrier(0);
+            |mut ctx, r| async move {
+                ctx.read(r, 0).await;
+                ctx.barrier(0).await;
                 if ctx.proc_id() == 1 {
-                    ctx.write(r, 0, 42);
+                    ctx.write(r, 0, 42).await;
                 }
-                ctx.barrier(1);
-                assert_eq!(ctx.read(r, 0), 42);
+                ctx.barrier(1).await;
+                assert_eq!(ctx.read(r, 0).await, 42);
             },
         );
         let ctrl = out.trace.events().iter().filter(|e| e.kind == EventKind::Control).count();
@@ -365,13 +314,13 @@ mod tests {
         let out = run(
             cfg(n),
             |m| m.alloc(4),
-            move |ctx, &r| {
+            move |mut ctx, r| async move {
                 for _ in 0..iters {
-                    ctx.lock(0);
-                    let v = ctx.read(r, 0);
+                    ctx.lock(0).await;
+                    let v = ctx.read(r, 0).await;
                     ctx.compute(3);
-                    ctx.write(r, 0, v + 1);
-                    ctx.unlock(0);
+                    ctx.write(r, 0, v + 1).await;
+                    ctx.unlock(0).await;
                 }
             },
         );
@@ -389,15 +338,15 @@ mod tests {
         run(
             cfg(n),
             |m| m.alloc(4),
-            move |ctx, &r| {
+            move |mut ctx, r| async move {
                 for _ in 0..iters {
-                    ctx.lock(3);
-                    let v = ctx.read(r, 0);
-                    ctx.write(r, 0, v + 1);
-                    ctx.unlock(3);
+                    ctx.lock(3).await;
+                    let v = ctx.read(r, 0).await;
+                    ctx.write(r, 0, v + 1).await;
+                    ctx.unlock(3).await;
                 }
-                ctx.barrier(0);
-                let total = ctx.read(r, 0);
+                ctx.barrier(0).await;
+                let total = ctx.read(r, 0).await;
                 assert_eq!(total, (n * iters) as u64, "lost update under lock");
             },
         );
@@ -409,13 +358,13 @@ mod tests {
         run(
             cfg(2),
             |m| m.alloc(1),
-            |ctx, _| {
+            |mut ctx, _| async move {
                 if ctx.proc_id() == 0 {
-                    ctx.lock(0);
-                    ctx.unlock(0);
+                    ctx.lock(0).await;
+                    ctx.unlock(0).await;
                 } else {
                     ctx.compute(10_000);
-                    ctx.unlock(0);
+                    ctx.unlock(0).await;
                 }
             },
         );
@@ -427,18 +376,18 @@ mod tests {
             run(
                 cfg(8),
                 |m| m.alloc(256),
-                |ctx, &r| {
+                |mut ctx, r| async move {
                     let p = ctx.proc_id();
                     for i in 0..32 {
-                        ctx.write(r, (p * 32 + i) % 256, (p + i) as u64);
+                        ctx.write(r, (p * 32 + i) % 256, (p + i) as u64).await;
                         ctx.compute(2);
                     }
-                    ctx.barrier(0);
+                    ctx.barrier(0).await;
                     let mut acc = 0u64;
                     for i in 0..64 {
-                        acc = acc.wrapping_add(ctx.read(r, (p * 7 + i * 3) % 256));
+                        acc = acc.wrapping_add(ctx.read(r, (p * 7 + i * 3) % 256).await);
                     }
-                    ctx.write(r, p, acc);
+                    ctx.write(r, p, acc).await;
                 },
             )
         };
@@ -457,15 +406,15 @@ mod tests {
         run(
             cfg(8),
             |m| m.alloc(64),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 let p = ctx.proc_id();
                 for round in 0..4u64 {
-                    ctx.write(r, p, round * 10 + p as u64);
-                    ctx.barrier(round as u32);
+                    ctx.write(r, p, round * 10 + p as u64).await;
+                    ctx.barrier(round as u32).await;
                     for q in 0..ctx.nprocs() {
-                        assert_eq!(ctx.read(r, q), round * 10 + q as u64);
+                        assert_eq!(ctx.read(r, q).await, round * 10 + q as u64);
                     }
-                    ctx.barrier(100 + round as u32);
+                    ctx.barrier(100 + round as u32).await;
                 }
             },
         );
@@ -477,10 +426,10 @@ mod tests {
         let out = run(
             cfg(2),
             |m| m.alloc(4),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 let p = ctx.proc_id();
                 for _ in 0..20 {
-                    ctx.write(r, p, 1);
+                    ctx.write(r, p, 1).await;
                 }
             },
         );
@@ -494,12 +443,12 @@ mod tests {
         let out = run(
             small,
             |m| m.alloc(1024),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 for i in 0..256 {
-                    ctx.read(r, i * 4); // distinct blocks
+                    ctx.read(r, i * 4).await; // distinct blocks
                 }
                 for i in 0..256 {
-                    ctx.read(r, i * 4);
+                    ctx.read(r, i * 4).await;
                 }
             },
         );
@@ -516,12 +465,12 @@ mod tests {
             run(
                 cfg(4).with_engine(commchar_mesh::EngineKind::flit()),
                 |m| m.alloc(64),
-                |ctx, &r| {
+                |mut ctx, r| async move {
                     let p = ctx.proc_id();
-                    ctx.write(r, p, p as u64);
-                    ctx.barrier(0);
+                    ctx.write(r, p, p as u64).await;
+                    ctx.barrier(0).await;
                     for q in 0..ctx.nprocs() {
-                        assert_eq!(ctx.read(r, q), q as u64);
+                        assert_eq!(ctx.read(r, q).await, q as u64);
                     }
                 },
             )
@@ -539,18 +488,15 @@ mod tests {
     fn engines_agree_on_the_message_population() {
         // Same program under both engines: the protocol traffic (what the
         // characterization measures) is identical; only latencies differ.
-        let body = |ctx: &mut crate::Ctx, r: &crate::Region| {
+        async fn body(mut ctx: crate::Ctx, r: crate::Region) {
             let p = ctx.proc_id();
-            ctx.write(*r, p * 4, (p * 10) as u64);
-            ctx.barrier(0);
-            let _ = ctx.read(*r, ((p + 1) % 4) * 4);
-        };
-        let rec = run(cfg(4), |m| m.alloc(64), move |c, r| body(c, r));
-        let flit = run(
-            cfg(4).with_engine(commchar_mesh::EngineKind::flit()),
-            |m| m.alloc(64),
-            move |c, r| body(c, r),
-        );
+            ctx.write(r, p * 4, (p * 10) as u64).await;
+            ctx.barrier(0).await;
+            let _ = ctx.read(r, ((p + 1) % 4) * 4).await;
+        }
+        let rec = run(cfg(4), |m| m.alloc(64), body);
+        let flit =
+            run(cfg(4).with_engine(commchar_mesh::EngineKind::flit()), |m| m.alloc(64), body);
         assert_eq!(rec.reads, flit.reads);
         assert_eq!(rec.writes, flit.writes);
         assert_eq!(rec.barriers, flit.barriers);
@@ -562,11 +508,11 @@ mod tests {
         let out = run(
             cfg(4),
             |m| m.alloc(64),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 let p = ctx.proc_id();
-                ctx.write(r, p, p as u64);
-                ctx.barrier(0);
-                ctx.read(r, (p + 1) % 4);
+                ctx.write(r, p, p as u64).await;
+                ctx.barrier(0).await;
+                ctx.read(r, (p + 1) % 4).await;
             },
         );
         assert_eq!(out.trace.len(), out.netlog.records().len());
@@ -577,24 +523,16 @@ mod tests {
     fn mesi_read_then_write_hits_silently() {
         // Private read-modify-write: under MESI the write after the read
         // miss is a hit; under MSI it is an upgrade miss.
-        let body = |ctx: &mut crate::Ctx, r: &crate::Region| {
+        async fn body(mut ctx: crate::Ctx, r: crate::Region) {
             let p = ctx.proc_id();
             for i in 0..16 {
                 let slot = p * 64 + i * 4; // distinct blocks, private
-                let v = ctx.read(*r, slot);
-                ctx.write(*r, slot, v + 1);
+                let v = ctx.read(r, slot).await;
+                ctx.write(r, slot, v + 1).await;
             }
-        };
-        let msi = run(
-            cfg(2).with_protocol(crate::Protocol::Msi),
-            |m| m.alloc(256),
-            move |c, r| body(c, r),
-        );
-        let mesi = run(
-            cfg(2).with_protocol(crate::Protocol::Mesi),
-            |m| m.alloc(256),
-            move |c, r| body(c, r),
-        );
+        }
+        let msi = run(cfg(2).with_protocol(crate::Protocol::Msi), |m| m.alloc(256), body);
+        let mesi = run(cfg(2).with_protocol(crate::Protocol::Mesi), |m| m.alloc(256), body);
         assert!(
             mesi.misses < msi.misses,
             "MESI should remove upgrade misses: {} vs {}",
@@ -610,15 +548,15 @@ mod tests {
         run(
             cfg(4).with_protocol(crate::Protocol::Mesi),
             |m| m.alloc(16),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 let p = ctx.proc_id();
                 for round in 0..3u64 {
                     if p == (round as usize) % 4 {
-                        ctx.write(r, 0, round * 7 + 1);
+                        ctx.write(r, 0, round * 7 + 1).await;
                     }
-                    ctx.barrier(round as u32);
-                    assert_eq!(ctx.read(r, 0), round * 7 + 1);
-                    ctx.barrier(10 + round as u32);
+                    ctx.barrier(round as u32).await;
+                    assert_eq!(ctx.read(r, 0).await, round * 7 + 1);
+                    ctx.barrier(10 + round as u32).await;
                 }
             },
         );
@@ -628,24 +566,16 @@ mod tests {
     fn associativity_reduces_conflict_misses() {
         // Two blocks mapping to the same direct-mapped set, accessed
         // alternately: 2-way associativity removes the thrashing.
-        let body = |ctx: &mut crate::Ctx, r: &crate::Region| {
+        async fn body(mut ctx: crate::Ctx, r: crate::Region) {
             if ctx.proc_id() == 0 {
                 for _ in 0..32 {
-                    let _ = ctx.read(*r, 0); // block 0
-                    let _ = ctx.read(*r, 16); // block 4 -> same set (4 lines)
+                    let _ = ctx.read(r, 0).await; // block 0
+                    let _ = ctx.read(r, 16).await; // block 4 -> same set (4 lines)
                 }
             }
-        };
-        let direct = run(
-            cfg(1).with_cache_lines(4).with_associativity(1),
-            |m| m.alloc(64),
-            move |c, r| body(c, r),
-        );
-        let twoway = run(
-            cfg(1).with_cache_lines(4).with_associativity(2),
-            |m| m.alloc(64),
-            move |c, r| body(c, r),
-        );
+        }
+        let direct = run(cfg(1).with_cache_lines(4).with_associativity(1), |m| m.alloc(64), body);
+        let twoway = run(cfg(1).with_cache_lines(4).with_associativity(2), |m| m.alloc(64), body);
         assert!(
             twoway.misses < direct.misses,
             "2-way should kill conflict misses: {} vs {}",

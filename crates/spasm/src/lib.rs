@@ -5,10 +5,15 @@
 //! the SPASM simulator the paper ran its shared-memory applications on.
 //!
 //! Like SPASM, the simulator does not interpret instructions: application
-//! code runs natively (here, as Rust closures on one OS thread per
-//! simulated processor) and only the "interesting" operations — shared
+//! code runs natively and only the "interesting" operations — shared
 //! memory LOADs/STOREs and synchronization — trap into the simulation
-//! engine. The engine simulates, per access:
+//! engine. Here each simulated processor's program is a Rust future (an
+//! `async` body), and every trap is an `.await` on a [`Ctx`] operation:
+//! the trap leaves its request with the engine and suspends the body,
+//! and the engine polls the body again once the access has completed in
+//! simulated time. No OS thread runs per processor, so a trap costs a
+//! function return rather than a thread switch. The engine simulates, per
+//! access:
 //!
 //! - a private direct-mapped cache per processor,
 //! - a full-map directory, invalidation-based MSI coherence protocol with
@@ -34,12 +39,12 @@
 //! use commchar_spasm::{run, MachineConfig};
 //!
 //! let cfg = MachineConfig::new(4);
-//! let out = run(cfg, |m| m.alloc(64), |ctx, &region| {
+//! let out = run(cfg, |m| m.alloc(64), |mut ctx, region| async move {
 //!     let p = ctx.proc_id();
-//!     ctx.write(region, p, p as u64);
-//!     ctx.barrier(0);
+//!     ctx.write(region, p, p as u64).await;
+//!     ctx.barrier(0).await;
 //!     // Read a neighbour's slot: guaranteed visible after the barrier.
-//!     let v = ctx.read(region, (p + 1) % ctx.nprocs());
+//!     let v = ctx.read(region, (p + 1) % ctx.nprocs()).await;
 //!     assert_eq!(v, ((p + 1) % ctx.nprocs()) as u64);
 //! });
 //! assert!(!out.trace.is_empty());

@@ -1,8 +1,11 @@
 //! Conservative-window sharded execution of the spasm machine.
 //!
-//! The machine (processor state, caches, the directory, and the event
+//! The machine (processor bodies, caches, the directory, and the event
 //! calendar) is partitioned into source-contiguous shards, one long-lived
-//! [`commchar_pool::Team`] worker per shard. Each worker runs the serial
+//! [`commchar_pool::Team`] worker per shard. A shard owns its processors'
+//! body futures and polls them itself: a trap leaves its request in the
+//! processor's slot and suspends, returning control to the shard loop, so
+//! a shared access costs no thread switch. Each worker runs the serial
 //! event loop inside a conservative time window `[T, T + L)` whose width
 //! `L` is the network engine's minimum delivery latency
 //! ([`NetEngine::min_latency`]): an event less than `L` ahead of the
@@ -24,23 +27,26 @@
 //! order, which is meaningless once scheduling is distributed. Here every
 //! action carries a canonical key `(class, site, seq)` — events before
 //! processor requests, then by the emitting site and that site's own
-//! emission counter — ordered by a [`KeyedCalendar`]. Per-site counter
+//! emission counter — ordered by the shard's [`KeyedCalendar`], which
+//! holds trapped requests and protocol events alike. Per-site counter
 //! sequences depend only on that site's own action stream (every
 //! cross-site interaction travels through the network or the
 //! coordinator), so keys are identical for any shard count, and with them
 //! the event order, the trace bytes, the `NetLog`, and every statistic.
 
 use std::collections::{HashMap, VecDeque};
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use commchar_des::{KeyedCalendar, SimTime};
 use commchar_mesh::{NetEngine, NetLog, NetMessage, NodeId};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::api::{ProcMsg, ProcRequest, Reply};
+use crate::api::{ProcRequest, Reply, Slot};
 use crate::engine::SpasmError;
 use crate::protocol::{Cache, DirState, LineState, Protocol};
 use crate::MachineConfig;
@@ -54,6 +60,10 @@ pub(crate) type Key = (u8, u32, u64);
 
 const CLASS_EVENT: u8 = 0;
 const CLASS_REQUEST: u8 = 1;
+
+/// A processor's body: the future returned by the application closure,
+/// polled by the shard that owns the processor.
+pub(crate) type Body = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 /// Everything a coherence transaction needs to travel between sites.
 #[derive(Clone, Copy, Debug)]
@@ -117,6 +127,13 @@ pub(crate) enum Event {
     LockRel { id: u32, proc: u32 },
 }
 
+/// What a shard's calendar holds: a protocol event (key class
+/// `CLASS_EVENT`) or a processor's trapped request (`CLASS_REQUEST`).
+enum Action {
+    Event(Event),
+    Request { proc: u32, req: ProcRequest },
+}
+
 impl Event {
     /// The site (processor/home node) whose shard processes this event.
     fn site(&self, nprocs: usize) -> usize {
@@ -159,10 +176,14 @@ struct DeferredSend {
     unblock: Option<u64>,
 }
 
+/// Where a processor is in its trap cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Status {
+    /// Resumed; its body runs at the next gather.
     Running,
+    /// Its trapped request waits in the calendar.
     Pending,
+    /// Its request is in progress; the reply has not come back yet.
     Blocked,
     Done,
 }
@@ -307,9 +328,9 @@ pub(crate) fn partition(nprocs: usize, shards: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// One shard of the machine: the caches of its own processors plus the
-/// directory, lock and barrier state of its own home sites, advanced by a
-/// windowed copy of the serial event loop.
+/// One shard of the machine: the bodies and caches of its own processors
+/// plus the directory, lock and barrier state of its own home sites,
+/// advanced by a windowed copy of the serial event loop.
 pub(crate) struct ShardCore {
     cfg: MachineConfig,
     shard: usize,
@@ -323,16 +344,17 @@ pub(crate) struct ShardCore {
     deferred: HashMap<u64, VecDeque<TxnData>>,
     locks: HashMap<u32, LockSt>,
     bars: HashMap<u32, usize>,
-    cal: KeyedCalendar<Key, Event>,
+    cal: KeyedCalendar<Key, Action>,
     /// Per-owned-site emission counters (canonical key sequence).
     seqs: Vec<u64>,
-    /// Pending requests of owned processors: `(t, seq, request)`.
-    pending: Vec<Option<(u64, u64, ProcRequest)>>,
+    /// Owned processors' bodies; `None` once a body has returned.
+    bodies: Vec<Option<Body>>,
+    /// Owned processors' trap slots, shared with their [`crate::Ctx`]s.
+    slots: Vec<Arc<Mutex<Slot>>>,
+    /// Owned processors resumed since the last gather (local indices).
+    runnable: Vec<usize>,
     resume_time: Vec<u64>,
     status: Vec<Status>,
-    reply_tx: Vec<Sender<Reply>>,
-    rx: Receiver<ProcMsg>,
-    running: usize,
     outgoing: Vec<DeferredSend>,
     /// Key of the action being processed and its emission count so far.
     cur_key: Key,
@@ -341,17 +363,18 @@ pub(crate) struct ShardCore {
 }
 
 impl ShardCore {
-    #[allow(clippy::too_many_arguments)]
+    /// A shard owning sites `[lo, hi)`, whose processors run `procs`
+    /// (one body and its trap slot per site, in site order).
     pub(crate) fn new(
         cfg: MachineConfig,
         shard: usize,
-        lo: usize,
-        hi: usize,
+        (lo, hi): (usize, usize),
         mem: Arc<Vec<AtomicU64>>,
-        rx: Receiver<ProcMsg>,
-        reply_tx: Vec<Sender<Reply>>,
+        procs: Vec<(Body, Arc<Mutex<Slot>>)>,
     ) -> Self {
         let n = hi - lo;
+        debug_assert_eq!(procs.len(), n, "one body per owned processor");
+        let (bodies, slots) = procs.into_iter().map(|(b, s)| (Some(b), s)).unzip();
         ShardCore {
             cfg,
             shard,
@@ -366,12 +389,11 @@ impl ShardCore {
             bars: HashMap::new(),
             cal: KeyedCalendar::new(),
             seqs: vec![0; n],
-            pending: vec![None; n],
+            bodies,
+            slots,
+            runnable: (0..n).collect(),
             resume_time: vec![0; n],
             status: vec![Status::Running; n],
-            reply_tx,
-            rx,
-            running: n,
             outgoing: Vec::new(),
             cur_key: (CLASS_EVENT, 0, 0),
             cur_idx: 0,
@@ -404,7 +426,7 @@ impl ShardCore {
             "intra-window schedule crossed shards: {ev:?} at site {site}"
         );
         let key = (CLASS_EVENT, site as u32, self.next_seq(site));
-        self.cal.schedule(SimTime::from_ticks(t), key, ev);
+        self.cal.schedule(SimTime::from_ticks(t), key, Action::Event(ev));
     }
 
     /// Records a cross-site protocol message for injection at the window
@@ -439,19 +461,15 @@ impl ShardCore {
         });
     }
 
-    fn resume(&mut self, proc: usize, time: u64, value: u64) -> Result<(), SpasmError> {
+    /// Leaves `proc`'s reply in its slot; its body runs at the next
+    /// gather.
+    fn resume(&mut self, proc: usize, time: u64, value: u64) {
         let lp = proc - self.lo;
-        if self.reply_tx[lp].send(Reply { time, value }).is_err() {
-            return Err(SpasmError::ProcessorHungUp {
-                proc,
-                report: format!("processor status at failure:{}", self.status_report()),
-            });
-        }
+        self.slots[lp].lock().reply = Some(Reply { time, value });
         self.resume_time[lp] = time;
         self.stats.max_time = self.stats.max_time.max(time);
         self.status[lp] = Status::Running;
-        self.running += 1;
-        Ok(())
+        self.runnable.push(lp);
     }
 
     /// One status line per owned processor — the same style of account the
@@ -470,86 +488,76 @@ impl ShardCore {
         out
     }
 
-    /// Blocks until every Running processor of this shard has delivered
-    /// its next request. Requests are stamped with their processor's own
-    /// emission counter on arrival; a processor traps sequentially, so
-    /// the stamp order per site is host-schedule-independent.
+    /// Polls the body of every processor resumed since the last gather
+    /// until it traps again or returns. A trapped request is stamped with
+    /// its processor's own emission counter and scheduled under
+    /// `(CLASS_REQUEST, proc, seq)`; a processor traps sequentially, so
+    /// the stamp order per site is independent of the polling order.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a body's panic with its own payload, and panics if a
+    /// body suspends on a future that is not a [`crate::Ctx`] trap.
     fn gather(&mut self) {
-        while self.running > 0 {
-            let msg = self.rx.recv().expect("a processor thread died before finishing");
-            let lp = msg.proc - self.lo;
-            let t = self.resume_time[lp] + msg.elapsed;
-            self.running -= 1;
-            match msg.req {
-                ProcRequest::Fault => {
-                    panic!("simulated processor p{} panicked; aborting the run", msg.proc);
-                }
-                ProcRequest::Finish => {
+        while let Some(lp) = self.runnable.pop() {
+            let proc = self.lo + lp;
+            let body = self.bodies[lp].as_mut().expect("a resumed processor has a body");
+            match body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+                Poll::Ready(()) => {
+                    // Dropping the body drops its Ctx, which records the
+                    // computation after the last trap.
+                    self.bodies[lp] = None;
+                    let t = self.resume_time[lp] + self.slots[lp].lock().tail;
                     self.status[lp] = Status::Done;
                     self.stats.max_time = self.stats.max_time.max(t);
                 }
-                req => {
-                    let seq = self.next_seq(msg.proc);
-                    self.pending[lp] = Some((t, seq, req));
+                Poll::Pending => {
+                    let trapped = self.slots[lp].lock().request.take();
+                    let (elapsed, req) = trapped.unwrap_or_else(|| {
+                        panic!("p{proc}'s body awaited a future that is not a spasm Ctx trap")
+                    });
+                    let t = self.resume_time[lp] + elapsed;
+                    let key = (CLASS_REQUEST, proc as u32, self.next_seq(proc));
+                    let action = Action::Request { proc: proc as u32, req };
+                    self.cal.schedule(SimTime::from_ticks(t), key, action);
                     self.status[lp] = Status::Pending;
                 }
             }
         }
     }
 
-    /// The earliest pending action as `(time, key)`, or None when idle.
-    fn min_action(&self) -> Option<(u64, Key)> {
-        let ev = self.cal.peek().map(|(t, &k)| (t.ticks(), k));
-        let req = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter_map(|(lp, o)| {
-                o.as_ref().map(|&(t, seq, _)| (t, (CLASS_REQUEST, (self.lo + lp) as u32, seq)))
-            })
-            .min();
-        match (ev, req) {
-            (None, None) => None,
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (Some(a), Some(b)) => Some(a.min(b)),
-        }
-    }
-
     /// The earliest future action time after a drained window.
     fn next_time(&self) -> u64 {
-        self.min_action().map_or(u64::MAX, |(t, _)| t)
+        self.cal.peek_time().map_or(u64::MAX, SimTime::ticks)
     }
 
     /// Runs the serial loop inside the window `[start, end)`: gather
     /// requests, pick the canonically-least action strictly before `end`,
     /// process it, repeat. Returns the number of actions processed.
-    fn run_window(&mut self, end: u64) -> Result<u64, SpasmError> {
+    fn run_window(&mut self, end: u64) -> u64 {
         let mut acted = 0u64;
         loop {
             self.gather();
-            let Some((t, key)) = self.min_action() else { break };
-            if t >= end {
+            if self.cal.peek_time().is_none_or(|t| t.ticks() >= end) {
                 break;
             }
+            let (time, key, action) = self.cal.pop().expect("peeked action vanished");
+            let t = time.ticks();
             self.cur_key = key;
             self.cur_idx = 0;
-            if key.0 == CLASS_EVENT {
-                let (time, _, ev) = self.cal.pop().expect("peeked event vanished");
-                let t = time.ticks();
-                self.stats.max_time = self.stats.max_time.max(t);
-                self.process_event(t, ev)?;
-            } else {
-                let lp = key.1 as usize - self.lo;
-                let (t, _, req) = self.pending[lp].take().expect("request vanished");
-                self.process_request(key.1 as usize, t, req)?;
+            match action {
+                Action::Event(ev) => {
+                    self.stats.max_time = self.stats.max_time.max(t);
+                    self.process_event(t, ev);
+                }
+                Action::Request { proc, req } => self.process_request(proc as usize, t, req),
             }
             acted += 1;
         }
-        Ok(acted)
+        acted
     }
 
-    fn process_request(&mut self, p: usize, t: u64, req: ProcRequest) -> Result<(), SpasmError> {
+    fn process_request(&mut self, p: usize, t: u64, req: ProcRequest) {
         self.status[p - self.lo] = Status::Blocked;
         match req {
             ProcRequest::Read { addr } => {
@@ -558,7 +566,7 @@ impl ShardCore {
                 if self.caches[p - self.lo].lookup(block).is_some() {
                     self.stats.hits += 1;
                     let v = self.mem[addr].load(Ordering::Relaxed);
-                    self.resume(p, t + self.cfg.hit_latency, v)?;
+                    self.resume(p, t + self.cfg.hit_latency, v);
                 } else {
                     self.stats.misses += 1;
                     self.start_txn(p, block, addr, false, false, 0, t);
@@ -571,14 +579,14 @@ impl ShardCore {
                     Some(LineState::Modified) => {
                         self.stats.hits += 1;
                         self.mem[addr].store(value, Ordering::Relaxed);
-                        self.resume(p, t + self.cfg.hit_latency, 0)?;
+                        self.resume(p, t + self.cfg.hit_latency, 0);
                     }
                     Some(LineState::Exclusive) => {
                         // MESI: silent Exclusive -> Modified promotion.
                         self.stats.hits += 1;
                         self.caches[p - self.lo].set_state(block, LineState::Modified);
                         self.mem[addr].store(value, Ordering::Relaxed);
-                        self.resume(p, t + self.cfg.hit_latency, 0)?;
+                        self.resume(p, t + self.cfg.hit_latency, 0);
                     }
                     Some(LineState::Shared) => {
                         self.stats.misses += 1;
@@ -619,7 +627,7 @@ impl ShardCore {
             }
             ProcRequest::Unlock { id } => {
                 // Release is fire-and-forget from the processor's view.
-                self.resume(p, t + 1, 0)?;
+                self.resume(p, t + 1, 0);
                 let home = (id as usize) % self.cfg.nprocs;
                 let ev = Event::LockRel { id, proc: p as u32 };
                 if p == home {
@@ -628,11 +636,7 @@ impl ShardCore {
                     self.emit_msg(t, p, home, self.cfg.ctrl_bytes, EventKind::Sync, ev, 0, None);
                 }
             }
-            ProcRequest::Finish | ProcRequest::Fault => {
-                unreachable!("finish/fault handled in gather")
-            }
         }
-        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -666,7 +670,7 @@ impl ShardCore {
         }
     }
 
-    fn process_event(&mut self, t: u64, ev: Event) -> Result<(), SpasmError> {
+    fn process_event(&mut self, t: u64, ev: Event) {
         match ev {
             Event::HomeReq { data } => self.home_req(data, t),
             Event::Recall { block, write, owner } => {
@@ -687,7 +691,7 @@ impl ShardCore {
                     self.finish_home(block, t);
                 }
             }
-            Event::ReplyArrive { data, exclusive } => self.reply_arrive(data, exclusive, t)?,
+            Event::ReplyArrive { data, exclusive } => self.reply_arrive(data, exclusive, t),
             Event::UnblockHome { block } => self.unblock_home(block, t),
             Event::VictimWb { block, proc } => {
                 if self.dir.get(&block) == Some(&DirState::Modified(proc as u16)) {
@@ -713,7 +717,7 @@ impl ShardCore {
                 }
             }
             Event::BarRelease { proc } => {
-                self.resume(proc as usize, t + self.cfg.sync_latency, 0)?;
+                self.resume(proc as usize, t + self.cfg.sync_latency, 0);
             }
             Event::LockReq { id, proc } => {
                 let proc = proc as usize;
@@ -734,7 +738,7 @@ impl ShardCore {
                 }
             }
             Event::LockGrant { proc } => {
-                self.resume(proc as usize, t + self.cfg.sync_latency, 0)?;
+                self.resume(proc as usize, t + self.cfg.sync_latency, 0);
             }
             Event::LockRel { id, proc } => {
                 let proc = proc as usize;
@@ -755,7 +759,6 @@ impl ShardCore {
                 }
             }
         }
-        Ok(())
     }
 
     /// A coherence request (re)arrives at the home directory.
@@ -889,7 +892,7 @@ impl ShardCore {
     }
 
     /// The reply reaches the requester: install the line and resume.
-    fn reply_arrive(&mut self, data: TxnData, exclusive: bool, t: u64) -> Result<(), SpasmError> {
+    fn reply_arrive(&mut self, data: TxnData, exclusive: bool, t: u64) {
         let p = data.proc as usize;
         let state = if data.write {
             LineState::Modified
@@ -916,14 +919,13 @@ impl ShardCore {
             self.mem[data.addr].store(data.value, Ordering::Relaxed);
         }
         let value = self.mem[data.addr].load(Ordering::Relaxed);
-        self.resume(p, t + self.cfg.fill_latency, value)?;
+        self.resume(p, t + self.cfg.fill_latency, value);
         // A home-local reply releases the block inline, exactly as the
         // serial engine did inside `reply_arrive`; a remote reply's release
         // arrives as `UnblockHome` at the same delivery time.
         if p == self.home_of(data.block) {
             self.unblock_home(data.block, t);
         }
-        Ok(())
     }
 
     /// Releases the per-block serialization and admits the next deferred
@@ -1066,26 +1068,15 @@ pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
         {
             let mut mail = shared.mail[core.shard].lock();
             for (t, key, ev) in mail.drain(..) {
-                core.cal.schedule(SimTime::from_ticks(t), key, ev);
+                core.cal.schedule(SimTime::from_ticks(t), key, Action::Event(ev));
             }
         }
         core.cal.advance_to(SimTime::from_ticks(start));
-        match core.run_window(end) {
-            Ok(acted) => {
-                shared.acted[core.shard].store(acted, Ordering::Relaxed);
-                shared.next_times[core.shard].store(core.next_time(), Ordering::Relaxed);
-                if !core.outgoing.is_empty() {
-                    shared.outbox[core.shard].lock().append(&mut core.outgoing);
-                }
-            }
-            Err(e) => {
-                let mut slot = shared.failure.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                shared.abort.store(true, Ordering::Relaxed);
-                break;
-            }
+        let acted = core.run_window(end);
+        shared.acted[core.shard].store(acted, Ordering::Relaxed);
+        shared.next_times[core.shard].store(core.next_time(), Ordering::Relaxed);
+        if !core.outgoing.is_empty() {
+            shared.outbox[core.shard].lock().append(&mut core.outgoing);
         }
         shared.fences[core.shard].store(round + 1, Ordering::Release);
         if let Some(co) = coord.as_mut() {

@@ -19,15 +19,15 @@ proptest! {
         run(
             MachineConfig::new(nprocs),
             move |m| (m.alloc(8), stride),
-            move |ctx, &(r, stride)| {
+            move |mut ctx, (r, stride)| async move {
                 for _ in 0..iters {
-                    ctx.lock(0);
-                    let v = ctx.read(r, stride);
-                    ctx.write(r, stride, v + 1);
-                    ctx.unlock(0);
+                    ctx.lock(0).await;
+                    let v = ctx.read(r, stride).await;
+                    ctx.write(r, stride, v + 1).await;
+                    ctx.unlock(0).await;
                 }
-                ctx.barrier(0);
-                let total = ctx.read(r, stride);
+                ctx.barrier(0).await;
+                let total = ctx.read(r, stride).await;
                 assert_eq!(total as usize, nprocs * iters);
             },
         );
@@ -40,15 +40,15 @@ proptest! {
         run(
             MachineConfig::new(nprocs),
             |m| m.alloc(64),
-            move |ctx, &r| {
+            move |mut ctx, r| async move {
                 let p = ctx.proc_id();
                 for round in 0..rounds as u64 {
-                    ctx.write(r, p, round * 1000 + p as u64);
-                    ctx.barrier(round as u32);
+                    ctx.write(r, p, round * 1000 + p as u64).await;
+                    ctx.barrier(round as u32).await;
                     for q in 0..ctx.nprocs() {
-                        assert_eq!(ctx.read(r, q), round * 1000 + q as u64);
+                        assert_eq!(ctx.read(r, q).await, round * 1000 + q as u64);
                     }
-                    ctx.barrier(64 + round as u32);
+                    ctx.barrier(64 + round as u32).await;
                 }
             },
         );
@@ -66,19 +66,19 @@ proptest! {
         run(
             MachineConfig::new(nprocs).with_cache_lines(4), // force evictions
             move |m| (m.alloc(nprocs * per_proc), seed),
-            move |ctx, &(r, seed)| {
+            move |mut ctx, (r, seed)| async move {
                 let p = ctx.proc_id();
                 // Deterministic per-proc values.
                 for i in 0..per_proc {
                     let v = seed.wrapping_mul(31).wrapping_add((p * per_proc + i) as u64);
-                    ctx.write(r, p * per_proc + i, v);
+                    ctx.write(r, p * per_proc + i, v).await;
                 }
-                ctx.barrier(0);
+                ctx.barrier(0).await;
                 // Everyone validates everyone's region (through coherence).
                 for q in 0..ctx.nprocs() {
                     for i in 0..per_proc {
                         let expect = seed.wrapping_mul(31).wrapping_add((q * per_proc + i) as u64);
-                        assert_eq!(ctx.read(r, q * per_proc + i), expect);
+                        assert_eq!(ctx.read(r, q * per_proc + i).await, expect);
                     }
                 }
             },
@@ -93,7 +93,7 @@ proptest! {
             run(
                 MachineConfig::new(nprocs),
                 move |m| (m.alloc(128), seed),
-                move |ctx, &(r, seed)| {
+                move |mut ctx, (r, seed)| async move {
                     let p = ctx.proc_id();
                     let mut state = seed.wrapping_add(p as u64).wrapping_mul(6364136223846793005) | 1;
                     for _ in 0..ops {
@@ -101,19 +101,19 @@ proptest! {
                         let slot = (state >> 33) as usize % 128;
                         match (state >> 61) % 3 {
                             0 => {
-                                let _ = ctx.read(r, slot);
+                                let _ = ctx.read(r, slot).await;
                             }
-                            1 => ctx.write(r, slot, state),
+                            1 => ctx.write(r, slot, state).await,
                             _ => {
-                                ctx.lock((slot % 4) as u32);
-                                let v = ctx.read(r, slot);
-                                ctx.write(r, slot, v ^ state);
-                                ctx.unlock((slot % 4) as u32);
+                                ctx.lock((slot % 4) as u32).await;
+                                let v = ctx.read(r, slot).await;
+                                ctx.write(r, slot, v ^ state).await;
+                                ctx.unlock((slot % 4) as u32).await;
                             }
                         }
                         ctx.compute(state % 17);
                     }
-                    ctx.barrier(9);
+                    ctx.barrier(9).await;
                 },
             )
         };

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 /// A seeded workload mixing reads, writes, locks, barriers and compute —
 /// enough protocol variety (invalidations, recalls, upgrades, victim
 /// writebacks with the small cache) to exercise every event path.
-fn seeded_body(ctx: &mut Ctx, r: Region, seed: u64, ops: usize, slots: usize) {
+async fn seeded_body(mut ctx: Ctx, r: Region, seed: u64, ops: usize, slots: usize) {
     let p = ctx.proc_id();
     let mut state = seed.wrapping_add(p as u64).wrapping_mul(6364136223846793005) | 1;
     for _ in 0..ops {
@@ -19,32 +19,28 @@ fn seeded_body(ctx: &mut Ctx, r: Region, seed: u64, ops: usize, slots: usize) {
         let slot = (state >> 33) as usize % slots;
         match (state >> 61) % 4 {
             0 => {
-                let _ = ctx.read(r, slot);
+                let _ = ctx.read(r, slot).await;
             }
-            1 => ctx.write(r, slot, state),
+            1 => ctx.write(r, slot, state).await,
             2 => {
-                ctx.lock((slot % 4) as u32);
-                let v = ctx.read(r, slot);
-                ctx.write(r, slot, v ^ state);
-                ctx.unlock((slot % 4) as u32);
+                ctx.lock((slot % 4) as u32).await;
+                let v = ctx.read(r, slot).await;
+                ctx.write(r, slot, v ^ state).await;
+                ctx.unlock((slot % 4) as u32).await;
             }
             _ => {
-                let _ = ctx.read(r, slot);
-                ctx.write(r, (slot + 1) % slots, state);
+                let _ = ctx.read(r, slot).await;
+                ctx.write(r, (slot + 1) % slots, state).await;
             }
         }
         ctx.compute(state % 13);
     }
-    ctx.barrier(7);
-    let _ = ctx.read(r, p % slots);
+    ctx.barrier(7).await;
+    let _ = ctx.read(r, p % slots).await;
 }
 
 fn seeded_run(cfg: MachineConfig, seed: u64, ops: usize) -> SpasmRun {
-    run(
-        cfg,
-        move |m| (m.alloc(96), seed),
-        move |ctx, &(r, seed)| seeded_body(ctx, r, seed, ops, 96),
-    )
+    run(cfg, move |m| (m.alloc(96), seed), move |ctx, (r, seed)| seeded_body(ctx, r, seed, ops, 96))
 }
 
 /// Every observable of two runs, compared byte-for-byte.
@@ -138,12 +134,12 @@ fn kilo_processor_machine_characterizes_sharded() {
         run(
             MachineConfig::new(1024).with_sim_jobs(jobs),
             |m| m.alloc(4096),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 let p = ctx.proc_id();
-                ctx.write(r, p * 4, p as u64 + 1);
-                ctx.barrier(0);
+                ctx.write(r, p * 4, p as u64 + 1).await;
+                ctx.barrier(0).await;
                 let right = (p + 1) % ctx.nprocs();
-                assert_eq!(ctx.read(r, right * 4), right as u64 + 1);
+                assert_eq!(ctx.read(r, right * 4).await, right as u64 + 1);
             },
         )
     };
@@ -165,21 +161,17 @@ fn application_deadlock_is_a_typed_wedge() {
     let err = try_run_with(
         MachineConfig::new(2).with_sim_jobs(2),
         |m| m.alloc(1),
-        |ctx: &mut Ctx, _r: &Region| {
+        |mut ctx: Ctx, _r: Region| async move {
             if ctx.proc_id() == 1 {
-                ctx.barrier(0);
+                ctx.barrier(0).await;
             }
         },
         commchar_mesh::OnlineWormhole::new(MachineConfig::new(2).mesh),
     )
     .unwrap_err();
-    match err {
-        SpasmError::Wedged { report } => {
-            assert!(report.contains("application deadlock"), "got: {report}");
-            assert!(report.contains("p1"), "got: {report}");
-        }
-        other => panic!("expected Wedged, got {other:?}"),
-    }
+    let SpasmError::Wedged { report } = err;
+    assert!(report.contains("application deadlock"), "got: {report}");
+    assert!(report.contains("p1"), "got: {report}");
 }
 
 #[test]
@@ -188,9 +180,9 @@ fn run_panics_on_deadlock_like_the_serial_engine() {
     run(
         MachineConfig::new(2),
         |m| m.alloc(1),
-        |ctx, _| {
+        |mut ctx, _| async move {
             if ctx.proc_id() == 1 {
-                ctx.barrier(0); // p0 exits without arriving: p1 waits forever
+                ctx.barrier(0).await; // p0 exits without arriving: p1 waits forever
             }
         },
     );
@@ -202,13 +194,13 @@ fn protocol_misuse_panics_through_the_sharded_path() {
     run(
         MachineConfig::new(4).with_sim_jobs(4),
         |m| m.alloc(1),
-        |ctx, _| {
+        |mut ctx, _| async move {
             if ctx.proc_id() == 0 {
-                ctx.lock(2);
-                ctx.unlock(2);
+                ctx.lock(2).await;
+                ctx.unlock(2).await;
             } else if ctx.proc_id() == 3 {
                 ctx.compute(5_000);
-                ctx.unlock(2);
+                ctx.unlock(2).await;
             }
         },
     );

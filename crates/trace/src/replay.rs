@@ -39,14 +39,6 @@ pub enum ReplayError {
         /// Nodes in the mesh.
         mesh_nodes: usize,
     },
-    /// The causal schedule drained without injecting every event — a
-    /// dependency cycle, or a dependency on a never-sent message.
-    Stalled {
-        /// Events injected before the stall.
-        injected: usize,
-        /// Events in the trace.
-        total: usize,
-    },
     /// The network engine rejected an injection.
     Engine(EngineError),
 }
@@ -61,11 +53,6 @@ impl std::fmt::Display for ReplayError {
                 f,
                 "trace has more processors than the mesh has nodes \
                  ({trace_nodes} vs {mesh_nodes})"
-            ),
-            ReplayError::Stalled { injected, total } => write!(
-                f,
-                "causal replay stalled: dependency cycle or dep on never-sent message \
-                 ({injected} of {total} events injected)"
             ),
             ReplayError::Engine(e) => write!(f, "network engine rejected injection: {e}"),
         }
@@ -116,8 +103,8 @@ impl CausalReplayer {
     ///
     /// # Errors
     ///
-    /// [`ReplayError`] on a broken trace, a mesh too small for it, a
-    /// causal stall, or an engine rejection.
+    /// [`ReplayError`] on a broken trace, a mesh too small for it, or an
+    /// engine rejection.
     pub fn try_replay(&self, trace: &CommTrace, kind: EngineKind) -> Result<NetLog, ReplayError> {
         self.try_replay_into(trace, kind, 1, NetLog::new())
     }
@@ -239,9 +226,15 @@ impl CausalReplayer {
                 }
             }
         }
-        if injected != events.len() {
-            return Err(ReplayError::Stalled { injected, total: events.len() });
-        }
+        // The (t, id)-least event not yet injected heads its source's list,
+        // and its dependency is (t, id)-earlier, so already delivered: the
+        // heap never empties early.
+        assert_eq!(
+            injected,
+            events.len(),
+            "causal replay stalled, yet CommTrace::check's (t, id) rule makes every \
+             dependency point at an earlier event and each source's list is (t, id)-sorted"
+        );
         Ok(net.finish())
     }
 

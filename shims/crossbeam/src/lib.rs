@@ -1,13 +1,14 @@
 //! Offline shim for `crossbeam` (the subset this workspace uses).
 //!
 //! Provides [`channel::unbounded`] with crossbeam's semantics as used by
-//! the simulators: cloneable [`channel::Sender`] *and* cloneable
-//! [`channel::Receiver`] (multi-producer, multi-consumer), blocking
-//! `recv` that fails once every sender is gone and the queue is drained,
-//! and `send` that fails once every receiver is gone. Built on
+//! the sp2 message-passing runtime: cloneable [`channel::Sender`] *and*
+//! cloneable [`channel::Receiver`] (multi-producer, multi-consumer),
+//! blocking `recv` that fails once every sender is gone and the queue is
+//! drained, and `send` that fails once every receiver is gone. Built on
 //! `std::sync::{Mutex, Condvar}` — throughput is far below real
-//! crossbeam's, which is irrelevant for the rank-per-thread simulators
-//! that use it as a mailbox.
+//! crossbeam's, which is irrelevant for sp2's rank-per-thread runtime,
+//! its only user, which uses it as a mailbox. (The spasm simulator needs
+//! no channels: its shards poll the processors' bodies directly.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,62 @@
 //! Integration: simulations are bit-deterministic across runs, regardless
-//! of host thread scheduling.
+//! of host thread scheduling, and the shared-memory runs are pinned to
+//! golden values so a rewrite of the simulator cannot move one event.
 
 use commchar::core::{acquire, characterize, RunSpec};
+use commchar::mesh::{EngineKind, Routing, Topology};
+use commchar::tracestore::{fnv1a, pack_netlog, pack_trace};
 use commchar_apps::{AppId, Scale};
+
+/// `(exec ticks, messages, fnv1a(pack_trace), fnv1a(pack_netlog))` of an
+/// acquired workload.
+fn fingerprint(spec: &RunSpec) -> (u64, usize, u32, u32) {
+    let w = acquire(spec).unwrap();
+    (w.exec_ticks, w.trace.len(), fnv1a(&pack_trace(&w.trace)), fnv1a(&pack_netlog(&w.netlog)))
+}
+
+#[test]
+fn shared_memory_runs_match_golden_values() {
+    // Each shared-memory app at 8 processors, tiny scale: once on the
+    // default machine (mesh, recurrence engine, serial simulator) and once
+    // on a flit-level torus advanced by two simulator shards.
+    let golden = [
+        (
+            AppId::Fft1d,
+            (38809, 4286, 0xf2cc7deb, 0x6a3157b3),
+            (32513, 4250, 0x533ed0c4, 0x40b08db2),
+        ),
+        (
+            AppId::Is,
+            (239029, 12971, 0x8ac22a20, 0xab7a04c7),
+            (223222, 13000, 0xc11bd799, 0x2a910d51),
+        ),
+        (
+            AppId::Cholesky,
+            (123430, 6506, 0xe643bda4, 0xa1145736),
+            (110164, 6526, 0x21722bf7, 0x2bf9b3d5),
+        ),
+        (
+            AppId::Nbody,
+            (31982, 2604, 0x07f535df, 0x816ef37a),
+            (24538, 2604, 0x6431bf69, 0x23b0d26b),
+        ),
+        (
+            AppId::Maxflow,
+            (126811, 9724, 0xf21ebb8c, 0x1e1132aa),
+            (117853, 9822, 0x95c5f56a, 0xd3d8ac81),
+        ),
+    ];
+    for (app, recurrence, flit_torus) in golden {
+        let spec = RunSpec::new(app, 8, Scale::Tiny, 42);
+        assert_eq!(fingerprint(&spec), recurrence, "{app}: recurrence, mesh, serial");
+        let sharded = RunSpec {
+            engine: EngineKind::FlitLevel,
+            sim_jobs: 2,
+            ..spec.with_net(Topology::Torus, Routing::Dimension)
+        };
+        assert_eq!(fingerprint(&sharded), flit_torus, "{app}: flit, torus, 2 shards");
+    }
+}
 
 #[test]
 fn shared_memory_runs_are_deterministic() {

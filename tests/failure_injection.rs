@@ -24,14 +24,14 @@ fn spasm_processor_panic_propagates() {
         run(
             MachineConfig::new(4),
             |m| m.alloc(16),
-            |ctx, &r| {
+            |mut ctx, r| async move {
                 if ctx.proc_id() == 2 {
                     panic!("injected application fault");
                 }
                 // Other processors block on a barrier the faulty one never
                 // reaches; the engine must detect the death, not hang.
-                ctx.write(r, ctx.proc_id(), 1);
-                ctx.barrier(0);
+                ctx.write(r, ctx.proc_id(), 1).await;
+                ctx.barrier(0).await;
             },
         );
     });
@@ -44,7 +44,7 @@ fn spasm_panic_before_any_traffic_propagates() {
         run(
             MachineConfig::new(2),
             |m| m.alloc(4),
-            |ctx, _| {
+            |ctx, _| async move {
                 if ctx.proc_id() == 0 {
                     panic!("immediate fault");
                 }
@@ -52,6 +52,61 @@ fn spasm_panic_before_any_traffic_propagates() {
         );
     });
     assert!(failed);
+}
+
+/// Runs `f`, which must panic, and returns the panic message.
+fn panic_message<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> String {
+    let payload = std::panic::catch_unwind(f).expect_err("expected a panic");
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().expect("a string payload").to_string(),
+    }
+}
+
+#[test]
+fn spasm_panic_carries_the_body_payload() {
+    // The body's panic unwinds through the shard's poll to the caller
+    // unchanged, serial and sharded alike.
+    for sim_jobs in [1, 2] {
+        let msg = panic_message(|| {
+            run(
+                MachineConfig::new(4).with_sim_jobs(sim_jobs),
+                |m| m.alloc(16),
+                |mut ctx, r| async move {
+                    ctx.write(r, ctx.proc_id(), 1).await;
+                    if ctx.proc_id() == 2 {
+                        panic!("injected application fault");
+                    }
+                    ctx.barrier(0).await;
+                },
+            );
+        });
+        assert_eq!(msg, "injected application fault", "sim_jobs {sim_jobs}");
+    }
+}
+
+#[test]
+fn spasm_body_awaiting_a_foreign_future_is_named_as_misuse() {
+    // A body may await only Ctx traps: suspending on anything else would
+    // leave its shard with no request to schedule.
+    for sim_jobs in [1, 2] {
+        let msg = panic_message(|| {
+            run(
+                MachineConfig::new(2).with_sim_jobs(sim_jobs),
+                |m| m.alloc(4),
+                |mut ctx, _| async move {
+                    if ctx.proc_id() == 1 {
+                        std::future::pending::<()>().await;
+                    }
+                    ctx.barrier(0).await;
+                },
+            );
+        });
+        assert!(
+            msg.contains("p1") && msg.contains("not a spasm Ctx trap"),
+            "sim_jobs {sim_jobs}: {msg}"
+        );
+    }
 }
 
 #[test]
@@ -75,8 +130,8 @@ fn out_of_bounds_shared_access_is_caught() {
         run(
             MachineConfig::new(2),
             |m| m.alloc(8),
-            |ctx, &r| {
-                let _ = ctx.read(r, 64); // past the region
+            |mut ctx, r| async move {
+                let _ = ctx.read(r, 64).await; // past the region
             },
         );
     });
@@ -117,13 +172,13 @@ fn deadlocked_application_is_detected() {
         run(
             MachineConfig::new(2),
             |m| m.alloc(1),
-            |ctx, _| {
+            |mut ctx, _| async move {
                 if ctx.proc_id() == 0 {
-                    ctx.lock(7);
+                    ctx.lock(7).await;
                     // Never unlocks; finishes holding the lock.
                 } else {
                     ctx.compute(10_000);
-                    ctx.lock(7); // waits forever
+                    ctx.lock(7).await; // waits forever
                 }
             },
         );
