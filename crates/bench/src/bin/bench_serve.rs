@@ -16,6 +16,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use commchar_bench::{git_rev, host_cores};
 use commchar_core::analyze::try_analyze_trace;
 use commchar_core::report::analysis_report;
 use commchar_mesh::MeshConfig;
@@ -98,19 +99,9 @@ fn drive_session(addr: &str, trace: &CommTrace, polls: bool) -> u64 {
     events
 }
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let host_cores = host_cores();
     let sessions = if quick { 8 } else { 32 };
     let events_per_session = if quick { 25_000 } else { 100_000 };
 

@@ -20,6 +20,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
+use commchar_bench::{git_rev, host_cores};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
 use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
@@ -93,16 +94,6 @@ fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// One section's measurements, rendered into the shared JSON document.
@@ -270,7 +261,7 @@ fn bench_spasm(quick: bool, iters: u32, jobs: usize) -> Section {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let iters = if quick { 1 } else { 3 };
-    let host_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let host_cores = host_cores();
     // Time with one shard per core (capped: past 8 the windows thin out
     // on these workloads), but never fewer than 2 so the sharded path is
     // exercised even on single-core hosts.

@@ -139,6 +139,8 @@ struct ShardSlot {
     inbox: BinaryHeap<Reverse<InEv>>,
     /// Last processed cycle (for the merged wedge report).
     clock: Option<u64>,
+    /// Cycles this shard processed.
+    stepped: u64,
 }
 
 /// State shared by the workers of one sharded drain.
@@ -172,8 +174,9 @@ struct Shared {
 /// Drains a prepared workspace to completion on `shards` workers (batch
 /// start: `clock = None`; mid-run closed-loop state: the last committed
 /// cycle), leaving merged per-worm deliveries and per-output busy ticks
-/// in `ws` exactly as the serial drain would. The worker `team` is
-/// lazily (re)created and reused across calls when large enough.
+/// in `ws` exactly as the serial drain would, and returns the cycles the
+/// shards processed (summed). The worker `team` is lazily (re)created
+/// and reused across calls when large enough.
 pub(super) fn drain_sharded(
     cfg: &MeshConfig,
     ws: &mut Workspace,
@@ -181,7 +184,7 @@ pub(super) fn drain_sharded(
     remaining: usize,
     shards: usize,
     team: &mut Option<Team>,
-) -> Result<(), EngineError> {
+) -> Result<u64, EngineError> {
     debug_assert!(shards >= 2);
     let rows = cfg.shape.height() as usize;
     let width = cfg.shape.width() as usize;
@@ -244,7 +247,7 @@ pub(super) fn drain_sharded(
         };
         return Err(EngineError::Wedged { report });
     }
-    Ok(())
+    Ok(slots.iter().map(|s| s.stepped).sum())
 }
 
 /// Clones the prepared workspace for the band `[lo, hi)` and applies the
@@ -355,7 +358,7 @@ fn split_shard(cfg: &MeshConfig, ws: &Workspace, lo: usize, hi: usize) -> ShardS
 
     let remaining =
         ws.worms.iter().filter(|w| w.delivered.is_none() && local(w.msg.dst.index())).count();
-    ShardSlot { ws: sw, ctx, remaining, inbox: BinaryHeap::new(), clock: None }
+    ShardSlot { ws: sw, ctx, remaining, inbox: BinaryHeap::new(), clock: None, stepped: 0 }
 }
 
 /// Folds the shard results back into the caller's workspace: deliveries
@@ -379,27 +382,13 @@ fn merge_shards(ws: &mut Workspace, slots: &[ShardSlot]) {
 
 /// The serial engine's wedge report over the merged shard states.
 fn wedge_report_merged(cfg: &MeshConfig, ws: &mut Workspace, remaining: usize, t: u64) -> String {
-    let vcs = cfg.virtual_channels;
-    let engine = Engine {
-        cfg: *cfg,
-        vcs,
-        stride: NPORTS * vcs,
-        wheel: (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two(),
-        cap: cfg.buffer_flits.next_power_of_two(),
-        ws,
-        remaining,
-        shard: None,
-    };
-    engine.wedge_report(t)
+    Engine::new(*cfg, ws, remaining, None).wedge_report(t)
 }
 
 /// One shard's event loop: wavefront-synchronized cycles over the local
 /// band, boundary events in and out, cooperative termination.
 fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
     let cfg = sh.cfg;
-    let vcs = cfg.virtual_channels;
-    let wheel = (cfg.link_delay.max(cfg.router_delay) + 2).next_power_of_two();
-    let cap = cfg.buffer_flits.next_power_of_two();
     let guard_limit: u64 = 200_000_000;
 
     let mut clock = sh.clock0;
@@ -452,16 +441,7 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
             is_dry = false;
         }
 
-        let mut engine = Engine {
-            cfg,
-            vcs,
-            stride: NPORTS * vcs,
-            wheel,
-            cap,
-            ws: &mut st.ws,
-            remaining: st.remaining,
-            shard: Some(&mut st.ctx),
-        };
+        let mut engine = Engine::new(cfg, &mut st.ws, st.remaining, Some(&mut st.ctx));
         let next_local = match clock {
             Some(c) => engine.next_time(c),
             None => engine.first_time(),
@@ -511,6 +491,7 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
                 engine.land_arrivals(t);
                 engine.promote_ring(t);
                 engine.scan(t);
+                st.stepped += 1;
                 let delivered = st.remaining - engine.remaining;
                 st.remaining = engine.remaining;
                 clock = Some(t);

@@ -69,7 +69,7 @@ mod wormhole;
 
 pub use config::MeshConfig;
 pub use engine::{EngineError, EngineKind, IncrementalFlit, NetEngine};
-pub use flit::FlitLevel;
+pub use flit::{FlitLevel, FlitWork};
 pub use flit_ref::FlitCycleReference;
 pub use log::{MsgRecord, NetLog, NetSummary};
 pub use sink::{LogSink, StreamingLog};

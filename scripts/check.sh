@@ -11,7 +11,8 @@
 # check (the same workload characterized with --jobs 1 and --jobs 4 must
 # print identical reports), an engine diff (replaying the checked-in
 # fixture trace with --engine recurrence must stay byte-identical to the
-# output captured before the NetEngine refactor), a streaming smoke
+# output captured before the NetEngine refactor, and with --engine flit
+# to the output captured before steady-stream skipping), a streaming smoke
 # (a packed trace with a deliberately small block budget characterized
 # out-of-core with --stream must print byte-identically to the in-memory
 # --no-replay pass over the same events), a sharded-simulator smoke
@@ -105,10 +106,12 @@ cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --no-replay
 cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --stream --block-jobs 3 >"$tmpdir/sig.stream.txt"
 diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.txt"
 
-echo "==> engine diff smoke (--engine recurrence vs pre-refactor fixture)"
+echo "==> engine diff smoke (--engine recurrence and flit vs checked-in fixtures)"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine recurrence >"$tmpdir/replay.rec.txt"
 diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.rec.txt"
-cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit | sed 's/^/    /'
+cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/replay.flit.txt"
+diff tests/fixtures/engine_diff.replay.flit.txt "$tmpdir/replay.flit.txt"
+sed 's/^/    /' "$tmpdir/replay.flit.txt"
 
 echo "==> sharded simulator smoke (--sim-jobs 4 vs --sim-jobs 1 diff)"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --sim-jobs 1 >"$tmpdir/replay.s1.txt"
