@@ -19,14 +19,14 @@
 //!
 //! Results go to stdout and `BENCH_engine.json` at the repo root, with
 //! the host's cores, the git revision and the incremental engine's work
-//! counters. `--quick` runs one iteration on smaller workloads (the
-//! `scripts/check.sh --bench-smoke` mode).
+//! counters. `--quick` runs smaller workloads (the `scripts/check.sh
+//! --bench-smoke` mode) and times the long-worm section once; the
+//! asserted section keeps the best of three in either mode.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
-use commchar_bench::{git_rev, host_cores, long_worms};
+use commchar_bench::{git_rev, host_cores, long_worms, time_best, timing_iters};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
 use commchar_mesh::{
@@ -123,17 +123,6 @@ fn throughput(name: &'static str, cfg: MeshConfig, msgs: &[NetMessage], iters: u
     }
 }
 
-/// Best-of-`iters` wall-clock seconds for one closure.
-fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 struct AppRow {
     app: &'static str,
     rec_mean: f64,
@@ -171,7 +160,6 @@ fn fidelity(scale: Scale) -> Vec<AppRow> {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let iters = if quick { 1 } else { 3 };
     let scale = if quick { Scale::Tiny } else { Scale::Small };
 
     println!("closed-loop engine comparison: recurrence vs cycle-accurate flit\n");
@@ -204,9 +192,10 @@ fn main() {
     let cfg = MeshConfig::new(8, 8).with_virtual_channels(2);
     let msgs = uniform(42, 64, if quick { 1500 } else { 6000 }, 48, 96);
     let long = long_worms(7, 16, if quick { 40 } else { 120 }, 1500);
+    // Only the first section's overhead is asserted.
     let sections = [
-        throughput("uniform_8x8_vc2", cfg, &msgs, iters),
-        throughput("long_worms_4x4", MeshConfig::new(4, 4), &long, iters),
+        throughput("uniform_8x8_vc2", cfg, &msgs, timing_iters(quick, true)),
+        throughput("long_worms_4x4", MeshConfig::new(4, 4), &long, timing_iters(quick, false)),
     ];
     println!();
     for t in &sections {

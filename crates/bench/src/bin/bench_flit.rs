@@ -7,14 +7,14 @@
 //! `BENCH_flit.json` at the repo root — the perf-trajectory file future
 //! changes compare against. Each row also records the event loop's
 //! deterministic work counters (cycles stepped one at a time, cycles
-//! covered by steady-stream skips, skips taken). `--quick` runs one
-//! iteration per workload (the `scripts/check.sh --bench-smoke` mode);
-//! the default runs three and keeps the best.
+//! covered by steady-stream skips, skips taken). `--quick` runs smaller
+//! workloads (the `scripts/check.sh --bench-smoke` mode) and times the
+//! unasserted ones once; the default, and the asserted workloads in either
+//! mode, keep the best of three.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use commchar_bench::{git_rev, host_cores, long_worms};
+use commchar_bench::{git_rev, host_cores, long_worms, time_best, timing_iters};
 use commchar_des::SimTime;
 use commchar_mesh::{
     FlitCycleReference, FlitLevel, FlitWork, MeshConfig, MeshModel, NetMessage, NodeId, Routing,
@@ -105,6 +105,11 @@ fn bursts(
     msgs
 }
 
+/// Host cores from which the torus speedup floor is asserted: tiny CI
+/// runners time-slice the single-threaded bench enough that ratios below
+/// the floor are scheduler noise, not a regression.
+const TORUS_FLOOR_CORES: usize = 4;
+
 fn workloads(quick: bool) -> Vec<Workload> {
     let scale = if quick { 1 } else { 2 };
     vec![
@@ -167,20 +172,9 @@ struct Row {
     work: FlitWork,
 }
 
-/// Best-of-`iters` wall-clock seconds for one closure.
-fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let iters = if quick { 1 } else { 3 };
+    let host_cores = host_cores();
     let mut rows = Vec::new();
 
     println!("flit router throughput: event-driven vs cycle-loop reference");
@@ -208,6 +202,9 @@ fn main() {
         let blocked: u64 = fast_log.records().iter().map(|r| r.blocked()).sum();
         let mean_blocked = blocked as f64 / fast_log.records().len() as f64;
 
+        let asserted = w.name == "8x8_contention"
+            || (w.name == "8x8_torus_contention" && host_cores >= TORUS_FLOOR_CORES);
+        let iters = timing_iters(quick, asserted);
         let mut fast = FlitLevel::new(w.cfg);
         let t_fast = time_best(iters, || {
             let log = fast.simulate(&w.msgs);
@@ -248,7 +245,6 @@ fn main() {
     // Hand-rolled JSON (serde is stripped from the offline build). The
     // host core count and git revision make a stale trajectory file
     // self-describing about the machine and tree that produced it.
-    let host_cores = host_cores();
     let mut json = String::from("{\n  \"bench\": \"flit_router_throughput\",\n  \"mode\": ");
     let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
@@ -285,11 +281,8 @@ fn main() {
         "8x8_contention speedup {:.2}x below the 5x acceptance floor",
         headline.speedup
     );
-    // The torus floor only binds on hosts with ≥4 cores: tiny CI runners
-    // time-slice the single-threaded bench enough that ratios below the
-    // floor are scheduler noise, not a regression.
     let torus = rows.iter().find(|r| r.name == "8x8_torus_contention").expect("torus workload");
-    if host_cores >= 4 {
+    if host_cores >= TORUS_FLOOR_CORES {
         assert!(
             torus.speedup >= 4.0,
             "8x8_torus_contention speedup {:.2}x below the 4x acceptance floor",

@@ -13,14 +13,14 @@
 //! cores; on smaller machines the bench still runs the identity checks
 //! and records the measured ratios (with `floor_asserted: false` and the
 //! skip reason in the JSON), but a speedup assertion would only be
-//! measuring the scheduler. `--quick` runs one iteration on a shorter
-//! workload (the `scripts/check.sh --bench-smoke` mode).
+//! measuring the scheduler. `--quick` runs a shorter workload (the
+//! `scripts/check.sh --bench-smoke` mode), timed once unless the floors
+//! are asserted, in which case it keeps the best of three like a full run.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
-use commchar_bench::{git_rev, host_cores};
+use commchar_bench::{git_rev, host_cores, time_best, timing_iters};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
 use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
@@ -83,17 +83,6 @@ fn contended(seed: u64, waves: usize, gap: u64, min_b: u64, max_b: u64) -> Vec<N
         t += gap;
     }
     msgs
-}
-
-/// Best-of-`iters` wall-clock seconds for one closure.
-fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// One section's measurements, rendered into the shared JSON document.
@@ -260,8 +249,10 @@ fn bench_spasm(quick: bool, iters: u32, jobs: usize) -> Section {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let iters = if quick { 1 } else { 3 };
     let host_cores = host_cores();
+    let assert_floor = host_cores >= 4;
+    let skip_reason = (!assert_floor).then(|| format!("host_cores {host_cores} < 4"));
+    let iters = timing_iters(quick, assert_floor);
     // Time with one shard per core (capped: past 8 the windows thin out
     // on these workloads), but never fewer than 2 so the sharded path is
     // exercised even on single-core hosts.
@@ -279,9 +270,6 @@ fn main() {
     );
     flit.print();
     spasm.print();
-
-    let assert_floor = host_cores >= 4;
-    let skip_reason = (!assert_floor).then(|| format!("host_cores {host_cores} < 4"));
 
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"shard_speedup\",\n  \"mode\": ");

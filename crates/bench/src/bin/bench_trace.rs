@@ -6,17 +6,37 @@
 //! cross-checked for event identity against the JSON-lines parse, so the
 //! throughput numbers are never bought with divergence. Size ratio and
 //! decode rates are printed and written to `BENCH_trace.json` at the repo
-//! root — the perf-trajectory file future changes compare against.
-//! `--quick` runs one iteration on smaller traces (the
-//! `scripts/check.sh --bench-smoke` mode); the default runs three and
-//! keeps the best.
+//! root — the perf-trajectory file future changes compare against — with
+//! the host's cores, the git revision and the floors.
+//!
+//! Three floors are asserted on `synthetic_large`: the packed file is at
+//! least 5× smaller, the packed decode reaches 3× the JSON-lines rate
+//! this file recorded before the single-pass JSON-lines parser
+//! (1,141,070 events/s), and the JSON-lines parse reaches 1.5 M events/s.
+//! The decode floors are absolute rates, not a ratio of the two paths, so
+//! a faster JSON-lines parser cannot trip the packed floor.
+//!
+//! `--quick` runs smaller traces (the `scripts/check.sh --bench-smoke`
+//! mode) and times the unasserted workloads once; the default, and the
+//! asserted workload in either mode, keep the best of three.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
+use commchar_bench::{git_rev, host_cores, time_best, timing_iters};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{pack_trace, unpack_trace, unpack_trace_parallel};
+
+/// The workload the floors are asserted on.
+const HEADLINE: &str = "synthetic_large";
+/// Floor on the headline's JSON-lines / packed size ratio.
+const SIZE_RATIO_FLOOR: f64 = 5.0;
+/// Floor on the headline's parallel packed decode rate, events/s: 3× the
+/// JSON-lines rate recorded before the single-pass parser, which is what
+/// the earlier `decode_speedup >= 3` floor demanded then.
+const PACKED_EVENTS_PER_SEC_FLOOR: f64 = 3.0 * 1_141_070.5;
+/// Floor on the headline's JSON-lines parse rate, events/s.
+const JSONL_EVENTS_PER_SEC_FLOOR: f64 = 1_500_000.0;
 
 /// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
 struct Lcg(u64);
@@ -79,9 +99,9 @@ fn workloads(quick: bool) -> Vec<Workload> {
         // The headline workload: a profiler-shaped synthetic trace large
         // enough that parse cost dominates. The packed decode wins on two
         // axes — 5x fewer bytes to touch, and a columnar varint scan
-        // instead of a per-field string search — and the block layout lets
-        // worker threads decode independent blocks concurrently.
-        Workload { name: "synthetic_large", trace: synthetic(42, 64, 50_000 * scale) },
+        // instead of tokenizing text — and the block layout lets worker
+        // threads decode independent blocks concurrently.
+        Workload { name: HEADLINE, trace: synthetic(42, 64, 50_000 * scale) },
         Workload { name: "synthetic_16n", trace: synthetic(7, 16, 10_000 * scale) },
         Workload {
             name: "app_3d-fft",
@@ -94,21 +114,9 @@ fn workloads(quick: bool) -> Vec<Workload> {
     ]
 }
 
-/// Best-of-`iters` wall-clock seconds for one closure.
-fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
 #[allow(clippy::too_many_lines)]
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let iters = if quick { 1 } else { 3 };
     let mut rows = Vec::new();
 
     println!("trace store: packed columnar format vs JSON-lines");
@@ -137,6 +145,7 @@ fn main() {
         assert_eq!(from_jsonl.events(), parallel.events(), "{}: parallel diverged", w.name);
         assert_eq!(from_jsonl.nodes(), sequential.nodes(), "{}: nodes diverged", w.name);
 
+        let iters = timing_iters(quick, w.name == HEADLINE);
         let t_jsonl = time_best(iters, || {
             let t = CommTrace::from_jsonl(&jsonl).expect("jsonl parse");
             assert_eq!(t.len(), w.trace.len());
@@ -174,7 +183,16 @@ fn main() {
 
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"trace_store\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",\n  \"workloads\": [", if quick { "quick" } else { "full" });
+    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
+    let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
+    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
+    let _ = writeln!(
+        json,
+        "  \"floor\": {{\"workload\": \"{HEADLINE}\", \"size_ratio\": {SIZE_RATIO_FLOOR:.1}, \
+         \"packed_events_per_sec\": {PACKED_EVENTS_PER_SEC_FLOOR:.1}, \
+         \"jsonl_events_per_sec\": {JSONL_EVENTS_PER_SEC_FLOOR:.1}}},"
+    );
+    json.push_str("  \"floor_asserted\": true,\n  \"workloads\": [\n");
     for (i, (name, events, jsonl_b, packed_b, ratio, jsonl_rate, packed_rate, speedup)) in
         rows.iter().enumerate()
     {
@@ -194,15 +212,20 @@ fn main() {
     std::fs::write(path, &json).expect("write BENCH_trace.json");
     println!("wrote {path}");
 
-    let headline = rows.iter().find(|r| r.0 == "synthetic_large").expect("headline workload");
+    let &(_, _, _, _, ratio, jsonl_rate, packed_rate, _) =
+        rows.iter().find(|r| r.0 == HEADLINE).expect("headline workload");
     assert!(
-        headline.4 >= 5.0,
-        "synthetic_large size ratio {:.2}x below the 5x acceptance floor",
-        headline.4
+        ratio >= SIZE_RATIO_FLOOR,
+        "{HEADLINE} size ratio {ratio:.2}x below the {SIZE_RATIO_FLOOR}x acceptance floor"
     );
     assert!(
-        headline.7 >= 3.0,
-        "synthetic_large decode speedup {:.2}x below the 3x acceptance floor",
-        headline.7
+        packed_rate >= PACKED_EVENTS_PER_SEC_FLOOR,
+        "{HEADLINE} packed decode {packed_rate:.0} events/s below the \
+         {PACKED_EVENTS_PER_SEC_FLOOR:.0} acceptance floor"
+    );
+    assert!(
+        jsonl_rate >= JSONL_EVENTS_PER_SEC_FLOOR,
+        "{HEADLINE} JSON-lines parse {jsonl_rate:.0} events/s below the \
+         {JSONL_EVENTS_PER_SEC_FLOOR:.0} acceptance floor"
     );
 }

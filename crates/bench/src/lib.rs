@@ -139,6 +139,29 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Timing repetitions for one bench row: a full run keeps the best of
+/// three everywhere, and a `--quick` run times a row once unless a floor
+/// asserts on it — that row keeps the best of three, so one descheduled
+/// run on a busy host cannot trip the floor.
+pub fn timing_iters(quick: bool, asserted: bool) -> u32 {
+    if quick && !asserted {
+        1
+    } else {
+        3
+    }
+}
+
+/// Best-of-`iters` wall-clock seconds for one closure.
+pub fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..iters {
+        let start = std::time::Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// Long worms: `count` messages of 2–8 KB (1,000–4,000 two-byte flits)
 /// between random distinct nodes, injected `gap` cycles apart on average,
 /// so a few stream at once and sometimes share a link — the message shape

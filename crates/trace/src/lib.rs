@@ -162,7 +162,7 @@ impl CommTrace {
     pub fn to_jsonl(&self) -> String {
         let mut out = format!("{{\"nodes\":{}}}\n", self.nodes);
         for e in &self.events {
-            out.push_str(&serde_json::ser_event(e));
+            out.push_str(&jsonl::ser_event(e));
             out.push('\n');
         }
         out
@@ -170,21 +170,40 @@ impl CommTrace {
 
     /// Parses the JSON-lines format produced by [`CommTrace::to_jsonl`].
     ///
+    /// The first non-blank line is the header `{"nodes":N}`; every later
+    /// non-blank line is one event object with the keys `id`, `t`, `src`,
+    /// `dst`, `bytes` (unsigned decimal integers that must fit the field:
+    /// `u64`, `u64`, `u16`, `u16`, `u32`), `kind` (`"control"`, `"data"`
+    /// or `"sync"`) and an optional `dep` (`u64`). Each line is one flat
+    /// JSON object, read in a single forward pass:
+    ///
+    /// - keys may come in any order, each known key at most once, with
+    ///   JSON whitespace around any token (so CRLF line endings parse);
+    /// - unknown keys are skipped when their value is a scalar (string,
+    ///   number, `true`, `false`, `null`), and rejected when it is an
+    ///   object or array;
+    /// - keys and the `kind` string are matched literally, without
+    ///   decoding escapes;
+    /// - integers are digits only, so a sign, fraction, exponent, or a
+    ///   value that overflows its field is an error, as is anything after
+    ///   the closing brace.
+    ///
     /// # Errors
     ///
     /// Returns a description of the first malformed line, naming its
-    /// 1-based line number and quoting a truncated excerpt of the payload
-    /// — so a single corrupt line in a gigabyte trace is locatable, and
-    /// distinguishable from a format bug.
+    /// 1-based line number, what was wrong, and a truncated excerpt of the
+    /// payload — so a single corrupt line in a gigabyte trace is
+    /// locatable, and distinguishable from a format bug.
     pub fn from_jsonl(s: &str) -> Result<CommTrace, String> {
         // Line numbers count every physical line; blank lines are
         // skipped for parsing but still advance the count.
         let mut lines = s.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let (header_no, header) = lines.next().ok_or("empty input: no header line")?;
-        let nodes = serde_json::field_u64(header, "nodes").ok_or_else(|| {
+        let nodes = jsonl::parse_header(header).map_err(|why| {
             format!(
-                "line {}: bad header, expected {{\"nodes\":N}} ({})",
+                "line {}: bad header, expected {{\"nodes\":N}}: {} ({})",
                 header_no + 1,
+                why.describe(header),
                 excerpt(header)
             )
         })?;
@@ -200,8 +219,14 @@ impl CommTrace {
         let nodes = nodes as usize;
         let mut trace = CommTrace::new(nodes);
         for (i, line) in lines {
-            let ev = serde_json::parse_event(line)
-                .ok_or_else(|| format!("line {}: unparseable event ({})", i + 1, excerpt(line)))?;
+            let ev = jsonl::parse_event(line).map_err(|why| {
+                format!(
+                    "line {}: unparseable event: {} ({})",
+                    i + 1,
+                    why.describe(line),
+                    excerpt(line)
+                )
+            })?;
             if (ev.src as usize) >= nodes || (ev.dst as usize) >= nodes || ev.src == ev.dst {
                 return Err(format!(
                     "line {}: endpoints invalid for {nodes} nodes ({})",
@@ -272,10 +297,11 @@ fn excerpt(line: &str) -> String {
     }
 }
 
-// A tiny hand-rolled JSON codec: the trace format is a flat object per
-// line, simple enough that pulling in serde_json (unavailable in the
-// offline build environment) is unnecessary.
-mod serde_json {
+// A tiny hand-rolled JSON-lines codec: the trace format is a flat object
+// per line, simple enough that pulling in serde_json (unavailable in the
+// offline build environment) is unnecessary. A line is read in one forward
+// pass over its bytes; [`CommTrace::from_jsonl`] states the grammar.
+mod jsonl {
     use super::{CommEvent, EventKind};
 
     pub(crate) fn ser_event(e: &CommEvent) -> String {
@@ -291,42 +317,254 @@ mod serde_json {
         }
     }
 
-    /// Extracts a numeric field `"name":123` from a flat JSON object line.
-    pub(crate) fn field_u64(line: &str, name: &str) -> Option<u64> {
-        let key = format!("\"{name}\":");
-        let start = line.find(&key)? + key.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}'])?;
-        rest[..end].trim().parse().ok()
-    }
-
-    fn field_str<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-        let key = format!("\"{name}\":\"");
-        let start = line.find(&key)? + key.len();
-        let rest = &line[start..];
-        let end = rest.find('"')?;
-        Some(&rest[..end])
-    }
-
-    pub(crate) fn parse_event(line: &str) -> Option<CommEvent> {
-        let kind = match field_str(line, "kind")? {
-            "control" => EventKind::Control,
-            "data" => EventKind::Data,
-            "sync" => EventKind::Sync,
-            _ => return None,
-        };
-        let mut ev = CommEvent::new(
-            field_u64(line, "id")?,
-            field_u64(line, "t")?,
-            field_u64(line, "src")? as u16,
-            field_u64(line, "dst")? as u16,
-            field_u64(line, "bytes")? as u32,
-            kind,
-        );
-        if line.contains("\"dep\":") {
-            ev = ev.after(field_u64(line, "dep")?);
+    /// Parses the `{"nodes":N}` header line.
+    pub(crate) fn parse_header(line: &str) -> Result<u64, Bad> {
+        let mut c = Cursor::open(line)?;
+        let mut nodes = None;
+        while let Some(key) = c.next_key()? {
+            match key {
+                b"nodes" => set_once(&mut nodes, c.uint()?, "nodes")?,
+                _ => c.skip_scalar()?,
+            }
         }
-        Some(ev)
+        nodes.ok_or(Bad::Missing("nodes"))
+    }
+
+    /// Parses one event line.
+    pub(crate) fn parse_event(line: &str) -> Result<CommEvent, Bad> {
+        let mut c = Cursor::open(line)?;
+        let (mut id, mut t, mut src, mut dst, mut bytes, mut dep, mut kind) =
+            (None, None, None, None, None, None, None);
+        while let Some(key) = c.next_key()? {
+            match key {
+                b"id" => set_once(&mut id, c.uint()?, "id")?,
+                b"t" => set_once(&mut t, c.uint()?, "t")?,
+                b"src" => set_once(&mut src, c.uint()?, "src")?,
+                b"dst" => set_once(&mut dst, c.uint()?, "dst")?,
+                b"bytes" => set_once(&mut bytes, c.uint()?, "bytes")?,
+                b"dep" => set_once(&mut dep, c.uint()?, "dep")?,
+                b"kind" => {
+                    c.skip_ws();
+                    let at = c.pos;
+                    let k = match c.string()? {
+                        b"control" => EventKind::Control,
+                        b"data" => EventKind::Data,
+                        b"sync" => EventKind::Sync,
+                        _ => return Err(Bad::UnknownKind(at, c.pos)),
+                    };
+                    set_once(&mut kind, k, "kind")?;
+                }
+                _ => c.skip_scalar()?,
+            }
+        }
+        let mut ev = CommEvent::new(
+            field(id, "id")?,
+            field(t, "t")?,
+            field(src, "src")?,
+            field(dst, "dst")?,
+            field(bytes, "bytes")?,
+            kind.ok_or(Bad::Missing("kind"))?,
+        );
+        ev.depends_on = dep;
+        Ok(ev)
+    }
+
+    /// Why a line failed to parse. It is built without allocating, so the
+    /// happy path stays cheap, and is rendered against its line by
+    /// [`Bad::describe`]. Byte offsets are 0-based.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Bad {
+        /// The byte at the offset does not start the wanted token, or the
+        /// line ends there.
+        Expected(&'static str, usize),
+        /// The integer starting at the offset overflows `u64`.
+        Overflow(usize),
+        /// A known key appears more than once.
+        Repeated(&'static str),
+        /// A required key is absent.
+        Missing(&'static str),
+        /// A key's value does not fit its field's type.
+        OutOfRange(&'static str, &'static str),
+        /// The `kind` string between the offsets names no [`EventKind`].
+        UnknownKind(usize, usize),
+    }
+
+    impl Bad {
+        /// What went wrong in `line`, for an error message.
+        pub(crate) fn describe(self, line: &str) -> String {
+            match self {
+                Bad::Expected(wanted, at) => match line.get(at..).and_then(|s| s.chars().next()) {
+                    Some(found) => format!("expected {wanted} at byte {}, found {found:?}", at + 1),
+                    None => format!("line ends where {wanted} was expected"),
+                },
+                Bad::Overflow(at) => format!("integer at byte {} overflows u64", at + 1),
+                Bad::Repeated(key) => format!("repeated key \"{key}\""),
+                Bad::Missing(key) => format!("missing key \"{key}\""),
+                Bad::OutOfRange(key, ty) => format!("\"{key}\" value does not fit {ty}"),
+                Bad::UnknownKind(from, to) => {
+                    format!("unknown kind {}", line.get(from..to).unwrap_or("?"))
+                }
+            }
+        }
+    }
+
+    /// Stores a key's value, rejecting a second occurrence of the key.
+    fn set_once<T>(slot: &mut Option<T>, value: T, key: &'static str) -> Result<(), Bad> {
+        match slot.replace(value) {
+            Some(_) => Err(Bad::Repeated(key)),
+            None => Ok(()),
+        }
+    }
+
+    /// A required key's value, narrowed to its field's type.
+    fn field<T: TryFrom<u64>>(value: Option<u64>, key: &'static str) -> Result<T, Bad> {
+        let v = value.ok_or(Bad::Missing(key))?;
+        T::try_from(v).map_err(|_| Bad::OutOfRange(key, std::any::type_name::<T>()))
+    }
+
+    /// A forward cursor over one line holding a single flat JSON object.
+    struct Cursor<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        /// No key has been read yet.
+        first: bool,
+    }
+
+    impl<'a> Cursor<'a> {
+        /// Opens the object that must span `line`.
+        fn open(line: &'a str) -> Result<Self, Bad> {
+            let mut c = Cursor { bytes: line.as_bytes(), pos: 0, first: true };
+            c.expect(b'{', "'{'")?;
+            Ok(c)
+        }
+
+        /// The next key, with its `:` consumed so the caller reads the
+        /// value next; `None` at the closing brace, once only whitespace
+        /// follows it.
+        fn next_key(&mut self) -> Result<Option<&'a [u8]>, Bad> {
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                self.skip_ws();
+                if self.pos < self.bytes.len() {
+                    return Err(Bad::Expected("the end of the line", self.pos));
+                }
+                return Ok(None);
+            }
+            if self.first {
+                self.first = false;
+            } else {
+                self.expect(b',', "',' or '}'")?;
+            }
+            let key = self.string()?;
+            self.expect(b':', "':'")?;
+            Ok(Some(key))
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn skip_ws(&mut self) {
+            while let Some(b' ' | b'\t' | b'\r' | b'\n') = self.peek() {
+                self.pos += 1;
+            }
+        }
+
+        /// Consumes `byte` after optional whitespace; `wanted` names it
+        /// in the error.
+        fn expect(&mut self, byte: u8, wanted: &'static str) -> Result<(), Bad> {
+            self.skip_ws();
+            if self.peek() != Some(byte) {
+                return Err(Bad::Expected(wanted, self.pos));
+            }
+            self.pos += 1;
+            Ok(())
+        }
+
+        /// A string's raw contents, between its quotes; escapes are
+        /// stepped over, not decoded.
+        fn string(&mut self) -> Result<&'a [u8], Bad> {
+            self.expect(b'"', "a string")?;
+            let start = self.pos;
+            loop {
+                match self.peek() {
+                    None => return Err(Bad::Expected("a closing '\"'", self.bytes.len())),
+                    Some(b'"') => break,
+                    Some(b'\\') => self.pos += 2,
+                    Some(_) => self.pos += 1,
+                }
+            }
+            self.pos += 1;
+            Ok(&self.bytes[start..self.pos - 1])
+        }
+
+        /// An unsigned decimal integer, rejecting `u64` overflow.
+        fn uint(&mut self) -> Result<u64, Bad> {
+            self.skip_ws();
+            let start = self.pos;
+            let mut v = 0u64;
+            while let Some(d @ b'0'..=b'9') = self.peek() {
+                v = v
+                    .checked_mul(10)
+                    .and_then(|v| v.checked_add(u64::from(d - b'0')))
+                    .ok_or(Bad::Overflow(start))?;
+                self.pos += 1;
+            }
+            if self.pos == start {
+                return Err(Bad::Expected("an unsigned integer", start));
+            }
+            Ok(v)
+        }
+
+        /// Steps over one scalar value: a string, a number, `true`, `false`
+        /// or `null`.
+        fn skip_scalar(&mut self) -> Result<(), Bad> {
+            self.skip_ws();
+            if self.peek() == Some(b'"') {
+                return self.string().map(drop);
+            }
+            let start = self.pos;
+            while let Some(b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'+' | b'-' | b'.') =
+                self.peek()
+            {
+                self.pos += 1;
+            }
+            let token = &self.bytes[start..self.pos];
+            if matches!(token, b"true" | b"false" | b"null") || is_number(token) {
+                Ok(())
+            } else {
+                Err(Bad::Expected("a scalar value", start))
+            }
+        }
+    }
+
+    /// Whether `t` is a JSON number (leading zeros allowed, as in integer
+    /// fields).
+    fn is_number(t: &[u8]) -> bool {
+        let digits = |t: &[u8]| t.iter().take_while(|b| b.is_ascii_digit()).count();
+        let t = t.strip_prefix(b"-").unwrap_or(t);
+        let mut n = digits(t);
+        if n == 0 {
+            return false;
+        }
+        let mut rest = &t[n..];
+        if let Some(frac) = rest.strip_prefix(b".") {
+            n = digits(frac);
+            rest = &frac[n..];
+            if n == 0 {
+                return false;
+            }
+        }
+        if let Some(exp) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
+            let exp = exp.strip_prefix(b"+").or_else(|| exp.strip_prefix(b"-")).unwrap_or(exp);
+            n = digits(exp);
+            rest = &exp[n..];
+            if n == 0 {
+                return false;
+            }
+        }
+        rest.is_empty()
     }
 }
 

@@ -215,8 +215,10 @@ pub fn load_trace(bytes: &[u8]) -> Result<CommTrace, TraceStoreError> {
     if is_packed(bytes) {
         return unpack_trace_parallel(bytes, 0);
     }
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| TraceStoreError::Jsonl(format!("input is neither packed nor UTF-8: {e}")))?;
+    let text = std::str::from_utf8(bytes).map_err(|e| {
+        let line = 1 + bytes[..e.valid_up_to()].iter().filter(|&&b| b == b'\n').count();
+        TraceStoreError::Jsonl(format!("input is neither packed nor UTF-8: {e} (line {line})"))
+    })?;
     CommTrace::from_jsonl(text).map_err(TraceStoreError::Jsonl)
 }
 
@@ -273,6 +275,11 @@ mod tests {
         // Non-UTF8, non-magic bytes.
         let err = load_trace(&[0xff, 0xfe, 0x00, 0x01]).unwrap_err();
         assert!(matches!(err, TraceStoreError::Jsonl(_)), "{err}");
+        // A stray non-UTF-8 byte deep in a JSON-lines trace: the error
+        // names its line (blank lines count).
+        let input = b"{\"nodes\":2}\n\n{\"id\":0,\"t\":1,\"src\":0,\"dst\":1,\"bytes\":8,\"kind\":\"d\xe1ta\"}\n";
+        let err = load_trace(input).unwrap_err().to_string();
+        assert!(err.contains("neither packed nor UTF-8") && err.ends_with("(line 3)"), "{err}");
         // UTF-8 but not a trace.
         let err = load_trace(b"hello world\n").unwrap_err();
         assert!(matches!(err, TraceStoreError::Jsonl(_)), "{err}");

@@ -30,8 +30,9 @@
 # through serve-feed — once from a file, once streamed over stdin with
 # --trace - — and each final report diffed against offline characterize
 # --no-replay: the wire must not change a byte), and a no-panic smoke
-# (bad processor counts and an oversized trace header must exit 1 with
-# an `error:` line, never a panic).
+# (bad processor counts, an oversized trace header and a trace line whose
+# `src` and `bytes` overflow their fields must exit 1 with an `error:`
+# line, never a panic).
 #
 # The benchmark package (benchmark/, a workspace of its own) is gated
 # too: fmt, clippy with warnings denied, and its tests in release mode.
@@ -171,10 +172,13 @@ expect_error() {
     echo "    $(head -n 1 "$tmpdir/err.txt")"
 }
 printf '{"nodes":4097}\n' >"$tmpdir/wide.jsonl"
+printf '{"nodes":4}\n{"id":0,"t":1,"src":65537,"dst":0,"bytes":4294967304,"kind":"data"}\n' \
+    >"$tmpdir/wrapped.jsonl"
 expect_error run 1d-fft --procs 3 --scale tiny
 expect_error run is --procs 0
 expect_error suite --procs 3 --scale tiny
 expect_error characterize --trace "$tmpdir/wide.jsonl" --no-replay
+expect_error trace pack "$tmpdir/wrapped.jsonl" --out "$tmpdir/wrapped.cct"
 
 if [ "$bench_smoke" -eq 1 ]; then
     echo "==> flit throughput bench (quick smoke)"
