@@ -13,9 +13,9 @@
 //! workload adds to the characterization suite next to the all-to-all of
 //! 3D-FFT.
 //!
-//! The kernel self-checks: every rank rebuilds the expected global sum
-//! from the (deterministic) per-rank generators and compares its final
-//! vector element-wise.
+//! The kernel self-checks: the expected global sum is built once from the
+//! (deterministic) per-rank generators before the ranks start, and every
+//! rank compares its final vector with it element-wise.
 
 use commchar_sp2::{run_mp as sp2_run, Rank, Sp2Config};
 
@@ -57,20 +57,19 @@ pub fn run_sized(nprocs: usize, chunk: usize, rounds: usize) -> AppOutput {
     check(nprocs).unwrap_or_else(|e| panic!("{e}"));
     assert!(chunk >= 1, "chunk must be nonempty");
     let cfg = Sp2Config::new(nprocs);
+    let n = nprocs * chunk;
+    // Built once and shared by every rank: a rebuild per rank would cost
+    // O(P³·chunk) over the run.
+    let mut expected = vec![0.0; n];
+    for q in 0..nprocs {
+        for (s, v) in expected.iter_mut().zip(contribution(q, n)) {
+            *s += v;
+        }
+    }
 
     let out = sp2_run(cfg, move |r| {
         let p = r.size();
         let me = r.rank();
-        let n = p * chunk;
-        let expected: Vec<f64> = {
-            let mut sum = vec![0.0; n];
-            for q in 0..p {
-                for (s, v) in sum.iter_mut().zip(contribution(q, n)) {
-                    *s += v;
-                }
-            }
-            sum
-        };
         // Per-rank load imbalance: deterministic jitter on the local
         // accumulate/copy costs, so ranks drift out of lockstep the way
         // real reductions do (and the inter-send process has texture a

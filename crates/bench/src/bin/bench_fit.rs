@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
 use commchar_bench::fit_reference::characterize_reference;
-use commchar_bench::{time_best, timing_iters};
+use commchar_bench::{git_rev, host_cores, time_best, timing_iters};
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
 use commchar_core::{characterize, CommSignature, Workload};
@@ -356,7 +356,10 @@ fn main() {
 
     // Hand-rolled JSON (serde is stripped from the offline build).
     let mut json = String::from("{\n  \"bench\": \"characterize_fit\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",\n  \"workloads\": [", if quick { "quick" } else { "full" });
+    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
+    let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
+    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
+    json.push_str("  \"workloads\": [\n");
     for (i, (name, events, sources, t_ref, t_seq, t_par, speedup)) in rows.iter().enumerate() {
         let _ = writeln!(
             json,

@@ -229,9 +229,13 @@ pub fn fit_family_reference(samples: &[f64], family: Family) -> Option<FitResult
         let template = init;
         let fit = minimize(
             &init.params(),
-            |p| {
-                let d = template.with_params(p)?;
-                Some(pts.iter().map(|&(x, y)| d.cdf(x) - y).collect())
+            pts.len(),
+            |p, out| {
+                let Some(d) = template.with_params(p) else { return false };
+                for (r, &(x, y)) in out.iter_mut().zip(&pts) {
+                    *r = d.cdf(x) - y;
+                }
+                true
             },
             SecantOptions::default(),
         );

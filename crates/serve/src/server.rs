@@ -12,6 +12,13 @@
 //! with no thread-per-connection explosion. Worker 0 additionally accepts
 //! new connections and runs the idle-session eviction sweep.
 //!
+//! A worker whose sweep moved bytes re-sweeps at once, yielding the CPU
+//! between sweeps, for a short hot window (`HOT_WINDOW`, 250 µs): a
+//! closed-loop client's next request usually lands within it and is
+//! answered without a sleep in the way. Past the window an idle worker
+//! sleeps `IDLE_SLEEP` (200 µs) between sweeps, so a quiet server costs
+//! no more than a sleeping one.
+//!
 //! ## Session state machine
 //!
 //! ```text
@@ -493,6 +500,16 @@ fn sweep_conn(shared: &Shared, conn: &mut Conn) -> bool {
 /// How often worker 0 scans for idle sessions.
 const EVICT_SWEEP_EVERY: Duration = Duration::from_millis(25);
 
+/// After a sweep that moved bytes, a worker keeps re-sweeping (yielding
+/// the CPU between sweeps) for this long before it sleeps: a closed-loop
+/// client's next frame lands tens of microseconds after the reply, well
+/// before a sleep would end.
+const HOT_WINDOW: Duration = Duration::from_micros(250);
+
+/// Pause between sweeps once a worker has seen no progress for
+/// `HOT_WINDOW`.
+const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
 /// A bound characterization server. [`run`](Server::run) blocks the
 /// calling thread; [`spawn`](Server::spawn) runs it on a background
 /// thread and hands back a [`ServerHandle`] for tests and embedders.
@@ -576,6 +593,8 @@ fn worker_loop(
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut last_evict = Instant::now();
+    // End of the re-sweep window opened by the last productive sweep.
+    let mut hot_until: Option<Instant> = None;
     loop {
         let mut progress = false;
         if index == 0 {
@@ -623,8 +642,12 @@ fn worker_loop(
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        if !progress {
-            std::thread::sleep(Duration::from_micros(200));
+        if progress {
+            hot_until = Some(Instant::now() + HOT_WINDOW);
+        } else if hot_until.is_some_and(|t| Instant::now() < t) {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(IDLE_SLEEP);
         }
     }
 }

@@ -364,9 +364,20 @@ impl FitContext {
             let template = init;
             let fit = minimize(
                 &init.params(),
-                |p| {
-                    let d = template.with_params(p)?;
-                    Some(self.anchors.iter().map(|&(x, y)| d.cdf(x) - y).collect())
+                self.anchors.len(),
+                |p, out| {
+                    let Some(d) = template.with_params(p) else { return false };
+                    // The anchors are sorted quantiles, so a repeated value
+                    // (heavy on tick-quantized gaps) sits next to its twin:
+                    // evaluate the CDF once per distinct anchor.
+                    let (mut last, mut cdf) = (None, 0.0);
+                    for (r, &(x, y)) in out.iter_mut().zip(&self.anchors) {
+                        if last != Some(x.to_bits()) {
+                            (last, cdf) = (Some(x.to_bits()), d.cdf(x));
+                        }
+                        *r = cdf - y;
+                    }
+                    true
                 },
                 SecantOptions::default(),
             );

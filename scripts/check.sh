@@ -12,7 +12,10 @@
 # print identical reports), an engine diff (replaying the checked-in
 # fixture trace with --engine recurrence must stay byte-identical to the
 # output captured before the NetEngine refactor, and with --engine flit
-# to the output captured before steady-stream skipping), a streaming smoke
+# to the output captured before steady-stream skipping), a fit fixture
+# diff (characterize --no-replay of the same fixture must stay
+# byte-identical to the report captured before the allocation-free secant
+# solver, so a change to the fitted numbers shows up), a streaming smoke
 # (a packed trace with a deliberately small block budget characterized
 # out-of-core with --stream must print byte-identically to the in-memory
 # --no-replay pass over the same events), a sharded-simulator smoke
@@ -113,6 +116,10 @@ diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.rec.txt"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/replay.flit.txt"
 diff tests/fixtures/engine_diff.replay.flit.txt "$tmpdir/replay.flit.txt"
 sed 's/^/    /' "$tmpdir/replay.flit.txt"
+
+echo "==> fit fixture diff (characterize --no-replay vs checked-in report)"
+cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --no-replay >"$tmpdir/fixture.sig.txt"
+diff tests/fixtures/engine_diff.characterize.txt "$tmpdir/fixture.sig.txt"
 
 echo "==> sharded simulator smoke (--sim-jobs 4 vs --sim-jobs 1 diff)"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --sim-jobs 1 >"$tmpdir/replay.s1.txt"
