@@ -24,22 +24,22 @@ use crate::{AppClass, AppError, AppOutput, Scale};
 
 const TAG_RING: u32 = 41;
 
-/// The deterministic contribution of `rank`: `n` values in `[-0.5, 0.5)`.
-fn contribution(rank: usize, n: usize) -> Vec<f64> {
+/// The deterministic contribution of `rank`: values in `[-0.5, 0.5)`.
+fn contribution(rank: usize) -> impl Iterator<Item = f64> {
     let mut rng = XorShift::new(900 + rank as u64);
-    (0..n).map(|_| rng.next_f64() - 0.5).collect()
+    std::iter::repeat_with(move || rng.next_f64() - 0.5)
 }
 
 /// One ring step: send `out` to the successor, receive the predecessor's
 /// chunk. Sends are issued before the receive so the step pipelines
 /// around the ring instead of serializing it.
-fn ring_step(r: &mut Rank, out: &[f64]) -> Vec<f64> {
+async fn ring_step(r: &mut Rank, out: &[f64]) -> Vec<f64> {
     let p = r.size();
     let me = r.rank();
     let succ = (me + 1) % p;
     let pred = (me + p - 1) % p;
     r.send(succ, out, TAG_RING);
-    r.recv(pred, TAG_RING)
+    r.recv(pred, TAG_RING).await
 }
 
 /// The kernel's precondition: a ring needs at least two ranks.
@@ -62,12 +62,13 @@ pub fn run_sized(nprocs: usize, chunk: usize, rounds: usize) -> AppOutput {
     // O(P³·chunk) over the run.
     let mut expected = vec![0.0; n];
     for q in 0..nprocs {
-        for (s, v) in expected.iter_mut().zip(contribution(q, n)) {
+        for (s, v) in expected.iter_mut().zip(contribution(q)) {
             *s += v;
         }
     }
 
-    let out = sp2_run(cfg, move |r| {
+    let expected = &expected;
+    let out = sp2_run(cfg, |mut r| async move {
         let p = r.size();
         let me = r.rank();
         // Per-rank load imbalance: deterministic jitter on the local
@@ -75,14 +76,20 @@ pub fn run_sized(nprocs: usize, chunk: usize, rounds: usize) -> AppOutput {
         // real reductions do (and the inter-send process has texture a
         // renewal fit can see, instead of a zero-or-barrier bimodal).
         let mut jitter = XorShift::new(77 + me as u64);
+        // One vector per rank, refilled each round: every rank runs on one
+        // thread, so vectors freed and reallocated each round would share
+        // one fragmented heap that stays resident after the run.
+        let mut vec = vec![0.0; n];
         for round in 0..rounds {
-            let mut vec = contribution(me, n);
+            for (x, v) in vec.iter_mut().zip(contribution(me)) {
+                *x = v;
+            }
             // Reduce-scatter: after step s the chunk this rank just
             // accumulated is the one it forwards at step s + 1.
             let chunk_at = |owner: usize, s: usize| (owner + p - s) % p;
             for s in 0..p - 1 {
                 let c = chunk_at(me, s);
-                let incoming = ring_step(r, &vec[c * chunk..(c + 1) * chunk]);
+                let incoming = ring_step(&mut r, &vec[c * chunk..(c + 1) * chunk]).await;
                 let c_in = chunk_at(me, s + 1);
                 for (dst, v) in vec[c_in * chunk..(c_in + 1) * chunk].iter_mut().zip(incoming) {
                     *dst += v;
@@ -93,12 +100,12 @@ pub fn run_sized(nprocs: usize, chunk: usize, rounds: usize) -> AppOutput {
             // rank finished is `me + 1 (mod p)`.
             for s in 0..p - 1 {
                 let c = (me + 1 + p - s) % p;
-                let incoming = ring_step(r, &vec[c * chunk..(c + 1) * chunk]);
+                let incoming = ring_step(&mut r, &vec[c * chunk..(c + 1) * chunk]).await;
                 let c_in = (me + p - s) % p;
                 vec[c_in * chunk..(c_in + 1) * chunk].copy_from_slice(&incoming);
                 r.compute_us(chunk as f64 * (0.005 + 0.02 * jitter.next_f64()));
             }
-            for (i, (got, want)) in vec.iter().zip(&expected).enumerate() {
+            for (i, (got, want)) in vec.iter().zip(expected).enumerate() {
                 assert!(
                     (got - want).abs() < 1e-9 * p as f64,
                     "round {round}: element {i} diverged: {got} vs {want}"
@@ -106,7 +113,7 @@ pub fn run_sized(nprocs: usize, chunk: usize, rounds: usize) -> AppOutput {
             }
         }
         // p0 confirms completion, closing the phase like the NAS drivers.
-        let _ = r.bcast(0, if r.rank() == 0 { vec![1.0] } else { vec![] });
+        let _ = r.bcast(0, if r.rank() == 0 { vec![1.0] } else { vec![] }).await;
     });
 
     AppOutput {

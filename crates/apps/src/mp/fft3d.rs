@@ -33,7 +33,7 @@ pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
     check(nprocs, m).unwrap_or_else(|e| panic!("{e}"));
     let cfg = Sp2Config::new(nprocs);
 
-    let out = sp2_run(cfg, move |r| body(r, m, iters));
+    let out = sp2_run(cfg, |r| body(r, m, iters));
 
     AppOutput {
         name: "3d-fft",
@@ -51,7 +51,7 @@ pub(crate) fn check(nprocs: usize, m: usize) -> Result<(), AppError> {
     AppError::divides("3d-fft", nprocs, "z-planes", m)
 }
 
-fn body(r: &mut Rank, m: usize, iters: usize) {
+async fn body(mut r: Rank, m: usize, iters: usize) {
     let p = r.size();
     let me = r.rank();
     let lz = m / p; // owned z-planes
@@ -59,7 +59,7 @@ fn body(r: &mut Rank, m: usize, iters: usize) {
 
     for iter in 0..iters {
         // p0 broadcasts the iteration parameters.
-        let params = r.bcast(0, if me == 0 { vec![iter as f64, 0.5] } else { vec![] });
+        let params = r.bcast(0, if me == 0 { vec![iter as f64, 0.5] } else { vec![] }).await;
         let phase = params[1] + iter as f64;
 
         // Deterministic input for this iteration.
@@ -71,7 +71,7 @@ fn body(r: &mut Rank, m: usize, iters: usize) {
             *v = rng.next_f64() - phase / 10.0;
         }
         let local_energy: f64 = re.iter().zip(&im).map(|(a, b)| a * a + b * b).sum();
-        let total_in = r.allreduce_sum(&[local_energy])[0];
+        let total_in = r.allreduce_sum(&[local_energy]).await[0];
 
         // FFT along x then y for each owned plane. Index: (zl*m + y)*m + x.
         let idx = |zl: usize, y: usize, x: usize| (zl * m + y) * m + x;
@@ -120,7 +120,7 @@ fn body(r: &mut Rank, m: usize, iters: usize) {
                 c
             })
             .collect();
-        let got = r.alltoall(chunks);
+        let got = r.alltoall(chunks).await;
 
         // Assemble (xl, y, z_global) and FFT along z.
         let zidx = |xl: usize, y: usize, z: usize| (xl * m + y) * m + z;
@@ -153,7 +153,7 @@ fn body(r: &mut Rank, m: usize, iters: usize) {
 
         // Parseval: Σ|X|² = N · Σ|x|², reduced at p0 then broadcast.
         let out_energy: f64 = zre.iter().zip(&zim).map(|(a, b)| a * a + b * b).sum();
-        let total_out = r.allreduce_sum(&[out_energy])[0];
+        let total_out = r.allreduce_sum(&[out_energy]).await[0];
         let n3 = (m * m * m) as f64;
         assert!(
             (total_out - n3 * total_in).abs() < 1e-6 * (n3 * total_in).max(1.0),

@@ -34,7 +34,7 @@ fn process_grid(p: usize) -> (usize, usize) {
 /// returns `(from_pred, from_succ)`. A ring of one wraps onto itself
 /// without touching the network; distinct tags keep a ring of two (where
 /// successor and predecessor coincide) unambiguous.
-fn ring_exchange(
+async fn ring_exchange(
     r: &mut Rank,
     succ: usize,
     pred: usize,
@@ -46,8 +46,8 @@ fn ring_exchange(
     }
     r.send(succ, to_succ, TAG_TO_SUCC);
     r.send(pred, to_pred, TAG_TO_PRED);
-    let from_pred = r.recv(pred, TAG_TO_SUCC);
-    let from_succ = r.recv(succ, TAG_TO_PRED);
+    let from_pred = r.recv(pred, TAG_TO_SUCC).await;
+    let from_succ = r.recv(succ, TAG_TO_PRED).await;
     (from_pred, from_succ)
 }
 
@@ -66,7 +66,7 @@ pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
     assert!(m >= 2, "tile must be at least 2×2");
     let cfg = Sp2Config::new(nprocs);
 
-    let out = sp2_run(cfg, move |r| {
+    let out = sp2_run(cfg, |mut r| async move {
         let p = r.size();
         let me = r.rank();
         let (px, py) = process_grid(p);
@@ -79,7 +79,7 @@ pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
         };
         let mass0 = {
             let local: f64 = u.iter().sum();
-            r.allreduce_sum(&[local])[0]
+            r.allreduce_sum(&[local]).await[0]
         };
 
         for iter in 0..iters {
@@ -92,10 +92,12 @@ pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
 
             let east_edge: Vec<f64> = (0..m).map(|y| u[y * m + (m - 1)]).collect();
             let west_edge: Vec<f64> = (0..m).map(|y| u[y * m]).collect();
-            let (from_west, from_east) = ring_exchange(r, east, west, &east_edge, &west_edge);
+            let (from_west, from_east) =
+                ring_exchange(&mut r, east, west, &east_edge, &west_edge).await;
             let south_edge = u[(m - 1) * m..].to_vec();
             let north_edge = u[..m].to_vec();
-            let (from_north, from_south) = ring_exchange(r, south, north, &south_edge, &north_edge);
+            let (from_north, from_south) =
+                ring_exchange(&mut r, south, north, &south_edge, &north_edge).await;
 
             let mut next = vec![0.0; m * m];
             for y in 0..m {
@@ -112,13 +114,13 @@ pub fn run_sized(nprocs: usize, m: usize, iters: usize) -> AppOutput {
             r.compute_us((m * m) as f64 * 0.02);
 
             let local: f64 = u.iter().sum();
-            let mass = r.allreduce_sum(&[local])[0];
+            let mass = r.allreduce_sum(&[local]).await[0];
             assert!(
                 (mass - mass0).abs() <= 1e-9 * mass0.abs().max(1.0),
                 "iteration {iter}: diffusion lost mass: {mass} vs {mass0}"
             );
         }
-        let _ = r.bcast(0, if me == 0 { vec![mass0] } else { vec![] });
+        let _ = r.bcast(0, if me == 0 { vec![mass0] } else { vec![] }).await;
     });
 
     AppOutput {

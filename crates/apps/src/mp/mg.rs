@@ -44,7 +44,7 @@ impl Level {
 
 /// Exchanges ghost planes for the values in `data` and returns
 /// `(below, above)` ghost planes (zeros at the global boundaries).
-fn exchange_ghosts(r: &mut Rank, data: &[f64], m: usize, lz: usize) -> (Vec<f64>, Vec<f64>) {
+async fn exchange_ghosts(r: &mut Rank, data: &[f64], m: usize, lz: usize) -> (Vec<f64>, Vec<f64>) {
     let p = r.size();
     let me = r.rank();
     let plane = m * m;
@@ -57,19 +57,19 @@ fn exchange_ghosts(r: &mut Rank, data: &[f64], m: usize, lz: usize) -> (Vec<f64>
         if me % 2 == phase {
             if me + 1 < p {
                 r.send(me + 1, &top, TAG_UP);
-                above = r.recv(me + 1, TAG_DOWN);
+                above = r.recv(me + 1, TAG_DOWN).await;
             }
             if me > 0 {
                 r.send(me - 1, &bottom, TAG_DOWN);
-                below = r.recv(me - 1, TAG_UP);
+                below = r.recv(me - 1, TAG_UP).await;
             }
         } else {
             if me > 0 {
-                below = r.recv(me - 1, TAG_UP);
+                below = r.recv(me - 1, TAG_UP).await;
                 r.send(me - 1, &bottom, TAG_DOWN);
             }
             if me + 1 < p {
-                above = r.recv(me + 1, TAG_DOWN);
+                above = r.recv(me + 1, TAG_DOWN).await;
                 r.send(me + 1, &top, TAG_UP);
             }
         }
@@ -79,8 +79,8 @@ fn exchange_ghosts(r: &mut Rank, data: &[f64], m: usize, lz: usize) -> (Vec<f64>
 
 /// One Jacobi sweep of `-∇²u = f` with unit spacing and zero Dirichlet
 /// boundaries; ghost planes supply the cross-rank z-neighbours.
-fn smooth(r: &mut Rank, level: &mut Level) {
-    let (below, above) = exchange_ghosts(r, &level.u, level.m, level.lz);
+async fn smooth(r: &mut Rank, level: &mut Level) {
+    let (below, above) = exchange_ghosts(r, &level.u, level.m, level.lz).await;
     let m = level.m;
     let plane = m * m;
     let mut next = level.u.clone();
@@ -106,8 +106,8 @@ fn smooth(r: &mut Rank, level: &mut Level) {
 }
 
 /// Residual `f + ∇²u` (for `-∇²u = f`).
-fn residual(r: &mut Rank, level: &Level) -> Vec<f64> {
-    let (below, above) = exchange_ghosts(r, &level.u, level.m, level.lz);
+async fn residual(r: &mut Rank, level: &Level) -> Vec<f64> {
+    let (below, above) = exchange_ghosts(r, &level.u, level.m, level.lz).await;
     let m = level.m;
     let plane = m * m;
     let mut res = vec![0.0; level.u.len()];
@@ -127,9 +127,9 @@ fn residual(r: &mut Rank, level: &Level) -> Vec<f64> {
     res
 }
 
-fn norm2(r: &mut Rank, v: &[f64]) -> f64 {
+async fn norm2(r: &mut Rank, v: &[f64]) -> f64 {
     let local: f64 = v.iter().map(|x| x * x).sum();
-    r.allreduce_sum(&[local])[0].sqrt()
+    r.allreduce_sum(&[local]).await[0].sqrt()
 }
 
 /// The kernel's precondition: a power-of-two rank count, each rank
@@ -152,7 +152,7 @@ pub fn run_sized(nprocs: usize, m: usize, cycles: usize) -> AppOutput {
     check(nprocs, m).unwrap_or_else(|e| panic!("{e}"));
     let cfg = Sp2Config::new(nprocs);
 
-    let out = sp2_run(cfg, move |r| {
+    let out = sp2_run(cfg, |mut r| async move {
         let p = r.size();
         let lz = m / p;
         // Finest level: random RHS, zero initial guess.
@@ -167,19 +167,19 @@ pub fn run_sized(nprocs: usize, m: usize, cycles: usize) -> AppOutput {
             }
         }
         let r0 = {
-            let res = residual(r, &fine);
-            norm2(r, &res)
+            let res = residual(&mut r, &fine).await;
+            norm2(&mut r, &res).await
         };
         let mut last = f64::INFINITY;
         for _cycle in 0..cycles {
-            v_cycle(r, &mut fine);
-            let res = residual(r, &fine);
-            last = norm2(r, &res);
+            v_cycle(&mut r, &mut fine).await;
+            let res = residual(&mut r, &fine).await;
+            last = norm2(&mut r, &res).await;
         }
         assert!(last < 0.8 * r0, "V-cycles failed to reduce the residual: {last} vs initial {r0}");
         // p0 broadcasts a "converged" token, closing the cycle the way the
         // NAS driver does.
-        let _ = r.bcast(0, if r.rank() == 0 { vec![last] } else { vec![] });
+        let _ = r.bcast(0, if r.rank() == 0 { vec![last] } else { vec![] }).await;
     });
 
     AppOutput {
@@ -195,12 +195,12 @@ pub fn run_sized(nprocs: usize, m: usize, cycles: usize) -> AppOutput {
 
 /// One V-cycle: smooth, restrict the residual, recurse (iteratively), and
 /// apply piecewise-constant prolongation back up.
-fn v_cycle(r: &mut Rank, fine: &mut Level) {
+async fn v_cycle(r: &mut Rank, fine: &mut Level) {
     // Build the level hierarchy down to lz == 1 or m == 4.
-    smooth(r, fine);
-    smooth(r, fine);
+    smooth(r, fine).await;
+    smooth(r, fine).await;
     if fine.lz >= 2 && fine.m >= 8 {
-        let res = residual(r, fine);
+        let res = residual(r, fine).await;
         // Restrict by injection to the coarse grid.
         let cm = fine.m / 2;
         let clz = fine.lz / 2;
@@ -213,7 +213,8 @@ fn v_cycle(r: &mut Rank, fine: &mut Level) {
                 }
             }
         }
-        v_cycle(r, &mut coarse);
+        // A recursive async call needs its own allocation.
+        Box::pin(v_cycle(r, &mut coarse)).await;
         // Prolongate (piecewise constant) and correct.
         for zl in 0..clz {
             for y in 1..cm - 1 {
@@ -234,11 +235,11 @@ fn v_cycle(r: &mut Rank, fine: &mut Level) {
                 }
             }
         }
-        smooth(r, fine);
+        smooth(r, fine).await;
     } else {
         // Coarsest level: extra smoothing.
         for _ in 0..6 {
-            smooth(r, fine);
+            smooth(r, fine).await;
         }
     }
 }

@@ -13,12 +13,16 @@ use commchar_stats::spatial::{classify, normalize};
 use commchar_trace::replay::CausalReplayer;
 
 fn spatial_peak(nprocs: usize, tree: bool) -> (f64, String, f64) {
-    let out = run_mp(Sp2Config::new(nprocs), move |r| {
+    let out = run_mp(Sp2Config::new(nprocs), |mut r| async move {
         for _ in 0..20 {
             let data = if r.rank() == 0 { vec![1.0; 16] } else { vec![] };
-            let v = if tree { r.bcast_tree(0, data) } else { r.bcast(0, data) };
+            let v = if tree { r.bcast_tree(0, data).await } else { r.bcast(0, data).await };
             let contrib = vec![v[0] + r.rank() as f64];
-            let _ = if tree { r.reduce_sum_tree(0, &contrib) } else { r.reduce_sum(0, &contrib) };
+            let _ = if tree {
+                r.reduce_sum_tree(0, &contrib).await
+            } else {
+                r.reduce_sum(0, &contrib).await
+            };
         }
     });
     let mesh = MeshConfig::for_nodes(nprocs);

@@ -17,14 +17,14 @@ fn main() {
     let mut rows = Vec::new();
     for &bytes in &sizes {
         let words = bytes / 8;
-        let out = run_mp(cfg, move |r| {
+        let out = run_mp(cfg, |mut r| async move {
             let data = vec![1.0f64; words];
             for _ in 0..10 {
                 if r.rank() == 0 {
                     r.send(1, &data, 1);
-                    let _ = r.recv(1, 2);
+                    let _ = r.recv(1, 2).await;
                 } else {
-                    let d = r.recv(0, 1);
+                    let d = r.recv(0, 1).await;
                     r.send(0, &d, 2);
                 }
             }

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
 //! `DESIGN.md` §5 for the experiment index) plus shared helpers, and
-//! criterion benches over the substrate hot paths.
+//! `bench_*` binaries that time the substrate hot paths.
 //!
 //! Run an experiment with e.g.
 //!

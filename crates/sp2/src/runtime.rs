@@ -1,17 +1,17 @@
-//! The rank threads, point-to-point layer, collectives and tracing.
+//! The rank coroutines and the loop that polls them, the point-to-point
+//! layer, collectives and tracing.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::fmt::Write;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use commchar_trace::{CommEvent, CommTrace, EventKind};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::Sp2Config;
-
-/// Tag reserved for fault propagation: a dying rank poisons its peers so
-/// blocked receives fail fast instead of hanging.
-const POISON_TAG: u32 = u32::MAX;
 
 /// A message in flight between ranks.
 #[derive(Clone, Debug)]
@@ -22,6 +22,20 @@ struct Packet {
     /// Arrival time at the destination (sender clock + overhead + wire).
     arrival: u64,
     data: Vec<f64>,
+}
+
+/// What the ranks of one run share. Every access borrows it for one
+/// operation only, never across a body's code.
+struct World {
+    /// Per destination, the packets not yet received, in send order.
+    mail: Vec<VecDeque<Packet>>,
+    /// Per rank, the `(src, tag)` its suspended receive waits for.
+    parked: Vec<Option<(usize, u32)>>,
+    /// Ranks to poll next, in the order they became runnable.
+    ready: VecDeque<usize>,
+    events: Vec<CommEvent>,
+    /// The latest final clock of a dropped [`Rank`].
+    exec_ticks: u64,
 }
 
 /// The output of a message-passing run.
@@ -35,38 +49,13 @@ pub struct MpRun {
     pub nprocs: usize,
 }
 
-impl MpRun {
-    /// The trace in the packed columnar format of `commchar-tracestore` —
-    /// the compact alternative to [`CommTrace::to_jsonl`] for traces
-    /// headed to disk.
-    pub fn packed_trace(&self) -> Vec<u8> {
-        commchar_tracestore::pack_trace(&self.trace)
-    }
-
-    /// Streams the trace into `out` through a
-    /// [`TraceWriter`](commchar_tracestore::TraceWriter) without an
-    /// intermediate buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from `out`.
-    pub fn write_packed<W: std::io::Write>(
-        &self,
-        out: W,
-    ) -> Result<W, commchar_tracestore::TraceStoreError> {
-        let mut w = commchar_tracestore::TraceWriter::new(out, self.trace.nodes())?;
-        for &e in self.trace.events() {
-            w.push(e)?;
-        }
-        w.finish()
-    }
-}
-
 /// Per-rank execution context: point-to-point operations, collectives,
 /// logical clock, and tracing.
 ///
 /// Payloads are `f64` slices (the NAS kernels ship doubles); a message of
-/// `k` values costs `8k` bytes in the model.
+/// `k` values costs `8k` bytes in the model. A receive is an `async fn`
+/// that suspends the rank until its message has been sent; a body may
+/// await only receives (and the collectives built on them).
 pub struct Rank {
     id: usize,
     n: usize,
@@ -74,11 +63,7 @@ pub struct Rank {
     cfg: Sp2Config,
     seq: u64,
     last_recv: Option<u64>,
-    inbox: Receiver<Packet>,
-    pending: VecDeque<Packet>,
-    outs: Vec<Sender<Packet>>,
-    events: Arc<Mutex<Vec<CommEvent>>>,
-    sent: u64,
+    world: Rc<RefCell<World>>,
 }
 
 impl std::fmt::Debug for Rank {
@@ -98,11 +83,6 @@ impl Rank {
         self.n
     }
 
-    /// Current logical clock in ticks.
-    pub fn now(&self) -> u64 {
-        self.clock
-    }
-
     /// Accounts local computation time in microseconds.
     pub fn compute_us(&mut self, us: f64) {
         self.clock += self.cfg.us_to_ticks(us);
@@ -114,8 +94,8 @@ impl Rank {
         id
     }
 
-    /// Sends `data` to `dst` with a matching `tag`. Non-blocking in real
-    /// time; the logical clock advances by the sender-side SP2 overhead.
+    /// Sends `data` to `dst` with a matching `tag`. Never blocks; the
+    /// logical clock advances by the sender-side SP2 overhead.
     ///
     /// # Panics
     ///
@@ -133,66 +113,66 @@ impl Rank {
         if let Some(dep) = self.last_recv {
             ev = ev.after(dep);
         }
-        self.events.lock().push(ev);
-        self.sent += 1;
-        self.outs[dst]
-            .send(Packet { id, src: self.id, tag, arrival, data: data.to_vec() })
-            .expect("rank hung up");
+        let mut w = self.world.borrow_mut();
+        w.events.push(ev);
+        w.mail[dst].push_back(Packet { id, src: self.id, tag, arrival, data: data.to_vec() });
+        if w.parked[dst] == Some((self.id, tag)) {
+            w.parked[dst] = None;
+            w.ready.push_back(dst);
+        }
     }
 
-    /// Receives the next message from `src` with `tag`, blocking until it
-    /// arrives. The logical clock advances to the message arrival plus the
-    /// receiver-side overhead.
+    /// Receives the first message `src` sent with `tag`, suspending the
+    /// rank until it has been sent. The logical clock advances to the
+    /// message arrival plus the receiver-side overhead.
     ///
     /// # Panics
     ///
-    /// Panics if `src` is out of range, equals this rank, or if the peer
-    /// exits without sending (runtime teardown).
-    pub fn recv(&mut self, src: usize, tag: u32) -> Vec<f64> {
+    /// Panics if `src` is out of range or equals this rank.
+    pub async fn recv(&mut self, src: usize, tag: u32) -> Vec<f64> {
         assert!(src < self.n, "rank {src} out of range");
         assert_ne!(src, self.id, "self-receive is not allowed");
-        // Check buffered out-of-order packets first.
-        if let Some(pos) = self.pending.iter().position(|p| p.src == src && p.tag == tag) {
-            let p = self.pending.remove(pos).unwrap();
-            return self.consume(p);
-        }
-        loop {
-            let p = self.inbox.recv().expect("peer rank terminated while we were receiving");
-            assert_ne!(p.tag, POISON_TAG, "peer rank {} panicked while we were receiving", p.src);
-            if p.src == src && p.tag == tag {
-                return self.consume(p);
-            }
-            self.pending.push_back(p);
-        }
-    }
-
-    fn consume(&mut self, p: Packet) -> Vec<f64> {
+        let p = poll_fn(|_| self.take_or_park(src, tag)).await;
         let bytes = (p.data.len() * 8).max(8) as u32;
         self.clock = self.clock.max(p.arrival) + self.cfg.recv_ticks(bytes);
         self.last_recv = Some(p.id);
         p.data
     }
 
+    /// Takes the first packet from `src` with `tag` out of this rank's
+    /// mailbox, or parks the rank on `(src, tag)` until a send matches.
+    fn take_or_park(&self, src: usize, tag: u32) -> Poll<Packet> {
+        let mut w = self.world.borrow_mut();
+        let mail = &mut w.mail[self.id];
+        match mail.iter().position(|p| p.src == src && p.tag == tag) {
+            Some(pos) => Poll::Ready(mail.remove(pos).expect("position is in range")),
+            None => {
+                w.parked[self.id] = Some((src, tag));
+                Poll::Pending
+            }
+        }
+    }
+
     /// Linear barrier rooted at rank 0: everyone reports to p0, p0 releases
     /// everyone — the flat algorithm of the period's MPL runtimes.
-    pub fn barrier(&mut self) {
+    pub async fn barrier(&mut self) {
         const TAG: u32 = u32::MAX - 1;
         if self.id == 0 {
             for q in 1..self.n {
-                let _ = self.recv(q, TAG);
+                let _ = self.recv(q, TAG).await;
             }
             for q in 1..self.n {
                 self.send(q, &[0.0], TAG);
             }
         } else {
             self.send(0, &[0.0], TAG);
-            let _ = self.recv(0, TAG);
+            let _ = self.recv(0, TAG).await;
         }
     }
 
     /// Linear broadcast from `root`: the root sends to every other rank.
     /// Non-roots pass anything (typically `vec![]`) and receive the data.
-    pub fn bcast(&mut self, root: usize, data: Vec<f64>) -> Vec<f64> {
+    pub async fn bcast(&mut self, root: usize, data: Vec<f64>) -> Vec<f64> {
         const TAG: u32 = u32::MAX - 2;
         if self.id == root {
             for q in 0..self.n {
@@ -202,7 +182,7 @@ impl Rank {
             }
             data
         } else {
-            self.recv(root, TAG)
+            self.recv(root, TAG).await
         }
     }
 
@@ -211,7 +191,7 @@ impl Rank {
     /// `r + 2^k`. The modern algorithm — used by the collective-algorithm
     /// ablation to show how the spatial "favorite processor" signature
     /// depends on the library's implementation, not just the application.
-    pub fn bcast_tree(&mut self, root: usize, data: Vec<f64>) -> Vec<f64> {
+    pub async fn bcast_tree(&mut self, root: usize, data: Vec<f64>) -> Vec<f64> {
         const TAG: u32 = u32::MAX - 6;
         let n = self.n;
         let rel = (self.id + n - root) % n;
@@ -220,7 +200,7 @@ impl Rank {
             // Receive from the parent: clear the lowest set bit.
             let parent_rel = rel & (rel - 1);
             let parent = (parent_rel + root) % n;
-            data = self.recv(parent, TAG);
+            data = self.recv(parent, TAG).await;
         }
         // Forward to children: set bits above the lowest set bit of rel.
         let lowest = if rel == 0 { n.next_power_of_two() } else { rel & rel.wrapping_neg() };
@@ -240,7 +220,7 @@ impl Rank {
     /// # Panics
     ///
     /// Panics (on the root) if contributions disagree in length.
-    pub fn reduce_sum(&mut self, root: usize, contrib: &[f64]) -> Vec<f64> {
+    pub async fn reduce_sum(&mut self, root: usize, contrib: &[f64]) -> Vec<f64> {
         const TAG: u32 = u32::MAX - 3;
         if self.id == root {
             let mut acc = contrib.to_vec();
@@ -248,7 +228,7 @@ impl Rank {
                 if q == root {
                     continue;
                 }
-                let part = self.recv(q, TAG);
+                let part = self.recv(q, TAG).await;
                 assert_eq!(part.len(), acc.len(), "reduce contribution length mismatch");
                 for (a, b) in acc.iter_mut().zip(&part) {
                     *a += b;
@@ -264,7 +244,7 @@ impl Rank {
     /// Binomial-tree sum reduction to `root`: log₂(n) rounds; partial sums
     /// combine up the tree, spreading the receive load that the linear
     /// algorithm concentrates at the root.
-    pub fn reduce_sum_tree(&mut self, root: usize, contrib: &[f64]) -> Vec<f64> {
+    pub async fn reduce_sum_tree(&mut self, root: usize, contrib: &[f64]) -> Vec<f64> {
         const TAG: u32 = u32::MAX - 7;
         let n = self.n;
         let rel = (self.id + n - root) % n;
@@ -280,7 +260,7 @@ impl Rank {
         }
         for &bit in bits.iter().rev() {
             let child = (rel + bit + root) % n;
-            let part = self.recv(child, TAG);
+            let part = self.recv(child, TAG).await;
             assert_eq!(part.len(), acc.len(), "reduce contribution length mismatch");
             for (a, b) in acc.iter_mut().zip(&part) {
                 *a += b;
@@ -296,12 +276,12 @@ impl Rank {
 
     /// All-reduce: reduce to rank 0, then broadcast — both rooted at p0,
     /// reinforcing the favorite-processor pattern the paper observes.
-    pub fn allreduce_sum(&mut self, contrib: &[f64]) -> Vec<f64> {
-        let reduced = self.reduce_sum(0, contrib);
+    pub async fn allreduce_sum(&mut self, contrib: &[f64]) -> Vec<f64> {
+        let reduced = self.reduce_sum(0, contrib).await;
         if self.id == 0 {
-            self.bcast(0, reduced)
+            self.bcast(0, reduced).await
         } else {
-            self.bcast(0, Vec::new())
+            self.bcast(0, Vec::new()).await
         }
     }
 
@@ -311,7 +291,7 @@ impl Rank {
     /// # Panics
     ///
     /// Panics if `chunks.len() != size()`.
-    pub fn alltoall(&mut self, chunks: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
+    pub async fn alltoall(&mut self, chunks: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
         const TAG: u32 = u32::MAX - 4;
         assert_eq!(chunks.len(), self.n, "need one chunk per rank");
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); self.n];
@@ -320,109 +300,88 @@ impl Rank {
             let to = (self.id + k) % self.n;
             let from = (self.id + self.n - k) % self.n;
             self.send(to, &chunks[to], TAG);
-            out[from] = self.recv(from, TAG);
+            out[from] = self.recv(from, TAG).await;
         }
         out
     }
+}
 
-    /// Linear gather to `root` (index = sender).
-    pub fn gather(&mut self, root: usize, contrib: &[f64]) -> Vec<Vec<f64>> {
-        const TAG: u32 = u32::MAX - 5;
-        if self.id == root {
-            let mut out = vec![Vec::new(); self.n];
-            out[root] = contrib.to_vec();
-            for q in (0..self.n).filter(|&q| q != root) {
-                out[q] = self.recv(q, TAG);
-            }
-            out
-        } else {
-            self.send(root, contrib, TAG);
-            Vec::new()
-        }
+impl Drop for Rank {
+    /// Records the rank's final clock.
+    fn drop(&mut self) {
+        let mut w = self.world.borrow_mut();
+        w.exec_ticks = w.exec_ticks.max(self.clock);
     }
 }
 
 /// Runs `body` on every rank and collects the application-level trace.
 ///
+/// Each rank's body is a coroutine polled on the caller's thread. A
+/// receive with no matching message parks its rank; the send that matches
+/// makes it runnable again. Every receive takes the first message sent
+/// with its exact `(src, tag)`, so no clock, and no byte of the trace,
+/// depends on the order in which ranks are polled.
+///
 /// # Panics
 ///
-/// Panics if any rank thread panics.
-pub fn run_mp<B>(cfg: Sp2Config, body: B) -> MpRun
+/// Propagates a body's panic with its own payload. Panics, naming every
+/// parked rank and the `(src, tag)` it waits for, when each unfinished
+/// rank waits for a message no rank can send any more; and, naming the
+/// rank, when a body suspends on a future that is not a [`Rank::recv`].
+pub fn run_mp<B, F>(cfg: Sp2Config, body: B) -> MpRun
 where
-    B: Fn(&mut Rank) + Send + Sync + 'static,
+    B: Fn(Rank) -> F,
+    F: Future<Output = ()>,
 {
     let n = cfg.nprocs;
-    let mut senders: Vec<Sender<Packet>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Option<Receiver<Packet>>> = Vec::with_capacity(n);
-    // Keep one clone of every receiver alive until all ranks have joined,
-    // so a fire-and-forget send to an already-finished rank (legal, e.g.
-    // the last round of a ping-pong) does not error.
-    let mut keepalive: Vec<Receiver<Packet>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded();
-        senders.push(tx);
-        keepalive.push(rx.clone());
-        receivers.push(Some(rx));
+    let world = Rc::new(RefCell::new(World {
+        mail: vec![VecDeque::new(); n],
+        parked: vec![None; n],
+        ready: (0..n).collect(),
+        events: Vec::new(),
+        exec_ticks: 0,
+    }));
+    let mut bodies: Vec<Option<Pin<Box<F>>>> = (0..n)
+        .map(|id| {
+            let world = Rc::clone(&world);
+            Some(Box::pin(body(Rank { id, n, clock: 0, cfg, seq: 0, last_recv: None, world })))
+        })
+        .collect();
+
+    let mut unfinished = n;
+    loop {
+        let next = world.borrow_mut().ready.pop_front();
+        let Some(id) = next else { break };
+        let rank_body = bodies[id].as_mut().expect("a ready rank has a body");
+        match rank_body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            // Dropping the body drops its Rank, which records its clock.
+            Poll::Ready(()) => {
+                bodies[id] = None;
+                unfinished -= 1;
+            }
+            Poll::Pending => {
+                let parked = world.borrow().parked[id].is_some();
+                assert!(parked, "rank {id}'s body awaited a future that is not an sp2 receive");
+            }
+        }
     }
-    let events = Arc::new(Mutex::new(Vec::new()));
-    let body = Arc::new(body);
-    let mut handles = Vec::with_capacity(n);
-    for (id, slot) in receivers.iter_mut().enumerate() {
-        let mut rank = Rank {
-            id,
-            n,
-            clock: 0,
-            cfg,
-            seq: 0,
-            last_recv: None,
-            inbox: slot.take().expect("receiver taken twice"),
-            pending: VecDeque::new(),
-            outs: senders.clone(),
-            events: Arc::clone(&events),
-            sent: 0,
-        };
-        let body = Arc::clone(&body);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("sp2-r{id}"))
-                .spawn(move || {
-                    // A panicking rank must poison its peers before dying,
-                    // or their blocked receives would hang forever.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        body(&mut rank);
-                    }));
-                    match result {
-                        Ok(()) => rank.clock,
-                        Err(payload) => {
-                            for (q, out) in rank.outs.iter().enumerate() {
-                                if q != rank.id {
-                                    let _ = out.send(Packet {
-                                        id: u64::MAX,
-                                        src: rank.id,
-                                        tag: POISON_TAG,
-                                        arrival: rank.clock,
-                                        data: Vec::new(),
-                                    });
-                                }
-                            }
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
-                })
-                .expect("failed to spawn rank thread"),
+    if unfinished > 0 {
+        let mut report = String::new();
+        for (id, wait) in world.borrow().parked.iter().enumerate() {
+            if let Some((src, tag)) = wait {
+                let _ = write!(report, "\n  rank {id} waits on (src {src}, tag {tag})");
+            }
+        }
+        panic!(
+            "sp2 run deadlocked: each unfinished rank waits for a message nobody sends:{report}"
         );
     }
-    drop(senders);
 
-    let mut exec_ticks = 0;
-    for h in handles {
-        exec_ticks = exec_ticks.max(h.join().expect("rank thread panicked"));
-    }
-    drop(keepalive);
-    let mut evs = Arc::try_unwrap(events).expect("all ranks joined").into_inner();
-    evs.sort_by_key(|e| (e.t, e.id));
+    let World { mut events, exec_ticks, .. } =
+        Rc::into_inner(world).expect("every rank has been dropped").into_inner();
+    events.sort_by_key(|e| (e.t, e.id));
     let mut trace = CommTrace::new(n);
-    for e in evs {
+    for e in events {
         trace.push(e);
     }
     trace.check().expect("runtime produced an inconsistent trace");
@@ -436,13 +395,13 @@ mod tests {
     #[test]
     fn ping_pong_clock_matches_model() {
         let cfg = Sp2Config::new(2);
-        let out = run_mp(cfg, |r| {
+        let out = run_mp(cfg, |mut r| async move {
             if r.rank() == 0 {
                 r.send(1, &[1.0; 100], 7);
-                let back = r.recv(1, 8);
+                let back = r.recv(1, 8).await;
                 assert_eq!(back.len(), 100);
             } else {
-                let data = r.recv(0, 7);
+                let data = r.recv(0, 7).await;
                 r.send(0, &data, 8);
             }
         });
@@ -455,14 +414,14 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let out = run_mp(Sp2Config::new(2), |r| {
+        let out = run_mp(Sp2Config::new(2), |mut r| async move {
             if r.rank() == 0 {
                 r.send(1, &[1.0], 1);
                 r.send(1, &[2.0], 2);
             } else {
                 // Receive in reverse tag order.
-                let b = r.recv(0, 2);
-                let a = r.recv(0, 1);
+                let b = r.recv(0, 2).await;
+                let a = r.recv(0, 1).await;
                 assert_eq!((a[0], b[0]), (1.0, 2.0));
             }
         });
@@ -471,35 +430,30 @@ mod tests {
 
     #[test]
     fn collectives_compute_correctly() {
-        run_mp(Sp2Config::new(5), |r| {
+        run_mp(Sp2Config::new(5), |mut r| async move {
             let me = r.rank() as f64;
             // reduce
-            let sum = r.reduce_sum(0, &[me, 2.0 * me]);
+            let sum = r.reduce_sum(0, &[me, 2.0 * me]).await;
             if r.rank() == 0 {
                 assert_eq!(sum, vec![10.0, 20.0]);
             }
             // bcast
-            let v = r.bcast(2, if r.rank() == 2 { vec![9.0] } else { vec![] });
+            let v = r.bcast(2, if r.rank() == 2 { vec![9.0] } else { vec![] }).await;
             assert_eq!(v, vec![9.0]);
             // allreduce
-            let all = r.allreduce_sum(&[1.0]);
+            let all = r.allreduce_sum(&[1.0]).await;
             assert_eq!(all, vec![5.0]);
             // barrier (smoke)
-            r.barrier();
-            // gather
-            let g = r.gather(0, &[me]);
-            if r.rank() == 0 {
-                assert_eq!(g.iter().map(|v| v[0]).collect::<Vec<_>>(), vec![0., 1., 2., 3., 4.]);
-            }
+            r.barrier().await;
         });
     }
 
     #[test]
     fn alltoall_permutes_chunks() {
-        run_mp(Sp2Config::new(4), |r| {
+        run_mp(Sp2Config::new(4), |mut r| async move {
             let me = r.rank() as f64;
             let chunks: Vec<Vec<f64>> = (0..4).map(|q| vec![me * 10.0 + q as f64; 3]).collect();
-            let got = r.alltoall(chunks);
+            let got = r.alltoall(chunks).await;
             for (q, chunk) in got.iter().enumerate() {
                 assert_eq!(chunk, &vec![q as f64 * 10.0 + me; 3], "from rank {q}");
             }
@@ -509,17 +463,19 @@ mod tests {
     #[test]
     fn tree_collectives_compute_correctly() {
         for n in [2usize, 3, 4, 5, 7, 8] {
-            run_mp(Sp2Config::new(n), move |r| {
+            run_mp(Sp2Config::new(n), |mut r| async move {
                 let me = r.rank() as f64;
                 for root in 0..n.min(3) {
                     // Tree broadcast.
-                    let v = r.bcast_tree(
-                        root,
-                        if r.rank() == root { vec![root as f64, 9.0] } else { vec![] },
-                    );
+                    let v = r
+                        .bcast_tree(
+                            root,
+                            if r.rank() == root { vec![root as f64, 9.0] } else { vec![] },
+                        )
+                        .await;
                     assert_eq!(v, vec![root as f64, 9.0], "bcast_tree root {root} rank {me}");
                     // Tree reduce.
-                    let sum = r.reduce_sum_tree(root, &[me]);
+                    let sum = r.reduce_sum_tree(root, &[me]).await;
                     if r.rank() == root {
                         let expect: f64 = (0..n).map(|q| q as f64).sum();
                         assert_eq!(sum, vec![expect], "reduce_sum_tree root {root}");
@@ -534,13 +490,13 @@ mod tests {
         // Linear bcast: root sends n−1 messages. Tree bcast: root sends
         // only ⌈log₂ n⌉.
         let count_root_sends = |tree: bool| {
-            let out = run_mp(Sp2Config::new(8), move |r| {
+            let out = run_mp(Sp2Config::new(8), |mut r| async move {
                 for _ in 0..4 {
                     let data = if r.rank() == 0 { vec![1.0; 8] } else { vec![] };
                     if tree {
-                        let _ = r.bcast_tree(0, data);
+                        let _ = r.bcast_tree(0, data).await;
                     } else {
-                        let _ = r.bcast(0, data);
+                        let _ = r.bcast(0, data).await;
                     }
                 }
             });
@@ -554,11 +510,11 @@ mod tests {
 
     #[test]
     fn trace_records_dependencies() {
-        let out = run_mp(Sp2Config::new(2), |r| {
+        let out = run_mp(Sp2Config::new(2), |mut r| async move {
             if r.rank() == 0 {
                 r.send(1, &[1.0], 0);
             } else {
-                let _ = r.recv(0, 0);
+                let _ = r.recv(0, 0).await;
                 r.send(0, &[2.0], 1); // causally after the receive
             }
         });
@@ -570,12 +526,12 @@ mod tests {
     #[test]
     fn deterministic_clocks() {
         let go = || {
-            run_mp(Sp2Config::new(4), |r| {
+            run_mp(Sp2Config::new(4), |mut r| async move {
                 let contrib = vec![r.rank() as f64; 16];
-                let _ = r.allreduce_sum(&contrib);
-                r.barrier();
+                let _ = r.allreduce_sum(&contrib).await;
+                r.barrier().await;
                 let chunks: Vec<Vec<f64>> = (0..4).map(|q| vec![q as f64; 8]).collect();
-                let _ = r.alltoall(chunks);
+                let _ = r.alltoall(chunks).await;
             })
         };
         let a = go();
@@ -591,9 +547,9 @@ mod tests {
     fn p0_is_the_collective_favorite() {
         // Many reduces: every rank's destination histogram should be
         // dominated by p0.
-        let out = run_mp(Sp2Config::new(8), |r| {
+        let out = run_mp(Sp2Config::new(8), |mut r| async move {
             for _ in 0..20 {
-                let _ = r.reduce_sum(0, &[1.0]);
+                let _ = r.reduce_sum(0, &[1.0]).await;
             }
         });
         let p = commchar_trace::profile::profile(&out.trace);

@@ -11,12 +11,12 @@ proptest! {
     /// reduce-then-broadcast equals allreduce for random contributions.
     #[test]
     fn allreduce_sums_correctly(nprocs in 2usize..7, vals in prop::collection::vec(-100.0f64..100.0, 7), len in 1usize..5) {
-        let vals2 = vals.clone();
-        run_mp(Sp2Config::new(nprocs), move |r| {
-            let contrib: Vec<f64> = (0..len).map(|i| vals2[r.rank() % 7] + i as f64).collect();
-            let got = r.allreduce_sum(&contrib);
+        let vals = &vals;
+        run_mp(Sp2Config::new(nprocs), |mut r| async move {
+            let contrib: Vec<f64> = (0..len).map(|i| vals[r.rank() % 7] + i as f64).collect();
+            let got = r.allreduce_sum(&contrib).await;
             let expect: Vec<f64> = (0..len)
-                .map(|i| (0..nprocs).map(|q| vals2[q % 7] + i as f64).sum())
+                .map(|i| (0..nprocs).map(|q| vals[q % 7] + i as f64).sum())
                 .collect();
             for (g, e) in got.iter().zip(&expect) {
                 assert!((g - e).abs() < 1e-9, "{g} vs {e}");
@@ -28,12 +28,12 @@ proptest! {
     /// receiver, for arbitrary chunk sizes.
     #[test]
     fn alltoall_is_a_personalized_exchange(nprocs in 2usize..7, chunk_len in 1usize..6) {
-        run_mp(Sp2Config::new(nprocs), move |r| {
+        run_mp(Sp2Config::new(nprocs), |mut r| async move {
             let me = r.rank();
             let chunks: Vec<Vec<f64>> = (0..nprocs)
                 .map(|q| (0..chunk_len).map(|i| (me * 100 + q * 10 + i) as f64).collect())
                 .collect();
-            let got = r.alltoall(chunks);
+            let got = r.alltoall(chunks).await;
             for (q, chunk) in got.iter().enumerate() {
                 let expect: Vec<f64> =
                     (0..chunk_len).map(|i| (q * 100 + me * 10 + i) as f64).collect();
@@ -46,7 +46,7 @@ proptest! {
     /// earlier message, for random send/recv schedules.
     #[test]
     fn traces_are_well_formed(nprocs in 2usize..6, rounds in 1usize..6) {
-        let out = run_mp(Sp2Config::new(nprocs), move |r| {
+        let out = run_mp(Sp2Config::new(nprocs), |mut r| async move {
             let me = r.rank();
             let n = r.size();
             for round in 0..rounds {
@@ -54,9 +54,9 @@ proptest! {
                 let to = (me + 1) % n;
                 let from = (me + n - 1) % n;
                 r.send(to, &vec![round as f64; 1 + round], round as u32);
-                let got = r.recv(from, round as u32);
+                let got = r.recv(from, round as u32).await;
                 assert_eq!(got.len(), 1 + round);
-                r.barrier();
+                r.barrier().await;
             }
         });
         out.trace.check().unwrap();
@@ -69,7 +69,7 @@ proptest! {
     /// nondecreasing.
     #[test]
     fn per_source_timestamps_monotone(nprocs in 2usize..6, msgs in 1usize..10) {
-        let out = run_mp(Sp2Config::new(nprocs), move |r| {
+        let out = run_mp(Sp2Config::new(nprocs), |mut r| async move {
             let me = r.rank();
             let n = r.size();
             if me == 0 {
@@ -80,7 +80,7 @@ proptest! {
                 }
             } else {
                 for i in 0..msgs {
-                    let _ = r.recv(0, i as u32);
+                    let _ = r.recv(0, i as u32).await;
                 }
             }
         });

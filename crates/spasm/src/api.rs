@@ -3,10 +3,8 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
-
-use parking_lot::Mutex;
 
 /// A handle to a contiguous shared-memory region of 64-bit words.
 ///
@@ -164,10 +162,16 @@ impl Ctx {
     }
 
     async fn rpc(&mut self, req: ProcRequest) -> Reply {
-        self.slot.lock().request = Some((self.elapsed, req));
+        self.slot.lock().unwrap_or_else(|e| e.into_inner()).request = Some((self.elapsed, req));
         self.elapsed = 0;
         Suspend(false).await;
-        let reply = self.slot.lock().reply.take().expect("spasm trap resumed without a reply");
+        let reply = self
+            .slot
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .reply
+            .take()
+            .expect("spasm trap resumed without a reply");
         self.now = reply.time;
         reply
     }
@@ -236,6 +240,6 @@ impl Drop for Ctx {
     /// Hands the computation after the last trap to the shard, which
     /// counts it into the processor's finishing time.
     fn drop(&mut self) {
-        self.slot.lock().tail = self.elapsed;
+        self.slot.lock().unwrap_or_else(|e| e.into_inner()).tail = self.elapsed;
     }
 }

@@ -38,13 +38,12 @@ use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
 use commchar_des::{KeyedCalendar, SimTime};
 use commchar_mesh::{NetEngine, NetLog, NetMessage, NodeId};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
-use parking_lot::Mutex;
 
 use crate::api::{ProcRequest, Reply, Slot};
 use crate::engine::SpasmError;
@@ -465,7 +464,8 @@ impl ShardCore {
     /// gather.
     fn resume(&mut self, proc: usize, time: u64, value: u64) {
         let lp = proc - self.lo;
-        self.slots[lp].lock().reply = Some(Reply { time, value });
+        self.slots[lp].lock().unwrap_or_else(|e| e.into_inner()).reply =
+            Some(Reply { time, value });
         self.resume_time[lp] = time;
         self.stats.max_time = self.stats.max_time.max(time);
         self.status[lp] = Status::Running;
@@ -507,12 +507,14 @@ impl ShardCore {
                     // Dropping the body drops its Ctx, which records the
                     // computation after the last trap.
                     self.bodies[lp] = None;
-                    let t = self.resume_time[lp] + self.slots[lp].lock().tail;
+                    let t = self.resume_time[lp]
+                        + self.slots[lp].lock().unwrap_or_else(|e| e.into_inner()).tail;
                     self.status[lp] = Status::Done;
                     self.stats.max_time = self.stats.max_time.max(t);
                 }
                 Poll::Pending => {
-                    let trapped = self.slots[lp].lock().request.take();
+                    let trapped =
+                        self.slots[lp].lock().unwrap_or_else(|e| e.into_inner()).request.take();
                     let (elapsed, req) = trapped.unwrap_or_else(|| {
                         panic!("p{proc}'s body awaited a future that is not a spasm Ctx trap")
                     });
@@ -962,7 +964,7 @@ fn coordinate<N: NetEngine<Sink = NetLog>>(
     }
     let mut sends: Vec<DeferredSend> = Vec::new();
     for s in 0..shards {
-        sends.append(&mut shared.outbox[s].lock());
+        sends.append(&mut shared.outbox[s].lock().unwrap_or_else(|e| e.into_inner()));
     }
     // Canonical injection order: time, then the emitting action's key,
     // then the emission index — a pure function of simulation state, so
@@ -1000,13 +1002,16 @@ fn coordinate<N: NetEngine<Sink = NetLog>>(
         let site = d.cont.site(shard_of.len());
         let key = (CLASS_EVENT, coord_site, co.seq);
         co.seq += 1;
-        shared.mail[shard_of[site] as usize].lock().push((ct, key, d.cont));
+        shared.mail[shard_of[site] as usize]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((ct, key, d.cont));
         next = next.min(ct);
         if let Some(block) = d.unblock {
             let home = (block % shard_of.len() as u64) as usize;
             let key = (CLASS_EVENT, coord_site, co.seq);
             co.seq += 1;
-            shared.mail[shard_of[home] as usize].lock().push((
+            shared.mail[shard_of[home] as usize].lock().unwrap_or_else(|e| e.into_inner()).push((
                 delivered,
                 key,
                 Event::UnblockHome { block },
@@ -1030,7 +1035,8 @@ fn coordinate<N: NetEngine<Sink = NetLog>>(
         for (s, nt) in shared.next_times.iter().enumerate() {
             let _ = write!(report, "\n  shard {s}: t={}", nt.load(Ordering::Relaxed));
         }
-        *shared.failure.lock() = Some(SpasmError::Wedged { report });
+        *shared.failure.lock().unwrap_or_else(|e| e.into_inner()) =
+            Some(SpasmError::Wedged { report });
         shared.stop.store(STOP_FAILED, Ordering::Relaxed);
         shared.round.store(round + 1, Ordering::Release);
         return false;
@@ -1066,7 +1072,7 @@ pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
         // window can start there instead of at zero.
         let end = if round == 0 { start } else { start + lookahead };
         {
-            let mut mail = shared.mail[core.shard].lock();
+            let mut mail = shared.mail[core.shard].lock().unwrap_or_else(|e| e.into_inner());
             for (t, key, ev) in mail.drain(..) {
                 core.cal.schedule(SimTime::from_ticks(t), key, Action::Event(ev));
             }
@@ -1076,7 +1082,10 @@ pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
         shared.acted[core.shard].store(acted, Ordering::Relaxed);
         shared.next_times[core.shard].store(core.next_time(), Ordering::Relaxed);
         if !core.outgoing.is_empty() {
-            shared.outbox[core.shard].lock().append(&mut core.outgoing);
+            shared.outbox[core.shard]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .append(&mut core.outgoing);
         }
         shared.fences[core.shard].store(round + 1, Ordering::Release);
         if let Some(co) = coord.as_mut() {
@@ -1087,10 +1096,11 @@ pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
     drop(guard);
     if shared.stop.load(Ordering::Relaxed) == STOP_DRAINED {
         let all_done = core.status.iter().all(|&s| s == Status::Done);
-        *shared.verdicts[core.shard].lock() =
+        *shared.verdicts[core.shard].lock().unwrap_or_else(|e| e.into_inner()) =
             Some(ShardDone { stats: core.stats, report: core.status_report(), all_done });
         if let Some(co) = coord {
-            *shared.out.lock() = Some((co.trace, co.net.finish()));
+            *shared.out.lock().unwrap_or_else(|e| e.into_inner()) =
+                Some((co.trace, co.net.finish()));
         }
     }
 }
@@ -1148,14 +1158,14 @@ where
         // every window, rendezvousing on fences rather than re-spawning.
         team.run(jobs);
     }
-    if let Some(err) = shared.failure.lock().take() {
+    if let Some(err) = shared.failure.lock().unwrap_or_else(|e| e.into_inner()).take() {
         return Err(err);
     }
     let mut stats = ShardStats::default();
     let mut report = String::new();
     let mut all_done = true;
     for v in &shared.verdicts {
-        let v = v.lock();
+        let v = v.lock().unwrap_or_else(|e| e.into_inner());
         let v = v.as_ref().expect("drained shard left no verdict");
         stats.max_time = stats.max_time.max(v.stats.max_time);
         stats.reads += v.stats.reads;
@@ -1175,7 +1185,12 @@ where
             ),
         });
     }
-    let (trace, netlog) = shared.out.lock().take().expect("drained run left no trace");
+    let (trace, netlog) = shared
+        .out
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take()
+        .expect("drained run left no trace");
     Ok(Drained {
         trace,
         netlog,

@@ -29,6 +29,10 @@
 # --engine flit --topology torus, where the sharded flit router at
 # --sim-jobs 1 and --sim-jobs 4 must print byte-identical reports: band
 # sharding stays deterministic under wraparound routes and escape VCs),
+# a scale smoke (halo on 4096 ranks, the most MAX_NODES allows, run
+# --packed: its stdout and the packed trace's cksum must match
+# tests/fixtures/halo4096.txt, captured from the thread-per-rank sp2
+# runtime; ~0.1 s since sp2 polls its ranks as coroutines, ~2 s before),
 # a serve smoke (a server on an ephemeral port, the fixture replayed
 # through serve-feed — once from a file, once streamed over stdin with
 # --trace - — and each final report diffed against offline characterize
@@ -140,6 +144,13 @@ cargo run --release -q -- run allreduce --procs 8 --scale tiny --engine flit --t
 cargo run --release -q -- characterize is --procs 8 --scale tiny --engine flit --topology torus --sim-jobs 1 >"$tmpdir/torus.sig.s1.txt"
 cargo run --release -q -- characterize is --procs 8 --scale tiny --engine flit --topology torus --sim-jobs 4 >"$tmpdir/torus.sig.s4.txt"
 diff "$tmpdir/torus.sig.s1.txt" "$tmpdir/torus.sig.s4.txt"
+
+echo "==> scale smoke (halo on 4096 ranks vs checked-in fixture)"
+{
+    cargo run --release -q -- run halo --procs 4096 --scale tiny --packed --out "$tmpdir/h.cct"
+    cksum <"$tmpdir/h.cct"
+} >"$tmpdir/halo4096.txt"
+diff tests/fixtures/halo4096.txt "$tmpdir/halo4096.txt"
 
 echo "==> serve smoke (serve-feed final report vs offline characterize diff)"
 cargo run --release -q -- serve --addr 127.0.0.1:0 >"$tmpdir/serve.addr" 2>"$tmpdir/serve.log" &

@@ -4,6 +4,7 @@
 
 use commchar::core::{acquire, characterize, RunSpec};
 use commchar::mesh::{EngineKind, Routing, Topology};
+use commchar::sp2::{run_mp, Sp2Config};
 use commchar::tracestore::{fnv1a, pack_netlog, pack_trace};
 use commchar_apps::{AppId, Scale};
 
@@ -87,12 +88,47 @@ fn static_strategy_flit_runs_match_golden_values() {
             (1710850, 1260, 0xb0753b13, 0xd7a9821c),
             (1710850, 1260, 0xb0753b13, 0x7096e7b5),
         ),
+        (
+            AppId::Halo,
+            8,
+            Scale::Tiny,
+            (256524, 113, 0xddcc77af, 0x587347a6),
+            (256524, 113, 0xddcc77af, 0xa682ad0a),
+        ),
     ];
     for (app, procs, scale, mesh, torus) in golden {
         let spec = RunSpec { engine: EngineKind::FlitLevel, ..RunSpec::new(app, procs, scale, 42) };
         assert_eq!(fingerprint(&spec), mesh, "{app}: flit, mesh, serial");
         let sharded = RunSpec { sim_jobs: 2, ..spec.with_net(Topology::Torus, Routing::Dimension) };
         assert_eq!(fingerprint(&sharded), torus, "{app}: flit, torus, 2 shards");
+    }
+}
+
+#[test]
+fn sp2_collectives_match_golden_values() {
+    // Every collective of the sp2 runtime, rooted at 0 and at 2, on an odd
+    // and a power-of-two rank count: `(exec ticks, messages,
+    // fnv1a(pack_trace))` pins each message's clock, size and causal
+    // dependency.
+    let golden = [(5, (213928, 68, 0x3c1f3abe)), (8, (326501, 140, 0xf1d1939a))];
+    for (nprocs, want) in golden {
+        let out = run_mp(Sp2Config::new(nprocs), |mut r| async move {
+            let me = r.rank() as f64;
+            r.compute_us(3.0 * me);
+            for root in [0, 2] {
+                let data = if r.rank() == root { vec![me, 1.0, 2.0] } else { vec![] };
+                let v = r.bcast(root, data.clone()).await;
+                let w = r.bcast_tree(root, data).await;
+                let _ = r.reduce_sum(root, &[me + v[0], w[1]]).await;
+                let _ = r.reduce_sum_tree(root, &[me, v[2], w[0]]).await;
+            }
+            let _ = r.allreduce_sum(&[me; 4]).await;
+            let chunks = (0..r.size()).map(|q| vec![me + q as f64; 1 + q % 3]).collect();
+            let _ = r.alltoall(chunks).await;
+            r.barrier().await;
+        });
+        let got = (out.exec_ticks, out.trace.len(), fnv1a(&pack_trace(&out.trace)));
+        assert_eq!(got, want, "{nprocs} ranks");
     }
 }
 

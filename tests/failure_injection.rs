@@ -111,17 +111,46 @@ fn spasm_body_awaiting_a_foreign_future_is_named_as_misuse() {
 
 #[test]
 fn sp2_rank_panic_propagates() {
-    let failed = catches_panic(|| {
-        run_mp(Sp2Config::new(4), |r| {
+    // Rank 0 waits for rank 1's contribution; the runtime must hand the
+    // caller rank 1's own panic, not deadlock or replace the payload.
+    let msg = panic_message(|| {
+        run_mp(Sp2Config::new(4), |mut r| async move {
             if r.rank() == 1 {
                 panic!("injected rank fault");
             }
-            // Rank 0 waits for rank 1's contribution; the runtime must
-            // surface the death via the closed channel, not deadlock.
-            let _ = r.reduce_sum(0, &[1.0]);
+            let _ = r.reduce_sum(0, &[1.0]).await;
         });
     });
-    assert!(failed, "runtime must propagate a rank panic");
+    assert_eq!(msg, "injected rank fault");
+}
+
+#[test]
+fn sp2_receive_nobody_sends_is_named_not_hung() {
+    // Every other rank finishes; rank 0 is left parked on a receive that
+    // can never match.
+    let msg = panic_message(|| {
+        run_mp(Sp2Config::new(4), |mut r| async move {
+            if r.rank() == 0 {
+                let _ = r.recv(2, 9).await;
+            }
+        });
+    });
+    assert!(msg.contains("rank 0") && msg.contains("(src 2, tag 9)"), "{msg}");
+}
+
+#[test]
+fn sp2_body_awaiting_a_foreign_future_is_named_as_misuse() {
+    // A body may await only receives: suspending on anything else would
+    // leave the poll loop with nothing to wake it.
+    let msg = panic_message(|| {
+        run_mp(Sp2Config::new(2), |mut r| async move {
+            if r.rank() == 1 {
+                std::future::pending::<()>().await;
+            }
+            r.barrier().await;
+        });
+    });
+    assert!(msg.contains("rank 1") && msg.contains("not an sp2 receive"), "{msg}");
 }
 
 #[test]
