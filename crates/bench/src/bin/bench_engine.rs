@@ -30,8 +30,7 @@ use commchar_bench::{git_rev, host_cores, long_worms, time_best, timing_iters};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineKind, FlitLevel, FlitWork, IncrementalFlit, MeshConfig, MeshModel, NetEngine, NetMessage,
-    NodeId,
+    EngineKind, FlitLevel, FlitWork, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId,
 };
 
 /// Deterministic 64-bit LCG so workloads are fixed across runs/machines.

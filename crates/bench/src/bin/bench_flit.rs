@@ -17,8 +17,7 @@ use std::fmt::Write as _;
 use commchar_bench::{git_rev, host_cores, long_worms, time_best, timing_iters};
 use commchar_des::SimTime;
 use commchar_mesh::{
-    FlitCycleReference, FlitLevel, FlitWork, MeshConfig, MeshModel, NetMessage, NodeId, Routing,
-    Topology,
+    FlitCycleReference, FlitLevel, FlitWork, MeshConfig, NetMessage, NodeId, Routing, Topology,
 };
 
 /// Deterministic 64-bit LCG so workloads are fixed across runs/machines.

@@ -23,7 +23,7 @@ use commchar_apps::{AppId, Scale};
 use commchar_bench::{git_rev, host_cores, time_best, timing_iters};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
-use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
+use commchar_mesh::{FlitLevel, MeshConfig, NetMessage, NodeId};
 
 const WIDTH: u16 = 32;
 const HEIGHT: u16 = 32;

@@ -4,7 +4,7 @@
 
 use commchar_core::report::table;
 use commchar_mesh::{
-    FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole,
+    FlitCycleReference, FlitLevel, MeshConfig, NetMessage, NodeId, OnlineWormhole,
 };
 use commchar_traffic::patterns::{bit_complement, hotspot, transpose, uniform_poisson};
 

@@ -9,7 +9,7 @@
 
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, Routing, Topology};
+use commchar_mesh::{FlitLevel, MeshConfig, NetMessage, NodeId, Routing, Topology};
 
 fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
     trace

@@ -9,7 +9,7 @@ use commchar_analytic::AnalyticModel;
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
 use commchar_core::synthesize;
-use commchar_mesh::{MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
 use commchar_traffic::patterns::uniform_poisson;
 
 fn simulate(model: &commchar_traffic::TrafficModel, mesh: MeshConfig, span: u64) -> f64 {

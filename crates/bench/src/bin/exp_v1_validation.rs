@@ -8,7 +8,7 @@
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
 use commchar_core::{synthesize, synthesize_phased};
-use commchar_mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{NetMessage, NodeId, OnlineWormhole};
 use commchar_trace::CommTrace;
 use commchar_traffic::patterns::uniform_poisson;
 

@@ -5,118 +5,6 @@ use std::collections::BinaryHeap;
 
 use crate::SimTime;
 
-/// A pending event in the calendar.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. Sequence numbers break timestamp ties in insertion order,
-        // making the simulation deterministic.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// A stable discrete-event calendar.
-///
-/// Events scheduled at equal timestamps are returned in the order they were
-/// scheduled (FIFO), which the simulators rely on for determinism.
-///
-/// # Example
-///
-/// ```
-/// use commchar_des::{Calendar, SimTime};
-///
-/// let mut cal = Calendar::new();
-/// cal.schedule(SimTime::from_ticks(5), 'x');
-/// cal.schedule(SimTime::from_ticks(5), 'y');
-/// cal.schedule(SimTime::from_ticks(1), 'z');
-/// let order: Vec<char> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(order, vec!['z', 'x', 'y']);
-/// ```
-pub struct Calendar<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl<E> Calendar<E> {
-    /// Creates an empty calendar positioned at `SimTime::ZERO`.
-    pub fn new() -> Self {
-        Calendar { heap: BinaryHeap::new(), next_seq: 0, now: SimTime::ZERO }
-    }
-
-    /// Schedules `event` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the time of the last popped event —
-    /// scheduling into the past would silently corrupt causality.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(at >= self.now, "scheduled event at {at:?} before current time {:?}", self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time: at, seq, event });
-    }
-
-    /// Removes and returns the earliest event, advancing the calendar clock.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.now = entry.time;
-        Some((entry.time, entry.event))
-    }
-
-    /// Returns the timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// The time of the most recently popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the calendar has no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for Calendar<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> std::fmt::Debug for Calendar<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Calendar")
-            .field("now", &self.now)
-            .field("pending", &self.heap.len())
-            .finish()
-    }
-}
-
 /// A pending event in a [`KeyedCalendar`].
 struct KeyedEntry<K, E> {
     time: SimTime,
@@ -144,8 +32,8 @@ impl<K: Ord, E> Ord for KeyedEntry<K, E> {
 
 /// A calendar ordered by `(time, key)` rather than `(time, insertion order)`.
 ///
-/// Partitioned (sharded) simulations cannot use [`Calendar`]'s insertion-seq
-/// tie-break: the interleaving of `schedule` calls across shards depends on
+/// Partitioned (sharded) simulations cannot break ties by insertion
+/// sequence: the interleaving of `schedule` calls across shards depends on
 /// how the event space was partitioned, so insertion order is not stable
 /// under re-sharding. A `KeyedCalendar` instead breaks timestamp ties with a
 /// caller-supplied key that is derived from simulation state alone (e.g.
@@ -203,11 +91,6 @@ impl<K: Ord, E> KeyedCalendar<K, E> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Returns the `(time, key)` of the next event without removing it.
-    pub fn peek(&self) -> Option<(SimTime, &K)> {
-        self.heap.peek().map(|e| (e.time, &e.key))
-    }
-
     /// Advances the clock to `to` without popping — used by windowed shards
     /// entering a new conservative time window.
     ///
@@ -260,91 +143,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pops_in_time_order() {
-        let mut cal = Calendar::new();
-        for &t in &[30u64, 10, 20] {
-            cal.schedule(SimTime::from_ticks(t), t);
-        }
-        let times: Vec<u64> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-        assert_eq!(times, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn equal_times_are_fifo() {
-        let mut cal = Calendar::new();
-        for i in 0..100 {
-            cal.schedule(SimTime::from_ticks(7), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_ticks(4), ());
-        cal.schedule(SimTime::from_ticks(9), ());
-        cal.pop();
-        assert_eq!(cal.now(), SimTime::from_ticks(4));
-        cal.pop();
-        assert_eq!(cal.now(), SimTime::from_ticks(9));
-    }
-
-    #[test]
-    #[should_panic(expected = "before current time")]
-    fn scheduling_into_past_panics() {
-        let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_ticks(10), ());
-        cal.pop();
-        cal.schedule(SimTime::from_ticks(5), ());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_ticks(3), 'a');
-        assert_eq!(cal.peek_time(), Some(SimTime::from_ticks(3)));
-        assert_eq!(cal.len(), 1);
-        assert!(!cal.is_empty());
-    }
-
-    #[test]
-    fn empty_calendar_drains_cleanly() {
-        // A shard whose window holds no events must observe a clean drain:
-        // pop yields None, peeks yield None, and the clock is untouched.
-        let mut cal: Calendar<()> = Calendar::new();
-        assert!(cal.is_empty());
-        assert_eq!(cal.len(), 0);
-        assert_eq!(cal.peek_time(), None);
-        assert_eq!(cal.pop(), None);
-        assert_eq!(cal.now(), SimTime::ZERO);
-        // Draining an emptied calendar behaves the same way.
-        cal.schedule(SimTime::from_ticks(2), ());
-        cal.pop();
-        assert_eq!(cal.pop(), None);
-        assert_eq!(cal.pop(), None);
-        assert_eq!(cal.now(), SimTime::from_ticks(2));
-        // And it accepts new events at or after the drained clock.
-        cal.schedule(SimTime::from_ticks(2), ());
-        assert_eq!(cal.pop(), Some((SimTime::from_ticks(2), ())));
-    }
-
-    #[test]
-    fn simultaneous_events_interleaved_with_earlier_times_stay_fifo() {
-        // Tie-break ordering under a mixed schedule: equal-time events keep
-        // their global insertion order even when events at other timestamps
-        // are scheduled in between.
-        let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_ticks(7), "seven-first");
-        cal.schedule(SimTime::from_ticks(3), "three");
-        cal.schedule(SimTime::from_ticks(7), "seven-second");
-        cal.schedule(SimTime::from_ticks(1), "one");
-        cal.schedule(SimTime::from_ticks(7), "seven-third");
-        let order: Vec<&str> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["one", "three", "seven-first", "seven-second", "seven-third"]);
-    }
-
-    #[test]
     fn keyed_calendar_orders_by_key_not_insertion() {
         let mut cal = KeyedCalendar::new();
         // Insert equal-time events with keys in descending order; pops must
@@ -374,6 +172,36 @@ mod tests {
         let a: Vec<_> = std::iter::from_fn(|| whole.pop()).collect();
         let b: Vec<_> = std::iter::from_fn(|| interleaved.pop()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn keyed_calendar_drains_peeks_and_clocks() {
+        // A shard whose window holds no events must observe a clean drain:
+        // pop and peek yield None, and the clock is untouched.
+        let mut cal: KeyedCalendar<u32, char> = KeyedCalendar::new();
+        assert!(cal.is_empty());
+        assert_eq!(cal.len(), 0);
+        assert_eq!(cal.peek_time(), None);
+        assert_eq!(cal.pop(), None);
+        assert_eq!(cal.now(), SimTime::ZERO);
+        // Reading the next time does not consume the event.
+        cal.schedule(SimTime::from_ticks(9), 0, 'b');
+        cal.schedule(SimTime::from_ticks(4), 0, 'a');
+        assert_eq!(cal.peek_time(), Some(SimTime::from_ticks(4)));
+        assert_eq!(cal.len(), 2);
+        assert!(!cal.is_empty());
+        // The clock follows pops.
+        cal.pop();
+        assert_eq!(cal.now(), SimTime::from_ticks(4));
+        cal.pop();
+        assert_eq!(cal.now(), SimTime::from_ticks(9));
+        // Draining an emptied calendar behaves the same way, and it accepts
+        // new events at or after the drained clock.
+        assert_eq!(cal.pop(), None);
+        assert_eq!(cal.pop(), None);
+        assert_eq!(cal.now(), SimTime::from_ticks(9));
+        cal.schedule(SimTime::from_ticks(9), 1, 'c');
+        assert_eq!(cal.pop(), Some((SimTime::from_ticks(9), 1, 'c')));
     }
 
     #[test]

@@ -5,26 +5,22 @@
 //!
 //! The kernel provides:
 //!
-//! - [`SimTime`] / [`SimDuration`] — integer simulated time (ticks).
-//! - [`Calendar`] — a stable event calendar: events with equal timestamps
-//!   dequeue in insertion order, which keeps simulations deterministic.
-//! - [`KeyedCalendar`] — a calendar ordered by `(time, key)` for partitioned
-//!   simulations, where insertion order is not stable under re-sharding;
-//!   each shard's calendar doubles as its local clock.
-//! - [`Facility`] — a single-server resource with a FIFO queue and
-//!   utilization accounting, mirroring CSIM's `facility` abstraction.
-//! - Statistics accumulators ([`RunningStats`], [`TimeWeighted`],
-//!   [`CountTable`]) used throughout the network and protocol simulators.
+//! - [`SimTime`] — integer simulated time (ticks).
+//! - [`KeyedCalendar`] — an event calendar ordered by `(time, key)` for
+//!   partitioned simulations, where insertion order is not stable under
+//!   re-sharding; each shard's calendar doubles as its local clock.
+//! - [`RunningStats`] — an online mean/variance/min/max accumulator used by
+//!   the network logs.
 //!
 //! # Example
 //!
 //! ```
-//! use commchar_des::{Calendar, SimTime};
+//! use commchar_des::{KeyedCalendar, SimTime};
 //!
-//! let mut cal: Calendar<&'static str> = Calendar::new();
-//! cal.schedule(SimTime::from_ticks(10), "b");
-//! cal.schedule(SimTime::from_ticks(5), "a");
-//! let (t, ev) = cal.pop().unwrap();
+//! let mut cal: KeyedCalendar<u32, &'static str> = KeyedCalendar::new();
+//! cal.schedule(SimTime::from_ticks(10), 0, "b");
+//! cal.schedule(SimTime::from_ticks(5), 0, "a");
+//! let (t, _, ev) = cal.pop().unwrap();
 //! assert_eq!((t.ticks(), ev), (5, "a"));
 //! ```
 
@@ -32,11 +28,9 @@
 #![warn(missing_docs)]
 
 mod calendar;
-mod facility;
 mod stats;
 mod time;
 
-pub use calendar::{Calendar, KeyedCalendar};
-pub use facility::{Facility, FacilityStats};
-pub use stats::{CountTable, RunningStats, TimeWeighted};
-pub use time::{SimDuration, SimTime};
+pub use calendar::KeyedCalendar;
+pub use stats::RunningStats;
+pub use time::SimTime;

@@ -1,8 +1,4 @@
-//! Statistics accumulators used by the simulators.
-
-use std::collections::BTreeMap;
-
-use crate::SimTime;
+//! The online statistics accumulator behind the network logs.
 
 /// Online mean/variance/min/max accumulator (Welford's algorithm).
 ///
@@ -82,152 +78,6 @@ impl RunningStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal, used for channel
-/// and facility utilization.
-///
-/// # Example
-///
-/// ```
-/// use commchar_des::{SimTime, TimeWeighted};
-/// let mut u = TimeWeighted::new(SimTime::ZERO);
-/// u.set(SimTime::from_ticks(0), 1.0);  // busy
-/// u.set(SimTime::from_ticks(6), 0.0);  // idle
-/// assert_eq!(u.average(SimTime::from_ticks(10)), 0.6);
-/// ```
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    start: SimTime,
-    last_change: SimTime,
-    current: f64,
-    weighted_sum: f64,
-}
-
-impl TimeWeighted {
-    /// Creates an accumulator whose signal is 0 from `start`.
-    pub fn new(start: SimTime) -> Self {
-        TimeWeighted { start, last_change: start, current: 0.0, weighted_sum: 0.0 }
-    }
-
-    /// Sets the signal value at time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `at` precedes the previous change.
-    pub fn set(&mut self, at: SimTime, value: f64) {
-        debug_assert!(at >= self.last_change);
-        self.weighted_sum += self.current * at.saturating_since(self.last_change).as_f64();
-        self.last_change = at;
-        self.current = value;
-    }
-
-    /// Current signal value.
-    pub fn value(&self) -> f64 {
-        self.current
-    }
-
-    /// Time-weighted average over `[start, end]`.
-    pub fn average(&self, end: SimTime) -> f64 {
-        let span = end.saturating_since(self.start).as_f64();
-        if span == 0.0 {
-            return 0.0;
-        }
-        let tail = self.current * end.saturating_since(self.last_change).as_f64();
-        (self.weighted_sum + tail) / span
-    }
-}
-
-/// A sparse histogram over integer keys (message lengths, hop counts, …).
-///
-/// # Example
-///
-/// ```
-/// use commchar_des::CountTable;
-/// let mut t = CountTable::new();
-/// t.add(8);
-/// t.add(8);
-/// t.add(40);
-/// assert_eq!(t.count(8), 2);
-/// assert_eq!(t.total(), 3);
-/// assert!((t.fraction(40) - 1.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CountTable {
-    counts: BTreeMap<u64, u64>,
-    total: u64,
-}
-
-impl CountTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        CountTable::default()
-    }
-
-    /// Increments the count for `key`.
-    pub fn add(&mut self, key: u64) {
-        *self.counts.entry(key).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Adds `n` observations of `key`.
-    pub fn add_n(&mut self, key: u64, n: u64) {
-        *self.counts.entry(key).or_insert(0) += n;
-        self.total += n;
-    }
-
-    /// Count recorded for `key`.
-    pub fn count(&self, key: u64) -> u64 {
-        self.counts.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of observations equal to `key` (0 if the table is empty).
-    pub fn fraction(&self, key: u64) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(key) as f64 / self.total as f64
-        }
-    }
-
-    /// Iterates over `(key, count)` pairs in increasing key order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Mean of the keys weighted by count.
-    pub fn weighted_mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self.counts.iter().map(|(&k, &v)| k as f64 * v as f64).sum();
-        sum / self.total as f64
-    }
 }
 
 #[cfg(test)]
@@ -250,72 +100,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [10.0, 20.0];
-        let mut s1 = RunningStats::new();
-        for &x in &a {
-            s1.record(x);
-        }
-        let mut s2 = RunningStats::new();
-        for &x in &b {
-            s2.record(x);
-        }
-        let mut whole = RunningStats::new();
-        for &x in a.iter().chain(&b) {
-            whole.record(x);
-        }
-        s1.merge(&s2);
-        assert!((s1.mean() - whole.mean()).abs() < 1e-12);
-        assert!((s1.variance() - whole.variance()).abs() < 1e-12);
-        assert_eq!(s1.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = RunningStats::new();
-        s.record(5.0);
-        let before = s.mean();
-        s.merge(&RunningStats::new());
-        assert_eq!(s.mean(), before);
-        let mut empty = RunningStats::new();
-        empty.merge(&s);
-        assert_eq!(empty.count(), 1);
-    }
-
-    #[test]
     fn cv_of_constant_stream_is_zero() {
         let mut s = RunningStats::new();
         for _ in 0..5 {
             s.record(3.0);
         }
         assert!(s.cv().abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_partial_busy() {
-        let mut u = TimeWeighted::new(SimTime::ZERO);
-        u.set(SimTime::from_ticks(2), 1.0);
-        u.set(SimTime::from_ticks(5), 0.0);
-        // busy during [2,5) of [0,10] => 0.3
-        assert!((u.average(SimTime::from_ticks(10)) - 0.3).abs() < 1e-12);
-        assert_eq!(u.value(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_empty_span() {
-        let u = TimeWeighted::new(SimTime::from_ticks(5));
-        assert_eq!(u.average(SimTime::from_ticks(5)), 0.0);
-    }
-
-    #[test]
-    fn count_table_basics() {
-        let mut t = CountTable::new();
-        t.add_n(16, 3);
-        t.add(48);
-        assert_eq!(t.total(), 4);
-        assert_eq!(t.count(16), 3);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(16, 3), (48, 1)]);
-        assert!((t.weighted_mean() - (16.0 * 3.0 + 48.0) / 4.0).abs() < 1e-12);
     }
 }

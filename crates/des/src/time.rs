@@ -1,8 +1,6 @@
 //! Simulated time.
 
 use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Sub};
 
 /// An absolute instant of simulated time, in integer *ticks*.
 ///
@@ -14,23 +12,17 @@ use std::ops::{Add, AddAssign, Sub};
 /// # Example
 ///
 /// ```
-/// use commchar_des::{SimDuration, SimTime};
-/// let t = SimTime::ZERO + SimDuration::from_ticks(42);
+/// use commchar_des::SimTime;
+/// let t = SimTime::from_ticks(42);
 /// assert_eq!(t.ticks(), 42);
-/// assert_eq!(t - SimTime::ZERO, SimDuration::from_ticks(42));
+/// assert_eq!(t.max(SimTime::ZERO), t);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
-/// A span of simulated time, in integer ticks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(u64);
-
 impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0);
-    /// The maximum representable instant (useful as an "infinity" sentinel).
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates an instant `ticks` ticks after the origin.
     pub const fn from_ticks(ticks: u64) -> Self {
@@ -47,80 +39,6 @@ impl SimTime {
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
-
-    /// Returns the duration since `earlier`, saturating at zero if `earlier`
-    /// is in the future.
-    #[must_use]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Converts to a floating-point tick count (for statistics only).
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl SimDuration {
-    /// The zero-length duration.
-    pub const ZERO: SimDuration = SimDuration(0);
-
-    /// Creates a duration of `ticks` ticks.
-    pub const fn from_ticks(ticks: u64) -> Self {
-        SimDuration(ticks)
-    }
-
-    /// Returns the length in ticks.
-    pub const fn ticks(self) -> u64 {
-        self.0
-    }
-
-    /// Converts to a floating-point tick count (for statistics only).
-    pub fn as_f64(self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl Add<SimDuration> for SimTime {
-    type Output = SimTime;
-    fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<SimDuration> for SimTime {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sub<SimTime> for SimTime {
-    type Output = SimDuration;
-    /// # Panics
-    /// Panics in debug builds if `rhs` is later than `self`.
-    fn sub(self, rhs: SimTime) -> SimDuration {
-        debug_assert!(self.0 >= rhs.0, "SimTime subtraction went negative");
-        SimDuration(self.0 - rhs.0)
-    }
-}
-
-impl Add for SimDuration {
-    type Output = SimDuration;
-    fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for SimDuration {
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Sum for SimDuration {
-    fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> Self {
-        SimDuration(iter.map(|d| d.0).sum())
-    }
 }
 
 impl fmt::Debug for SimTime {
@@ -135,62 +53,13 @@ impl fmt::Display for SimTime {
     }
 }
 
-impl fmt::Debug for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Δ{}", self.0)
-    }
-}
-
-impl fmt::Display for SimDuration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl From<u64> for SimDuration {
-    fn from(ticks: u64) -> Self {
-        SimDuration(ticks)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn arithmetic_roundtrip() {
-        let t = SimTime::from_ticks(100);
-        let d = SimDuration::from_ticks(25);
-        assert_eq!((t + d).ticks(), 125);
-        assert_eq!((t + d) - t, d);
-    }
-
-    #[test]
-    fn max_and_saturation() {
-        let a = SimTime::from_ticks(3);
-        let b = SimTime::from_ticks(9);
-        assert_eq!(a.max(b), b);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a).ticks(), 6);
-    }
-
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn negative_subtraction_panics_in_debug() {
-        let _ = SimTime::from_ticks(1) - SimTime::from_ticks(2);
-    }
-
-    #[test]
-    fn duration_sum() {
-        let total: SimDuration = (1..=4).map(SimDuration::from_ticks).sum();
-        assert_eq!(total.ticks(), 10);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", SimTime::from_ticks(7)), "7");
         assert_eq!(format!("{:?}", SimTime::from_ticks(7)), "t7");
-        assert_eq!(format!("{:?}", SimDuration::from_ticks(7)), "Δ7");
     }
 }

@@ -1,27 +1,28 @@
 //! Property-based tests for the DES kernel.
 
-use commchar_des::{
-    Calendar, CountTable, Facility, RunningStats, SimDuration, SimTime, TimeWeighted,
-};
+use commchar_des::{KeyedCalendar, RunningStats, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    /// Popping the calendar yields events in nondecreasing time order, and
-    /// FIFO order within equal timestamps.
+    /// Events scheduled in reverse order pop out in `(time, key)` order,
+    /// each at its own timestamp, and none is lost.
     #[test]
-    fn calendar_is_a_stable_priority_queue(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut cal = Calendar::new();
-        for (i, &t) in times.iter().enumerate() {
-            cal.schedule(SimTime::from_ticks(t), (t, i));
+    fn keyed_calendar_pops_in_time_key_order(
+        events in prop::collection::vec((0u64..1000, 0u32..50), 1..200),
+    ) {
+        let mut cal = KeyedCalendar::new();
+        for &(t, k) in events.iter().rev() {
+            cal.schedule(SimTime::from_ticks(t), k, t);
         }
-        let mut last: Option<(u64, usize)> = None;
-        while let Some((at, (t, i))) = cal.pop() {
+        let mut popped = Vec::with_capacity(events.len());
+        while let Some((at, k, t)) = cal.pop() {
             prop_assert_eq!(at.ticks(), t);
-            if let Some((lt, li)) = last {
-                prop_assert!(t > lt || (t == lt && i > li), "not stable: ({lt},{li}) then ({t},{i})");
-            }
-            last = Some((t, i));
+            prop_assert_eq!(cal.now(), at);
+            popped.push((t, k));
         }
+        let mut want = events.clone();
+        want.sort_unstable();
+        prop_assert_eq!(popped, want);
     }
 
     /// Welford statistics agree with the two-pass formulas.
@@ -36,83 +37,5 @@ proptest! {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
         prop_assert!((s.mean() - mean).abs() <= 1e-6 * mean.abs().max(1.0));
         prop_assert!((s.variance() - var).abs() <= 1e-5 * var.abs().max(1.0));
-    }
-
-    /// Merging partitions of a sample equals accumulating the whole sample.
-    #[test]
-    fn running_stats_merge_is_partition_invariant(
-        xs in prop::collection::vec(-1e3f64..1e3, 2..200),
-        split in 1usize..100,
-    ) {
-        let cut = split % xs.len().max(1);
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..cut] { a.record(x); }
-        for &x in &xs[cut..] { b.record(x); }
-        let mut whole = RunningStats::new();
-        for &x in &xs { whole.record(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * whole.mean().abs().max(1.0));
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-7 * whole.variance().max(1.0));
-    }
-
-    /// A facility never starts a reservation before it is requested nor
-    /// before the previous reservation finished, and utilization stays in
-    /// [0, 1].
-    #[test]
-    fn facility_is_a_fifo_server(reqs in prop::collection::vec((0u64..10_000, 1u64..100), 1..100)) {
-        let mut sorted = reqs.clone();
-        sorted.sort();
-        let mut f = Facility::new(SimTime::ZERO);
-        let mut prev_end = 0u64;
-        for &(at, dur) in &sorted {
-            let start = f.reserve(SimTime::from_ticks(at), SimDuration::from_ticks(dur));
-            prop_assert!(start.ticks() >= at);
-            prop_assert!(start.ticks() >= prev_end);
-            prev_end = start.ticks() + dur;
-        }
-        let u = f.busy_fraction(SimTime::from_ticks(prev_end));
-        prop_assert!((0.0..=1.0).contains(&u));
-    }
-
-    /// The time-weighted average of a 0/1 signal is the busy fraction.
-    #[test]
-    fn time_weighted_zero_one_signal(mut toggles in prop::collection::vec(1u64..1000, 1..40)) {
-        toggles.sort_unstable();
-        toggles.dedup();
-        let mut tw = TimeWeighted::new(SimTime::ZERO);
-        let mut busy = 0u64;
-        let mut last = 0u64;
-        let mut level = 0.0;
-        for &t in &toggles {
-            if level == 1.0 {
-                busy += t - last;
-            }
-            level = 1.0 - level;
-            tw.set(SimTime::from_ticks(t), level);
-            last = t;
-        }
-        let end = last + 100;
-        if level == 1.0 {
-            busy += end - last;
-        }
-        let expect = busy as f64 / end as f64;
-        prop_assert!((tw.average(SimTime::from_ticks(end)) - expect).abs() < 1e-9);
-    }
-
-    /// CountTable totals and fractions are consistent.
-    #[test]
-    fn count_table_fractions_sum_to_one(keys in prop::collection::vec(0u64..50, 1..300)) {
-        let mut t = CountTable::new();
-        for &k in &keys {
-            t.add(k);
-        }
-        prop_assert_eq!(t.total(), keys.len() as u64);
-        let total_fraction: f64 = t.iter().map(|(k, _)| t.fraction(k)).sum();
-        prop_assert!((total_fraction - 1.0).abs() < 1e-9);
-        let wm = t.weighted_mean();
-        let mean = keys.iter().sum::<u64>() as f64 / keys.len() as f64;
-        prop_assert!((wm - mean).abs() < 1e-9);
     }
 }

@@ -118,8 +118,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use crate::engine::EngineError;
 use crate::sink::LogSink;
 use crate::{
-    MeshConfig, MeshModel, MsgRecord, NetLog, NetMessage, NodeId, StreamingLog, HOP_PORT_BITS,
-    HOP_PORT_MASK,
+    MeshConfig, MsgRecord, NetLog, NetMessage, NodeId, StreamingLog, HOP_PORT_BITS, HOP_PORT_MASK,
 };
 
 mod shard;
@@ -467,7 +466,7 @@ impl Workspace {
 /// # Example
 ///
 /// ```
-/// use commchar_mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId};
+/// use commchar_mesh::{FlitLevel, MeshConfig, NetMessage, NodeId};
 /// use commchar_des::SimTime;
 ///
 /// let msgs = vec![NetMessage {
@@ -517,6 +516,21 @@ impl FlitLevel {
     /// per-channel utilization over the observed span.
     pub fn into_log(self) -> NetLog {
         self.into_sink()
+    }
+
+    /// Simulates `msgs` (any order; they are sorted by injection time) and
+    /// returns the completed network log.
+    pub fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
+        self.run(msgs);
+        let sim_jobs = self.sim_jobs;
+        let mut finished = std::mem::replace(self, FlitLevel::new(self.cfg));
+        // Keep the warmed-up workspace (and worker team) for the next
+        // batch, and the work counters running across batches.
+        self.sim_jobs = sim_jobs;
+        self.work = finished.work;
+        std::mem::swap(&mut self.ws, &mut finished.ws);
+        std::mem::swap(&mut self.team, &mut finished.team);
+        finished.into_sink()
     }
 }
 
@@ -708,21 +722,6 @@ impl<S: LogSink> FlitLevel<S> {
         }
         self.sink.finish(util);
         self.sink
-    }
-}
-
-impl MeshModel for FlitLevel {
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
-        self.run(msgs);
-        let sim_jobs = self.sim_jobs;
-        let mut finished = std::mem::replace(self, FlitLevel::new(self.cfg));
-        // Keep the warmed-up workspace (and worker team) for the next
-        // batch, and the work counters running across batches.
-        self.sim_jobs = sim_jobs;
-        self.work = finished.work;
-        std::mem::swap(&mut self.ws, &mut finished.ws);
-        std::mem::swap(&mut self.team, &mut finished.team);
-        finished.into_sink()
     }
 }
 
@@ -1891,7 +1890,7 @@ mod tests {
     use commchar_des::SimTime;
 
     use super::*;
-    use crate::{MeshModel, OnlineWormhole};
+    use crate::OnlineWormhole;
 
     fn msg(id: u64, src: u16, dst: u16, bytes: u32, inject: u64) -> NetMessage {
         NetMessage {

@@ -19,9 +19,7 @@ use std::collections::VecDeque;
 
 use crate::engine::EngineError;
 use crate::topology::Dir;
-use crate::{
-    MeshConfig, MeshModel, MsgRecord, NetLog, NetMessage, NodeId, HOP_PORT_BITS, HOP_PORT_MASK,
-};
+use crate::{MeshConfig, MsgRecord, NetLog, NetMessage, NodeId, HOP_PORT_BITS, HOP_PORT_MASK};
 
 const PORT_E: usize = 0;
 const PORT_W: usize = 1;
@@ -107,7 +105,7 @@ struct Worm {
 /// # Example
 ///
 /// ```
-/// use commchar_mesh::{FlitCycleReference, MeshConfig, MeshModel, NetMessage, NodeId};
+/// use commchar_mesh::{FlitCycleReference, MeshConfig, NetMessage, NodeId};
 /// use commchar_des::SimTime;
 ///
 /// let msgs = vec![NetMessage {
@@ -412,8 +410,10 @@ impl Sim<'_> {
     }
 }
 
-impl MeshModel for FlitCycleReference {
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
+impl FlitCycleReference {
+    /// Simulates `msgs` (any order; they are sorted by injection time) and
+    /// returns the completed network log.
+    pub fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
         let cfg = self.cfg;
         let vcs = cfg.virtual_channels;
         let nodes = cfg.shape.nodes();
@@ -546,7 +546,7 @@ mod tests {
     use commchar_des::SimTime;
 
     use super::*;
-    use crate::{MeshModel, OnlineWormhole};
+    use crate::OnlineWormhole;
 
     fn msg(id: u64, src: u16, dst: u16, bytes: u32, inject: u64) -> NetMessage {
         NetMessage {

@@ -32,8 +32,8 @@
 //! For long-horizon runs where retaining per-message records is too
 //! expensive, [`OnlineWormhole`] and [`FlitLevel`] are generic over a
 //! [`LogSink`]: a [`StreamingLog`] folds each delivery into online
-//! moments, auto-widening histograms and per-pair traffic matrices in
-//! O(bins + P²) memory, independent of message count.
+//! moments, an auto-widening latency histogram and per-pair traffic
+//! matrices in O(bins + P²) memory, independent of message count.
 //!
 //! # Example
 //!
@@ -94,13 +94,4 @@ pub struct NetMessage {
     pub bytes: u32,
     /// Time the message is handed to the source network interface.
     pub inject: SimTime,
-}
-
-/// A batch network model: simulate a whole message list and produce a log.
-///
-/// Implemented by both network models so experiments can swap them.
-pub trait MeshModel {
-    /// Simulates `msgs` (any order; they are sorted by injection time) and
-    /// returns the completed network log.
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog;
 }

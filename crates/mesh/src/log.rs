@@ -68,7 +68,7 @@ pub struct NetSummary {
 /// # Example
 ///
 /// ```
-/// use commchar_mesh::{MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole};
+/// use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
 /// use commchar_des::SimTime;
 ///
 /// let msgs = vec![
@@ -119,26 +119,6 @@ impl NetLog {
     /// Messages sourced at `src`, in record order.
     pub fn from_source(&self, src: NodeId) -> impl Iterator<Item = &MsgRecord> + '_ {
         self.records.iter().filter(move |r| r.src == src)
-    }
-
-    /// Per-source injection-time sequences, sorted by time — the input to
-    /// inter-arrival analysis.
-    pub fn injection_times_by_source(&self, nodes: usize) -> Vec<Vec<u64>> {
-        let mut by_src = vec![Vec::new(); nodes];
-        for r in &self.records {
-            by_src[r.src.index()].push(r.inject);
-        }
-        for v in &mut by_src {
-            v.sort_unstable();
-        }
-        by_src
-    }
-
-    /// All injection times, sorted — aggregate inter-arrival analysis.
-    pub fn injection_times(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.records.iter().map(|r| r.inject).collect();
-        v.sort_unstable();
-        v
     }
 
     /// `counts[src][dst]` message counts — the spatial distribution.
@@ -318,9 +298,6 @@ mod tests {
         assert_eq!(counts[1][0], 1);
         let vol = log.volume_bytes(2);
         assert_eq!(vol[0][1], 40);
-        let by_src = log.injection_times_by_source(2);
-        assert_eq!(by_src[0], vec![0, 5]);
-        assert_eq!(by_src[1], vec![6]);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! - [`NetLog`] implements [`LogSink`] by retaining every record (the
 //!   default, fully backward compatible), and
 //! - [`StreamingLog`] folds each record into online moments
-//!   ([`RunningStats`]), auto-widening latency and inter-arrival
-//!   histograms, and per-pair traffic matrices — O(bins + P²) memory,
-//!   independent of message count.
+//!   ([`RunningStats`]), an auto-widening latency histogram, and per-pair
+//!   traffic matrices — O(bins + P²) memory, independent of message count.
 
 use commchar_des::RunningStats;
 use commchar_stats::StreamingHistogram;
@@ -43,14 +42,14 @@ impl LogSink for NetLog {
     }
 }
 
-/// Default bin count for the streaming histograms.
-const DEFAULT_BINS: usize = 64;
+/// Bin count of the streaming latency histogram.
+const LATENCY_BINS: usize = 64;
 
 /// Online network statistics in O(bins + P²) memory.
 ///
 /// Each delivered message updates Welford accumulators (latency, blocked
-/// time, payload, hops, inter-arrival), two [`StreamingHistogram`]s
-/// (latency and per-source inter-arrival), and P×P message/byte matrices.
+/// time, payload, hops, inter-arrival), a latency [`StreamingHistogram`],
+/// and P×P message/byte matrices.
 /// Nothing is retained per message, so a run of 10 million messages holds
 /// exactly as much memory as a run of ten — see
 /// [`approx_mem_bytes`](StreamingLog::approx_mem_bytes).
@@ -88,7 +87,6 @@ pub struct StreamingLog {
     hops: RunningStats,
     interarrival: RunningStats,
     latency_hist: StreamingHistogram,
-    interarrival_hist: StreamingHistogram,
     /// Per-source previous injection time (inter-arrival state).
     last_inject: Vec<Option<u64>>,
     /// Row-major P×P message counts (`src × nodes + dst`).
@@ -103,21 +101,12 @@ pub struct StreamingLog {
 
 impl StreamingLog {
     /// Creates an empty accumulator for a `nodes`-processor network, with
-    /// the default histogram resolution.
+    /// a 64-bin latency histogram.
     ///
     /// # Panics
     ///
     /// Panics if `nodes == 0`.
     pub fn new(nodes: usize) -> StreamingLog {
-        StreamingLog::with_bins(nodes, DEFAULT_BINS)
-    }
-
-    /// Creates an empty accumulator with `bins` histogram bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0` or `bins < 2`.
-    pub fn with_bins(nodes: usize, bins: usize) -> StreamingLog {
         assert!(nodes > 0, "streaming log needs at least one node");
         StreamingLog {
             nodes,
@@ -126,8 +115,7 @@ impl StreamingLog {
             bytes: RunningStats::new(),
             hops: RunningStats::new(),
             interarrival: RunningStats::new(),
-            latency_hist: StreamingHistogram::new(bins),
-            interarrival_hist: StreamingHistogram::new(bins),
+            latency_hist: StreamingHistogram::new(LATENCY_BINS),
             last_inject: vec![None; nodes],
             msg_counts: vec![0; nodes * nodes],
             byte_counts: vec![0; nodes * nodes],
@@ -184,11 +172,6 @@ impl StreamingLog {
         &self.latency_hist
     }
 
-    /// The auto-widening per-source inter-arrival histogram.
-    pub fn interarrival_histogram(&self) -> &StreamingHistogram {
-        &self.interarrival_hist
-    }
-
     /// `counts[src][dst]` message counts — same shape as
     /// [`NetLog::spatial_counts`].
     pub fn spatial_counts(&self) -> Vec<Vec<u64>> {
@@ -199,11 +182,6 @@ impl StreamingLog {
     /// [`NetLog::volume_bytes`].
     pub fn volume_bytes(&self) -> Vec<Vec<u64>> {
         self.byte_counts.chunks(self.nodes).map(|row| row.to_vec()).collect()
-    }
-
-    /// Messages sent by `src` (row sum of the count matrix).
-    pub fn sent_by(&self, src: usize) -> u64 {
-        self.msg_counts[src * self.nodes..(src + 1) * self.nodes].iter().sum()
     }
 
     /// Simulated span: last delivery − first injection (ticks).
@@ -245,7 +223,6 @@ impl StreamingLog {
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
         self.latency_hist.mem_bytes()
-            + self.interarrival_hist.mem_bytes()
             + self.last_inject.capacity() * size_of::<Option<u64>>()
             + self.msg_counts.capacity() * size_of::<u64>()
             + self.byte_counts.capacity() * size_of::<u64>()
@@ -267,7 +244,6 @@ impl LogSink for StreamingLog {
         if let Some(prev) = self.last_inject[s] {
             let gap = rec.inject.saturating_sub(prev);
             self.interarrival.record(gap as f64);
-            self.interarrival_hist.record(gap);
         }
         self.last_inject[s] = Some(rec.inject);
         self.msg_counts[s * self.nodes + d] += 1;
@@ -360,7 +336,6 @@ mod tests {
         }
         assert_eq!(stream.spatial_counts(), log.spatial_counts(4));
         assert_eq!(stream.volume_bytes(), log.volume_bytes(4));
-        assert_eq!(stream.sent_by(0), 2);
         assert_eq!(stream.total_bytes(), 148);
     }
 

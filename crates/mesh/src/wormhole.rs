@@ -4,7 +4,7 @@ use commchar_des::SimTime;
 
 use crate::log::ticks;
 use crate::sink::{LogSink, StreamingLog};
-use crate::{MeshConfig, MeshModel, MsgRecord, NetLog, NetMessage};
+use crate::{MeshConfig, MsgRecord, NetLog, NetMessage};
 
 /// The channel-granularity wormhole model.
 ///
@@ -59,6 +59,17 @@ impl OnlineWormhole {
     /// per-channel utilization over the observed span.
     pub fn into_log(self) -> NetLog {
         self.into_sink()
+    }
+
+    /// Simulates `msgs` (any order; they are sorted by injection time) and
+    /// returns the completed network log.
+    pub fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
+        let mut sorted: Vec<NetMessage> = msgs.to_vec();
+        sorted.sort_by_key(|m| (m.inject, m.id));
+        for m in &sorted {
+            self.send(*m);
+        }
+        std::mem::replace(self, OnlineWormhole::new(self.cfg)).into_log()
     }
 }
 
@@ -194,17 +205,6 @@ impl<S: LogSink> OnlineWormhole<S> {
             .collect();
         self.sink.finish(util);
         self.sink
-    }
-}
-
-impl MeshModel for OnlineWormhole {
-    fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
-        let mut sorted: Vec<NetMessage> = msgs.to_vec();
-        sorted.sort_by_key(|m| (m.inject, m.id));
-        for m in &sorted {
-            self.send(*m);
-        }
-        std::mem::replace(self, OnlineWormhole::new(self.cfg)).into_log()
     }
 }
 

@@ -16,8 +16,8 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, FlitLevel, FlitWork, IncrementalFlit, MeshConfig, MeshModel, NetEngine,
-    NetMessage, NodeId, OnlineWormhole, Routing, Topology,
+    EngineError, FlitLevel, FlitWork, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId,
+    OnlineWormhole, Routing, Topology,
 };
 
 /// Deterministic 64-bit LCG (MMIX constants) — no external RNG crates.

@@ -17,8 +17,7 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, FlitCycleReference, FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, Routing,
-    Topology,
+    EngineError, FlitCycleReference, FlitLevel, MeshConfig, NetMessage, NodeId, Routing, Topology,
 };
 
 /// Deterministic 64-bit LCG (MMIX constants) — no external RNG crates.

@@ -2,8 +2,7 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    FlitLevel, MeshConfig, MeshModel, MeshShape, NetMessage, NodeId, OnlineWormhole, Routing,
-    Topology,
+    FlitLevel, MeshConfig, MeshShape, NetMessage, NodeId, OnlineWormhole, Routing, Topology,
 };
 use proptest::prelude::*;
 

@@ -14,7 +14,7 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, FlitLevel, IncrementalFlit, MeshConfig, MeshModel, NetMessage, NodeId, Routing,
+    EngineError, FlitLevel, IncrementalFlit, MeshConfig, NetMessage, NodeId, Routing,
 };
 use proptest::prelude::*;
 

@@ -174,13 +174,6 @@ impl Team {
         Team { shared, handles }
     }
 
-    /// Spawns a team sized by [`resolve_jobs_for`]: the `jobs` knob
-    /// resolved against hardware parallelism, then capped at `items` so
-    /// no worker can ever sit idle by construction.
-    pub fn for_items(jobs: usize, items: usize) -> Self {
-        Self::new(resolve_jobs_for(jobs, items))
-    }
-
     /// Number of worker threads in the team.
     pub fn workers(&self) -> usize {
         self.handles.len()
@@ -324,16 +317,6 @@ mod tests {
         // Degenerate inputs still give a usable worker count.
         assert_eq!(resolve_jobs_for(0, 0), 1);
         assert_eq!(resolve_jobs_for(4, 1), 1);
-    }
-
-    #[test]
-    fn team_caps_workers_at_item_count() {
-        let team = Team::for_items(16, 3);
-        assert_eq!(team.workers(), 3);
-        let team = Team::for_items(16, 1);
-        assert_eq!(team.workers(), 1);
-        let team = Team::for_items(0, 2);
-        assert!(team.workers() <= 2);
     }
 
     #[test]

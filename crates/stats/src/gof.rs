@@ -1,6 +1,6 @@
 //! Goodness-of-fit measures.
 
-use crate::{Dist, Ecdf, Histogram};
+use crate::{Dist, Ecdf};
 
 /// Kolmogorov–Smirnov statistic: `sup |F_emp − F_model|`.
 ///
@@ -13,15 +13,6 @@ use crate::{Dist, Ecdf, Histogram};
 /// assert!(d < 0.3);
 /// ```
 pub fn ks_statistic(ecdf: &Ecdf, dist: &Dist) -> f64 {
-    ks_statistic_bounded(ecdf, dist, f64::INFINITY)
-}
-
-/// [`ks_statistic`] with an early-exit bound: stops scanning as soon as
-/// the running supremum reaches `bail_above` and returns it. The result
-/// is exact when it is below the bound, and otherwise a lower bound on
-/// the true statistic — enough for a caller that only needs to know the
-/// model cannot beat a current best.
-pub fn ks_statistic_bounded(ecdf: &Ecdf, dist: &Dist, bail_above: f64) -> f64 {
     let n = ecdf.len() as f64;
     let mut sup: f64 = 0.0;
     for (i, &x) in ecdf.sorted().iter().enumerate() {
@@ -29,9 +20,6 @@ pub fn ks_statistic_bounded(ecdf: &Ecdf, dist: &Dist, bail_above: f64) -> f64 {
         let above = ((i + 1) as f64 / n - f).abs();
         let below = (f - i as f64 / n).abs();
         sup = sup.max(above).max(below);
-        if sup >= bail_above {
-            return sup;
-        }
     }
     sup
 }
@@ -46,8 +34,11 @@ pub fn ks_statistic_bounded(ecdf: &Ecdf, dist: &Dist, bail_above: f64) -> f64 {
 /// For a run of `c` equal samples the empirical CDF steps from `cum/n`
 /// to `(cum+c)/n`; the supremum over the run is attained at one of those
 /// two rank extremes, so the grouped scan returns the exact statistic
-/// (bit-identical to the per-sample loop). `bail_above` early-exits as in
-/// [`ks_statistic_bounded`].
+/// (bit-identical to the per-sample loop). The scan stops as soon as the
+/// running supremum reaches `bail_above` and returns it: the result is
+/// exact below the bound, and otherwise a lower bound on the true
+/// statistic — enough for a caller that only needs to know the model
+/// cannot beat a current best.
 ///
 /// # Panics
 ///
@@ -74,37 +65,6 @@ pub fn ks_statistic_grouped(
         cum += c;
     }
     sup
-}
-
-/// Chi-square statistic of a histogram against a model, with the number of
-/// (merged) cells used. Adjacent bins are pooled until each expected count
-/// reaches 5, the usual validity rule.
-pub fn chi_square(hist: &Histogram, dist: &Dist) -> (f64, usize) {
-    let total = hist.total() as f64;
-    let mut cells: Vec<(f64, f64)> = Vec::new(); // (observed, expected)
-    let mut obs_acc = 0.0;
-    let mut exp_acc = 0.0;
-    for i in 0..hist.bins() {
-        let lo = hist.edge(i);
-        let hi = hist.edge(i + 1);
-        obs_acc += hist.count(i) as f64;
-        exp_acc += total * (dist.cdf(hi) - dist.cdf(lo)).max(0.0);
-        if exp_acc >= 5.0 {
-            cells.push((obs_acc, exp_acc));
-            obs_acc = 0.0;
-            exp_acc = 0.0;
-        }
-    }
-    if exp_acc > 0.0 || obs_acc > 0.0 {
-        if let Some(last) = cells.last_mut() {
-            last.0 += obs_acc;
-            last.1 += exp_acc;
-        } else {
-            cells.push((obs_acc, exp_acc.max(1e-9)));
-        }
-    }
-    let chi2 = cells.iter().map(|&(o, e)| if e > 0.0 { (o - e) * (o - e) / e } else { 0.0 }).sum();
-    (chi2, cells.len())
 }
 
 /// [`r_squared_cdf`] over a value-deduplicated sample (`xs` distinct
@@ -202,25 +162,6 @@ mod tests {
         assert!(ks_statistic(&e, &d) > 0.9);
     }
 
-    #[test]
-    fn chi_square_small_for_true_model() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let d = Dist::exponential(0.1);
-        let samples: Vec<f64> = (0..5000).map(|_| d.sample(&mut rng)).collect();
-        let h = Histogram::from_samples(&samples, 30);
-        let (chi2, cells) = chi_square(&h, &d);
-        // Rough check: statistic near its dof.
-        assert!(chi2 < 3.0 * cells as f64, "chi2 {chi2} over {cells} cells");
-    }
-
-    #[test]
-    fn chi_square_pools_sparse_bins() {
-        let samples: Vec<f64> = (0..50).map(|i| i as f64 / 10.0).collect();
-        let h = Histogram::from_samples(&samples, 40);
-        let (_, cells) = chi_square(&h, &Dist::uniform(0.0, 4.9));
-        assert!(cells < 40, "bins must be pooled to reach expected counts");
-    }
-
     fn group(sorted: &[f64]) -> (Vec<f64>, Vec<u64>) {
         let mut xs: Vec<f64> = Vec::new();
         let mut counts: Vec<u64> = Vec::new();
@@ -251,16 +192,6 @@ mod tests {
             let grouped = ks_statistic_grouped(&xs, &counts, e.len() as u64, &model, f64::INFINITY);
             assert_eq!(naive, grouped, "model {model}");
         }
-    }
-
-    #[test]
-    fn bounded_ks_is_exact_below_bound_and_lower_bound_above() {
-        let e = Ecdf::new((1..=500).map(|i| i as f64).collect());
-        let model = Dist::exponential(0.01);
-        let exact = ks_statistic(&e, &model);
-        assert_eq!(ks_statistic_bounded(&e, &model, exact + 0.1), exact);
-        let bailed = ks_statistic_bounded(&e, &model, exact / 2.0);
-        assert!(bailed >= exact / 2.0 && bailed <= exact);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl Histogram {
         self.min + (i as f64 + 0.5) * self.bin_width()
     }
 
-    /// Lower edge of bin `i` (edge `bins()` is the upper bound).
-    pub fn edge(&self, i: usize) -> f64 {
-        self.min + i as f64 * self.bin_width()
-    }
-
     /// Raw count in bin `i`.
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]
@@ -93,11 +88,6 @@ impl Histogram {
         } else {
             self.counts[i] as f64 / self.total as f64
         }
-    }
-
-    /// `(center, density)` series — the paper's histogram plots.
-    pub fn density_series(&self) -> Vec<(f64, f64)> {
-        (0..self.bins()).map(|i| (self.center(i), self.density(i))).collect()
     }
 }
 

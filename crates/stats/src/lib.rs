@@ -24,8 +24,8 @@
 //!   per-block partial samples built in parallel fold into the same
 //!   `FitContext` the batch path builds — the substrate of out-of-core
 //!   characterization.
-//! - Goodness-of-fit ([`gof`]): Kolmogorov–Smirnov statistic, chi-square,
-//!   and R² against the empirical CDF (the paper reports regression R²).
+//! - Goodness-of-fit ([`gof`]): Kolmogorov–Smirnov statistic and R²
+//!   against the empirical CDF (the paper reports regression R²).
 //! - [`spatial`] — spatial traffic models (uniform, bimodal-uniform /
 //!   favorite-processor, locality decay) with classification by regression,
 //!   reproducing the paper's spatial-distribution analysis.

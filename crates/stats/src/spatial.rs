@@ -306,12 +306,6 @@ pub fn sample_destination<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize 
     probs.iter().rposition(|&p| p > 0.0).unwrap()
 }
 
-/// Shannon entropy of a destination distribution in bits — a scale-free
-/// summary of spatial spread (max = log2(n−1) for uniform traffic).
-pub fn entropy_bits(probs: &[f64]) -> f64 {
-    probs.iter().filter(|&&p| p > 0.0).map(|&p| -p * p.log2()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use rand::SeedableRng;
@@ -423,13 +417,5 @@ mod tests {
         assert_eq!(hits[0], 0);
         let f1 = hits[1] as f64 / 20_000.0;
         assert!((f1 - 0.25).abs() < 0.02, "f1 = {f1}");
-    }
-
-    #[test]
-    fn entropy_extremes() {
-        let uniform = vec![0.0, 0.25, 0.25, 0.25, 0.25];
-        assert!((entropy_bits(&uniform) - 2.0).abs() < 1e-12);
-        let point = vec![0.0, 1.0, 0.0];
-        assert_eq!(entropy_bits(&point), 0.0);
     }
 }

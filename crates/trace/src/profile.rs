@@ -1,16 +1,14 @@
 //! Trace profiling: per-source workload summaries.
 //!
-//! Two extraction paths share one definition of the profile:
-//!
-//! - **Batch** — [`extract`] walks an in-memory [`CommTrace`] and hands
-//!   back the profile plus raw temporal samples ([`GapExtract`]).
-//! - **Streaming** — [`SegmentExtract::from_events`] condenses one
-//!   time-sorted block of events into a constant-size partial (grouped
-//!   gap runs, integer counters), and [`StreamAccum`] folds the partials
-//!   in time order, stitching the boundary gaps between consecutive
-//!   blocks. The result ([`StreamExtract`]) represents exactly the same
-//!   gap multisets and profile integers as the batch pass, without ever
-//!   materializing the event stream.
+//! [`profile`], [`interarrival_by_source`] and [`interarrival_aggregate`]
+//! are plain passes over an in-memory [`CommTrace`]. The analysis pipeline
+//! streams instead: [`SegmentExtract::from_events`] condenses one
+//! time-sorted block of events into a constant-size partial (grouped gap
+//! runs, integer counters), and [`StreamAccum`] folds the partials in time
+//! order, stitching the boundary gaps between consecutive blocks. The
+//! result ([`StreamExtract`]) represents exactly the same gap multisets and
+//! profile integers as the plain passes, without ever materializing the
+//! event stream.
 
 use std::collections::BTreeMap;
 
@@ -51,151 +49,6 @@ pub struct TraceProfile {
     pub span: u64,
     /// Message counts by kind (control, data, sync).
     pub kind_counts: [u64; 3],
-}
-
-/// Incremental profile builder — the sink form of [`profile`], for
-/// callers that stream events (a packed-trace reader, a live profiler)
-/// instead of holding a whole [`CommTrace`].
-///
-/// Push events in any order; [`finish`](ProfileAccum::finish) produces
-/// exactly the [`TraceProfile`] that [`profile`] would compute over the
-/// same events.
-#[derive(Clone, Debug)]
-pub struct ProfileAccum {
-    sources: Vec<SourceProfile>,
-    times: Vec<Vec<u64>>,
-    lengths: Vec<u32>,
-    kind_counts: [u64; 3],
-    first: u64,
-    last: u64,
-    total_bytes: u64,
-    messages: u64,
-}
-
-/// Everything one streaming pass over a trace yields for the
-/// characterization pipeline: the volume/spatial profile plus the raw
-/// temporal samples, so the analyzer never re-walks the event list.
-#[derive(Clone, Debug)]
-pub struct GapExtract {
-    /// The whole-trace profile ([`ProfileAccum::finish`]'s output):
-    /// per-source message/byte/destination counts and the volume totals.
-    pub profile: TraceProfile,
-    /// Per-source inter-send gaps in ticks, identical to
-    /// [`interarrival_by_source`] over the same events.
-    pub per_source: Vec<Vec<f64>>,
-    /// Aggregate inter-arrival gaps across all sources in time order,
-    /// identical to [`interarrival_aggregate`] over the same events.
-    pub aggregate: Vec<f64>,
-    /// Every event's payload length, in push order.
-    pub lengths: Vec<u32>,
-}
-
-impl ProfileAccum {
-    /// Starts an empty profile over `nodes` processors.
-    pub fn new(nodes: usize) -> Self {
-        ProfileAccum {
-            sources: (0..nodes)
-                .map(|s| SourceProfile {
-                    src: s as u16,
-                    messages: 0,
-                    bytes: 0,
-                    mean_gap: 0.0,
-                    dest_counts: vec![0; nodes],
-                    dest_bytes: vec![0; nodes],
-                })
-                .collect(),
-            times: vec![Vec::new(); nodes],
-            lengths: Vec::new(),
-            kind_counts: [0; 3],
-            first: u64::MAX,
-            last: 0,
-            total_bytes: 0,
-            messages: 0,
-        }
-    }
-
-    /// Accounts one event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event's endpoints are out of range for the node
-    /// count given to [`new`](ProfileAccum::new).
-    pub fn push(&mut self, e: &CommEvent) {
-        let s = &mut self.sources[e.src as usize];
-        s.messages += 1;
-        s.bytes += e.bytes as u64;
-        s.dest_counts[e.dst as usize] += 1;
-        s.dest_bytes[e.dst as usize] += e.bytes as u64;
-        self.times[e.src as usize].push(e.t);
-        self.lengths.push(e.bytes);
-        self.total_bytes += e.bytes as u64;
-        self.first = self.first.min(e.t);
-        self.last = self.last.max(e.t);
-        self.messages += 1;
-        self.kind_counts[match e.kind {
-            EventKind::Control => 0,
-            EventKind::Data => 1,
-            EventKind::Sync => 2,
-        }] += 1;
-    }
-
-    /// Completes the per-source gap statistics and returns the profile.
-    pub fn finish(self) -> TraceProfile {
-        self.finish_with_gaps().profile
-    }
-
-    /// Completes the profile **and** hands back the temporal raw samples
-    /// the same pass already ordered: per-source and aggregate
-    /// inter-arrival gaps, plus the observed message lengths.
-    ///
-    /// This is the single-streaming-pass entry point of the
-    /// characterization pipeline — one walk over the events feeds the
-    /// temporal fits, the spatial classification (via the profile's
-    /// `dest_counts` rows) and the volume attribute, where the analyzer
-    /// previously re-traversed and re-sorted the trace once per view.
-    pub fn finish_with_gaps(mut self) -> GapExtract {
-        let mut per_source = Vec::with_capacity(self.times.len());
-        for (s, ts) in self.sources.iter_mut().zip(&mut self.times) {
-            ts.sort_unstable();
-            if ts.len() >= 2 {
-                let total: u64 = ts.windows(2).map(|w| w[1] - w[0]).sum();
-                s.mean_gap = total as f64 / (ts.len() - 1) as f64;
-            }
-            per_source.push(ts.windows(2).map(|w| (w[1] - w[0]) as f64).collect());
-        }
-        // Aggregate arrival order: merge the per-source sorted times. A
-        // flat sort is simplest and the per-source vectors are already
-        // sorted, so this is the merge pass of a mergesort in disguise.
-        let mut all: Vec<u64> = Vec::with_capacity(self.messages as usize);
-        for ts in &self.times {
-            all.extend_from_slice(ts);
-        }
-        all.sort_unstable();
-        let aggregate = all.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-        let profile = TraceProfile {
-            sources: self.sources,
-            messages: self.messages,
-            bytes: self.total_bytes,
-            mean_bytes: if self.messages == 0 {
-                0.0
-            } else {
-                self.total_bytes as f64 / self.messages as f64
-            },
-            span: if self.messages == 0 { 0 } else { self.last - self.first },
-            kind_counts: self.kind_counts,
-        };
-        GapExtract { profile, per_source, aggregate, lengths: self.lengths }
-    }
-}
-
-/// One streaming pass over a trace yielding the profile plus the temporal
-/// raw samples — see [`ProfileAccum::finish_with_gaps`].
-pub fn extract(trace: &CommTrace) -> GapExtract {
-    let mut accum = ProfileAccum::new(trace.nodes());
-    for e in trace.events() {
-        accum.push(e);
-    }
-    accum.finish_with_gaps()
 }
 
 /// Events were not in nondecreasing time order where the streaming
@@ -289,11 +142,7 @@ impl SegmentExtract {
             seg.span = Some(seg.span.map_or((e.t, e.t), |(first, _)| (first, e.t)));
             seg.total_bytes += e.bytes as u64;
             *seg.length_counts.entry(e.bytes).or_insert(0) += 1;
-            seg.kind_counts[match e.kind {
-                EventKind::Control => 0,
-                EventKind::Data => 1,
-                EventKind::Sync => 2,
-            }] += 1;
+            seg.kind_counts[kind_slot(e.kind)] += 1;
         }
         seg.agg_grouped = GroupedSample::from_samples(&seg.agg_gaps);
         Ok(seg)
@@ -306,9 +155,8 @@ impl SegmentExtract {
 }
 
 /// Everything the constant-memory pass yields for the characterization
-/// pipeline — the streaming counterpart of [`GapExtract`], with raw sample
-/// vectors replaced by grouped runs and an already-finished burstiness
-/// summary.
+/// pipeline: the profile, the temporal samples as grouped runs, and an
+/// already-finished burstiness summary.
 #[derive(Clone, Debug)]
 pub struct StreamExtract {
     /// The whole-trace profile, identical to [`profile`]'s output over the
@@ -479,11 +327,62 @@ impl StreamAccum {
 /// assert_eq!(p.sources[0].mean_gap, 100.0);
 /// ```
 pub fn profile(trace: &CommTrace) -> TraceProfile {
-    let mut accum = ProfileAccum::new(trace.nodes());
+    let nodes = trace.nodes();
+    let mut sources: Vec<SourceProfile> = (0..nodes)
+        .map(|s| SourceProfile {
+            src: s as u16,
+            messages: 0,
+            bytes: 0,
+            mean_gap: 0.0,
+            dest_counts: vec![0; nodes],
+            dest_bytes: vec![0; nodes],
+        })
+        .collect();
+    // Each source's earliest and latest send: the gaps between its sorted
+    // sends telescope, so their mean is `(last − first) / (messages − 1)`.
+    let mut first = vec![u64::MAX; nodes];
+    let mut last = vec![0u64; nodes];
+    let mut bytes = 0u64;
+    let mut kind_counts = [0u64; 3];
     for e in trace.events() {
-        accum.push(e);
+        let s = e.src as usize;
+        let src = &mut sources[s];
+        src.messages += 1;
+        src.bytes += e.bytes as u64;
+        src.dest_counts[e.dst as usize] += 1;
+        src.dest_bytes[e.dst as usize] += e.bytes as u64;
+        first[s] = first[s].min(e.t);
+        last[s] = last[s].max(e.t);
+        bytes += e.bytes as u64;
+        kind_counts[kind_slot(e.kind)] += 1;
     }
-    accum.finish()
+    for (s, src) in sources.iter_mut().enumerate() {
+        if src.messages >= 2 {
+            src.mean_gap = (last[s] - first[s]) as f64 / (src.messages - 1) as f64;
+        }
+    }
+    let messages = trace.len() as u64;
+    let span = match (first.iter().min(), last.iter().max()) {
+        (Some(&lo), Some(&hi)) if messages > 0 => hi - lo,
+        _ => 0,
+    };
+    TraceProfile {
+        sources,
+        messages,
+        bytes,
+        mean_bytes: if messages == 0 { 0.0 } else { bytes as f64 / messages as f64 },
+        span,
+        kind_counts,
+    }
+}
+
+/// Index of `kind` in [`TraceProfile::kind_counts`].
+fn kind_slot(kind: EventKind) -> usize {
+    match kind {
+        EventKind::Control => 0,
+        EventKind::Data => 1,
+        EventKind::Sync => 2,
+    }
 }
 
 /// Per-source inter-arrival (inter-send) gaps — the temporal attribute's
@@ -557,20 +456,6 @@ mod tests {
         assert_eq!(p.mean_bytes, 0.0);
     }
 
-    #[test]
-    fn extract_matches_the_separate_passes() {
-        let tr = trace();
-        let x = extract(&tr);
-        assert_eq!(x.per_source, interarrival_by_source(&tr));
-        assert_eq!(x.aggregate, interarrival_aggregate(&tr));
-        assert_eq!(x.lengths, vec![8, 40, 8, 16]);
-        assert_eq!(x.profile.messages, profile(&tr).messages);
-        assert_eq!(x.profile.sources[0].dest_counts, vec![0, 2, 1]);
-        let empty = extract(&CommTrace::new(2));
-        assert!(empty.aggregate.is_empty());
-        assert!(empty.lengths.is_empty());
-    }
-
     /// A deterministically scrambled-but-sortable trace with several
     /// sources, duplicate timestamps and silent-source stretches.
     fn sorted_trace(n_events: u64) -> CommTrace {
@@ -602,28 +487,30 @@ mod tests {
     #[test]
     fn streamed_extraction_equals_batch_for_any_block_size() {
         let tr = sorted_trace(257);
-        let batch = extract(&tr);
+        let per_source = interarrival_by_source(&tr);
+        let aggregate = interarrival_aggregate(&tr);
+        let batch = profile(&tr);
         for block in [1, 2, 3, 7, 64, 1000] {
             let st = stream_over_blocks(&tr, block);
             // Gap multisets are exactly the batch samples, grouped.
-            for (s, gaps) in batch.per_source.iter().enumerate() {
+            for (s, gaps) in per_source.iter().enumerate() {
                 assert_eq!(st.per_source[s], GroupedSample::from_samples(gaps), "src {s}");
             }
-            assert_eq!(st.aggregate, GroupedSample::from_samples(&batch.aggregate));
+            assert_eq!(st.aggregate, GroupedSample::from_samples(&aggregate));
             // Profile integers and telescoped mean gaps are identical.
-            assert_eq!(st.profile.messages, batch.profile.messages);
-            assert_eq!(st.profile.bytes, batch.profile.bytes);
-            assert_eq!(st.profile.span, batch.profile.span);
-            assert_eq!(st.profile.kind_counts, batch.profile.kind_counts);
-            assert_eq!(st.profile.mean_bytes, batch.profile.mean_bytes);
-            for (sp, bp) in st.profile.sources.iter().zip(&batch.profile.sources) {
+            assert_eq!(st.profile.messages, batch.messages);
+            assert_eq!(st.profile.bytes, batch.bytes);
+            assert_eq!(st.profile.span, batch.span);
+            assert_eq!(st.profile.kind_counts, batch.kind_counts);
+            assert_eq!(st.profile.mean_bytes, batch.mean_bytes);
+            for (sp, bp) in st.profile.sources.iter().zip(&batch.sources) {
                 assert_eq!(sp.messages, bp.messages);
                 assert_eq!(sp.dest_counts, bp.dest_counts);
                 assert_eq!(sp.dest_bytes, bp.dest_bytes);
                 assert_eq!(sp.mean_gap, bp.mean_gap, "src {}", sp.src);
             }
             // Burstiness is fed the identical ordered sequence.
-            let b = commchar_stats::burstiness::burstiness(&batch.aggregate);
+            let b = commchar_stats::burstiness::burstiness(&aggregate);
             assert!(st.burstiness.cv2 == b.cv2);
             assert!(
                 st.burstiness.idi8 == b.idi8 || (st.burstiness.idi8.is_nan() && b.idi8.is_nan())
@@ -633,8 +520,8 @@ mod tests {
             );
             // Length counts match the observed lengths.
             let mut want = BTreeMap::new();
-            for &l in &batch.lengths {
-                *want.entry(l).or_insert(0u64) += 1;
+            for e in tr.events() {
+                *want.entry(e.bytes).or_insert(0u64) += 1;
             }
             assert_eq!(st.length_counts, want);
         }

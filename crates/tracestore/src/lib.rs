@@ -57,8 +57,8 @@ pub mod writer;
 use commchar_trace::{CommEvent, CommTrace};
 
 pub use reader::{
-    profile_packed, unpack_netlog, unpack_trace, unpack_trace_parallel, BlockSource, FileReader,
-    StreamBlockReader, TraceReader,
+    unpack_netlog, unpack_trace, unpack_trace_parallel, BlockSource, FileReader, StreamBlockReader,
+    TraceReader,
 };
 pub use writer::{pack_netlog, pack_trace, NetLogWriter, TraceWriter, DEFAULT_BLOCK_LEN};
 

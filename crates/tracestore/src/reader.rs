@@ -4,7 +4,6 @@
 //! by the [`BlockSource`] trait for out-of-core consumers.
 
 use commchar_mesh::{MsgRecord, NetLog};
-use commchar_trace::profile::{ProfileAccum, TraceProfile};
 use commchar_trace::{CommEvent, CommTrace};
 
 use crate::varint::Cursor;
@@ -657,20 +656,6 @@ pub fn unpack_trace_parallel(bytes: &[u8], jobs: usize) -> Result<CommTrace, Tra
 /// Any structural or per-block decode failure.
 pub fn unpack_netlog(bytes: &[u8]) -> Result<NetLog, TraceStoreError> {
     TraceReader::open(bytes)?.read_netlog()
-}
-
-/// Profiles a packed event stream block-at-a-time — the whole-trace
-/// [`TraceProfile`] without ever materializing the event list.
-///
-/// # Errors
-///
-/// Any structural or per-block decode failure.
-pub fn profile_packed(bytes: &[u8]) -> Result<TraceProfile, TraceStoreError> {
-    let reader = TraceReader::open(bytes)?;
-    reader.expect_kind(StreamKind::Events)?;
-    let mut accum = ProfileAccum::new(reader.nodes());
-    reader.for_each_event(|e| accum.push(&e))?;
-    Ok(accum.finish())
 }
 
 /// An incremental reader over a *non-seekable* CCTRACE1 byte stream — a

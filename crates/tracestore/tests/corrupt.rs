@@ -1,7 +1,7 @@
 //! Corrupt-input hardening: every malformed-file shape must surface as a
 //! typed [`TraceStoreError`] — never a panic.
 
-use commchar_mesh::{MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{
     load_trace, pack_netlog, pack_trace, unpack_netlog, unpack_trace, unpack_trace_parallel,

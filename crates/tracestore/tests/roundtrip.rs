@@ -8,8 +8,8 @@ use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::{
-    load_trace, pack_trace, profile_packed, unpack_trace, unpack_trace_parallel, BlockSource,
-    FileReader, TraceReader,
+    load_trace, pack_trace, unpack_trace, unpack_trace_parallel, BlockSource, FileReader,
+    TraceReader,
 };
 use proptest::prelude::*;
 
@@ -128,23 +128,5 @@ proptest! {
             prop_assert_eq!(f, m);
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Streaming profile over packed bytes equals the in-memory profile.
-    #[test]
-    fn packed_profile_matches_in_memory(trace in arb_trace(6, 100)) {
-        let packed = pack_trace_with_block_len(&trace, 32);
-        let streamed = profile_packed(&packed).unwrap();
-        let direct = commchar_trace::profile::profile(&trace);
-        prop_assert_eq!(streamed.messages, direct.messages);
-        prop_assert_eq!(streamed.bytes, direct.bytes);
-        prop_assert_eq!(streamed.span, direct.span);
-        prop_assert_eq!(streamed.kind_counts, direct.kind_counts);
-        for (a, b) in streamed.sources.iter().zip(&direct.sources) {
-            prop_assert_eq!(a.messages, b.messages);
-            prop_assert_eq!(&a.dest_counts, &b.dest_counts);
-            prop_assert_eq!(&a.dest_bytes, &b.dest_bytes);
-            prop_assert!((a.mean_gap - b.mean_gap).abs() < 1e-12);
-        }
     }
 }

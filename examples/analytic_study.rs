@@ -9,7 +9,7 @@
 
 use commchar::analytic::AnalyticModel;
 use commchar::core::{acquire, characterize, synthesize, RunSpec};
-use commchar::mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar::mesh::{NetMessage, NodeId, OnlineWormhole};
 use commchar_apps::{AppId, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -11,7 +11,7 @@
 //! ```
 
 use commchar::core::{acquire, characterize, synthesize, RunSpec};
-use commchar::mesh::{FlitLevel, MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar::mesh::{FlitLevel, NetMessage, NodeId, OnlineWormhole};
 use commchar_apps::{AppId, Scale};
 use commchar_des::SimTime;
 

@@ -8,7 +8,7 @@
 //! ```
 
 use commchar::core::{acquire, characterize, synthesize, RunSpec};
-use commchar::mesh::{MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar::mesh::{NetMessage, NodeId, OnlineWormhole};
 use commchar::traffic::patterns::uniform_poisson;
 use commchar_apps::{AppId, Scale};
 use commchar_des::SimTime;

@@ -1,7 +1,7 @@
 //! Integration: the fast recurrence network model and the cycle-accurate
 //! flit model must agree at light load and rank workloads identically.
 
-use commchar::mesh::{FlitLevel, MeshConfig, MeshModel, NetMessage, NodeId, OnlineWormhole};
+use commchar::mesh::{FlitLevel, MeshConfig, NetMessage, NodeId, OnlineWormhole};
 use commchar::traffic::patterns::{hotspot, uniform_poisson};
 use commchar_des::SimTime;
 
