@@ -7,8 +7,8 @@
 //!    engines (recurrence in the loop vs the cycle-accurate flit router in
 //!    the loop) and the latency and signature deltas are recorded: this is
 //!    the cost, in distortion, of the fast model.
-//! 2. **Throughput** — the incremental flit engine (one `send` at a time,
-//!    committed/speculative dual state) against the open-loop batch
+//! 2. **Throughput** — a closed-loop `FlitLevel` run (one `send` at a
+//!    time, committed/speculative dual state) against a batch
 //!    `FlitLevel::simulate` on the same injection schedule. The logs are
 //!    cross-checked for byte identity first, and the closed-loop overhead
 //!    ratio is asserted ≤ 3× — the price of per-send feedback must stay
@@ -18,7 +18,7 @@
 //!    asserted.
 //!
 //! Results go to stdout and `BENCH_engine.json` at the repo root, with
-//! the host's cores, the git revision and the incremental engine's work
+//! the host's cores, the git revision and the closed-loop run's work
 //! counters. `--quick` runs smaller workloads (the `scripts/check.sh
 //! --bench-smoke` mode) and times the long-worm section once; the
 //! asserted section keeps the best of three in either mode.
@@ -29,9 +29,7 @@ use commchar_apps::{AppId, Scale};
 use commchar_bench::{git_rev, host_cores, long_worms, time_best, timing_iters};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
-use commchar_mesh::{
-    EngineKind, FlitLevel, FlitWork, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId,
-};
+use commchar_mesh::{EngineKind, FlitLevel, FlitWork, MeshConfig, NetEngine, NetMessage, NodeId};
 
 /// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
 struct Lcg(u64);
@@ -87,15 +85,17 @@ struct Throughput {
     work: FlitWork,
 }
 
-/// Cross-checks the incremental engine against batch on `msgs`, then
+/// Cross-checks a closed-loop run against a batch run on `msgs`, then
 /// times both (best of `iters`).
 fn throughput(name: &'static str, cfg: MeshConfig, msgs: &[NetMessage], iters: u32) -> Throughput {
     let batch_log = FlitLevel::new(cfg).simulate(msgs);
-    let mut inc = IncrementalFlit::new(cfg);
+    let mut inc = FlitLevel::new(cfg);
     for m in msgs {
         inc.send(*m).expect("nondecreasing schedule");
     }
-    let (inc_log, work) = inc.into_sink_and_work();
+    inc.try_drain().expect("closed loop drains");
+    let work = inc.work();
+    let inc_log = inc.into_log();
     assert_eq!(batch_log.records(), inc_log.records(), "{name}: incremental flit diverged");
     assert_eq!(batch_log.utilization(), inc_log.utilization(), "{name}: utilization diverged");
 
@@ -104,7 +104,7 @@ fn throughput(name: &'static str, cfg: MeshConfig, msgs: &[NetMessage], iters: u
         assert_eq!(log.records().len(), msgs.len());
     });
     let t_inc = time_best(iters, || {
-        let mut engine = IncrementalFlit::new(cfg);
+        let mut engine = FlitLevel::new(cfg);
         for m in msgs {
             engine.send(*m).expect("nondecreasing schedule");
         }

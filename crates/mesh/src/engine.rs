@@ -13,25 +13,20 @@
 //! - [`OnlineWormhole`] — the channel-granularity recurrence model. Its
 //!   [`send`](OnlineWormhole::send) already *is* the closed loop; the trait
 //!   impl is zero-cost delegation.
-//! - [`IncrementalFlit`] — the cycle-accurate [`FlitLevel`] router accepting
-//!   out-of-band sends. The flit router is not causal (a later injection can
-//!   retroactively change an earlier delivery through round-robin
-//!   allocation and buffer contention), so it keeps a *committed* state that
-//!   only ever processes finalized cycles — cycles no future injection can
-//!   perturb — plus a cloned *speculative* state run ahead to deliver the
-//!   newest message. The returned delivery time is the engine's best
-//!   feedback given all traffic so far; the **final log is cycle-identical
-//!   to a batch [`FlitLevel`] run** over the same injection schedule, which
-//!   is the property the equivalence suite pins.
+//! - [`FlitLevel`] — the cycle-accurate router. It is not causal (a later
+//!   injection can change an earlier delivery), so its closed loop commits
+//!   only cycles no future injection can perturb and speculates ahead for
+//!   each answer: the best feedback given all traffic so far, while the
+//!   **final log is cycle-identical to a batch run** over the same
+//!   schedule, the property the equivalence suite pins.
 //!
 //! [`EngineKind`] is the runtime selector the CLI's `--engine` flag parses
 //! into; drivers match on it to construct the engine they are generic over.
 
 use commchar_des::SimTime;
 
-use crate::flit::{ClosedLoop, FlitWork};
 use crate::sink::LogSink;
-use crate::{MeshConfig, NetLog, NetMessage, OnlineWormhole, Routing, Topology};
+use crate::{FlitLevel, MeshConfig, NetMessage, OnlineWormhole, Routing, Topology};
 
 /// An error surfaced by a closed-loop engine instead of a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,11 +120,11 @@ pub enum EngineKind {
     /// fast, causal, the default and the historical behavior.
     #[default]
     Recurrence,
-    /// The cycle-accurate flit router in incremental mode
-    /// ([`IncrementalFlit`]) — slower, but the final log is
-    /// cycle-identical to a batch [`FlitLevel`](crate::FlitLevel) run.
-    /// Drivers take the shard count for its final drain (`--sim-jobs`)
-    /// separately; the output is byte-identical for every value.
+    /// The cycle-accurate flit router ([`FlitLevel`]) in its closed loop —
+    /// slower, but the final log is cycle-identical to a batch run of the
+    /// same model. Drivers take the shard count for its final drain
+    /// (`--sim-jobs`) separately; the output is byte-identical for every
+    /// value.
     FlitLevel,
 }
 
@@ -183,9 +178,6 @@ pub trait NetEngine {
     /// injected message.
     fn send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError>;
 
-    /// The sink accumulating this engine's records so far.
-    fn sink(&self) -> &Self::Sink;
-
     /// Finishes the simulation and returns the sink, with per-channel
     /// utilization over the observed span folded in.
     fn finish(self) -> Self::Sink;
@@ -218,139 +210,20 @@ impl<S: LogSink> NetEngine for OnlineWormhole<S> {
         self.try_send(msg)
     }
 
-    fn sink(&self) -> &S {
-        OnlineWormhole::sink(self)
-    }
-
     fn finish(self) -> S {
         self.into_sink()
     }
 }
 
-/// The cycle-accurate [`FlitLevel`](crate::FlitLevel) router as a
-/// closed-loop engine: accepts one message at a time and reports each
-/// delivery without requiring the full batch up front.
-///
-/// Delivery times returned by [`send`](IncrementalFlit::send) are the
-/// router's exact answer *given all traffic injected so far* — the flit
-/// router is not causal, so a later injection may retroactively change an
-/// earlier message's true delivery (the recurrence model has no such
-/// revisions). What is pinned, by the same style of randomized equivalence
-/// suite that pins the router against its oracle, is the **final log**:
-/// records and channel utilization out of [`finish`](NetEngine::finish)
-/// are identical to a batch [`FlitLevel::run`](crate::FlitLevel::run) over
-/// the same messages.
-#[derive(Debug)]
-pub struct IncrementalFlit<S: LogSink = NetLog> {
-    cfg: MeshConfig,
-    core: ClosedLoop,
-    sink: S,
-    last_inject: SimTime,
-    sim_jobs: usize,
-}
-
-impl IncrementalFlit {
-    /// Creates an idle closed-loop router logging into a [`NetLog`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration lacks the virtual channels its
-    /// (topology × routing) pair needs for deadlock freedom — use
-    /// [`IncrementalFlit::try_with_sink`] for the typed
-    /// [`EngineError::UnsupportedTopology`].
-    pub fn new(cfg: MeshConfig) -> Self {
-        IncrementalFlit::try_with_sink(cfg, NetLog::new()).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl<S: LogSink> IncrementalFlit<S> {
-    /// Creates an idle closed-loop router delivering records into `sink`
-    /// (a [`NetLog`], or a [`StreamingLog`](crate::StreamingLog) for
-    /// online statistics only).
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnsupportedTopology`] when the configuration lacks
-    /// the virtual channels its (topology × routing) pair needs for
-    /// deadlock freedom.
-    pub fn try_with_sink(cfg: MeshConfig, sink: S) -> Result<Self, EngineError> {
-        Ok(IncrementalFlit {
-            cfg,
-            core: ClosedLoop::try_new(cfg)?,
-            sink,
-            last_inject: SimTime::ZERO,
-            sim_jobs: 1,
-        })
-    }
-
-    /// Sets the `--sim-jobs` worker count used for the final drain.
-    ///
-    /// Per-send feedback is inherently sequential (each answer depends on
-    /// all traffic so far), so sends are unaffected; what parallelizes is
-    /// the closing [`into_sink`](IncrementalFlit::into_sink) drain of
-    /// every still-in-flight worm, which dominates wall-clock on large
-    /// meshes. The final log stays byte-identical for every value.
-    pub fn with_sim_jobs(mut self, sim_jobs: usize) -> Self {
-        self.sim_jobs = sim_jobs;
-        self
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &MeshConfig {
-        &self.cfg
-    }
-
-    /// The sink accumulating this engine's records. Records are emitted at
-    /// [`into_sink`](IncrementalFlit::into_sink) — once delivery times are
-    /// final — so mid-run the sink is still empty.
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// Injects a message and returns the delivery cycle of its tail flit,
-    /// or [`EngineError::OutOfOrder`] on a time-ordering violation.
-    pub fn try_send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError> {
-        if msg.inject < self.last_inject {
-            return Err(EngineError::OutOfOrder {
-                id: msg.id,
-                inject: msg.inject,
-                last: self.last_inject,
-            });
-        }
-        self.last_inject = msg.inject;
-        self.core.send(msg).map(SimTime::from_ticks)
-    }
-
-    /// Finishes the simulation: drains every in-flight worm, emits one
-    /// record per message in injection order, and returns the sink with
-    /// per-channel utilization folded in — byte-identical to what a batch
-    /// [`FlitLevel`](crate::FlitLevel) produces for the same schedule.
-    pub fn into_sink(self) -> S {
-        self.into_sink_and_work().0
-    }
-
-    /// [`into_sink`](IncrementalFlit::into_sink), also returning the
-    /// event-loop work of the whole run, speculation and final drain
-    /// included.
-    pub fn into_sink_and_work(mut self) -> (S, FlitWork) {
-        let work = self.core.finish_into_jobs(&mut self.sink, self.sim_jobs);
-        (self.sink, work)
-    }
-}
-
-impl<S: LogSink> NetEngine for IncrementalFlit<S> {
+impl<S: LogSink> NetEngine for FlitLevel<S> {
     type Sink = S;
 
     fn config(&self) -> &MeshConfig {
-        IncrementalFlit::config(self)
+        FlitLevel::config(self)
     }
 
     fn send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError> {
         self.try_send(msg)
-    }
-
-    fn sink(&self) -> &S {
-        IncrementalFlit::sink(self)
     }
 
     fn finish(self) -> S {
@@ -385,7 +258,7 @@ mod tests {
     #[test]
     fn out_of_order_is_an_error_not_a_panic() {
         let cfg = MeshConfig::new(2, 2);
-        let mut flit = IncrementalFlit::new(cfg);
+        let mut flit = FlitLevel::new(cfg);
         flit.try_send(msg(0, 0, 1, 8, 100)).unwrap();
         let err = flit.try_send(msg(1, 1, 0, 8, 50)).unwrap_err();
         assert!(err.to_string().contains("nondecreasing"), "{err}");
@@ -425,7 +298,7 @@ mod tests {
     #[test]
     fn incremental_flit_send_reports_plausible_latency() {
         let cfg = MeshConfig::new(4, 4);
-        let mut flit = IncrementalFlit::new(cfg);
+        let mut flit = FlitLevel::new(cfg);
         let d = flit.try_send(msg(0, 0, 15, 32, 0)).unwrap();
         let hops = cfg.shape.hop_distance(NodeId(0), NodeId(15));
         assert_eq!(d.ticks(), cfg.zero_load_latency(32, hops));

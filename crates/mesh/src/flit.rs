@@ -115,10 +115,12 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use commchar_des::SimTime;
+
 use crate::engine::EngineError;
 use crate::sink::LogSink;
 use crate::{
-    MeshConfig, MsgRecord, NetLog, NetMessage, NodeId, StreamingLog, HOP_PORT_BITS, HOP_PORT_MASK,
+    MeshConfig, MsgRecord, NetLog, NetMessage, StreamingLog, HOP_PORT_BITS, HOP_PORT_MASK,
 };
 
 mod shard;
@@ -199,23 +201,6 @@ fn ni_flit(cfg: &MeshConfig, worm: &Worm, run: &NiRun) -> (u64, Flit) {
     (entry, Flit { worm: run.worm, kind, ready, hop: worm.route_off })
 }
 
-/// Queues worm `w` at its source NI behind the node's earlier worms and
-/// returns the entry time of the worm's tail (the next worm's floor).
-/// Announces the queue front in the NI heap if the queue was empty.
-fn queue_worm(cfg: &MeshConfig, ws: &mut Workspace, w: u32, floor: u64) -> u64 {
-    let worm = &ws.worms[w as usize];
-    let src = worm.msg.src.index();
-    let run = NiRun { worm: w, next: 0, floor };
-    let last = worm.msg.inject.ticks() + cfg.hop_latency() + (worm.flits - 1) * cfg.link_delay;
-    if ws.pending[src].is_empty() {
-        let (entry, _) = ni_flit(cfg, worm, &run);
-        ws.ni_events.push(Reverse((entry, src as u32)));
-        ws.ni_sched[src] = entry;
-    }
-    ws.pending[src].push_back(run);
-    floor.max(last)
-}
-
 /// Downstream buffer of an ejecting [`Move`].
 const EJECT: u32 = u32::MAX;
 
@@ -256,13 +241,10 @@ impl FlitWork {
 /// Reusable per-run state. Everything here is cleared (capacity kept) at
 /// the start of each run, so repeated batches on one model reuse the worm
 /// storage, route arena, buffers and event heaps without reallocating.
-/// `Clone` exists for the closed-loop engine ([`ClosedLoop`]), whose
+/// `Clone` exists for the closed loop ([`FlitLevel::try_send`]), whose
 /// speculative state is a snapshot of the committed one.
 #[derive(Clone, Debug, Default)]
 struct Workspace {
-    /// Message indices in (inject, id) order — replaces cloning and
-    /// re-sorting the caller's slice.
-    order: Vec<u32>,
     worms: Vec<Worm>,
     /// Flat route arena shared by all worms: the output port per hop (a
     /// flit's current node is implicit in which buffer holds it).
@@ -352,7 +334,6 @@ impl Workspace {
         let cap = cfg.buffer_flits.next_power_of_two();
         let nbuf = nodes * NPORTS * vcs;
         let nout = nodes * NPORTS;
-        self.order.clear();
         self.worms.clear();
         self.routes.clear();
         let filler = Flit { worm: 0, kind: Kind::Body, ready: 0, hop: 0 };
@@ -427,7 +408,6 @@ impl Workspace {
         let known = self.worms.len();
         self.worms[finalized..].copy_from_slice(&src.worms[finalized..known]);
         self.worms.extend_from_slice(&src.worms[known..]);
-        self.order.clone_from(&src.order);
         self.slab.clone_from(&src.slab);
         self.bhead.clone_from(&src.bhead);
         self.blen.clone_from(&src.blen);
@@ -458,10 +438,47 @@ impl Workspace {
 /// [`FlitCycleReference`](crate::FlitCycleReference) (see the module docs
 /// for the microarchitecture).
 ///
+/// A **batch** run ([`simulate`](FlitLevel::simulate),
+/// [`run`](FlitLevel::run)) takes the whole schedule up front. A
+/// **closed-loop** run takes one message at a time through
+/// [`try_send`](FlitLevel::try_send) (the [`NetEngine`](crate::NetEngine)
+/// contract) and reports each delivery at once; [`try_drain`](FlitLevel::try_drain)
+/// or [`into_sink`](FlitLevel::into_sink) ends it. Both end in the same
+/// drain, and the closed-loop log is identical to a batch run's over the
+/// same injection schedule.
+///
 /// Like [`OnlineWormhole`](crate::OnlineWormhole), the model is generic
 /// over its [`LogSink`]: the default [`NetLog`] retains every record;
 /// [`FlitLevel::streaming`] folds deliveries into a constant-memory
 /// [`StreamingLog`] instead.
+///
+/// # Committed and speculative state
+///
+/// The flit router is not causal the way the recurrence model is: a later
+/// injection can retroactively change an earlier message's delivery
+/// (round-robin allocation, buffer contention). So an exact synchronous
+/// answer to "when will this message arrive" is impossible before the
+/// future traffic is known. The closed loop keeps two copies of the loop
+/// state:
+///
+/// - **committed** — has processed only cycles that are already *final*:
+///   every cycle strictly below `inject + hop_latency` of the latest
+///   injection (no future flit can enter a network interface earlier than
+///   that, and injections are nondecreasing, so nothing can perturb those
+///   cycles). The committed trajectory is therefore exactly the batch
+///   trajectory, which is what makes the final log identical.
+/// - **speculative** — a clone of the committed state run ahead far enough
+///   to deliver the newest message, *assuming no further traffic*. Its
+///   delivery cycle is the value [`try_send`](FlitLevel::try_send)
+///   returns: the engine's best feedback given everything injected so far.
+///
+/// On the next send, the speculation is **promoted** to committed for free
+/// when it never crossed the new safe horizon (the common case under
+/// bursty traffic: speculation barely runs ahead), and discarded otherwise
+/// — the committed state then re-advances, redoing only the cycles the
+/// speculation guessed at. Either way no cycle is ever committed until it
+/// is final. A batch run is the committed state alone, drained with every
+/// worm queued.
 ///
 /// # Example
 ///
@@ -474,18 +491,30 @@ impl Workspace {
 /// }];
 /// let log = FlitLevel::new(MeshConfig::new(2, 2)).simulate(&msgs);
 /// assert_eq!(log.records().len(), 1);
+///
+/// // The same message through the closed loop.
+/// let mut net = FlitLevel::new(MeshConfig::new(2, 2));
+/// let delivered = net.try_send(msgs[0]).unwrap();
+/// let closed = net.into_log();
+/// assert_eq!(closed.records(), log.records());
+/// assert_eq!(closed.records()[0].delivered, delivered.ticks());
 /// ```
 #[derive(Debug)]
 pub struct FlitLevel<S: LogSink = NetLog> {
     cfg: MeshConfig,
     sink: S,
-    /// Accumulated busy ticks per output across runs (utilization).
-    busy: Vec<u64>,
-    first_inject: Option<u64>,
-    last_delivery: u64,
-    ws: Workspace,
-    /// `--sim-jobs`: worker threads for the sharded event loop. `1` runs
-    /// the serial engine; the output is byte-identical for every value.
+    /// The run's state, advanced through final cycles only.
+    committed: LoopState,
+    /// The speculation behind the last send's answer.
+    spec: Option<LoopState>,
+    /// Per-node prefix max of NI entry times: the floor of the node's
+    /// next worm.
+    entered: Vec<u64>,
+    /// Latest injection of the open closed-loop run; `None` while no run
+    /// is open.
+    last_inject: Option<SimTime>,
+    /// `--sim-jobs`: worker threads for the sharded drain. `1` runs the
+    /// serial engine; the output is byte-identical for every value.
     sim_jobs: usize,
     /// Lazily spawned long-lived worker team, reused across runs.
     team: Option<commchar_pool::Team>,
@@ -512,25 +541,18 @@ impl FlitLevel {
         FlitLevel::try_with_sink(cfg, NetLog::new())
     }
 
-    /// Finishes the simulation and returns the network log, including
-    /// per-channel utilization over the observed span.
+    /// Finishes the simulation and returns the network log (see
+    /// [`into_sink`](FlitLevel::into_sink)).
     pub fn into_log(self) -> NetLog {
         self.into_sink()
     }
 
     /// Simulates `msgs` (any order; they are sorted by injection time) and
-    /// returns the completed network log.
+    /// returns the completed network log. The model keeps its warmed-up
+    /// workspace and worker team for the next batch.
     pub fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
         self.run(msgs);
-        let sim_jobs = self.sim_jobs;
-        let mut finished = std::mem::replace(self, FlitLevel::new(self.cfg));
-        // Keep the warmed-up workspace (and worker team) for the next
-        // batch, and the work counters running across batches.
-        self.sim_jobs = sim_jobs;
-        self.work = finished.work;
-        std::mem::swap(&mut self.ws, &mut finished.ws);
-        std::mem::swap(&mut self.team, &mut finished.team);
-        finished.into_sink()
+        std::mem::take(&mut self.sink)
     }
 }
 
@@ -551,10 +573,7 @@ impl<S: LogSink> FlitLevel<S> {
     /// Panics on an undersized virtual-channel budget (see
     /// [`FlitLevel::new`]).
     pub fn with_sink(cfg: MeshConfig, sink: S) -> Self {
-        match FlitLevel::try_with_sink(cfg, sink) {
-            Ok(model) => model,
-            Err(e) => panic!("{e}"),
-        }
+        FlitLevel::try_with_sink(cfg, sink).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`with_sink`](FlitLevel::with_sink), surfacing an undersized
@@ -565,10 +584,10 @@ impl<S: LogSink> FlitLevel<S> {
         Ok(FlitLevel {
             cfg,
             sink,
-            busy: vec![0; cfg.shape.nodes() * NPORTS],
-            first_inject: None,
-            last_delivery: 0,
-            ws: Workspace::default(),
+            committed: LoopState::empty(),
+            spec: None,
+            entered: Vec::new(),
+            last_inject: None,
             sim_jobs: 1,
             team: None,
             work: FlitWork::default(),
@@ -580,6 +599,11 @@ impl<S: LogSink> FlitLevel<S> {
     /// partitions the mesh into row bands run by a conservative-window
     /// wavefront (see the `shard` module docs). Cycle-identical — the
     /// log and utilization are byte-identical for every value.
+    ///
+    /// Closed-loop sends are unaffected (each answer depends on all
+    /// traffic so far); what parallelizes there is the closing drain of
+    /// every still-in-flight worm, which dominates wall-clock on large
+    /// meshes.
     pub fn with_sim_jobs(mut self, sim_jobs: usize) -> Self {
         self.sim_jobs = sim_jobs;
         self
@@ -590,19 +614,24 @@ impl<S: LogSink> FlitLevel<S> {
         &self.cfg
     }
 
-    /// The sink accumulating this network's records.
+    /// The sink accumulating this network's records. Records reach it
+    /// when a run is drained — at the end of a batch run, or at
+    /// [`try_drain`](FlitLevel::try_drain) of a closed-loop run — once
+    /// delivery times are final.
     pub fn sink(&self) -> &S {
         &self.sink
     }
 
-    /// Event-loop work accumulated over every run so far.
+    /// Event-loop work accumulated over every run so far, speculation and
+    /// final drains included.
     pub fn work(&self) -> FlitWork {
         self.work
     }
 
     /// Simulates one batch of messages (any order), feeding one record per
-    /// message into the sink. May be called repeatedly; channel utilization
-    /// accumulates across batches until [`into_sink`](FlitLevel::into_sink).
+    /// message and then the batch's per-channel utilization into the
+    /// sink. Each batch is a fresh run; an open closed-loop run is
+    /// discarded.
     ///
     /// # Panics
     ///
@@ -610,82 +639,194 @@ impl<S: LogSink> FlitLevel<S> {
     /// per-worm account of what is still in flight — use
     /// [`try_run`](FlitLevel::try_run) for the typed error.
     pub fn run(&mut self, msgs: &[NetMessage]) {
-        if let Err(e) = self.try_run(msgs) {
-            panic!("{e}");
-        }
+        self.try_run(msgs).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// [`run`](FlitLevel::run), surfacing a wedge as
     /// [`EngineError::Wedged`] instead of a panic.
     pub fn try_run(&mut self, msgs: &[NetMessage]) -> Result<(), EngineError> {
-        let cfg = self.cfg;
-        let nodes = cfg.shape.nodes();
-        self.ws.reset_for(&cfg);
-        if msgs.is_empty() {
-            return Ok(());
-        }
-
+        self.restart();
         // Sort indices, not messages: the caller's slice is never cloned.
-        self.ws.order.extend(0..msgs.len() as u32);
-        let ws = &mut self.ws;
-        ws.order.sort_by_key(|&i| (msgs[i as usize].inject, msgs[i as usize].id));
-
-        // Build worms over the shared route arena, in injection order.
-        let order = std::mem::take(&mut ws.order);
-        for &i in &order {
-            let m = msgs[i as usize];
-            let route_off = ws.routes.len() as u32;
-            build_route(&cfg, m.src, m.dst, &mut ws.routes);
-            ws.worms.push(Worm {
-                msg: m,
-                route_off,
-                route_len: ws.routes.len() as u32 - route_off,
-                flits: cfg.flits_for(m.bytes),
-                ejected: 0,
-                head_hop: route_off,
-                delivered: None,
-            });
+        let mut order: Vec<u32> = (0..msgs.len() as u32).collect();
+        order.sort_by_key(|&i| (msgs[i as usize].inject, msgs[i as usize].id));
+        for i in order {
+            self.add_worm(msgs[i as usize]);
         }
-        ws.order = order;
+        self.close_run()
+    }
 
-        // Per-node NI queues, one run per worm. Flits of one message stay
-        // contiguous (a worm may never interleave with another in the
-        // injection buffer); the head becomes available hop_latency after
-        // injection and the body follows at one flit per link_delay.
-        // Entry times are the running prefix max per node — the cycle
-        // each flit enters the reference's (unbounded) injection buffer —
-        // and heads are charged their router delay from that cycle. This
-        // decouples the charge from our *capped* injection buffers: a
-        // flit may wait in its run past its entry time for a slot without
-        // perturbing any observable timing. Messages enter injection
-        // VC 0; VC spreading happens at the routers.
-        let mut floors = vec![0u64; nodes];
-        for w in 0..ws.worms.len() {
-            let src = ws.worms[w].msg.src.index();
-            floors[src] = queue_worm(&cfg, ws, w as u32, floors[src]);
+    /// Injects a message into the closed-loop run (opening one if none is
+    /// open) and returns the delivery cycle of its tail flit at the
+    /// destination network interface, given all traffic injected so far.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::OutOfOrder`] if `msg.inject` precedes the run's
+    /// previous injection; [`EngineError::Wedged`] if the router deadlocks
+    /// before the answer exists.
+    pub fn try_send(&mut self, msg: NetMessage) -> Result<SimTime, EngineError> {
+        match self.last_inject {
+            Some(last) if msg.inject < last => {
+                return Err(EngineError::OutOfOrder { id: msg.id, inject: msg.inject, last });
+            }
+            Some(_) => {}
+            None => self.restart(),
         }
+        self.last_inject = Some(msg.inject);
+        // Cycles strictly below the horizon can no longer change: this
+        // message's first flit cannot enter an NI before it, and neither
+        // can any later message's.
+        let horizon = msg.inject.ticks() + self.cfg.hop_latency();
+        let mut scratch = match self.spec.take() {
+            // The speculation never processed a non-final cycle:
+            // everything it did would have been redone identically, so it
+            // *becomes* the committed state; the old committed state is
+            // recycled as the next speculation's buffer.
+            Some(spec) if spec.clock.is_none_or(|c| c < horizon) => {
+                std::mem::replace(&mut self.committed, spec)
+            }
+            // Discarded speculation: its buffers are recycled.
+            Some(spec) => spec,
+            None => LoopState::empty(),
+        };
+        self.committed.advance(&self.cfg, Goal::Before(horizon), &mut self.work)?;
+        // Committed deliveries are final — advance the watermark the
+        // snapshot refresh skips below.
+        while self.committed.finalized < self.committed.ws.worms.len()
+            && self.committed.ws.worms[self.committed.finalized].delivered.is_some()
+        {
+            self.committed.finalized += 1;
+        }
+        let w = self.add_worm(msg);
+        scratch.sync_from(&self.committed);
+        scratch.advance(&self.cfg, Goal::Deliver(w), &mut self.work)?;
+        let delivered = scratch.ws.worms[w as usize].delivered.expect("Deliver goal reached");
+        self.spec = Some(scratch);
+        Ok(SimTime::from_ticks(delivered))
+    }
 
-        let first = msgs[ws.order[0] as usize].inject.ticks();
-        let remaining = ws.worms.len();
+    /// Ends the open closed-loop run, if any, exactly as a batch run ends:
+    /// drains every in-flight worm, then feeds the sink one record per
+    /// message in injection order and the run's per-channel utilization.
+    /// A no-op when no run is open.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::Wedged`] if the drain deadlocks.
+    pub fn try_drain(&mut self) -> Result<(), EngineError> {
+        match self.last_inject.take() {
+            Some(_) => self.close_run(),
+            None => Ok(()),
+        }
+    }
+
+    /// Finishes the simulation — drains an open closed-loop run (see
+    /// [`try_drain`](FlitLevel::try_drain)) — and returns the sink.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the drain wedges (the [`EngineError::Wedged`] display).
+    pub fn into_sink(mut self) -> S {
+        self.try_drain().unwrap_or_else(|e| panic!("{e}"));
+        self.sink
+    }
+
+    /// Starts a new run: an idle network, no worms, no cycle processed.
+    fn restart(&mut self) {
+        self.committed.reset_for(&self.cfg);
+        self.spec = None;
+        self.entered.clear();
+        self.entered.resize(self.cfg.shape.nodes(), 0);
+        self.last_inject = None;
+    }
+
+    /// Builds the message's worm and queues it at its source NI, behind
+    /// the node's earlier worms, in the committed state.
+    ///
+    /// The route is appended to the shared arena as packed bytes, `class
+    /// << HOP_PORT_BITS | port` per inter-router hop and then an ejection
+    /// byte: the class is the virtual-channel class the hop's head
+    /// allocates from, so the torus dateline (escape) discipline and the
+    /// adaptive XY/YX split live entirely in these bytes and the hot loop
+    /// just masks and shifts.
+    ///
+    /// Flits of one message stay contiguous (a worm may never interleave
+    /// with another in the injection buffer); the head becomes available
+    /// `hop_latency` after injection and the body follows at one flit per
+    /// `link_delay`. Entry times are the running prefix max per node — the
+    /// cycle each flit enters the reference's (unbounded) injection buffer
+    /// — and heads are charged their router delay from that cycle. This
+    /// decouples the charge from our *capped* injection buffers: a flit may
+    /// wait in its run past its entry time for a slot without perturbing
+    /// any observable timing. Messages enter injection VC 0; VC spreading
+    /// happens at the routers. In the closed loop entry times are always at
+    /// or beyond the safe horizon, so queueing never touches a committed
+    /// cycle.
+    fn add_worm(&mut self, m: NetMessage) -> u32 {
+        let cfg = self.cfg;
+        let ws = &mut self.committed.ws;
+        let w = ws.worms.len() as u32;
+        let route_off = ws.routes.len() as u32;
+        cfg.shape.route_hops_into(m.src, m.dst, cfg.routing, &mut ws.routes);
+        let worm = Worm {
+            msg: m,
+            route_off,
+            route_len: ws.routes.len() as u32 - route_off,
+            flits: cfg.flits_for(m.bytes),
+            ejected: 0,
+            head_hop: route_off,
+            delivered: None,
+        };
+        ws.worms.push(worm);
+        let src = m.src.index();
+        let run = NiRun { worm: w, next: 0, floor: self.entered[src] };
+        if ws.pending[src].is_empty() {
+            // Announce the queue front in the NI heap.
+            let (entry, _) = ni_flit(&cfg, &worm, &run);
+            ws.ni_events.push(Reverse((entry, src as u32)));
+            ws.ni_sched[src] = entry;
+        }
+        ws.pending[src].push_back(run);
+        // The entry time of the worm's tail: the next worm's floor.
+        let tail = m.inject.ticks() + cfg.hop_latency() + (worm.flits - 1) * cfg.link_delay;
+        self.entered[src] = run.floor.max(tail);
+        self.committed.remaining += 1;
+        w
+    }
+
+    /// Ends the run: promotes the speculation (with no further sends it is
+    /// the true trajectory), drains every worm — on the sharded wavefront
+    /// when `sim_jobs` asks for more than one shard, after splitting the
+    /// committed mid-run state — and emits one record per message in
+    /// injection order (what the reference produces and what per-source
+    /// inter-arrival statistics expect), then the per-channel utilization
+    /// over the run's span.
+    fn close_run(&mut self) -> Result<(), EngineError> {
+        if let Some(spec) = self.spec.take() {
+            self.committed = spec;
+        }
+        let cfg = self.cfg;
+        let st = &mut self.committed;
         let shards = shard::plan(self.sim_jobs, cfg.shape.height() as usize);
-        if shards > 1 {
-            let stepped =
-                shard::drain_sharded(&cfg, &mut self.ws, None, remaining, shards, &mut self.team)?;
+        if shards > 1 && st.remaining > 0 {
+            let stepped = shard::drain_sharded(
+                &cfg,
+                &mut st.ws,
+                st.clock,
+                st.remaining,
+                shards,
+                &mut self.team,
+            )?;
             self.work.cycles_stepped += stepped;
         } else {
-            let mut engine = Engine::new(cfg, &mut self.ws, remaining, None);
-            let result = engine.advance(None, Goal::Drain);
-            self.work.add(engine.work);
-            result?;
+            st.advance(&cfg, Goal::Drain, &mut self.work)?;
         }
-
-        // Emit records in injection order (what the reference produces and
-        // what per-source inter-arrival statistics expect) and fold this
-        // batch's channel activity into the session accumulators.
-        self.first_inject = Some(self.first_inject.map_or(first, |f| f.min(first)));
-        for worm in &self.ws.worms {
+        let mut first_inject: Option<u64> = None;
+        let mut last_delivery = 0u64;
+        for worm in &st.ws.worms {
             let delivered = worm.delivered.expect("all worms delivered");
-            self.last_delivery = self.last_delivery.max(delivered);
+            first_inject.get_or_insert(worm.msg.inject.ticks());
+            last_delivery = last_delivery.max(delivered);
             let hops = cfg.shape.hop_distance(worm.msg.src, worm.msg.dst);
             self.sink.record(MsgRecord {
                 id: worm.msg.id,
@@ -698,30 +839,21 @@ impl<S: LogSink> FlitLevel<S> {
                 zero_load: cfg.zero_load_latency(worm.msg.bytes, hops),
             });
         }
-        for (acc, &ticks) in self.busy.iter_mut().zip(&self.ws.busy_ticks) {
-            *acc += ticks;
-        }
-        Ok(())
-    }
-
-    /// Finishes the simulation: hands per-channel utilization over the
-    /// observed span to the sink and returns it.
-    pub fn into_sink(mut self) -> S {
-        let span = match self.first_inject {
-            Some(first) if self.last_delivery > first => (self.last_delivery - first) as f64,
+        let span = match first_inject {
+            Some(first) if last_delivery > first => (last_delivery - first) as f64,
             _ => 0.0,
         };
         let mut util = Vec::new();
-        for node in 0..self.cfg.shape.nodes() {
+        for node in 0..cfg.shape.nodes() {
             for port in 0..NPORTS {
-                let busy = self.busy[node * NPORTS + port];
+                let busy = st.ws.busy_ticks[node * NPORTS + port];
                 if busy > 0 && span > 0.0 {
                     util.push((out_channel_id(node, port), busy as f64 / span));
                 }
             }
         }
         self.sink.finish(util);
-        self.sink
+        Ok(())
     }
 }
 
@@ -732,18 +864,6 @@ fn out_channel_id(node: usize, port: usize) -> u32 {
     } else {
         node as u32 * 6 + port as u32
     }
-}
-
-/// Appends the packed per-hop route bytes from `src` to `dst` under the
-/// configuration's routing policy: `class << HOP_PORT_BITS | port` per
-/// inter-router hop, then an ejection byte. The class is the
-/// virtual-channel class the hop's head allocates from — the torus
-/// dateline (escape) discipline and the adaptive XY/YX split live
-/// entirely in these bytes, so the engine's hot loop just masks and
-/// shifts. Mesh + dimension packs every hop as class 0, the historical
-/// plain port byte.
-fn build_route(cfg: &MeshConfig, src: NodeId, dst: NodeId, routes: &mut Vec<u8>) {
-    cfg.shape.route_hops_into(src, dst, cfg.routing, routes);
 }
 
 /// What [`Engine::advance`] runs the event loop toward.
@@ -913,7 +1033,7 @@ impl Engine<'_> {
     /// would be: `advance(Before(c))` then `advance(Drain)` is
     /// cycle-identical to `advance(Drain)` alone, provided any events
     /// added in between lie at or beyond `c`. That property is what lets
-    /// the closed-loop engine ([`ClosedLoop`]) interleave out-of-band
+    /// the closed loop ([`FlitLevel::try_send`]) interleave out-of-band
     /// injections with simulation.
     ///
     /// # Errors
@@ -1067,7 +1187,7 @@ impl Engine<'_> {
     /// buffer are pulled in directly when a pop frees a slot
     /// ([`move_flit`](Engine::move_flit)); their observable timing (head
     /// router charge, head-of-buffer exposure) is fixed by the entry
-    /// times precomputed in [`FlitLevel::run`], not by when they
+    /// times [`ni_flit`] computes at queueing, not by when they
     /// physically occupy a slot here.
     fn drain_ni(&mut self, t: u64) {
         let inj_buf = PORT_LOCAL * self.vcs;
@@ -1641,9 +1761,34 @@ struct LoopState {
 }
 
 impl LoopState {
-    /// An empty state, filled on first [`LoopState::sync_from`].
+    /// An empty state, filled on first [`LoopState::reset_for`] or
+    /// [`LoopState::sync_from`].
     fn empty() -> LoopState {
         LoopState { ws: Workspace::default(), clock: None, remaining: 0, finalized: 0 }
+    }
+
+    /// Clears the state for a new run on `cfg` (capacity kept).
+    fn reset_for(&mut self, cfg: &MeshConfig) {
+        self.ws.reset_for(cfg);
+        self.clock = None;
+        self.remaining = 0;
+        self.finalized = 0;
+    }
+
+    /// Runs this state's event loop toward `goal`, adding its work to
+    /// `work`.
+    fn advance(
+        &mut self,
+        cfg: &MeshConfig,
+        goal: Goal,
+        work: &mut FlitWork,
+    ) -> Result<(), EngineError> {
+        let mut engine = Engine::new(*cfg, &mut self.ws, self.remaining, None);
+        let clock = engine.advance(self.clock, goal);
+        work.add(engine.work);
+        self.clock = clock?;
+        self.remaining = engine.remaining;
+        Ok(())
     }
 
     /// Makes `self` a snapshot of `src`, reusing allocations (see
@@ -1658,239 +1803,10 @@ impl LoopState {
     }
 }
 
-/// The incremental-injection flit engine core: accepts one message at a
-/// time (nondecreasing injection order, validated by the caller) and
-/// reports each message's delivery cycle immediately, while guaranteeing
-/// that the *final* log is cycle-identical to a batch
-/// [`FlitLevel::run`] over the same injection schedule.
-///
-/// # Committed and speculative state
-///
-/// The flit router is not causal the way the recurrence model is: a later
-/// injection can retroactively change an earlier message's delivery
-/// (round-robin allocation, buffer contention). So an exact synchronous
-/// answer to "when will this message arrive" is impossible before the
-/// future traffic is known. The engine keeps two copies of the loop state:
-///
-/// - **committed** — has processed only cycles that are already *final*:
-///   every cycle strictly below `inject + hop_latency` of the latest
-///   injection (no future flit can enter a network interface earlier than
-///   that, and injections are nondecreasing, so nothing can perturb those
-///   cycles). The committed trajectory is therefore exactly the batch
-///   trajectory, which is what makes the final log identical.
-/// - **speculative** — a clone of the committed state run ahead far enough
-///   to deliver the newest message, *assuming no further traffic*. Its
-///   delivery cycle is the value [`send`](ClosedLoop::send) returns: the
-///   engine's best feedback given everything injected so far.
-///
-/// On the next send, the speculation is **promoted** to committed for free
-/// when it never crossed the new safe horizon (the common case under
-/// bursty traffic: speculation barely runs ahead), and discarded otherwise
-/// — the committed state then re-advances, redoing only the cycles the
-/// speculation guessed at. Either way no cycle is ever committed until it
-/// is final.
-#[derive(Debug)]
-pub(crate) struct ClosedLoop {
-    cfg: MeshConfig,
-    committed: LoopState,
-    spec: Option<LoopState>,
-    /// Per-node prefix max of NI entry times — the running counterpart of
-    /// the batch model's per-node entry floors.
-    entered: Vec<u64>,
-    /// Event-loop work over both states and the final drain.
-    work: FlitWork,
-}
-
-impl ClosedLoop {
-    /// # Errors
-    ///
-    /// [`EngineError::UnsupportedTopology`] on an undersized
-    /// virtual-channel budget (see [`FlitLevel::try_new`]).
-    pub(crate) fn try_new(cfg: MeshConfig) -> Result<Self, EngineError> {
-        EngineError::check_flit(&cfg)?;
-        let mut ws = Workspace::default();
-        ws.reset_for(&cfg);
-        Ok(ClosedLoop {
-            cfg,
-            committed: LoopState { ws, clock: None, remaining: 0, finalized: 0 },
-            spec: None,
-            entered: vec![0; cfg.shape.nodes()],
-            work: FlitWork::default(),
-        })
-    }
-
-    /// Runs one state's event loop toward `goal`, adding its work to
-    /// `work`.
-    fn advance(
-        cfg: &MeshConfig,
-        st: &mut LoopState,
-        goal: Goal,
-        work: &mut FlitWork,
-    ) -> Result<(), EngineError> {
-        let mut engine = Engine::new(*cfg, &mut st.ws, st.remaining, None);
-        let clock = engine.advance(st.clock, goal);
-        work.add(engine.work);
-        st.clock = clock?;
-        st.remaining = engine.remaining;
-        Ok(())
-    }
-
-    /// Builds the message's worm and queues its run at the source NI of
-    /// the committed state, mirroring the batch model's construction: the
-    /// head becomes available `hop_latency` after injection, the body
-    /// follows at one flit per `link_delay`, and entry times are the
-    /// running per-node prefix max. Entry times are always at or beyond
-    /// the safe horizon, so appending never touches a committed cycle.
-    fn add_worm(&mut self, m: NetMessage) -> u32 {
-        let cfg = self.cfg;
-        let ws = &mut self.committed.ws;
-        let w = ws.worms.len() as u32;
-        let route_off = ws.routes.len() as u32;
-        build_route(&cfg, m.src, m.dst, &mut ws.routes);
-        let flits = cfg.flits_for(m.bytes);
-        ws.worms.push(Worm {
-            msg: m,
-            route_off,
-            route_len: ws.routes.len() as u32 - route_off,
-            flits,
-            ejected: 0,
-            head_hop: route_off,
-            delivered: None,
-        });
-        let src = m.src.index();
-        self.entered[src] = queue_worm(&cfg, ws, w, self.entered[src]);
-        self.committed.remaining += 1;
-        w
-    }
-
-    /// Injects `m` (nondecreasing injection order is the caller's
-    /// invariant) and returns the cycle its tail flit reaches the
-    /// destination NI, given all traffic injected so far.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Wedged`] if the router deadlocks before the answer
-    /// exists.
-    pub(crate) fn send(&mut self, m: NetMessage) -> Result<u64, EngineError> {
-        // Cycles strictly below the horizon can no longer change: this
-        // message's first flit cannot enter an NI before it, and neither
-        // can any later message's.
-        let horizon = m.inject.ticks() + self.cfg.hop_latency();
-        let mut scratch = match self.spec.take() {
-            // The speculation never processed a non-final cycle:
-            // everything it did would have been redone identically, so it
-            // *becomes* the committed state; the old committed state is
-            // recycled as the next speculation's buffer.
-            Some(spec) if spec.clock.is_none_or(|c| c < horizon) => {
-                std::mem::replace(&mut self.committed, spec)
-            }
-            // Discarded speculation: its buffers are recycled.
-            Some(spec) => spec,
-            None => LoopState::empty(),
-        };
-        Self::advance(&self.cfg, &mut self.committed, Goal::Before(horizon), &mut self.work)?;
-        // Committed deliveries are final — advance the watermark the
-        // snapshot refresh skips below.
-        while self.committed.finalized < self.committed.ws.worms.len()
-            && self.committed.ws.worms[self.committed.finalized].delivered.is_some()
-        {
-            self.committed.finalized += 1;
-        }
-        let w = self.add_worm(m);
-        scratch.sync_from(&self.committed);
-        Self::advance(&self.cfg, &mut scratch, Goal::Deliver(w), &mut self.work)?;
-        let delivered = scratch.ws.worms[w as usize].delivered.expect("Deliver goal reached");
-        self.spec = Some(scratch);
-        Ok(delivered)
-    }
-
-    /// Finishes the run: promotes the speculation (with no further sends it
-    /// is unconditionally the true trajectory), drains every worm, emits
-    /// one record per message in injection order, and hands per-channel
-    /// utilization to the sink — byte-identical to what a batch
-    /// [`FlitLevel`] produces for the same schedule. Returns the
-    /// event-loop work of the whole run, speculation included.
-    ///
-    /// With `sim_jobs > 1` the drain — the only whole-network advance left,
-    /// and the bulk of the remaining work on a large mesh — runs on the
-    /// sharded wavefront engine after splitting the committed mid-run
-    /// state; per-send answers were already returned and are untouched, so
-    /// `sim_jobs` cannot perturb them, and the drain itself is
-    /// cycle-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the drain wedges (the [`EngineError::Wedged`] display) —
-    /// the sink-returning `finish` contract has no error channel.
-    pub(crate) fn finish_into_jobs<S: LogSink>(
-        &mut self,
-        sink: &mut S,
-        sim_jobs: usize,
-    ) -> FlitWork {
-        if let Some(spec) = self.spec.take() {
-            self.committed = spec;
-        }
-        let shards = shard::plan(sim_jobs, self.cfg.shape.height() as usize);
-        let result = if shards > 1 && self.committed.remaining > 0 {
-            let mut team = None;
-            shard::drain_sharded(
-                &self.cfg,
-                &mut self.committed.ws,
-                self.committed.clock,
-                self.committed.remaining,
-                shards,
-                &mut team,
-            )
-            .map(|stepped| self.work.cycles_stepped += stepped)
-        } else {
-            Self::advance(&self.cfg, &mut self.committed, Goal::Drain, &mut self.work)
-        };
-        if let Err(e) = result {
-            panic!("{e}");
-        }
-        let cfg = self.cfg;
-        let mut first_inject: Option<u64> = None;
-        let mut last_delivery = 0u64;
-        for worm in &self.committed.ws.worms {
-            let delivered = worm.delivered.expect("all worms delivered");
-            first_inject.get_or_insert(worm.msg.inject.ticks());
-            last_delivery = last_delivery.max(delivered);
-            let hops = cfg.shape.hop_distance(worm.msg.src, worm.msg.dst);
-            sink.record(MsgRecord {
-                id: worm.msg.id,
-                src: worm.msg.src,
-                dst: worm.msg.dst,
-                bytes: worm.msg.bytes,
-                inject: worm.msg.inject.ticks(),
-                delivered,
-                hops,
-                zero_load: cfg.zero_load_latency(worm.msg.bytes, hops),
-            });
-        }
-        let span = match first_inject {
-            Some(first) if last_delivery > first => (last_delivery - first) as f64,
-            _ => 0.0,
-        };
-        let mut util = Vec::new();
-        for node in 0..cfg.shape.nodes() {
-            for port in 0..NPORTS {
-                let busy = self.committed.ws.busy_ticks[node * NPORTS + port];
-                if busy > 0 && span > 0.0 {
-                    util.push((out_channel_id(node, port), busy as f64 / span));
-                }
-            }
-        }
-        sink.finish(util);
-        self.work
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use commchar_des::SimTime;
-
     use super::*;
-    use crate::OnlineWormhole;
+    use crate::{NodeId, OnlineWormhole};
 
     fn msg(id: u64, src: u16, dst: u16, bytes: u32, inject: u64) -> NetMessage {
         NetMessage {

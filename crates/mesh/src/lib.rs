@@ -20,7 +20,7 @@
 //!
 //! Both models close the paper's Figure 1 feedback loop through the
 //! [`NetEngine`] trait: [`OnlineWormhole`] natively, and [`FlitLevel`]
-//! through [`IncrementalFlit`], an incremental-injection mode that
+//! through its closed loop, which takes one message at a time and
 //! advances the event wheel just far enough to report each delivery while
 //! keeping the final log cycle-identical to a batch run. Drivers select
 //! between them at runtime via [`EngineKind`].
@@ -68,7 +68,7 @@ mod topology;
 mod wormhole;
 
 pub use config::MeshConfig;
-pub use engine::{EngineError, EngineKind, IncrementalFlit, NetEngine};
+pub use engine::{EngineError, EngineKind, NetEngine};
 pub use flit::{FlitLevel, FlitWork};
 pub use flit_ref::FlitCycleReference;
 pub use log::{MsgRecord, NetLog, NetSummary};

@@ -1,5 +1,5 @@
-//! Randomized equivalence suite: the closed-loop [`IncrementalFlit`]
-//! engine must produce a final log cycle-identical to a batch
+//! Randomized equivalence suite: a closed-loop [`FlitLevel`] run (one
+//! send at a time) must produce a final log cycle-identical to a batch
 //! [`FlitLevel`] run over the same injection schedule.
 //!
 //! This is the correctness pin for the committed/speculative design: the
@@ -16,8 +16,8 @@
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, FlitLevel, FlitWork, IncrementalFlit, MeshConfig, NetEngine, NetMessage, NodeId,
-    OnlineWormhole, Routing, Topology,
+    EngineError, FlitLevel, FlitWork, MeshConfig, NetEngine, NetMessage, NodeId, OnlineWormhole,
+    Routing, Topology,
 };
 
 /// Deterministic 64-bit LCG (MMIX constants) — no external RNG crates.
@@ -87,7 +87,7 @@ fn assert_closed_loop_identical(cfg: MeshConfig, msgs: &[NetMessage], label: &st
 
     let mut sorted: Vec<NetMessage> = msgs.to_vec();
     sorted.sort_by_key(|m| (m.inject, m.id));
-    let mut engine = IncrementalFlit::new(cfg);
+    let mut engine = FlitLevel::new(cfg);
     for &m in &sorted {
         let d = engine.send(m).unwrap_or_else(|e| panic!("{label}: {e}"));
         // The per-send feedback is speculative, but never earlier than the
@@ -253,7 +253,7 @@ fn closed_loop_engines_agree_on_the_contract() {
     let mut msgs = workload(17, 16, 80, 8, 64);
     msgs.sort_by_key(|m| (m.inject, m.id));
     let mut rec = OnlineWormhole::new(cfg);
-    let mut flit = IncrementalFlit::new(cfg);
+    let mut flit = FlitLevel::new(cfg);
     for &m in &msgs {
         rec.send(m);
         flit.send(m).unwrap();
@@ -272,7 +272,7 @@ fn closed_loop_engines_agree_on_the_contract() {
 #[test]
 fn out_of_order_feed_surfaces_as_typed_error() {
     let cfg = MeshConfig::new(4, 4);
-    let mut engine = IncrementalFlit::new(cfg);
+    let mut engine = FlitLevel::new(cfg);
     engine
         .send(NetMessage {
             id: 0,
@@ -294,6 +294,30 @@ fn out_of_order_feed_surfaces_as_typed_error() {
     assert!(matches!(err, EngineError::OutOfOrder { id: 1, .. }), "{err}");
 }
 
+/// One model runs batch and closed loop in turn: a batch run discards an
+/// open closed-loop run, a send after a batch opens a fresh run, and a
+/// drain with no open run emits nothing.
+#[test]
+fn batch_and_closed_loop_runs_share_one_model() {
+    let cfg = MeshConfig::new(4, 2).with_virtual_channels(2);
+    let mut msgs = workload(13, 8, 30, 6, 48);
+    msgs.sort_by_key(|m| (m.inject, m.id));
+    let mut model = FlitLevel::new(cfg);
+    model.try_send(msgs[0]).unwrap();
+    let batch = model.simulate(&msgs);
+    assert_eq!(batch.records().len(), msgs.len());
+    for &m in &msgs {
+        model.try_send(m).unwrap();
+    }
+    model.try_drain().unwrap();
+    let work = model.work();
+    model.try_drain().unwrap();
+    assert_eq!(model.work(), work);
+    let closed = model.into_log();
+    assert_eq!(closed.records(), batch.records());
+    assert_eq!(closed.utilization(), batch.utilization());
+}
+
 /// The work counters are deterministic: two runs of one schedule report
 /// the same stepped cycles, skipped cycles and skips, batch and closed
 /// loop alike. On long worms the event loop covers most cycles by
@@ -309,11 +333,12 @@ fn work_counters_repeat_and_long_worms_mostly_skip() {
         model.work()
     };
     let closed = || {
-        let mut engine = IncrementalFlit::new(cfg);
+        let mut engine = FlitLevel::new(cfg);
         for &m in &msgs {
             engine.send(m).unwrap();
         }
-        engine.into_sink_and_work().1
+        engine.try_drain().unwrap();
+        engine.work()
     };
     let stepped_share =
         |w: FlitWork| w.cycles_stepped as f64 / (w.cycles_stepped + w.cycles_skipped) as f64;

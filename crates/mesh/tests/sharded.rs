@@ -13,9 +13,7 @@
 //! against the shards, which always step cycle by cycle.
 
 use commchar_des::SimTime;
-use commchar_mesh::{
-    EngineError, FlitLevel, IncrementalFlit, MeshConfig, NetMessage, NodeId, Routing,
-};
+use commchar_mesh::{EngineError, FlitLevel, MeshConfig, NetMessage, NodeId, Routing};
 use proptest::prelude::*;
 
 /// A torus config with exactly the minimum VC budget for its routing
@@ -208,8 +206,8 @@ fn closed_loop_per_send_feedback_is_sim_jobs_invariant() {
     let mut sorted = msgs.clone();
     sorted.sort_by_key(|m| (m.inject, m.id));
 
-    let mut serial = IncrementalFlit::new(cfg);
-    let mut sharded = IncrementalFlit::new(cfg).with_sim_jobs(4);
+    let mut serial = FlitLevel::new(cfg);
+    let mut sharded = FlitLevel::new(cfg).with_sim_jobs(4);
     for m in &sorted {
         let a = serial.try_send(*m).expect("serial send");
         let b = sharded.try_send(*m).expect("sharded send");

@@ -18,7 +18,7 @@ use std::future::Future;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use commchar_mesh::{EngineKind, IncrementalFlit, NetEngine, NetLog, OnlineWormhole};
+use commchar_mesh::{EngineKind, FlitLevel, NetEngine, NetLog, OnlineWormhole};
 
 use crate::api::{Ctx, Setup};
 use crate::shard::{self, Body, ShardCore};
@@ -136,7 +136,7 @@ where
     match cfg.engine {
         EngineKind::Recurrence => run_with(cfg, setup, body, OnlineWormhole::new(cfg.mesh)),
         EngineKind::FlitLevel => {
-            run_with(cfg, setup, body, IncrementalFlit::new(cfg.mesh).with_sim_jobs(cfg.sim_jobs))
+            run_with(cfg, setup, body, FlitLevel::new(cfg.mesh).with_sim_jobs(cfg.sim_jobs))
         }
     }
 }

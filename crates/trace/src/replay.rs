@@ -20,8 +20,8 @@ use std::collections::{BinaryHeap, HashMap};
 
 use commchar_des::SimTime;
 use commchar_mesh::{
-    EngineError, EngineKind, IncrementalFlit, LogSink, MeshConfig, NetEngine, NetLog, NetMessage,
-    NodeId, OnlineWormhole,
+    EngineError, EngineKind, FlitLevel, LogSink, MeshConfig, NetEngine, NetLog, NetMessage, NodeId,
+    OnlineWormhole,
 };
 
 use crate::CommTrace;
@@ -132,7 +132,7 @@ impl CausalReplayer {
                 self.replay_engine(trace, OnlineWormhole::with_sink(self.cfg, sink))
             }
             EngineKind::FlitLevel => {
-                let net = IncrementalFlit::try_with_sink(self.cfg, sink)?.with_sim_jobs(sim_jobs);
+                let net = FlitLevel::try_with_sink(self.cfg, sink)?.with_sim_jobs(sim_jobs);
                 self.replay_engine(trace, net)
             }
         }
@@ -347,18 +347,20 @@ mod tests {
         }
         let cfg = MeshConfig::for_nodes(8);
         let rep = CausalReplayer::new(cfg);
-        let log = replay(&rep, &tr);
-        let sink = commchar_mesh::StreamingLog::new(8);
-        let stream = rep.try_replay_into(&tr, EngineKind::Recurrence, 1, sink).unwrap();
-        assert_eq!(log.records().len() as u64, stream.messages());
-        let a = log.summary();
-        let b = stream.summary();
-        assert_eq!(a.span, b.span);
-        assert!((a.mean_latency - b.mean_latency).abs() < 1e-9);
-        assert!((a.mean_blocked - b.mean_blocked).abs() < 1e-9);
-        assert!((a.throughput - b.throughput).abs() < 1e-12);
-        assert_eq!(stream.spatial_counts(), log.spatial_counts(8));
-        assert_eq!(log.utilization(), stream.utilization());
+        for kind in [EngineKind::Recurrence, EngineKind::flit()] {
+            let log = rep.try_replay(&tr, kind).unwrap();
+            let sink = commchar_mesh::StreamingLog::new(8);
+            let stream = rep.try_replay_into(&tr, kind, 1, sink).unwrap();
+            assert_eq!(log.records().len() as u64, stream.messages(), "{kind}");
+            let a = log.summary();
+            let b = stream.summary();
+            assert_eq!(a.span, b.span, "{kind}");
+            assert!((a.mean_latency - b.mean_latency).abs() < 1e-9, "{kind}");
+            assert!((a.mean_blocked - b.mean_blocked).abs() < 1e-9, "{kind}");
+            assert!((a.throughput - b.throughput).abs() < 1e-12, "{kind}");
+            assert_eq!(stream.spatial_counts(), log.spatial_counts(8), "{kind}");
+            assert_eq!(log.utilization(), stream.utilization(), "{kind}");
+        }
     }
 
     #[test]

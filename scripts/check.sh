@@ -5,15 +5,17 @@
 # skipped with a notice instead of failing the gate.
 #
 # Always runs rustdoc with warnings denied (missing docs on a public
-# item fail the gate) and four CLI smokes: a trace round-trip (generate
+# item fail the gate) and these CLI smokes: a trace round-trip (generate
 # a trace, pack it to the columnar binary format, cat it back to
 # JSON-lines and diff against the original), a characterize determinism
 # check (the same workload characterized with --jobs 1 and --jobs 4 must
 # print identical reports), an engine diff (replaying the checked-in
 # fixture trace with --engine recurrence must stay byte-identical to the
 # output captured before the NetEngine refactor, and with --engine flit
-# to the output captured before steady-stream skipping), a fit fixture
-# diff (characterize --no-replay of the same fixture must stay
+# to the output captured before steady-stream skipping; the --streaming
+# replay with each engine must stay byte-identical to the output
+# captured before the flit closed loop was folded into FlitLevel), a fit
+# fixture diff (characterize --no-replay of the same fixture must stay
 # byte-identical to the report captured before the allocation-free secant
 # solver, so a change to the fitted numbers shows up), a streaming smoke
 # (a packed trace with a deliberately small block budget characterized
@@ -120,6 +122,10 @@ diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.rec.txt"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/replay.flit.txt"
 diff tests/fixtures/engine_diff.replay.flit.txt "$tmpdir/replay.flit.txt"
 sed 's/^/    /' "$tmpdir/replay.flit.txt"
+cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine recurrence --streaming >"$tmpdir/replay.rec.streaming.txt"
+diff tests/fixtures/engine_diff.replay.streaming.txt "$tmpdir/replay.rec.streaming.txt"
+cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --streaming >"$tmpdir/replay.flit.streaming.txt"
+diff tests/fixtures/engine_diff.replay.streaming.flit.txt "$tmpdir/replay.flit.streaming.txt"
 
 echo "==> fit fixture diff (characterize --no-replay vs checked-in report)"
 cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --no-replay >"$tmpdir/fixture.sig.txt"

@@ -62,10 +62,10 @@ fn shared_memory_runs_match_golden_values() {
 #[test]
 fn static_strategy_flit_runs_match_golden_values() {
     // The static strategy through the cycle-accurate flit engine: sp2
-    // acquisition, then causal replay through `IncrementalFlit`. Once on
-    // a serial mesh and once on a torus whose final drain runs on two
-    // shards. Long messages make the engine skip steady worm streaming,
-    // so these pin the skip end to end.
+    // acquisition, then causal replay through `FlitLevel`'s closed loop.
+    // Once on a serial mesh and once on a torus whose final drain runs on
+    // two shards. Long messages make the engine skip steady worm
+    // streaming, so these pin the skip end to end.
     let golden = [
         (
             AppId::Mg,
