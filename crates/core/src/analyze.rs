@@ -9,12 +9,11 @@
 //! - [`try_analyze_trace`] — wraps an in-memory [`CommTrace`] as one
 //!   segment (sorting a copy of the events first if the trace is not in
 //!   time order).
-//! - [`try_analyze_blocks`] — walks any [`BlockSource`] (an in-memory
-//!   [`TraceReader`](commchar_tracestore::TraceReader) or an on-disk
-//!   [`FileReader`](commchar_tracestore::FileReader)), decoding and
-//!   condensing blocks into [`SegmentExtract`] partials on a worker pool
-//!   and folding them in file order. Memory stays bounded by
-//!   `block_jobs × block size`, never by trace length.
+//! - [`try_analyze_blocks`] — walks a [`PackedReader`] (over in-memory
+//!   bytes or an open file), decoding and condensing blocks into
+//!   [`SegmentExtract`] partials on a worker pool and folding them in
+//!   file order. Memory stays bounded by `block_jobs × block size`,
+//!   never by trace length.
 //!
 //! The result carries the paper's three trace attributes (temporal,
 //! spatial, volume) but no network-behaviour section: computing network
@@ -26,7 +25,7 @@ use commchar_stats::fit::{FitContext, FitResult};
 use commchar_stats::spatial::{classify_with_count, normalize};
 use commchar_trace::profile::{SegmentExtract, StreamAccum, StreamExtract};
 use commchar_trace::CommTrace;
-use commchar_tracestore::BlockSource;
+use commchar_tracestore::{PackedBytes, PackedReader};
 use commchar_traffic::LengthDist;
 
 use crate::{CharError, SpatialSig, TemporalSig, VolumeSig, MIN_SAMPLES};
@@ -103,24 +102,24 @@ const CHUNK_PER_JOB: usize = 4;
 ///   boundary-gap stitching requires it; packed traces written by this
 ///   workspace are sorted).
 /// - [`CharError::Store`] for any decode/IO failure inside a block.
-pub fn try_analyze_blocks<R: BlockSource>(
-    source: &R,
+pub fn try_analyze_blocks<B: PackedBytes>(
+    reader: &PackedReader<B>,
     shape: MeshShape,
     jobs: usize,
     block_jobs: usize,
 ) -> Result<TraceAnalysis, CharError> {
-    if source.is_empty() {
+    if reader.is_empty() {
         return Err(CharError::EmptyTrace);
     }
-    let nodes = source.nodes();
+    let nodes = reader.nodes();
     let chunk = commchar_pool::resolve_jobs(block_jobs).saturating_mul(CHUNK_PER_JOB).max(1);
     let mut accum = StreamAccum::new(nodes);
     let mut base = 0;
-    while base < source.block_count() {
-        let n = chunk.min(source.block_count() - base);
+    while base < reader.block_count() {
+        let n = chunk.min(reader.block_count() - base);
         let partials = commchar_pool::run_indexed(block_jobs, n, |i| {
             let events =
-                source.decode_events(base + i).map_err(|e| CharError::Store(e.to_string()))?;
+                reader.decode_events(base + i).map_err(|e| CharError::Store(e.to_string()))?;
             SegmentExtract::from_events(nodes, &events)
                 .map_err(|e| CharError::Unsorted { prev: e.prev, at: e.at })
         });

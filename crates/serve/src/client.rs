@@ -21,7 +21,7 @@ pub struct ServeClient {
     stream: TcpStream,
     buf: Vec<u8>,
     max_frame: u32,
-    /// Server-advertised per-session inbox capacity, bytes.
+    /// Server-advertised per-frame block payload bound, bytes.
     session_buffer: u64,
 }
 
@@ -51,7 +51,8 @@ impl ServeClient {
         }
     }
 
-    /// The server-advertised per-session inbox capacity, bytes.
+    /// The server-advertised bound on one frame's total block payload,
+    /// bytes.
     pub fn session_buffer(&self) -> u64 {
         self.session_buffer
     }
@@ -69,14 +70,16 @@ impl ServeClient {
         }
     }
 
-    /// Sends pre-encoded CCTRACE1 block payloads. Returns
-    /// `(events_absorbed_total, bytes_still_buffered)`.
+    /// Sends pre-encoded CCTRACE1 block payloads in one frame. Returns
+    /// `(events_absorbed_total, bytes_still_buffered)`; the server decodes
+    /// each frame before replying, so the second is 0.
     ///
     /// # Errors
     ///
-    /// Transport errors, [`ServeError::Backpressure`] when the session
-    /// inbox cannot take the frame (nothing was applied — retry later),
-    /// or [`ServeError::SessionFailed`] once a session is poisoned.
+    /// Transport errors, [`ServeError::Backpressure`] when the frame's
+    /// payloads exceed the server's per-frame bound (nothing was applied —
+    /// resend in smaller frames), or [`ServeError::SessionFailed`] once a
+    /// session is poisoned.
     pub fn send_blocks(
         &mut self,
         session: u64,

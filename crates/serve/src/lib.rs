@@ -22,9 +22,10 @@
 //!   payloads — a packed trace file can be replayed to the server
 //!   without re-encoding.
 //! - [`server`] — [`Server`]: sessions multiplexed over a
-//!   [`commchar_pool::Team`] of connection workers, bounded per-session
-//!   inboxes with explicit [`Backpressure`](ServeError::Backpressure)
-//!   frames, idle-session eviction, and atomic [`ServerStats`] counters.
+//!   [`commchar_pool::Team`] of connection workers, each frame's blocks
+//!   decoded before its reply under a per-frame bound with explicit
+//!   [`Backpressure`](ServeError::Backpressure) refusals, idle-session
+//!   eviction, and atomic [`ServerStats`] counters.
 //! - [`client`] — [`ServeClient`]: a small blocking client used by the
 //!   `commchar serve-feed` driver, the soak tests and the benches.
 //!

@@ -92,14 +92,16 @@ pub enum ServeError {
         /// The offending session id.
         session: u64,
     },
-    /// The session's bounded inbox is full; the client must drain (poll)
-    /// or slow down and retry the rejected blocks.
+    /// A `TraceBlocks` frame carried more block payload than the
+    /// server's per-frame bound; nothing was applied, and the client
+    /// resends the blocks in smaller frames.
     Backpressure {
-        /// The session whose buffer is full.
+        /// The session the frame was for.
         session: u64,
-        /// Bytes currently buffered.
+        /// Bytes left buffered by earlier frames (always 0: each frame is
+        /// decoded before its reply).
         buffered: u64,
-        /// Buffer capacity in bytes.
+        /// The per-frame bound, bytes.
         capacity: u64,
     },
     /// The session was poisoned by an earlier streaming error (unsorted
@@ -163,7 +165,8 @@ impl std::fmt::Display for ServeError {
             ServeError::UnknownSession { session } => write!(f, "unknown session {session}"),
             ServeError::Backpressure { session, buffered, capacity } => write!(
                 f,
-                "session {session} backpressure: {buffered} of {capacity} buffer bytes in use"
+                "session {session} backpressure: frame over the {capacity}-byte block payload \
+                 bound ({buffered} bytes buffered)"
             ),
             ServeError::SessionFailed { session, reason } => {
                 write!(f, "session {session} failed: {reason}")
@@ -261,7 +264,7 @@ pub enum Msg {
         version: u32,
         /// Largest accepted frame payload, bytes.
         max_frame: u32,
-        /// Per-session inbox capacity, bytes.
+        /// Largest total block payload of one `TraceBlocks` frame, bytes.
         session_buffer: u64,
     },
     /// A session was opened.
@@ -269,14 +272,14 @@ pub enum Msg {
         /// The new session's id.
         session: u64,
     },
-    /// Blocks were accepted into the session's inbox.
+    /// A frame's blocks were decoded and absorbed.
     BlocksAck {
         /// The session acknowledged.
         session: u64,
-        /// Events absorbed into the accumulator so far (digested, not
-        /// merely buffered).
+        /// Events absorbed into the accumulator so far.
         events: u64,
-        /// Inbox bytes still waiting to be digested.
+        /// Bytes still waiting to be decoded (always 0: each frame is
+        /// decoded before its reply).
         buffered: u64,
     },
     /// A live or final characterization report.

@@ -40,10 +40,12 @@
 //!
 //! ## Backpressure and eviction
 //!
-//! Block payloads land in a bounded per-session inbox before digestion;
-//! a frame that would overflow the inbox is refused with a typed
-//! [`ServeError::Backpressure`] frame (nothing is partially applied —
-//! the client retries after draining). Sessions idle longer than
+//! A `TraceBlocks` frame's block payloads are decoded and folded into the
+//! session before the frame is acknowledged, so no block waits between
+//! frames. A frame whose payloads together exceed
+//! [`ServeConfig::session_buffer`] is refused with a typed
+//! [`ServeError::Backpressure`] frame (nothing is applied — the client
+//! resends in smaller frames). Sessions idle longer than
 //! [`ServeConfig::idle_timeout`] are evicted by the housekeeping sweep
 //! and count into [`ServerStats::evictions`].
 
@@ -58,7 +60,7 @@ use commchar_core::analyze::try_analyze_extract;
 use commchar_core::report::analysis_report;
 use commchar_core::CharError;
 use commchar_mesh::{MeshConfig, MeshShape};
-use commchar_trace::profile::{SegmentExtract, StreamAccum};
+use commchar_trace::profile::{SegmentExtract, StreamAccum, UnsortedError};
 use commchar_tracestore::decode_event_block;
 
 use crate::protocol::{
@@ -76,7 +78,8 @@ pub struct ServeConfig {
     pub fit_jobs: usize,
     /// Largest accepted frame payload, bytes.
     pub max_frame: u32,
-    /// Per-session inbox capacity, bytes — the backpressure bound.
+    /// Largest total block payload one `TraceBlocks` frame may carry,
+    /// bytes — the backpressure bound.
     pub session_buffer: u64,
     /// Idle time after which a session is evicted.
     pub idle_timeout: Duration,
@@ -88,8 +91,8 @@ impl Default for ServeConfig {
             workers: 0,
             fit_jobs: 1,
             max_frame: DEFAULT_MAX_FRAME,
-            // 64 MiB: a generous burst allowance that still bounds a
-            // misbehaving client to a fixed footprint.
+            // 64 MiB: above the default `max_frame`, so by default only
+            // the frame limit applies.
             session_buffer: 64 << 20,
             idle_timeout: Duration::from_secs(300),
         }
@@ -122,14 +125,10 @@ struct Session {
 
 #[derive(Debug)]
 struct SessionInner {
-    /// Received-but-undigested block payloads, FIFO. Bounded by
-    /// [`ServeConfig::session_buffer`].
-    inbox: VecDeque<Vec<u8>>,
-    inbox_bytes: u64,
     /// The streaming accumulator — identical state to the offline
     /// `--stream` pass after the same blocks.
     accum: StreamAccum,
-    /// Events absorbed (digested, not merely buffered).
+    /// Events absorbed.
     events: u64,
     /// First streaming error, if any: the session is poisoned and every
     /// later command answers `SessionFailed`.
@@ -180,44 +179,29 @@ fn char_error(session: u64, e: CharError) -> ServeError {
 }
 
 impl Session {
-    /// Drains the inbox into the accumulator. Any failure poisons the
-    /// session; remaining buffered blocks are dropped.
-    fn digest(&self, inner: &mut SessionInner, counters: &Counters) {
-        while let Some(payload) = inner.inbox.pop_front() {
-            inner.inbox_bytes -= payload.len() as u64;
-            if inner.failed.is_some() {
-                continue;
-            }
-            let events = match decode_event_block(&payload, self.nodes) {
-                Ok(events) => events,
-                Err(e) => {
-                    inner.failed = Some(ServeError::Store { reason: e.to_string() });
-                    continue;
-                }
-            };
-            let seg = match SegmentExtract::from_events(self.nodes, &events) {
-                Ok(seg) => seg,
-                Err(e) => {
-                    inner.failed = Some(ServeError::Unsorted { prev: e.prev, at: e.at });
-                    continue;
-                }
-            };
-            if let Err(e) = inner.accum.absorb(&seg) {
-                inner.failed = Some(ServeError::Unsorted { prev: e.prev, at: e.at });
-                continue;
-            }
+    /// Decodes one frame's block payloads and folds them into the
+    /// accumulator, in order. The first failure stops the fold; the
+    /// caller poisons the session with it.
+    fn absorb(
+        &self,
+        inner: &mut SessionInner,
+        blocks: &[Vec<u8>],
+        counters: &Counters,
+    ) -> Result<(), ServeError> {
+        let unsorted = |e: UnsortedError| ServeError::Unsorted { prev: e.prev, at: e.at };
+        for payload in blocks {
+            let events = decode_event_block(payload, self.nodes)
+                .map_err(|e| ServeError::Store { reason: e.to_string() })?;
+            let seg = SegmentExtract::from_events(self.nodes, &events).map_err(unsorted)?;
+            inner.accum.absorb(&seg).map_err(unsorted)?;
             inner.events += events.len() as u64;
             counters.events.fetch_add(events.len() as u64, Ordering::Relaxed);
         }
+        Ok(())
     }
 
     /// Snapshots the accumulator and runs the shared offline fit path.
-    fn report(
-        &self,
-        id: u64,
-        inner: &mut SessionInner,
-        fit_jobs: usize,
-    ) -> Result<String, ServeError> {
+    fn report(&self, id: u64, inner: &SessionInner, fit_jobs: usize) -> Result<String, ServeError> {
         if let Some(e) = &inner.failed {
             return Err(ServeError::SessionFailed { session: id, reason: e.to_string() });
         }
@@ -302,8 +286,6 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: Msg) -> Outcome {
                 shape: MeshConfig::for_nodes(nodes as usize).shape,
                 last_ms: AtomicU64::new(shared.now_ms()),
                 inner: Mutex::new(SessionInner {
-                    inbox: VecDeque::new(),
-                    inbox_bytes: 0,
                     accum: StreamAccum::new(nodes as usize),
                     events: 0,
                     failed: None,
@@ -326,39 +308,31 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: Msg) -> Outcome {
                 }));
             }
             let incoming: u64 = blocks.iter().map(|b| b.len() as u64).sum();
-            if inner.inbox_bytes + incoming > shared.cfg.session_buffer {
+            if incoming > shared.cfg.session_buffer {
                 return Outcome::reply(Msg::Error(ServeError::Backpressure {
                     session: id,
-                    buffered: inner.inbox_bytes,
+                    buffered: 0,
                     capacity: shared.cfg.session_buffer,
                 }));
             }
-            inner.inbox_bytes += incoming;
-            for b in blocks {
-                inner.inbox.push_back(b);
-            }
             shared.counters.bytes.fetch_add(incoming, Ordering::Relaxed);
-            session.digest(&mut inner, &shared.counters);
-            if let Some(e) = &inner.failed {
+            if let Err(e) = session.absorb(&mut inner, &blocks, &shared.counters) {
+                let reason = e.to_string();
+                inner.failed = Some(e);
                 return Outcome::reply(Msg::Error(ServeError::SessionFailed {
                     session: id,
-                    reason: e.to_string(),
+                    reason,
                 }));
             }
-            Outcome::reply(Msg::BlocksAck {
-                session: id,
-                events: inner.events,
-                buffered: inner.inbox_bytes,
-            })
+            Outcome::reply(Msg::BlocksAck { session: id, events: inner.events, buffered: 0 })
         }
         Msg::Poll { session: id } => {
             let Some(session) = lookup(shared, id) else {
                 return Outcome::reply(Msg::Error(ServeError::UnknownSession { session: id }));
             };
             session.last_ms.store(shared.now_ms(), Ordering::Relaxed);
-            let mut inner = session.inner.lock().unwrap_or_else(|e| e.into_inner());
-            session.digest(&mut inner, &shared.counters);
-            match session.report(id, &mut inner, shared.cfg.fit_jobs) {
+            let inner = session.inner.lock().unwrap_or_else(|e| e.into_inner());
+            match session.report(id, &inner, shared.cfg.fit_jobs) {
                 Ok(text) => {
                     shared.counters.polls.fetch_add(1, Ordering::Relaxed);
                     Outcome::reply(Msg::Report {
@@ -378,9 +352,8 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: Msg) -> Outcome {
                 return Outcome::reply(Msg::Error(ServeError::UnknownSession { session: id }));
             };
             shared.counters.sessions_closed.fetch_add(1, Ordering::Relaxed);
-            let mut inner = session.inner.lock().unwrap_or_else(|e| e.into_inner());
-            session.digest(&mut inner, &shared.counters);
-            match session.report(id, &mut inner, shared.cfg.fit_jobs) {
+            let inner = session.inner.lock().unwrap_or_else(|e| e.into_inner());
+            match session.report(id, &inner, shared.cfg.fit_jobs) {
                 Ok(text) => {
                     shared.counters.polls.fetch_add(1, Ordering::Relaxed);
                     Outcome::reply(Msg::Report {

@@ -15,16 +15,9 @@
 //! Exactness costs memory proportional to the number of *distinct* values.
 //! Communication traces are tick-quantized, so the distinct-gap count
 //! saturates at a few thousand runs regardless of trace length and the
-//! exact representation *is* the constant-memory representation. For
-//! adversarial streams where every value is distinct, an optional run
-//! budget ([`GroupedSample::with_budget`]) bounds memory by folding
-//! adjacent runs into count-weighted means. That is the single sketched
-//! estimator in the pipeline: once a fold has happened,
-//! [`is_exact`](GroupedSample::is_exact) turns false and any rank/quantile
-//! read off the runs can be off by at most
-//! [`rank_error_bound`](GroupedSample::rank_error_bound) — the largest
-//! folded run's share of the sample. Everything else (counts, byte
-//! totals, means of integer ticks) stays exact under merge.
+//! exact representation *is* the constant-memory representation. A
+//! stream where every value is distinct grows one run per observation;
+//! nothing in the pipeline folds runs to bound that.
 
 /// A sample multiset stored as sorted, deduplicated `(value, count)` runs.
 ///
@@ -35,54 +28,17 @@
 ///
 /// Values must not be NaN (construction asserts, as [`Ecdf`](crate::Ecdf)
 /// does).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GroupedSample {
     values: Vec<f64>,
     counts: Vec<u64>,
     total: u64,
-    /// Maximum number of runs kept; `None` = unbounded (exact).
-    budget: Option<usize>,
-    /// Largest run ever produced by a compaction fold (0 = still exact).
-    max_folded: u64,
-}
-
-impl Default for GroupedSample {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PartialEq for GroupedSample {
-    /// Equality of the represented multiset (runs and total); the memory
-    /// budget is a policy, not part of the value.
-    fn eq(&self, other: &Self) -> bool {
-        self.total == other.total && self.values == other.values && self.counts == other.counts
-    }
 }
 
 impl GroupedSample {
-    /// An empty, exact (unbudgeted) sample.
+    /// An empty sample.
     pub fn new() -> Self {
-        GroupedSample {
-            values: Vec::new(),
-            counts: Vec::new(),
-            total: 0,
-            budget: None,
-            max_folded: 0,
-        }
-    }
-
-    /// An empty sample that keeps at most `budget` runs, folding adjacent
-    /// runs into count-weighted means when it would exceed that — the
-    /// bounded-memory sketch for streams whose distinct-value count grows
-    /// without limit. See the module docs for the error bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget < 2`.
-    pub fn with_budget(budget: usize) -> Self {
-        assert!(budget >= 2, "a run budget below 2 cannot hold a fold");
-        GroupedSample { budget: Some(budget), ..Self::new() }
+        Self::default()
     }
 
     /// Groups a raw sample: one sort, one deduplication pass — exactly the
@@ -129,13 +85,11 @@ impl GroupedSample {
             self.counts.insert(i, count);
         }
         self.total += count;
-        self.compact();
     }
 
     /// Merges another grouped sample into this one: a sorted-run union
-    /// with counts added on equal values. Exact (and therefore commutative
-    /// and associative, insensitive to block order and grouping) as long
-    /// as no run budget forces a fold.
+    /// with counts added on equal values. Exact, and therefore commutative
+    /// and associative, insensitive to block order and grouping.
     pub fn merge(&mut self, other: &GroupedSample) {
         if other.total == 0 {
             return;
@@ -144,8 +98,6 @@ impl GroupedSample {
             self.values = other.values.clone();
             self.counts = other.counts.clone();
             self.total = other.total;
-            self.max_folded = self.max_folded.max(other.max_folded);
-            self.compact();
             return;
         }
         let mut values = Vec::with_capacity(self.values.len() + other.values.len());
@@ -175,35 +127,6 @@ impl GroupedSample {
         self.values = values;
         self.counts = counts;
         self.total += other.total;
-        self.max_folded = self.max_folded.max(other.max_folded);
-        self.compact();
-    }
-
-    /// Folds adjacent runs into count-weighted means until the run count
-    /// fits the budget. Weighted means preserve the sort order, so the
-    /// result is still a valid grouped sample — just no longer exact.
-    fn compact(&mut self) {
-        let Some(budget) = self.budget else { return };
-        while self.values.len() > budget {
-            let mut values = Vec::with_capacity(self.values.len().div_ceil(2));
-            let mut counts = Vec::with_capacity(values.capacity());
-            let mut k = 0;
-            while k + 1 < self.values.len() {
-                let (c1, c2) = (self.counts[k], self.counts[k + 1]);
-                let c = c1 + c2;
-                let v = (self.values[k] * c1 as f64 + self.values[k + 1] * c2 as f64) / c as f64;
-                values.push(v);
-                counts.push(c);
-                self.max_folded = self.max_folded.max(c);
-                k += 2;
-            }
-            if k < self.values.len() {
-                values.push(self.values[k]);
-                counts.push(self.counts[k]);
-            }
-            self.values = values;
-            self.counts = counts;
-        }
     }
 
     /// The distinct values, sorted ascending.
@@ -222,7 +145,7 @@ impl GroupedSample {
         self.total
     }
 
-    /// Number of runs (distinct values after any folding).
+    /// Number of runs (distinct values).
     pub fn distinct_len(&self) -> usize {
         self.values.len()
     }
@@ -230,24 +153,6 @@ impl GroupedSample {
     /// Whether the sample holds no observations.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// True while no compaction fold has happened — every represented
-    /// value is an actual observation and merges are exact.
-    pub fn is_exact(&self) -> bool {
-        self.max_folded == 0
-    }
-
-    /// Worst-case rank error of a quantile read off the runs, as a
-    /// fraction of the sample: 0 when exact, otherwise the largest folded
-    /// run's share (a query landing inside a folded run sees the run's
-    /// weighted mean instead of the true order statistic).
-    pub fn rank_error_bound(&self) -> f64 {
-        if self.max_folded == 0 || self.total == 0 {
-            0.0
-        } else {
-            self.max_folded as f64 / self.total as f64
-        }
     }
 }
 
@@ -261,8 +166,6 @@ mod tests {
         assert_eq!(g.values(), &[1.0, 2.0, 3.0]);
         assert_eq!(g.counts(), &[1, 1, 3]);
         assert_eq!(g.total(), 5);
-        assert!(g.is_exact());
-        assert_eq!(g.rank_error_bound(), 0.0);
     }
 
     #[test]
@@ -291,23 +194,6 @@ mod tests {
         g.insert(3.0, 1);
         g.insert(9.0, 0); // no-op
         assert_eq!(g, GroupedSample::from_samples(&[1.0, 2.0, 2.0, 3.0, 3.0]));
-    }
-
-    #[test]
-    fn budget_folds_and_reports_the_error_bound() {
-        let mut g = GroupedSample::with_budget(4);
-        for i in 0..64 {
-            g.insert(i as f64, 1);
-        }
-        assert!(g.distinct_len() <= 4);
-        assert_eq!(g.total(), 64);
-        assert!(!g.is_exact());
-        let bound = g.rank_error_bound();
-        assert!(bound > 0.0 && bound <= 1.0, "bound {bound}");
-        // Counts survive folding exactly.
-        assert_eq!(g.counts().iter().sum::<u64>(), 64);
-        // Folded values stay sorted.
-        assert!(g.values().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

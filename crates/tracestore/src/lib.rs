@@ -22,8 +22,11 @@
 //! encodings). The footer lists every block's payload length and record
 //! count, so a reader can locate all blocks without scanning the file,
 //! decode them **in parallel** across worker threads
-//! ([`TraceReader::read_trace_parallel`]), or stream records in order with
-//! one-block memory ([`TraceReader::for_each_event`]).
+//! ([`PackedReader::read_trace_parallel`]), or stream records in order with
+//! one-block memory ([`PackedReader::for_each_event`]). One reader type
+//! serves both homes of the bytes: [`TraceReader`] borrows each block from
+//! memory, [`FileReader`] reads each block from disk with one positioned
+//! read and keeps only the index in memory (the out-of-core path).
 //!
 //! Corrupt input never panics: truncation, a bad magic, a checksum
 //! mismatch and an over-long varint each surface as a typed
@@ -57,8 +60,8 @@ pub mod writer;
 use commchar_trace::{CommEvent, CommTrace};
 
 pub use reader::{
-    unpack_netlog, unpack_trace, unpack_trace_parallel, BlockSource, FileReader, StreamBlockReader,
-    TraceReader,
+    unpack_netlog, unpack_trace, unpack_trace_parallel, FileReader, PackedBytes, PackedReader,
+    StreamBlockReader, TraceReader,
 };
 pub use writer::{pack_netlog, pack_trace, NetLogWriter, TraceWriter, DEFAULT_BLOCK_LEN};
 
@@ -119,6 +122,9 @@ pub enum TraceStoreError {
     BadMagic {
         /// The bytes found where a magic was expected (possibly short).
         found: Vec<u8>,
+        /// The magic that was checked: [`MAGIC`] at the start of a stream,
+        /// [`FOOTER_MAGIC`] at the end of a file.
+        expected: [u8; 8],
     },
     /// The header declares a stream kind this version does not know.
     BadStreamKind(u8),
@@ -159,9 +165,11 @@ impl std::fmt::Display for TraceStoreError {
             TraceStoreError::Truncated { context, needed, have } => {
                 write!(f, "truncated input: {context} needs {needed} bytes, have {have}")
             }
-            TraceStoreError::BadMagic { found } => {
-                write!(f, "bad magic {found:02x?} (expected {:02x?})", MAGIC)
-            }
+            TraceStoreError::BadMagic { found, expected } => write!(
+                f,
+                "bad magic {found:02x?} (expected {} {expected:02x?})",
+                String::from_utf8_lossy(expected)
+            ),
             TraceStoreError::BadStreamKind(code) => write!(f, "unknown stream kind {code}"),
             TraceStoreError::ChecksumMismatch { block, stored, computed } => write!(
                 f,

@@ -1,7 +1,11 @@
-//! Seekable block readers: footer index, checksum verification, and
-//! sequential / streaming / parallel decode — over in-memory bytes
-//! ([`TraceReader`]) or directly against a file ([`FileReader`]), unified
-//! by the [`BlockSource`] trait for out-of-core consumers.
+//! Block readers. [`PackedReader`] is the seekable one: footer index,
+//! checksum verification, and sequential / streaming / parallel decode,
+//! over in-memory bytes ([`TraceReader`]) or an open file
+//! ([`FileReader`]). [`StreamBlockReader`] walks the block frames of a
+//! non-seekable stream instead.
+
+use std::borrow::Cow;
+use std::io::Read;
 
 use commchar_mesh::{MsgRecord, NetLog};
 use commchar_trace::{CommEvent, CommTrace};
@@ -20,27 +24,20 @@ struct BlockMeta {
     count: usize,
 }
 
-/// Parses the leading magic + header from the file's first bytes (the
-/// whole file, or any prefix of at least [`HEADER_PREFIX`] bytes).
-/// Returns `(kind, nodes, header_end)`.
+/// Parses the leading magic + header from a stream's first bytes (any
+/// prefix of at least [`HEADER_PREFIX`] bytes, or the whole stream if it
+/// is shorter). Returns `(kind, nodes, header_end)`.
 fn parse_header(head: &[u8]) -> Result<(StreamKind, usize, usize), TraceStoreError> {
-    if head.len() < MAGIC.len() {
-        return Err(TraceStoreError::BadMagic { found: head.to_vec() });
-    }
-    if head[..MAGIC.len()] != MAGIC {
-        return Err(TraceStoreError::BadMagic { found: head[..MAGIC.len()].to_vec() });
+    if head.len() < MAGIC.len() || head[..MAGIC.len()] != MAGIC {
+        let found = head[..head.len().min(MAGIC.len())].to_vec();
+        return Err(TraceStoreError::BadMagic { found, expected: MAGIC });
     }
     let mut header = Cursor::new(&head[MAGIC.len()..]);
     let kind = StreamKind::from_code(header.byte("stream kind")?)?;
-    let nodes = check_nodes(kind, header.varint("node count")?)?;
-    Ok((kind, nodes, MAGIC.len() + header.pos()))
-}
-
-/// Validates a header's node count: an event stream needs at least one
-/// node and at most [`MAX_NODES`](commchar_trace::MAX_NODES), checked
-/// before any consumer sizes per-node state by it. (A record stream's
-/// count is advisory.)
-fn check_nodes(kind: StreamKind, nodes: u64) -> Result<usize, TraceStoreError> {
+    let nodes = header.varint("node count")?;
+    // An event stream needs at least one node and at most `MAX_NODES`,
+    // checked before any consumer sizes per-node state by it. (A record
+    // stream's count is advisory.)
     if kind == StreamKind::Events {
         if nodes == 0 {
             return Err(TraceStoreError::Corrupt("header declares zero nodes".into()));
@@ -49,7 +46,7 @@ fn check_nodes(kind: StreamKind, nodes: u64) -> Result<usize, TraceStoreError> {
             return Err(TraceStoreError::TooManyNodes { nodes });
         }
     }
-    Ok(nodes as usize)
+    Ok((kind, nodes as usize, MAGIC.len() + header.pos()))
 }
 
 /// Longest possible header: magic + kind byte + 10-byte varint.
@@ -73,7 +70,7 @@ fn locate_footer(
     }
     let magic = &trailer[trailer.len() - FOOTER_MAGIC.len()..];
     if magic != FOOTER_MAGIC {
-        return Err(TraceStoreError::BadMagic { found: magic.to_vec() });
+        return Err(TraceStoreError::BadMagic { found: magic.to_vec(), expected: FOOTER_MAGIC });
     }
     let len_bytes = &trailer[trailer.len() - tail..trailer.len() - FOOTER_MAGIC.len()];
     let footer_len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
@@ -184,20 +181,88 @@ fn verify_block(frame: &[u8], block: usize, payload_len: usize) -> Result<&[u8],
     Ok(payload)
 }
 
-/// A packed trace file opened for reading.
+/// Where a [`PackedReader`]'s bytes live: borrowed memory (`&[u8]`) or an
+/// open [`File`](std::fs::File). Every read is positioned, so concurrent
+/// block decodes from a worker pool share no cursor.
+pub trait PackedBytes: Sync {
+    /// Total length in bytes.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures of a file-backed source.
+    fn byte_len(&self) -> Result<u64, TraceStoreError>;
+
+    /// The `len` bytes at `offset` (a range inside
+    /// [`byte_len`](Self::byte_len)).
+    ///
+    /// # Errors
+    ///
+    /// I/O failures of a file-backed source.
+    fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError>;
+}
+
+/// In memory, every read borrows a slice and copies nothing.
+impl PackedBytes for &[u8] {
+    fn byte_len(&self) -> Result<u64, TraceStoreError> {
+        Ok(self.len() as u64)
+    }
+
+    fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError> {
+        Ok(Cow::Borrowed(&self[offset..offset + len]))
+    }
+}
+
+/// On disk, every read is one positioned read (`pread` on Unix).
+impl PackedBytes for std::fs::File {
+    fn byte_len(&self) -> Result<u64, TraceStoreError> {
+        Ok(self.metadata()?.len())
+    }
+
+    fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError> {
+        let mut buf = vec![0u8; len];
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(self, &mut buf, offset as u64)?;
+        #[cfg(not(unix))]
+        {
+            // Fallback positioned read via seek. One process-wide lock
+            // keeps concurrent decodes from interleaving a seek and its
+            // read; every holder re-seeks, so a poisoned lock is safe.
+            use std::io::{Seek, SeekFrom};
+            static SEEK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            let _held = SEEK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut file = self;
+            file.seek(SeekFrom::Start(offset as u64))?;
+            file.read_exact(&mut buf)?;
+        }
+        Ok(Cow::Owned(buf))
+    }
+}
+
+/// A packed trace opened for seekable reading, over in-memory bytes
+/// ([`TraceReader`]) or an open file ([`FileReader`]).
 ///
-/// Opening parses the magic, header and footer index only; block payloads
-/// are decoded on demand, so a reader over a memory-mapped or fully-read
-/// file can seek to any block without touching the others.
+/// Opening parses the magic, header and footer index only. Each block is
+/// fetched, checksum-verified and decoded on demand, so a reader can seek
+/// to any block without touching the others. A file-backed reader holds
+/// nothing but the index in memory, which is what lets
+/// `characterize --stream` process a multi-GB packed trace in constant
+/// memory.
 #[derive(Debug)]
-pub struct TraceReader<'a> {
-    bytes: &'a [u8],
+pub struct PackedReader<B> {
+    bytes: B,
     kind: StreamKind,
     nodes: usize,
     blocks: Vec<BlockMeta>,
     records: u64,
     utilization: Vec<(u32, f64)>,
 }
+
+/// A [`PackedReader`] over in-memory bytes: blocks are borrowed slices.
+pub type TraceReader<'a> = PackedReader<&'a [u8]>;
+
+/// A [`PackedReader`] over a file: each block is read from disk with one
+/// positioned read when it is decoded.
+pub type FileReader = PackedReader<std::fs::File>;
 
 impl<'a> TraceReader<'a> {
     /// Parses the file structure (header + footer index) without decoding
@@ -209,12 +274,35 @@ impl<'a> TraceReader<'a> {
     /// footer that does not tile the block region — yields a typed
     /// [`TraceStoreError`].
     pub fn open(bytes: &'a [u8]) -> Result<Self, TraceStoreError> {
-        let (kind, nodes, header_end) = parse_header(bytes)?;
-        let trailer_at = bytes.len().saturating_sub(FOOTER_MAGIC.len() + 4);
-        let (footer_start, len_at) = locate_footer(bytes.len(), header_end, &bytes[trailer_at..])?;
-        let (blocks, records, utilization) =
-            parse_footer(kind, &bytes[footer_start..len_at], header_end, footer_start)?;
-        Ok(TraceReader { bytes, kind, nodes, blocks, records, utilization })
+        Self::new(bytes)
+    }
+}
+
+impl FileReader {
+    /// Opens a packed file and parses its structure (header + footer
+    /// index) without reading any block payload.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures surface as [`TraceStoreError::Io`]; any structural
+    /// problem yields the same typed errors as [`TraceReader::open`].
+    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, TraceStoreError> {
+        Self::new(std::fs::File::open(path)?)
+    }
+}
+
+impl<B: PackedBytes> PackedReader<B> {
+    /// Parses the header and footer index through positioned reads.
+    fn new(bytes: B) -> Result<Self, TraceStoreError> {
+        let len = usize::try_from(bytes.byte_len()?)
+            .map_err(|_| TraceStoreError::Corrupt("file exceeds the address space".into()))?;
+        let (kind, nodes, header_end) = parse_header(&bytes.bytes_at(0, HEADER_PREFIX.min(len))?)?;
+        let tail = (FOOTER_MAGIC.len() + 4).min(len);
+        let (footer_start, len_at) =
+            locate_footer(len, header_end, &bytes.bytes_at(len - tail, tail)?)?;
+        let footer = bytes.bytes_at(footer_start, len_at - footer_start)?;
+        let (blocks, records, utilization) = parse_footer(kind, &footer, header_end, footer_start)?;
+        Ok(PackedReader { bytes, kind, nodes, blocks, records, utilization })
     }
 
     /// What the stream contains.
@@ -265,16 +353,6 @@ impl<'a> TraceReader<'a> {
         self.blocks[block].payload_len
     }
 
-    /// Verifies one block's checksum and returns its payload.
-    fn payload(&self, block: usize) -> Result<&'a [u8], TraceStoreError> {
-        let meta = self.blocks[block];
-        verify_block(
-            &self.bytes[meta.offset..meta.offset + 8 + meta.payload_len],
-            block,
-            meta.payload_len,
-        )
-    }
-
     fn expect_kind(&self, kind: StreamKind) -> Result<(), TraceStoreError> {
         if self.kind != kind {
             return Err(TraceStoreError::Corrupt(format!(
@@ -286,50 +364,55 @@ impl<'a> TraceReader<'a> {
         Ok(())
     }
 
+    /// Fetches one block of a `kind` stream, verifies its checksum, decodes
+    /// its payload with `decode` and checks the record count against the
+    /// index.
+    fn decode_block<T>(
+        &self,
+        block: usize,
+        kind: StreamKind,
+        decode: impl FnOnce(&[u8]) -> Result<Vec<T>, TraceStoreError>,
+    ) -> Result<Vec<T>, TraceStoreError> {
+        self.expect_kind(kind)?;
+        let meta = self.blocks[block];
+        let frame = self.bytes.bytes_at(meta.offset, 8 + meta.payload_len)?;
+        let records = decode(verify_block(&frame, block, meta.payload_len)?)?;
+        if records.len() != meta.count {
+            return Err(TraceStoreError::Corrupt(format!(
+                "block {block} decoded {} records but the index promised {}",
+                records.len(),
+                meta.count
+            )));
+        }
+        Ok(records)
+    }
+
     /// Decodes one block of events (checksum-verified).
     ///
     /// # Errors
     ///
-    /// Fails on a checksum mismatch, a non-event stream, or any decode
-    /// error inside the block.
+    /// Fails on an I/O error, a checksum mismatch, a non-event stream, or
+    /// any decode error inside the block.
     ///
     /// # Panics
     ///
     /// Panics if `block >= self.block_count()`.
     pub fn decode_events(&self, block: usize) -> Result<Vec<CommEvent>, TraceStoreError> {
-        self.expect_kind(StreamKind::Events)?;
-        let events = columns::decode_events(self.payload(block)?, self.nodes)?;
-        if events.len() != self.blocks[block].count {
-            return Err(TraceStoreError::Corrupt(format!(
-                "block {block} decoded {} events but the index promised {}",
-                events.len(),
-                self.blocks[block].count
-            )));
-        }
-        Ok(events)
+        self.decode_block(block, StreamKind::Events, |p| columns::decode_events(p, self.nodes))
     }
 
     /// Decodes one block of netlog records (checksum-verified).
     ///
     /// # Errors
     ///
-    /// Fails on a checksum mismatch, a non-netlog stream, or any decode
-    /// error inside the block.
+    /// Fails on an I/O error, a checksum mismatch, a non-netlog stream, or
+    /// any decode error inside the block.
     ///
     /// # Panics
     ///
     /// Panics if `block >= self.block_count()`.
     pub fn decode_records(&self, block: usize) -> Result<Vec<MsgRecord>, TraceStoreError> {
-        self.expect_kind(StreamKind::NetLog)?;
-        let records = columns::decode_records(self.payload(block)?)?;
-        if records.len() != self.blocks[block].count {
-            return Err(TraceStoreError::Corrupt(format!(
-                "block {block} decoded {} records but the index promised {}",
-                records.len(),
-                self.blocks[block].count
-            )));
-        }
-        Ok(records)
+        self.decode_block(block, StreamKind::NetLog, columns::decode_records)
     }
 
     /// Streams every event in file order with one-block memory.
@@ -407,229 +490,6 @@ impl<'a> TraceReader<'a> {
     }
 }
 
-/// A packed trace file opened for **out-of-core** reading: only the
-/// header and footer index are held in memory, and each block is read
-/// from disk (and decoded) on demand.
-///
-/// This is what lets `characterize --stream` process a multi-GB packed
-/// trace in constant memory — a [`TraceReader`] needs the whole file as
-/// one in-memory slice. Reads are positioned (`pread`-style on Unix), so
-/// concurrent block decodes from a worker pool need no shared cursor.
-#[derive(Debug)]
-pub struct FileReader {
-    #[cfg(unix)]
-    file: std::fs::File,
-    #[cfg(not(unix))]
-    file: std::sync::Mutex<std::fs::File>,
-    kind: StreamKind,
-    nodes: usize,
-    blocks: Vec<BlockMeta>,
-    records: u64,
-}
-
-impl FileReader {
-    /// Opens a packed file and parses its structure (header + footer
-    /// index) without reading any block payload.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures surface as [`TraceStoreError::Io`]; any structural
-    /// problem yields the same typed errors as [`TraceReader::open`].
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, TraceStoreError> {
-        let file = std::fs::File::open(path)?;
-        let file_len = usize::try_from(file.metadata()?.len())
-            .map_err(|_| TraceStoreError::Corrupt("file exceeds the address space".into()))?;
-        let mut head = vec![0u8; HEADER_PREFIX.min(file_len)];
-        read_at(&file, 0, &mut head)?;
-        let (kind, nodes, header_end) = parse_header(&head)?;
-        let tail = FOOTER_MAGIC.len() + 4;
-        let mut trailer = vec![0u8; tail.min(file_len)];
-        read_at(&file, (file_len - trailer.len()) as u64, &mut trailer)?;
-        let (footer_start, len_at) = locate_footer(file_len, header_end, &trailer)?;
-        let mut footer = vec![0u8; len_at - footer_start];
-        read_at(&file, footer_start as u64, &mut footer)?;
-        let (blocks, records, _) = parse_footer(kind, &footer, header_end, footer_start)?;
-        Ok(FileReader {
-            #[cfg(unix)]
-            file,
-            #[cfg(not(unix))]
-            file: std::sync::Mutex::new(file),
-            kind,
-            nodes,
-            blocks,
-            records,
-        })
-    }
-
-    /// What the stream contains.
-    pub fn kind(&self) -> StreamKind {
-        self.kind
-    }
-
-    /// Processor count from the header.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// Number of blocks.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Total records across all blocks, from the index alone.
-    pub fn len(&self) -> u64 {
-        self.records
-    }
-
-    /// Whether the stream holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Records in one block, from the index alone (no decode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block >= self.block_count()`.
-    pub fn block_records(&self, block: usize) -> usize {
-        self.blocks[block].count
-    }
-
-    /// One block's encoded payload size in bytes, from the index alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block >= self.block_count()`.
-    pub fn block_payload_len(&self, block: usize) -> usize {
-        self.blocks[block].payload_len
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), TraceStoreError> {
-        #[cfg(unix)]
-        {
-            read_at(&self.file, offset, buf)
-        }
-        #[cfg(not(unix))]
-        {
-            read_at(&self.file.lock().expect("file lock poisoned"), offset, buf)
-        }
-    }
-
-    /// Reads one block from disk, verifies its checksum, and decodes its
-    /// events.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, a checksum mismatch, a non-event stream, or
-    /// any decode error inside the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block >= self.block_count()`.
-    pub fn decode_events(&self, block: usize) -> Result<Vec<CommEvent>, TraceStoreError> {
-        if self.kind != StreamKind::Events {
-            return Err(TraceStoreError::Corrupt(format!(
-                "stream holds {} records, expected events",
-                self.kind.name()
-            )));
-        }
-        let meta = self.blocks[block];
-        let mut frame = vec![0u8; 8 + meta.payload_len];
-        self.read_at(meta.offset as u64, &mut frame)?;
-        let payload = verify_block(&frame, block, meta.payload_len)?;
-        let events = columns::decode_events(payload, self.nodes)?;
-        if events.len() != meta.count {
-            return Err(TraceStoreError::Corrupt(format!(
-                "block {block} decoded {} events but the index promised {}",
-                events.len(),
-                meta.count
-            )));
-        }
-        Ok(events)
-    }
-}
-
-/// Positioned read that does not disturb any shared cursor (Unix `pread`).
-#[cfg(unix)]
-fn read_at(file: &std::fs::File, offset: u64, buf: &mut [u8]) -> Result<(), TraceStoreError> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset).map_err(TraceStoreError::Io)
-}
-
-/// Fallback positioned read via seek — callers serialize access.
-#[cfg(not(unix))]
-fn read_at(mut file: &std::fs::File, offset: u64, buf: &mut [u8]) -> Result<(), TraceStoreError> {
-    use std::io::{Read, Seek, SeekFrom};
-    file.seek(SeekFrom::Start(offset)).map_err(TraceStoreError::Io)?;
-    file.read_exact(buf).map_err(TraceStoreError::Io)
-}
-
-/// Block-granular access to a packed **event** stream, whether the bytes
-/// are all in memory ([`TraceReader`]) or read from disk on demand
-/// ([`FileReader`]).
-///
-/// This is the feed of the streaming characterization pipeline: a generic
-/// driver walks `0..block_count()`, decodes blocks (possibly in parallel —
-/// implementations are [`Sync`]), and folds per-block partials without
-/// ever holding the whole event list.
-pub trait BlockSource: Sync {
-    /// Processor count from the header.
-    fn nodes(&self) -> usize;
-    /// Number of blocks.
-    fn block_count(&self) -> usize;
-    /// Total records across all blocks, from the index alone.
-    fn len(&self) -> u64;
-    /// Whether the stream holds no records.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Records in one block, from the index alone (no decode).
-    fn block_records(&self, block: usize) -> usize;
-    /// Decodes one block of events (checksum-verified).
-    ///
-    /// # Errors
-    ///
-    /// Implementations fail on corrupt blocks, non-event streams, and —
-    /// for file-backed sources — I/O errors.
-    fn decode_events(&self, block: usize) -> Result<Vec<CommEvent>, TraceStoreError>;
-}
-
-impl BlockSource for TraceReader<'_> {
-    fn nodes(&self) -> usize {
-        TraceReader::nodes(self)
-    }
-    fn block_count(&self) -> usize {
-        TraceReader::block_count(self)
-    }
-    fn len(&self) -> u64 {
-        TraceReader::len(self)
-    }
-    fn block_records(&self, block: usize) -> usize {
-        TraceReader::block_records(self, block)
-    }
-    fn decode_events(&self, block: usize) -> Result<Vec<CommEvent>, TraceStoreError> {
-        TraceReader::decode_events(self, block)
-    }
-}
-
-impl BlockSource for FileReader {
-    fn nodes(&self) -> usize {
-        FileReader::nodes(self)
-    }
-    fn block_count(&self) -> usize {
-        FileReader::block_count(self)
-    }
-    fn len(&self) -> u64 {
-        FileReader::len(self)
-    }
-    fn block_records(&self, block: usize) -> usize {
-        FileReader::block_records(self, block)
-    }
-    fn decode_events(&self, block: usize) -> Result<Vec<CommEvent>, TraceStoreError> {
-        FileReader::decode_events(self, block)
-    }
-}
-
 /// One-shot sequential unpack of a packed [`CommTrace`].
 ///
 /// # Errors
@@ -665,8 +525,8 @@ pub fn unpack_netlog(bytes: &[u8]) -> Result<NetLog, TraceStoreError> {
 /// stream into a consumer (`commchar serve-feed --trace -`) while the
 /// file is still being written at the far end.
 ///
-/// The seekable readers locate blocks through the trailing footer index,
-/// which a stream cannot reach first. Block frames are self-describing
+/// The seekable [`PackedReader`] locates blocks through the trailing
+/// footer index, which a stream cannot reach first. Block frames are self-describing
 /// (`[u32le len][u32le fnv][payload]`), so this reader instead walks them
 /// sequentially and detects the end of the block run structurally: when a
 /// candidate frame fails its checksum or runs past end-of-stream, the
@@ -678,7 +538,7 @@ pub fn unpack_netlog(bytes: &[u8]) -> Result<NetLog, TraceStoreError> {
 /// the length check fail — it is never silently swallowed as an early
 /// end.
 #[derive(Debug)]
-pub struct StreamBlockReader<R: std::io::Read> {
+pub struct StreamBlockReader<R: Read> {
     src: R,
     kind: StreamKind,
     nodes: usize,
@@ -686,7 +546,7 @@ pub struct StreamBlockReader<R: std::io::Read> {
     done: bool,
 }
 
-impl<R: std::io::Read> StreamBlockReader<R> {
+impl<R: Read> StreamBlockReader<R> {
     /// Opens the stream: reads and validates the magic + header.
     ///
     /// # Errors
@@ -694,32 +554,20 @@ impl<R: std::io::Read> StreamBlockReader<R> {
     /// [`TraceStoreError`] on I/O failure, a bad magic, an unknown stream
     /// kind, or a malformed or out-of-range node count.
     pub fn new(mut src: R) -> Result<Self, TraceStoreError> {
-        let mut head = [0u8; 9]; // magic + kind byte
-        src.read_exact(&mut head).map_err(|e| match e.kind() {
-            std::io::ErrorKind::UnexpectedEof => TraceStoreError::BadMagic { found: Vec::new() },
-            _ => TraceStoreError::Io(e),
-        })?;
-        if head[..MAGIC.len()] != MAGIC {
-            return Err(TraceStoreError::BadMagic { found: head[..MAGIC.len()].to_vec() });
-        }
-        let kind = StreamKind::from_code(head[MAGIC.len()])?;
-        // The node count is an LEB128 varint, read byte-at-a-time (the
-        // stream cannot over-read and push back).
-        let mut nodes: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let mut b = [0u8; 1];
-            src.read_exact(&mut b)?;
-            if shift >= 64 || (shift == 63 && b[0] > 1) {
-                return Err(TraceStoreError::VarintOverflow { context: "node count" });
+        let mut head = Vec::with_capacity(HEADER_PREFIX);
+        (&mut src).take(MAGIC.len() as u64 + 1).read_to_end(&mut head)?;
+        // The node-count varint follows byte by byte up to its last (high
+        // bit clear) byte: a stream cannot over-read and push back.
+        if head.len() == MAGIC.len() + 1 {
+            while head.len() < HEADER_PREFIX {
+                if (&mut src).take(1).read_to_end(&mut head)? == 0
+                    || head[head.len() - 1] & 0x80 == 0
+                {
+                    break;
+                }
             }
-            nodes |= ((b[0] & 0x7f) as u64) << shift;
-            if b[0] & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
         }
-        let nodes = check_nodes(kind, nodes)?;
+        let (kind, nodes, _) = parse_header(&head)?;
         Ok(StreamBlockReader { src, kind, nodes, blocks: 0, done: false })
     }
 
@@ -738,34 +586,18 @@ impl<R: std::io::Read> StreamBlockReader<R> {
         self.blocks
     }
 
-    /// Reads everything remaining on the stream.
-    fn drain(&mut self, into: &mut Vec<u8>) -> Result<(), TraceStoreError> {
-        self.src.read_to_end(into)?;
-        Ok(())
-    }
-
-    /// Checks that `tail` is a complete footer region: payload, a `u32le`
-    /// length that matches the payload, and the trailing magic.
-    fn is_footer_region(tail: &[u8]) -> bool {
-        let trailer = FOOTER_MAGIC.len() + 4;
-        if tail.len() < trailer || tail[tail.len() - FOOTER_MAGIC.len()..] != FOOTER_MAGIC {
-            return false;
-        }
-        let len_at = tail.len() - trailer;
-        let stored = &tail[len_at..len_at + 4];
-        u32::from_le_bytes(stored.try_into().expect("4 bytes")) as usize == len_at
-    }
-
     /// Resolves an end-of-blocks candidate: `consumed` holds every byte
-    /// read past the last good block. Returns `Ok(None)` if the remainder
-    /// of the stream forms a valid footer region, otherwise `err`.
+    /// read past the last good block. Returns `Ok(None)` if the rest of
+    /// the stream is exactly a footer region (payload, a `u32le` length
+    /// covering all of it, the trailing magic), otherwise `err`.
     fn finish_or(
         &mut self,
         mut consumed: Vec<u8>,
         err: TraceStoreError,
     ) -> Result<Option<Vec<u8>>, TraceStoreError> {
-        self.drain(&mut consumed)?;
-        if Self::is_footer_region(&consumed) {
+        self.src.read_to_end(&mut consumed)?;
+        let trailer = &consumed[consumed.len().saturating_sub(FOOTER_MAGIC.len() + 4)..];
+        if let Ok((0, _)) = locate_footer(consumed.len(), 0, trailer) {
             self.done = true;
             return Ok(None);
         }

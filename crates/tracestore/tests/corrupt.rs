@@ -1,11 +1,14 @@
 //! Corrupt-input hardening: every malformed-file shape must surface as a
-//! typed [`TraceStoreError`] — never a panic.
+//! typed [`TraceStoreError`] — never a panic — and the file-backed reader
+//! must return the same error as the in-memory one.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{
     load_trace, pack_netlog, pack_trace, unpack_netlog, unpack_trace, unpack_trace_parallel,
-    TraceReader, TraceStoreError, FOOTER_MAGIC, MAGIC,
+    FileReader, TraceReader, TraceStoreError, FOOTER_MAGIC, MAGIC,
 };
 
 fn sample_trace() -> CommTrace {
@@ -31,22 +34,56 @@ fn sample_trace() -> CommTrace {
     tr
 }
 
+/// [`unpack_trace_parallel`] through the file-backed reader: the bytes go
+/// to a temporary file, which is opened, decoded whole and removed.
+fn unpack_from_disk(bytes: &[u8], jobs: usize) -> Result<CommTrace, TraceStoreError> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "commchar-corrupt-{}-{}.cct",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let result = FileReader::open(&path).and_then(|r| r.read_trace_parallel(jobs));
+    std::fs::remove_file(&path).unwrap();
+    result
+}
+
+/// Asserts that the in-memory and the file-backed reader reject `bytes`
+/// with the same error, and returns it.
+fn same_error_both_ways(bytes: &[u8], jobs: usize) -> TraceStoreError {
+    let mem = unpack_trace_parallel(bytes, jobs).expect_err("corrupt input decoded in memory");
+    let file = unpack_from_disk(bytes, jobs).expect_err("corrupt input decoded from disk");
+    assert_eq!(format!("{file:?}"), format!("{mem:?}"), "the two readers disagree");
+    mem
+}
+
 #[test]
 fn truncated_file_at_every_prefix_is_a_typed_error() {
     let packed = pack_trace(&sample_trace());
     for cut in 0..packed.len() {
-        match unpack_trace(&packed[..cut]) {
-            Err(
-                TraceStoreError::Truncated { .. }
-                | TraceStoreError::BadMagic { .. }
-                | TraceStoreError::VarintOverflow { .. }
-                | TraceStoreError::ChecksumMismatch { .. }
-                | TraceStoreError::Corrupt(_),
-            ) => {}
-            Err(other) => panic!("cut at {cut}: unexpected error class {other}"),
-            Ok(_) => panic!("cut at {cut}: truncated file decoded successfully"),
+        match same_error_both_ways(&packed[..cut], 1) {
+            TraceStoreError::Truncated { .. }
+            | TraceStoreError::BadMagic { .. }
+            | TraceStoreError::VarintOverflow { .. }
+            | TraceStoreError::ChecksumMismatch { .. }
+            | TraceStoreError::Corrupt(_) => {}
+            other => panic!("cut at {cut}: unexpected error class {other}"),
         }
     }
+}
+
+#[test]
+fn a_cut_off_file_names_the_footer_magic() {
+    // The cut keeps the leading CCTRACE1 header intact, so the magic that
+    // fails the check is the trailing CCTFOOT1.
+    let packed = pack_trace(&sample_trace());
+    let err = same_error_both_ways(&packed[..40], 1);
+    assert!(err.to_string().contains("expected CCTFOOT1"), "{err}");
+    assert!(
+        matches!(err, TraceStoreError::BadMagic { expected, .. } if expected == FOOTER_MAGIC),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -54,7 +91,7 @@ fn bad_magic_is_reported_with_the_found_bytes() {
     let mut packed = pack_trace(&sample_trace());
     packed[0] = b'X';
     match unpack_trace(&packed) {
-        Err(TraceStoreError::BadMagic { found }) => assert_eq!(found[0], b'X'),
+        Err(TraceStoreError::BadMagic { found, .. }) => assert_eq!(found[0], b'X'),
         other => panic!("expected BadMagic, got {other:?}"),
     }
     // A damaged trailing magic is also a BadMagic, not a silent misparse.
@@ -76,14 +113,14 @@ fn checksum_mismatch_names_the_block() {
     let mut corrupt = packed.clone();
     let mid = packed.len() / 2;
     corrupt[mid] ^= 0x55;
-    match unpack_trace(&corrupt) {
-        Err(TraceStoreError::ChecksumMismatch { block, stored, computed }) => {
+    match same_error_both_ways(&corrupt, 1) {
+        TraceStoreError::ChecksumMismatch { block, stored, computed } => {
             assert!(block < reader.block_count());
             assert_ne!(stored, computed);
         }
         // Flipping a byte inside a varint column can also trip the
         // structural validators first if it lands in a block header.
-        Err(TraceStoreError::Corrupt(_)) => {}
+        TraceStoreError::Corrupt(_) => {}
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
 }
@@ -126,8 +163,9 @@ fn parallel_decode_reports_corruption_too() {
     let mut corrupt = packed.clone();
     let mid = packed.len() / 2;
     corrupt[mid] ^= 0xff;
-    assert!(unpack_trace_parallel(&corrupt, 4).is_err());
+    same_error_both_ways(&corrupt, 4);
     assert!(unpack_trace_parallel(&packed, 4).is_ok());
+    assert!(unpack_from_disk(&packed, 4).is_ok());
 }
 
 #[test]

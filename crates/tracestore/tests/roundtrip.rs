@@ -8,8 +8,7 @@ use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::{
-    load_trace, pack_trace, unpack_trace, unpack_trace_parallel, BlockSource, FileReader,
-    TraceReader,
+    load_trace, pack_trace, unpack_trace, unpack_trace_parallel, FileReader, TraceReader,
 };
 use proptest::prelude::*;
 
@@ -107,8 +106,7 @@ proptest! {
     }
 
     /// The file-backed reader agrees with the in-memory reader block by
-    /// block: same index, same per-block decode, through both inherent
-    /// methods and the `BlockSource` trait.
+    /// block: same index, same per-block decode.
     #[test]
     fn file_reader_matches_slice_reader(trace in arb_trace(8, 120), block_len in 1usize..48, seed in 0u64..u64::MAX) {
         let packed = pack_trace_with_block_len(&trace, block_len);
@@ -123,9 +121,6 @@ proptest! {
             prop_assert_eq!(file.block_records(b), mem.block_records(b));
             prop_assert_eq!(file.block_payload_len(b), mem.block_payload_len(b));
             prop_assert_eq!(file.decode_events(b).unwrap(), mem.decode_events(b).unwrap());
-            let f = BlockSource::decode_events(&file, b).unwrap();
-            let m = BlockSource::decode_events(&mem, b).unwrap();
-            prop_assert_eq!(f, m);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -39,9 +39,10 @@
 # through serve-feed — once from a file, once streamed over stdin with
 # --trace - — and each final report diffed against offline characterize
 # --no-replay: the wire must not change a byte), and a no-panic smoke
-# (bad processor counts, an oversized trace header and a trace line whose
-# `src` and `bytes` overflow their fields must exit 1 with an `error:`
-# line, never a panic).
+# (bad processor counts, an oversized trace header, a trace line whose
+# `src` and `bytes` overflow their fields, and a packed trace cut short or
+# with a flipped byte in block 0 read out-of-core with --stream must exit
+# 1 with an `error:` line, never a panic).
 #
 # The benchmark package (benchmark/, a workspace of its own) is gated
 # too: fmt, clippy with warnings denied, and its tests in release mode.
@@ -198,11 +199,21 @@ expect_error() {
 printf '{"nodes":4097}\n' >"$tmpdir/wide.jsonl"
 printf '{"nodes":4}\n{"id":0,"t":1,"src":65537,"dst":0,"bytes":4294967304,"kind":"data"}\n' \
     >"$tmpdir/wrapped.jsonl"
+# A packed trace cut inside its first block, and one with a byte of block
+# 0's payload flipped (the 10-byte header and the 8-byte frame header
+# come first, so byte 20 is payload).
+head -c 40 "$tmpdir/t.cct" >"$tmpdir/cut.cct"
+cp "$tmpdir/t.cct" "$tmpdir/flip.cct"
+byte="$(od -An -tu1 -j 20 -N 1 "$tmpdir/t.cct" | tr -d ' ')"
+printf "\\$(printf '%03o' $((byte ^ 0xff)))" \
+    | dd of="$tmpdir/flip.cct" bs=1 seek=20 count=1 conv=notrunc 2>/dev/null
 expect_error run 1d-fft --procs 3 --scale tiny
 expect_error run is --procs 0
 expect_error suite --procs 3 --scale tiny
 expect_error characterize --trace "$tmpdir/wide.jsonl" --no-replay
 expect_error trace pack "$tmpdir/wrapped.jsonl" --out "$tmpdir/wrapped.cct"
+expect_error characterize --trace "$tmpdir/cut.cct" --stream
+expect_error characterize --trace "$tmpdir/flip.cct" --stream
 
 if [ "$bench_smoke" -eq 1 ]; then
     echo "==> flit throughput bench (quick smoke)"

@@ -415,35 +415,8 @@ pub fn cmd_serve_feed(
         v
     };
     let block_len = if block_len == 0 { FEED_BLOCK_LEN } else { block_len };
-    let to_cli = |e: ServeError| CliError(format!("serve-feed: {e}"));
-    let mut client = ServeClient::connect(addr).map_err(to_cli)?;
-    let session = client.open_session(trace.nodes() as u32).map_err(to_cli)?;
-    let mut blocks = 0usize;
-    let mut polls = 0usize;
-    for chunk in events.chunks(block_len.max(1)) {
-        client.send_blocks(session, vec![encode_event_block(chunk)]).map_err(to_cli)?;
-        blocks += 1;
-        if poll_every > 0 && blocks.is_multiple_of(poll_every) {
-            let (seen, _live) = client.poll(session).map_err(to_cli)?;
-            polls += 1;
-            debug_assert!(seen as usize <= events.len());
-        }
-    }
-    let (seen, report) = client.close_session(session).map_err(to_cli)?;
-    if shutdown {
-        client.shutdown_server().map_err(to_cli)?;
-    }
-    let status = format!(
-        "fed {} events in {} blocks to {} (session {}, {} mid-stream polls{}); server absorbed {}\n",
-        events.len(),
-        blocks,
-        addr,
-        session,
-        polls,
-        if shutdown { ", then shutdown" } else { "" },
-        seen,
-    );
-    Ok((report, status))
+    let blocks = events.chunks(block_len).map(|chunk| Ok(encode_event_block(chunk)));
+    feed(addr, trace.nodes(), blocks, "the trace", poll_every, shutdown)
 }
 
 /// `commchar serve-feed --trace - [--addr HOST:PORT] [--poll-every N]
@@ -472,16 +445,32 @@ pub fn cmd_serve_feed_stream(
             reader.kind().name()
         )));
     }
+    let nodes = reader.nodes();
+    let blocks = std::iter::from_fn(|| reader.next_block().transpose());
+    feed(addr, nodes, blocks, "stdin", poll_every, shutdown)
+}
+
+/// The `serve-feed` session loop behind both block sources: open a session
+/// over `nodes`, send each block payload in its own frame, poll every
+/// `poll_every` blocks, close, optionally shut the server down, and return
+/// `(final_report, status)`; `from` names the source in the status line.
+fn feed(
+    addr: &str,
+    nodes: usize,
+    blocks: impl Iterator<Item = Result<Vec<u8>, TraceStoreError>>,
+    from: &str,
+    poll_every: usize,
+    shutdown: bool,
+) -> Result<(String, String), CliError> {
     let to_cli = |e: ServeError| CliError(format!("serve-feed: {e}"));
     let mut client = ServeClient::connect(addr).map_err(to_cli)?;
-    let session = client.open_session(reader.nodes() as u32).map_err(to_cli)?;
-    let mut blocks = 0usize;
-    let mut polls = 0usize;
-    while let Some(payload) = reader.next_block()? {
-        client.send_blocks(session, vec![payload]).map_err(to_cli)?;
-        blocks += 1;
-        if poll_every > 0 && blocks.is_multiple_of(poll_every) {
-            let _ = client.poll(session).map_err(to_cli)?;
+    let session = client.open_session(nodes as u32).map_err(to_cli)?;
+    let (mut sent, mut polls) = (0usize, 0usize);
+    for payload in blocks {
+        client.send_blocks(session, vec![payload?]).map_err(to_cli)?;
+        sent += 1;
+        if poll_every > 0 && sent.is_multiple_of(poll_every) {
+            client.poll(session).map_err(to_cli)?;
             polls += 1;
         }
     }
@@ -490,14 +479,9 @@ pub fn cmd_serve_feed_stream(
         client.shutdown_server().map_err(to_cli)?;
     }
     let status = format!(
-        "streamed {} blocks from stdin to {} (session {}, {} mid-stream polls{}); \
-         server absorbed {} events\n",
-        blocks,
-        addr,
-        session,
-        polls,
+        "streamed {sent} blocks from {from} to {addr} (session {session}, {polls} mid-stream \
+         polls{}); server absorbed {seen} events\n",
         if shutdown { ", then shutdown" } else { "" },
-        seen,
     );
     Ok((report, status))
 }
@@ -628,8 +612,9 @@ OPTIONS:
                     serve: connection worker threads; 0 = one per hardware
                     thread (default 0)
     --session-buffer N
-                    serve: per-session inbox capacity in bytes before the
-                    server answers with a Backpressure frame (default 64 MiB)
+                    serve: largest total block payload of one frame, bytes;
+                    a larger frame is answered with a Backpressure frame
+                    (default 64 MiB)
     --idle-timeout N
                     serve: evict sessions idle longer than N seconds
                     (default 300)
