@@ -30,8 +30,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod jsonl;
 pub mod profile;
 pub mod replay;
+
+pub use jsonl::{JsonlError, JsonlReader, JsonlWriter};
 
 /// The largest processor (node) count the toolkit accepts from outside
 /// the program: JSON-lines and CCTRACE1 headers, CCSERVE1 sessions,
@@ -158,14 +161,15 @@ impl CommTrace {
         self.events.iter().filter(move |e| e.src == src)
     }
 
-    /// Serializes to JSON-lines (one event per line, header first).
+    /// Serializes to JSON-lines (one event per line, header first); see
+    /// [`JsonlWriter`] for the streaming form.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!("{{\"nodes\":{}}}\n", self.nodes);
+        const VEC: &str = "writing to a Vec cannot fail";
+        let mut w = JsonlWriter::new(Vec::new(), self.nodes).expect(VEC);
         for e in &self.events {
-            out.push_str(&jsonl::ser_event(e));
-            out.push('\n');
+            w.push(e).expect(VEC);
         }
-        out
+        String::from_utf8(w.finish().expect(VEC)).expect("JSON-lines output is ASCII")
     }
 
     /// Parses the JSON-lines format produced by [`CommTrace::to_jsonl`].
@@ -193,50 +197,28 @@ impl CommTrace {
     /// Returns a description of the first malformed line, naming its
     /// 1-based line number, what was wrong, and a truncated excerpt of the
     /// payload — so a single corrupt line in a gigabyte trace is
-    /// locatable, and distinguishable from a format bug.
+    /// locatable, and distinguishable from a format bug. A well-formed
+    /// trace that breaks an invariant fails with [`check`](Self::check)'s
+    /// message.
     pub fn from_jsonl(s: &str) -> Result<CommTrace, String> {
-        // Line numbers count every physical line; blank lines are
-        // skipped for parsing but still advance the count.
-        let mut lines = s.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (header_no, header) = lines.next().ok_or("empty input: no header line")?;
-        let nodes = jsonl::parse_header(header).map_err(|why| {
-            format!(
-                "line {}: bad header, expected {{\"nodes\":N}}: {} ({})",
-                header_no + 1,
-                why.describe(header),
-                excerpt(header)
-            )
-        })?;
-        if nodes == 0 {
-            return Err(format!("line {}: header declares zero nodes", header_no + 1));
-        }
-        if nodes > MAX_NODES as u64 {
-            return Err(format!(
-                "line {}: header declares {nodes} nodes, above the {MAX_NODES}-node limit",
-                header_no + 1
-            ));
-        }
-        let nodes = nodes as usize;
-        let mut trace = CommTrace::new(nodes);
-        for (i, line) in lines {
-            let ev = jsonl::parse_event(line).map_err(|why| {
-                format!(
-                    "line {}: unparseable event: {} ({})",
-                    i + 1,
-                    why.describe(line),
-                    excerpt(line)
-                )
-            })?;
-            if (ev.src as usize) >= nodes || (ev.dst as usize) >= nodes || ev.src == ev.dst {
-                return Err(format!(
-                    "line {}: endpoints invalid for {nodes} nodes ({})",
-                    i + 1,
-                    excerpt(line)
-                ));
-            }
+        Self::read_jsonl(s.as_bytes()).map_err(|e| e.to_string())
+    }
+
+    /// [`from_jsonl`](Self::from_jsonl) over any buffered source, which
+    /// may hold bytes that are not UTF-8: it runs one [`JsonlReader`] to
+    /// the end, then [`check`](Self::check)s the trace.
+    ///
+    /// # Errors
+    ///
+    /// The reader's first error, else the check's as
+    /// [`JsonlError::Invalid`].
+    pub fn read_jsonl(src: impl std::io::BufRead) -> Result<CommTrace, JsonlError> {
+        let mut reader = JsonlReader::new(src)?;
+        let mut trace = CommTrace::new(reader.nodes());
+        while let Some(ev) = reader.next_event()? {
             trace.push(ev);
         }
-        trace.check()?;
+        trace.check().map_err(JsonlError::Invalid)?;
         Ok(trace)
     }
 
@@ -247,30 +229,22 @@ impl CommTrace {
     /// received, and only then can a dependent send happen), and it is
     /// exactly the acyclicity condition the causal replayer needs to make
     /// progress.
+    ///
+    /// This runs one [`TraceChecker`] over the events. When a trace breaks
+    /// the rules more than once, a repeated id is reported before any
+    /// dependency error; the repeated id named is the smallest, and the
+    /// dependency error named is the first in `(dep, t, id)` order, which
+    /// need not be the first in trace order.
+    ///
+    /// # Errors
+    ///
+    /// A description of the broken invariant.
     pub fn check(&self) -> Result<(), String> {
-        let mut times = std::collections::HashMap::with_capacity(self.events.len());
+        let mut checker = TraceChecker::default();
         for e in &self.events {
-            if times.insert(e.id, e.t).is_some() {
-                return Err(format!("duplicate event id {}", e.id));
-            }
+            checker.push(e);
         }
-        for e in &self.events {
-            if let Some(dep) = e.depends_on {
-                match times.get(&dep) {
-                    None => return Err(format!("event {} depends on unknown id {dep}", e.id)),
-                    Some(&dep_t) => {
-                        if (dep_t, dep) >= (e.t, e.id) {
-                            return Err(format!(
-                                "event {} at t={} depends on id {dep} at t={dep_t}, which does \
-                                 not precede it",
-                                e.id, e.t
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
+        checker.finish()
     }
 }
 
@@ -282,289 +256,62 @@ impl Extend<CommEvent> for CommTrace {
     }
 }
 
-/// Truncated, quoted payload excerpt for error messages: at most 60
-/// characters of the offending line, with an ellipsis when cut.
-fn excerpt(line: &str) -> String {
-    const MAX: usize = 60;
-    let mut cut = line.len().min(MAX);
-    while !line.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    if cut < line.len() {
-        format!("{:?}…", &line[..cut])
-    } else {
-        format!("{line:?}")
-    }
+/// The trace invariants [`CommTrace::check`] states, checked over events
+/// fed one at a time: [`push`](Self::push) every event, then
+/// [`finish`](Self::finish). It keeps `(id, t)` for each event and
+/// `(dep, t, id)` for each dependency — 16 bytes per event plus 24 per
+/// dependency — and sorts both lists once at the end, so a streamed trace
+/// is checked without holding its events or a hash table of their ids.
+#[derive(Clone, Debug, Default)]
+pub struct TraceChecker {
+    /// `(id, t)` per event.
+    ids: Vec<(u64, u64)>,
+    /// `(dep, t, id)` per event with a dependency.
+    deps: Vec<(u64, u64, u64)>,
 }
 
-// A tiny hand-rolled JSON-lines codec: the trace format is a flat object
-// per line, simple enough that pulling in serde_json (unavailable in the
-// offline build environment) is unnecessary. A line is read in one forward
-// pass over its bytes; [`CommTrace::from_jsonl`] states the grammar.
-mod jsonl {
-    use super::{CommEvent, EventKind};
-
-    pub(crate) fn ser_event(e: &CommEvent) -> String {
-        match e.depends_on {
-            Some(d) => format!(
-                "{{\"id\":{},\"t\":{},\"src\":{},\"dst\":{},\"bytes\":{},\"kind\":\"{}\",\"dep\":{}}}",
-                e.id, e.t, e.src, e.dst, e.bytes, e.kind.name(), d
-            ),
-            None => format!(
-                "{{\"id\":{},\"t\":{},\"src\":{},\"dst\":{},\"bytes\":{},\"kind\":\"{}\"}}",
-                e.id, e.t, e.src, e.dst, e.bytes, e.kind.name()
-            ),
+impl TraceChecker {
+    /// Records one event.
+    pub fn push(&mut self, e: &CommEvent) {
+        self.ids.push((e.id, e.t));
+        if let Some(dep) = e.depends_on {
+            self.deps.push((dep, e.t, e.id));
         }
     }
 
-    /// Parses the `{"nodes":N}` header line.
-    pub(crate) fn parse_header(line: &str) -> Result<u64, Bad> {
-        let mut c = Cursor::open(line)?;
-        let mut nodes = None;
-        while let Some(key) = c.next_key()? {
-            match key {
-                b"nodes" => set_once(&mut nodes, c.uint()?, "nodes")?,
-                _ => c.skip_scalar()?,
+    /// Checks every event pushed, in one sort-merge pass.
+    ///
+    /// # Errors
+    ///
+    /// The broken invariant, chosen as [`CommTrace::check`] describes.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.ids.sort_unstable_by_key(|&(id, _)| id);
+        if let Some(w) = self.ids.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("duplicate event id {}", w[0].0));
+        }
+        self.deps.sort_unstable_by_key(|&(dep, ..)| dep);
+        let mut ids = self.ids.iter().peekable();
+        for run in self.deps.chunk_by(|a, b| a.0 == b.0) {
+            let dep = run[0].0;
+            while ids.next_if(|&&(i, _)| i < dep).is_some() {}
+            let dep_t = ids.peek().filter(|&&&(i, _)| i == dep).map(|&&(_, t)| t);
+            // Of the events depending on `dep` that break a rule, the
+            // first in `(t, id)` order.
+            let broken = run
+                .iter()
+                .filter(|&&(_, t, id)| dep_t.is_none_or(|dep_t| (dep_t, dep) >= (t, id)))
+                .min_by_key(|&&(_, t, id)| (t, id));
+            if let Some(&(_, t, id)) = broken {
+                return Err(match dep_t {
+                    None => format!("event {id} depends on unknown id {dep}"),
+                    Some(dep_t) => format!(
+                        "event {id} at t={t} depends on id {dep} at t={dep_t}, which does not \
+                         precede it"
+                    ),
+                });
             }
         }
-        nodes.ok_or(Bad::Missing("nodes"))
-    }
-
-    /// Parses one event line.
-    pub(crate) fn parse_event(line: &str) -> Result<CommEvent, Bad> {
-        let mut c = Cursor::open(line)?;
-        let (mut id, mut t, mut src, mut dst, mut bytes, mut dep, mut kind) =
-            (None, None, None, None, None, None, None);
-        while let Some(key) = c.next_key()? {
-            match key {
-                b"id" => set_once(&mut id, c.uint()?, "id")?,
-                b"t" => set_once(&mut t, c.uint()?, "t")?,
-                b"src" => set_once(&mut src, c.uint()?, "src")?,
-                b"dst" => set_once(&mut dst, c.uint()?, "dst")?,
-                b"bytes" => set_once(&mut bytes, c.uint()?, "bytes")?,
-                b"dep" => set_once(&mut dep, c.uint()?, "dep")?,
-                b"kind" => {
-                    c.skip_ws();
-                    let at = c.pos;
-                    let k = match c.string()? {
-                        b"control" => EventKind::Control,
-                        b"data" => EventKind::Data,
-                        b"sync" => EventKind::Sync,
-                        _ => return Err(Bad::UnknownKind(at, c.pos)),
-                    };
-                    set_once(&mut kind, k, "kind")?;
-                }
-                _ => c.skip_scalar()?,
-            }
-        }
-        let mut ev = CommEvent::new(
-            field(id, "id")?,
-            field(t, "t")?,
-            field(src, "src")?,
-            field(dst, "dst")?,
-            field(bytes, "bytes")?,
-            kind.ok_or(Bad::Missing("kind"))?,
-        );
-        ev.depends_on = dep;
-        Ok(ev)
-    }
-
-    /// Why a line failed to parse. It is built without allocating, so the
-    /// happy path stays cheap, and is rendered against its line by
-    /// [`Bad::describe`]. Byte offsets are 0-based.
-    #[derive(Clone, Copy, Debug)]
-    pub(crate) enum Bad {
-        /// The byte at the offset does not start the wanted token, or the
-        /// line ends there.
-        Expected(&'static str, usize),
-        /// The integer starting at the offset overflows `u64`.
-        Overflow(usize),
-        /// A known key appears more than once.
-        Repeated(&'static str),
-        /// A required key is absent.
-        Missing(&'static str),
-        /// A key's value does not fit its field's type.
-        OutOfRange(&'static str, &'static str),
-        /// The `kind` string between the offsets names no [`EventKind`].
-        UnknownKind(usize, usize),
-    }
-
-    impl Bad {
-        /// What went wrong in `line`, for an error message.
-        pub(crate) fn describe(self, line: &str) -> String {
-            match self {
-                Bad::Expected(wanted, at) => match line.get(at..).and_then(|s| s.chars().next()) {
-                    Some(found) => format!("expected {wanted} at byte {}, found {found:?}", at + 1),
-                    None => format!("line ends where {wanted} was expected"),
-                },
-                Bad::Overflow(at) => format!("integer at byte {} overflows u64", at + 1),
-                Bad::Repeated(key) => format!("repeated key \"{key}\""),
-                Bad::Missing(key) => format!("missing key \"{key}\""),
-                Bad::OutOfRange(key, ty) => format!("\"{key}\" value does not fit {ty}"),
-                Bad::UnknownKind(from, to) => {
-                    format!("unknown kind {}", line.get(from..to).unwrap_or("?"))
-                }
-            }
-        }
-    }
-
-    /// Stores a key's value, rejecting a second occurrence of the key.
-    fn set_once<T>(slot: &mut Option<T>, value: T, key: &'static str) -> Result<(), Bad> {
-        match slot.replace(value) {
-            Some(_) => Err(Bad::Repeated(key)),
-            None => Ok(()),
-        }
-    }
-
-    /// A required key's value, narrowed to its field's type.
-    fn field<T: TryFrom<u64>>(value: Option<u64>, key: &'static str) -> Result<T, Bad> {
-        let v = value.ok_or(Bad::Missing(key))?;
-        T::try_from(v).map_err(|_| Bad::OutOfRange(key, std::any::type_name::<T>()))
-    }
-
-    /// A forward cursor over one line holding a single flat JSON object.
-    struct Cursor<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-        /// No key has been read yet.
-        first: bool,
-    }
-
-    impl<'a> Cursor<'a> {
-        /// Opens the object that must span `line`.
-        fn open(line: &'a str) -> Result<Self, Bad> {
-            let mut c = Cursor { bytes: line.as_bytes(), pos: 0, first: true };
-            c.expect(b'{', "'{'")?;
-            Ok(c)
-        }
-
-        /// The next key, with its `:` consumed so the caller reads the
-        /// value next; `None` at the closing brace, once only whitespace
-        /// follows it.
-        fn next_key(&mut self) -> Result<Option<&'a [u8]>, Bad> {
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                self.skip_ws();
-                if self.pos < self.bytes.len() {
-                    return Err(Bad::Expected("the end of the line", self.pos));
-                }
-                return Ok(None);
-            }
-            if self.first {
-                self.first = false;
-            } else {
-                self.expect(b',', "',' or '}'")?;
-            }
-            let key = self.string()?;
-            self.expect(b':', "':'")?;
-            Ok(Some(key))
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while let Some(b' ' | b'\t' | b'\r' | b'\n') = self.peek() {
-                self.pos += 1;
-            }
-        }
-
-        /// Consumes `byte` after optional whitespace; `wanted` names it
-        /// in the error.
-        fn expect(&mut self, byte: u8, wanted: &'static str) -> Result<(), Bad> {
-            self.skip_ws();
-            if self.peek() != Some(byte) {
-                return Err(Bad::Expected(wanted, self.pos));
-            }
-            self.pos += 1;
-            Ok(())
-        }
-
-        /// A string's raw contents, between its quotes; escapes are
-        /// stepped over, not decoded.
-        fn string(&mut self) -> Result<&'a [u8], Bad> {
-            self.expect(b'"', "a string")?;
-            let start = self.pos;
-            loop {
-                match self.peek() {
-                    None => return Err(Bad::Expected("a closing '\"'", self.bytes.len())),
-                    Some(b'"') => break,
-                    Some(b'\\') => self.pos += 2,
-                    Some(_) => self.pos += 1,
-                }
-            }
-            self.pos += 1;
-            Ok(&self.bytes[start..self.pos - 1])
-        }
-
-        /// An unsigned decimal integer, rejecting `u64` overflow.
-        fn uint(&mut self) -> Result<u64, Bad> {
-            self.skip_ws();
-            let start = self.pos;
-            let mut v = 0u64;
-            while let Some(d @ b'0'..=b'9') = self.peek() {
-                v = v
-                    .checked_mul(10)
-                    .and_then(|v| v.checked_add(u64::from(d - b'0')))
-                    .ok_or(Bad::Overflow(start))?;
-                self.pos += 1;
-            }
-            if self.pos == start {
-                return Err(Bad::Expected("an unsigned integer", start));
-            }
-            Ok(v)
-        }
-
-        /// Steps over one scalar value: a string, a number, `true`, `false`
-        /// or `null`.
-        fn skip_scalar(&mut self) -> Result<(), Bad> {
-            self.skip_ws();
-            if self.peek() == Some(b'"') {
-                return self.string().map(drop);
-            }
-            let start = self.pos;
-            while let Some(b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'+' | b'-' | b'.') =
-                self.peek()
-            {
-                self.pos += 1;
-            }
-            let token = &self.bytes[start..self.pos];
-            if matches!(token, b"true" | b"false" | b"null") || is_number(token) {
-                Ok(())
-            } else {
-                Err(Bad::Expected("a scalar value", start))
-            }
-        }
-    }
-
-    /// Whether `t` is a JSON number (leading zeros allowed, as in integer
-    /// fields).
-    fn is_number(t: &[u8]) -> bool {
-        let digits = |t: &[u8]| t.iter().take_while(|b| b.is_ascii_digit()).count();
-        let t = t.strip_prefix(b"-").unwrap_or(t);
-        let mut n = digits(t);
-        if n == 0 {
-            return false;
-        }
-        let mut rest = &t[n..];
-        if let Some(frac) = rest.strip_prefix(b".") {
-            n = digits(frac);
-            rest = &frac[n..];
-            if n == 0 {
-                return false;
-            }
-        }
-        if let Some(exp) = rest.strip_prefix(b"e").or_else(|| rest.strip_prefix(b"E")) {
-            let exp = exp.strip_prefix(b"+").or_else(|| exp.strip_prefix(b"-")).unwrap_or(exp);
-            n = digits(exp);
-            rest = &exp[n..];
-            if n == 0 {
-                return false;
-            }
-        }
-        rest.is_empty()
+        Ok(())
     }
 }
 

@@ -40,6 +40,104 @@ fn arb_trace(nodes: usize, max: usize) -> impl Strategy<Value = CommTrace> {
     })
 }
 
+/// `CommTrace::check` as it was written with a hash map of ids: the
+/// reference the sort-merge checker is held to.
+fn reference_check(trace: &CommTrace) -> Result<(), String> {
+    let mut times = HashMap::with_capacity(trace.len());
+    for e in trace.events() {
+        if times.insert(e.id, e.t).is_some() {
+            return Err(format!("duplicate event id {}", e.id));
+        }
+    }
+    for e in trace.events() {
+        if let Some(dep) = e.depends_on {
+            match times.get(&dep) {
+                None => return Err(format!("event {} depends on unknown id {dep}", e.id)),
+                Some(&dep_t) => {
+                    if (dep_t, dep) >= (e.t, e.id) {
+                        return Err(format!(
+                            "event {} at t={} depends on id {dep} at t={dep_t}, which does \
+                             not precede it",
+                            e.id, e.t
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// How many times `trace` breaks a rule: once per repeat of an id, and
+/// once per dependency that is unknown or does not precede its event
+/// (judged against the first event holding the id).
+fn defects(trace: &CommTrace) -> usize {
+    let mut times = HashMap::new();
+    let mut count = 0;
+    for e in trace.events() {
+        match times.entry(e.id) {
+            std::collections::hash_map::Entry::Occupied(_) => count += 1,
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(e.t);
+            }
+        }
+    }
+    for e in trace.events() {
+        if let Some(dep) = e.depends_on {
+            match times.get(&dep) {
+                Some(&dep_t) if (dep_t, dep) < (e.t, e.id) => {}
+                _ => count += 1,
+            }
+        }
+    }
+    count
+}
+
+/// A valid [`arb_trace`] with up to three defects injected: an id
+/// repeated, a dependency on an id no event has, or a dependency on an
+/// event at an equal or later `(t, id)` (itself included).
+fn defective_trace() -> impl Strategy<Value = CommTrace> {
+    let defect = (0u8..3, 0usize..1000, 0usize..1000);
+    (arb_trace(6, 40), prop::collection::vec(defect, 0..4)).prop_map(|(trace, defects)| {
+        let mut events = trace.events().to_vec();
+        for (kind, a, b) in defects {
+            if events.is_empty() {
+                break;
+            }
+            let (i, j) = (a % events.len(), b % events.len());
+            match kind {
+                0 => events[j].id = events[i].id,
+                1 => events[j].depends_on = Some(1_000_000 + a as u64),
+                _ => {
+                    let key = |k: usize| (events[k].t, events[k].id);
+                    let (later, dependent) = if key(i) >= key(j) { (i, j) } else { (j, i) };
+                    events[dependent].depends_on = Some(events[later].id);
+                }
+            }
+        }
+        let mut out = CommTrace::new(trace.nodes());
+        out.extend(events);
+        out
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The sort-merge `CommTrace::check` accepts and rejects exactly what
+    /// the hash-map reference does, with the same message when the trace
+    /// breaks one rule once (with several defects the two may name
+    /// different ones).
+    #[test]
+    fn check_agrees_with_the_hash_map_reference(trace in defective_trace()) {
+        let (got, want) = (trace.check(), reference_check(&trace));
+        prop_assert_eq!(got.is_ok(), want.is_ok(), "{:?} vs {:?}", got, want);
+        if defects(&trace) == 1 {
+            prop_assert_eq!(got, want);
+        }
+    }
+}
+
 proptest! {
     /// Profile totals equal direct sums.
     #[test]

@@ -32,7 +32,7 @@ impl<W: Write> Framer<W> {
     }
 
     fn write_block(&mut self, payload: &[u8], count: usize) -> Result<(), TraceStoreError> {
-        self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
+        self.out.write_all(&u32_len("block payload", payload.len())?)?;
         self.out.write_all(&fnv1a(payload).to_le_bytes())?;
         self.out.write_all(payload)?;
         self.index.push((payload.len() as u64, count as u64));
@@ -49,12 +49,21 @@ impl<W: Write> Framer<W> {
             varint::put(&mut footer, count);
         }
         footer.extend_from_slice(extra);
+        let len = u32_len("footer", footer.len())?;
         self.out.write_all(&footer)?;
-        self.out.write_all(&(footer.len() as u32).to_le_bytes())?;
+        self.out.write_all(&len)?;
         self.out.write_all(&FOOTER_MAGIC)?;
         self.out.flush()?;
         Ok(self.out)
     }
+}
+
+/// `len` as the `u32le` length field in front of a block payload or
+/// behind the footer.
+fn u32_len(what: &'static str, len: usize) -> Result<[u8; 4], TraceStoreError> {
+    u32::try_from(len)
+        .map(u32::to_le_bytes)
+        .map_err(|_| TraceStoreError::TooLarge { what, bytes: len })
 }
 
 /// Streaming writer for [`CommEvent`] streams: push events as they are
@@ -80,7 +89,8 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Like [`new`](Self::new) with an explicit block size (records per
-    /// block; mainly for tests and benchmarks).
+    /// block). Any size is accepted: memory for a block is reserved as it
+    /// fills, at most [`DEFAULT_BLOCK_LEN`] records up front.
     ///
     /// # Errors
     ///
@@ -93,7 +103,8 @@ impl<W: Write> TraceWriter<W> {
             return Err(TraceStoreError::Corrupt("block length must be positive".into()));
         }
         let framer = Framer::new(out, StreamKind::Events, nodes)?;
-        Ok(TraceWriter { framer, nodes, block_len, pending: Vec::with_capacity(block_len) })
+        let pending = Vec::with_capacity(block_len.min(DEFAULT_BLOCK_LEN));
+        Ok(TraceWriter { framer, nodes, block_len, pending })
     }
 
     /// Appends one event, flushing a full block if due.
@@ -102,7 +113,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Rejects out-of-range endpoints and self-messages (the same
     /// invariants [`CommTrace::push`] asserts, as typed errors), and
-    /// propagates I/O failures.
+    /// propagates I/O failures and a block payload of 4 GiB or more.
     pub fn push(&mut self, ev: CommEvent) -> Result<(), TraceStoreError> {
         if ev.src as usize >= self.nodes || ev.dst as usize >= self.nodes {
             return Err(TraceStoreError::Corrupt(format!(
@@ -135,7 +146,8 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures.
+    /// Propagates I/O failures and a block payload or footer of 4 GiB or
+    /// more.
     pub fn finish(mut self) -> Result<W, TraceStoreError> {
         self.flush_block()?;
         self.framer.finish(&[])
@@ -222,13 +234,18 @@ pub fn pack_trace(trace: &CommTrace) -> Vec<u8> {
 }
 
 /// [`pack_trace`] with an explicit block size (tests and benchmarks).
+///
+/// # Panics
+///
+/// Panics if `block_len == 0`, or if one block's payload reaches 4 GiB,
+/// which takes some hundred million events in one block.
 pub fn pack_trace_with_block_len(trace: &CommTrace, block_len: usize) -> Vec<u8> {
-    let mut w = TraceWriter::with_block_len(Vec::new(), trace.nodes(), block_len)
-        .expect("Vec sink cannot fail");
+    const VEC: &str = "a Vec sink fails only for a zero block length or a 4 GiB block";
+    let mut w = TraceWriter::with_block_len(Vec::new(), trace.nodes(), block_len).expect(VEC);
     for &e in trace.events() {
         w.push(e).expect("trace invariants already hold");
     }
-    w.finish().expect("Vec sink cannot fail")
+    w.finish().expect(VEC)
 }
 
 /// Packs a whole [`NetLog`] into bytes. The mesh node count is inferred
@@ -273,6 +290,34 @@ mod tests {
         }
         let err = TraceWriter::new(Broken, 2).err().expect("header write must fail");
         assert!(matches!(err, TraceStoreError::Io(_)), "{err}");
+    }
+
+    #[test]
+    fn any_block_len_packs_without_reserving_it() {
+        let mut trace = CommTrace::new(4);
+        for i in 0..10 {
+            trace.push(CommEvent::new(i, i, 0, 1 + (i % 3) as u16, 8, EventKind::Data));
+        }
+        let mut w = TraceWriter::with_block_len(Vec::new(), 4, usize::MAX).unwrap();
+        for &e in trace.events() {
+            w.push(e).unwrap();
+        }
+        // One block holds every event: the same bytes as a block length of
+        // exactly the trace's length.
+        assert_eq!(w.finish().unwrap(), pack_trace_with_block_len(&trace, trace.len()));
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn lengths_past_u32_are_typed_errors() {
+        let max = u32::MAX as usize;
+        assert_eq!(u32_len("block payload", max).unwrap(), u32::MAX.to_le_bytes());
+        match u32_len("block payload", max + 1) {
+            Err(TraceStoreError::TooLarge { what: "block payload", bytes }) => {
+                assert_eq!(bytes, max + 1)
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
     }
 
     #[test]

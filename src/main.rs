@@ -192,21 +192,21 @@ fn run(argv: &[String]) -> Result<(), String> {
             if !matches!(sub, Some("pack" | "cat" | "stat")) {
                 return Err("trace needs a subcommand: pack | cat | stat".to_string());
             }
-            let input = match args.positional.get(2) {
-                Some(path) => read_file(path)?,
-                None => read_trace(&args)?,
-            };
+            let input = args
+                .positional
+                .get(2)
+                .or(args.trace.as_ref())
+                .ok_or("this command needs --trace FILE")?;
             match sub {
                 Some("pack") => {
                     let path = args
                         .out
                         .as_ref()
                         .ok_or("trace pack output is binary; it needs --out FILE")?;
-                    let bytes = cli::cmd_trace_pack(&input, args.block_len).map_err(|e| e.0)?;
-                    std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
+                    cli::cmd_trace_pack(input, path, args.block_len).map_err(|e| e.0)
                 }
-                Some("cat") => emit(&cli::cmd_trace_cat(&input).map_err(|e| e.0)?, &args.out),
-                _ => emit(&cli::cmd_trace_stat(&input).map_err(|e| e.0)?, &None),
+                Some("cat") => cli::cmd_trace_cat(input, args.out.as_deref()).map_err(|e| e.0),
+                _ => emit(&cli::cmd_trace_stat(input).map_err(|e| e.0)?, &None),
             }
         }
         Some("suite") => {
