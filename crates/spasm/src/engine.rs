@@ -61,20 +61,6 @@ impl SpasmRun {
             self.misses as f64 / total as f64
         }
     }
-
-    /// The trace in the packed columnar format of `commchar-tracestore`
-    /// — the compact alternative to
-    /// [`CommTrace::to_jsonl`](commchar_trace::CommTrace::to_jsonl) for
-    /// traces headed to disk.
-    pub fn packed_trace(&self) -> Vec<u8> {
-        commchar_tracestore::pack_trace(&self.trace)
-    }
-
-    /// The network log in the packed columnar format (records plus the
-    /// per-channel utilization figures).
-    pub fn packed_netlog(&self) -> Vec<u8> {
-        commchar_tracestore::pack_netlog(&self.netlog)
-    }
 }
 
 /// An engine-level failure surfaced as a value instead of a bare panic,

@@ -1,6 +1,6 @@
 //! Shard-count invariance of the conservative-window engine: for any
 //! `sim_jobs`, a run must be *event-identical* to the serial (1-shard)
-//! run — same packed trace bytes, same packed netlog bytes, same
+//! run — same trace events, same network records and utilization, same
 //! statistics — because the windowed loop with canonical `(time, key)`
 //! ordering IS the engine at every shard count.
 
@@ -46,8 +46,10 @@ fn seeded_run(cfg: MachineConfig, seed: u64, ops: usize) -> SpasmRun {
 /// Every observable of two runs, compared byte-for-byte.
 fn assert_identical(a: &SpasmRun, b: &SpasmRun, what: &str) {
     assert_eq!(a.exec_cycles, b.exec_cycles, "{what}: exec_cycles");
-    assert_eq!(a.packed_trace(), b.packed_trace(), "{what}: packed trace bytes");
-    assert_eq!(a.packed_netlog(), b.packed_netlog(), "{what}: packed netlog bytes");
+    assert_eq!(a.trace.nodes(), b.trace.nodes(), "{what}: trace nodes");
+    assert_eq!(a.trace.events(), b.trace.events(), "{what}: trace events");
+    assert_eq!(a.netlog.records(), b.netlog.records(), "{what}: network records");
+    assert_eq!(a.netlog.utilization(), b.netlog.utilization(), "{what}: utilization");
     assert_eq!(a.miss_ratio(), b.miss_ratio(), "{what}: miss ratio");
     assert_eq!(
         (a.reads, a.writes, a.hits, a.misses, a.barriers, a.locks),
@@ -225,8 +227,9 @@ proptest! {
             ops,
         );
         prop_assert_eq!(serial.exec_cycles, sharded.exec_cycles);
-        prop_assert_eq!(serial.packed_trace(), sharded.packed_trace());
-        prop_assert_eq!(serial.packed_netlog(), sharded.packed_netlog());
+        prop_assert_eq!(serial.trace.events(), sharded.trace.events());
+        prop_assert_eq!(serial.netlog.records(), sharded.netlog.records());
+        prop_assert_eq!(serial.netlog.utilization(), sharded.netlog.utilization());
         prop_assert_eq!(serial.misses, sharded.misses);
     }
 }

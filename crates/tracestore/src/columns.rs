@@ -1,11 +1,9 @@
 //! Columnar block payload encodings.
 //!
-//! Within one block, record fields are laid out as separate columns so
+//! Within one block, event fields are laid out as separate columns so
 //! that each column's regularity (monotone ids, clustered timestamps, a
 //! tiny kind alphabet, mostly-absent dependencies) is visible to its
-//! encoder:
-//!
-//! **Event blocks** (`varint n` first, then columns in this order):
+//! encoder (`varint n` first, then columns in this order):
 //!
 //! | column | encoding |
 //! |---|---|
@@ -15,12 +13,7 @@
 //! | `bytes` | plain varint |
 //! | `kind` | dictionary: `u8` size, the distinct kind codes, then — only if the dictionary has >1 entry — bit-packed per-record indices (1 or 2 bits, LSB-first) |
 //! | `depends_on` | presence bitmap (1 bit per record, LSB-first), then one zigzag varint `id − dep` per present record |
-//!
-//! **NetLog blocks** store [`MsgRecord`] columns: delta ids, varint
-//! `src`/`dst`/`bytes`, delta `inject`, varint latency (`delivered −
-//! inject`, never negative), varint `hops` and `zero_load`.
 
-use commchar_mesh::{MsgRecord, NodeId};
 use commchar_trace::{CommEvent, EventKind};
 
 use crate::varint::{self, Cursor};
@@ -224,114 +217,6 @@ pub(crate) fn decode_events(
     Ok(events)
 }
 
-/// Encodes one block of [`MsgRecord`]s as a column payload.
-pub(crate) fn encode_records(records: &[MsgRecord]) -> Vec<u8> {
-    let n = records.len();
-    let mut out = Vec::with_capacity(8 + n * 10);
-    varint::put(&mut out, n as u64);
-    delta_column(&mut out, records.iter().map(|r| r.id));
-    for r in records {
-        varint::put(&mut out, r.src.0 as u64);
-    }
-    for r in records {
-        varint::put(&mut out, r.dst.0 as u64);
-    }
-    for r in records {
-        varint::put(&mut out, r.bytes as u64);
-    }
-    delta_column(&mut out, records.iter().map(|r| r.inject));
-    for r in records {
-        varint::put(&mut out, r.delivered - r.inject);
-    }
-    for r in records {
-        varint::put(&mut out, r.hops as u64);
-    }
-    for r in records {
-        varint::put(&mut out, r.zero_load);
-    }
-    out
-}
-
-/// Decodes one netlog-block payload.
-pub(crate) fn decode_records(payload: &[u8]) -> Result<Vec<MsgRecord>, TraceStoreError> {
-    let mut cur = Cursor::new(payload);
-    let n = cur.varint("record count")? as usize;
-    if n > payload.len() {
-        return Err(TraceStoreError::Corrupt(format!(
-            "block claims {n} records in a {}-byte payload",
-            payload.len()
-        )));
-    }
-    let mut ids = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        ids.push(read_delta(&mut cur, &mut prev, "record id")?);
-    }
-    let node = |v: u64| -> Result<NodeId, TraceStoreError> {
-        if v > u16::MAX as u64 {
-            return Err(TraceStoreError::Corrupt(format!("node id {v} exceeds u16")));
-        }
-        Ok(NodeId(v as u16))
-    };
-    let mut srcs = Vec::with_capacity(n);
-    for _ in 0..n {
-        srcs.push(node(cur.varint("record source")?)?);
-    }
-    let mut dsts = Vec::with_capacity(n);
-    for _ in 0..n {
-        dsts.push(node(cur.varint("record destination")?)?);
-    }
-    let mut bytes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let b = cur.varint("record bytes")?;
-        if b > u32::MAX as u64 {
-            return Err(TraceStoreError::Corrupt(format!("record length {b} exceeds u32")));
-        }
-        bytes.push(b as u32);
-    }
-    let mut injects = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        injects.push(read_delta(&mut cur, &mut prev, "record inject")?);
-    }
-    let mut latencies = Vec::with_capacity(n);
-    for _ in 0..n {
-        latencies.push(cur.varint("record latency")?);
-    }
-    let mut hops = Vec::with_capacity(n);
-    for _ in 0..n {
-        let h = cur.varint("record hops")?;
-        if h > u32::MAX as u64 {
-            return Err(TraceStoreError::Corrupt(format!("hop count {h} exceeds u32")));
-        }
-        hops.push(h as u32);
-    }
-    let mut records = Vec::with_capacity(n);
-    for i in 0..n {
-        let zero_load = cur.varint("record zero-load")?;
-        let delivered = injects[i].checked_add(latencies[i]).ok_or_else(|| {
-            TraceStoreError::Corrupt(format!("record {} delivery time overflows", ids[i]))
-        })?;
-        records.push(MsgRecord {
-            id: ids[i],
-            src: srcs[i],
-            dst: dsts[i],
-            bytes: bytes[i],
-            inject: injects[i],
-            delivered,
-            hops: hops[i],
-            zero_load,
-        });
-    }
-    if cur.remaining() != 0 {
-        return Err(TraceStoreError::Corrupt(format!(
-            "{} trailing bytes after the last column",
-            cur.remaining()
-        )));
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,25 +265,6 @@ mod tests {
     #[test]
     fn empty_block_roundtrips() {
         assert_eq!(decode_events(&encode_events(&[]), 2).unwrap(), vec![]);
-        assert_eq!(decode_records(&encode_records(&[])).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn record_block_roundtrip() {
-        let records: Vec<MsgRecord> = (0..50)
-            .map(|i| MsgRecord {
-                id: i,
-                src: NodeId((i % 7) as u16),
-                dst: NodeId((i % 5 + 7) as u16),
-                bytes: 8 * (i as u32 + 1),
-                inject: i * 13,
-                delivered: i * 13 + 40 + i,
-                hops: (i % 6) as u32,
-                zero_load: 30 + i % 9,
-            })
-            .collect();
-        let payload = encode_records(&records);
-        assert_eq!(decode_records(&payload).unwrap(), records);
     }
 
     #[test]

@@ -1,25 +1,24 @@
 //! # commchar-tracestore
 //!
-//! A blocked, columnar, binary on-disk format for [`CommTrace`] events and
-//! [`NetLog`](commchar_mesh::NetLog) records — the data-loading layer of
-//! the characterization methodology once traces reach the "millions of
-//! messages" scale where JSON-lines parse time and file size dominate the
-//! whole pipeline.
+//! A blocked, columnar, binary on-disk format for [`CommTrace`] events —
+//! the data-loading layer of the characterization methodology once traces
+//! reach the "millions of messages" scale where JSON-lines parse time and
+//! file size dominate the whole pipeline.
 //!
 //! ## File layout
 //!
 //! ```text
-//! [ magic "CCTRACE1" ][ u8 stream kind ][ varint nodes ]
+//! [ magic "CCTRACE1" ][ u8 stream kind: 1 = events ][ varint nodes ]
 //! [ block ]*
 //! [ footer payload ][ u32le footer length ][ magic "CCTFOOT1" ]
 //! ```
 //!
 //! Each block is `[u32le payload length][u32le FNV-1a checksum][payload]`;
-//! the payload stores up to `block_len` records as *columns* (all ids,
+//! the payload stores up to `block_len` events as *columns* (all ids,
 //! then all times, …), each column delta- and/or LEB128-varint encoded,
 //! with a small dictionary + bit-packed indices for event kinds and a
 //! presence bitmap for causal dependencies (see [`columns`] for the exact
-//! encodings). The footer lists every block's payload length and record
+//! encodings). The footer lists every block's payload length and event
 //! count, so a reader can locate all blocks without scanning the file,
 //! decode them **in parallel** across worker threads
 //! ([`PackedReader::read_trace_parallel`]), or stream records in order with
@@ -28,9 +27,9 @@
 //! memory, [`FileReader`] reads each block from disk with one positioned
 //! read and keeps only the index in memory (the out-of-core path).
 //!
-//! Corrupt input never panics: truncation, a bad magic, a checksum
-//! mismatch and an over-long varint each surface as a typed
-//! [`TraceStoreError`].
+//! Corrupt input never panics: truncation, a bad magic, a stream kind
+//! other than 1, a checksum mismatch and an over-long varint each surface
+//! as a typed [`TraceStoreError`].
 //!
 //! ## Example
 //!
@@ -64,10 +63,10 @@ use std::path::Path;
 use commchar_trace::{CommEvent, CommTrace, JsonlError, JsonlReader, TraceChecker};
 
 pub use reader::{
-    unpack_netlog, unpack_trace, unpack_trace_parallel, FileReader, PackedBytes, PackedReader,
-    PackedSource, StreamBlockReader, TraceReader,
+    unpack_trace, unpack_trace_parallel, FileReader, PackedBytes, PackedReader, PackedSource,
+    StreamBlockReader, TraceReader,
 };
-pub use writer::{pack_netlog, pack_trace, NetLogWriter, TraceWriter, DEFAULT_BLOCK_LEN};
+pub use writer::{pack_trace, TraceWriter, DEFAULT_BLOCK_LEN};
 
 /// Leading file magic (the trailing byte doubles as the format version).
 pub const MAGIC: [u8; 8] = *b"CCTRACE1";
@@ -75,39 +74,9 @@ pub const MAGIC: [u8; 8] = *b"CCTRACE1";
 /// Trailing footer magic; the 4 bytes before it hold the footer length.
 pub const FOOTER_MAGIC: [u8; 8] = *b"CCTFOOT1";
 
-/// What a packed file contains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamKind {
-    /// [`commchar_trace::CommEvent`] records (a `CommTrace`).
-    Events,
-    /// [`commchar_mesh::MsgRecord`] records (a `NetLog`).
-    NetLog,
-}
-
-impl StreamKind {
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            StreamKind::Events => 1,
-            StreamKind::NetLog => 2,
-        }
-    }
-
-    pub(crate) fn from_code(code: u8) -> Result<Self, TraceStoreError> {
-        match code {
-            1 => Ok(StreamKind::Events),
-            2 => Ok(StreamKind::NetLog),
-            other => Err(TraceStoreError::BadStreamKind(other)),
-        }
-    }
-
-    /// Lowercase label (`events` / `netlog`).
-    pub fn name(self) -> &'static str {
-        match self {
-            StreamKind::Events => "events",
-            StreamKind::NetLog => "netlog",
-        }
-    }
-}
+/// The header's stream-kind byte: a CCTRACE1 stream holds
+/// [`CommEvent`]s. Any other value is [`TraceStoreError::BadStreamKind`].
+pub(crate) const EVENTS_KIND: u8 = 1;
 
 /// Typed decode/IO failure. Every corrupt-input shape maps to a variant —
 /// the reader never panics on untrusted bytes.
@@ -130,7 +99,7 @@ pub enum TraceStoreError {
         /// [`FOOTER_MAGIC`] at the end of a file.
         expected: [u8; 8],
     },
-    /// The header declares a stream kind this version does not know.
+    /// The header's stream-kind byte is not 1 (events).
     BadStreamKind(u8),
     /// A block's stored checksum does not match its payload.
     ChecksumMismatch {
@@ -282,12 +251,12 @@ pub enum TraceFile {
 
 impl TraceFile {
     /// Opens `path` and reads its header (for a packed file, also the
-    /// footer index and the stream kind, which must be events).
+    /// footer index).
     ///
     /// # Errors
     ///
     /// I/O failures, and the errors [`load_trace`] gives for a bad header,
-    /// footer index or stream kind.
+    /// stream kind or footer index.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceStoreError> {
         let mut file = File::open(path)?;
         // A pipe may hand over the magic in pieces: read until it is whole.
@@ -303,9 +272,7 @@ impl TraceFile {
             file.read_to_end(&mut head)?;
             PackedSource::Memory(head)
         };
-        let reader = PackedReader::new(source)?;
-        reader.expect_kind(StreamKind::Events)?;
-        Ok(TraceFile::Packed(reader))
+        Ok(TraceFile::Packed(PackedReader::new(source)?))
     }
 
     /// Processor count from the header.

@@ -7,11 +7,10 @@
 use std::borrow::Cow;
 use std::io::Read;
 
-use commchar_mesh::{MsgRecord, NetLog};
 use commchar_trace::{CommEvent, CommTrace};
 
 use crate::varint::Cursor;
-use crate::{columns, fnv1a, StreamKind, TraceStoreError, FOOTER_MAGIC, MAGIC};
+use crate::{columns, fnv1a, TraceStoreError, EVENTS_KIND, FOOTER_MAGIC, MAGIC};
 
 /// One block's location, from the footer index.
 #[derive(Clone, Copy, Debug)]
@@ -26,27 +25,27 @@ struct BlockMeta {
 
 /// Parses the leading magic + header from a stream's first bytes (any
 /// prefix of at least [`HEADER_PREFIX`] bytes, or the whole stream if it
-/// is shorter). Returns `(kind, nodes, header_end)`.
-fn parse_header(head: &[u8]) -> Result<(StreamKind, usize, usize), TraceStoreError> {
+/// is shorter). Returns `(nodes, header_end)`.
+fn parse_header(head: &[u8]) -> Result<(usize, usize), TraceStoreError> {
     if head.len() < MAGIC.len() || head[..MAGIC.len()] != MAGIC {
         let found = head[..head.len().min(MAGIC.len())].to_vec();
         return Err(TraceStoreError::BadMagic { found, expected: MAGIC });
     }
     let mut header = Cursor::new(&head[MAGIC.len()..]);
-    let kind = StreamKind::from_code(header.byte("stream kind")?)?;
-    let nodes = header.varint("node count")?;
-    // An event stream needs at least one node and at most `MAX_NODES`,
-    // checked before any consumer sizes per-node state by it. (A record
-    // stream's count is advisory.)
-    if kind == StreamKind::Events {
-        if nodes == 0 {
-            return Err(TraceStoreError::Corrupt("header declares zero nodes".into()));
-        }
-        if nodes > commchar_trace::MAX_NODES as u64 {
-            return Err(TraceStoreError::TooManyNodes { nodes });
-        }
+    let kind = header.byte("stream kind")?;
+    if kind != EVENTS_KIND {
+        return Err(TraceStoreError::BadStreamKind(kind));
     }
-    Ok((kind, nodes as usize, MAGIC.len() + header.pos()))
+    let nodes = header.varint("node count")?;
+    // At least one node and at most `MAX_NODES`, checked before any
+    // consumer sizes per-node state by it.
+    if nodes == 0 {
+        return Err(TraceStoreError::Corrupt("header declares zero nodes".into()));
+    }
+    if nodes > commchar_trace::MAX_NODES as u64 {
+        return Err(TraceStoreError::TooManyNodes { nodes });
+    }
+    Ok((nodes as usize, MAGIC.len() + header.pos()))
 }
 
 /// Longest possible header: magic + kind byte + 10-byte varint.
@@ -88,18 +87,13 @@ fn locate_footer(
     Ok((footer_start, len_at))
 }
 
-/// What the footer decodes to: the block index, total record count, and
-/// any netlog utilization trailer (`(channel, fraction)` pairs).
-type ParsedFooter = (Vec<BlockMeta>, u64, Vec<(u32, f64)>);
-
 /// Parses the footer payload (`bytes[footer_start..len_at]`) into the
-/// block index, total record count, and any netlog utilization trailer.
+/// block index and the total record count.
 fn parse_footer(
-    kind: StreamKind,
     footer_bytes: &[u8],
     header_end: usize,
     footer_start: usize,
-) -> Result<ParsedFooter, TraceStoreError> {
+) -> Result<(Vec<BlockMeta>, u64), TraceStoreError> {
     let mut footer = Cursor::new(footer_bytes);
     let block_count = footer.varint("footer block count")? as usize;
     if block_count > footer_start {
@@ -128,38 +122,13 @@ fn parse_footer(
         )));
     }
 
-    // NetLog streams carry a utilization trailer after the index.
-    let utilization = if kind == StreamKind::NetLog {
-        let n = footer.varint("utilization count")? as usize;
-        if n > footer.remaining() {
-            return Err(TraceStoreError::Corrupt(format!(
-                "utilization trailer claims {n} entries in {} bytes",
-                footer.remaining()
-            )));
-        }
-        let mut util = Vec::with_capacity(n);
-        for _ in 0..n {
-            let chan = footer.varint("utilization channel")?;
-            if chan > u32::MAX as u64 {
-                return Err(TraceStoreError::Corrupt(format!("channel id {chan} exceeds u32")));
-            }
-            let bits = footer.bytes(8, "utilization fraction")?;
-            util.push((
-                chan as u32,
-                f64::from_bits(u64::from_le_bytes(bits.try_into().expect("8 bytes"))),
-            ));
-        }
-        util
-    } else {
-        Vec::new()
-    };
     if footer.remaining() != 0 {
         return Err(TraceStoreError::Corrupt(format!(
             "{} trailing bytes in the footer",
             footer.remaining()
         )));
     }
-    Ok((blocks, records, utilization))
+    Ok((blocks, records))
 }
 
 /// Verifies one block frame (`[u32le len][u32le fnv][payload]`) against
@@ -287,11 +256,9 @@ impl PackedBytes for PackedSource {
 pub struct PackedReader<B> {
     bytes: B,
     len: usize,
-    kind: StreamKind,
     nodes: usize,
     blocks: Vec<BlockMeta>,
     records: u64,
-    utilization: Vec<(u32, f64)>,
 }
 
 /// A [`PackedReader`] over in-memory bytes: blocks are borrowed slices.
@@ -333,21 +300,16 @@ impl<B: PackedBytes> PackedReader<B> {
     pub(crate) fn new(bytes: B) -> Result<Self, TraceStoreError> {
         let len = usize::try_from(bytes.byte_len()?)
             .map_err(|_| TraceStoreError::Corrupt("file exceeds the address space".into()))?;
-        let (kind, nodes, header_end) = parse_header(&bytes.bytes_at(0, HEADER_PREFIX.min(len))?)?;
+        let (nodes, header_end) = parse_header(&bytes.bytes_at(0, HEADER_PREFIX.min(len))?)?;
         let tail = (FOOTER_MAGIC.len() + 4).min(len);
         let (footer_start, len_at) =
             locate_footer(len, header_end, &bytes.bytes_at(len - tail, tail)?)?;
         let footer = bytes.bytes_at(footer_start, len_at - footer_start)?;
-        let (blocks, records, utilization) = parse_footer(kind, &footer, header_end, footer_start)?;
-        Ok(PackedReader { bytes, len, kind, nodes, blocks, records, utilization })
+        let (blocks, records) = parse_footer(&footer, header_end, footer_start)?;
+        Ok(PackedReader { bytes, len, nodes, blocks, records })
     }
 
-    /// What the stream contains.
-    pub fn kind(&self) -> StreamKind {
-        self.kind
-    }
-
-    /// Processor count from the header (0 for a netlog of unknown mesh).
+    /// Processor count from the header.
     pub fn nodes(&self) -> usize {
         self.nodes
     }
@@ -372,11 +334,6 @@ impl<B: PackedBytes> PackedReader<B> {
         self.records == 0
     }
 
-    /// Per-channel utilization from a netlog stream's footer.
-    pub fn utilization(&self) -> &[(u32, f64)] {
-        &self.utilization
-    }
-
     /// Records in one block, from the index alone (no decode).
     ///
     /// # Panics
@@ -395,66 +352,30 @@ impl<B: PackedBytes> PackedReader<B> {
         self.blocks[block].payload_len
     }
 
-    pub(crate) fn expect_kind(&self, kind: StreamKind) -> Result<(), TraceStoreError> {
-        if self.kind != kind {
-            return Err(TraceStoreError::Corrupt(format!(
-                "stream holds {} records, expected {}",
-                self.kind.name(),
-                kind.name()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Fetches one block of a `kind` stream, verifies its checksum, decodes
-    /// its payload with `decode` and checks the record count against the
-    /// index.
-    fn decode_block<T>(
-        &self,
-        block: usize,
-        kind: StreamKind,
-        decode: impl FnOnce(&[u8]) -> Result<Vec<T>, TraceStoreError>,
-    ) -> Result<Vec<T>, TraceStoreError> {
-        self.expect_kind(kind)?;
-        let meta = self.blocks[block];
-        let frame = self.bytes.bytes_at(meta.offset, 8 + meta.payload_len)?;
-        let records = decode(verify_block(&frame, block, meta.payload_len)?)?;
-        if records.len() != meta.count {
-            return Err(TraceStoreError::Corrupt(format!(
-                "block {block} decoded {} records but the index promised {}",
-                records.len(),
-                meta.count
-            )));
-        }
-        Ok(records)
-    }
-
-    /// Decodes one block of events (checksum-verified).
+    /// Decodes one block of events (checksum-verified, its event count
+    /// checked against the index).
     ///
     /// # Errors
     ///
-    /// Fails on an I/O error, a checksum mismatch, a non-event stream, or
-    /// any decode error inside the block.
+    /// Fails on an I/O error, a checksum mismatch, or any decode error
+    /// inside the block.
     ///
     /// # Panics
     ///
     /// Panics if `block >= self.block_count()`.
     pub fn decode_events(&self, block: usize) -> Result<Vec<CommEvent>, TraceStoreError> {
-        self.decode_block(block, StreamKind::Events, |p| columns::decode_events(p, self.nodes))
-    }
-
-    /// Decodes one block of netlog records (checksum-verified).
-    ///
-    /// # Errors
-    ///
-    /// Fails on an I/O error, a checksum mismatch, a non-netlog stream, or
-    /// any decode error inside the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block >= self.block_count()`.
-    pub fn decode_records(&self, block: usize) -> Result<Vec<MsgRecord>, TraceStoreError> {
-        self.decode_block(block, StreamKind::NetLog, columns::decode_records)
+        let meta = self.blocks[block];
+        let frame = self.bytes.bytes_at(meta.offset, 8 + meta.payload_len)?;
+        let payload = verify_block(&frame, block, meta.payload_len)?;
+        let events = columns::decode_events(payload, self.nodes)?;
+        if events.len() != meta.count {
+            return Err(TraceStoreError::Corrupt(format!(
+                "block {block} decoded {} records but the index promised {}",
+                events.len(),
+                meta.count
+            )));
+        }
+        Ok(events)
     }
 
     /// Streams every event to `f` in file order with one-block memory.
@@ -483,7 +404,6 @@ impl<B: PackedBytes> PackedReader<B> {
     /// violates [`CommTrace::check`] (duplicate ids, dangling or
     /// non-causal dependencies).
     pub fn read_trace(&self) -> Result<CommTrace, TraceStoreError> {
-        self.expect_kind(StreamKind::Events)?;
         let mut trace = CommTrace::new(self.nodes);
         self.for_each_event(|e| {
             trace.push(e);
@@ -503,7 +423,6 @@ impl<B: PackedBytes> PackedReader<B> {
     ///
     /// The first failing block (in file order) determines the error.
     pub fn read_trace_parallel(&self, jobs: usize) -> Result<CommTrace, TraceStoreError> {
-        self.expect_kind(StreamKind::Events)?;
         if commchar_pool::resolve_jobs(jobs).min(self.blocks.len()) <= 1 {
             return self.read_trace();
         }
@@ -517,24 +436,6 @@ impl<B: PackedBytes> PackedReader<B> {
         }
         trace.check().map_err(TraceStoreError::Corrupt)?;
         Ok(trace)
-    }
-
-    /// Decodes the whole stream into a [`NetLog`] (records in file order,
-    /// utilization restored from the footer).
-    ///
-    /// # Errors
-    ///
-    /// Fails on any block decode error or a non-netlog stream.
-    pub fn read_netlog(&self) -> Result<NetLog, TraceStoreError> {
-        self.expect_kind(StreamKind::NetLog)?;
-        let mut log = NetLog::new();
-        for block in 0..self.blocks.len() {
-            for r in self.decode_records(block)? {
-                log.push(r);
-            }
-        }
-        log.set_utilization(self.utilization.clone());
-        Ok(log)
     }
 }
 
@@ -555,15 +456,6 @@ pub fn unpack_trace(bytes: &[u8]) -> Result<CommTrace, TraceStoreError> {
 /// Any structural or per-block decode failure.
 pub fn unpack_trace_parallel(bytes: &[u8], jobs: usize) -> Result<CommTrace, TraceStoreError> {
     TraceReader::open(bytes)?.read_trace_parallel(jobs)
-}
-
-/// One-shot unpack of a packed [`NetLog`].
-///
-/// # Errors
-///
-/// Any structural or per-block decode failure.
-pub fn unpack_netlog(bytes: &[u8]) -> Result<NetLog, TraceStoreError> {
-    TraceReader::open(bytes)?.read_netlog()
 }
 
 /// An incremental reader over a *non-seekable* CCTRACE1 byte stream — a
@@ -588,7 +480,6 @@ pub fn unpack_netlog(bytes: &[u8]) -> Result<NetLog, TraceStoreError> {
 #[derive(Debug)]
 pub struct StreamBlockReader<R: Read> {
     src: R,
-    kind: StreamKind,
     nodes: usize,
     blocks: usize,
     done: bool,
@@ -599,8 +490,8 @@ impl<R: Read> StreamBlockReader<R> {
     ///
     /// # Errors
     ///
-    /// [`TraceStoreError`] on I/O failure, a bad magic, an unknown stream
-    /// kind, or a malformed or out-of-range node count.
+    /// [`TraceStoreError`] on I/O failure, a bad magic, a stream kind
+    /// other than 1, or a malformed or out-of-range node count.
     pub fn new(mut src: R) -> Result<Self, TraceStoreError> {
         let mut head = Vec::with_capacity(HEADER_PREFIX);
         (&mut src).take(MAGIC.len() as u64 + 1).read_to_end(&mut head)?;
@@ -615,13 +506,8 @@ impl<R: Read> StreamBlockReader<R> {
                 }
             }
         }
-        let (kind, nodes, _) = parse_header(&head)?;
-        Ok(StreamBlockReader { src, kind, nodes, blocks: 0, done: false })
-    }
-
-    /// Stream kind from the header.
-    pub fn kind(&self) -> StreamKind {
-        self.kind
+        let (nodes, _) = parse_header(&head)?;
+        Ok(StreamBlockReader { src, nodes, blocks: 0, done: false })
     }
 
     /// Processor count from the header.

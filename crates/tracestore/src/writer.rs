@@ -1,62 +1,16 @@
-//! Blocked streaming writers and the one-shot `pack_*` helpers.
+//! The blocked streaming writer and the one-shot `pack_*` helpers.
 
 use std::io::Write;
 
-use commchar_mesh::{MsgRecord, NetLog};
 use commchar_trace::{CommEvent, CommTrace};
 
-use crate::{columns, fnv1a, varint, StreamKind, TraceStoreError, FOOTER_MAGIC, MAGIC};
+use crate::{columns, fnv1a, varint, TraceStoreError, EVENTS_KIND, FOOTER_MAGIC, MAGIC};
 
 /// Records per block unless overridden: large enough that per-block
 /// framing (8 bytes + footer entry) is noise, small enough that dozens of
 /// blocks exist to decode in parallel and block-at-a-time streaming stays
 /// cheap on memory.
 pub const DEFAULT_BLOCK_LEN: usize = 4096;
-
-/// Shared framing logic: magic + header up front, `(payload len, count)`
-/// accounting per block, footer + trailer at the end.
-#[derive(Debug)]
-struct Framer<W: Write> {
-    out: W,
-    index: Vec<(u64, u64)>, // (payload bytes, record count) per block
-}
-
-impl<W: Write> Framer<W> {
-    fn new(mut out: W, kind: StreamKind, nodes: usize) -> Result<Self, TraceStoreError> {
-        out.write_all(&MAGIC)?;
-        out.write_all(&[kind.code()])?;
-        let mut header = Vec::new();
-        varint::put(&mut header, nodes as u64);
-        out.write_all(&header)?;
-        Ok(Framer { out, index: Vec::new() })
-    }
-
-    fn write_block(&mut self, payload: &[u8], count: usize) -> Result<(), TraceStoreError> {
-        self.out.write_all(&u32_len("block payload", payload.len())?)?;
-        self.out.write_all(&fnv1a(payload).to_le_bytes())?;
-        self.out.write_all(payload)?;
-        self.index.push((payload.len() as u64, count as u64));
-        Ok(())
-    }
-
-    /// Writes the footer (block index + `extra` trailer bytes), its
-    /// length, and the trailing magic, then hands back the sink.
-    fn finish(mut self, extra: &[u8]) -> Result<W, TraceStoreError> {
-        let mut footer = Vec::new();
-        varint::put(&mut footer, self.index.len() as u64);
-        for &(len, count) in &self.index {
-            varint::put(&mut footer, len);
-            varint::put(&mut footer, count);
-        }
-        footer.extend_from_slice(extra);
-        let len = u32_len("footer", footer.len())?;
-        self.out.write_all(&footer)?;
-        self.out.write_all(&len)?;
-        self.out.write_all(&FOOTER_MAGIC)?;
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
 
 /// `len` as the `u32le` length field in front of a block payload or
 /// behind the footer.
@@ -72,10 +26,12 @@ fn u32_len(what: &'static str, len: usize) -> Result<[u8; 4], TraceStoreError> {
 /// seals the file with the block-index footer.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
-    framer: Framer<W>,
+    out: W,
     nodes: usize,
     block_len: usize,
     pending: Vec<CommEvent>,
+    /// `(payload bytes, event count)` of each block written.
+    index: Vec<(u64, u64)>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -102,9 +58,13 @@ impl<W: Write> TraceWriter<W> {
         if block_len == 0 {
             return Err(TraceStoreError::Corrupt("block length must be positive".into()));
         }
-        let framer = Framer::new(out, StreamKind::Events, nodes)?;
         let pending = Vec::with_capacity(block_len.min(DEFAULT_BLOCK_LEN));
-        Ok(TraceWriter { framer, nodes, block_len, pending })
+        let mut w = TraceWriter { out, nodes, block_len, pending, index: Vec::new() };
+        let mut header = MAGIC.to_vec();
+        header.push(EVENTS_KIND);
+        varint::put(&mut header, nodes as u64);
+        w.out.write_all(&header)?;
+        Ok(w)
     }
 
     /// Appends one event, flushing a full block if due.
@@ -131,18 +91,24 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
+    /// Writes the pending events as one block frame
+    /// (`[u32le len][u32le fnv][payload]`) and indexes it.
     fn flush_block(&mut self) -> Result<(), TraceStoreError> {
         if self.pending.is_empty() {
             return Ok(());
         }
         let payload = columns::encode_events(&self.pending);
-        self.framer.write_block(&payload, self.pending.len())?;
+        self.out.write_all(&u32_len("block payload", payload.len())?)?;
+        self.out.write_all(&fnv1a(&payload).to_le_bytes())?;
+        self.out.write_all(&payload)?;
+        self.index.push((payload.len() as u64, self.pending.len() as u64));
         self.pending.clear();
         Ok(())
     }
 
-    /// Flushes the final partial block and writes the footer, returning
-    /// the underlying sink.
+    /// Flushes the final partial block and writes the footer (the block
+    /// index), its length and the trailing magic, returning the
+    /// underlying sink.
     ///
     /// # Errors
     ///
@@ -150,81 +116,18 @@ impl<W: Write> TraceWriter<W> {
     /// more.
     pub fn finish(mut self) -> Result<W, TraceStoreError> {
         self.flush_block()?;
-        self.framer.finish(&[])
-    }
-}
-
-/// Streaming writer for [`MsgRecord`] streams (a packed [`NetLog`]).
-#[derive(Debug)]
-pub struct NetLogWriter<W: Write> {
-    framer: Framer<W>,
-    block_len: usize,
-    pending: Vec<MsgRecord>,
-    utilization: Vec<(u32, f64)>,
-}
-
-impl<W: Write> NetLogWriter<W> {
-    /// Starts a packed record stream on `out`. `nodes` is advisory (the
-    /// node count of the mesh that produced the log; 0 if unknown).
-    ///
-    /// # Errors
-    ///
-    /// Fails on an I/O error writing the header.
-    pub fn new(out: W, nodes: usize) -> Result<Self, TraceStoreError> {
-        let framer = Framer::new(out, StreamKind::NetLog, nodes)?;
-        Ok(NetLogWriter {
-            framer,
-            block_len: DEFAULT_BLOCK_LEN,
-            pending: Vec::new(),
-            utilization: Vec::new(),
-        })
-    }
-
-    /// Appends one record, flushing a full block if due.
-    ///
-    /// # Errors
-    ///
-    /// Rejects records delivered before injection; propagates I/O errors.
-    pub fn push(&mut self, rec: MsgRecord) -> Result<(), TraceStoreError> {
-        if rec.delivered < rec.inject {
-            return Err(TraceStoreError::Corrupt(format!(
-                "record {} delivered before injection",
-                rec.id
-            )));
+        let mut footer = Vec::new();
+        varint::put(&mut footer, self.index.len() as u64);
+        for &(len, count) in &self.index {
+            varint::put(&mut footer, len);
+            varint::put(&mut footer, count);
         }
-        self.pending.push(rec);
-        if self.pending.len() >= self.block_len {
-            let payload = columns::encode_records(&self.pending);
-            self.framer.write_block(&payload, self.pending.len())?;
-            self.pending.clear();
-        }
-        Ok(())
-    }
-
-    /// Attaches per-channel utilization figures, stored in the footer.
-    pub fn set_utilization(&mut self, util: Vec<(u32, f64)>) {
-        self.utilization = util;
-    }
-
-    /// Flushes the final partial block and writes the footer (including
-    /// the utilization trailer), returning the underlying sink.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn finish(mut self) -> Result<W, TraceStoreError> {
-        if !self.pending.is_empty() {
-            let payload = columns::encode_records(&self.pending);
-            self.framer.write_block(&payload, self.pending.len())?;
-            self.pending.clear();
-        }
-        let mut extra = Vec::new();
-        varint::put(&mut extra, self.utilization.len() as u64);
-        for &(chan, frac) in &self.utilization {
-            varint::put(&mut extra, chan as u64);
-            extra.extend_from_slice(&frac.to_bits().to_le_bytes());
-        }
-        self.framer.finish(&extra)
+        let len = u32_len("footer", footer.len())?;
+        self.out.write_all(&footer)?;
+        self.out.write_all(&len)?;
+        self.out.write_all(&FOOTER_MAGIC)?;
+        self.out.flush()?;
+        Ok(self.out)
     }
 }
 
@@ -246,19 +149,6 @@ pub fn pack_trace_with_block_len(trace: &CommTrace, block_len: usize) -> Vec<u8>
         w.push(e).expect("trace invariants already hold");
     }
     w.finish().expect(VEC)
-}
-
-/// Packs a whole [`NetLog`] into bytes. The mesh node count is inferred
-/// as one past the largest endpoint (0 for an empty log).
-pub fn pack_netlog(log: &NetLog) -> Vec<u8> {
-    let nodes =
-        log.records().iter().map(|r| r.src.index().max(r.dst.index()) + 1).max().unwrap_or(0);
-    let mut w = NetLogWriter::new(Vec::new(), nodes).expect("Vec sink cannot fail");
-    for &r in log.records() {
-        w.push(r).expect("log invariants already hold");
-    }
-    w.set_utilization(log.utilization().to_vec());
-    w.finish().expect("Vec sink cannot fail")
 }
 
 #[cfg(test)]

@@ -4,11 +4,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{
-    load_trace, pack_netlog, pack_trace, unpack_netlog, unpack_trace, unpack_trace_parallel,
-    FileReader, TraceReader, TraceStoreError, FOOTER_MAGIC, MAGIC,
+    load_trace, pack_trace, unpack_trace, unpack_trace_parallel, FileReader, TraceReader,
+    TraceStoreError, FOOTER_MAGIC, MAGIC,
 };
 
 fn sample_trace() -> CommTrace {
@@ -170,28 +169,17 @@ fn parallel_decode_reports_corruption_too() {
 
 #[test]
 fn wrong_stream_kind_is_rejected() {
-    let trace = sample_trace();
-    let msgs: Vec<NetMessage> = trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect();
-    let log = OnlineWormhole::new(MeshConfig::for_nodes(8)).simulate(&msgs);
-    let packed_log = pack_netlog(&log);
-    // Events API over a netlog stream (and vice versa) errors cleanly.
-    assert!(matches!(unpack_trace(&packed_log), Err(TraceStoreError::Corrupt(_))));
-    let packed_trace = pack_trace(&trace);
-    assert!(matches!(unpack_netlog(&packed_trace), Err(TraceStoreError::Corrupt(_))));
-    // And the netlog round-trips faithfully through its own API.
-    let back = unpack_netlog(&packed_log).unwrap();
-    assert_eq!(back.records(), log.records());
-    assert_eq!(back.utilization(), log.utilization());
+    // The byte after the magic must be 1 (events). With and without
+    // blocks, both readers name any other value.
+    for trace in [sample_trace(), CommTrace::new(8)] {
+        for kind in [0u8, 2, 9, 0xff] {
+            let mut packed = pack_trace(&trace);
+            packed[MAGIC.len()] = kind;
+            let err = same_error_both_ways(&packed, 1);
+            assert!(matches!(err, TraceStoreError::BadStreamKind(k) if k == kind), "{err:?}");
+            assert_eq!(err.to_string(), format!("unknown stream kind {kind}"));
+        }
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::{
-    decode_event_block, pack_trace, StreamBlockReader, StreamKind, TraceReader, TraceStoreError,
+    decode_event_block, pack_trace, StreamBlockReader, TraceReader, TraceStoreError,
 };
 
 fn sample_trace(events: u64) -> CommTrace {
@@ -32,7 +32,6 @@ fn stream_blocks_match_the_indexed_reader() {
     let packed = pack_trace_with_block_len(&tr, 37);
     let indexed = TraceReader::open(&packed).unwrap();
     let mut stream = StreamBlockReader::new(&packed[..]).unwrap();
-    assert_eq!(stream.kind(), StreamKind::Events);
     assert_eq!(stream.nodes(), 6);
     let mut all = Vec::new();
     let mut blocks = 0usize;
@@ -66,14 +65,14 @@ fn header_errors_are_typed() {
         StreamBlockReader::new(&b"CC"[..]).unwrap_err(),
         TraceStoreError::BadMagic { .. }
     ));
-    // Valid magic, unknown stream-kind code.
-    let mut bytes = b"CCTRACE1".to_vec();
-    bytes.push(9);
-    bytes.push(4);
-    assert!(matches!(
-        StreamBlockReader::new(&bytes[..]).unwrap_err(),
-        TraceStoreError::BadStreamKind(9)
-    ));
+    // Valid magic, a stream-kind code other than 1 (events).
+    for kind in [2, 9] {
+        let bytes = [&b"CCTRACE1"[..], &[kind, 4]].concat();
+        assert!(matches!(
+            StreamBlockReader::new(&bytes[..]).unwrap_err(),
+            TraceStoreError::BadStreamKind(k) if k == kind
+        ));
+    }
 }
 
 #[test]

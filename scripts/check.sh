@@ -50,6 +50,12 @@
 # read out-of-core with --stream must exit 1 with an `error:` line, never
 # a panic).
 #
+# Every library's manifest must name only crates its sources use:
+# `cargo check --workspace --lib` runs with `-D unused-crate-dependencies`
+# in its own target directory (target/udeps, so the flags do not
+# invalidate the main build cache). commchar-bench is left out because
+# its binaries use crates its library does not.
+#
 # The benchmark package (benchmark/, a workspace of its own) is gated
 # too: fmt, clippy with warnings denied, and its tests in release mode.
 #
@@ -87,6 +93,10 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> skipping clippy (component not installed)"
 fi
+
+echo "==> unused manifest dependencies (-D unused-crate-dependencies)"
+CARGO_TARGET_DIR=target/udeps RUSTFLAGS="-D unused-crate-dependencies" \
+    cargo check --workspace --lib --exclude commchar-bench -q
 
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

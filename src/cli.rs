@@ -19,7 +19,7 @@ use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, JsonlWriter};
 use commchar_tracestore::{
     encode_event_block, load_trace, FileReader, PackedReader, PackedSource, StreamBlockReader,
-    StreamKind, TraceFile, TraceStoreError, TraceWriter, DEFAULT_BLOCK_LEN,
+    TraceFile, TraceStoreError, TraceWriter, DEFAULT_BLOCK_LEN,
 };
 
 /// Error type for CLI operations.
@@ -50,6 +50,20 @@ impl From<TraceStoreError> for CliError {
     fn from(e: TraceStoreError) -> Self {
         CliError(e.to_string())
     }
+}
+
+/// Writes `bytes` to stdout and flushes them. A stdout whose reader has
+/// gone is an error here, where `print!` would panic.
+///
+/// # Errors
+///
+/// `writing stdout: …` with the I/O error.
+pub fn write_stdout(bytes: &[u8]) -> Result<(), CliError> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(bytes)
+        .and_then(|()| stdout.flush())
+        .map_err(|e| CliError(format!("writing stdout: {e}")))
 }
 
 /// Parses an application name (see [`AppId::name`]).
@@ -433,11 +447,7 @@ pub fn cmd_trace_cat(input: &str, out: Option<&str>) -> Result<(), CliError> {
     }
     let mut text = Vec::new();
     cat(&mut text, "stdout", false)?;
-    let mut stdout = std::io::stdout().lock();
-    stdout
-        .write_all(&text)
-        .and_then(|()| stdout.flush())
-        .map_err(|e| CliError(format!("writing stdout: {e}")))
+    write_stdout(&text)
 }
 
 /// A sink that only counts the bytes written to it.
@@ -553,33 +563,45 @@ pub fn cmd_trace_stat(input: &str) -> Result<String, CliError> {
 const FEED_BLOCK_LEN: usize = 4096;
 
 /// `commchar serve-feed --trace FILE --addr HOST:PORT [--block-len N]
-/// [--poll-every N] [--shutdown]`: the client driver — replays a saved
-/// trace (either format) through a running characterization server as
-/// CCTRACE1 block frames and returns `(final_report, status)`. The final
-/// report is the server's `CloseSession` response, byte-identical to
-/// `characterize --trace FILE --no-replay` on the same events (the
-/// `check.sh` serve smoke diffs exactly that). `poll_every > 0` also
-/// polls a live report every that many blocks — exercising mid-stream
-/// convergence — and `shutdown` asks the server to exit afterwards. The
-/// status line (block/poll counts) belongs on stderr.
+/// [--poll-every N] [--shutdown]`: the client driver — replays the saved
+/// trace at `path` (either format) through a running characterization
+/// server as CCTRACE1 block frames and returns `(final_report, status)`.
+/// The final report is the server's `CloseSession` response,
+/// byte-identical to `characterize --trace FILE --no-replay` on the same
+/// events (the `check.sh` serve smoke diffs exactly that). `poll_every >
+/// 0` also polls a live report every that many blocks — exercising
+/// mid-stream convergence — and `shutdown` asks the server to exit
+/// afterwards. The status line (block/poll counts) belongs on stderr.
+///
+/// The file streams into one event vector, checked as [`load_trace`]
+/// checks it and sorted in place only when it is out of time order.
+///
+/// # Errors
+///
+/// The file's first error, as [`load_trace`] names it, or any
+/// server/connection failure.
 pub fn cmd_serve_feed(
     addr: &str,
-    input: &[u8],
+    path: &str,
     block_len: usize,
     poll_every: usize,
     shutdown: bool,
 ) -> Result<(String, String), CliError> {
-    let trace = load_trace(input)?;
+    let src = open_trace(path)?;
+    let nodes = src.nodes();
+    let mut events = Vec::new();
+    src.for_each_event(|e| {
+        events.push(e);
+        Ok::<_, CliError>(())
+    })?;
     // The wire contract wants time order; mirror the offline driver,
-    // which sorts a copy of an unsorted trace before analysis.
-    let events = {
-        let mut v = trace.events().to_vec();
-        v.sort_by_key(|e| e.t);
-        v
-    };
+    // which stable-sorts the events by time when they are out of order.
+    if !events.is_sorted_by_key(|e| e.t) {
+        events.sort_by_key(|e| e.t);
+    }
     let block_len = if block_len == 0 { FEED_BLOCK_LEN } else { block_len };
     let blocks = events.chunks(block_len).map(|chunk| Ok(encode_event_block(chunk)));
-    feed(addr, trace.nodes(), blocks, "the trace", poll_every, shutdown)
+    feed(addr, nodes, blocks, "the trace", poll_every, shutdown)
 }
 
 /// `commchar serve-feed --trace - [--addr HOST:PORT] [--poll-every N]
@@ -593,8 +615,9 @@ pub fn cmd_serve_feed(
 ///
 /// # Errors
 ///
-/// A [`CliError`] for a malformed or non-event stream, a mid-stream
-/// checksum mismatch, a truncated pipe, or any server/connection failure.
+/// A [`CliError`] for a malformed header (a stream kind other than 1
+/// included), a mid-stream checksum mismatch, a truncated pipe, or any
+/// server/connection failure.
 pub fn cmd_serve_feed_stream(
     addr: &str,
     input: impl std::io::Read,
@@ -602,12 +625,6 @@ pub fn cmd_serve_feed_stream(
     shutdown: bool,
 ) -> Result<(String, String), CliError> {
     let mut reader = StreamBlockReader::new(input)?;
-    if reader.kind() != StreamKind::Events {
-        return Err(CliError(format!(
-            "serve-feed -: expected an events stream, got {}",
-            reader.kind().name()
-        )));
-    }
     let nodes = reader.nodes();
     let blocks = std::iter::from_fn(|| reader.next_block().transpose());
     feed(addr, nodes, blocks, "stdin", poll_every, shutdown)
@@ -999,6 +1016,18 @@ mod tests {
         assert!(err.0.contains("stream kind"), "unexpected error: {err}");
         let err = cmd_replay(b"not json at all", net(MESH, DIM, REC)).unwrap_err();
         assert!(err.0.contains("line 1"), "unexpected error: {err}");
+        // Every packed reader names a stream kind other than 1 (events),
+        // 2 included. The feeds fail before connecting.
+        let mut tr = CommTrace::new(4);
+        tr.push(CommEvent::new(0, 5, 0, 1, 8, commchar_trace::EventKind::Data));
+        let mut other = commchar_tracestore::pack_trace(&tr);
+        other[commchar_tracestore::MAGIC.len()] = 2;
+        let path = scratch_file("kind2.cct", &other);
+        let want = "unknown stream kind 2";
+        assert_eq!(cmd_characterize_stream(&path, 1, 1).unwrap_err().0, want);
+        assert_eq!(cmd_serve_feed("127.0.0.1:1", &path, 0, 0, false).unwrap_err().0, want);
+        assert_eq!(cmd_serve_feed_stream("127.0.0.1:1", &other[..], 0, false).unwrap_err().0, want);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1100,14 +1129,21 @@ mod tests {
         let addr = server.local_addr().to_string();
         let handle = server.spawn();
         let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
-        let jsonl = trace.to_jsonl();
-        let offline = cmd_characterize_trace_only(jsonl.as_bytes(), 1).unwrap();
+        // The same events in reverse time order: the feed must sort them
+        // as the offline driver does.
+        let mut reversed = CommTrace::new(trace.nodes());
+        reversed.extend(trace.events().iter().rev().copied());
         // Tiny blocks + mid-stream polls + a protocol shutdown at the end.
-        let (report, status) = cmd_serve_feed(&addr, jsonl.as_bytes(), 7, 2, true).unwrap();
-        assert_eq!(report, offline, "served final report must equal offline --no-replay");
-        assert!(status.contains("mid-stream polls"), "status: {status}");
-        assert!(status.contains("then shutdown"), "status: {status}");
-        // The packed form feeds identically (blocks are re-encoded).
+        for (name, tr, shutdown) in [("reversed", &reversed, false), ("in-order", &trace, true)] {
+            let jsonl = tr.to_jsonl();
+            let offline = cmd_characterize_trace_only(jsonl.as_bytes(), 1).unwrap();
+            let path = scratch_file(&format!("feed-{name}.jsonl"), jsonl.as_bytes());
+            let (report, status) = cmd_serve_feed(&addr, &path, 7, 2, shutdown).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            assert_eq!(report, offline, "{name}: served report must equal offline --no-replay");
+            assert!(status.contains("mid-stream polls"), "status: {status}");
+            assert_eq!(status.contains("then shutdown"), shutdown, "status: {status}");
+        }
         handle.shutdown();
     }
 
@@ -1149,7 +1185,9 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let err = cmd_serve_feed(&addr, b"{\"nodes\":4}\n", 0, 0, false).unwrap_err();
+        let path = scratch_file("feed-no-server.jsonl", b"{\"nodes\":4}\n");
+        let err = cmd_serve_feed(&addr, &path, 0, 0, false).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
         assert!(err.0.contains("serve-feed:"), "unexpected error: {err}");
     }
 

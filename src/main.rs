@@ -103,13 +103,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
+/// Writes `text` to `out`, or to stdout through [`cli::write_stdout`].
 fn emit(text: &str, out: &Option<String>) -> Result<(), String> {
     match out {
         Some(path) => std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}")),
-        None => {
-            print!("{text}");
-            Ok(())
-        }
+        None => cli::write_stdout(text.as_bytes()).map_err(|e| e.0),
     }
 }
 
@@ -150,7 +148,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         Some("run") => {
             let spec = app_spec(&args, "run needs an application name")?;
             let (report, trace) = cli::cmd_run(spec).map_err(|e| e.0)?;
-            print!("{report}");
+            emit(&report, &None)?;
             if args.out.is_some() {
                 emit_trace(&trace, &args)?;
             }
@@ -226,9 +224,7 @@ fn run(argv: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("binding {}: {e}", args.addr))?;
             // The bound address goes out (and is flushed) before serving
             // so scripts can capture an ephemeral port from :0.
-            println!("listening on {}", server.local_addr());
-            use std::io::Write as _;
-            std::io::stdout().flush().map_err(|e| e.to_string())?;
+            emit(&format!("listening on {}\n", server.local_addr()), &None)?;
             let stats = server.run();
             eprintln!(
                 "served {} frames / {} events over {} sessions ({} evictions) in {} ms",
@@ -249,10 +245,9 @@ fn run(argv: &[String]) -> Result<(), String> {
                 )
                 .map_err(|e| e.0)?
             } else {
-                let input = read_file(path)?;
                 cli::cmd_serve_feed(
                     &args.addr,
-                    &input,
+                    path,
                     args.block_len,
                     args.poll_every,
                     args.shutdown,

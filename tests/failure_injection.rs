@@ -350,3 +350,39 @@ fn ccserve1_session_above_max_nodes_is_a_typed_error() {
     assert!(client.open_session(MAX_NODES as u32).is_ok());
     handle.shutdown();
 }
+
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_is_an_error_not_a_panic() {
+    use std::process::{Command, Stdio};
+    const TRACE: &str =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/engine_diff.trace.jsonl");
+    let commands: [&[&str]; 6] = [
+        &["help"],
+        &["run", "is", "--procs", "4", "--scale", "tiny"],
+        &["generate", "nbody", "--procs", "4", "--scale", "tiny"],
+        &["characterize", "--trace", TRACE, "--no-replay"],
+        &["replay", "--trace", TRACE],
+        &["trace", "stat", TRACE],
+    ];
+    for args in commands {
+        // The reader is gone before the child starts, so its first write
+        // to stdout fails whatever the timing.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let child = Command::new(env!("CARGO_BIN_EXE_commchar"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.lines().any(|l| l.starts_with("error: writing stdout")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

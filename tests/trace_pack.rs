@@ -10,10 +10,9 @@ mod common;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use commchar::cli::{cmd_trace_cat, cmd_trace_pack, cmd_trace_stat};
-use commchar::mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
 use commchar::trace::{CommEvent, CommTrace, EventKind};
 use commchar::tracestore::writer::pack_trace_with_block_len;
-use commchar::tracestore::{load_trace, pack_netlog, TraceWriter, FOOTER_MAGIC, MAGIC};
+use commchar::tracestore::{load_trace, TraceWriter, FOOTER_MAGIC, MAGIC};
 
 /// A scratch file path unique to this test process.
 fn scratch(ext: &str) -> String {
@@ -172,23 +171,19 @@ fn corrupt_packed_files_fail_as_load_trace_does() {
     let len_at = lie.len() - FOOTER_MAGIC.len() - 4;
     lie[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_streams_as_loaded("footer length", &lie, 0);
-    // A netlog stream where events are expected, with and without blocks.
-    let msgs: Vec<NetMessage> = sample()
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar::des::SimTime::from_ticks(e.t),
-        })
-        .collect();
-    for msgs in [&msgs[..], &[]] {
-        let log = OnlineWormhole::new(MeshConfig::for_nodes(8)).simulate(msgs);
-        let err = streamed(&pack_netlog(&log), 0).unwrap_err();
-        assert!(err.contains("expected events"), "{err}");
-        assert_streams_as_loaded("netlog", &pack_netlog(&log), 0);
+    // A stream-kind byte other than 1 (events), 2 included, with and
+    // without blocks. `trace stat` names it too.
+    for trace in [sample(), CommTrace::new(8)] {
+        for kind in [0u8, 2, 9] {
+            let mut other = pack_trace_with_block_len(&trace, 64);
+            other[MAGIC.len()] = kind;
+            assert_eq!(streamed(&other, 0), Err(format!("unknown stream kind {kind}")));
+            assert_streams_as_loaded("stream kind", &other, 0);
+            let src = scratch("cct");
+            std::fs::write(&src, &other).unwrap();
+            assert_eq!(cmd_trace_stat(&src).unwrap_err().0, format!("unknown stream kind {kind}"));
+            std::fs::remove_file(&src).unwrap();
+        }
     }
 }
 
