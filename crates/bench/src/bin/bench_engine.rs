@@ -23,56 +23,14 @@
 //! --bench-smoke` mode) and times the long-worm section once; the
 //! asserted section keeps the best of three in either mode.
 
-use std::fmt::Write as _;
-
 use commchar_apps::{AppId, Scale};
-use commchar_bench::{git_rev, host_cores, long_worms, time_best, timing_iters};
+use commchar_bench::{long_worms, time_best, uniform, Bench, Floor, Obj};
 use commchar_core::{acquire, characterize, RunSpec};
-use commchar_des::SimTime;
-use commchar_mesh::{EngineKind, FlitLevel, FlitWork, MeshConfig, NetEngine, NetMessage, NodeId};
+use commchar_mesh::{EngineKind, FlitLevel, FlitWork, MeshConfig, NetEngine, NetMessage};
 
-/// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 =
-            self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 16
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-/// Uniform random traffic with nondecreasing injection times — the
-/// schedule shape every closed-loop driver produces.
-fn uniform(seed: u64, nodes: usize, count: usize, spread: u64, max_bytes: u64) -> Vec<NetMessage> {
-    let mut rng = Lcg::new(seed);
-    let mut t = 0u64;
-    let mut msgs = Vec::with_capacity(count);
-    for id in 0..count as u64 {
-        let src = rng.below(nodes as u64) as u16;
-        let mut dst = rng.below(nodes as u64) as u16;
-        if dst == src {
-            dst = (dst + 1) % nodes as u16;
-        }
-        t += rng.below(spread);
-        msgs.push(NetMessage {
-            id,
-            src: NodeId(src),
-            dst: NodeId(dst),
-            bytes: 1 + rng.below(max_bytes) as u32,
-            inject: SimTime::from_ticks(t),
-        });
-    }
-    msgs
-}
+/// Ceiling on the closed-loop overhead of the first throughput section:
+/// the price of per-send feedback must stay bounded.
+const OVERHEAD_CEILING: Floor = Floor::at_most("uniform_8x8_vc2.overhead", 3.0);
 
 /// One closed-loop schedule timed against its batch run.
 struct Throughput {
@@ -158,7 +116,8 @@ fn fidelity(scale: Scale) -> Vec<AppRow> {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut bench = Bench::from_env("engine_comparison");
+    let quick = bench.quick();
     let scale = if quick { Scale::Tiny } else { Scale::Small };
 
     println!("closed-loop engine comparison: recurrence vs cycle-accurate flit\n");
@@ -193,8 +152,8 @@ fn main() {
     let long = long_worms(7, 16, if quick { 40 } else { 120 }, 1500);
     // Only the first section's overhead is asserted.
     let sections = [
-        throughput("uniform_8x8_vc2", cfg, &msgs, timing_iters(quick, true)),
-        throughput("long_worms_4x4", MeshConfig::new(4, 4), &long, timing_iters(quick, false)),
+        throughput("uniform_8x8_vc2", cfg, &msgs, bench.iters(&[OVERHEAD_CEILING])),
+        throughput("long_worms_4x4", MeshConfig::new(4, 4), &long, bench.iters(&[])),
     ];
     println!();
     for t in &sections {
@@ -209,57 +168,35 @@ fn main() {
         );
     }
 
-    // Hand-rolled JSON (serde is stripped from the offline build).
-    let path = "BENCH_engine.json";
-    let mut json = String::from("{\n  \"bench\": \"engine_comparison\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
-    json.push_str("  \"apps\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"app\": \"{}\", \"recurrence_mean_latency\": {:.2}, \
-             \"flit_mean_latency\": {:.2}, \"recurrence_p95\": {:.1}, \"flit_p95\": {:.1}, \
-             \"recurrence_exec_ticks\": {}, \"flit_exec_ticks\": {}, \
-             \"recurrence_fit\": \"{}\", \"flit_fit\": \"{}\"}}{}",
-            r.app,
-            r.rec_mean,
-            r.flit_mean,
-            r.rec_p95,
-            r.flit_p95,
-            r.rec_exec,
-            r.flit_exec,
-            r.rec_dist,
-            r.flit_dist,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n  \"closed_loop\": [\n");
-    for (i, t) in sections.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"messages\": {}, \"batch_msgs_per_sec\": {:.1}, \
-             \"incremental_msgs_per_sec\": {:.1}, \"overhead\": {:.3}, \
-             \"cycles_stepped\": {}, \"cycles_skipped\": {}, \"skips\": {}}}{}",
-            t.name,
-            t.messages,
-            t.batch_rate,
-            t.inc_rate,
-            t.overhead,
-            t.work.cycles_stepped,
-            t.work.cycles_skipped,
-            t.work.skips,
-            if i + 1 < sections.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(path, &json).expect("write BENCH_engine.json");
-    println!("wrote {path}");
-
-    let overhead = sections[0].overhead;
-    assert!(
-        overhead <= 3.0,
-        "closed-loop flit overhead {overhead:.2}x exceeds the 3x acceptance floor"
+    bench.rows(
+        "apps",
+        rows.iter().map(|r| {
+            Obj::new()
+                .str("app", r.app)
+                .num("recurrence_mean_latency", r.rec_mean, 2)
+                .num("flit_mean_latency", r.flit_mean, 2)
+                .num("recurrence_p95", r.rec_p95, 1)
+                .num("flit_p95", r.flit_p95, 1)
+                .int("recurrence_exec_ticks", r.rec_exec)
+                .int("flit_exec_ticks", r.flit_exec)
+                .str("recurrence_fit", &r.rec_dist)
+                .str("flit_fit", &r.flit_dist)
+        }),
     );
+    bench.rows(
+        "closed_loop",
+        sections.iter().map(|t| {
+            Obj::new()
+                .str("name", t.name)
+                .int("messages", t.messages as u64)
+                .num("batch_msgs_per_sec", t.batch_rate, 1)
+                .num("incremental_msgs_per_sec", t.inc_rate, 1)
+                .num("overhead", t.overhead, 3)
+                .int("cycles_stepped", t.work.cycles_stepped)
+                .int("cycles_skipped", t.work.cycles_skipped)
+                .int("skips", t.work.skips)
+        }),
+    );
+    bench.check(&OVERHEAD_CEILING, sections[0].overhead);
+    bench.finish("BENCH_engine.json");
 }

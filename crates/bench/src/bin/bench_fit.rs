@@ -20,16 +20,17 @@
 //! packed synthetic trace to disk with [`TraceWriter`] (never holding the
 //! events), stream-characterizes it with [`FileReader`] +
 //! [`try_analyze_blocks`], and reports its own peak RSS from
-//! `/proc/self/status` (`VmHWM`). The parent asserts the RSS ceiling and
-//! an events/sec floor and records both in `BENCH_fit.json`. The default
-//! (full) mode streams a multi-GB trace; `--quick` a few-hundred-MB one.
+//! `/proc/self/status` (`VmHWM`). The parent records both figures in
+//! `BENCH_fit.json` and checks them against an RSS ceiling and an
+//! events/sec floor, asserted with the speedup floor once the file is
+//! written. The default (full) mode streams a multi-GB trace; `--quick` a
+//! few-hundred-MB one.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use commchar_apps::{AppId, Scale};
 use commchar_bench::fit_reference::characterize_reference;
-use commchar_bench::{git_rev, host_cores, time_best, timing_iters};
+use commchar_bench::{time_best, Bench, Floor, Lcg, Obj};
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
 use commchar_core::{characterize, CommSignature, Workload};
@@ -38,25 +39,6 @@ use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::{pack_trace_with_block_len, TraceWriter};
 use commchar_tracestore::{FileReader, TraceReader};
-
-/// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 =
-            self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 16
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// A synthetic multi-source workload with tick-quantized inter-arrival
 /// gaps — the shape real traces have (timestamps are integer cycles), and
@@ -83,8 +65,11 @@ fn synthetic(seed: u64, nodes: usize, count: usize) -> Workload {
     }
 }
 
-/// The workload the 2× characterize speedup floor is asserted on.
+/// The workload the characterize speedup floor is asserted on.
 const HEADLINE: &str = "synthetic_64src";
+/// The headline's floor: the new pipeline at `--jobs 4` at least 2× the
+/// reference.
+const SPEEDUP_FLOOR: Floor = Floor::at_least("synthetic_64src.speedup", 2.0);
 
 fn workloads(quick: bool) -> Vec<(&'static str, Workload)> {
     let scale = if quick { 1 } else { 4 };
@@ -165,11 +150,7 @@ fn cross_check(name: &str, reference: &CommSignature, new: &CommSignature) {
 /// [`synthetic`] builds, factored out so the on-disk generator and any
 /// in-memory checks draw from one definition.
 fn synth_event(rng: &mut Lcg, i: u64, t: &mut u64, nodes: usize) -> CommEvent {
-    let src = rng.below(nodes as u64) as u16;
-    let mut dst = rng.below(nodes as u64) as u16;
-    if dst == src {
-        dst = (dst + 1) % nodes as u16;
-    }
+    let (src, dst) = rng.pair(nodes);
     *t += rng.below(8);
     let kind = match rng.below(10) {
         0..=4 => EventKind::Data,
@@ -228,15 +209,13 @@ fn stream_child(count: u64, path: &std::path::Path) {
     );
 }
 
-/// Asserted ceiling on the stream child's peak RSS. The full-mode trace
-/// decodes to ~10 GB of in-memory events, so staying under this bound is
-/// only possible if the pipeline really is out-of-core.
-const STREAM_RSS_CEILING: u64 = 256 << 20;
+/// Ceiling on the stream child's peak RSS, in bytes. The full-mode
+/// trace decodes to ~10 GB of in-memory events, so staying under this
+/// bound is only possible if the pipeline really is out-of-core.
+const STREAM_RSS_CEILING: Floor = Floor::at_most("streaming.peak_rss_bytes", (256u64 << 20) as f64);
 
-/// Floor on streamed characterization throughput, asserted and recorded
-/// in `BENCH_fit.json` (see the `streaming` object there for the measured
-/// figure this floor was derived from).
-const STREAM_EVENTS_PER_SEC_FLOOR: f64 = 1_000_000.0;
+/// Floor on streamed characterization throughput, events/s.
+const STREAM_RATE_FLOOR: Floor = Floor::at_least("streaming.events_per_sec", 1_000_000.0);
 
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
@@ -245,7 +224,7 @@ fn main() {
         stream_child(count, std::path::Path::new(&argv[i + 2]));
         return;
     }
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut bench = Bench::from_env("characterize_fit");
     let mut rows = Vec::new();
 
     println!("characterization: shared-context fitting vs per-family re-sort reference");
@@ -253,7 +232,7 @@ fn main() {
         "{:<16} {:>8} {:>7} {:>10} {:>10} {:>10} {:>8}",
         "workload", "events", "sources", "ref s", "jobs=1 s", "jobs=4 s", "speedup"
     );
-    for (name, w) in workloads(quick) {
+    for (name, w) in workloads(bench.quick()) {
         // Cross-check first: identical reports between worker counts, and
         // reference agreement, or the numbers are meaningless.
         let reference = characterize_reference(&w);
@@ -267,7 +246,8 @@ fn main() {
         assert_eq!(format!("{seq:?}"), format!("{par:?}"), "{name}: signatures diverged");
         cross_check(name, &reference, &seq);
 
-        let iters = timing_iters(quick, name == HEADLINE);
+        let floors: &[Floor] = if name == HEADLINE { &[SPEEDUP_FLOOR] } else { &[] };
+        let iters = bench.iters(floors);
         let t_ref = time_best(iters, || {
             let sig = characterize_reference(&w);
             assert_eq!(sig.nprocs, w.nprocs);
@@ -291,8 +271,21 @@ fn main() {
             t_par,
             speedup
         );
-        rows.push((name, w.trace.len(), w.nprocs, t_ref, t_seq, t_par, speedup));
+        for floor in floors {
+            bench.check(floor, speedup);
+        }
+        rows.push(
+            Obj::new()
+                .str("name", name)
+                .int("events", w.trace.len() as u64)
+                .int("sources", w.nprocs as u64)
+                .num("reference_sec", t_ref, 6)
+                .num("jobs1_sec", t_seq, 6)
+                .num("jobs4_sec", t_par, 6)
+                .num("speedup", speedup, 2),
+        );
     }
+    bench.rows("workloads", rows);
 
     // ---- out-of-core streaming section --------------------------------
     // In-process byte-identity first: streaming a packed copy of a trace
@@ -312,7 +305,7 @@ fn main() {
 
     // Then the out-of-core run proper, in a subprocess so VmHWM measures
     // only the write-then-stream pipeline.
-    let stream_events: u64 = if quick { 8_000_000 } else { 320_000_000 };
+    let stream_events: u64 = if bench.quick() { 8_000_000 } else { 320_000_000 };
     let tmp =
         std::env::temp_dir().join(format!("commchar-bench-stream-{}.cct", std::process::id()));
     let exe = std::env::current_exe().expect("current exe");
@@ -342,50 +335,18 @@ fn main() {
         events_per_sec / 1e6,
         rss as f64 / 1e6
     );
+    let streaming = Obj::new()
+        .int("events", stream_events)
+        .int("packed_bytes", file_bytes)
+        .num("wall_sec", wall, 6)
+        .num("events_per_sec", events_per_sec, 0)
+        .int("peak_rss_bytes", rss);
+    bench.fields(Obj::new().obj("streaming", &streaming));
+    bench.check(&STREAM_RATE_FLOOR, events_per_sec);
     if rss > 0 {
-        assert!(
-            rss <= STREAM_RSS_CEILING,
-            "stream child peak RSS {rss} exceeds the {STREAM_RSS_CEILING}-byte ceiling"
-        );
+        bench.check(&STREAM_RSS_CEILING, rss as f64);
+    } else {
+        bench.unmeasured(&STREAM_RSS_CEILING, "VmHWM unavailable in /proc/self/status");
     }
-    assert!(
-        events_per_sec >= STREAM_EVENTS_PER_SEC_FLOOR,
-        "streamed characterize at {events_per_sec:.0} events/s is below the \
-         {STREAM_EVENTS_PER_SEC_FLOOR:.0} floor"
-    );
-
-    // Hand-rolled JSON (serde is stripped from the offline build).
-    let mut json = String::from("{\n  \"bench\": \"characterize_fit\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
-    json.push_str("  \"workloads\": [\n");
-    for (i, (name, events, sources, t_ref, t_seq, t_par, speedup)) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"events\": {events}, \"sources\": {sources}, \
-             \"reference_sec\": {t_ref:.6}, \"jobs1_sec\": {t_seq:.6}, \
-             \"jobs4_sec\": {t_par:.6}, \"speedup\": {speedup:.2}}}{}",
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"streaming\": {{\"events\": {stream_events}, \"packed_bytes\": {file_bytes}, \
-         \"wall_sec\": {wall:.6}, \"events_per_sec\": {events_per_sec:.0}, \
-         \"events_per_sec_floor\": {STREAM_EVENTS_PER_SEC_FLOOR:.0}, \
-         \"peak_rss_bytes\": {rss}, \"rss_ceiling_bytes\": {STREAM_RSS_CEILING}}}"
-    );
-    json.push_str("}\n");
-    let path = "BENCH_fit.json";
-    std::fs::write(path, &json).expect("write BENCH_fit.json");
-    println!("wrote {path}");
-
-    let headline = rows.iter().find(|r| r.0 == HEADLINE).expect("headline workload");
-    assert!(
-        headline.6 >= 2.0,
-        "{HEADLINE} characterize speedup {:.2}x below the 2x acceptance floor",
-        headline.6
-    );
+    bench.finish("BENCH_fit.json");
 }

@@ -12,59 +12,18 @@
 //! unasserted ones once; the default, and the asserted workloads in either
 //! mode, keep the best of three.
 
-use std::fmt::Write as _;
-
-use commchar_bench::{git_rev, host_cores, long_worms, time_best, timing_iters};
+use commchar_bench::{long_worms, time_best, uniform, Bench, Floor, Lcg, Obj};
 use commchar_des::SimTime;
 use commchar_mesh::{
-    FlitCycleReference, FlitLevel, FlitWork, MeshConfig, NetMessage, NodeId, Routing, Topology,
+    FlitCycleReference, FlitLevel, MeshConfig, NetMessage, NodeId, Routing, Topology,
 };
-
-/// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 =
-            self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 16
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 struct Workload {
     name: &'static str,
     cfg: MeshConfig,
     msgs: Vec<NetMessage>,
-}
-
-fn uniform(seed: u64, nodes: usize, count: usize, spread: u64, max_bytes: u64) -> Vec<NetMessage> {
-    let mut rng = Lcg::new(seed);
-    let mut t = 0u64;
-    let mut msgs = Vec::with_capacity(count);
-    for id in 0..count as u64 {
-        let src = rng.below(nodes as u64) as u16;
-        let mut dst = rng.below(nodes as u64) as u16;
-        if dst == src {
-            dst = (dst + 1) % nodes as u16;
-        }
-        t += rng.below(spread);
-        msgs.push(NetMessage {
-            id,
-            src: NodeId(src),
-            dst: NodeId(dst),
-            bytes: 1 + rng.below(max_bytes) as u32,
-            inject: SimTime::from_ticks(t),
-        });
-    }
-    msgs
+    /// The floor on the workload's speedup, if one is asserted.
+    floor: Option<Floor>,
 }
 
 /// Bursty traffic in the style the paper emphasizes: periodic bursts of
@@ -104,10 +63,14 @@ fn bursts(
     msgs
 }
 
-/// Host cores from which the torus speedup floor is asserted: tiny CI
+/// The headline's floor: the event-driven engine at least 5× the
+/// reference.
+const CONTENTION_FLOOR: Floor = Floor::at_least("8x8_contention.speedup", 5.0);
+
+/// The torus headline's floor, asserted from four host cores: tiny CI
 /// runners time-slice the single-threaded bench enough that ratios below
-/// the floor are scheduler noise, not a regression.
-const TORUS_FLOOR_CORES: usize = 4;
+/// it are scheduler noise, not a regression.
+const TORUS_FLOOR: Floor = Floor::at_least("8x8_torus_contention.speedup", 4.0).needs_cores(4);
 
 fn workloads(quick: bool) -> Vec<Workload> {
     let scale = if quick { 1 } else { 2 };
@@ -123,11 +86,13 @@ fn workloads(quick: bool) -> Vec<Workload> {
             name: "8x8_contention",
             cfg: MeshConfig::new(8, 8).with_virtual_channels(4),
             msgs: bursts(42, 40 * scale, 15, 2000, 256, 512),
+            floor: Some(CONTENTION_FLOOR),
         },
         Workload {
             name: "8x8_bursty_vc1",
             cfg: MeshConfig::new(8, 8),
             msgs: bursts(42, 40 * scale, 15, 2000, 256, 512),
+            floor: None,
         },
         // Torus headline: the same burst traffic on an 8×8 torus under
         // minimal-adaptive routing, so wraparound routes and the
@@ -137,16 +102,19 @@ fn workloads(quick: bool) -> Vec<Workload> {
             name: "8x8_torus_contention",
             cfg: MeshConfig::for_nodes_net(64, Topology::Torus, Routing::Adaptive),
             msgs: bursts(42, 40 * scale, 15, 2000, 256, 512),
+            floor: Some(TORUS_FLOOR),
         },
         Workload {
             name: "4x4_uniform",
             cfg: MeshConfig::new(4, 4),
             msgs: uniform(7, 16, 1000 * scale, 4, 48),
+            floor: None,
         },
         Workload {
             name: "8x8_vc4_uniform",
             cfg: MeshConfig::new(8, 8).with_virtual_channels(4),
             msgs: uniform(11, 64, 1200 * scale, 5, 96),
+            floor: None,
         },
         // Long messages, the shape of a full-scale mg trace: the event
         // loop skips each worm's steady body streaming, so its cost
@@ -155,25 +123,13 @@ fn workloads(quick: bool) -> Vec<Workload> {
             name: "4x4_long_worms",
             cfg: MeshConfig::new(4, 4),
             msgs: long_worms(13, 16, 40 * scale, 1500),
+            floor: None,
         },
     ]
 }
 
-/// One workload's measurements.
-struct Row {
-    name: &'static str,
-    msgs: usize,
-    vcs: usize,
-    mean_blocked: f64,
-    event_rate: f64,
-    ref_rate: f64,
-    speedup: f64,
-    work: FlitWork,
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let host_cores = host_cores();
+    let mut bench = Bench::from_env("flit_router_throughput");
     let mut rows = Vec::new();
 
     println!("flit router throughput: event-driven vs cycle-loop reference");
@@ -190,7 +146,7 @@ fn main() {
         "skipped",
         "skips"
     );
-    for w in workloads(quick) {
+    for w in workloads(bench.quick()) {
         // Cross-check first: identical logs or the numbers are meaningless.
         let mut fast_model = FlitLevel::new(w.cfg);
         let fast_log = fast_model.simulate(&w.msgs);
@@ -201,9 +157,7 @@ fn main() {
         let blocked: u64 = fast_log.records().iter().map(|r| r.blocked()).sum();
         let mean_blocked = blocked as f64 / fast_log.records().len() as f64;
 
-        let asserted = w.name == "8x8_contention"
-            || (w.name == "8x8_torus_contention" && host_cores >= TORUS_FLOOR_CORES);
-        let iters = timing_iters(quick, asserted);
+        let iters = bench.iters(w.floor.as_slice());
         let mut fast = FlitLevel::new(w.cfg);
         let t_fast = time_best(iters, || {
             let log = fast.simulate(&w.msgs);
@@ -229,63 +183,23 @@ fn main() {
             work.cycles_skipped,
             work.skips
         );
-        rows.push(Row {
-            name: w.name,
-            msgs: w.msgs.len(),
-            vcs: w.cfg.virtual_channels,
-            mean_blocked,
-            event_rate,
-            ref_rate,
-            speedup,
-            work,
-        });
-    }
-
-    // Hand-rolled JSON (serde is stripped from the offline build). The
-    // host core count and git revision make a stale trajectory file
-    // self-describing about the machine and tree that produced it.
-    let mut json = String::from("{\n  \"bench\": \"flit_router_throughput\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"messages\": {}, \"vcs\": {}, \
-             \"mean_blocked_cycles\": {:.1}, \"event_msgs_per_sec\": {:.1}, \
-             \"reference_msgs_per_sec\": {:.1}, \"speedup\": {:.2}, \
-             \"cycles_stepped\": {}, \"cycles_skipped\": {}, \"skips\": {}}}{}",
-            r.name,
-            r.msgs,
-            r.vcs,
-            r.mean_blocked,
-            r.event_rate,
-            r.ref_rate,
-            r.speedup,
-            r.work.cycles_stepped,
-            r.work.cycles_skipped,
-            r.work.skips,
-            if i + 1 < rows.len() { "," } else { "" }
+        if let Some(floor) = &w.floor {
+            bench.check(floor, speedup);
+        }
+        rows.push(
+            Obj::new()
+                .str("name", w.name)
+                .int("messages", w.msgs.len() as u64)
+                .int("vcs", w.cfg.virtual_channels as u64)
+                .num("mean_blocked_cycles", mean_blocked, 1)
+                .num("event_msgs_per_sec", event_rate, 1)
+                .num("reference_msgs_per_sec", ref_rate, 1)
+                .num("speedup", speedup, 2)
+                .int("cycles_stepped", work.cycles_stepped)
+                .int("cycles_skipped", work.cycles_skipped)
+                .int("skips", work.skips),
         );
     }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_flit.json";
-    std::fs::write(path, &json).expect("write BENCH_flit.json");
-    println!("wrote {path}");
-
-    let headline = rows.iter().find(|r| r.name == "8x8_contention").expect("headline workload");
-    assert!(
-        headline.speedup >= 5.0,
-        "8x8_contention speedup {:.2}x below the 5x acceptance floor",
-        headline.speedup
-    );
-    let torus = rows.iter().find(|r| r.name == "8x8_torus_contention").expect("torus workload");
-    if host_cores >= TORUS_FLOOR_CORES {
-        assert!(
-            torus.speedup >= 4.0,
-            "8x8_torus_contention speedup {:.2}x below the 4x acceptance floor",
-            torus.speedup
-        );
-    }
+    bench.rows("workloads", rows);
+    bench.finish("BENCH_flit.json");
 }

@@ -9,14 +9,14 @@
 //! sessions × events/s figure written to `BENCH_serve.json` at the repo
 //! root together with the host core count and git revision. The ingest
 //! floor is asserted only on hosts with at least four cores; smaller
-//! machines still run the identity check and record the measured rate.
+//! machines still run the identity check, record the measured rate and
+//! list the floor as not asserted, with the reason.
 //! `--quick` runs a smaller fleet (the `scripts/check.sh --bench-smoke`
 //! mode).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use commchar_bench::{git_rev, host_cores};
+use commchar_bench::{Bench, Floor, Lcg, Obj};
 use commchar_core::analyze::try_analyze_trace;
 use commchar_core::report::analysis_report;
 use commchar_mesh::MeshConfig;
@@ -27,29 +27,10 @@ use commchar_tracestore::encode_event_block;
 /// Events per wire block (the packed format's default block length).
 const BLOCK_LEN: usize = 4096;
 
-/// Aggregate ingest floor asserted on ≥ 4-core hosts, events/second.
-/// Measured rates on a 4-core host are an order of magnitude above this;
-/// the floor catches an accidental serialization, not normal jitter.
-const FLOOR_EVENTS_PER_SEC: f64 = 250_000.0;
-
-/// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 =
-            self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 16
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+/// Aggregate ingest floor, events/second, asserted from four host cores.
+/// Measured rates on a 4-core host are an order of magnitude above it;
+/// it catches an accidental serialization, not normal jitter.
+const INGEST_FLOOR: Floor = Floor::at_least("events_per_sec", 250_000.0).needs_cores(4);
 
 /// One session's trace: `nodes` endpoints, mixed kinds and sizes.
 fn session_trace(seed: u64, nodes: usize, events: usize) -> CommTrace {
@@ -59,11 +40,7 @@ fn session_trace(seed: u64, nodes: usize, events: usize) -> CommTrace {
     let mut id = 0u64;
     while (id as usize) < events {
         t += 1 + rng.below(17);
-        let src = rng.below(nodes as u64) as u16;
-        let mut dst = rng.below(nodes as u64) as u16;
-        if dst == src {
-            dst = (dst + 1) % nodes as u16;
-        }
+        let (src, dst) = rng.pair(nodes);
         let kind = match rng.below(3) {
             0 => EventKind::Control,
             1 => EventKind::Data,
@@ -100,8 +77,8 @@ fn drive_session(addr: &str, trace: &CommTrace, polls: bool) -> u64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let host_cores = host_cores();
+    let mut bench = Bench::from_env("serve_session_throughput");
+    let (quick, host_cores) = (bench.quick(), bench.host_cores());
     let sessions = if quick { 8 } else { 32 };
     let events_per_session = if quick { 25_000 } else { 100_000 };
 
@@ -150,32 +127,15 @@ fn main() {
     println!("{:<10} {:>14} {:>10} {:>16}", "sessions", "total events", "seconds", "events/s");
     println!("{sessions:<10} {total_events:>14} {secs:>10.3} {rate:>16.0}");
 
-    // Hand-rolled JSON (serde is stripped from the offline build).
-    let mut json = String::from("{\n  \"bench\": \"serve_session_throughput\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
-    let _ = writeln!(json, "  \"sessions\": {sessions},");
-    let _ = writeln!(json, "  \"events_per_session\": {events_per_session},");
-    let _ = writeln!(json, "  \"block_len\": {BLOCK_LEN},");
-    let _ = writeln!(json, "  \"total_events\": {total_events},");
-    let _ = writeln!(json, "  \"seconds\": {secs:.3},");
-    let _ = writeln!(json, "  \"events_per_sec\": {rate:.0},");
-    let _ = writeln!(json, "  \"floor_events_per_sec\": {FLOOR_EVENTS_PER_SEC:.0}");
-    json.push_str("}\n");
-    let path = "BENCH_serve.json";
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("wrote {path}");
-
-    if host_cores >= 4 {
-        assert!(
-            rate >= FLOOR_EVENTS_PER_SEC,
-            "ingest rate {rate:.0} events/s below the {FLOOR_EVENTS_PER_SEC:.0} floor on a \
-             {host_cores}-core host"
-        );
-    } else {
-        println!(
-            "note: {host_cores}-core host — the ingest floor is asserted only with >= 4 cores"
-        );
-    }
+    bench.fields(
+        Obj::new()
+            .int("sessions", sessions as u64)
+            .int("events_per_session", events_per_session as u64)
+            .int("block_len", BLOCK_LEN as u64)
+            .int("total_events", total_events)
+            .num("seconds", secs, 3)
+            .num("events_per_sec", rate, 0),
+    );
+    bench.check(&INGEST_FLOOR, rate);
+    bench.finish("BENCH_serve.json");
 }

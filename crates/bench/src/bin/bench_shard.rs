@@ -11,16 +11,14 @@
 //! trajectory file is self-describing about the machine that produced it.
 //! The ≥2x speedup floors are asserted only on hosts with at least four
 //! cores; on smaller machines the bench still runs the identity checks
-//! and records the measured ratios (with `floor_asserted: false` and the
-//! skip reason in the JSON), but a speedup assertion would only be
-//! measuring the scheduler. `--quick` runs a shorter workload (the
+//! and records the measured ratios (the `floors` list marks them
+//! `floor_asserted: false`, with the skip reason), but a speedup
+//! assertion would only be measuring the scheduler. `--quick` runs a shorter workload (the
 //! `scripts/check.sh --bench-smoke` mode), timed once unless the floors
 //! are asserted, in which case it keeps the best of three like a full run.
 
-use std::fmt::Write as _;
-
 use commchar_apps::{AppId, Scale};
-use commchar_bench::{git_rev, host_cores, time_best, timing_iters};
+use commchar_bench::{time_best, Bench, Floor, Lcg, Obj};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
 use commchar_mesh::{FlitLevel, MeshConfig, NetMessage, NodeId};
@@ -29,27 +27,10 @@ const WIDTH: u16 = 32;
 const HEIGHT: u16 = 32;
 const NODES: u64 = (WIDTH as u64) * (HEIGHT as u64);
 
-/// The speedup floor both sections assert on capable hosts.
-const FLOOR: f64 = 2.0;
-
-/// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 =
-            self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 16
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+/// The flit section's speedup floor, asserted from four host cores.
+const FLIT_FLOOR: Floor = Floor::at_least("flit_shard_speedup.speedup", 2.0).needs_cores(4);
+/// The spasm section's speedup floor, asserted from four host cores.
+const SPASM_FLOOR: Floor = Floor::at_least("spasm_shard_speedup.speedup", 2.0).needs_cores(4);
 
 /// Contended 1024-source workload: every node injects in each burst wave,
 /// with a quarter of the traffic aimed at a small hotspot band in the
@@ -109,33 +90,21 @@ impl Section {
         );
     }
 
-    fn json(&self, floor_asserted: bool, skip_reason: Option<&str>) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "  \"{}\": {{", self.name);
-        let _ = writeln!(s, "    \"workload\": \"{}\",", self.workload);
-        let _ = writeln!(s, "    \"messages\": {},", self.messages);
-        let _ = writeln!(s, "    \"sim_jobs\": {},", self.sim_jobs);
-        let _ = writeln!(s, "    \"serial_msgs_per_sec\": {:.1},", self.serial_rate);
-        let _ = writeln!(s, "    \"sharded_msgs_per_sec\": {:.1},", self.sharded_rate);
-        let _ = writeln!(s, "    \"speedup\": {:.2},", self.speedup);
-        let _ = writeln!(s, "    \"floor\": {FLOOR:.1},");
-        let _ = writeln!(s, "    \"floor_asserted\": {floor_asserted},");
-        match skip_reason {
-            Some(r) => {
-                let _ = writeln!(s, "    \"floor_skip_reason\": \"{r}\"");
-            }
-            None => {
-                let _ = writeln!(s, "    \"floor_skip_reason\": null");
-            }
-        }
-        s.push_str("  }");
-        s
+    fn json(&self) -> Obj {
+        Obj::new()
+            .str("workload", &self.workload)
+            .int("messages", self.messages as u64)
+            .int("sim_jobs", self.sim_jobs as u64)
+            .num("serial_msgs_per_sec", self.serial_rate, 1)
+            .num("sharded_msgs_per_sec", self.sharded_rate, 1)
+            .num("speedup", self.speedup, 2)
     }
 }
 
 /// The flit-router half: a 32×32 mesh draining contended bursts, the
 /// sharded wavefront vs the serial cycle loop.
-fn bench_flit(quick: bool, iters: u32, jobs: usize) -> Section {
+fn bench_flit(bench: &Bench, jobs: usize) -> Section {
+    let (quick, iters) = (bench.quick(), bench.iters(&[FLIT_FLOOR]));
     let cfg = MeshConfig::new(WIDTH, HEIGHT).with_virtual_channels(2);
     let waves = if quick { 2 } else { 6 };
     let msgs = contended(42, waves, 400, 64, 256);
@@ -185,7 +154,8 @@ fn bench_flit(quick: bool, iters: u32, jobs: usize) -> Section {
 /// The spasm half: a 1024-processor shared-memory kernel acquired through
 /// the execution-driven simulator, sharded vs serial, then characterized
 /// end-to-end to prove the whole pipeline holds at that scale.
-fn bench_spasm(quick: bool, iters: u32, jobs: usize) -> Section {
+fn bench_spasm(bench: &Bench, jobs: usize) -> Section {
+    let (quick, iters) = (bench.quick(), bench.iters(&[SPASM_FLOOR]));
     // 1d-fft at full scale is the only sm kernel sized for 1024
     // processors (4096 points ≥ 2p); the three barrier-fenced phases and
     // the all-to-all exchange give the shards real cross-boundary
@@ -248,11 +218,8 @@ fn bench_spasm(quick: bool, iters: u32, jobs: usize) -> Section {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let host_cores = host_cores();
-    let assert_floor = host_cores >= 4;
-    let skip_reason = (!assert_floor).then(|| format!("host_cores {host_cores} < 4"));
-    let iters = timing_iters(quick, assert_floor);
+    let mut bench = Bench::from_env("shard_speedup");
+    let host_cores = bench.host_cores();
     // Time with one shard per core (capped: past 8 the windows thin out
     // on these workloads), but never fewer than 2 so the sharded path is
     // exercised even on single-core hosts.
@@ -261,39 +228,17 @@ fn main() {
     println!("sharded simulators: flit mesh router + spasm CC-NUMA machine");
     println!("host cores: {host_cores}, timing --sim-jobs {jobs} vs serial");
 
-    let flit = bench_flit(quick, iters, jobs);
-    let spasm = bench_spasm(quick, iters, jobs);
+    let flit = bench_flit(&bench, jobs);
+    let spasm = bench_spasm(&bench, jobs);
 
     println!(
         "{:<22} {:>9} {:>5} {:>14} {:>14} {:>8}",
         "section", "messages", "jobs", "serial msg/s", "sharded msg/s", "speedup"
     );
-    flit.print();
-    spasm.print();
-
-    // Hand-rolled JSON (serde is stripped from the offline build).
-    let mut json = String::from("{\n  \"bench\": \"shard_speedup\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
-    json.push_str(&flit.json(assert_floor, skip_reason.as_deref()));
-    json.push_str(",\n");
-    json.push_str(&spasm.json(assert_floor, skip_reason.as_deref()));
-    json.push_str("\n}\n");
-    let path = "BENCH_shard.json";
-    std::fs::write(path, &json).expect("write BENCH_shard.json");
-    println!("wrote {path}");
-
-    if assert_floor {
-        for s in [&flit, &spasm] {
-            assert!(
-                s.speedup >= FLOOR,
-                "{}: sharded speedup {:.2}x below the {FLOOR}x floor on a {host_cores}-core host",
-                s.name,
-                s.speedup
-            );
-        }
-    } else {
-        println!("floor not asserted: host_cores < 4 ({host_cores}-core host)");
+    for (section, floor) in [(&flit, &FLIT_FLOOR), (&spasm, &SPASM_FLOOR)] {
+        section.print();
+        bench.fields(Obj::new().obj(section.name, &section.json()));
+        bench.check(floor, section.speedup);
     }
+    bench.finish("BENCH_shard.json");
 }

@@ -20,42 +20,23 @@
 //! mode) and times the unasserted workloads once; the default, and the
 //! asserted workload in either mode, keep the best of three.
 
-use std::fmt::Write as _;
-
 use commchar_apps::{AppId, Scale};
-use commchar_bench::{git_rev, host_cores, time_best, timing_iters};
+use commchar_bench::{time_best, Bench, Floor, Lcg, Obj};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::{pack_trace, unpack_trace, unpack_trace_parallel};
 
 /// The workload the floors are asserted on.
 const HEADLINE: &str = "synthetic_large";
-/// Floor on the headline's JSON-lines / packed size ratio.
-const SIZE_RATIO_FLOOR: f64 = 5.0;
-/// Floor on the headline's parallel packed decode rate, events/s: 3× the
-/// JSON-lines rate recorded before the single-pass parser, which is what
-/// the earlier `decode_speedup >= 3` floor demanded then.
-const PACKED_EVENTS_PER_SEC_FLOOR: f64 = 3.0 * 1_141_070.5;
-/// Floor on the headline's JSON-lines parse rate, events/s.
-const JSONL_EVENTS_PER_SEC_FLOOR: f64 = 1_500_000.0;
-
-/// Deterministic 64-bit LCG so workloads are fixed across runs/machines.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 =
-            self.0.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        self.0 >> 16
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+/// The headline's floors: its JSON-lines / packed size ratio; its
+/// parallel packed decode rate in events/s, 3× the JSON-lines rate
+/// recorded before the single-pass parser (what the earlier
+/// `decode_speedup >= 3` floor demanded then); and its JSON-lines parse
+/// rate in events/s.
+const HEADLINE_FLOORS: [Floor; 3] = [
+    Floor::at_least("synthetic_large.size_ratio", 5.0),
+    Floor::at_least("synthetic_large.packed_events_per_sec", 3.0 * 1_141_070.5),
+    Floor::at_least("synthetic_large.jsonl_events_per_sec", 1_500_000.0),
+];
 
 /// A synthetic trace in the shape the profilers emit: mostly-monotone
 /// timestamps, sparse ids, mixed kinds, and a causal dependency on a
@@ -66,11 +47,7 @@ fn synthetic(seed: u64, nodes: usize, count: usize) -> CommTrace {
     let mut t = 0u64;
     let mut prev_id = 0u64;
     for i in 0..count as u64 {
-        let src = rng.below(nodes as u64) as u16;
-        let mut dst = rng.below(nodes as u64) as u16;
-        if dst == src {
-            dst = (dst + 1) % nodes as u16;
-        }
+        let (src, dst) = rng.pair(nodes);
         t += rng.below(7);
         let kind = match rng.below(10) {
             0..=4 => EventKind::Data,
@@ -114,9 +91,8 @@ fn workloads(quick: bool) -> Vec<Workload> {
     ]
 }
 
-#[allow(clippy::too_many_lines)]
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut bench = Bench::from_env("trace_store");
     let mut rows = Vec::new();
 
     println!("trace store: packed columnar format vs JSON-lines");
@@ -131,7 +107,7 @@ fn main() {
         "packed ev/s",
         "speedup"
     );
-    for w in workloads(quick) {
+    for w in workloads(bench.quick()) {
         let jsonl = w.trace.to_jsonl();
         let packed = pack_trace(&w.trace);
 
@@ -145,7 +121,8 @@ fn main() {
         assert_eq!(from_jsonl.events(), parallel.events(), "{}: parallel diverged", w.name);
         assert_eq!(from_jsonl.nodes(), sequential.nodes(), "{}: nodes diverged", w.name);
 
-        let iters = timing_iters(quick, w.name == HEADLINE);
+        let floors: &[Floor] = if w.name == HEADLINE { &HEADLINE_FLOORS } else { &[] };
+        let iters = bench.iters(floors);
         let t_jsonl = time_best(iters, || {
             let t = CommTrace::from_jsonl(&jsonl).expect("jsonl parse");
             assert_eq!(t.len(), w.trace.len());
@@ -169,63 +146,22 @@ fn main() {
             packed_rate,
             speedup
         );
-        rows.push((
-            w.name,
-            w.trace.len(),
-            jsonl.len(),
-            packed.len(),
-            ratio,
-            jsonl_rate,
-            packed_rate,
-            speedup,
-        ));
-    }
-
-    // Hand-rolled JSON (serde is stripped from the offline build).
-    let mut json = String::from("{\n  \"bench\": \"trace_store\",\n  \"mode\": ");
-    let _ = writeln!(json, "\"{}\",", if quick { "quick" } else { "full" });
-    let _ = writeln!(json, "  \"host_cores\": {},", host_cores());
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
-    let _ = writeln!(
-        json,
-        "  \"floor\": {{\"workload\": \"{HEADLINE}\", \"size_ratio\": {SIZE_RATIO_FLOOR:.1}, \
-         \"packed_events_per_sec\": {PACKED_EVENTS_PER_SEC_FLOOR:.1}, \
-         \"jsonl_events_per_sec\": {JSONL_EVENTS_PER_SEC_FLOOR:.1}}},"
-    );
-    json.push_str("  \"floor_asserted\": true,\n  \"workloads\": [\n");
-    for (i, (name, events, jsonl_b, packed_b, ratio, jsonl_rate, packed_rate, speedup)) in
-        rows.iter().enumerate()
-    {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"events\": {events}, \
-             \"jsonl_bytes\": {jsonl_b}, \"packed_bytes\": {packed_b}, \
-             \"size_ratio\": {ratio:.2}, \
-             \"jsonl_events_per_sec\": {jsonl_rate:.1}, \
-             \"packed_events_per_sec\": {packed_rate:.1}, \
-             \"decode_speedup\": {speedup:.2}}}{}",
-            if i + 1 < rows.len() { "," } else { "" }
+        // The headline's measurements, in `HEADLINE_FLOORS` order.
+        for (floor, measured) in floors.iter().zip([ratio, packed_rate, jsonl_rate]) {
+            bench.check(floor, measured);
+        }
+        rows.push(
+            Obj::new()
+                .str("name", w.name)
+                .int("events", w.trace.len() as u64)
+                .int("jsonl_bytes", jsonl.len() as u64)
+                .int("packed_bytes", packed.len() as u64)
+                .num("size_ratio", ratio, 2)
+                .num("jsonl_events_per_sec", jsonl_rate, 1)
+                .num("packed_events_per_sec", packed_rate, 1)
+                .num("decode_speedup", speedup, 2),
         );
     }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_trace.json";
-    std::fs::write(path, &json).expect("write BENCH_trace.json");
-    println!("wrote {path}");
-
-    let &(_, _, _, _, ratio, jsonl_rate, packed_rate, _) =
-        rows.iter().find(|r| r.0 == HEADLINE).expect("headline workload");
-    assert!(
-        ratio >= SIZE_RATIO_FLOOR,
-        "{HEADLINE} size ratio {ratio:.2}x below the {SIZE_RATIO_FLOOR}x acceptance floor"
-    );
-    assert!(
-        packed_rate >= PACKED_EVENTS_PER_SEC_FLOOR,
-        "{HEADLINE} packed decode {packed_rate:.0} events/s below the \
-         {PACKED_EVENTS_PER_SEC_FLOOR:.0} acceptance floor"
-    );
-    assert!(
-        jsonl_rate >= JSONL_EVENTS_PER_SEC_FLOOR,
-        "{HEADLINE} JSON-lines parse {jsonl_rate:.0} events/s below the \
-         {JSONL_EVENTS_PER_SEC_FLOOR:.0} acceptance floor"
-    );
+    bench.rows("workloads", rows);
+    bench.finish("BENCH_trace.json");
 }

@@ -2,25 +2,10 @@
 //! the channel-recurrence OnlineWormhole against the cycle-accurate
 //! FlitLevel router model, on synthetic patterns across load levels.
 
+use commchar_bench::to_msgs;
 use commchar_core::report::table;
-use commchar_mesh::{
-    FlitCycleReference, FlitLevel, MeshConfig, NetMessage, NodeId, OnlineWormhole,
-};
+use commchar_mesh::{FlitCycleReference, FlitLevel, MeshConfig, OnlineWormhole};
 use commchar_traffic::patterns::{bit_complement, hotspot, transpose, uniform_poisson};
-
-fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
-    trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
-}
 
 fn main() {
     println!("A1: OnlineWormhole vs FlitLevel model agreement\n");

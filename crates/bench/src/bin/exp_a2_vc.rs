@@ -5,24 +5,10 @@
 //! increasing VC counts and report the latency relief.
 
 use commchar_apps::AppId;
-use commchar_bench::{run_and_characterize, ExpOptions};
+use commchar_bench::{run_and_characterize, to_msgs, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::{FlitLevel, NetMessage, NodeId};
+use commchar_mesh::FlitLevel;
 use commchar_traffic::patterns::hotspot;
-
-fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
-    trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
-}
 
 fn main() {
     let opts = ExpOptions::from_env();

@@ -7,23 +7,9 @@
 //! dimension-ordered and minimal-adaptive routing, so the table separates
 //! what the topology buys from what the routing policy buys.
 
-use commchar_bench::{run_suite, ExpOptions};
+use commchar_bench::{run_suite, to_msgs, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::{FlitLevel, MeshConfig, NetMessage, NodeId, Routing, Topology};
-
-fn to_msgs(trace: &commchar_trace::CommTrace) -> Vec<NetMessage> {
-    trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect()
-}
+use commchar_mesh::{FlitLevel, MeshConfig, Routing, Topology};
 
 fn main() {
     let opts = ExpOptions::from_env();

@@ -6,25 +6,15 @@
 //! synthetic loads, then on the fitted application models.
 
 use commchar_analytic::AnalyticModel;
-use commchar_bench::{run_suite, ExpOptions};
+use commchar_bench::{run_suite, to_msgs, ExpOptions};
 use commchar_core::report::table;
 use commchar_core::synthesize;
-use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::{MeshConfig, OnlineWormhole};
 use commchar_traffic::patterns::uniform_poisson;
 
 fn simulate(model: &commchar_traffic::TrafficModel, mesh: MeshConfig, span: u64) -> f64 {
     let trace = model.generate(span, 31);
-    let msgs: Vec<NetMessage> = trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect();
+    let msgs = to_msgs(&trace);
     OnlineWormhole::new(mesh).simulate(&msgs).summary().mean_latency
 }
 

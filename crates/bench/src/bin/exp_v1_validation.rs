@@ -5,10 +5,10 @@
 //! from the fitted model, and (c) a rate-matched uniform-Poisson stream
 //! through the same mesh, and compare latency and contention.
 
-use commchar_bench::{run_suite, ExpOptions};
+use commchar_bench::{run_suite, to_msgs, ExpOptions};
 use commchar_core::report::table;
 use commchar_core::{synthesize, synthesize_phased};
-use commchar_mesh::{NetMessage, NodeId, OnlineWormhole};
+use commchar_mesh::OnlineWormhole;
 use commchar_trace::CommTrace;
 use commchar_traffic::patterns::uniform_poisson;
 
@@ -16,18 +16,7 @@ fn replay_open_loop(
     trace: &CommTrace,
     mesh: commchar_mesh::MeshConfig,
 ) -> commchar_mesh::NetSummary {
-    let msgs: Vec<NetMessage> = trace
-        .events()
-        .iter()
-        .map(|e| NetMessage {
-            id: e.id,
-            src: NodeId(e.src),
-            dst: NodeId(e.dst),
-            bytes: e.bytes,
-            inject: commchar_des::SimTime::from_ticks(e.t),
-        })
-        .collect();
-    OnlineWormhole::new(mesh).simulate(&msgs).summary()
+    OnlineWormhole::new(mesh).simulate(&to_msgs(trace)).summary()
 }
 
 fn main() {

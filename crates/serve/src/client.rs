@@ -12,7 +12,7 @@ use commchar_trace::CommEvent;
 use commchar_tracestore::encode_event_block;
 
 use crate::protocol::{
-    decode_frame, encode_frame, Msg, ServeError, ServerStats, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    decode_frame, encode_frame, Msg, ServeError, ServerStats, MAX_FRAME, PROTOCOL_VERSION,
 };
 
 /// A connected, greeted CCSERVE1 client.
@@ -35,12 +35,8 @@ impl ServeClient {
     pub fn connect(addr: &str) -> Result<ServeClient, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let mut client = ServeClient {
-            stream,
-            buf: Vec::new(),
-            max_frame: DEFAULT_MAX_FRAME,
-            session_buffer: u64::MAX,
-        };
+        let mut client =
+            ServeClient { stream, buf: Vec::new(), max_frame: MAX_FRAME, session_buffer: u64::MAX };
         match client.call(&Msg::Hello { version: PROTOCOL_VERSION })? {
             Msg::HelloOk { max_frame, session_buffer, .. } => {
                 client.max_frame = max_frame;

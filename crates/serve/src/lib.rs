@@ -40,5 +40,5 @@ pub mod protocol;
 pub mod server;
 
 pub use client::ServeClient;
-pub use protocol::{Msg, ServeError, ServerStats, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
+pub use protocol::{Msg, ServeError, ServerStats, MAX_FRAME, PROTOCOL_VERSION};
 pub use server::{ServeConfig, Server, ServerHandle};

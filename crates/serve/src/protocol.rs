@@ -34,9 +34,10 @@ pub const HELLO_MAGIC: [u8; 8] = *b"CCSERVE1";
 /// Protocol revision negotiated by `Hello`/`HelloOk`.
 pub const PROTOCOL_VERSION: u32 = 1;
 
-/// Default cap on one frame's payload bytes (16 MiB): far above any sane
-/// block batch, far below an allocation attack.
-pub const DEFAULT_MAX_FRAME: u32 = 16 << 20;
+/// Cap on one frame's payload bytes (16 MiB): far above any sane block
+/// batch, far below an allocation attack. Every server enforces it and
+/// advertises it in `HelloOk`.
+pub const MAX_FRAME: u32 = 16 << 20;
 
 /// Typed failure taxonomy of the serve protocol — every way a frame, a
 /// command or a session can go wrong, encodable on the wire so clients
@@ -736,7 +737,7 @@ mod tests {
     fn frame_roundtrip() {
         let msg = Msg::TraceBlocks { session: 7, blocks: vec![vec![1, 2, 3], vec![], vec![9]] };
         let frame = encode_frame(&msg);
-        let (back, consumed) = decode_frame(&frame, DEFAULT_MAX_FRAME).unwrap().unwrap();
+        let (back, consumed) = decode_frame(&frame, MAX_FRAME).unwrap().unwrap();
         assert_eq!(back, msg);
         assert_eq!(consumed, frame.len());
     }
@@ -745,7 +746,7 @@ mod tests {
     fn partial_frames_ask_for_more() {
         let frame = encode_frame(&Msg::Stats);
         for cut in 0..frame.len() {
-            assert!(matches!(decode_frame(&frame[..cut], DEFAULT_MAX_FRAME), Ok(None)));
+            assert!(matches!(decode_frame(&frame[..cut], MAX_FRAME), Ok(None)));
         }
     }
 
@@ -753,10 +754,7 @@ mod tests {
     fn oversize_is_rejected_from_the_header() {
         let mut frame = encode_frame(&Msg::Stats);
         frame[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_frame(&frame, DEFAULT_MAX_FRAME),
-            Err(ServeError::Oversize { .. })
-        ));
+        assert!(matches!(decode_frame(&frame, MAX_FRAME), Err(ServeError::Oversize { .. })));
     }
 
     #[test]
@@ -765,7 +763,7 @@ mod tests {
         let last = frame.len() - 1;
         frame[last] ^= 0x40;
         assert!(matches!(
-            decode_frame(&frame, DEFAULT_MAX_FRAME),
+            decode_frame(&frame, MAX_FRAME),
             Err(ServeError::ChecksumMismatch { .. })
         ));
     }

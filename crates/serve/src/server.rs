@@ -64,7 +64,7 @@ use commchar_trace::profile::{SegmentExtract, StreamAccum, UnsortedError};
 use commchar_tracestore::decode_event_block;
 
 use crate::protocol::{
-    decode_frame, encode_frame, Msg, ServeError, ServerStats, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    decode_frame, encode_frame, Msg, ServeError, ServerStats, MAX_FRAME, PROTOCOL_VERSION,
 };
 
 /// Server tuning knobs.
@@ -76,8 +76,6 @@ pub struct ServeConfig {
     /// default of 1 keeps a poll on its connection worker; raise it when
     /// few sessions poll huge per-source counts.
     pub fit_jobs: usize,
-    /// Largest accepted frame payload, bytes.
-    pub max_frame: u32,
     /// Largest total block payload one `TraceBlocks` frame may carry,
     /// bytes — the backpressure bound.
     pub session_buffer: u64,
@@ -90,9 +88,8 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 0,
             fit_jobs: 1,
-            max_frame: DEFAULT_MAX_FRAME,
-            // 64 MiB: above the default `max_frame`, so by default only
-            // the frame limit applies.
+            // 64 MiB: above `MAX_FRAME`, so by default only the frame
+            // limit applies.
             session_buffer: 64 << 20,
             idle_timeout: Duration::from_secs(300),
         }
@@ -249,7 +246,7 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: Msg) -> Outcome {
                 conn.greeted = true;
                 Outcome::reply(Msg::HelloOk {
                     version: PROTOCOL_VERSION,
-                    max_frame: shared.cfg.max_frame,
+                    max_frame: MAX_FRAME,
                     session_buffer: shared.cfg.session_buffer,
                 })
             }
@@ -434,7 +431,7 @@ fn sweep_conn(shared: &Shared, conn: &mut Conn) -> bool {
     }
     let mut pos = 0;
     loop {
-        match decode_frame(&conn.buf[pos..], shared.cfg.max_frame) {
+        match decode_frame(&conn.buf[pos..], MAX_FRAME) {
             Ok(None) => break,
             Ok(Some((msg, consumed))) => {
                 pos += consumed;

@@ -7,7 +7,7 @@
 
 use commchar_serve::protocol::{
     decode_frame, decode_payload, encode_frame, encode_payload, Msg, ServeError, ServerStats,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -90,7 +90,7 @@ proptest! {
     #[test]
     fn frame_roundtrip_is_identity(msg in arb_msg()) {
         let frame = encode_frame(&msg);
-        let decoded = decode_frame(&frame, DEFAULT_MAX_FRAME);
+        let decoded = decode_frame(&frame, MAX_FRAME);
         match decoded {
             Ok(Some((back, consumed))) => {
                 prop_assert_eq!(&back, &msg, "decode changed the message");
@@ -109,7 +109,7 @@ proptest! {
             // A frame prefix must never decode to a message: the codec
             // either waits for more bytes or reports a typed error
             // (never a panic, never a misparse).
-            match decode_frame(&frame[..cut], DEFAULT_MAX_FRAME) {
+            match decode_frame(&frame[..cut], MAX_FRAME) {
                 Ok(None) => {}
                 Ok(Some((m, _))) => {
                     prop_assert!(false, "prefix of {} bytes decoded to {:?}", cut, m)
@@ -126,7 +126,7 @@ proptest! {
         prop_assume!(payload_len > 0);
         let at = 8 + flip % payload_len;
         frame[at] ^= 1 << bit;
-        match decode_frame(&frame, DEFAULT_MAX_FRAME) {
+        match decode_frame(&frame, MAX_FRAME) {
             Err(ServeError::ChecksumMismatch { stored, computed }) => {
                 prop_assert_ne!(stored, computed)
             }
@@ -142,19 +142,19 @@ proptest! {
         let mut frame = encode_frame(&msg);
         let inflated = (junk | 1).max(frame.len() as u32);
         frame[0..4].copy_from_slice(&inflated.to_le_bytes());
-        match decode_frame(&frame, DEFAULT_MAX_FRAME) {
+        match decode_frame(&frame, MAX_FRAME) {
             Err(ServeError::Oversize { len, max }) => {
                 prop_assert_eq!(len, u64::from(inflated));
-                prop_assert_eq!(max, u64::from(DEFAULT_MAX_FRAME));
+                prop_assert_eq!(max, u64::from(MAX_FRAME));
             }
-            Ok(None) => prop_assert!(u64::from(inflated) <= u64::from(DEFAULT_MAX_FRAME)),
+            Ok(None) => prop_assert!(u64::from(inflated) <= u64::from(MAX_FRAME)),
             other => prop_assert!(false, "inflated length: {:?}", other),
         }
         // A corrupted stored checksum is always a ChecksumMismatch.
         let mut frame = encode_frame(&msg);
         frame[4] ^= 0xff;
         prop_assert!(matches!(
-            decode_frame(&frame, DEFAULT_MAX_FRAME),
+            decode_frame(&frame, MAX_FRAME),
             Err(ServeError::ChecksumMismatch { .. })
         ));
     }
@@ -217,7 +217,7 @@ fn error_frames_roundtrip_the_whole_taxonomy() {
     ];
     for e in errors {
         let msg = Msg::Error(e.clone());
-        let (back, _) = decode_frame(&encode_frame(&msg), DEFAULT_MAX_FRAME).unwrap().unwrap();
+        let (back, _) = decode_frame(&encode_frame(&msg), MAX_FRAME).unwrap().unwrap();
         assert_eq!(back, Msg::Error(e));
     }
 }

@@ -257,7 +257,7 @@ fn stats_count_the_traffic() {
 
 #[test]
 fn handshake_is_enforced_and_version_checked() {
-    use commchar_serve::protocol::{decode_frame, encode_frame, Msg, DEFAULT_MAX_FRAME};
+    use commchar_serve::protocol::{decode_frame, encode_frame, Msg, MAX_FRAME};
     use std::io::{Read, Write};
 
     let (handle, addr) = spawn_server(small_cfg());
@@ -272,14 +272,14 @@ fn handshake_is_enforced_and_version_checked() {
             Ok(0) => break,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                if decode_frame(&buf, DEFAULT_MAX_FRAME).unwrap().is_some() {
+                if decode_frame(&buf, MAX_FRAME).unwrap().is_some() {
                     break;
                 }
             }
             Err(e) => panic!("read: {e}"),
         }
     }
-    let (msg, _) = decode_frame(&buf, DEFAULT_MAX_FRAME).unwrap().unwrap();
+    let (msg, _) = decode_frame(&buf, MAX_FRAME).unwrap().unwrap();
     match msg {
         Msg::Error(ServeError::Malformed { context }) => {
             assert!(context.contains("Hello"), "context: {context}")
@@ -295,14 +295,14 @@ fn handshake_is_enforced_and_version_checked() {
             Ok(0) => break,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                if decode_frame(&buf, DEFAULT_MAX_FRAME).unwrap().is_some() {
+                if decode_frame(&buf, MAX_FRAME).unwrap().is_some() {
                     break;
                 }
             }
             Err(e) => panic!("read: {e}"),
         }
     }
-    let (msg, _) = decode_frame(&buf, DEFAULT_MAX_FRAME).unwrap().unwrap();
+    let (msg, _) = decode_frame(&buf, MAX_FRAME).unwrap().unwrap();
     assert_eq!(
         msg,
         Msg::Error(ServeError::BadVersion {
@@ -315,7 +315,7 @@ fn handshake_is_enforced_and_version_checked() {
 
 #[test]
 fn corrupt_frames_are_answered_typed_and_the_connection_closed() {
-    use commchar_serve::protocol::{decode_frame, encode_frame, Msg, DEFAULT_MAX_FRAME};
+    use commchar_serve::protocol::{decode_frame, encode_frame, Msg, MAX_FRAME};
     use std::io::{Read, Write};
 
     let (handle, addr) = spawn_server(small_cfg());
@@ -335,7 +335,7 @@ fn corrupt_frames_are_answered_typed_and_the_connection_closed() {
             Err(e) => panic!("read: {e}"),
         }
     }
-    let (msg, _) = decode_frame(&buf, DEFAULT_MAX_FRAME).unwrap().unwrap();
+    let (msg, _) = decode_frame(&buf, MAX_FRAME).unwrap().unwrap();
     assert!(matches!(msg, Msg::Error(ServeError::ChecksumMismatch { .. })), "got {msg:?}");
     let stats = handle.shutdown();
     assert_eq!(stats.frame_errors, 1);

@@ -571,26 +571,18 @@ impl<R: Read> StreamBlockReader<R> {
         }
         let payload_len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
         let stored = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-        let mut payload = vec![0u8; payload_len];
-        let mut have = 0;
-        while have < payload_len {
-            match self.src.read(&mut payload[have..]) {
-                Ok(0) => {
-                    let mut consumed = frame.to_vec();
-                    consumed.extend_from_slice(&payload[..have]);
-                    return self.finish_or(
-                        consumed,
-                        TraceStoreError::Truncated {
-                            context: "block payload",
-                            needed: payload_len,
-                            have,
-                        },
-                    );
-                }
-                Ok(n) => have += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(TraceStoreError::Io(e)),
-            }
+        // The length is untrusted until the bytes arrive, so memory grows
+        // with the bytes read, never with the length claimed.
+        let mut payload = Vec::new();
+        (&mut self.src).take(payload_len as u64).read_to_end(&mut payload)?;
+        if payload.len() < payload_len {
+            let have = payload.len();
+            let mut consumed = frame.to_vec();
+            consumed.append(&mut payload);
+            return self.finish_or(
+                consumed,
+                TraceStoreError::Truncated { context: "block payload", needed: payload_len, have },
+            );
         }
         let computed = fnv1a(&payload);
         if computed != stored {

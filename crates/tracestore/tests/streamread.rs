@@ -110,3 +110,41 @@ fn midstream_corruption_is_a_checksum_mismatch_not_an_early_end() {
     let err = stream.next_block().unwrap_err();
     assert!(matches!(err, TraceStoreError::ChecksumMismatch { block: 1, .. }), "{err}");
 }
+
+/// `VmPeak` of this process in KiB, from `/proc/self/status`; `None`
+/// where `/proc` is absent.
+fn vm_peak_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmPeak:"))?;
+    line.trim().trim_end_matches("kB").trim().parse().ok()
+}
+
+/// A frame header claiming 4 GiB, followed by 10 bytes and the end of the
+/// stream, is a truncated payload, and reading it maps no more than the
+/// bytes that arrived: the length is untrusted until they do.
+#[test]
+fn a_forged_block_length_reserves_nothing() {
+    // The 10-byte header of an empty 4-node stream, then the forged frame.
+    let mut bytes = pack_trace(&CommTrace::new(4));
+    bytes.truncate(10);
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&[7u8; 10]);
+    let before = vm_peak_kib();
+    let mut stream = StreamBlockReader::new(&bytes[..]).unwrap();
+    let err = stream.next_block().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            TraceStoreError::Truncated {
+                context: "block payload",
+                needed: 4_294_967_295,
+                have: 10
+            }
+        ),
+        "{err:?}"
+    );
+    if let (Some(before), Some(after)) = (before, vm_peak_kib()) {
+        assert!(after - before < 1 << 20, "VmPeak rose {} KiB", after - before);
+    }
+}

@@ -68,7 +68,10 @@
 #                   BENCH_flit.json / BENCH_shard.json / BENCH_trace.json
 #                   / BENCH_fit.json / BENCH_engine.json /
 #                   BENCH_serve.json so future PRs have perf baselines
-#                   to compare against.
+#                   to compare against; then checks that every
+#                   BENCH_*.json begins with the shared header (bench,
+#                   mode, host_cores, git_rev) and holds a floors list,
+#                   so no bench drifts back to a private schema.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -262,6 +265,14 @@ if [ "$bench_smoke" -eq 1 ]; then
     cargo run --release -p commchar-bench --bin bench_engine -- --quick
     echo "==> characterization server bench (quick smoke)"
     cargo run --release -p commchar-bench --bin bench_serve -- --quick
+    echo "==> BENCH schema (shared header and a floors list in every file)"
+    for f in BENCH_*.json; do
+        keys="$(sed -n 's/^  "\([a-z_]*\)": .*/\1/p' "$f" | head -n 4 | tr '\n' ' ')"
+        if [ "$keys" != "bench mode host_cores git_rev " ] || ! grep -q '^  "floors": \[' "$f"; then
+            echo "check.sh: $f lacks the shared BENCH header or its floors list" >&2
+            exit 1
+        fi
+    done
 fi
 
 echo "check.sh: all gates passed"

@@ -66,6 +66,12 @@ pub fn write_stdout(bytes: &[u8]) -> Result<(), CliError> {
         .map_err(|e| CliError(format!("writing stdout: {e}")))
 }
 
+/// Writes `text` to stderr, ignoring a failed write: a diagnostic whose
+/// reader has gone is lost, where `eprint!` would panic.
+pub fn write_stderr(text: &str) {
+    let _ = std::io::stderr().lock().write_all(text.as_bytes());
+}
+
 /// Parses an application name (see [`AppId::name`]).
 ///
 /// # Errors
@@ -565,16 +571,22 @@ const FEED_BLOCK_LEN: usize = 4096;
 /// `commchar serve-feed --trace FILE --addr HOST:PORT [--block-len N]
 /// [--poll-every N] [--shutdown]`: the client driver — replays the saved
 /// trace at `path` (either format) through a running characterization
-/// server as CCTRACE1 block frames and returns `(final_report, status)`.
-/// The final report is the server's `CloseSession` response,
-/// byte-identical to `characterize --trace FILE --no-replay` on the same
-/// events (the `check.sh` serve smoke diffs exactly that). `poll_every >
-/// 0` also polls a live report every that many blocks — exercising
-/// mid-stream convergence — and `shutdown` asks the server to exit
-/// afterwards. The status line (block/poll counts) belongs on stderr.
+/// server as CCTRACE1 block frames of `block_len` events (`0` = 4096)
+/// and returns `(final_report, status)`. The final report is the
+/// server's `CloseSession` response, byte-identical to `characterize
+/// --trace FILE --no-replay` on the same events (the `check.sh` serve
+/// smoke diffs exactly that). `poll_every > 0` also polls a live report
+/// every that many blocks — exercising mid-stream convergence — and
+/// `shutdown` asks the server to exit afterwards. The status line
+/// (block/poll counts) belongs on stderr.
 ///
-/// The file streams into one event vector, checked as [`load_trace`]
-/// checks it and sorted in place only when it is out of time order.
+/// The wire wants time order, and nothing goes out before the trace has
+/// checked out as [`load_trace`] checks it. A regular file is checked,
+/// and its time order found, in a first pass; in order, it streams in a
+/// second pass one block at a time, the rule `trace cat` follows for
+/// stdout. Out-of-order input, or a pipe (read once), is collected into
+/// one event vector and stable-sorted by time, as the offline driver
+/// sorts it.
 ///
 /// # Errors
 ///
@@ -587,6 +599,37 @@ pub fn cmd_serve_feed(
     poll_every: usize,
     shutdown: bool,
 ) -> Result<(String, String), CliError> {
+    let block_len = if block_len == 0 { FEED_BLOCK_LEN } else { block_len };
+    let meta = std::fs::metadata(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
+    if meta.is_file() {
+        let src = open_trace(path)?;
+        let nodes = src.nodes();
+        let (mut last, mut in_order) = (0, true);
+        src.for_each_event(|e| {
+            in_order &= e.t >= last;
+            last = e.t;
+            Ok::<_, CliError>(())
+        })?;
+        if in_order {
+            return feed(addr, nodes, "the trace", poll_every, shutdown, |send| {
+                let mut chunk = Vec::new();
+                open_trace(path)?.for_each_event_unchecked(|e| {
+                    chunk.push(e);
+                    if chunk.len() < block_len {
+                        return Ok(());
+                    }
+                    let block = encode_event_block(&chunk);
+                    chunk.clear();
+                    send(block)
+                })?;
+                if chunk.is_empty() {
+                    Ok(())
+                } else {
+                    send(encode_event_block(&chunk))
+                }
+            });
+        }
+    }
     let src = open_trace(path)?;
     let nodes = src.nodes();
     let mut events = Vec::new();
@@ -594,14 +637,12 @@ pub fn cmd_serve_feed(
         events.push(e);
         Ok::<_, CliError>(())
     })?;
-    // The wire contract wants time order; mirror the offline driver,
-    // which stable-sorts the events by time when they are out of order.
     if !events.is_sorted_by_key(|e| e.t) {
         events.sort_by_key(|e| e.t);
     }
-    let block_len = if block_len == 0 { FEED_BLOCK_LEN } else { block_len };
-    let blocks = events.chunks(block_len).map(|chunk| Ok(encode_event_block(chunk)));
-    feed(addr, nodes, blocks, "the trace", poll_every, shutdown)
+    feed(addr, nodes, "the trace", poll_every, shutdown, |send| {
+        events.chunks(block_len).try_for_each(|chunk| send(encode_event_block(chunk)))
+    })
 }
 
 /// `commchar serve-feed --trace - [--addr HOST:PORT] [--poll-every N]
@@ -626,34 +667,42 @@ pub fn cmd_serve_feed_stream(
 ) -> Result<(String, String), CliError> {
     let mut reader = StreamBlockReader::new(input)?;
     let nodes = reader.nodes();
-    let blocks = std::iter::from_fn(|| reader.next_block().transpose());
-    feed(addr, nodes, blocks, "stdin", poll_every, shutdown)
+    feed(addr, nodes, "stdin", poll_every, shutdown, |send| {
+        while let Some(block) = reader.next_block()? {
+            send(block)?;
+        }
+        Ok(())
+    })
 }
 
-/// The `serve-feed` session loop behind both block sources: open a session
-/// over `nodes`, send each block payload in its own frame, poll every
+/// A `serve-feed` block sink: sends one block payload in its own frame.
+type SendBlock<'a> = dyn FnMut(Vec<u8>) -> Result<(), CliError> + 'a;
+
+/// The `serve-feed` session loop behind every block source: open a
+/// session over `nodes`, let `blocks` send each block payload, poll every
 /// `poll_every` blocks, close, optionally shut the server down, and return
 /// `(final_report, status)`; `from` names the source in the status line.
 fn feed(
     addr: &str,
     nodes: usize,
-    blocks: impl Iterator<Item = Result<Vec<u8>, TraceStoreError>>,
     from: &str,
     poll_every: usize,
     shutdown: bool,
+    blocks: impl FnOnce(&mut SendBlock<'_>) -> Result<(), CliError>,
 ) -> Result<(String, String), CliError> {
     let to_cli = |e: ServeError| CliError(format!("serve-feed: {e}"));
     let mut client = ServeClient::connect(addr).map_err(to_cli)?;
     let session = client.open_session(nodes as u32).map_err(to_cli)?;
     let (mut sent, mut polls) = (0usize, 0usize);
-    for payload in blocks {
-        client.send_blocks(session, vec![payload?]).map_err(to_cli)?;
+    blocks(&mut |payload| {
+        client.send_blocks(session, vec![payload]).map_err(to_cli)?;
         sent += 1;
         if poll_every > 0 && sent.is_multiple_of(poll_every) {
             client.poll(session).map_err(to_cli)?;
             polls += 1;
         }
-    }
+        Ok(())
+    })?;
     let (seen, report) = client.close_session(session).map_err(to_cli)?;
     if shutdown {
         client.shutdown_server().map_err(to_cli)?;
@@ -1141,6 +1190,8 @@ mod tests {
             let (report, status) = cmd_serve_feed(&addr, &path, 7, 2, shutdown).unwrap();
             std::fs::remove_file(&path).unwrap();
             assert_eq!(report, offline, "{name}: served report must equal offline --no-replay");
+            let blocks = format!("streamed {} blocks", tr.len().div_ceil(7));
+            assert!(status.starts_with(&blocks), "{name}: {status}");
             assert!(status.contains("mid-stream polls"), "status: {status}");
             assert_eq!(status.contains("then shutdown"), shutdown, "status: {status}");
         }

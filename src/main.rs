@@ -209,7 +209,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         }
         Some("suite") => {
             let (table, timing) = cli::cmd_suite(args.spec, args.jobs).map_err(|e| e.0)?;
-            eprint!("{timing}");
+            cli::write_stderr(&timing);
             emit(&table, &None)
         }
         Some("serve") => {
@@ -218,7 +218,6 @@ fn run(argv: &[String]) -> Result<(), String> {
                 fit_jobs: args.jobs,
                 session_buffer: args.session_buffer,
                 idle_timeout: std::time::Duration::from_secs(args.idle_timeout),
-                ..Default::default()
             };
             let server = commchar::serve::Server::bind(&args.addr, cfg)
                 .map_err(|e| format!("binding {}: {e}", args.addr))?;
@@ -226,10 +225,10 @@ fn run(argv: &[String]) -> Result<(), String> {
             // so scripts can capture an ephemeral port from :0.
             emit(&format!("listening on {}\n", server.local_addr()), &None)?;
             let stats = server.run();
-            eprintln!(
-                "served {} frames / {} events over {} sessions ({} evictions) in {} ms",
+            cli::write_stderr(&format!(
+                "served {} frames / {} events over {} sessions ({} evictions) in {} ms\n",
                 stats.frames, stats.events, stats.sessions_opened, stats.evictions, stats.uptime_ms
-            );
+            ));
             Ok(())
         }
         Some("serve-feed") => {
@@ -254,7 +253,7 @@ fn run(argv: &[String]) -> Result<(), String> {
                 )
                 .map_err(|e| e.0)?
             };
-            eprint!("{status}");
+            cli::write_stderr(&status);
             emit(&report, &args.out)
         }
         Some("help") | None => emit(&cli::usage(), &None),
@@ -267,7 +266,7 @@ fn main() -> ExitCode {
     match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            cli::write_stderr(&format!("error: {e}\n"));
             ExitCode::FAILURE
         }
     }

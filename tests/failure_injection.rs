@@ -386,3 +386,26 @@ fn a_closed_stdout_is_an_error_not_a_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// A stderr whose reader has gone loses the diagnostics, never the exit
+/// code or stdout: an error still exits 1, and a run that only reports
+/// timing there exits 0 with its stdout intact.
+#[cfg(unix)]
+#[test]
+fn a_closed_stderr_is_not_a_panic() {
+    use std::process::Command;
+    let cases: [(&[&str], i32); 2] = [
+        (&["trace", "stat", "/nonexistent"], 1),
+        (&["suite", "--procs", "4", "--scale", "tiny", "--jobs", "1"], 0),
+    ];
+    for (args, code) in cases {
+        let bin = || Command::new(env!("CARGO_BIN_EXE_commchar"));
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = bin().args(args).stderr(writer).output().unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+        let open = bin().args(args).output().unwrap();
+        assert_eq!(open.status.code(), Some(code), "{args:?}");
+        assert_eq!(out.stdout, open.stdout, "{args:?}");
+    }
+}
