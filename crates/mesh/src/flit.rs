@@ -516,8 +516,6 @@ pub struct FlitLevel<S: LogSink = NetLog> {
     /// `--sim-jobs`: worker threads for the sharded drain. `1` runs the
     /// serial engine; the output is byte-identical for every value.
     sim_jobs: usize,
-    /// Lazily spawned long-lived worker team, reused across runs.
-    team: Option<commchar_pool::Team>,
     /// Event-loop work accumulated across runs.
     work: FlitWork,
 }
@@ -549,7 +547,7 @@ impl FlitLevel {
 
     /// Simulates `msgs` (any order; they are sorted by injection time) and
     /// returns the completed network log. The model keeps its warmed-up
-    /// workspace and worker team for the next batch.
+    /// workspace for the next batch.
     pub fn simulate(&mut self, msgs: &[NetMessage]) -> NetLog {
         self.run(msgs);
         std::mem::take(&mut self.sink)
@@ -589,7 +587,6 @@ impl<S: LogSink> FlitLevel<S> {
             entered: Vec::new(),
             last_inject: None,
             sim_jobs: 1,
-            team: None,
             work: FlitWork::default(),
         })
     }
@@ -809,14 +806,7 @@ impl<S: LogSink> FlitLevel<S> {
         let st = &mut self.committed;
         let shards = shard::plan(self.sim_jobs, cfg.shape.height() as usize);
         if shards > 1 && st.remaining > 0 {
-            let stepped = shard::drain_sharded(
-                &cfg,
-                &mut st.ws,
-                st.clock,
-                st.remaining,
-                shards,
-                &mut self.team,
-            )?;
+            let stepped = shard::drain_sharded(&cfg, &mut st.ws, st.clock, st.remaining, shards)?;
             self.work.cycles_stepped += stepped;
         } else {
             st.advance(&cfg, Goal::Drain, &mut self.work)?;

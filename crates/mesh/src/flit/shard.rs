@@ -1,6 +1,7 @@
 //! Sharded wavefront drain: the flit event loop partitioned into
-//! row-contiguous node bands that run on a long-lived worker team while
-//! staying **cycle-identical** to the serial engine.
+//! row-contiguous node bands, one scoped thread per band
+//! ([`commchar_pool::run_concurrent`]), while staying
+//! **cycle-identical** to the serial engine.
 //!
 //! # Why row bands, and why a wavefront
 //!
@@ -88,9 +89,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-use commchar_pool::{Job, Team};
+use std::sync::Mutex;
 
 use super::{Engine, Ev, Kind, Landing, ShardCtx, Workspace, NPORTS};
 use crate::engine::EngineError;
@@ -171,31 +170,28 @@ struct Shared {
     clock0: Option<u64>,
 }
 
-/// Drains a prepared workspace to completion on `shards` workers (batch
+/// Drains a prepared workspace to completion on `shards` threads (batch
 /// start: `clock = None`; mid-run closed-loop state: the last committed
 /// cycle), leaving merged per-worm deliveries and per-output busy ticks
 /// in `ws` exactly as the serial drain would, and returns the cycles the
-/// shards processed (summed). The worker `team` is lazily (re)created
-/// and reused across calls when large enough.
+/// shards processed (summed). Each shard's slot goes to its thread by
+/// value and comes back as the thread's result.
 pub(super) fn drain_sharded(
     cfg: &MeshConfig,
     ws: &mut Workspace,
     clock: Option<u64>,
     remaining: usize,
     shards: usize,
-    team: &mut Option<Team>,
 ) -> Result<u64, EngineError> {
     debug_assert!(shards >= 2);
     let rows = cfg.shape.height() as usize;
     let width = cfg.shape.width() as usize;
-    let slots: Vec<Arc<Mutex<ShardSlot>>> = (0..shards)
-        .map(|s| {
-            let lo = s * rows / shards * width;
-            let hi = (s + 1) * rows / shards * width;
-            Arc::new(Mutex::new(split_shard(cfg, ws, lo, hi)))
-        })
-        .collect();
-    let shared = Arc::new(Shared {
+    let slots = (0..shards).map(|s| {
+        let lo = s * rows / shards * width;
+        let hi = (s + 1) * rows / shards * width;
+        (s, split_shard(cfg, ws, lo, hi))
+    });
+    let shared = Shared {
         cfg: *cfg,
         shards,
         fences: (0..shards).map(|_| AtomicU64::new(clock.map_or(0, |c| c + 1))).collect(),
@@ -207,33 +203,9 @@ pub(super) fn drain_sharded(
         mail_pred: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
         wrap: cfg.shape.topology() == Topology::Torus,
         clock0: clock,
-    });
-
-    let team = match team {
-        Some(t) if t.workers() >= shards => t,
-        slot => slot.insert(Team::new(shards)),
     };
-    let jobs: Vec<Job> = (0..shards)
-        .map(|s| {
-            let sh = Arc::clone(&shared);
-            let slot = Arc::clone(&slots[s]);
-            Box::new(move || {
-                let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
-                run_shard(s, &sh, &mut slot);
-            }) as Job
-        })
-        .collect();
-    team.run(jobs);
+    let slots = commchar_pool::run_concurrent(slots, |(s, slot)| run_shard(s, &shared, slot));
 
-    let slots: Vec<ShardSlot> = slots
-        .into_iter()
-        .map(|arc| {
-            Arc::try_unwrap(arc)
-                .unwrap_or_else(|_| unreachable!("workers joined at the team barrier"))
-                .into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-        })
-        .collect();
     let last_clock = slots.iter().filter_map(|s| s.clock).max().unwrap_or(0);
     merge_shards(ws, &slots);
 
@@ -386,8 +358,9 @@ fn wedge_report_merged(cfg: &MeshConfig, ws: &mut Workspace, remaining: usize, t
 }
 
 /// One shard's event loop: wavefront-synchronized cycles over the local
-/// band, boundary events in and out, cooperative termination.
-fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
+/// band, boundary events in and out, cooperative termination. Returns
+/// the slot it advanced.
+fn run_shard(s: usize, sh: &Shared, mut st: ShardSlot) -> ShardSlot {
     let cfg = sh.cfg;
     let guard_limit: u64 = 200_000_000;
 
@@ -396,7 +369,6 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
     let mut guard = 0u64;
     let mut is_dry = false;
     let mut idle = 0u32;
-    let st = &mut *st;
 
     loop {
         if sh.wedged.load(Ordering::Acquire) || sh.remaining.load(Ordering::Acquire) == 0 {
@@ -551,6 +523,7 @@ fn run_shard(s: usize, sh: &Shared, st: &mut ShardSlot) {
     // Never leave a neighbor blocked on this shard's fence.
     sh.fences[s].store(u64::MAX, Ordering::Release);
     st.clock = clock;
+    st
 }
 
 /// Moves all events from a mailbox into the receiver's heap.

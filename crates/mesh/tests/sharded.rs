@@ -181,8 +181,11 @@ fn sharded_matches_serial_on_nondefault_router_parameters() {
     }
 }
 
+/// One sharded model simulating batch after batch: each drain starts
+/// its shard threads afresh from the model's state and must stay
+/// byte-identical to the serial model's every time.
 #[test]
-fn sharded_reuses_the_worker_team_across_batches() {
+fn sharded_model_stays_identical_across_batches() {
     let cfg = MeshConfig::new(4, 4).with_virtual_channels(2);
     let msgs = workload(5, 16, 80, 6, 64);
     let mut serial = FlitLevel::new(cfg);

@@ -1,37 +1,43 @@
 //! # commchar-pool
 //!
-//! The one work-claiming fan-out primitive used everywhere the workspace
-//! parallelizes independent index-addressed work: suite cells
-//! (`commchar-core::suite`), packed-trace block decode
-//! (`commchar-tracestore`), and per-source distribution fitting
-//! (`commchar-core::characterize`).
+//! The two helpers every parallel stage of the workspace runs on, both
+//! on `std::thread::scope` — no dependencies, no unsafe, no thread
+//! outlives the call:
 //!
-//! The scheme is deliberately tiny — scoped threads, no dependencies, no
-//! unsafe:
+//! - [`run_concurrent`] runs one closure per item, all at the same time,
+//!   each on its own scoped thread, and returns the results in item
+//!   order. It carries work whose items must progress together: the
+//!   simulation shards of the sharded flit drain (`commchar-mesh`) and
+//!   the sharded spasm machine (`commchar-spasm`), which rendezvous on
+//!   each other's fences, and the connection workers of the
+//!   characterization server (`commchar-serve`).
+//! - [`run_indexed`] is the work-claiming fan-out over independent
+//!   index-addressed work: suite cells (`commchar-core::suite`),
+//!   packed-trace block decode (`commchar-tracestore`), and per-source
+//!   distribution fitting (`commchar-core::characterize`). Its workers
+//!   are [`run_concurrent`] items that claim indices `0..count` from a
+//!   shared atomic cursor (whichever worker is free takes the next item
+//!   — cheap work stealing that tolerates wildly uneven item costs), so
+//!   the returned `Vec` is in input order **regardless of worker count
+//!   or completion order** — callers get determinism for free.
 //!
-//! - workers claim indices `0..count` from a shared atomic cursor
-//!   (whichever worker is free takes the next item — cheap work stealing
-//!   that tolerates wildly uneven item costs);
-//! - each result is written to its input-indexed slot, so the returned
-//!   `Vec` is in input order **regardless of worker count or completion
-//!   order** — callers get determinism for free;
-//! - `jobs <= 1` (or a single item) short-circuits to a plain sequential
-//!   loop on the calling thread, so the sequential path is exactly the
-//!   parallel path minus threads.
+//! Both run a single item (one worker) inline on the calling thread, so
+//! the sequential path is exactly the parallel path minus threads, and
+//! both rethrow a panic with its own payload.
 //!
 //! # Example
 //!
 //! ```
 //! let squares = commchar_pool::run_indexed(4, 8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+//! let lens = commchar_pool::run_concurrent(["a", "bb", "ccc"], str::len);
+//! assert_eq!(lens, vec![1, 2, 3]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 /// Resolves a `--jobs` knob: `0` means one worker per available hardware
 /// thread, anything else is taken literally.
@@ -51,14 +57,61 @@ pub fn resolve_jobs_for(jobs: usize, items: usize) -> usize {
     resolve_jobs(jobs).min(items).max(1)
 }
 
-/// Runs `f(0), f(1), …, f(count - 1)` across at most `jobs` scoped worker
+/// Runs `f(item)` for every item at the same time, each on its own
+/// scoped thread, and returns the results in item order. A single item
+/// runs inline on the calling thread.
+///
+/// Every item is running before any is waited for, so items may wait on
+/// each other (a barrier, a fence, a mailbox): this is the helper for
+/// work that must progress together, not for fanning out independent
+/// work over a bounded worker count (see [`run_indexed`]).
+///
+/// # Panics
+///
+/// Rethrows the payload of the lowest-indexed item that panicked,
+/// unchanged, once every thread has been joined.
+pub fn run_concurrent<I, T, F>(items: impl IntoIterator<Item = I>, f: F) -> Vec<T>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I) -> T + Sync,
+{
+    let mut items: Vec<I> = items.into_iter().collect();
+    if items.len() <= 1 {
+        return items.pop().map(f).into_iter().collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.into_iter().map(|item| scope.spawn(move || f(item))).collect();
+        // Join every thread explicitly, in item order: the scope's
+        // implicit join would replace a payload with its own generic
+        // message, and the first failure in item order is the one
+        // rethrown whatever order the threads failed in.
+        let mut results = Vec::with_capacity(handles.len());
+        let mut panic = None;
+        for h in handles {
+            match h.join() {
+                Ok(t) => results.push(t),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        results
+    })
+}
+
+/// Runs `f(0), f(1), …, f(count - 1)` across at most `jobs` worker
 /// threads (`0` = one per hardware thread) and returns the results in
 /// index order.
 ///
-/// Work distribution is a shared atomic cursor; result ordering never
-/// depends on the worker count, so output built from the returned `Vec`
-/// is byte-identical for any `jobs` value as long as `f` itself is
-/// deterministic per index.
+/// The workers are [`run_concurrent`] items claiming indices from a
+/// shared atomic cursor; result ordering never depends on the worker
+/// count, so output built from the returned `Vec` is byte-identical for
+/// any `jobs` value as long as `f` itself is deterministic per index.
 ///
 /// # Panics
 ///
@@ -70,195 +123,22 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let workers = resolve_jobs(jobs).min(count);
-    if workers <= 1 {
-        return (0..count).map(f).collect();
-    }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let result = f(i);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                })
-            })
-            .collect();
-        // Join explicitly so a worker's panic payload surfaces verbatim
-        // (the scope's implicit join would replace it with its own
-        // generic message).
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+    let claimed = run_concurrent(0..workers, |_| {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                return mine;
             }
+            mine.push((i, f(i)));
         }
     });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("scope joined, so every slot is filled")
-        })
-        .collect()
-}
-
-/// A dispatched unit of work: boxed so a [`Team`]'s long-lived workers
-/// can run arbitrary closures without borrowing from the caller's stack.
-pub type Job = Box<dyn FnOnce() + Send>;
-
-struct TeamState {
-    /// Monotonic dispatch counter; bumping it wakes workers.
-    epoch: u64,
-    /// One slot per worker, filled at dispatch, taken by the worker.
-    jobs: Vec<Option<Job>>,
-    /// Workers that have not yet finished the current epoch.
-    remaining: usize,
-    /// First panic payload captured this epoch, rethrown by [`Team::run`].
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
-}
-
-struct TeamShared {
-    state: Mutex<TeamState>,
-    /// Signaled when a new epoch's jobs are posted (or on shutdown).
-    work_ready: Condvar,
-    /// Signaled by the last worker to finish an epoch.
-    work_done: Condvar,
-}
-
-/// A long-lived worker team with barrier rendezvous, for callers that
-/// dispatch the *same* set of workers many times in a row (e.g. one
-/// simulation shard per worker, re-dispatched per drain) and cannot
-/// afford a thread spawn per round.
-///
-/// Unlike [`run_indexed`] — which is fork-join and claims indices from a
-/// cursor — a `Team` assigns exactly one [`Job`] per worker per
-/// [`run`](Team::run) call and blocks the caller until every worker has
-/// finished. Jobs are `'static` closures; share state with the caller
-/// through `Arc`s captured at dispatch time.
-///
-/// A panic inside any job is caught on the worker (keeping the
-/// rendezvous alive so sibling workers and the team itself stay usable)
-/// and rethrown verbatim from `run` on the calling thread.
-pub struct Team {
-    shared: Arc<TeamShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Team {
-    /// Spawns a team of exactly `workers.max(1)` threads.
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let shared = Arc::new(TeamShared {
-            state: Mutex::new(TeamState {
-                epoch: 0,
-                jobs: (0..workers).map(|_| None).collect(),
-                remaining: 0,
-                panic: None,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker(i, &shared))
-            })
-            .collect();
-        Team { shared, handles }
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
+    for (i, t) in claimed.into_iter().flatten() {
+        slots[i] = Some(t);
     }
-
-    /// Number of worker threads in the team.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    fn worker(index: usize, shared: &TeamShared) {
-        let mut seen = 0u64;
-        loop {
-            let job = {
-                let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                while !state.shutdown && state.epoch == seen {
-                    state = shared.work_ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-                if state.shutdown {
-                    return;
-                }
-                seen = state.epoch;
-                state.jobs[index].take()
-            };
-            let panicked =
-                job.and_then(|job| std::panic::catch_unwind(AssertUnwindSafe(job)).err());
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(payload) = panicked {
-                state.panic.get_or_insert(payload);
-            }
-            state.remaining -= 1;
-            if state.remaining == 0 {
-                shared.work_done.notify_all();
-            }
-        }
-    }
-
-    /// Dispatches one job per worker and blocks until all have finished.
-    ///
-    /// Fewer jobs than workers is allowed (the surplus workers just
-    /// rendezvous); more jobs than workers is a caller bug and panics.
-    ///
-    /// # Panics
-    ///
-    /// Rethrows the first panic captured from any job, after the
-    /// barrier — the team itself remains usable afterwards.
-    pub fn run(&self, jobs: Vec<Job>) {
-        let workers = self.workers();
-        assert!(
-            jobs.len() <= workers,
-            "dispatched {} jobs to a team of {} workers",
-            jobs.len(),
-            workers
-        );
-        let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert_eq!(state.remaining, 0, "run() while an epoch is in flight");
-        let mut it = jobs.into_iter();
-        for slot in state.jobs.iter_mut() {
-            *slot = it.next();
-        }
-        state.epoch += 1;
-        state.remaining = workers;
-        self.shared.work_ready.notify_all();
-        while state.remaining > 0 {
-            state = self.shared.work_done.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        if let Some(payload) = state.panic.take() {
-            drop(state);
-            std::panic::resume_unwind(payload);
-        }
-    }
-}
-
-impl std::fmt::Debug for Team {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Team").field("workers", &self.workers()).finish()
-    }
-}
-
-impl Drop for Team {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
+    slots.into_iter().map(|t| t.expect("the cursor hands out every index once")).collect()
 }
 
 #[cfg(test)]
@@ -320,49 +200,61 @@ mod tests {
     }
 
     #[test]
-    fn team_runs_jobs_across_epochs() {
-        use std::sync::atomic::AtomicU64;
-        let team = Team::new(3);
-        let total = Arc::new(AtomicU64::new(0));
-        for round in 0..5u64 {
-            let jobs: Vec<Job> = (0..3u64)
-                .map(|i| {
-                    let total = Arc::clone(&total);
-                    Box::new(move || {
-                        total.fetch_add(round * 10 + i, Ordering::Relaxed);
-                    }) as Job
-                })
-                .collect();
-            team.run(jobs);
-        }
-        // sum over rounds of (30*round + 3) = 30*10 + 15
-        assert_eq!(total.load(Ordering::Relaxed), 315);
+    fn run_concurrent_runs_every_item_at_once() {
+        // Every item waits until all of them have arrived, so the call
+        // returns only if all the items run at the same time.
+        let barrier = std::sync::Barrier::new(5);
+        let out = run_concurrent(0..5, |i| {
+            barrier.wait();
+            i * 10
+        });
+        assert_eq!(out, vec![0, 10, 20, 30, 40]);
     }
 
     #[test]
-    fn team_allows_fewer_jobs_than_workers() {
-        let team = Team::new(4);
-        let hit = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hit);
-        team.run(vec![Box::new(move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        })]);
-        assert_eq!(hit.load(Ordering::Relaxed), 1);
+    fn run_concurrent_returns_results_in_item_order() {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        // Item i waits until item i + 1 has returned and so dropped its
+        // sender: the items finish last to first, and the results still
+        // come back first to last. The last item's sender is dropped here.
+        let (mut txs, rxs): (Vec<Sender<()>>, Vec<Receiver<()>>) =
+            (0..4).map(|_| channel()).unzip();
+        txs.pop();
+        let releases = std::iter::once(None).chain(txs.into_iter().map(Some));
+        let out =
+            run_concurrent(rxs.into_iter().zip(releases).enumerate(), |(i, (wait, _release))| {
+                let _ = wait.recv();
+                i * i
+            });
+        assert_eq!(out, vec![0, 1, 4, 9]);
+        // One item runs inline on the caller; none runs nothing.
+        let caller = std::thread::current().id();
+        assert_eq!(run_concurrent([()], |()| std::thread::current().id()), vec![caller]);
+        let none: Vec<()> = run_concurrent(Vec::<u8>::new(), |_| unreachable!("no items"));
+        assert!(none.is_empty());
     }
 
     #[test]
-    fn team_survives_a_panicking_job() {
-        let team = Team::new(2);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            team.run(vec![Box::new(|| panic!("job blew up"))]);
-        }));
-        assert!(caught.is_err());
-        // The team is still usable after the rethrow.
-        let ok = Arc::new(AtomicUsize::new(0));
-        let o = Arc::clone(&ok);
-        team.run(vec![Box::new(move || {
-            o.store(7, Ordering::Relaxed);
-        })]);
-        assert_eq!(ok.load(Ordering::Relaxed), 7);
+    fn run_concurrent_rethrows_the_lowest_indexed_panic() {
+        use std::sync::Mutex;
+        // Item 3 panics first; item 1 panics only once item 3's unwind
+        // has dropped the sender. The caller still gets item 1's payload.
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let (tx, rx) = (Mutex::new(Some(tx)), Mutex::new(rx));
+        let payload = std::panic::catch_unwind(|| {
+            run_concurrent(0..4, |i| match i {
+                1 => {
+                    let _ = rx.lock().unwrap().recv();
+                    panic!("item 1");
+                }
+                3 => {
+                    let _sender = tx.lock().unwrap().take();
+                    panic!("item 3");
+                }
+                _ => {}
+            })
+        })
+        .unwrap_err();
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 1"));
     }
 }

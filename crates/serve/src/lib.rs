@@ -21,8 +21,8 @@
 //!   CCTRACE1 blocks, and `TraceBlocks` payloads *are* CCTRACE1 block
 //!   payloads — a packed trace file can be replayed to the server
 //!   without re-encoding.
-//! - [`server`] — [`Server`]: sessions multiplexed over a
-//!   [`commchar_pool::Team`] of connection workers, each frame's blocks
+//! - [`server`] — [`Server`]: sessions multiplexed over a set of
+//!   connection workers on scoped threads, each frame's blocks
 //!   decoded before its reply under a per-frame bound with explicit
 //!   [`Backpressure`](ServeError::Backpressure) refusals, idle-session
 //!   eviction, and atomic [`ServerStats`] counters.

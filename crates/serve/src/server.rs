@@ -3,14 +3,16 @@
 //!
 //! ## Architecture
 //!
-//! One nonblocking acceptor + `workers` long-lived connection workers
-//! dispatched as a single [`commchar_pool::Team`] epoch. Each worker owns
-//! a private set of connections (new sockets are claimed from a shared
-//! queue), sweeps them with nonblocking reads, parses complete frames via
-//! [`decode_frame`] and answers in place —
-//! so hundreds of idle-ish clients multiplex over a handful of threads
-//! with no thread-per-connection explosion. Worker 0 additionally accepts
-//! new connections and runs the idle-session eviction sweep.
+//! One nonblocking acceptor + `workers` connection workers that live for
+//! the whole [`Server::run`], one scoped thread each
+//! ([`commchar_pool::run_concurrent`]; a single worker runs inline on the
+//! serving thread). Each worker owns a private set of connections (new
+//! sockets are claimed from a shared queue), sweeps them with
+//! nonblocking reads, parses complete frames via [`decode_frame`] and
+//! answers in place — so hundreds of idle-ish clients multiplex over a
+//! handful of threads with no thread-per-connection explosion. Worker 0
+//! additionally accepts new connections and runs the idle-session
+//! eviction sweep.
 //!
 //! A worker whose sweep moved bytes re-sweeps at once, yielding the CPU
 //! between sweeps, for a short hot window (`HOT_WINDOW`, 250 µs): a
@@ -522,8 +524,9 @@ impl Server {
     /// [`ServerHandle::shutdown`] is called on a spawned server), then
     /// returns the final counters.
     ///
-    /// Connection work is multiplexed over a [`commchar_pool::Team`] of
-    /// [`ServeConfig::workers`] long-lived threads.
+    /// Connection work is multiplexed over [`ServeConfig::workers`]
+    /// scoped threads that live until shutdown (one worker runs on the
+    /// calling thread).
     ///
     /// # Panics
     ///
@@ -531,18 +534,10 @@ impl Server {
     pub fn run(self) -> ServerStats {
         self.listener.set_nonblocking(true).expect("nonblocking listener");
         let workers = commchar_pool::resolve_jobs(self.shared.cfg.workers);
-        let team = commchar_pool::Team::new(workers);
-        let listener = Arc::new(self.listener);
-        let pending: Arc<Mutex<VecDeque<TcpStream>>> = Arc::new(Mutex::new(VecDeque::new()));
-        let jobs: Vec<commchar_pool::Job> = (0..team.workers())
-            .map(|w| {
-                let shared = Arc::clone(&self.shared);
-                let listener = Arc::clone(&listener);
-                let pending = Arc::clone(&pending);
-                Box::new(move || worker_loop(w, &shared, &listener, &pending)) as commchar_pool::Job
-            })
-            .collect();
-        team.run(jobs);
+        let pending = Mutex::new(VecDeque::new());
+        commchar_pool::run_concurrent(0..workers, |w| {
+            worker_loop(w, &self.shared, &self.listener, &pending)
+        });
         self.shared.stats()
     }
 
@@ -586,12 +581,12 @@ fn worker_loop(
             // Housekeeping: evict idle sessions.
             if last_evict.elapsed() >= EVICT_SWEEP_EVERY {
                 last_evict = Instant::now();
-                let timeout_ms = shared.cfg.idle_timeout.as_millis() as u64;
                 let now = shared.now_ms();
                 let mut sessions = shared.sessions.lock().unwrap_or_else(|e| e.into_inner());
                 let before = sessions.len();
                 sessions.retain(|_, s| {
-                    now.saturating_sub(s.last_ms.load(Ordering::Relaxed)) <= timeout_ms
+                    let idle = now.saturating_sub(s.last_ms.load(Ordering::Relaxed));
+                    Duration::from_millis(idle) <= shared.cfg.idle_timeout
                 });
                 let evicted = (before - sessions.len()) as u64;
                 if evicted > 0 {

@@ -233,6 +233,27 @@ fn idle_sessions_are_evicted_active_ones_are_not() {
 }
 
 #[test]
+fn a_huge_idle_timeout_never_evicts() {
+    // The smallest whole-second timeout whose milliseconds overflow a
+    // u64 (`serve --idle-timeout 18446744073709552`): it must mean
+    // "never evict", not wrap to 384 ms.
+    let cfg = ServeConfig {
+        workers: 1,
+        idle_timeout: Duration::from_secs(18_446_744_073_709_552),
+        ..ServeConfig::default()
+    };
+    let (handle, addr) = spawn_server(cfg);
+    let trace = sample_trace(4, 60);
+    let mut client = ServeClient::connect(&addr).unwrap();
+    let session = client.open_session(4).unwrap();
+    client.send_events(session, trace.events()).unwrap();
+    std::thread::sleep(Duration::from_millis(500));
+    client.poll(session).expect("an idle session under a huge timeout still answers");
+    assert_eq!(client.stats().unwrap().evictions, 0);
+    handle.shutdown();
+}
+
+#[test]
 fn stats_count_the_traffic() {
     let (handle, addr) = spawn_server(small_cfg());
     let trace = sample_trace(5, 100);

@@ -140,7 +140,7 @@ fn soak_hundreds_of_concurrent_sessions() {
     assert_eq!(stats.frame_errors, 0);
     assert_eq!(stats.events, expected_events, "server absorbed exactly the events sent");
 
-    // Clean shutdown: the worker team drains and joins without panics,
+    // Clean shutdown: the connection workers return and join without panics,
     // and the final snapshot still reconciles.
     let final_stats = handle.shutdown();
     assert_eq!(final_stats.events, expected_events);

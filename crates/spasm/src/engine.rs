@@ -139,7 +139,7 @@ where
     S: FnOnce(&mut Setup) -> R,
     B: Fn(Ctx, R) -> F,
     F: Future<Output = ()> + Send + 'static,
-    N: NetEngine<Sink = NetLog> + Send + 'static,
+    N: NetEngine<Sink = NetLog> + Send,
 {
     try_run_with(cfg, setup, body, net).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -158,7 +158,7 @@ where
     S: FnOnce(&mut Setup) -> R,
     B: Fn(Ctx, R) -> F,
     F: Future<Output = ()> + Send + 'static,
-    N: NetEngine<Sink = NetLog> + Send + 'static,
+    N: NetEngine<Sink = NetLog> + Send,
 {
     let mut s = Setup { mem: Vec::new(), nprocs: cfg.nprocs };
     let shared = setup(&mut s);
@@ -166,7 +166,7 @@ where
     // it without locks; the coherence protocol itself serializes every
     // pair of conflicting accesses across window barriers, so Relaxed
     // ordering suffices.
-    let mem: Arc<Vec<AtomicU64>> = Arc::new(s.mem.into_iter().map(AtomicU64::new).collect());
+    let mem: Vec<AtomicU64> = s.mem.into_iter().map(AtomicU64::new).collect();
 
     let shards = commchar_pool::resolve_jobs_for(cfg.sim_jobs, cfg.nprocs);
     let plan = shard::partition(cfg.nprocs, shards);
@@ -182,7 +182,7 @@ where
                     (Box::pin(body(ctx, shared.clone())) as Body, slot)
                 })
                 .collect();
-            ShardCore::new(cfg, sid, (lo, hi), Arc::clone(&mem), procs)
+            ShardCore::new(cfg, sid, (lo, hi), &mem, procs)
         })
         .collect();
 

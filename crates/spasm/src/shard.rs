@@ -1,11 +1,13 @@
 //! Conservative-window sharded execution of the spasm machine.
 //!
 //! The machine (processor bodies, caches, the directory, and the event
-//! calendar) is partitioned into source-contiguous shards, one long-lived
-//! [`commchar_pool::Team`] worker per shard. A shard owns its processors'
-//! body futures and polls them itself: a trap leaves its request in the
-//! processor's slot and suspends, returning control to the shard loop, so
-//! a shared access costs no thread switch. Each worker runs the serial
+//! calendar) is partitioned into source-contiguous shards, one scoped
+//! thread per shard for the whole simulation
+//! ([`commchar_pool::run_concurrent`]; a single shard runs inline on the
+//! caller). A shard owns its processors' body futures and polls them
+//! itself: a trap leaves its request in the processor's slot and
+//! suspends, returning control to the shard loop, so a shared access
+//! costs no thread switch. Each worker runs the serial
 //! event loop inside a conservative time window `[T, T + L)` whose width
 //! `L` is the network engine's minimum delivery latency
 //! ([`NetEngine::min_latency`]): an event less than `L` ahead of the
@@ -205,7 +207,7 @@ struct ShardStats {
     lock_grants: u64,
 }
 
-/// A shard's verdict at normal drain.
+/// A shard's verdict at normal drain, returned by its worker.
 struct ShardDone {
     stats: ShardStats,
     /// One status line per owned processor.
@@ -219,7 +221,7 @@ const STOP_FAILED: u8 = 2;
 
 /// Cross-shard rendezvous state: published fences, per-shard mailboxes
 /// and outboxes, and the coordinator's window/stop broadcasts.
-pub(crate) struct Shared {
+struct Shared {
     /// Current round, published by the coordinator (Release) after
     /// `window_start`/`stop` are written; workers acquire it to enter the
     /// round.
@@ -237,10 +239,6 @@ pub(crate) struct Shared {
     outbox: Vec<Mutex<Vec<DeferredSend>>>,
     /// Set when any worker unwinds; everyone else bails at the next edge.
     abort: AtomicBool,
-    failure: Mutex<Option<SpasmError>>,
-    verdicts: Vec<Mutex<Option<ShardDone>>>,
-    /// The coordinator's run products at normal drain.
-    out: Mutex<Option<(CommTrace, NetLog)>>,
 }
 
 impl Shared {
@@ -255,9 +253,6 @@ impl Shared {
             mail: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             outbox: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
             abort: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            verdicts: (0..shards).map(|_| Mutex::new(None)).collect(),
-            out: Mutex::new(None),
         }
     }
 }
@@ -291,25 +286,24 @@ fn spin_wait(mut probe: impl FnMut() -> bool) {
 }
 
 /// The coordinator's exclusive state: the single network engine, the
-/// trace, and the canonical message/emission counters.
-pub(crate) struct Coord<N: NetEngine<Sink = NetLog>> {
+/// trace, the canonical message/emission counters, and the engine-level
+/// failure that stopped the run, if any. [`drive`] lends it to shard 0's
+/// worker and reads the run's products from it once the workers return.
+struct Coord<N: NetEngine<Sink = NetLog>> {
     net: N,
     trace: CommTrace,
     msg_seq: u64,
     /// Emission counter for the virtual coordinator site.
     seq: u64,
     lookahead: u64,
+    failure: Option<SpasmError>,
 }
 
 impl<N: NetEngine<Sink = NetLog>> Coord<N> {
-    pub(crate) fn new(net: N, nprocs: usize) -> Self {
+    fn new(net: N, nprocs: usize) -> Self {
         let lookahead = net.min_latency();
         assert!(lookahead >= 1, "network engine lookahead must be positive");
-        Coord { net, trace: CommTrace::new(nprocs), msg_seq: 0, seq: 0, lookahead }
-    }
-
-    pub(crate) fn lookahead(&self) -> u64 {
-        self.lookahead
+        Coord { net, trace: CommTrace::new(nprocs), msg_seq: 0, seq: 0, lookahead, failure: None }
     }
 }
 
@@ -330,13 +324,13 @@ pub(crate) fn partition(nprocs: usize, shards: usize) -> Vec<(usize, usize)> {
 /// One shard of the machine: the bodies and caches of its own processors
 /// plus the directory, lock and barrier state of its own home sites,
 /// advanced by a windowed copy of the serial event loop.
-pub(crate) struct ShardCore {
+pub(crate) struct ShardCore<'m> {
     cfg: MachineConfig,
     shard: usize,
     /// Owned sites: `[lo, hi)`.
     lo: usize,
     hi: usize,
-    mem: Arc<Vec<AtomicU64>>,
+    mem: &'m [AtomicU64],
     caches: Vec<Cache>,
     dir: HashMap<u64, DirState>,
     active: HashMap<u64, ActiveTxn>,
@@ -361,14 +355,14 @@ pub(crate) struct ShardCore {
     stats: ShardStats,
 }
 
-impl ShardCore {
+impl<'m> ShardCore<'m> {
     /// A shard owning sites `[lo, hi)`, whose processors run `procs`
     /// (one body and its trap slot per site, in site order).
     pub(crate) fn new(
         cfg: MachineConfig,
         shard: usize,
         (lo, hi): (usize, usize),
-        mem: Arc<Vec<AtomicU64>>,
+        mem: &'m [AtomicU64],
         procs: Vec<(Body, Arc<Mutex<Slot>>)>,
     ) -> Self {
         let n = hi - lo;
@@ -1035,8 +1029,7 @@ fn coordinate<N: NetEngine<Sink = NetLog>>(
         for (s, nt) in shared.next_times.iter().enumerate() {
             let _ = write!(report, "\n  shard {s}: t={}", nt.load(Ordering::Relaxed));
         }
-        *shared.failure.lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(SpasmError::Wedged { report });
+        co.failure = Some(SpasmError::Wedged { report });
         shared.stop.store(STOP_FAILED, Ordering::Relaxed);
         shared.round.store(round + 1, Ordering::Release);
         return false;
@@ -1047,15 +1040,16 @@ fn coordinate<N: NetEngine<Sink = NetLog>>(
 }
 
 /// The body of one shard worker. Shard 0's worker doubles as the
-/// coordinator, owning the network engine and the trace.
-pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
-    mut core: ShardCore,
-    shared: Arc<Shared>,
-    mut coord: Option<Coord<N>>,
-    shard_of: Arc<Vec<u32>>,
+/// coordinator, owning the network engine and the trace. Returns the
+/// shard's verdict if the run drained, `None` if it stopped on a failure.
+fn run_worker<N: NetEngine<Sink = NetLog>>(
+    mut core: ShardCore<'_>,
+    shared: &Shared,
+    mut coord: Option<&mut Coord<N>>,
+    shard_of: &[u32],
     lookahead: u64,
-) {
-    let guard = FenceGuard { shared: &shared, shard: core.shard };
+) -> Option<ShardDone> {
+    let guard = FenceGuard { shared, shard: core.shard };
     let mut round: u64 = 0;
     loop {
         spin_wait(|| {
@@ -1088,21 +1082,17 @@ pub(crate) fn run_worker<N: NetEngine<Sink = NetLog>>(
                 .append(&mut core.outgoing);
         }
         shared.fences[core.shard].store(round + 1, Ordering::Release);
-        if let Some(co) = coord.as_mut() {
-            coordinate(co, &shared, &shard_of, round);
+        if let Some(co) = coord.as_deref_mut() {
+            coordinate(co, shared, shard_of, round);
         }
         round += 1;
     }
     drop(guard);
-    if shared.stop.load(Ordering::Relaxed) == STOP_DRAINED {
-        let all_done = core.status.iter().all(|&s| s == Status::Done);
-        *shared.verdicts[core.shard].lock().unwrap_or_else(|e| e.into_inner()) =
-            Some(ShardDone { stats: core.stats, report: core.status_report(), all_done });
-        if let Some(co) = coord {
-            *shared.out.lock().unwrap_or_else(|e| e.into_inner()) =
-                Some((co.trace, co.net.finish()));
-        }
-    }
+    (shared.stop.load(Ordering::Relaxed) == STOP_DRAINED).then(|| ShardDone {
+        stats: core.stats,
+        report: core.status_report(),
+        all_done: core.status.iter().all(|&s| s == Status::Done),
+    })
 }
 
 /// The products of a drained sharded run, before assembly into
@@ -1120,53 +1110,43 @@ pub(crate) struct Drained {
 }
 
 /// Drives `shards` workers over the partitioned machine and merges their
-/// verdicts. Uses one long-lived `Team` epoch for the whole simulation
-/// when `shards > 1`; a single shard runs the identical windowed loop
-/// inline.
+/// verdicts. Each shard runs on its own scoped thread for the whole
+/// simulation, rendezvousing on fences rather than re-spawning; a single
+/// shard runs the identical windowed loop inline.
 pub(crate) fn drive<N>(
     cfg: MachineConfig,
-    cores: Vec<ShardCore>,
+    cores: Vec<ShardCore<'_>>,
     net: N,
 ) -> Result<Drained, SpasmError>
 where
-    N: NetEngine<Sink = NetLog> + Send + 'static,
+    N: NetEngine<Sink = NetLog> + Send,
 {
-    let shards = cores.len();
-    let shared = Arc::new(Shared::new(shards));
-    let plan = partition(cfg.nprocs, shards);
+    let shared = Shared::new(cores.len());
     let mut shard_of = vec![0u32; cfg.nprocs];
-    for (s, &(lo, hi)) in plan.iter().enumerate() {
+    for (s, &(lo, hi)) in partition(cfg.nprocs, cores.len()).iter().enumerate() {
         shard_of[lo..hi].fill(s as u32);
     }
-    let shard_of = Arc::new(shard_of);
-    let coord = Coord::new(net, cfg.nprocs);
-    let lookahead = coord.lookahead();
-    if shards == 1 {
-        let core = cores.into_iter().next().expect("one shard");
-        run_worker(core, Arc::clone(&shared), Some(coord), Arc::clone(&shard_of), lookahead);
-    } else {
-        let team = commchar_pool::Team::new(shards);
-        let mut jobs: Vec<commchar_pool::Job> = Vec::with_capacity(shards);
-        let mut coord = Some(coord);
-        for core in cores {
-            let shared = Arc::clone(&shared);
-            let shard_of = Arc::clone(&shard_of);
-            let co = if core.shard == 0 { coord.take() } else { None };
-            jobs.push(Box::new(move || run_worker(core, shared, co, shard_of, lookahead)));
-        }
-        // One epoch spans the entire simulation: the workers live across
-        // every window, rendezvousing on fences rather than re-spawning.
-        team.run(jobs);
-    }
-    if let Some(err) = shared.failure.lock().unwrap_or_else(|e| e.into_inner()).take() {
+    let mut coord = Coord::new(net, cfg.nprocs);
+    let lookahead = coord.lookahead;
+    let mut lent = Some(&mut coord);
+    let workers: Vec<_> = cores
+        .into_iter()
+        .map(|core| {
+            let co = if core.shard == 0 { lent.take() } else { None };
+            (core, co)
+        })
+        .collect();
+    let verdicts = commchar_pool::run_concurrent(workers, |(core, co)| {
+        run_worker(core, &shared, co, &shard_of, lookahead)
+    });
+    if let Some(err) = coord.failure {
         return Err(err);
     }
     let mut stats = ShardStats::default();
     let mut report = String::new();
     let mut all_done = true;
-    for v in &shared.verdicts {
-        let v = v.lock().unwrap_or_else(|e| e.into_inner());
-        let v = v.as_ref().expect("drained shard left no verdict");
+    for v in verdicts {
+        let v = v.expect("drained shard left no verdict");
         stats.max_time = stats.max_time.max(v.stats.max_time);
         stats.reads += v.stats.reads;
         stats.writes += v.stats.writes;
@@ -1185,15 +1165,9 @@ where
             ),
         });
     }
-    let (trace, netlog) = shared
-        .out
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .expect("drained run left no trace");
     Ok(Drained {
-        trace,
-        netlog,
+        trace: coord.trace,
+        netlog: coord.net.finish(),
         exec_cycles: stats.max_time,
         reads: stats.reads,
         writes: stats.writes,

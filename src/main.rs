@@ -111,11 +111,19 @@ fn emit(text: &str, out: &Option<String>) -> Result<(), String> {
     }
 }
 
-/// Writes trace output in the format selected by `--packed`. Packed output
-/// is binary, so it refuses to go to a terminal-bound stdout.
+/// Refuses `--packed` without `--out`: packed output is binary, so it
+/// never goes to stdout. `run` and `generate` check this before they run.
+fn check_packed_out(args: &Args) -> Result<(), String> {
+    if args.packed && args.out.is_none() {
+        return Err("--packed output is binary; it needs --out FILE".to_string());
+    }
+    Ok(())
+}
+
+/// Writes trace output in the format selected by `--packed` (checked by
+/// [`check_packed_out`] to have an `--out` file).
 fn emit_trace(trace: &commchar::trace::CommTrace, args: &Args) -> Result<(), String> {
-    if args.packed {
-        let path = args.out.as_ref().ok_or("--packed output is binary; it needs --out FILE")?;
+    if let (true, Some(path)) = (args.packed, &args.out) {
         let bytes = if args.block_len == 0 {
             commchar::tracestore::pack_trace(trace)
         } else {
@@ -147,6 +155,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     match cmd {
         Some("run") => {
             let spec = app_spec(&args, "run needs an application name")?;
+            check_packed_out(&args)?;
             let (report, trace) = cli::cmd_run(spec).map_err(|e| e.0)?;
             emit(&report, &None)?;
             if args.out.is_some() {
@@ -173,6 +182,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         }
         Some("generate") => {
             let spec = app_spec(&args, "generate needs an application name")?;
+            check_packed_out(&args)?;
             let trace = cli::cmd_generate_trace(spec).map_err(|e| e.0)?;
             emit_trace(&trace, &args)
         }

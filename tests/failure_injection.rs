@@ -66,22 +66,26 @@ fn panic_message<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> String {
 #[test]
 fn spasm_panic_carries_the_body_payload() {
     // The body's panic unwinds through the shard's poll to the caller
-    // unchanged, serial and sharded alike.
-    for sim_jobs in [1, 2] {
-        let msg = panic_message(|| {
-            run(
-                MachineConfig::new(4).with_sim_jobs(sim_jobs),
-                |m| m.alloc(16),
-                |mut ctx, r| async move {
-                    ctx.write(r, ctx.proc_id(), 1).await;
-                    if ctx.proc_id() == 2 {
-                        panic!("injected application fault");
-                    }
-                    ctx.barrier(0).await;
-                },
-            );
-        });
-        assert_eq!(msg, "injected application fault", "sim_jobs {sim_jobs}");
+    // unchanged, serial and sharded alike. At `--sim-jobs 2` processor 2
+    // is in shard 1 and processor 0 in shard 0, the coordinator that owns
+    // the network engine and the trace.
+    for faulty in [2, 0] {
+        for sim_jobs in [1, 2] {
+            let msg = panic_message(|| {
+                run(
+                    MachineConfig::new(4).with_sim_jobs(sim_jobs),
+                    |m| m.alloc(16),
+                    |mut ctx, r| async move {
+                        ctx.write(r, ctx.proc_id(), 1).await;
+                        if ctx.proc_id() == faulty {
+                            panic!("injected application fault");
+                        }
+                        ctx.barrier(0).await;
+                    },
+                );
+            });
+            assert_eq!(msg, "injected application fault", "p{faulty} sim_jobs {sim_jobs}");
+        }
     }
 }
 
@@ -349,6 +353,45 @@ fn ccserve1_session_above_max_nodes_is_a_typed_error() {
     // The connection survives the refusal, and the limit itself is open.
     assert!(client.open_session(MAX_NODES as u32).is_ok());
     handle.shutdown();
+}
+
+/// Every way the command line can be rejected exits 1 with one `error:`
+/// line on stderr and nothing on stdout, before it runs anything.
+#[test]
+fn rejected_command_lines_exit_1_with_one_error_line() {
+    const TRACE: &str =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/engine_diff.trace.jsonl");
+    let rows: [&[&str]; 20] = [
+        &["frobnicate"],
+        &["run", "halo", "--frobnicate"],
+        &["run", "halo", "--procs"],
+        &["run", "halo", "--procs", "four"],
+        &["run", "no-such-app", "--procs", "4", "--scale", "tiny"],
+        &["run", "halo", "--procs", "4", "--scale", "huge"],
+        &["run", "halo", "--procs", "4", "--scale", "tiny", "--engine", "warp"],
+        &["run", "halo", "--procs", "4", "--scale", "tiny", "--topology", "ring"],
+        &["run", "halo", "--procs", "4", "--scale", "tiny", "--routing", "random"],
+        &["run", "halo", "--procs", "0", "--scale", "tiny"],
+        &["run", "halo", "--procs", "5000", "--scale", "tiny"],
+        &["run", "1d-fft", "--procs", "3", "--scale", "tiny"],
+        &["trace"],
+        &["trace", "frobnicate", TRACE],
+        &["trace", "pack", TRACE],
+        &["characterize", "--stream"],
+        &["characterize", "--stream", "--trace", TRACE],
+        &["replay", "--trace", "/nonexistent/trace.jsonl"],
+        &["run", "halo", "--procs", "4", "--scale", "tiny", "--packed"],
+        &["generate", "nbody", "--procs", "4", "--scale", "tiny", "--packed"],
+    ];
+    for args in rows {
+        let out =
+            std::process::Command::new(env!("CARGO_BIN_EXE_commchar")).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(lines.len() == 1 && lines[0].starts_with("error: "), "{args:?}: {stderr}");
+    }
 }
 
 #[cfg(unix)]
