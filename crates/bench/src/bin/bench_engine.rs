@@ -24,7 +24,7 @@
 //! asserted section keeps the best of three in either mode.
 
 use commchar_apps::{AppId, Scale};
-use commchar_bench::{long_worms, time_best, uniform, Bench, Floor, Obj};
+use commchar_bench::{long_worms, time_best_in_turns, uniform, Bench, Floor, Obj};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_mesh::{EngineKind, FlitLevel, FlitWork, MeshConfig, NetEngine, NetMessage};
 
@@ -44,7 +44,7 @@ struct Throughput {
 }
 
 /// Cross-checks a closed-loop run against a batch run on `msgs`, then
-/// times both (best of `iters`).
+/// times both in turns (best of `iters` each).
 fn throughput(name: &'static str, cfg: MeshConfig, msgs: &[NetMessage], iters: u32) -> Throughput {
     let batch_log = FlitLevel::new(cfg).simulate(msgs);
     let mut inc = FlitLevel::new(cfg);
@@ -57,17 +57,20 @@ fn throughput(name: &'static str, cfg: MeshConfig, msgs: &[NetMessage], iters: u
     assert_eq!(batch_log.records(), inc_log.records(), "{name}: incremental flit diverged");
     assert_eq!(batch_log.utilization(), inc_log.utilization(), "{name}: utilization diverged");
 
-    let t_batch = time_best(iters, || {
-        let log = FlitLevel::new(cfg).simulate(msgs);
-        assert_eq!(log.records().len(), msgs.len());
-    });
-    let t_inc = time_best(iters, || {
-        let mut engine = FlitLevel::new(cfg);
-        for m in msgs {
-            engine.send(*m).expect("nondecreasing schedule");
-        }
-        assert_eq!(engine.finish().records().len(), msgs.len());
-    });
+    let (t_batch, t_inc) = time_best_in_turns(
+        iters,
+        || {
+            let log = FlitLevel::new(cfg).simulate(msgs);
+            assert_eq!(log.records().len(), msgs.len());
+        },
+        || {
+            let mut engine = FlitLevel::new(cfg);
+            for m in msgs {
+                engine.send(*m).expect("nondecreasing schedule");
+            }
+            assert_eq!(engine.finish().records().len(), msgs.len());
+        },
+    );
     let n = msgs.len() as f64;
     Throughput {
         name,

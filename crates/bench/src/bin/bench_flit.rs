@@ -13,7 +13,7 @@
 //! mode, keep the best of three per engine, timing the two engines in
 //! turn.
 
-use commchar_bench::{long_worms, time_best, uniform, Bench, Floor, Lcg, Obj};
+use commchar_bench::{long_worms, time_best_in_turns, uniform, Bench, Floor, Lcg, Obj};
 use commchar_des::SimTime;
 use commchar_mesh::{
     FlitCycleReference, FlitLevel, MeshConfig, NetMessage, NodeId, Routing, Topology,
@@ -158,21 +158,18 @@ fn main() {
         let blocked: u64 = fast_log.records().iter().map(|r| r.blocked()).sum();
         let mean_blocked = blocked as f64 / fast_log.records().len() as f64;
 
-        // The engines take turns, so both best times come from the same
-        // stretch of host load: timed one after the other, a burst of
-        // load during either run set skews their ratio.
         let mut fast = FlitLevel::new(w.cfg);
-        let (mut t_fast, mut t_ref) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..bench.iters(w.floor.as_slice()) {
-            t_fast = t_fast.min(time_best(1, || {
+        let (t_fast, t_ref) = time_best_in_turns(
+            bench.iters(w.floor.as_slice()),
+            || {
                 let log = fast.simulate(&w.msgs);
                 assert_eq!(log.records().len(), w.msgs.len());
-            }));
-            t_ref = t_ref.min(time_best(1, || {
+            },
+            || {
                 let log = FlitCycleReference::new(w.cfg).simulate(&w.msgs);
                 assert_eq!(log.records().len(), w.msgs.len());
-            }));
-        }
+            },
+        );
         let n = w.msgs.len() as f64;
         let (event_rate, ref_rate) = (n / t_fast, n / t_ref);
         let speedup = t_ref / t_fast;

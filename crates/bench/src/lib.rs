@@ -194,6 +194,19 @@ pub fn time_best<F: FnMut()>(iters: u32, mut f: F) -> f64 {
     best
 }
 
+/// Best-of-`iters` wall-clock seconds for two closures timed in turns
+/// (`a`, `b`, `a`, `b`, …), so both bests come from the same stretch of
+/// host load: timed one set after the other, a burst of load during
+/// either set skews a ratio of the two.
+pub fn time_best_in_turns(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..iters {
+        best_a = best_a.min(time_best(1, &mut a));
+        best_b = best_b.min(time_best(1, &mut b));
+    }
+    (best_a, best_b)
+}
+
 /// Uniform random traffic: `count` messages of 1–`max_bytes` bytes
 /// between random distinct nodes, injected up to `spread` cycles apart in
 /// nondecreasing order — the schedule shape every closed-loop driver

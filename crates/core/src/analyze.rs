@@ -10,10 +10,12 @@
 //!   segment (sorting a copy of the events first if the trace is not in
 //!   time order).
 //! - [`try_analyze_blocks`] — walks a [`PackedReader`] (over in-memory
-//!   bytes or an open file), decoding and condensing blocks into
-//!   [`SegmentExtract`] partials on a worker pool and folding them in
-//!   file order. Memory stays bounded by `block_jobs × block size`,
-//!   never by trace length.
+//!   bytes or an open file) on an ordered pipeline: each worker decodes a
+//!   block, condenses it into a [`SegmentExtract`] and folds the
+//!   order-free part into its own [`BlockTally`], while the calling
+//!   thread stitches the blocks' seams in file order. Memory is per
+//!   worker (its tally plus a window of two blocks), never the trace
+//!   length.
 //!
 //! The result carries the paper's three trace attributes (temporal,
 //! spatial, volume) but no network-behaviour section: computing network
@@ -23,7 +25,9 @@
 use commchar_mesh::MeshShape;
 use commchar_stats::fit::{FitContext, FitResult};
 use commchar_stats::spatial::{classify_with_count, normalize};
-use commchar_trace::profile::{SegmentExtract, StreamAccum, StreamExtract};
+use commchar_trace::profile::{
+    BlockTally, SegmentExtract, SegmentSeam, StreamAccum, StreamExtract, UnsortedError,
+};
 use commchar_trace::CommTrace;
 use commchar_tracestore::{PackedBytes, PackedReader};
 use commchar_traffic::LengthDist;
@@ -79,22 +83,25 @@ pub fn try_analyze_trace(
     try_analyze_extract(accum.finish(), shape, jobs)
 }
 
-/// Blocks condensed to partials per worker-pool round; the sequential
-/// fold then consumes them in order. Bounds live partials (and therefore
-/// memory) to a small multiple of the worker count — one `run_indexed`
-/// over *all* blocks would hold every partial at once, O(trace) again.
-const CHUNK_PER_JOB: usize = 4;
-
 /// Analyzes a packed event stream block by block in constant memory.
 ///
-/// Per round, up to `CHUNK_PER_JOB ×`
-/// [`resolve_jobs`](commchar_pool::resolve_jobs)`(block_jobs)`
-/// blocks are decoded and condensed to [`SegmentExtract`]s in parallel
-/// (`block_jobs` workers; `0` = one per hardware thread), then folded in
-/// file order. After the single pass, the distribution fits fan out
-/// across `jobs` workers exactly as in [`try_analyze_trace`].
+/// The calling thread hands block numbers in file order to
+/// [`resolve_jobs`](commchar_pool::resolve_jobs)`(block_jobs)` workers
+/// (`0` = one per hardware thread) through
+/// [`run_ordered`](commchar_pool::run_ordered). Each worker decodes a
+/// block, extracts it, and folds its order-free statistics (counters,
+/// destination counts, gap runs) into its own [`BlockTally`]; the calling
+/// thread [`stitch`](StreamAccum::stitch)es each block's seam (boundary
+/// gaps, the ordered aggregate gaps for burstiness) in file order, then
+/// merges the tallies once. Memory is per worker — its tally plus the
+/// pipeline's window of two blocks per worker — never the trace length.
+/// One worker runs inline on the calling thread. After the single pass,
+/// the distribution fits fan out across `jobs` workers exactly as in
+/// [`try_analyze_trace`].
 ///
 /// # Errors
+///
+/// The first failing block in file order, whatever the worker count:
 ///
 /// - [`CharError::EmptyTrace`] / [`CharError::DegenerateTemporal`] as in
 ///   the batch path.
@@ -112,21 +119,21 @@ pub fn try_analyze_blocks<B: PackedBytes>(
         return Err(CharError::EmptyTrace);
     }
     let nodes = reader.nodes();
-    let chunk = commchar_pool::resolve_jobs(block_jobs).saturating_mul(CHUNK_PER_JOB).max(1);
+    let unsorted = |e: UnsortedError| CharError::Unsorted { prev: e.prev, at: e.at };
+    let workers = commchar_pool::resolve_jobs_for(block_jobs, reader.block_count());
     let mut accum = StreamAccum::new(nodes);
-    let mut base = 0;
-    while base < reader.block_count() {
-        let n = chunk.min(reader.block_count() - base);
-        let partials = commchar_pool::run_indexed(block_jobs, n, |i| {
+    let tallies = commchar_pool::run_ordered(
+        vec![BlockTally::new(nodes); workers],
+        0..reader.block_count(),
+        |tally, block| {
             let events =
-                reader.decode_events(base + i).map_err(|e| CharError::Store(e.to_string()))?;
-            SegmentExtract::from_events(nodes, &events)
-                .map_err(|e| CharError::Unsorted { prev: e.prev, at: e.at })
-        });
-        for seg in partials {
-            accum.absorb(&seg?).map_err(|e| CharError::Unsorted { prev: e.prev, at: e.at })?;
-        }
-        base += n;
+                reader.decode_events(block).map_err(|e| CharError::Store(e.to_string()))?;
+            Ok(tally.absorb(SegmentExtract::from_events(nodes, &events).map_err(unsorted)?))
+        },
+        |seam: Result<SegmentSeam, CharError>| accum.stitch(&seam?).map_err(unsorted),
+    )?;
+    for tally in tallies {
+        accum.merge(tally);
     }
     try_analyze_extract(accum.finish(), shape, jobs)
 }

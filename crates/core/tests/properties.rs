@@ -182,3 +182,55 @@ proptest! {
         prop_assert!((r2 - r1).abs() / r1 < 0.3, "rates diverge: {r1} vs {r2}");
     }
 }
+
+/// With two bad blocks in a packed trace, the error named is the
+/// earlier one in file order for any number of block workers, whichever
+/// worker meets which block first: a corrupt block before an
+/// out-of-order one, and an out-of-order block before a corrupt one.
+#[test]
+fn streamed_analysis_reports_the_first_bad_block() {
+    use commchar_core::CharError;
+    use commchar_tracestore::TraceWriter;
+    let (nodes, block_len) = (4, 5);
+    let event = |i: u64, t: u64| {
+        CommEvent::new(i, t, (i % 4) as u16, ((i + 1) % 4) as u16, 8, EventKind::Data)
+    };
+    // Twelve blocks; block 6's times restart below block 5's, so the
+    // stream is out of order between them.
+    let events: Vec<CommEvent> =
+        (0..60u64).map(|i| event(i, if (30..35).contains(&i) { i } else { i * 10 })).collect();
+    let mut w = TraceWriter::with_block_len(Vec::new(), nodes, block_len).unwrap();
+    for &e in &events {
+        w.push(e).unwrap();
+    }
+    let packed = w.finish().unwrap();
+    let reader = TraceReader::open(&packed).unwrap();
+    // The header is 10 bytes; each block is an 8-byte frame header and
+    // its payload. Flipping a payload byte breaks the block's checksum.
+    let corrupt = |bytes: &mut Vec<u8>, block: usize| {
+        let at = 10 + (0..block).map(|b| 8 + reader.block_payload_len(b)).sum::<usize>() + 8;
+        bytes[at] ^= 0x55;
+    };
+    let shape = MeshConfig::for_nodes(nodes).shape;
+    let mut early_corrupt = packed.clone();
+    corrupt(&mut early_corrupt, 2);
+    corrupt(&mut early_corrupt, 9);
+    let mut late_corrupt = packed.clone();
+    corrupt(&mut late_corrupt, 8);
+    for block_jobs in 0..5 {
+        let err =
+            try_analyze_blocks(&TraceReader::open(&early_corrupt).unwrap(), shape, 1, block_jobs)
+                .unwrap_err();
+        assert!(
+            matches!(&err, CharError::Store(msg) if msg.contains("block 2")),
+            "{block_jobs} block workers: {err}"
+        );
+        let err =
+            try_analyze_blocks(&TraceReader::open(&late_corrupt).unwrap(), shape, 1, block_jobs)
+                .unwrap_err();
+        assert!(
+            matches!(err, CharError::Unsorted { prev: 290, at: 30 }),
+            "{block_jobs} block workers: {err}"
+        );
+    }
+}

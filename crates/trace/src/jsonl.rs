@@ -1,4 +1,5 @@
-//! The JSON-lines trace format, read and written one line at a time.
+//! The JSON-lines trace format, read a chunk of whole lines at a time and
+//! written one line at a time.
 //!
 //! A tiny hand-rolled codec: the format is a flat object per line, simple
 //! enough that pulling in serde_json (unavailable in the offline build
@@ -6,9 +7,10 @@
 //! its bytes; [`CommTrace::from_jsonl`](crate::CommTrace::from_jsonl)
 //! states the grammar.
 //! [`JsonlReader`] is the only parser: `from_jsonl`, `load_trace` in
-//! `commchar-tracestore` and the streamed `trace pack` all run it.
+//! `commchar-tracestore` and the streamed `trace pack|cat|stat` all run
+//! it, the last on several threads, one [`JsonlChunk`] each.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 use crate::{CommEvent, EventKind, MAX_NODES};
 
@@ -57,9 +59,133 @@ impl From<io::Error> for JsonlError {
     }
 }
 
-/// Reads a JSON-lines trace one line at a time, holding one line in
-/// memory: [`new`](Self::new) reads the header, each
-/// [`next_event`](Self::next_event) call one event.
+/// Most bytes a [`JsonlChunk`] holds, unless a single line is longer.
+pub const CHUNK_BYTES: usize = 64 << 10;
+
+/// A run of whole lines of a JSON-lines trace, cut from the input by
+/// [`JsonlReader::next_chunk`] and parsed on its own by
+/// [`parse`](Self::parse) — on any thread, since it knows the number of
+/// its first line and the input offset of its first byte, which its
+/// errors name.
+#[derive(Debug)]
+pub struct JsonlChunk {
+    text: Vec<u8>,
+    /// Lines before the chunk.
+    line: usize,
+    /// Lines in the chunk.
+    line_count: usize,
+    /// Input bytes before the chunk.
+    offset: usize,
+}
+
+impl JsonlChunk {
+    /// Parses the chunk's event lines for a trace over `nodes`
+    /// processors, appending each event to `out`, up to the first bad
+    /// line.
+    ///
+    /// # Errors
+    ///
+    /// The chunk's first bad line: one that is not UTF-8, a malformed
+    /// event line, or endpoints that are out of range or equal. The
+    /// events before it are in `out`.
+    pub fn parse(&self, nodes: usize, out: &mut Vec<CommEvent>) -> Result<(), JsonlError> {
+        out.reserve_exact(self.line_count);
+        for line in self.lines() {
+            let (no, line, _) = line?;
+            out.push(parse_event_line(no, line, nodes).map_err(JsonlError::Invalid)?);
+        }
+        Ok(())
+    }
+
+    /// Hands the chunk's buffer back, for the next chunk to reuse.
+    pub fn into_buffer(self) -> Vec<u8> {
+        self.text
+    }
+
+    /// The chunk's non-blank lines in order, each with its number and
+    /// the chunk offset where it ends, line ending stripped as
+    /// [`str::lines`] strips it; the first line that is not UTF-8 ends
+    /// them with its error.
+    fn lines(&self) -> Lines<'_> {
+        let (text, bad) = match std::str::from_utf8(&self.text) {
+            Ok(text) => (text, None),
+            Err(e) => {
+                let valid = std::str::from_utf8(&self.text[..e.valid_up_to()]);
+                (valid.expect("valid up to there"), Some(e))
+            }
+        };
+        Lines { text, pos: 0, line: self.line, offset: self.offset, bad, done: false }
+    }
+}
+
+/// Iterator behind [`JsonlChunk::lines`]: `text` is the chunk's UTF-8
+/// prefix, and `bad` the error of the byte after it, if any.
+struct Lines<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The number of the line last read.
+    line: usize,
+    /// Input bytes before the chunk.
+    offset: usize,
+    bad: Option<std::str::Utf8Error>,
+    done: bool,
+}
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = Result<(usize, &'a str, usize), JsonlError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.done {
+            let rest = &self.text[self.pos..];
+            // `skip_until` finds the line end with the platform's memchr.
+            let len = rest.as_bytes().skip_until(b'\n').expect("a slice reads without error");
+            let line = match rest.as_bytes().get(len.wrapping_sub(1)) {
+                Some(b'\n') => &rest[..len],
+                _ => {
+                    // The rest holds no line ending: it is the start of
+                    // the line the bad byte sits on, or the input's last
+                    // line, or nothing.
+                    self.done = true;
+                    if let Some(e) = self.bad.take() {
+                        self.line += 1;
+                        return Some(Err(not_utf8(e, self.offset, self.line)));
+                    }
+                    if rest.is_empty() {
+                        return None;
+                    }
+                    rest
+                }
+            };
+            self.pos += line.len();
+            self.line += 1;
+            if !line.trim().is_empty() {
+                let text =
+                    line.strip_suffix('\n').map_or(line, |l| l.strip_suffix('\r').unwrap_or(l));
+                return Some(Ok((self.line, text, self.pos)));
+            }
+        }
+        None
+    }
+}
+
+/// The error for line `line`, which is not UTF-8: the text of a
+/// [`std::str::Utf8Error`] over the whole input, from one over a chunk
+/// that starts `offset` bytes in.
+fn not_utf8(e: std::str::Utf8Error, offset: usize, line: usize) -> JsonlError {
+    let at = offset + e.valid_up_to();
+    let detail = match e.error_len() {
+        Some(len) => format!("invalid utf-8 sequence of {len} bytes from index {at}"),
+        None => format!("incomplete utf-8 byte sequence from index {at}"),
+    };
+    JsonlError::NotUtf8 { detail, line }
+}
+
+/// Reads a JSON-lines trace: [`new`](Self::new) reads the header, then
+/// either [`next_event`](Self::next_event) yields one event at a time or
+/// [`next_chunk`](Self::next_chunk) cuts the rest into [`JsonlChunk`]s
+/// for the caller to parse, in parallel if it likes. Both cut the input
+/// the same way and parse a chunk's lines with the same code, so memory
+/// holds one chunk of at most [`CHUNK_BYTES`] (or one longer line).
 ///
 /// Line numbers count every physical line; blank lines (whitespace only)
 /// are skipped but still counted. The reader checks each line on its own
@@ -71,15 +197,23 @@ impl From<io::Error> for JsonlError {
 pub struct JsonlReader<R> {
     src: R,
     nodes: usize,
-    /// The current line, with its line ending.
-    text: String,
-    /// The current line's 1-based number.
+    /// Input read past the last whole line: the start of the next chunk.
+    carry: Vec<u8>,
+    /// Lines before the next chunk.
     line: usize,
-    /// Input bytes before the current line.
+    /// Input bytes before the next chunk.
     offset: usize,
+    /// The rest of the chunk the header was read from.
+    after_header: Option<JsonlChunk>,
+    /// [`next_event`](Self::next_event)'s chunk: its events, how many
+    /// have been handed out, the error after them, and its buffer.
+    events: Vec<CommEvent>,
+    taken: usize,
+    error: Option<JsonlError>,
+    buffer: Vec<u8>,
 }
 
-impl<R: BufRead> JsonlReader<R> {
+impl<R: Read> JsonlReader<R> {
     /// Reads up to and including the `{"nodes":N}` header line.
     ///
     /// # Errors
@@ -87,13 +221,31 @@ impl<R: BufRead> JsonlReader<R> {
     /// I/O failures, a line that is not UTF-8, an input without a header,
     /// and a malformed header or a node count outside `1..=MAX_NODES`.
     pub fn new(src: R) -> Result<Self, JsonlError> {
-        let mut r = JsonlReader { src, nodes: 0, text: String::new(), line: 0, offset: 0 };
-        let parsed = match r.next_line()? {
-            None => Err("empty input: no header line".to_string()),
-            Some((no, header)) => parse_header_line(no, header),
+        let mut r = JsonlReader {
+            src,
+            nodes: 0,
+            carry: Vec::new(),
+            line: 0,
+            offset: 0,
+            after_header: None,
+            events: Vec::new(),
+            taken: 0,
+            error: None,
+            buffer: Vec::new(),
         };
-        r.nodes = parsed.map_err(JsonlError::Invalid)?;
-        Ok(r)
+        loop {
+            let Some(mut chunk) = r.next_chunk(Vec::new())? else {
+                return Err(JsonlError::Invalid("empty input: no header line".to_string()));
+            };
+            let Some(header) = chunk.lines().next() else { continue };
+            let (no, header, end) = header?;
+            r.nodes = parse_header_line(no, header).map_err(JsonlError::Invalid)?;
+            chunk.text.drain(..end);
+            chunk.line_count -= no - chunk.line;
+            (chunk.line, chunk.offset) = (no, chunk.offset + end);
+            r.after_header = Some(chunk);
+            return Ok(r);
+        }
     }
 
     /// Processor count from the header.
@@ -108,45 +260,68 @@ impl<R: BufRead> JsonlReader<R> {
     /// I/O failures, a line that is not UTF-8, a malformed event line, or
     /// endpoints that are out of range or equal.
     pub fn next_event(&mut self) -> Result<Option<CommEvent>, JsonlError> {
-        let nodes = self.nodes;
-        let parsed = match self.next_line()? {
-            None => return Ok(None),
-            Some((no, line)) => parse_event_line(no, line, nodes),
-        };
-        parsed.map(Some).map_err(JsonlError::Invalid)
-    }
-
-    /// The next non-blank line and its number, line ending stripped as
-    /// [`str::lines`] strips it, or `None` at the end of the input.
-    fn next_line(&mut self) -> Result<Option<(usize, &str)>, JsonlError> {
         loop {
-            self.offset += self.text.len();
-            let mut bytes = std::mem::take(&mut self.text).into_bytes();
-            bytes.clear();
-            if self.src.read_until(b'\n', &mut bytes)? == 0 {
+            if let Some(&e) = self.events.get(self.taken) {
+                self.taken += 1;
+                return Ok(Some(e));
+            }
+            if let Some(e) = self.error.take() {
+                return Err(e);
+            }
+            let buffer = std::mem::take(&mut self.buffer);
+            let Some(chunk) = self.next_chunk(buffer)? else {
                 return Ok(None);
-            }
-            self.line += 1;
-            self.text = String::from_utf8(bytes).map_err(|e| self.not_utf8(e.utf8_error()))?;
-            if !self.text.trim().is_empty() {
-                let line = self
-                    .text
-                    .strip_suffix('\n')
-                    .map_or(self.text.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
-                return Ok(Some((self.line, line)));
-            }
+            };
+            self.events.clear();
+            self.taken = 0;
+            self.error = chunk.parse(self.nodes, &mut self.events).err();
+            self.buffer = chunk.into_buffer();
         }
     }
 
-    /// The error for the current line, which is not UTF-8: the text of a
-    /// [`std::str::Utf8Error`] over the whole input.
-    fn not_utf8(&self, e: std::str::Utf8Error) -> JsonlError {
-        let at = self.offset + e.valid_up_to();
-        let detail = match e.error_len() {
-            Some(len) => format!("invalid utf-8 sequence of {len} bytes from index {at}"),
-            None => format!("incomplete utf-8 byte sequence from index {at}"),
-        };
-        JsonlError::NotUtf8 { detail, line: self.line }
+    /// Cuts the next chunk of whole lines, at most [`CHUNK_BYTES`] unless
+    /// one line is longer, into `buf` (cleared first; pass a spent
+    /// chunk's [`into_buffer`](JsonlChunk::into_buffer) to reuse it), or
+    /// `None` at the end of the input.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures of the source.
+    pub fn next_chunk(&mut self, mut buf: Vec<u8>) -> Result<Option<JsonlChunk>, JsonlError> {
+        if let Some(chunk) = self.after_header.take().filter(|c| !c.text.is_empty()) {
+            return Ok(Some(chunk));
+        }
+        buf.clear();
+        buf.append(&mut self.carry);
+        // The carry is part of a line, so it holds no line ending.
+        let mut searched = buf.len();
+        loop {
+            let want = if buf.len() < CHUNK_BYTES { CHUNK_BYTES - buf.len() } else { CHUNK_BYTES };
+            buf.reserve_exact(want);
+            let got = (&mut self.src).take(want as u64).read_to_end(&mut buf)?;
+            let eof = got < want;
+            if let Some(i) = buf[searched..].iter().rposition(|&b| b == b'\n') {
+                if !eof {
+                    self.carry.extend_from_slice(&buf[searched + i + 1..]);
+                    buf.truncate(searched + i + 1);
+                }
+                break;
+            }
+            if eof {
+                break;
+            }
+            // One line longer than a chunk: read on to its end.
+            searched = buf.len();
+        }
+        if buf.is_empty() {
+            return Ok(None);
+        }
+        let endings = buf.iter().filter(|&&b| b == b'\n').count();
+        let line_count = endings + usize::from(!buf.ends_with(b"\n"));
+        let chunk = JsonlChunk { line: self.line, line_count, offset: self.offset, text: buf };
+        self.line += line_count;
+        self.offset += chunk.text.len();
+        Ok(Some(chunk))
     }
 }
 

@@ -34,7 +34,7 @@ mod jsonl;
 pub mod profile;
 pub mod replay;
 
-pub use jsonl::{JsonlError, JsonlReader, JsonlWriter};
+pub use jsonl::{JsonlChunk, JsonlError, JsonlReader, JsonlWriter, CHUNK_BYTES};
 
 /// The largest processor (node) count the toolkit accepts from outside
 /// the program: JSON-lines and CCTRACE1 headers, CCSERVE1 sessions,
@@ -212,7 +212,7 @@ impl CommTrace {
     ///
     /// The reader's first error, else the check's as
     /// [`JsonlError::Invalid`].
-    pub fn read_jsonl(src: impl std::io::BufRead) -> Result<CommTrace, JsonlError> {
+    pub fn read_jsonl(src: impl std::io::Read) -> Result<CommTrace, JsonlError> {
         let mut reader = JsonlReader::new(src)?;
         let mut trace = CommTrace::new(reader.nodes());
         while let Some(ev) = reader.next_event()? {
@@ -279,17 +279,40 @@ impl TraceChecker {
         }
     }
 
-    /// Checks every event pushed, in one sort-merge pass.
+    /// Checks every event pushed, in one sort-merge pass on the calling
+    /// thread.
     ///
     /// # Errors
     ///
     /// The broken invariant, chosen as [`CommTrace::check`] describes.
-    pub fn finish(mut self) -> Result<(), String> {
-        self.ids.sort_unstable_by_key(|&(id, _)| id);
+    pub fn finish(self) -> Result<(), String> {
+        self.finish_on(1)
+    }
+
+    /// [`finish`](Self::finish), sorting the id and the dependency lists
+    /// at the same time, on a second thread, when `threads` is at least
+    /// 2: for a streamed trace command, which has the cores to spare.
+    /// [`CommTrace::check`] starts no thread: it also runs inside
+    /// simulations.
+    ///
+    /// # Errors
+    ///
+    /// The broken invariant, chosen as [`CommTrace::check`] describes.
+    pub fn finish_on(mut self, threads: usize) -> Result<(), String> {
+        let Self { ids, deps } = &mut self;
+        let mut sort_deps = || deps.sort_unstable_by_key(|&(dep, ..)| dep);
+        if threads > 1 {
+            std::thread::scope(|scope| {
+                scope.spawn(sort_deps);
+                ids.sort_unstable_by_key(|&(id, _)| id);
+            });
+        } else {
+            ids.sort_unstable_by_key(|&(id, _)| id);
+            sort_deps();
+        }
         if let Some(w) = self.ids.windows(2).find(|w| w[0].0 == w[1].0) {
             return Err(format!("duplicate event id {}", w[0].0));
         }
-        self.deps.sort_unstable_by_key(|&(dep, ..)| dep);
         let mut ids = self.ids.iter().peekable();
         for run in self.deps.chunk_by(|a, b| a.0 == b.0) {
             let dep = run[0].0;

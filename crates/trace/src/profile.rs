@@ -3,14 +3,21 @@
 //! [`profile`], [`interarrival_by_source`] and [`interarrival_aggregate`]
 //! are plain passes over an in-memory [`CommTrace`]. The analysis pipeline
 //! streams instead: [`SegmentExtract::from_events`] condenses one
-//! time-sorted block of events into a constant-size partial (grouped gap
-//! runs, integer counters), and [`StreamAccum`] folds the partials in time
-//! order, stitching the boundary gaps between consecutive blocks. The
-//! result ([`StreamExtract`]) represents exactly the same gap multisets and
-//! profile integers as the plain passes, without ever materializing the
-//! event stream.
+//! time-sorted block of events into a partial no larger than the block
+//! (grouped gap runs, integer counters), and [`StreamAccum`] folds the
+//! partials in time order, stitching the boundary gaps between
+//! consecutive blocks. The result ([`StreamExtract`]) represents exactly
+//! the same gap multisets and profile integers as the plain passes,
+//! without ever materializing the event stream.
+//!
+//! A parallel pass splits each partial in two: the worker that extracted
+//! it folds the order-free part (counters, gap runs) into its own
+//! [`BlockTally`], and the thread that sees the blocks in order
+//! [`stitch`](StreamAccum::stitch)es the [`SegmentSeam`] (boundary gaps,
+//! the ordered aggregate gaps for burstiness), then
+//! [`merge`](StreamAccum::merge)s the tallies once at the end.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use commchar_stats::burstiness::{BurstAccum, Burstiness};
 use commchar_stats::merge::GroupedSample;
@@ -70,30 +77,163 @@ impl std::fmt::Display for UnsortedError {
 
 impl std::error::Error for UnsortedError {}
 
-/// Constant-size partial extraction of one time-sorted block of events:
-/// per-source counters, grouped gap runs, and the block's ordered
-/// aggregate gaps (bounded by the block length). Built independently per
-/// block — in parallel, if the caller wants — and folded in time order by
-/// [`StreamAccum::absorb`].
+/// Messages and payload bytes per (source, destination) pair.
 #[derive(Clone, Debug)]
-pub struct SegmentExtract {
+enum PairCounts {
+    /// A `nodes × nodes` matrix, `src * nodes + dst`, while it has at most
+    /// [`DENSE_PAIRS`] cells.
+    Dense(Vec<[u64; 2]>),
+    /// The pairs seen, for wider traces, where a matrix per block (one
+    /// of 4096 nodes is 256 MiB) would dwarf the block's events.
+    Sparse(HashMap<(u16, u16), [u64; 2]>),
+}
+
+/// Cells up to which [`PairCounts`] is a matrix: 256 nodes, 1 MiB.
+const DENSE_PAIRS: usize = 1 << 16;
+
+impl PairCounts {
+    fn new(nodes: usize) -> Self {
+        if nodes * nodes <= DENSE_PAIRS {
+            PairCounts::Dense(vec![[0; 2]; nodes * nodes])
+        } else {
+            PairCounts::Sparse(HashMap::new())
+        }
+    }
+
+    fn add(&mut self, nodes: usize, (src, dst): (u16, u16), [msgs, bytes]: [u64; 2]) {
+        let cell = match self {
+            PairCounts::Dense(cells) => &mut cells[src as usize * nodes + dst as usize],
+            PairCounts::Sparse(map) => map.entry((src, dst)).or_default(),
+        };
+        cell[0] += msgs;
+        cell[1] += bytes;
+    }
+
+    fn merge(&mut self, nodes: usize, other: &PairCounts) {
+        match (self, other) {
+            (PairCounts::Dense(mine), PairCounts::Dense(theirs)) => {
+                for (m, t) in mine.iter_mut().zip(theirs) {
+                    m[0] += t[0];
+                    m[1] += t[1];
+                }
+            }
+            (mine, PairCounts::Sparse(theirs)) => {
+                for (&pair, &cell) in theirs {
+                    mine.add(nodes, pair, cell);
+                }
+            }
+            (PairCounts::Sparse(_), PairCounts::Dense(_)) => {
+                unreachable!("both sides are sized by the same node count")
+            }
+        }
+    }
+
+    /// The destination message and byte rows, one pair of rows per source.
+    fn into_rows(self, nodes: usize) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let mut rows = vec![(vec![0; nodes], vec![0; nodes]); nodes];
+        let mut put = |(src, dst): (usize, usize), [msgs, bytes]: [u64; 2]| {
+            rows[src].0[dst] = msgs;
+            rows[src].1[dst] = bytes;
+        };
+        match self {
+            PairCounts::Dense(cells) => {
+                for (i, cell) in cells.into_iter().enumerate() {
+                    put((i / nodes, i % nodes), cell);
+                }
+            }
+            PairCounts::Sparse(map) => {
+                for ((src, dst), cell) in map {
+                    put((src as usize, dst as usize), cell);
+                }
+            }
+        }
+        rows
+    }
+}
+
+/// The integer counters of a set of events: plain sums, so the counts of
+/// disjoint sets add up to the counts of their union.
+#[derive(Clone, Debug)]
+struct Counts {
     nodes: usize,
     msgs: Vec<u64>,
     bytes: Vec<u64>,
-    dest_counts: Vec<Vec<u64>>,
-    dest_bytes: Vec<Vec<u64>>,
-    /// Per-source (first, last) send times; `None` when the source is
-    /// silent in this block.
-    src_span: Vec<Option<(u64, u64)>>,
-    src_gaps: Vec<GroupedSample>,
-    /// Aggregate gaps internal to the block, in time order (the burstiness
-    /// accumulator needs the order; the fit only needs the runs).
-    agg_gaps: Vec<f64>,
-    agg_grouped: GroupedSample,
-    span: Option<(u64, u64)>,
+    pairs: PairCounts,
     total_bytes: u64,
     kind_counts: [u64; 3],
     length_counts: BTreeMap<u32, u64>,
+}
+
+impl Counts {
+    fn new(nodes: usize) -> Self {
+        Counts {
+            nodes,
+            msgs: vec![0; nodes],
+            bytes: vec![0; nodes],
+            pairs: PairCounts::new(nodes),
+            total_bytes: 0,
+            kind_counts: [0; 3],
+            length_counts: BTreeMap::new(),
+        }
+    }
+
+    fn add(&mut self, e: &CommEvent) {
+        let s = e.src as usize;
+        self.msgs[s] += 1;
+        self.bytes[s] += e.bytes as u64;
+        self.pairs.add(self.nodes, (e.src, e.dst), [1, e.bytes as u64]);
+        self.total_bytes += e.bytes as u64;
+        *self.length_counts.entry(e.bytes).or_insert(0) += 1;
+        self.kind_counts[kind_slot(e.kind)] += 1;
+    }
+
+    fn merge(&mut self, other: &Counts) {
+        for s in 0..self.nodes {
+            self.msgs[s] += other.msgs[s];
+            self.bytes[s] += other.bytes[s];
+        }
+        self.pairs.merge(self.nodes, &other.pairs);
+        self.total_bytes += other.total_bytes;
+        for k in 0..3 {
+            self.kind_counts[k] += other.kind_counts[k];
+        }
+        for (&len, &c) in &other.length_counts {
+            *self.length_counts.entry(len).or_insert(0) += c;
+        }
+    }
+}
+
+/// Partial extraction of one time-sorted block of events, as large as
+/// its events plus a few words per node: per-source counters,
+/// destination counts for the pairs seen, grouped gap runs, and the
+/// block's ordered [`SegmentSeam`].
+/// Built independently per block — in parallel, if the caller wants —
+/// and folded in time order by [`StreamAccum::absorb`], or split by
+/// [`BlockTally::absorb`] into the order-free part a worker keeps and the
+/// seam the in-order fold needs.
+#[derive(Clone, Debug)]
+pub struct SegmentExtract {
+    counts: Counts,
+    /// Per-source gaps internal to the block, grouped.
+    src_gaps: Vec<GroupedSample>,
+    /// The block's aggregate gaps, grouped.
+    agg_grouped: GroupedSample,
+    seam: SegmentSeam,
+}
+
+/// The ordered part of one block's extraction: what only a fold that
+/// sees the blocks in time order can use. That is the block's span, each
+/// source's first and last send (for the boundary gaps to the blocks
+/// around it), and the block's aggregate gaps in time order (the
+/// burstiness accumulator needs the order; the fit only needs the runs).
+#[derive(Clone, Debug)]
+pub struct SegmentSeam {
+    nodes: usize,
+    span: Option<(u64, u64)>,
+    /// Per-source (first, last) send times; `None` when the source is
+    /// silent in this block.
+    src_span: Vec<Option<(u64, u64)>>,
+    agg_gaps: Vec<f64>,
 }
 
 impl SegmentExtract {
@@ -104,53 +244,112 @@ impl SegmentExtract {
     ///
     /// Panics if an event's endpoints are out of range for `nodes`.
     pub fn from_events(nodes: usize, events: &[CommEvent]) -> Result<Self, UnsortedError> {
-        let mut seg = SegmentExtract {
+        let mut counts = Counts::new(nodes);
+        let mut src_gaps = vec![GroupedSample::new(); nodes];
+        let mut seam = SegmentSeam {
             nodes,
-            msgs: vec![0; nodes],
-            bytes: vec![0; nodes],
-            dest_counts: vec![vec![0; nodes]; nodes],
-            dest_bytes: vec![vec![0; nodes]; nodes],
-            src_span: vec![None; nodes],
-            src_gaps: vec![GroupedSample::new(); nodes],
-            agg_gaps: Vec::new(),
-            agg_grouped: GroupedSample::new(),
             span: None,
-            total_bytes: 0,
-            kind_counts: [0; 3],
-            length_counts: BTreeMap::new(),
+            src_span: vec![None; nodes],
+            agg_gaps: Vec::with_capacity(events.len().saturating_sub(1)),
         };
-        let mut prev_by_src: Vec<Option<u64>> = vec![None; nodes];
-        let mut prev: Option<u64> = None;
         for e in events {
-            if let Some(p) = prev {
+            if let Some((_, p)) = seam.span {
                 if e.t < p {
                     return Err(UnsortedError { prev: p, at: e.t });
                 }
-                seg.agg_gaps.push((e.t - p) as f64);
+                seam.agg_gaps.push((e.t - p) as f64);
             }
-            prev = Some(e.t);
+            seam.span = Some(seam.span.map_or((e.t, e.t), |(first, _)| (first, e.t)));
             let s = e.src as usize;
-            if let Some(p) = prev_by_src[s] {
-                seg.src_gaps[s].insert((e.t - p) as f64, 1);
-            }
-            prev_by_src[s] = Some(e.t);
-            seg.msgs[s] += 1;
-            seg.bytes[s] += e.bytes as u64;
-            seg.dest_counts[s][e.dst as usize] += 1;
-            seg.dest_bytes[s][e.dst as usize] += e.bytes as u64;
-            seg.src_span[s] = Some(seg.src_span[s].map_or((e.t, e.t), |(first, _)| (first, e.t)));
-            seg.span = Some(seg.span.map_or((e.t, e.t), |(first, _)| (first, e.t)));
-            seg.total_bytes += e.bytes as u64;
-            *seg.length_counts.entry(e.bytes).or_insert(0) += 1;
-            seg.kind_counts[kind_slot(e.kind)] += 1;
+            seam.src_span[s] = Some(match seam.src_span[s] {
+                Some((first, p)) => {
+                    src_gaps[s].insert((e.t - p) as f64, 1);
+                    (first, e.t)
+                }
+                None => (e.t, e.t),
+            });
+            counts.add(e);
         }
-        seg.agg_grouped = GroupedSample::from_samples(&seg.agg_gaps);
-        Ok(seg)
+        let agg_grouped = GroupedSample::from_samples(&seam.agg_gaps);
+        Ok(SegmentExtract { counts, src_gaps, agg_grouped, seam })
     }
 
     /// Events in the block.
     pub fn messages(&self) -> u64 {
-        self.msgs.iter().sum()
+        self.counts.msgs.iter().sum()
+    }
+}
+
+/// Gap runs folded binary-counter style, by size: a stack of merged
+/// samples, each under half the runs of the one below it. A new sample
+/// goes on top and merges down while it is at least half the size of the
+/// one below, so a run is copied O(log samples) times instead of once for
+/// every later sample, and the stack holds under twice the runs of its
+/// largest level.
+#[derive(Clone, Debug, Default)]
+struct RunLevels(Vec<GroupedSample>);
+
+impl RunLevels {
+    fn push(&mut self, mut carry: GroupedSample) {
+        if carry.is_empty() {
+            return;
+        }
+        while let Some(below) = self.0.last() {
+            if 2 * carry.distinct_len() < below.distinct_len() {
+                break;
+            }
+            carry.merge(&self.0.pop().expect("just seen"));
+        }
+        self.0.push(carry);
+    }
+
+    fn merge_into(self, out: &mut GroupedSample) {
+        for level in &self.0 {
+            out.merge(level);
+        }
+    }
+}
+
+/// The order-free statistics of the blocks one worker has folded: the
+/// integer counters, and the per-source and aggregate gap runs internal
+/// to each block, merged binary-counter style. Workers fold blocks in
+/// whatever order they get them; [`StreamAccum::merge`] adds each
+/// worker's tally once the in-order pass is done, exactly, because the
+/// counters are sums and [`GroupedSample`] merges are exact. Memory is
+/// O(distinct gap values × log blocks + the pairs seen), independent of
+/// trace length.
+#[derive(Clone, Debug)]
+pub struct BlockTally {
+    counts: Counts,
+    src_gaps: Vec<RunLevels>,
+    aggregate: RunLevels,
+}
+
+impl BlockTally {
+    /// An empty tally over `nodes` processors.
+    pub fn new(nodes: usize) -> Self {
+        BlockTally {
+            counts: Counts::new(nodes),
+            src_gaps: vec![RunLevels::default(); nodes],
+            aggregate: RunLevels::default(),
+        }
+    }
+
+    /// Folds a block's order-free statistics in and returns its seam, for
+    /// [`StreamAccum::stitch`] on the thread that sees the blocks in
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment was extracted for a different node count.
+    pub fn absorb(&mut self, seg: SegmentExtract) -> SegmentSeam {
+        assert_eq!(seg.seam.nodes, self.counts.nodes, "segment node count mismatch");
+        self.counts.merge(&seg.counts);
+        for (levels, gaps) in self.src_gaps.iter_mut().zip(seg.src_gaps) {
+            levels.push(gaps);
+        }
+        self.aggregate.push(seg.agg_grouped);
+        seg.seam
     }
 }
 
@@ -178,43 +377,33 @@ pub struct StreamExtract {
 /// Folds [`SegmentExtract`]s in time order into one [`StreamExtract`],
 /// inserting the boundary gaps (last event of the absorbed prefix to first
 /// event of the next block, aggregate and per-source) that no single block
-/// can see. Memory is O(distinct gap values + nodes²), independent of
-/// trace length — communication traces are tick-quantized, so the
+/// can see. Memory is O(distinct gap values + the pairs seen), independent
+/// of trace length — communication traces are tick-quantized, so the
 /// distinct-gap count saturates.
+///
+/// A parallel pass splits the fold: workers fold each block's order-free
+/// part into a [`BlockTally`], the accumulator [`stitch`](Self::stitch)es
+/// the seams in time order, then [`merge`](Self::merge)s the tallies.
 #[derive(Clone, Debug)]
 pub struct StreamAccum {
-    nodes: usize,
-    msgs: Vec<u64>,
-    bytes: Vec<u64>,
-    dest_counts: Vec<Vec<u64>>,
-    dest_bytes: Vec<Vec<u64>>,
+    counts: Counts,
     src_span: Vec<Option<(u64, u64)>>,
     src_gaps: Vec<GroupedSample>,
     aggregate: GroupedSample,
     burst: BurstAccum,
     span: Option<(u64, u64)>,
-    total_bytes: u64,
-    kind_counts: [u64; 3],
-    length_counts: BTreeMap<u32, u64>,
 }
 
 impl StreamAccum {
     /// Starts an empty accumulator over `nodes` processors.
     pub fn new(nodes: usize) -> Self {
         StreamAccum {
-            nodes,
-            msgs: vec![0; nodes],
-            bytes: vec![0; nodes],
-            dest_counts: vec![vec![0; nodes]; nodes],
-            dest_bytes: vec![vec![0; nodes]; nodes],
+            counts: Counts::new(nodes),
             src_span: vec![None; nodes],
             src_gaps: vec![GroupedSample::new(); nodes],
             aggregate: GroupedSample::new(),
             burst: BurstAccum::new(),
             span: None,
-            total_bytes: 0,
-            kind_counts: [0; 3],
-            length_counts: BTreeMap::new(),
         }
     }
 
@@ -226,8 +415,26 @@ impl StreamAccum {
     ///
     /// Panics if the segment was extracted for a different node count.
     pub fn absorb(&mut self, seg: &SegmentExtract) -> Result<(), UnsortedError> {
-        assert_eq!(seg.nodes, self.nodes, "segment node count mismatch");
-        let Some((seg_first, seg_last)) = seg.span else { return Ok(()) };
+        self.stitch(&seg.seam)?;
+        self.counts.merge(&seg.counts);
+        self.aggregate.merge(&seg.agg_grouped);
+        for (mine, gaps) in self.src_gaps.iter_mut().zip(&seg.src_gaps) {
+            mine.merge(gaps);
+        }
+        Ok(())
+    }
+
+    /// Folds the next block's seam in: the boundary gaps between the
+    /// absorbed prefix and the block, and the block's aggregate gaps in
+    /// time order. Blocks must arrive in trace order, as for
+    /// [`absorb`](Self::absorb); on an error nothing is folded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the seam was extracted for a different node count.
+    pub fn stitch(&mut self, seam: &SegmentSeam) -> Result<(), UnsortedError> {
+        assert_eq!(seam.nodes, self.counts.nodes, "segment node count mismatch");
+        let Some((seg_first, seg_last)) = seam.span else { return Ok(()) };
         if let Some((_, last)) = self.span {
             if seg_first < last {
                 return Err(UnsortedError { prev: last, at: seg_first });
@@ -238,12 +445,11 @@ impl StreamAccum {
             self.burst.push(boundary);
             self.aggregate.insert(boundary, 1);
         }
-        for &g in &seg.agg_gaps {
+        for &g in &seam.agg_gaps {
             self.burst.push(g);
         }
-        self.aggregate.merge(&seg.agg_grouped);
-        for s in 0..self.nodes {
-            let Some((first, last)) = seg.src_span[s] else { continue };
+        for (s, span) in seam.src_span.iter().enumerate() {
+            let Some((first, last)) = *span else { continue };
             self.src_span[s] = Some(match self.src_span[s] {
                 // Global time order makes `first >= prev_last` here.
                 Some((global_first, prev_last)) => {
@@ -252,26 +458,27 @@ impl StreamAccum {
                 }
                 None => (first, last),
             });
-            self.src_gaps[s].merge(&seg.src_gaps[s]);
-            self.msgs[s] += seg.msgs[s];
-            self.bytes[s] += seg.bytes[s];
-            for d in 0..self.nodes {
-                self.dest_counts[s][d] += seg.dest_counts[s][d];
-                self.dest_bytes[s][d] += seg.dest_bytes[s][d];
-            }
         }
         self.span = Some(match self.span {
             Some((first, _)) => (first, seg_last),
             None => (seg_first, seg_last),
         });
-        self.total_bytes += seg.total_bytes;
-        for k in 0..3 {
-            self.kind_counts[k] += seg.kind_counts[k];
-        }
-        for (&len, &c) in &seg.length_counts {
-            *self.length_counts.entry(len).or_insert(0) += c;
-        }
         Ok(())
+    }
+
+    /// Adds a worker's [`BlockTally`]: the order-free statistics of
+    /// blocks whose seams have been [`stitch`](Self::stitch)ed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tally is over a different node count.
+    pub fn merge(&mut self, tally: BlockTally) {
+        assert_eq!(tally.counts.nodes, self.counts.nodes, "tally node count mismatch");
+        self.counts.merge(&tally.counts);
+        for (mine, levels) in self.src_gaps.iter_mut().zip(tally.src_gaps) {
+            levels.merge_into(mine);
+        }
+        tally.aggregate.merge_into(&mut self.aggregate);
     }
 
     /// Completes the pass. The profile is identical to [`profile`]'s
@@ -279,36 +486,41 @@ impl StreamAccum {
     /// `(last − first) / (messages − 1)` equals the sum of the gaps, in
     /// exact u64 arithmetic).
     pub fn finish(self) -> StreamExtract {
-        let sources = (0..self.nodes)
-            .map(|s| SourceProfile {
+        let Counts { nodes, msgs, bytes, pairs, total_bytes, kind_counts, length_counts } =
+            self.counts;
+        let sources = pairs
+            .into_rows(nodes)
+            .into_iter()
+            .enumerate()
+            .map(|(s, (dest_counts, dest_bytes))| SourceProfile {
                 src: s as u16,
-                messages: self.msgs[s],
-                bytes: self.bytes[s],
+                messages: msgs[s],
+                bytes: bytes[s],
                 mean_gap: match self.src_span[s] {
-                    Some((first, last)) if self.msgs[s] >= 2 => {
-                        (last - first) as f64 / (self.msgs[s] - 1) as f64
+                    Some((first, last)) if msgs[s] >= 2 => {
+                        (last - first) as f64 / (msgs[s] - 1) as f64
                     }
                     _ => 0.0,
                 },
-                dest_counts: self.dest_counts[s].clone(),
-                dest_bytes: self.dest_bytes[s].clone(),
+                dest_counts,
+                dest_bytes,
             })
             .collect();
-        let messages: u64 = self.msgs.iter().sum();
+        let messages: u64 = msgs.iter().sum();
         let profile = TraceProfile {
             sources,
             messages,
-            bytes: self.total_bytes,
-            mean_bytes: if messages == 0 { 0.0 } else { self.total_bytes as f64 / messages as f64 },
+            bytes: total_bytes,
+            mean_bytes: if messages == 0 { 0.0 } else { total_bytes as f64 / messages as f64 },
             span: self.span.map_or(0, |(first, last)| last - first),
-            kind_counts: self.kind_counts,
+            kind_counts,
         };
         StreamExtract {
             profile,
             per_source: self.src_gaps,
             aggregate: self.aggregate,
             burstiness: self.burst.finish(),
-            length_counts: self.length_counts,
+            length_counts,
         }
     }
 }
@@ -475,11 +687,21 @@ mod tests {
         tr
     }
 
-    fn stream_over_blocks(tr: &CommTrace, block: usize) -> StreamExtract {
+    /// The blocks of `block` events folded by [`StreamAccum::absorb`]
+    /// (`workers == 0`), or dealt round-robin to `workers` tallies whose
+    /// seams are stitched in order and which are merged at the end.
+    fn stream_over_blocks(tr: &CommTrace, block: usize, workers: usize) -> StreamExtract {
         let mut acc = StreamAccum::new(tr.nodes());
-        for chunk in tr.events().chunks(block.max(1)) {
+        let mut tallies = vec![BlockTally::new(tr.nodes()); workers];
+        for (i, chunk) in tr.events().chunks(block.max(1)).enumerate() {
             let seg = SegmentExtract::from_events(tr.nodes(), chunk).unwrap();
-            acc.absorb(&seg).unwrap();
+            match tallies.len() {
+                0 => acc.absorb(&seg).unwrap(),
+                n => acc.stitch(&tallies[i % n].absorb(seg)).unwrap(),
+            }
+        }
+        for t in tallies {
+            acc.merge(t);
         }
         acc.finish()
     }
@@ -490,11 +712,17 @@ mod tests {
         let per_source = interarrival_by_source(&tr);
         let aggregate = interarrival_aggregate(&tr);
         let batch = profile(&tr);
-        for block in [1, 2, 3, 7, 64, 1000] {
-            let st = stream_over_blocks(&tr, block);
+        for (block, workers) in
+            [1, 2, 3, 7, 64, 1000].into_iter().flat_map(|b| (0..4).map(move |w| (b, w)))
+        {
+            let st = stream_over_blocks(&tr, block, workers);
             // Gap multisets are exactly the batch samples, grouped.
             for (s, gaps) in per_source.iter().enumerate() {
-                assert_eq!(st.per_source[s], GroupedSample::from_samples(gaps), "src {s}");
+                assert_eq!(
+                    st.per_source[s],
+                    GroupedSample::from_samples(gaps),
+                    "src {s}, {block}-event blocks, {workers} tallies"
+                );
             }
             assert_eq!(st.aggregate, GroupedSample::from_samples(&aggregate));
             // Profile integers and telescoped mean gaps are identical.
@@ -541,6 +769,52 @@ mod tests {
         let mut acc = StreamAccum::new(2);
         acc.absorb(&late).unwrap();
         assert_eq!(acc.absorb(&early).unwrap_err(), UnsortedError { prev: 10, at: 4 });
+    }
+
+    /// Past 256 nodes the destination counts are kept per pair seen, not
+    /// as a matrix, and still add up to the batch profile's rows.
+    #[test]
+    fn wide_traces_count_destinations_per_pair() {
+        let nodes = 300;
+        let mut tr = CommTrace::new(nodes);
+        for i in 0..2000u64 {
+            let src = (i * 7 % nodes as u64) as u16;
+            let dst = ((i * 13 + 1) % nodes as u64) as u16;
+            if src != dst {
+                tr.push(CommEvent::new(i, i / 3, src, dst, 8 + (i % 9) as u32, EventKind::Data));
+            }
+        }
+        assert!(matches!(PairCounts::new(nodes), PairCounts::Sparse(_)));
+        let batch = profile(&tr);
+        for workers in [0, 1, 3] {
+            let st = stream_over_blocks(&tr, 97, workers);
+            for (sp, bp) in st.profile.sources.iter().zip(&batch.sources) {
+                assert_eq!(sp.dest_counts, bp.dest_counts, "src {}", sp.src);
+                assert_eq!(sp.dest_bytes, bp.dest_bytes, "src {}", sp.src);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_fold_binary_counter_style() {
+        let mut levels = RunLevels::default();
+        for i in 0..11 {
+            levels.push(GroupedSample::from_samples(&[f64::from(i)]));
+            levels.push(GroupedSample::new());
+        }
+        // Eleven distinct one-run samples: each level holds under half
+        // the runs of the one below it.
+        let runs: Vec<usize> = levels.0.iter().map(GroupedSample::distinct_len).collect();
+        assert_eq!(runs, vec![8, 3]);
+        // A sample of repeated values merges down into the level it
+        // overlaps instead of stacking.
+        levels.push(GroupedSample::from_samples(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]));
+        let runs: Vec<usize> = levels.0.iter().map(GroupedSample::distinct_len).collect();
+        assert_eq!(runs, vec![11]);
+        let mut all = GroupedSample::new();
+        levels.merge_into(&mut all);
+        let want: Vec<f64> = (0..11).chain(0..6).map(f64::from).collect();
+        assert_eq!(all, GroupedSample::from_samples(&want));
     }
 
     #[test]

@@ -56,11 +56,12 @@ pub mod reader;
 mod varint;
 pub mod writer;
 
+use std::cell::RefCell;
 use std::fs::File;
-use std::io::{BufReader, Chain, Cursor, Read};
+use std::io::{Chain, Cursor, Read};
 use std::path::Path;
 
-use commchar_trace::{CommEvent, CommTrace, JsonlError, JsonlReader, TraceChecker};
+use commchar_trace::{CommEvent, CommTrace, JsonlChunk, JsonlError, JsonlReader, TraceChecker};
 
 pub use reader::{
     unpack_trace, unpack_trace_parallel, FileReader, PackedBytes, PackedReader, PackedSource,
@@ -225,20 +226,16 @@ pub fn load_trace(bytes: &[u8]) -> Result<CommTrace, TraceStoreError> {
     Ok(CommTrace::read_jsonl(bytes)?)
 }
 
-/// Read buffer for JSON-lines files.
-const READ_BUF: usize = 64 << 10;
-
 /// What a [`TraceFile`] reads JSON-lines from: the bytes read to sniff
 /// the format, then the rest of the file.
-pub type JsonlSource = BufReader<Chain<Cursor<Vec<u8>>, File>>;
+pub type JsonlSource = Chain<Cursor<Vec<u8>>, File>;
 
 /// A trace file opened for one streaming pass, in either format sniffed by
 /// magic bytes: the out-of-core counterpart of [`load_trace`]. A packed
 /// regular file is read one block at a time through a [`PackedReader`],
-/// JSON-lines one line at a time through a [`JsonlReader`], and
-/// [`for_each_event`](Self::for_each_event) checks the trace as it
-/// streams, so memory stays at one block or line plus the checker's
-/// [`TraceChecker`] lists. Packed input that is not a regular file (a
+/// JSON-lines one [`JsonlChunk`] of whole lines at a time through a
+/// [`JsonlReader`], and [`for_each_event`](Self::for_each_event) checks
+/// the trace as it streams. Packed input that is not a regular file (a
 /// pipe) cannot be read at offsets, so it is read whole into memory
 /// first; the packed format is the compact one.
 #[derive(Debug)]
@@ -263,8 +260,7 @@ impl TraceFile {
         let mut head = Vec::with_capacity(MAGIC.len());
         (&mut file).take(MAGIC.len() as u64).read_to_end(&mut head)?;
         if !is_packed(&head) {
-            let src = BufReader::with_capacity(READ_BUF, Cursor::new(head).chain(file));
-            return Ok(TraceFile::Jsonl(JsonlReader::new(src)?));
+            return Ok(TraceFile::Jsonl(JsonlReader::new(Cursor::new(head).chain(file))?));
         }
         let source = if file.metadata()?.is_file() {
             PackedSource::File(file)
@@ -288,21 +284,28 @@ impl TraceFile {
     /// the last event, so a caller that must produce nothing for an
     /// invalid trace commits its output once this returns `Ok`.
     ///
+    /// `jobs` workers (`0` = one per hardware thread) decode the blocks or
+    /// parse the chunks, as
+    /// [`for_each_event_unchecked`](Self::for_each_event_unchecked) says;
+    /// the events, the checker's input and the error are the same for any
+    /// `jobs`.
+    ///
     /// # Errors
     ///
     /// `f`'s first error, else the error [`load_trace`] gives for the
     /// same file.
     pub fn for_each_event<E: From<TraceStoreError>>(
         self,
+        jobs: usize,
         mut f: impl FnMut(CommEvent) -> Result<(), E>,
     ) -> Result<(), E> {
         let packed = matches!(self, TraceFile::Packed(_));
         let mut checker = TraceChecker::default();
-        self.for_each_event_unchecked(|e| {
+        self.for_each_event_unchecked(jobs, |e| {
             checker.push(&e);
             f(e)
         })?;
-        checker.finish().map_err(|msg| {
+        checker.finish_on(commchar_pool::resolve_jobs(jobs)).map_err(|msg| {
             if packed {
                 TraceStoreError::Corrupt(msg)
             } else {
@@ -317,22 +320,91 @@ impl TraceFile {
     /// [`for_each_event`](Self::for_each_event) adds: for a second pass
     /// over a file that has already been checked.
     ///
+    /// The calling thread reads the input and calls `f`; `jobs` workers
+    /// (`0` = one per hardware thread, `1` = none: the calling thread does
+    /// it all) decode the packed blocks or parse the JSON-lines chunks on
+    /// a [`run_ordered`](commchar_pool::run_ordered) pipeline, which hands
+    /// them back in file order and holds at most two per worker. Chunk
+    /// buffers are reused, so memory stays at that window.
+    ///
     /// # Errors
     ///
-    /// `f`'s first error, else the first bad line or block.
+    /// `f`'s first error, else the first bad line or block: the first in
+    /// file order, for any `jobs`.
     pub fn for_each_event_unchecked<E: From<TraceStoreError>>(
         self,
+        jobs: usize,
         mut f: impl FnMut(CommEvent) -> Result<(), E>,
     ) -> Result<(), E> {
+        let mut failed = None;
+        let mut each = |e| f(e).map_err(|e| failed = Some(e));
+        match self.each_event(jobs, &mut each) {
+            Ok(()) => Ok(()),
+            Err(Halt::Input(e)) => Err(e.into()),
+            Err(Halt::Caller) => Err(failed.expect("the caller's error is kept")),
+        }
+    }
+
+    /// The one event loop behind both `for_each_event` forms, monomorphic
+    /// so every caller shares one copy of the pipeline.
+    fn each_event(
+        self,
+        jobs: usize,
+        f: &mut dyn FnMut(CommEvent) -> Result<(), ()>,
+    ) -> Result<(), Halt> {
         match self {
-            TraceFile::Packed(reader) => reader.for_each_event(f),
+            TraceFile::Packed(reader) => {
+                let workers = commchar_pool::resolve_jobs_for(jobs, reader.block_count());
+                commchar_pool::run_ordered(
+                    vec![(); workers],
+                    0..reader.block_count(),
+                    |(), block| reader.decode_events(block),
+                    |events| -> Result<(), Halt> {
+                        events?.into_iter().try_for_each(|e| f(e).map_err(|()| Halt::Caller))
+                    },
+                )?;
+            }
             TraceFile::Jsonl(mut reader) => {
-                while let Some(e) = reader.next_event().map_err(TraceStoreError::from)? {
-                    f(e)?;
-                }
-                Ok(())
+                let nodes = reader.nodes();
+                // Spent chunk and event buffers, back from `f`'s side.
+                let spent = RefCell::new(Vec::new());
+                let chunks = std::iter::from_fn(|| {
+                    let (buf, events) = spent.borrow_mut().pop().unwrap_or_default();
+                    Some((reader.next_chunk(buf).transpose()?, events))
+                });
+                commchar_pool::run_ordered(
+                    vec![(); commchar_pool::resolve_jobs(jobs)],
+                    chunks,
+                    |(), (chunk, mut events): (Result<JsonlChunk, _>, Vec<CommEvent>)| {
+                        let chunk = chunk?;
+                        let parsed = chunk.parse(nodes, &mut events);
+                        Ok::<_, JsonlError>((chunk.into_buffer(), events, parsed))
+                    },
+                    |parsed| -> Result<(), Halt> {
+                        let (buf, mut events, parsed) = parsed?;
+                        events.drain(..).try_for_each(|e| f(e).map_err(|()| Halt::Caller))?;
+                        parsed?;
+                        spent.borrow_mut().push((buf, events));
+                        Ok(())
+                    },
+                )?;
             }
         }
+        Ok(())
+    }
+}
+
+/// Why [`TraceFile::each_event`] stopped early.
+enum Halt {
+    /// The caller's `f` failed; its error is the caller's to keep.
+    Caller,
+    /// The input is bad.
+    Input(TraceStoreError),
+}
+
+impl<E: Into<TraceStoreError>> From<E> for Halt {
+    fn from(e: E) -> Self {
+        Halt::Input(e.into())
     }
 }
 
@@ -411,9 +483,9 @@ mod tests {
                 Ok::<_, TraceStoreError>(())
             };
             if unchecked {
-                src.for_each_event_unchecked(push)?;
+                src.for_each_event_unchecked(1, push)?;
             } else {
-                src.for_each_event(push)?;
+                src.for_each_event(1, push)?;
             }
             Ok::<_, TraceStoreError>(got)
         };

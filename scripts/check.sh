@@ -6,7 +6,8 @@
 #
 # Always runs rustdoc with warnings denied (missing docs on a public
 # item fail the gate) and these CLI smokes: a trace round-trip (generate
-# a trace, pack it to the columnar binary format, cat it back to
+# a trace, pack it to the columnar binary format — with --jobs 1 and
+# --jobs 3 too, which must write the same bytes — cat it back to
 # JSON-lines and diff against the original; re-pack the packed file to a
 # new file and in place, each byte-identical to it; pack with the
 # largest --block-len, which must neither reserve it nor change what cat
@@ -23,8 +24,9 @@
 # byte-identical to the report captured before the allocation-free secant
 # solver, so a change to the fitted numbers shows up), a streaming smoke
 # (a packed trace with a deliberately small block budget characterized
-# out-of-core with --stream must print byte-identically to the in-memory
-# --no-replay pass over the same events), a sharded-simulator smoke
+# out-of-core with --stream at --block-jobs 1 and 3 must print
+# byte-identically to the in-memory --no-replay pass over the same
+# events), a sharded-simulator smoke
 # (the same trace replayed with --engine flit at --sim-jobs 1 and
 # --sim-jobs 4 must print byte-identically: the wavefront shards are
 # cycle-identical to the serial event loop), a sharded-machine smoke
@@ -121,6 +123,10 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 cargo run --release -q -- generate nbody --procs 4 --scale tiny --out "$tmpdir/t.jsonl"
 cargo run --release -q -- trace pack "$tmpdir/t.jsonl" --out "$tmpdir/t.cct"
+cargo run --release -q -- trace pack "$tmpdir/t.jsonl" --jobs 1 --out "$tmpdir/t.j1.cct"
+cargo run --release -q -- trace pack "$tmpdir/t.jsonl" --jobs 3 --out "$tmpdir/t.j3.cct"
+cmp "$tmpdir/t.j1.cct" "$tmpdir/t.j3.cct"
+cmp "$tmpdir/t.cct" "$tmpdir/t.j1.cct"
 cargo run --release -q -- trace cat "$tmpdir/t.cct" --out "$tmpdir/t.roundtrip.jsonl"
 diff "$tmpdir/t.jsonl" "$tmpdir/t.roundtrip.jsonl"
 cargo run --release -q -- trace pack "$tmpdir/t.cct" --out "$tmpdir/t.repack.cct"
@@ -144,6 +150,8 @@ diff "$tmpdir/sig.j1.txt" "$tmpdir/sig.j4.txt"
 echo "==> streaming smoke (--stream vs --no-replay diff, small blocks)"
 cargo run --release -q -- trace pack "$tmpdir/t.jsonl" --block-len 7 --out "$tmpdir/t.small.cct"
 cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --no-replay >"$tmpdir/sig.batch.txt"
+cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --stream --block-jobs 1 >"$tmpdir/sig.stream.j1.txt"
+diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.j1.txt"
 cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --stream --block-jobs 3 >"$tmpdir/sig.stream.txt"
 diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.txt"
 

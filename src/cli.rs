@@ -209,10 +209,11 @@ pub fn cmd_characterize_trace_only(input: &[u8], jobs: usize) -> Result<String, 
 }
 
 /// `commchar characterize --trace FILE --stream [--jobs N] [--block-jobs
-/// N]`: out-of-core analysis of a *packed* trace file. Blocks are read
-/// and condensed on `block_jobs` workers and folded in file order, so
-/// memory stays bounded by the block size × worker count — the trace is
-/// never materialized. The report is byte-identical to
+/// N]`: out-of-core analysis of a *packed* trace file. Each of
+/// `block_jobs` workers reads, condenses and folds blocks into its own
+/// tally while this thread stitches the blocks in file order, so memory
+/// stays bounded by the tallies and a few blocks per worker — the trace
+/// is never materialized. The report is byte-identical to
 /// [`cmd_characterize_trace_only`] on the same events (and, like it,
 /// omits the network-behaviour section, which would need an O(events)
 /// replay).
@@ -392,34 +393,44 @@ fn writing(path: &str) -> impl Fn(TraceStoreError) -> CliError + '_ {
     }
 }
 
-/// `commchar trace pack FILE --out OUT [--block-len N]`: convert a trace
-/// (either format) to the packed columnar binary format, `block_len`
-/// events per block (`0` = the format default). The input streams
-/// through a [`TraceFile`] into a [`TraceWriter`], so memory holds one
-/// block or line and the trace checker's lists, never the trace. The
-/// output goes to a temporary file beside `out` and replaces it only once
-/// the whole input has checked out: a failed pack leaves no new file and
-/// an existing `out` as it was, and `out` may be the input itself.
+/// `commchar trace pack FILE --out OUT [--block-len N] [--jobs N]`:
+/// convert a trace (either format) to the packed columnar binary format,
+/// `block_len` events per block (`0` = the format default). The input
+/// streams through a [`TraceFile`] into a [`TraceWriter`]: `jobs` workers
+/// (`0` = one per hardware thread) parse the JSON-lines chunks or decode
+/// the blocks, and this thread checks and writes the events in input
+/// order, so memory holds a few chunks or blocks per worker and the trace
+/// checker's lists, never the trace, and the output is the same for any
+/// `jobs`. The output goes to a temporary file beside `out` and replaces
+/// it only once the whole input has checked out: a failed pack leaves no
+/// new file and an existing `out` as it was, and `out` may be the input
+/// itself.
 ///
 /// # Errors
 ///
 /// The input's first error, as [`load_trace`] names it, or a failure
 /// writing `out`.
-pub fn cmd_trace_pack(input: &str, out: &str, block_len: usize) -> Result<(), CliError> {
+pub fn cmd_trace_pack(
+    input: &str,
+    out: &str,
+    block_len: usize,
+    jobs: usize,
+) -> Result<(), CliError> {
     let src = open_trace(input)?;
     let block_len = if block_len == 0 { DEFAULT_BLOCK_LEN } else { block_len };
     replace_file(out, |sink| {
         let mut w =
             TraceWriter::with_block_len(sink, src.nodes(), block_len).map_err(writing(out))?;
-        src.for_each_event(|e| w.push(e).map_err(writing(out)))?;
+        src.for_each_event(jobs, |e| w.push(e).map_err(writing(out)))?;
         w.finish().map_err(writing(out))?;
         Ok(())
     })
 }
 
-/// `commchar trace cat FILE [--out OUT]`: print a trace (either format)
-/// as JSON-lines — the inverse of `trace pack` — to `out`, all or nothing
-/// as `trace pack` writes it, or to stdout. Stdout cannot be taken back,
+/// `commchar trace cat FILE [--out OUT] [--jobs N]`: print a trace
+/// (either format) as JSON-lines — the inverse of `trace pack`, reading
+/// on `jobs` workers as it does — to `out`, all or nothing as `trace
+/// pack` writes it, or to stdout. Stdout cannot be taken back,
 /// so an invalid trace must print nothing there: a regular file is
 /// checked in a first pass and written in a second, which skips the
 /// trace invariants the first has checked, and anything else (a pipe,
@@ -429,16 +440,16 @@ pub fn cmd_trace_pack(input: &str, out: &str, block_len: usize) -> Result<(), Cl
 ///
 /// The input's first error, as [`load_trace`] names it, or a failure
 /// writing the output.
-pub fn cmd_trace_cat(input: &str, out: Option<&str>) -> Result<(), CliError> {
+pub fn cmd_trace_cat(input: &str, out: Option<&str>, jobs: usize) -> Result<(), CliError> {
     let cat = |sink: &mut dyn Write, name: &str, prechecked: bool| {
         let src = open_trace(input)?;
         let failed = |e: std::io::Error| CliError(format!("writing {name}: {e}"));
         let mut w = JsonlWriter::new(sink, src.nodes()).map_err(failed)?;
         let push = |e: CommEvent| w.push(&e).map_err(failed);
         if prechecked {
-            src.for_each_event_unchecked(push)?;
+            src.for_each_event_unchecked(jobs, push)?;
         } else {
-            src.for_each_event(push)?;
+            src.for_each_event(jobs, push)?;
         }
         w.finish().map_err(failed)?;
         Ok(())
@@ -448,7 +459,7 @@ pub fn cmd_trace_cat(input: &str, out: Option<&str>) -> Result<(), CliError> {
     }
     let meta = std::fs::metadata(input).map_err(|e| CliError(format!("reading {input}: {e}")))?;
     if meta.is_file() {
-        open_trace(input)?.for_each_event(|_| Ok::<_, CliError>(()))?;
+        open_trace(input)?.for_each_event(jobs, |_| Ok::<_, CliError>(()))?;
         return cat(&mut BufWriter::new(std::io::stdout().lock()), "stdout", true);
     }
     let mut text = Vec::new();
@@ -515,12 +526,13 @@ fn block_stats(reader: &PackedReader<PackedSource>) -> String {
 /// sixteen blocks and as a min/max/mean summary overall. One streaming
 /// pass does it all: the JSON-lines size is counted as `trace cat` would
 /// write each event, and for JSON-lines input the packed size as
-/// `trace pack` would write it.
+/// `trace pack` would write it, read on `jobs` workers as `trace pack`
+/// reads.
 ///
 /// # Errors
 ///
 /// The input's first error, as [`load_trace`] names it.
-pub fn cmd_trace_stat(input: &str) -> Result<String, CliError> {
+pub fn cmd_trace_stat(input: &str, jobs: usize) -> Result<String, CliError> {
     let src = open_trace(input)?;
     let nodes = src.nodes();
     let (format, blocks, file_len, mut packed) = match &src {
@@ -531,7 +543,7 @@ pub fn cmd_trace_stat(input: &str) -> Result<String, CliError> {
     };
     let mut jsonl = JsonlWriter::new(ByteCount(0), nodes).map_err(TraceStoreError::from)?;
     let (mut events, mut kinds, mut span) = (0usize, [0usize; 3], (u64::MAX, 0u64));
-    src.for_each_event(|e| {
+    src.for_each_event(jobs, |e| {
         events += 1;
         kinds[e.kind as usize] += 1;
         span = (span.0.min(e.t), span.1.max(e.t));
@@ -580,8 +592,9 @@ const FEED_BLOCK_LEN: usize = 4096;
 /// `shutdown` asks the server to exit afterwards. The status line
 /// (block/poll counts) belongs on stderr.
 ///
-/// The wire wants time order, and nothing goes out before the trace has
-/// checked out as [`load_trace`] checks it. A regular file is checked,
+/// The file is read on the calling thread. The wire wants time order,
+/// and nothing goes out before the trace has checked out as
+/// [`load_trace`] checks it. A regular file is checked,
 /// and its time order found, in a first pass; in order, it streams in a
 /// second pass one block at a time, the rule `trace cat` follows for
 /// stdout. Out-of-order input, or a pipe (read once), is collected into
@@ -605,7 +618,7 @@ pub fn cmd_serve_feed(
         let src = open_trace(path)?;
         let nodes = src.nodes();
         let (mut last, mut in_order) = (0, true);
-        src.for_each_event(|e| {
+        src.for_each_event(1, |e| {
             in_order &= e.t >= last;
             last = e.t;
             Ok::<_, CliError>(())
@@ -613,7 +626,7 @@ pub fn cmd_serve_feed(
         if in_order {
             return feed(addr, nodes, "the trace", poll_every, shutdown, |send| {
                 let mut chunk = Vec::new();
-                open_trace(path)?.for_each_event_unchecked(|e| {
+                open_trace(path)?.for_each_event_unchecked(1, |e| {
                     chunk.push(e);
                     if chunk.len() < block_len {
                         return Ok(());
@@ -633,7 +646,7 @@ pub fn cmd_serve_feed(
     let src = open_trace(path)?;
     let nodes = src.nodes();
     let mut events = Vec::new();
-    src.for_each_event(|e| {
+    src.for_each_event(1, |e| {
         events.push(e);
         Ok::<_, CliError>(())
     })?;
@@ -769,7 +782,8 @@ COMMANDS:
     characterize --trace FILE --stream
                                   same report, computed block-by-block from a
                                   packed file in constant memory (out-of-core;
-                                  accepts --block-jobs for parallel decoding)
+                                  accepts --block-jobs for parallel decoding
+                                  and folding)
     generate <app> [--out FILE]   emit a synthetic trace from the fitted model
     replay --trace FILE           replay a saved trace (causal vs naive)
     suite                         characterize every application in parallel, plus
@@ -778,7 +792,8 @@ COMMANDS:
                                   (run/characterize/replay/suite accept --engine,
                                   --topology and --routing)
     trace pack FILE --out FILE    convert a trace to the packed binary format
-                                  (--block-len sets events per block)
+                                  (--block-len sets events per block; pack, cat
+                                  and stat accept --jobs for parallel reading)
     trace cat FILE                print a trace (either format) as JSON-lines
     trace stat FILE               summarize a trace file (format, sizes, ratio,
                                   per-block event counts and payload bytes)
@@ -801,8 +816,11 @@ OPTIONS:
     --scale S       tiny | small | full (default small)
     --seed N        generation seed (default 42)
     --jobs N        worker threads for suite cells and per-source distribution
-                    fits; 0 = one per hardware thread (default 0). Output is
-                    byte-identical for any value; only wall-clock changes.
+                    fits, and for trace pack / cat / stat, whose workers parse
+                    JSON-lines chunks or decode blocks while one thread checks
+                    and writes in input order; 0 = one per hardware thread
+                    (default 0), 1 = no extra thread. Output is byte-identical
+                    for any value; only wall-clock changes.
     --engine E      closed-loop network engine: recurrence (channel-recurrence
                     wormhole model, default) or flit (cycle-accurate flit-level
                     router run incrementally). The recurrence default keeps
@@ -828,8 +846,11 @@ OPTIONS:
     --streaming     replay with online statistics only (constant memory)
     --stream        characterize a packed trace block-by-block (constant memory)
     --no-replay     characterize without the network-behaviour section
-    --block-jobs N  worker threads decoding blocks under --stream; 0 = one per
-                    hardware thread (default 0). Byte-identical for any value.
+    --block-jobs N  worker threads under --stream, each decoding blocks and
+                    folding their order-free statistics into its own tally
+                    while one thread stitches the blocks in file order; 0 =
+                    one per hardware thread (default 0), 1 = no extra thread.
+                    Byte-identical for any value.
     --block-len N   events per block for trace pack / --packed output
                     (default 4096)
     --packed        write run/generate trace output in the packed binary format
@@ -907,7 +928,7 @@ mod tests {
     fn pack(name: &str, input: &[u8], block_len: usize) -> Vec<u8> {
         let (src, out) =
             (scratch_file(&format!("{name}.in"), input), scratch(&format!("{name}.cct")));
-        cmd_trace_pack(&src, &out, block_len).unwrap();
+        cmd_trace_pack(&src, &out, block_len, 0).unwrap();
         std::fs::remove_file(&src).unwrap();
         take(&out)
     }
@@ -916,7 +937,7 @@ mod tests {
     fn cat(name: &str, input: &[u8]) -> Result<Vec<u8>, CliError> {
         let (src, out) =
             (scratch_file(&format!("{name}.in"), input), scratch(&format!("{name}.jsonl")));
-        let result = cmd_trace_cat(&src, Some(&out));
+        let result = cmd_trace_cat(&src, Some(&out), 0);
         std::fs::remove_file(&src).unwrap();
         result.map(|()| take(&out))
     }
@@ -924,7 +945,7 @@ mod tests {
     /// `trace stat` of bytes, through the scratch file `name`.
     fn stat(name: &str, input: &[u8]) -> String {
         let src = scratch_file(name, input);
-        let text = cmd_trace_stat(&src).unwrap();
+        let text = cmd_trace_stat(&src, 0).unwrap();
         std::fs::remove_file(&src).unwrap();
         text
     }

@@ -211,10 +211,12 @@ fn run(argv: &[String]) -> Result<(), String> {
                         .out
                         .as_ref()
                         .ok_or("trace pack output is binary; it needs --out FILE")?;
-                    cli::cmd_trace_pack(input, path, args.block_len).map_err(|e| e.0)
+                    cli::cmd_trace_pack(input, path, args.block_len, args.jobs).map_err(|e| e.0)
                 }
-                Some("cat") => cli::cmd_trace_cat(input, args.out.as_deref()).map_err(|e| e.0),
-                _ => emit(&cli::cmd_trace_stat(input).map_err(|e| e.0)?, &None),
+                Some("cat") => {
+                    cli::cmd_trace_cat(input, args.out.as_deref(), args.jobs).map_err(|e| e.0)
+                }
+                _ => emit(&cli::cmd_trace_stat(input, args.jobs).map_err(|e| e.0)?, &None),
             }
         }
         Some("suite") => {

@@ -41,13 +41,14 @@ fn expected(input: &[u8], block_len: usize) -> Result<(Vec<u8>, Vec<u8>), String
     Ok((pack_trace_with_block_len(&trace, block_len), trace.to_jsonl().into_bytes()))
 }
 
-/// Runs `trace pack` and `trace cat` on `input` from a file and returns
-/// what they wrote, asserting that a failure wrote no output file.
-fn streamed(input: &[u8], block_len: usize) -> Result<(Vec<u8>, Vec<u8>), String> {
+/// Runs `trace pack` and `trace cat` with `jobs` workers on `input` from
+/// a file and returns what they wrote, asserting that a failure wrote no
+/// output file.
+fn streamed_on(input: &[u8], block_len: usize, jobs: usize) -> Result<(Vec<u8>, Vec<u8>), String> {
     let (src, packed, text) = (scratch("in"), scratch("cct"), scratch("jsonl"));
     std::fs::write(&src, input).unwrap();
-    let pack = cmd_trace_pack(&src, &packed, block_len);
-    let cat = cmd_trace_cat(&src, Some(&text));
+    let pack = cmd_trace_pack(&src, &packed, block_len, jobs);
+    let cat = cmd_trace_cat(&src, Some(&text), jobs);
     std::fs::remove_file(&src).unwrap();
     match (pack, cat) {
         (Ok(()), Ok(())) => Ok((take(&packed), take(&text))),
@@ -60,9 +61,17 @@ fn streamed(input: &[u8], block_len: usize) -> Result<(Vec<u8>, Vec<u8>), String
     }
 }
 
-/// Asserts that the streamed commands agree with `load_trace` on `input`.
+/// [`streamed_on`] with two workers.
+fn streamed(input: &[u8], block_len: usize) -> Result<(Vec<u8>, Vec<u8>), String> {
+    streamed_on(input, block_len, 2)
+}
+
+/// Asserts that the streamed commands agree with `load_trace` on `input`,
+/// reading on the calling thread and on three workers.
 fn assert_streams_as_loaded(what: &str, input: &[u8], block_len: usize) {
-    assert_eq!(streamed(input, block_len), expected(input, block_len), "{what}");
+    for jobs in [1, 3] {
+        assert_eq!(streamed_on(input, block_len, jobs), expected(input, block_len), "{what}");
+    }
 }
 
 /// A trace with dependencies, every kind and several blocks' worth of
@@ -107,9 +116,139 @@ fn good_traces_stream_to_the_loaded_bytes() {
 #[test]
 fn jsonl_rejects_fail_as_load_trace_does() {
     for (what, input, line, _) in common::jsonl_rejects() {
-        let err = streamed(input.as_bytes(), 0).expect_err(what);
-        assert!(err.contains(&format!("line {line}: ")), "{what}: {err}");
+        for jobs in [1, 2, 3] {
+            let err = streamed_on(input.as_bytes(), 0, jobs).expect_err(what);
+            assert!(err.contains(&format!("line {line}: ")), "{what}, {jobs} jobs: {err}");
+        }
         assert_streams_as_loaded(what, input.as_bytes(), 0);
+    }
+}
+
+/// One event line; `pad` bytes of an unknown key's string value let a
+/// test put a line end where it wants it.
+fn event_line(e: &CommEvent, pad: usize) -> String {
+    let mut one = CommTrace::new(8);
+    one.push(*e);
+    let text = one.to_jsonl();
+    let line = text.lines().nth(1).expect("one event line");
+    format!("{},\"pad\":\"{}\"}}\n", &line[..line.len() - 1], "x".repeat(pad))
+}
+
+/// A JSON-lines trace of several chunks with `special` placed last in the
+/// first chunk (its line ending its last byte) or first in the second:
+/// the input, the events its other lines hold (those before `special`,
+/// then those after), and `special`'s line number and input offset.
+fn with_line_at_chunk_edge(special: &[u8], last: bool) -> (Vec<u8>, Vec<CommEvent>, usize, usize) {
+    let chunk = commchar::trace::CHUNK_BYTES;
+    let event = |i: u64| {
+        let kind = [EventKind::Control, EventKind::Data, EventKind::Sync][(i % 3) as usize];
+        let e = CommEvent::new(i, i * 3, (i % 8) as u16, ((i + 3) % 8) as u16, 8 + i as u32, kind);
+        if i > 4 && i.is_multiple_of(5) {
+            e.after(i - 4)
+        } else {
+            e
+        }
+    };
+    let start = if last { chunk - special.len() } else { chunk };
+    let mut input = b"{\"nodes\":8}\n".to_vec();
+    let mut events = Vec::new();
+    while start - input.len() > 400 {
+        events.push(event(events.len() as u64));
+        input.extend_from_slice(event_line(events.last().unwrap(), 40).as_bytes());
+    }
+    events.push(event(events.len() as u64));
+    let pad = start - input.len() - event_line(events.last().unwrap(), 0).len();
+    input.extend_from_slice(event_line(events.last().unwrap(), pad).as_bytes());
+    assert_eq!(input.len(), start);
+    let line = 1 + input.iter().filter(|&&b| b == b'\n').count();
+    input.extend_from_slice(special);
+    while input.len() < 2 * chunk + chunk / 2 {
+        events.push(event(events.len() as u64));
+        input.extend_from_slice(event_line(events.last().unwrap(), 40).as_bytes());
+    }
+    (input, events, line, start)
+}
+
+/// `trace pack` of a file spanning several chunks writes the same bytes
+/// for any worker count, as do `trace cat` and `trace stat`.
+#[test]
+fn pack_cat_and_stat_are_the_same_for_any_jobs() {
+    let (input, events, ..) = with_line_at_chunk_edge(b"\n", false);
+    let mut trace = CommTrace::new(8);
+    trace.extend(events.iter().copied());
+    let want = (pack_trace_with_block_len(&trace, 4096), trace.to_jsonl().into_bytes());
+    let src = scratch("jsonl");
+    std::fs::write(&src, &input).unwrap();
+    let stat = cmd_trace_stat(&src, 1).unwrap();
+    for jobs in [1, 2, 3] {
+        assert_eq!(streamed_on(&input, 0, jobs).as_ref(), Ok(&want), "{jobs} jobs");
+        assert_eq!(cmd_trace_stat(&src, jobs).unwrap(), stat, "{jobs} jobs");
+    }
+    std::fs::remove_file(&src).unwrap();
+    assert!(stat.contains(&format!("events      : {}\n", events.len())), "{stat}");
+}
+
+/// Lines at the edges of a chunk read as anywhere else, for any worker
+/// count: a CRLF line and a blank line pack as the events around them,
+/// and a malformed line and one that is not UTF-8 fail with the error
+/// naming their line number and byte offset, leaving `--out` as it was.
+#[test]
+fn lines_at_chunk_edges_read_as_anywhere_else() {
+    let crlf = |id: u64| {
+        let e = CommEvent::new(id, 5, 1, 2, 64, EventKind::Data);
+        (event_line(&e, 0).replace('\n', "\r\n"), e)
+    };
+    for last in [true, false] {
+        let edge = if last { "last" } else { "first" };
+        let (line, event) = crlf(1 << 40);
+        let fine: [(&str, &[u8], Option<CommEvent>); 3] = [
+            ("CRLF", line.as_bytes(), Some(event)),
+            ("blank", b"\n", None),
+            ("whitespace", b" \t\r\n", None),
+        ];
+        for (what, special, event) in fine {
+            let (input, mut events, line, _) = with_line_at_chunk_edge(special, last);
+            let mut trace = CommTrace::new(8);
+            let after = events.split_off(line - 2);
+            trace.extend(events.into_iter().chain(event).chain(after));
+            let want = (pack_trace_with_block_len(&trace, 4096), trace.to_jsonl().into_bytes());
+            for jobs in [1, 2, 3] {
+                let got = streamed_on(&input, 0, jobs);
+                assert_eq!(got.as_ref(), Ok(&want), "{what} {edge} in a chunk, {jobs} jobs");
+            }
+        }
+        let bad: [(&str, &[u8]); 3] = [
+            ("malformed", b"{\"id\":3,nope}\n"),
+            ("non-UTF-8 first byte", b"\xff{\"id\":3}\n"),
+            ("non-UTF-8 last byte", b"{\"id\":3}\xe2\n"),
+        ];
+        for (what, special) in bad {
+            let (input, _, line, offset) = with_line_at_chunk_edge(special, last);
+            let want = match std::str::from_utf8(&input) {
+                Err(e) => {
+                    let at = e.valid_up_to();
+                    assert!((offset..offset + special.len()).contains(&at), "{what}");
+                    format!(
+                        "JSON-lines trace: input is neither packed nor UTF-8: {e} (line {line})"
+                    )
+                }
+                Ok(_) => format!(
+                    "JSON-lines trace: line {line}: unparseable event: expected a string at byte \
+                     9, found 'n' (\"{{\\\"id\\\":3,nope}}\")"
+                ),
+            };
+            let (src, out) = (scratch("jsonl"), scratch("cct"));
+            std::fs::write(&src, &input).unwrap();
+            std::fs::write(&out, b"earlier output").unwrap();
+            for jobs in [1, 2, 3] {
+                let err = cmd_trace_pack(&src, &out, 0, jobs).unwrap_err();
+                assert_eq!(err.0, want, "{what} {edge} in a chunk, {jobs} jobs");
+                assert_eq!(std::fs::read(&out).unwrap(), b"earlier output");
+            }
+            assert_eq!(streamed(&input, 0), Err(want));
+            std::fs::remove_file(&src).unwrap();
+            std::fs::remove_file(&out).unwrap();
+        }
     }
 }
 
@@ -181,7 +320,10 @@ fn corrupt_packed_files_fail_as_load_trace_does() {
             assert_streams_as_loaded("stream kind", &other, 0);
             let src = scratch("cct");
             std::fs::write(&src, &other).unwrap();
-            assert_eq!(cmd_trace_stat(&src).unwrap_err().0, format!("unknown stream kind {kind}"));
+            assert_eq!(
+                cmd_trace_stat(&src, 0).unwrap_err().0,
+                format!("unknown stream kind {kind}")
+            );
             std::fs::remove_file(&src).unwrap();
         }
     }
@@ -207,11 +349,11 @@ fn a_pack_failing_on_its_last_line_leaves_the_output_alone() {
     input.push_str("{\"id\":5,\"t\":99999,\"src\":0,\"dst\":1,\"bytes\":8,\"kind\":\"data\"}\n");
     let (src, out) = (scratch("jsonl"), scratch("cct"));
     std::fs::write(&src, &input).unwrap();
-    let err = cmd_trace_pack(&src, &out, 0).unwrap_err();
+    let err = cmd_trace_pack(&src, &out, 0, 0).unwrap_err();
     assert!(err.0.contains("duplicate event id 5"), "{err}");
     assert!(!exists(&out), "a failed pack created its output");
     std::fs::write(&out, b"earlier output").unwrap();
-    cmd_trace_pack(&src, &out, 0).unwrap_err();
+    cmd_trace_pack(&src, &out, 0, 0).unwrap_err();
     assert_eq!(take(&out), b"earlier output");
     // Nothing is left beside the output either.
     let dir = std::path::Path::new(&out).parent().unwrap();
@@ -228,9 +370,9 @@ fn a_pack_failing_on_its_last_line_leaves_the_output_alone() {
 fn a_packed_file_repacks_in_place() {
     let path = scratch("cct");
     std::fs::write(&path, pack_trace_with_block_len(&sample(), 7)).unwrap();
-    cmd_trace_pack(&path, &path, 7).unwrap();
+    cmd_trace_pack(&path, &path, 7, 0).unwrap();
     assert_eq!(std::fs::read(&path).unwrap(), pack_trace_with_block_len(&sample(), 7));
-    cmd_trace_pack(&path, &path, 0).unwrap();
+    cmd_trace_pack(&path, &path, 0, 0).unwrap();
     assert_eq!(take(&path), pack_trace_with_block_len(&sample(), 4096));
 }
 
@@ -241,7 +383,7 @@ fn a_symlinked_output_keeps_its_link() {
     std::fs::write(&src, sample().to_jsonl()).unwrap();
     std::fs::write(&target, b"earlier output").unwrap();
     std::os::unix::fs::symlink(&target, &link).unwrap();
-    cmd_trace_pack(&src, &link, 0).unwrap();
+    cmd_trace_pack(&src, &link, 0, 0).unwrap();
     assert!(std::fs::symlink_metadata(&link).unwrap().file_type().is_symlink());
     assert_eq!(take(&target), pack_trace_with_block_len(&sample(), 4096));
     std::fs::remove_file(&link).unwrap();
@@ -259,7 +401,7 @@ fn a_pipe_output_is_written_into() {
     std::fs::write(&src, sample().to_jsonl()).unwrap();
     let (mut reader, writer) = std::io::pipe().unwrap();
     let out = format!("/proc/self/fd/{}", writer.as_raw_fd());
-    cmd_trace_pack(&src, &out, 0).unwrap();
+    cmd_trace_pack(&src, &out, 0, 0).unwrap();
     drop(writer);
     let mut got = Vec::new();
     reader.read_to_end(&mut got).unwrap();
@@ -276,7 +418,7 @@ fn a_replaced_output_keeps_its_mode() {
     std::fs::write(&src, sample().to_jsonl()).unwrap();
     std::fs::write(&out, b"earlier output").unwrap();
     std::fs::set_permissions(&out, std::fs::Permissions::from_mode(0o600)).unwrap();
-    cmd_trace_pack(&src, &out, 0).unwrap();
+    cmd_trace_pack(&src, &out, 0, 0).unwrap();
     let mode = std::fs::metadata(&out).unwrap().permissions().mode();
     assert_eq!(mode & 0o777, 0o600);
     assert_eq!(take(&out), pack_trace_with_block_len(&sample(), 4096));
@@ -310,8 +452,8 @@ fn a_pipe_input_reads_as_a_file_does() {
     dup.push_str("{\"id\":5,\"t\":99999,\"src\":0,\"dst\":1,\"bytes\":8,\"kind\":\"data\"}\n");
     for input in [jsonl.as_bytes(), &cct, &flipped, dup.as_bytes()] {
         let (packed, text) = (scratch("cct"), scratch("jsonl"));
-        let pack = piped(input, |src| cmd_trace_pack(src, &packed, 0));
-        let cat = piped(input, |src| cmd_trace_cat(src, Some(&text)));
+        let pack = piped(input, |src| cmd_trace_pack(src, &packed, 0, 0));
+        let cat = piped(input, |src| cmd_trace_cat(src, Some(&text), 0));
         let got = match (pack, cat) {
             (Ok(()), Ok(())) => Ok((take(&packed), take(&text))),
             (Err(p), Err(c)) => {
@@ -324,8 +466,8 @@ fn a_pipe_input_reads_as_a_file_does() {
         assert_eq!(got, expected(input, 0));
         let file = scratch("in");
         std::fs::write(&file, input).unwrap();
-        let stat = piped(input, cmd_trace_stat).map_err(|e| e.0);
-        assert_eq!(stat, cmd_trace_stat(&file).map_err(|e| e.0));
+        let stat = piped(input, |src| cmd_trace_stat(src, 0)).map_err(|e| e.0);
+        assert_eq!(stat, cmd_trace_stat(&file, 0).map_err(|e| e.0));
         std::fs::remove_file(&file).unwrap();
     }
 }
