@@ -24,7 +24,8 @@
 //!   hold: the calling thread pulls items one at a time, workers that
 //!   each keep their own state process them, and the results reach the
 //!   calling thread in item order with at most two items per worker in
-//!   flight. It carries the out-of-core passes: `characterize --stream`'s
+//!   flight; a worker's thread starts with the first item queued for it.
+//!   It carries the out-of-core passes: `characterize --stream`'s
 //!   block decode and fold (`commchar-core::analyze`) and the trace
 //!   commands' JSON-lines parse and block decode
 //!   (`commchar-tracestore::TraceFile`).
@@ -186,7 +187,10 @@ const ITEMS_PER_WORKER: usize = 2;
 /// likes; which worker saw which item varies from run to run, so callers
 /// whose output must not vary keep order-free statistics in the states
 /// and the ordered part in `consume`. One state runs everything inline on
-/// the calling thread, starting no thread.
+/// the calling thread, starting no thread; otherwise a worker's thread
+/// starts when an item is queued for it, so a stream of `n` items starts
+/// at most `n` threads however many states it is given, and the states of
+/// workers that never started come back untouched.
 ///
 /// # Errors
 ///
@@ -232,24 +236,22 @@ where
     };
     let (pipe, work) = (&pipe, &work);
     std::thread::scope(|scope| {
-        let workers: Vec<_> = states
-            .into_iter()
-            .map(|mut state| {
-                scope.spawn(move || {
-                    while let Some((i, item)) = pipe.next_item() {
-                        // A panicking item ends its worker: the state may
-                        // be half updated, and the run fails at that item.
-                        let result = catch_unwind(AssertUnwindSafe(|| work(&mut state, item)));
-                        let panicked = result.is_err();
-                        pipe.put_result(i, result);
-                        if panicked {
-                            break;
-                        }
+        let start = |mut state| {
+            scope.spawn(move || {
+                while let Some((i, item)) = pipe.next_item() {
+                    // A panicking item ends its worker: the state may be
+                    // half updated, and the run fails at that item.
+                    let result = catch_unwind(AssertUnwindSafe(|| work(&mut state, item)));
+                    let panicked = result.is_err();
+                    pipe.put_result(i, result);
+                    if panicked {
+                        break;
                     }
-                    state
-                })
+                }
+                state
             })
-            .collect();
+        };
+        let (mut unstarted, mut workers) = (states.into_iter(), Vec::new());
         // Closes the queue however this thread leaves the loop, an
         // unwinding `items` or `consume` included, so the workers end
         // before the scope joins them.
@@ -262,6 +264,9 @@ where
                 let Some(item) = items.next() else { break };
                 pipe.put_item(sent, item);
                 sent += 1;
+                // A worker starts with the first item queued for it, so
+                // a stream shorter than `states` starts a thread per item.
+                workers.extend(unstarted.next().map(start));
             }
             if next == sent {
                 break Ok(());
@@ -289,10 +294,11 @@ where
             }
         };
         drop(close);
-        let states: Vec<S> = workers
+        let mut states: Vec<S> = workers
             .into_iter()
             .map(|h| h.join().expect("a worker catches its items' panics"))
             .collect();
+        states.extend(unstarted);
         match outcome {
             Ok(()) => Ok(states),
             Err(Ok(e)) => Err(e),

@@ -316,13 +316,22 @@ impl<R: Read> JsonlReader<R> {
         if buf.is_empty() {
             return Ok(None);
         }
-        let endings = buf.iter().filter(|&&b| b == b'\n').count();
-        let line_count = endings + usize::from(!buf.ends_with(b"\n"));
+        let line_count = count_endings(&buf) + usize::from(!buf.ends_with(b"\n"));
         let chunk = JsonlChunk { line: self.line, line_count, offset: self.offset, text: buf };
         self.line += line_count;
         self.offset += chunk.text.len();
         Ok(Some(chunk))
     }
+}
+
+/// The line endings in `text`. Counting into a byte per 255-byte run
+/// lets the compiler count many bytes per instruction; a plain
+/// `filter().count()` took as long as reading the input.
+fn count_endings(text: &[u8]) -> usize {
+    text.chunks(255)
+        .map(|run| run.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n')))
+        .map(usize::from)
+        .sum()
 }
 
 /// Validates the header line numbered `no`, returning the node count.

@@ -77,75 +77,44 @@ impl std::fmt::Display for UnsortedError {
 
 impl std::error::Error for UnsortedError {}
 
-/// Messages and payload bytes per (source, destination) pair.
-#[derive(Clone, Debug)]
-enum PairCounts {
-    /// A `nodes × nodes` matrix, `src * nodes + dst`, while it has at most
-    /// [`DENSE_PAIRS`] cells.
-    Dense(Vec<[u64; 2]>),
-    /// The pairs seen, for wider traces, where a matrix per block (one
-    /// of 4096 nodes is 256 MiB) would dwarf the block's events.
-    Sparse(HashMap<(u16, u16), [u64; 2]>),
-}
-
-/// Cells up to which [`PairCounts`] is a matrix: 256 nodes, 1 MiB.
-const DENSE_PAIRS: usize = 1 << 16;
+/// Messages and payload bytes per (source, destination) pair seen: a
+/// block costs what its events touch, where a `nodes × nodes` matrix (one
+/// of 4096 nodes is 256 MiB) would dwarf them.
+#[derive(Clone, Debug, Default)]
+struct PairCounts(HashMap<(u16, u16), [u64; 2]>);
 
 impl PairCounts {
-    fn new(nodes: usize) -> Self {
-        if nodes * nodes <= DENSE_PAIRS {
-            PairCounts::Dense(vec![[0; 2]; nodes * nodes])
-        } else {
-            PairCounts::Sparse(HashMap::new())
-        }
+    /// The pairs of a matrix `src * nodes + dst` that saw a message.
+    fn from_matrix(nodes: usize, cells: Vec<[u64; 2]>) -> Self {
+        let pair = |i: usize| ((i / nodes) as u16, (i % nodes) as u16);
+        PairCounts(
+            cells
+                .into_iter()
+                .enumerate()
+                .filter(|(_, c)| c[0] > 0)
+                .map(|(i, c)| (pair(i), c))
+                .collect(),
+        )
     }
 
-    fn add(&mut self, nodes: usize, (src, dst): (u16, u16), [msgs, bytes]: [u64; 2]) {
-        let cell = match self {
-            PairCounts::Dense(cells) => &mut cells[src as usize * nodes + dst as usize],
-            PairCounts::Sparse(map) => map.entry((src, dst)).or_default(),
-        };
+    fn add(&mut self, pair: (u16, u16), [msgs, bytes]: [u64; 2]) {
+        let cell = self.0.entry(pair).or_default();
         cell[0] += msgs;
         cell[1] += bytes;
     }
 
-    fn merge(&mut self, nodes: usize, other: &PairCounts) {
-        match (self, other) {
-            (PairCounts::Dense(mine), PairCounts::Dense(theirs)) => {
-                for (m, t) in mine.iter_mut().zip(theirs) {
-                    m[0] += t[0];
-                    m[1] += t[1];
-                }
-            }
-            (mine, PairCounts::Sparse(theirs)) => {
-                for (&pair, &cell) in theirs {
-                    mine.add(nodes, pair, cell);
-                }
-            }
-            (PairCounts::Sparse(_), PairCounts::Dense(_)) => {
-                unreachable!("both sides are sized by the same node count")
-            }
+    fn merge(&mut self, other: &PairCounts) {
+        for (&pair, &cell) in &other.0 {
+            self.add(pair, cell);
         }
     }
 
     /// The destination message and byte rows, one pair of rows per source.
     fn into_rows(self, nodes: usize) -> Vec<(Vec<u64>, Vec<u64>)> {
         let mut rows = vec![(vec![0; nodes], vec![0; nodes]); nodes];
-        let mut put = |(src, dst): (usize, usize), [msgs, bytes]: [u64; 2]| {
-            rows[src].0[dst] = msgs;
-            rows[src].1[dst] = bytes;
-        };
-        match self {
-            PairCounts::Dense(cells) => {
-                for (i, cell) in cells.into_iter().enumerate() {
-                    put((i / nodes, i % nodes), cell);
-                }
-            }
-            PairCounts::Sparse(map) => {
-                for ((src, dst), cell) in map {
-                    put((src as usize, dst as usize), cell);
-                }
-            }
+        for ((src, dst), [msgs, bytes]) in self.0 {
+            rows[src as usize].0[dst as usize] = msgs;
+            rows[src as usize].1[dst as usize] = bytes;
         }
         rows
     }
@@ -170,18 +139,18 @@ impl Counts {
             nodes,
             msgs: vec![0; nodes],
             bytes: vec![0; nodes],
-            pairs: PairCounts::new(nodes),
+            pairs: PairCounts::default(),
             total_bytes: 0,
             kind_counts: [0; 3],
             length_counts: BTreeMap::new(),
         }
     }
 
+    /// Counts `e`, all but its pair, which the caller tallies.
     fn add(&mut self, e: &CommEvent) {
         let s = e.src as usize;
         self.msgs[s] += 1;
         self.bytes[s] += e.bytes as u64;
-        self.pairs.add(self.nodes, (e.src, e.dst), [1, e.bytes as u64]);
         self.total_bytes += e.bytes as u64;
         *self.length_counts.entry(e.bytes).or_insert(0) += 1;
         self.kind_counts[kind_slot(e.kind)] += 1;
@@ -192,7 +161,7 @@ impl Counts {
             self.msgs[s] += other.msgs[s];
             self.bytes[s] += other.bytes[s];
         }
-        self.pairs.merge(self.nodes, &other.pairs);
+        self.pairs.merge(&other.pairs);
         self.total_bytes += other.total_bytes;
         for k in 0..3 {
             self.kind_counts[k] += other.kind_counts[k];
@@ -245,6 +214,12 @@ impl SegmentExtract {
     /// Panics if an event's endpoints are out of range for `nodes`.
     pub fn from_events(nodes: usize, events: &[CommEvent]) -> Result<Self, UnsortedError> {
         let mut counts = Counts::new(nodes);
+        // A block with at least as many events as a `nodes × nodes`
+        // matrix has cells tallies its pairs there, an index per event
+        // instead of a hash (`suite`'s one-segment extraction took 0.19 s
+        // hashing every event, 0.15 s with the matrix), at no more memory
+        // than its events.
+        let mut matrix = (nodes * nodes <= events.len()).then(|| vec![[0u64; 2]; nodes * nodes]);
         let mut src_gaps = vec![GroupedSample::new(); nodes];
         let mut seam = SegmentSeam {
             nodes,
@@ -269,6 +244,18 @@ impl SegmentExtract {
                 None => (e.t, e.t),
             });
             counts.add(e);
+            let counted = [1, u64::from(e.bytes)];
+            match &mut matrix {
+                Some(cells) => {
+                    let cell = &mut cells[s * nodes + e.dst as usize];
+                    cell[0] += counted[0];
+                    cell[1] += counted[1];
+                }
+                None => counts.pairs.add((e.src, e.dst), counted),
+            }
+        }
+        if let Some(cells) = matrix {
+            counts.pairs = PairCounts::from_matrix(nodes, cells);
         }
         let agg_grouped = GroupedSample::from_samples(&seam.agg_gaps);
         Ok(SegmentExtract { counts, src_gaps, agg_grouped, seam })
@@ -771,8 +758,8 @@ mod tests {
         assert_eq!(acc.absorb(&early).unwrap_err(), UnsortedError { prev: 10, at: 4 });
     }
 
-    /// Past 256 nodes the destination counts are kept per pair seen, not
-    /// as a matrix, and still add up to the batch profile's rows.
+    /// Destination counts kept per pair seen add up to the batch
+    /// profile's rows on a trace wider than a block touches.
     #[test]
     fn wide_traces_count_destinations_per_pair() {
         let nodes = 300;
@@ -784,7 +771,6 @@ mod tests {
                 tr.push(CommEvent::new(i, i / 3, src, dst, 8 + (i % 9) as u32, EventKind::Data));
             }
         }
-        assert!(matches!(PairCounts::new(nodes), PairCounts::Sparse(_)));
         let batch = profile(&tr);
         for workers in [0, 1, 3] {
             let st = stream_over_blocks(&tr, 97, workers);

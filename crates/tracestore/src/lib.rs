@@ -325,7 +325,9 @@ impl TraceFile {
     /// it all) decode the packed blocks or parse the JSON-lines chunks on
     /// a [`run_ordered`](commchar_pool::run_ordered) pipeline, which hands
     /// them back in file order and holds at most two per worker. Chunk
-    /// buffers are reused, so memory stays at that window.
+    /// buffers are reused, so memory stays at that window. A worker's
+    /// thread starts with the first chunk or block queued for it, so an
+    /// input of `n` chunks starts at most `n` threads whatever `jobs` is.
     ///
     /// # Errors
     ///
