@@ -1,10 +1,12 @@
 //! Trace-store bench: packed columnar format vs JSON-lines, on fixed
 //! seeded workloads.
 //!
-//! Each workload's trace is serialized both ways; the packed file is
-//! unpacked (sequentially and with the parallel block decoder) and
-//! cross-checked for event identity against the JSON-lines parse, so the
-//! throughput numbers are never bought with divergence. Size ratio and
+//! Each workload's trace is serialized both ways; the packed file is read
+//! back through `TraceFile`'s event loop (on one worker and on one per
+//! hardware thread) and cross-checked for event identity against the
+//! JSON-lines parse, so the throughput numbers are never bought with
+//! divergence. The packed decode is timed through `load_trace`, the
+//! JSON-lines parse through `CommTrace::from_jsonl`. Size ratio and
 //! decode rates are printed and written to `BENCH_trace.json` at the repo
 //! root — the perf-trajectory file future changes compare against — with
 //! the host's cores, the git revision and the floors.
@@ -23,7 +25,7 @@
 use commchar_apps::{AppId, Scale};
 use commchar_bench::{time_best, Bench, Floor, Lcg, Obj};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
-use commchar_tracestore::{pack_trace, unpack_trace, unpack_trace_parallel};
+use commchar_tracestore::{load_trace, pack_trace, TraceFile};
 
 /// The workload the floors are asserted on.
 const HEADLINE: &str = "synthetic_large";
@@ -112,11 +114,13 @@ fn main() {
         let packed = pack_trace(&w.trace);
 
         // Cross-check first: identical events or the numbers are
-        // meaningless. Both the sequential and the parallel decoder must
+        // meaningless. A one-worker and an all-worker read must both
         // reproduce the JSON-lines parse exactly.
         let from_jsonl = CommTrace::from_jsonl(&jsonl).expect("jsonl parse");
-        let sequential = unpack_trace(&packed).expect("sequential unpack");
-        let parallel = unpack_trace_parallel(&packed, 0).expect("parallel unpack");
+        let sequential = TraceFile::from_bytes(&packed)
+            .and_then(|f| f.into_trace(1))
+            .expect("one-worker unpack");
+        let parallel = load_trace(&packed).expect("parallel unpack");
         assert_eq!(from_jsonl.events(), sequential.events(), "{}: events diverged", w.name);
         assert_eq!(from_jsonl.events(), parallel.events(), "{}: parallel diverged", w.name);
         assert_eq!(from_jsonl.nodes(), sequential.nodes(), "{}: nodes diverged", w.name);
@@ -128,7 +132,7 @@ fn main() {
             assert_eq!(t.len(), w.trace.len());
         });
         let t_packed = time_best(iters, || {
-            let t = unpack_trace_parallel(&packed, 0).expect("parallel unpack");
+            let t = load_trace(&packed).expect("parallel unpack");
             assert_eq!(t.len(), w.trace.len());
         });
         let n = w.trace.len() as f64;

@@ -12,9 +12,8 @@
 //!   each other's fences, and the connection workers of the
 //!   characterization server (`commchar-serve`).
 //! - [`run_indexed`] is the work-claiming fan-out over independent
-//!   index-addressed work: suite cells (`commchar-core::suite`), whole
-//!   packed-trace decode (`commchar-tracestore`), and per-source
-//!   distribution fitting (`commchar-core::characterize`). Its workers
+//!   index-addressed work: suite cells (`commchar-core::suite`) and
+//!   per-source distribution fitting (`commchar-core::characterize`). Its workers
 //!   are [`run_concurrent`] items that claim indices `0..count` from a
 //!   shared atomic cursor (whichever worker is free takes the next item
 //!   — cheap work stealing that tolerates wildly uneven item costs), so
@@ -26,8 +25,8 @@
 //!   calling thread in item order with at most two items per worker in
 //!   flight; a worker's thread starts with the first item queued for it.
 //!   It carries the out-of-core passes: `characterize --stream`'s
-//!   block decode and fold (`commchar-core::analyze`) and the trace
-//!   commands' JSON-lines parse and block decode
+//!   block decode and fold (`commchar-core::analyze`), and the
+//!   JSON-lines parse and block decode of every whole-trace read
 //!   (`commchar-tracestore::TraceFile`).
 //!
 //! All three run a single item (one worker) inline on the calling

@@ -6,9 +6,11 @@
 //! environment) is unnecessary. A line is read in one forward pass over
 //! its bytes; [`CommTrace::from_jsonl`](crate::CommTrace::from_jsonl)
 //! states the grammar.
-//! [`JsonlReader`] is the only parser: `from_jsonl`, `load_trace` in
-//! `commchar-tracestore` and the streamed `trace pack|cat|stat` all run
-//! it, the last on several threads, one [`JsonlChunk`] each.
+//! [`JsonlReader`] is the only parser. It cuts the input into
+//! [`JsonlChunk`]s of whole lines, and each chunk parses on its own:
+//! `from_jsonl` parses them one after another on the calling thread, and
+//! `commchar-tracestore`'s `TraceFile` — behind `load_trace`, the trace
+//! commands, `characterize --trace` and `replay` — on worker threads.
 
 use std::io::{self, BufRead, Read, Write};
 
@@ -89,7 +91,7 @@ impl JsonlChunk {
     /// event line, or endpoints that are out of range or equal. The
     /// events before it are in `out`.
     pub fn parse(&self, nodes: usize, out: &mut Vec<CommEvent>) -> Result<(), JsonlError> {
-        out.reserve_exact(self.line_count);
+        out.reserve(self.line_count);
         for line in self.lines() {
             let (no, line, _) = line?;
             out.push(parse_event_line(no, line, nodes).map_err(JsonlError::Invalid)?);
@@ -181,11 +183,10 @@ fn not_utf8(e: std::str::Utf8Error, offset: usize, line: usize) -> JsonlError {
 }
 
 /// Reads a JSON-lines trace: [`new`](Self::new) reads the header, then
-/// either [`next_event`](Self::next_event) yields one event at a time or
-/// [`next_chunk`](Self::next_chunk) cuts the rest into [`JsonlChunk`]s
-/// for the caller to parse, in parallel if it likes. Both cut the input
-/// the same way and parse a chunk's lines with the same code, so memory
-/// holds one chunk of at most [`CHUNK_BYTES`] (or one longer line).
+/// [`next_chunk`](Self::next_chunk) cuts the rest into [`JsonlChunk`]s for
+/// the caller to [`parse`](JsonlChunk::parse), in parallel if it likes, so
+/// memory holds a chunk of at most [`CHUNK_BYTES`] (or one longer line)
+/// per parser.
 ///
 /// Line numbers count every physical line; blank lines (whitespace only)
 /// are skipped but still counted. The reader checks each line on its own
@@ -205,12 +206,6 @@ pub struct JsonlReader<R> {
     offset: usize,
     /// The rest of the chunk the header was read from.
     after_header: Option<JsonlChunk>,
-    /// [`next_event`](Self::next_event)'s chunk: its events, how many
-    /// have been handed out, the error after them, and its buffer.
-    events: Vec<CommEvent>,
-    taken: usize,
-    error: Option<JsonlError>,
-    buffer: Vec<u8>,
 }
 
 impl<R: Read> JsonlReader<R> {
@@ -228,10 +223,6 @@ impl<R: Read> JsonlReader<R> {
             line: 0,
             offset: 0,
             after_header: None,
-            events: Vec::new(),
-            taken: 0,
-            error: None,
-            buffer: Vec::new(),
         };
         loop {
             let Some(mut chunk) = r.next_chunk(Vec::new())? else {
@@ -251,32 +242,6 @@ impl<R: Read> JsonlReader<R> {
     /// Processor count from the header.
     pub fn nodes(&self) -> usize {
         self.nodes
-    }
-
-    /// The next event, or `None` at the end of the input.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, a line that is not UTF-8, a malformed event line, or
-    /// endpoints that are out of range or equal.
-    pub fn next_event(&mut self) -> Result<Option<CommEvent>, JsonlError> {
-        loop {
-            if let Some(&e) = self.events.get(self.taken) {
-                self.taken += 1;
-                return Ok(Some(e));
-            }
-            if let Some(e) = self.error.take() {
-                return Err(e);
-            }
-            let buffer = std::mem::take(&mut self.buffer);
-            let Some(chunk) = self.next_chunk(buffer)? else {
-                return Ok(None);
-            };
-            self.events.clear();
-            self.taken = 0;
-            self.error = chunk.parse(self.nodes, &mut self.events).err();
-            self.buffer = chunk.into_buffer();
-        }
     }
 
     /// Cuts the next chunk of whole lines, at most [`CHUNK_BYTES`] unless
@@ -683,7 +648,18 @@ fn is_number(t: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CommTrace;
+
+    /// Every event of `input`, read through the reader's chunk steps,
+    /// or the first error.
+    fn read_events(input: &[u8]) -> Result<Vec<CommEvent>, JsonlError> {
+        let mut reader = JsonlReader::new(input)?;
+        let (mut events, mut buf) = (Vec::new(), Vec::new());
+        while let Some(chunk) = reader.next_chunk(buf)? {
+            chunk.parse(reader.nodes(), &mut events)?;
+            buf = chunk.into_buffer();
+        }
+        Ok(events)
+    }
 
     /// The reader's UTF-8 error is what `std::str::from_utf8` says about
     /// the whole input, on the line the bad byte sits on — for a bad
@@ -699,7 +675,7 @@ mod tests {
         for input in cases {
             let whole = std::str::from_utf8(input).unwrap_err();
             let line = 1 + input[..whole.valid_up_to()].iter().filter(|&&b| b == b'\n').count();
-            let err = CommTrace::read_jsonl(input).unwrap_err();
+            let err = read_events(input).unwrap_err();
             match err {
                 JsonlError::NotUtf8 { detail, line: at } => {
                     assert_eq!(detail, whole.to_string());

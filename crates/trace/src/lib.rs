@@ -141,6 +141,11 @@ impl CommTrace {
         &self.events
     }
 
+    /// The events, in insertion order, taken out of the trace.
+    pub fn into_events(self) -> Vec<CommEvent> {
+        self.events
+    }
+
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -201,25 +206,21 @@ impl CommTrace {
     /// trace that breaks an invariant fails with [`check`](Self::check)'s
     /// message.
     pub fn from_jsonl(s: &str) -> Result<CommTrace, String> {
-        Self::read_jsonl(s.as_bytes()).map_err(|e| e.to_string())
-    }
-
-    /// [`from_jsonl`](Self::from_jsonl) over any buffered source, which
-    /// may hold bytes that are not UTF-8: it runs one [`JsonlReader`] to
-    /// the end, then [`check`](Self::check)s the trace.
-    ///
-    /// # Errors
-    ///
-    /// The reader's first error, else the check's as
-    /// [`JsonlError::Invalid`].
-    pub fn read_jsonl(src: impl std::io::Read) -> Result<CommTrace, JsonlError> {
-        let mut reader = JsonlReader::new(src)?;
-        let mut trace = CommTrace::new(reader.nodes());
-        while let Some(ev) = reader.next_event()? {
-            trace.push(ev);
-        }
-        trace.check().map_err(JsonlError::Invalid)?;
-        Ok(trace)
+        // The chunk steps `commchar-tracestore`'s `TraceFile` runs on its
+        // workers, here one after another on the calling thread.
+        let read = || {
+            let mut reader = JsonlReader::new(s.as_bytes())?;
+            let mut trace = CommTrace::new(reader.nodes());
+            let mut buf = Vec::new();
+            while let Some(chunk) = reader.next_chunk(buf)? {
+                // The parser checks each event's endpoints as `push` does.
+                chunk.parse(trace.nodes, &mut trace.events)?;
+                buf = chunk.into_buffer();
+            }
+            trace.check().map_err(JsonlError::Invalid)?;
+            Ok(trace)
+        };
+        read().map_err(|e: JsonlError| e.to_string())
     }
 
     /// Validates trace invariants: ids unique, and every dependency

@@ -1,7 +1,8 @@
 //! The JSON-lines reject table: malformed inputs, each with the line its
 //! error must name and a phrase the error must contain. `jsonl.rs` runs
 //! it through `CommTrace::from_jsonl`, and the root package's
-//! `trace_pack.rs` through `trace pack`, which must fail the same way.
+//! `trace_pack.rs` through `trace pack`, `characterize --trace` and
+//! `replay`, which must fail the same way.
 
 /// `(what, input, the line the error must name, a phrase it must
 /// contain)` for every reject row.

@@ -19,13 +19,18 @@
 //! with a small dictionary + bit-packed indices for event kinds and a
 //! presence bitmap for causal dependencies (see [`columns`] for the exact
 //! encodings). The footer lists every block's payload length and event
-//! count, so a reader can locate all blocks without scanning the file,
-//! decode them **in parallel** across worker threads
-//! ([`PackedReader::read_trace_parallel`]), or stream records in order with
-//! one-block memory ([`PackedReader::for_each_event`]). One reader type
-//! serves both homes of the bytes: [`TraceReader`] borrows each block from
-//! memory, [`FileReader`] reads each block from disk with one positioned
-//! read and keeps only the index in memory (the out-of-core path).
+//! count, so a reader can locate all blocks without scanning the file and
+//! decode any one of them ([`PackedReader::decode_events`]). One reader
+//! type serves both homes of the bytes: [`TraceReader`] borrows each block
+//! from memory, [`FileReader`] reads each block from disk with one
+//! positioned read and keeps only the index in memory (the out-of-core
+//! path).
+//!
+//! A whole trace, in either format, is read through one event loop:
+//! [`TraceFile`]'s, which decodes the blocks — or parses the JSON-lines
+//! chunks — **in parallel** on worker threads and hands the events back in
+//! file order with a few blocks per worker in memory. [`load_trace`] runs
+//! it over bytes in memory, and the trace commands over a file.
 //!
 //! Corrupt input never panics: truncation, a bad magic, a stream kind
 //! other than 1, a checksum mismatch and an over-long varint each surface
@@ -41,9 +46,9 @@
 //! tr.push(CommEvent::new(1, 25, 1, 2, 8, EventKind::Control).after(0));
 //! let packed = commchar_tracestore::pack_trace(&tr);
 //! assert!(commchar_tracestore::is_packed(&packed));
-//! let back = commchar_tracestore::unpack_trace(&packed).unwrap();
-//! assert_eq!(back.events(), tr.events());
 //! // `load_trace` sniffs the format: packed bytes and JSON-lines both work.
+//! let back = commchar_tracestore::load_trace(&packed).unwrap();
+//! assert_eq!(back.events(), tr.events());
 //! let again = commchar_tracestore::load_trace(tr.to_jsonl().as_bytes()).unwrap();
 //! assert_eq!(again.events(), tr.events());
 //! ```
@@ -64,8 +69,7 @@ use std::path::Path;
 use commchar_trace::{CommEvent, CommTrace, JsonlChunk, JsonlError, JsonlReader, TraceChecker};
 
 pub use reader::{
-    unpack_trace, unpack_trace_parallel, FileReader, PackedBytes, PackedReader, PackedSource,
-    StreamBlockReader, TraceReader,
+    FileReader, PackedBytes, PackedReader, PackedSource, StreamBlockReader, TraceReader,
 };
 pub use writer::{pack_trace, TraceWriter, DEFAULT_BLOCK_LEN};
 
@@ -210,43 +214,59 @@ pub fn is_packed(bytes: &[u8]) -> bool {
 }
 
 /// Loads a [`CommTrace`] from either on-disk format, sniffed by magic
-/// bytes: packed input decodes through the block reader (in parallel when
-/// more than one worker is available), anything else is treated as the
-/// JSON-lines format of [`CommTrace::from_jsonl`]. [`TraceFile`] reads
-/// the same formats from disk without holding the trace.
+/// bytes: [`TraceFile::from_bytes`] over the borrowed bytes, read whole on
+/// one worker per hardware thread. The events, and the error, are the
+/// ones [`TraceFile::open`] reads from the same bytes on disk.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceStoreError`] describing the first problem found in
 /// whichever format was detected.
 pub fn load_trace(bytes: &[u8]) -> Result<CommTrace, TraceStoreError> {
-    if is_packed(bytes) {
-        return unpack_trace_parallel(bytes, 0);
-    }
-    Ok(CommTrace::read_jsonl(bytes)?)
+    TraceFile::from_bytes(bytes)?.into_trace(0)
 }
 
-/// What a [`TraceFile`] reads JSON-lines from: the bytes read to sniff
-/// the format, then the rest of the file.
-pub type JsonlSource = Chain<Cursor<Vec<u8>>, File>;
-
-/// A trace file opened for one streaming pass, in either format sniffed by
-/// magic bytes: the out-of-core counterpart of [`load_trace`]. A packed
-/// regular file is read one block at a time through a [`PackedReader`],
-/// JSON-lines one [`JsonlChunk`] of whole lines at a time through a
-/// [`JsonlReader`], and [`for_each_event`](Self::for_each_event) checks
-/// the trace as it streams. Packed input that is not a regular file (a
-/// pipe) cannot be read at offsets, so it is read whole into memory
-/// first; the packed format is the compact one.
+/// What a [`TraceFile`] reads JSON-lines from.
 #[derive(Debug)]
-pub enum TraceFile {
-    /// A CCTRACE1 event stream, its header and footer index read.
-    Packed(PackedReader<PackedSource>),
-    /// A JSON-lines trace, its header line read.
-    Jsonl(JsonlReader<JsonlSource>),
+pub enum JsonlSource<'a> {
+    /// A file or a pipe: the bytes read to sniff the format, then the rest.
+    File(Chain<Cursor<Vec<u8>>, File>),
+    /// Bytes in memory.
+    Memory(&'a [u8]),
 }
 
-impl TraceFile {
+impl Read for JsonlSource<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            JsonlSource::File(file) => file.read(buf),
+            JsonlSource::Memory(bytes) => bytes.read(buf),
+        }
+    }
+}
+
+/// A trace opened for one streaming pass, in either format sniffed by
+/// magic bytes: a file, or bytes in memory. Packed input is read one block
+/// at a time through a [`PackedReader`], JSON-lines one [`JsonlChunk`] of
+/// whole lines at a time through a [`JsonlReader`], and
+/// [`for_each_event`](Self::for_each_event) checks the trace as it streams;
+/// [`into_trace`](Self::into_trace) collects it. A packed regular file is
+/// read at offsets and never held; packed input that is not a regular file
+/// (a pipe) cannot be, so it is read whole into memory first — the packed
+/// format is the compact one.
+///
+/// Every whole-trace read in the workspace runs this type's one event
+/// loop: [`load_trace`], the trace commands, `characterize --trace` and
+/// `replay`. A packed-only read, which must not sniff a bad magic as
+/// JSON-lines, builds the [`Packed`](Self::Packed) variant itself.
+#[derive(Debug)]
+pub enum TraceFile<'a> {
+    /// A CCTRACE1 event stream, its header and footer index read.
+    Packed(PackedReader<PackedSource<'a>>),
+    /// A JSON-lines trace, its header line read.
+    Jsonl(JsonlReader<JsonlSource<'a>>),
+}
+
+impl TraceFile<'static> {
     /// Opens `path` and reads its header (for a packed file, also the
     /// footer index).
     ///
@@ -260,15 +280,33 @@ impl TraceFile {
         let mut head = Vec::with_capacity(MAGIC.len());
         (&mut file).take(MAGIC.len() as u64).read_to_end(&mut head)?;
         if !is_packed(&head) {
-            return Ok(TraceFile::Jsonl(JsonlReader::new(Cursor::new(head).chain(file))?));
+            let source = JsonlSource::File(Cursor::new(head).chain(file));
+            return Ok(TraceFile::Jsonl(JsonlReader::new(source)?));
         }
         let source = if file.metadata()?.is_file() {
             PackedSource::File(file)
         } else {
             file.read_to_end(&mut head)?;
-            PackedSource::Memory(head)
+            PackedSource::Memory(head.into())
         };
         Ok(TraceFile::Packed(PackedReader::new(source)?))
+    }
+}
+
+impl<'a> TraceFile<'a> {
+    /// Reads the header of the trace in `bytes` (for packed bytes, also
+    /// the footer index), borrowing them: packed blocks are decoded in
+    /// place, and JSON-lines is copied one chunk at a time, never whole.
+    ///
+    /// # Errors
+    ///
+    /// The errors [`open`](TraceFile::open) gives for the same bytes on
+    /// disk.
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, TraceStoreError> {
+        if is_packed(bytes) {
+            return Ok(TraceFile::Packed(TraceReader::open(bytes)?));
+        }
+        Ok(TraceFile::Jsonl(JsonlReader::new(JsonlSource::Memory(bytes))?))
     }
 
     /// Processor count from the header.
@@ -277,6 +315,27 @@ impl TraceFile {
             TraceFile::Packed(r) => r.nodes(),
             TraceFile::Jsonl(r) => r.nodes(),
         }
+    }
+
+    /// Reads the whole trace on `jobs` workers, as
+    /// [`for_each_event`](Self::for_each_event) reads it, and checks it
+    /// once the last event is in.
+    ///
+    /// # Errors
+    ///
+    /// The first bad line or block in file order, else the broken trace
+    /// invariant, for any `jobs`.
+    pub fn into_trace(self, jobs: usize) -> Result<CommTrace, TraceStoreError> {
+        let broken = self.broken_invariant();
+        let mut trace = CommTrace::new(self.nodes());
+        self.for_each_event_unchecked(jobs, |e| {
+            trace.push(e);
+            Ok::<_, TraceStoreError>(())
+        })?;
+        // Checked once the events are in: growing the checker's lists
+        // beside the trace's made a packed read 40% slower.
+        trace.check().map_err(broken)?;
+        Ok(trace)
     }
 
     /// Streams every event to `f` in file order, then checks the trace
@@ -299,20 +358,23 @@ impl TraceFile {
         jobs: usize,
         mut f: impl FnMut(CommEvent) -> Result<(), E>,
     ) -> Result<(), E> {
-        let packed = matches!(self, TraceFile::Packed(_));
+        let broken = self.broken_invariant();
         let mut checker = TraceChecker::default();
         self.for_each_event_unchecked(jobs, |e| {
             checker.push(&e);
             f(e)
         })?;
-        checker.finish_on(commchar_pool::resolve_jobs(jobs)).map_err(|msg| {
-            if packed {
-                TraceStoreError::Corrupt(msg)
-            } else {
-                TraceStoreError::Jsonl(msg)
-            }
-        })?;
+        checker.finish_on(commchar_pool::resolve_jobs(jobs)).map_err(broken)?;
         Ok(())
+    }
+
+    /// The error for a broken trace invariant in this format, as
+    /// [`load_trace`] names it.
+    fn broken_invariant(&self) -> fn(String) -> TraceStoreError {
+        match self {
+            TraceFile::Packed(_) => TraceStoreError::Corrupt,
+            TraceFile::Jsonl(_) => TraceStoreError::Jsonl,
+        }
     }
 
     /// Streams every event to `f` in file order, checking each line or
@@ -339,7 +401,9 @@ impl TraceFile {
         mut f: impl FnMut(CommEvent) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut failed = None;
-        let mut each = |e| f(e).map_err(|e| failed = Some(e));
+        let mut each = |events: &[CommEvent]| {
+            events.iter().try_for_each(|&e| f(e)).map_err(|e| failed = Some(e))
+        };
         match self.each_event(jobs, &mut each) {
             Ok(()) => Ok(()),
             Err(Halt::Input(e)) => Err(e.into()),
@@ -348,11 +412,13 @@ impl TraceFile {
     }
 
     /// The one event loop behind both `for_each_event` forms, monomorphic
-    /// so every caller shares one copy of the pipeline.
+    /// so every caller shares one copy of the pipeline. It hands `f` each
+    /// block's or chunk's events at once, so the caller's per-event work
+    /// is its own inlined loop, not a call through `dyn`.
     fn each_event(
         self,
         jobs: usize,
-        f: &mut dyn FnMut(CommEvent) -> Result<(), ()>,
+        f: &mut dyn FnMut(&[CommEvent]) -> Result<(), ()>,
     ) -> Result<(), Halt> {
         match self {
             TraceFile::Packed(reader) => {
@@ -361,9 +427,7 @@ impl TraceFile {
                     vec![(); workers],
                     0..reader.block_count(),
                     |(), block| reader.decode_events(block),
-                    |events| -> Result<(), Halt> {
-                        events?.into_iter().try_for_each(|e| f(e).map_err(|()| Halt::Caller))
-                    },
+                    |events| -> Result<(), Halt> { f(&events?).map_err(|()| Halt::Caller) },
                 )?;
             }
             TraceFile::Jsonl(mut reader) => {
@@ -384,8 +448,9 @@ impl TraceFile {
                     },
                     |parsed| -> Result<(), Halt> {
                         let (buf, mut events, parsed) = parsed?;
-                        events.drain(..).try_for_each(|e| f(e).map_err(|()| Halt::Caller))?;
+                        f(&events).map_err(|()| Halt::Caller)?;
                         parsed?;
+                        events.clear();
                         spent.borrow_mut().push((buf, events));
                         Ok(())
                     },

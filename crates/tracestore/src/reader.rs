@@ -1,13 +1,14 @@
 //! Block readers. [`PackedReader`] is the seekable one: footer index,
-//! checksum verification, and sequential / streaming / parallel decode,
-//! over in-memory bytes ([`TraceReader`]) or an open file
-//! ([`FileReader`]). [`StreamBlockReader`] walks the block frames of a
-//! non-seekable stream instead.
+//! checksum verification and one-block decode, over in-memory bytes
+//! ([`TraceReader`]) or an open file ([`FileReader`]); a whole trace is
+//! read block by block through [`TraceFile`](crate::TraceFile)'s event
+//! loop. [`StreamBlockReader`] walks the block frames of a non-seekable
+//! stream instead.
 
 use std::borrow::Cow;
 use std::io::Read;
 
-use commchar_trace::{CommEvent, CommTrace};
+use commchar_trace::CommEvent;
 
 use crate::varint::Cursor;
 use crate::{columns, fnv1a, TraceStoreError, EVENTS_KIND, FOOTER_MAGIC, MAGIC};
@@ -150,9 +151,9 @@ fn verify_block(frame: &[u8], block: usize, payload_len: usize) -> Result<&[u8],
     Ok(payload)
 }
 
-/// Where a [`PackedReader`]'s bytes live: borrowed memory (`&[u8]`) or an
-/// open [`File`](std::fs::File). Every read is positioned, so concurrent
-/// block decodes from a worker pool share no cursor.
+/// Where a [`PackedReader`]'s bytes live: a [`PackedSource`] or an open
+/// [`File`](std::fs::File). Every read is positioned, so concurrent block
+/// decodes from a worker pool share no cursor.
 pub trait PackedBytes: Sync {
     /// Total length in bytes.
     ///
@@ -168,17 +169,6 @@ pub trait PackedBytes: Sync {
     ///
     /// I/O failures of a file-backed source.
     fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError>;
-}
-
-/// In memory, every read borrows a slice and copies nothing.
-impl PackedBytes for &[u8] {
-    fn byte_len(&self) -> Result<u64, TraceStoreError> {
-        Ok(self.len() as u64)
-    }
-
-    fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError> {
-        Ok(Cow::Borrowed(&self[offset..offset + len]))
-    }
 }
 
 /// On disk, every read is one positioned read (`pread` on Unix), so the
@@ -216,18 +206,19 @@ impl PackedBytes for std::fs::File {
     }
 }
 
-/// The bytes of a packed trace opened by path: a regular file is read at
-/// offsets, one block at a time; anything else — a pipe, a terminal —
-/// cannot be, so it is read whole into memory when opened.
+/// The bytes of a packed trace: a regular file, read at offsets one block
+/// at a time, or bytes in memory — a caller's slice, or a pipe or terminal
+/// read whole when opened, since it cannot be read at offsets. In memory,
+/// every read borrows a slice and copies nothing.
 #[derive(Debug)]
-pub enum PackedSource {
+pub enum PackedSource<'a> {
     /// A regular file.
     File(std::fs::File),
-    /// A stream, read to its end.
-    Memory(Vec<u8>),
+    /// Bytes in memory.
+    Memory(Cow<'a, [u8]>),
 }
 
-impl PackedBytes for PackedSource {
+impl PackedBytes for PackedSource<'_> {
     fn byte_len(&self) -> Result<u64, TraceStoreError> {
         match self {
             PackedSource::File(file) => file.byte_len(),
@@ -262,7 +253,7 @@ pub struct PackedReader<B> {
 }
 
 /// A [`PackedReader`] over in-memory bytes: blocks are borrowed slices.
-pub type TraceReader<'a> = PackedReader<&'a [u8]>;
+pub type TraceReader<'a> = PackedReader<PackedSource<'a>>;
 
 /// A [`PackedReader`] over a file: each block is read from disk with one
 /// positioned read when it is decoded.
@@ -278,7 +269,7 @@ impl<'a> TraceReader<'a> {
     /// footer that does not tile the block region — yields a typed
     /// [`TraceStoreError`].
     pub fn open(bytes: &'a [u8]) -> Result<Self, TraceStoreError> {
-        Self::new(bytes)
+        Self::new(PackedSource::Memory(Cow::Borrowed(bytes)))
     }
 }
 
@@ -296,8 +287,15 @@ impl FileReader {
 }
 
 impl<B: PackedBytes> PackedReader<B> {
-    /// Parses the header and footer index through positioned reads.
-    pub(crate) fn new(bytes: B) -> Result<Self, TraceStoreError> {
+    /// Parses the header and footer index through positioned reads,
+    /// without reading any block payload.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, and any structural problem — short file, bad magic at
+    /// either end, a stream kind other than 1, a footer that does not tile
+    /// the block region — as a typed [`TraceStoreError`].
+    pub fn new(bytes: B) -> Result<Self, TraceStoreError> {
         let len = usize::try_from(bytes.byte_len()?)
             .map_err(|_| TraceStoreError::Corrupt("file exceeds the address space".into()))?;
         let (nodes, header_end) = parse_header(&bytes.bytes_at(0, HEADER_PREFIX.min(len))?)?;
@@ -377,85 +375,6 @@ impl<B: PackedBytes> PackedReader<B> {
         }
         Ok(events)
     }
-
-    /// Streams every event to `f` in file order with one-block memory.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first decode error or the first error `f` returns.
-    pub fn for_each_event<E: From<TraceStoreError>>(
-        &self,
-        mut f: impl FnMut(CommEvent) -> Result<(), E>,
-    ) -> Result<(), E> {
-        for block in 0..self.blocks.len() {
-            for e in self.decode_events(block)? {
-                f(e)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes the whole stream into a validated [`CommTrace`]
-    /// sequentially.
-    ///
-    /// # Errors
-    ///
-    /// Fails on any block decode error, or if the assembled trace
-    /// violates [`CommTrace::check`] (duplicate ids, dangling or
-    /// non-causal dependencies).
-    pub fn read_trace(&self) -> Result<CommTrace, TraceStoreError> {
-        let mut trace = CommTrace::new(self.nodes);
-        self.for_each_event(|e| {
-            trace.push(e);
-            Ok::<_, TraceStoreError>(())
-        })?;
-        trace.check().map_err(TraceStoreError::Corrupt)?;
-        Ok(trace)
-    }
-
-    /// Decodes the whole stream into a validated [`CommTrace`], fanning
-    /// blocks out over `jobs` worker threads (`0` = one per hardware
-    /// thread) via [`commchar_pool::run_indexed`]. Decoded blocks come
-    /// back in file order regardless of worker count, so the assembled
-    /// trace is identical to [`read_trace`](Self::read_trace).
-    ///
-    /// # Errors
-    ///
-    /// The first failing block (in file order) determines the error.
-    pub fn read_trace_parallel(&self, jobs: usize) -> Result<CommTrace, TraceStoreError> {
-        if commchar_pool::resolve_jobs(jobs).min(self.blocks.len()) <= 1 {
-            return self.read_trace();
-        }
-        let decoded =
-            commchar_pool::run_indexed(jobs, self.blocks.len(), |i| self.decode_events(i));
-        let mut trace = CommTrace::new(self.nodes);
-        for block in decoded {
-            for e in block? {
-                trace.push(e);
-            }
-        }
-        trace.check().map_err(TraceStoreError::Corrupt)?;
-        Ok(trace)
-    }
-}
-
-/// One-shot sequential unpack of a packed [`CommTrace`].
-///
-/// # Errors
-///
-/// Any structural or per-block decode failure.
-pub fn unpack_trace(bytes: &[u8]) -> Result<CommTrace, TraceStoreError> {
-    TraceReader::open(bytes)?.read_trace()
-}
-
-/// One-shot parallel unpack of a packed [`CommTrace`] (`jobs` worker
-/// threads, `0` = one per hardware thread).
-///
-/// # Errors
-///
-/// Any structural or per-block decode failure.
-pub fn unpack_trace_parallel(bytes: &[u8], jobs: usize) -> Result<CommTrace, TraceStoreError> {
-    TraceReader::open(bytes)?.read_trace_parallel(jobs)
 }
 
 /// An incremental reader over a *non-seekable* CCTRACE1 byte stream — a

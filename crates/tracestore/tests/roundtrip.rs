@@ -1,14 +1,14 @@
 //! Property-based round-trip suite: random event streams pack → unpack
-//! identically (for any block size and worker count), and causal replay
-//! of a packed trace is record-identical to replaying the source
-//! JSON-lines trace.
+//! identically through `TraceFile`'s event loop (for any block size and
+//! worker count), and causal replay of a packed trace is record-identical
+//! to replaying the source JSON-lines trace.
 
 use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::{
-    load_trace, pack_trace, unpack_trace, unpack_trace_parallel, FileReader, TraceReader,
+    load_trace, pack_trace, FileReader, TraceFile, TraceReader, TraceStoreError,
 };
 use proptest::prelude::*;
 
@@ -58,12 +58,18 @@ fn arb_trace(nodes: usize, max: usize) -> impl Strategy<Value = CommTrace> {
     })
 }
 
+/// `packed` read whole through the packed variant of a [`TraceFile`] on
+/// `jobs` workers.
+fn unpack(packed: &[u8], jobs: usize) -> Result<CommTrace, TraceStoreError> {
+    TraceFile::Packed(TraceReader::open(packed)?).into_trace(jobs)
+}
+
 proptest! {
     /// Pack → unpack returns exactly the input events, nodes and order.
     #[test]
     fn pack_unpack_is_identity(trace in arb_trace(16, 200)) {
         let packed = pack_trace(&trace);
-        let back = unpack_trace(&packed).unwrap();
+        let back = load_trace(&packed).unwrap();
         prop_assert_eq!(back.nodes(), trace.nodes());
         prop_assert_eq!(back.events(), trace.events());
         // And packing the unpacked trace reproduces the same bytes.
@@ -77,7 +83,7 @@ proptest! {
         let reader = TraceReader::open(&packed).unwrap();
         prop_assert_eq!(reader.len(), trace.len() as u64);
         prop_assert_eq!(reader.block_count(), trace.len().div_ceil(block_len));
-        let back = reader.read_trace().unwrap();
+        let back = TraceFile::Packed(reader).into_trace(1).unwrap();
         prop_assert_eq!(back.events(), trace.events());
     }
 
@@ -85,9 +91,10 @@ proptest! {
     #[test]
     fn parallel_decode_matches_sequential(trace in arb_trace(8, 150), jobs in 1usize..6) {
         let packed = pack_trace_with_block_len(&trace, 16);
-        let seq = unpack_trace(&packed).unwrap();
-        let par = unpack_trace_parallel(&packed, jobs).unwrap();
+        let seq = unpack(&packed, 1).unwrap();
+        let par = unpack(&packed, jobs).unwrap();
         prop_assert_eq!(seq.events(), par.events());
+        prop_assert_eq!(par.events(), trace.events());
     }
 
     /// Causal replay over the packed trace produces a `NetLog` identical

@@ -19,10 +19,14 @@
 # output captured before the NetEngine refactor, and with --engine flit
 # to the output captured before steady-stream skipping; the --streaming
 # replay with each engine must stay byte-identical to the output
-# captured before the flit closed loop was folded into FlitLevel), a fit
-# fixture diff (characterize --no-replay of the same fixture must stay
-# byte-identical to the report captured before the allocation-free secant
-# solver, so a change to the fitted numbers shows up), a streaming smoke
+# captured before the flit closed loop was folded into FlitLevel; the
+# recurrence replay read on --jobs 1 and --jobs 3, and of a packed copy
+# from a file and from a pipe, must print the same), a fit fixture diff
+# (characterize --no-replay of the same fixture must stay byte-identical
+# to the report captured before the allocation-free secant solver, so a
+# change to the fitted numbers shows up, and print the same read on
+# --jobs 1 and --jobs 3, and from the packed copy through a pipe and
+# from its file), a streaming smoke
 # (a packed trace with a deliberately small block budget characterized
 # out-of-core with --stream at --block-jobs 1 and 3 must print
 # byte-identically to the in-memory --no-replay pass over the same
@@ -49,8 +53,8 @@
 # `src` and `bytes` overflow their fields, a trace whose last line
 # repeats an id packed with trace pack — which must also leave no --out
 # file — and a packed trace cut short or with a flipped byte in block 0
-# read out-of-core with --stream must exit 1 with an `error:` line, never
-# a panic).
+# read out-of-core with --stream, or whole by characterize --no-replay
+# and replay, must exit 1 with an `error:` line, never a panic).
 #
 # Every library's manifest must name only crates its sources use:
 # `cargo check --workspace --lib` runs with `-D unused-crate-dependencies`
@@ -158,6 +162,17 @@ diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.txt"
 echo "==> engine diff smoke (--engine recurrence and flit vs checked-in fixtures)"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine recurrence >"$tmpdir/replay.rec.txt"
 diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.rec.txt"
+# The fixture spans several 64 KiB chunks: --jobs 1 and 3 read it alike,
+# and a packed copy reads the same from its file and from a pipe.
+cargo run --release -q -- trace pack tests/fixtures/engine_diff.trace.jsonl --out "$tmpdir/fixture.cct"
+cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --jobs 1 >"$tmpdir/replay.j1.txt"
+cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --jobs 3 >"$tmpdir/replay.j3.txt"
+diff "$tmpdir/replay.j1.txt" "$tmpdir/replay.j3.txt"
+diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.j1.txt"
+cargo run --release -q -- replay --trace "$tmpdir/fixture.cct" >"$tmpdir/replay.cct.txt"
+cat "$tmpdir/fixture.cct" | cargo run --release -q -- replay --trace /dev/stdin >"$tmpdir/replay.piped.txt"
+diff "$tmpdir/replay.cct.txt" "$tmpdir/replay.piped.txt"
+diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.cct.txt"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/replay.flit.txt"
 diff tests/fixtures/engine_diff.replay.flit.txt "$tmpdir/replay.flit.txt"
 sed 's/^/    /' "$tmpdir/replay.flit.txt"
@@ -169,6 +184,14 @@ diff tests/fixtures/engine_diff.replay.streaming.flit.txt "$tmpdir/replay.flit.s
 echo "==> fit fixture diff (characterize --no-replay vs checked-in report)"
 cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --no-replay >"$tmpdir/fixture.sig.txt"
 diff tests/fixtures/engine_diff.characterize.txt "$tmpdir/fixture.sig.txt"
+cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --no-replay --jobs 1 >"$tmpdir/fixture.sig.j1.txt"
+cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --no-replay --jobs 3 >"$tmpdir/fixture.sig.j3.txt"
+diff "$tmpdir/fixture.sig.j1.txt" "$tmpdir/fixture.sig.j3.txt"
+diff tests/fixtures/engine_diff.characterize.txt "$tmpdir/fixture.sig.j1.txt"
+cargo run --release -q -- characterize --trace "$tmpdir/fixture.cct" --no-replay >"$tmpdir/fixture.sig.cct.txt"
+cat "$tmpdir/fixture.cct" | cargo run --release -q -- characterize --trace /dev/stdin --no-replay >"$tmpdir/fixture.sig.piped.txt"
+diff "$tmpdir/fixture.sig.cct.txt" "$tmpdir/fixture.sig.piped.txt"
+diff tests/fixtures/engine_diff.characterize.txt "$tmpdir/fixture.sig.cct.txt"
 
 echo "==> sharded simulator smoke (--sim-jobs 4 vs --sim-jobs 1 diff)"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --sim-jobs 1 >"$tmpdir/replay.s1.txt"
@@ -259,6 +282,8 @@ if [ -e "$tmpdir/dup.cct" ]; then
 fi
 expect_error characterize --trace "$tmpdir/cut.cct" --stream
 expect_error characterize --trace "$tmpdir/flip.cct" --stream
+expect_error characterize --trace "$tmpdir/cut.cct" --no-replay
+expect_error replay --trace "$tmpdir/flip.cct"
 
 if [ "$bench_smoke" -eq 1 ]; then
     echo "==> flit throughput bench (quick smoke)"

@@ -18,8 +18,8 @@ use commchar_serve::{ServeClient, ServeError};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, JsonlWriter};
 use commchar_tracestore::{
-    encode_event_block, load_trace, FileReader, PackedReader, PackedSource, StreamBlockReader,
-    TraceFile, TraceStoreError, TraceWriter, DEFAULT_BLOCK_LEN,
+    encode_event_block, FileReader, PackedReader, PackedSource, StreamBlockReader, TraceFile,
+    TraceStoreError, TraceWriter, DEFAULT_BLOCK_LEN,
 };
 
 /// Error type for CLI operations.
@@ -168,18 +168,14 @@ pub fn cmd_characterize_app(spec: RunSpec, jobs: usize) -> Result<String, CliErr
     report_signature(&acquire(&spec)?, jobs)
 }
 
-/// `commchar characterize --trace <file contents> [--jobs N]`: signature
-/// report for a saved trace (replayed causally through a fitted-size
-/// network of `spec`'s topology, routing policy and engine; the rest of
-/// `spec` is unused). Accepts either trace format, sniffed by magic
-/// bytes. `jobs` parallelizes the per-source fits; the report text does
-/// not depend on it.
-pub fn cmd_characterize_trace(
-    input: &[u8],
-    jobs: usize,
-    spec: RunSpec,
-) -> Result<String, CliError> {
-    let trace = load_trace(input)?;
+/// `commchar characterize --trace FILE [--jobs N]`: signature report for
+/// a saved trace (replayed causally through a fitted-size network of
+/// `spec`'s topology, routing policy and engine; the rest of `spec` is
+/// unused). Accepts either trace format, sniffed by magic bytes. `jobs`
+/// workers read the file through [`TraceFile`] and fit the per-source
+/// distributions; the report text does not depend on it.
+pub fn cmd_characterize_trace(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
+    let trace = load_trace_file(path, jobs)?;
     let (mesh, netlog) = replay_with(&trace, spec, |_| NetLog::new())?;
     let exec = netlog.summary().span;
     let w = Workload {
@@ -197,12 +193,13 @@ pub fn cmd_characterize_trace(
 /// `commchar characterize --trace FILE --no-replay [--jobs N]`: trace-only
 /// analysis report — the temporal / spatial / volume attributes without
 /// the network-behaviour section (no causal replay is run). Accepts
-/// either trace format, sniffed by magic bytes. This is the in-memory
-/// twin of [`cmd_characterize_stream`]; for the same events the two
-/// render byte-identical text, which is what the streaming smoke test in
+/// either trace format, sniffed by magic bytes, read through [`TraceFile`]
+/// on `jobs` workers. This is the in-memory twin of
+/// [`cmd_characterize_stream`]; for the same events the two render
+/// byte-identical text, which is what the streaming smoke test in
 /// `scripts/check.sh` diffs.
-pub fn cmd_characterize_trace_only(input: &[u8], jobs: usize) -> Result<String, CliError> {
-    let trace = load_trace(input)?;
+pub fn cmd_characterize_trace_only(path: &str, jobs: usize) -> Result<String, CliError> {
+    let trace = load_trace_file(path, jobs)?;
     let shape = MeshConfig::for_nodes(trace.nodes()).shape;
     let a = try_analyze_trace(&trace, shape, jobs).map_err(|e| CliError(e.to_string()))?;
     Ok(analysis_report(&a, "trace"))
@@ -254,13 +251,13 @@ fn replay_with<S: LogSink>(
     Ok((mesh, sink))
 }
 
-/// `commchar replay --streaming <trace file contents>`: causal replay
+/// `commchar replay --trace FILE --streaming [--jobs N]`: causal replay
 /// accumulating online statistics only — constant memory however long the
 /// trace, at the price of per-message records (quantiles become
 /// histogram-approximate). Accepts either trace format, sniffed by magic
-/// bytes.
-pub fn cmd_replay_streaming(input: &[u8], spec: RunSpec) -> Result<String, CliError> {
-    let trace = load_trace(input)?;
+/// bytes, read through [`TraceFile`] on `jobs` workers.
+pub fn cmd_replay_streaming(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
+    let trace = load_trace_file(path, jobs)?;
     let (_, stream) = replay_with(&trace, spec, |m| StreamingLog::new(m.shape.nodes()))?;
     let s = stream.summary();
     let mut out = String::new();
@@ -288,13 +285,13 @@ pub fn cmd_replay_streaming(input: &[u8], spec: RunSpec) -> Result<String, CliEr
     Ok(out)
 }
 
-/// `commchar replay <trace file contents>`: causal replay through the
+/// `commchar replay --trace FILE [--jobs N]`: causal replay through the
 /// chosen engine, returning the network summary (plus the naive
 /// comparison, which always uses the recurrence model as the fixed
 /// open-loop baseline). Accepts either trace format, sniffed by magic
-/// bytes.
-pub fn cmd_replay(input: &[u8], spec: RunSpec) -> Result<String, CliError> {
-    let trace = load_trace(input)?;
+/// bytes, read through [`TraceFile`] on `jobs` workers.
+pub fn cmd_replay(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
+    let trace = load_trace_file(path, jobs)?;
     let (mesh, causal) = replay_with(&trace, spec, |_| NetLog::new())?;
     let causal = causal.summary();
     let naive = CausalReplayer::new(mesh).replay_naive(&trace).summary();
@@ -377,11 +374,22 @@ fn replace_file(
 
 /// Opens a trace file for one streaming pass, naming `path` in an I/O
 /// error.
-fn open_trace(path: &str) -> Result<TraceFile, CliError> {
+fn open_trace(path: &str) -> Result<TraceFile<'static>, CliError> {
     TraceFile::open(path).map_err(|e| match e {
         TraceStoreError::Io(e) => CliError(format!("reading {path}: {e}")),
         e => e.into(),
     })
+}
+
+/// Reads the trace file at `path` whole: [`TraceFile`]'s event loop on
+/// `jobs` workers (`0` = one per hardware thread), which parse the
+/// JSON-lines chunks or decode the blocks while this thread checks the
+/// events in file order, as `trace pack` reads. The file itself is never
+/// held, and the trace and the error are the same for any `jobs`: the
+/// ones [`load_trace`](commchar_tracestore::load_trace) gives for the
+/// same bytes.
+fn load_trace_file(path: &str, jobs: usize) -> Result<CommTrace, CliError> {
+    Ok(open_trace(path)?.into_trace(jobs)?)
 }
 
 /// Names `path` in an error writing it.
@@ -408,8 +416,8 @@ fn writing(path: &str) -> impl Fn(TraceStoreError) -> CliError + '_ {
 ///
 /// # Errors
 ///
-/// The input's first error, as [`load_trace`] names it, or a failure
-/// writing `out`.
+/// The input's first error, as [`load_trace`](commchar_tracestore::load_trace) names it, or a
+/// failure writing `out`.
 pub fn cmd_trace_pack(
     input: &str,
     out: &str,
@@ -438,8 +446,8 @@ pub fn cmd_trace_pack(
 ///
 /// # Errors
 ///
-/// The input's first error, as [`load_trace`] names it, or a failure
-/// writing the output.
+/// The input's first error, as [`load_trace`](commchar_tracestore::load_trace) names it, or a
+/// failure writing the output.
 pub fn cmd_trace_cat(input: &str, out: Option<&str>, jobs: usize) -> Result<(), CliError> {
     let cat = |sink: &mut dyn Write, name: &str, prechecked: bool| {
         let src = open_trace(input)?;
@@ -531,7 +539,7 @@ fn block_stats(reader: &PackedReader<PackedSource>) -> String {
 ///
 /// # Errors
 ///
-/// The input's first error, as [`load_trace`] names it.
+/// The input's first error, as [`load_trace`](commchar_tracestore::load_trace) names it.
 pub fn cmd_trace_stat(input: &str, jobs: usize) -> Result<String, CliError> {
     let src = open_trace(input)?;
     let nodes = src.nodes();
@@ -594,16 +602,17 @@ const FEED_BLOCK_LEN: usize = 4096;
 ///
 /// The file is read on the calling thread. The wire wants time order,
 /// and nothing goes out before the trace has checked out as
-/// [`load_trace`] checks it. A regular file is checked,
-/// and its time order found, in a first pass; in order, it streams in a
-/// second pass one block at a time, the rule `trace cat` follows for
-/// stdout. Out-of-order input, or a pipe (read once), is collected into
-/// one event vector and stable-sorted by time, as the offline driver
-/// sorts it.
+/// [`load_trace`](commchar_tracestore::load_trace) checks it. A regular
+/// file is checked, and its time order found, in a first pass; in order,
+/// it streams in a second pass one block at a time, the rule `trace cat`
+/// follows for stdout. Out-of-order input, or a pipe (read once), is read
+/// whole through [`TraceFile`] and stable-sorted by time, as the offline
+/// driver sorts it.
 ///
 /// # Errors
 ///
-/// The file's first error, as [`load_trace`] names it, or any
+/// The file's first error, as
+/// [`load_trace`](commchar_tracestore::load_trace) names it, or any
 /// server/connection failure.
 pub fn cmd_serve_feed(
     addr: &str,
@@ -643,13 +652,9 @@ pub fn cmd_serve_feed(
             });
         }
     }
-    let src = open_trace(path)?;
-    let nodes = src.nodes();
-    let mut events = Vec::new();
-    src.for_each_event(1, |e| {
-        events.push(e);
-        Ok::<_, CliError>(())
-    })?;
+    let trace = load_trace_file(path, 1)?;
+    let nodes = trace.nodes();
+    let mut events = trace.into_events();
     if !events.is_sorted_by_key(|e| e.t) {
         events.sort_by_key(|e| e.t);
     }
@@ -775,7 +780,8 @@ COMMANDS:
     run <app> [--out FILE]        run an application, optionally saving its trace
     characterize <app>            run and print the full communication signature
     characterize --trace FILE     characterize a saved trace (causal mesh replay)
-                                  (both forms accept --jobs for parallel fitting)
+                                  (both forms accept --jobs for parallel fitting,
+                                  and --trace also for parallel reading)
     characterize --trace FILE --no-replay
                                   trace-only report: temporal/spatial/volume, no
                                   network section (skips the causal replay)
@@ -785,7 +791,8 @@ COMMANDS:
                                   accepts --block-jobs for parallel decoding
                                   and folding)
     generate <app> [--out FILE]   emit a synthetic trace from the fitted model
-    replay --trace FILE           replay a saved trace (causal vs naive)
+    replay --trace FILE           replay a saved trace (causal vs naive; accepts
+                                  --jobs for parallel reading)
     suite                         characterize every application in parallel, plus
                                   (topology × routing) contrast rows for the
                                   collective-shaped workloads (allreduce, halo)
@@ -816,7 +823,8 @@ OPTIONS:
     --scale S       tiny | small | full (default small)
     --seed N        generation seed (default 42)
     --jobs N        worker threads for suite cells and per-source distribution
-                    fits, and for trace pack / cat / stat, whose workers parse
+                    fits, and for reading a trace file (characterize --trace,
+                    replay, trace pack / cat / stat), whose workers parse
                     JSON-lines chunks or decode blocks while one thread checks
                     and writes in input order; 0 = one per hardware thread
                     (default 0), 1 = no extra thread. Output is byte-identical
@@ -917,6 +925,15 @@ mod tests {
         path
     }
 
+    /// `f` run on the path of the scratch file `name`, which holds `bytes`
+    /// until `f` returns.
+    fn with_file<T>(name: &str, bytes: &[u8], f: impl FnOnce(&str) -> T) -> T {
+        let path = scratch_file(name, bytes);
+        let result = f(&path);
+        std::fs::remove_file(&path).unwrap();
+        result
+    }
+
     /// A trace file's bytes, the file then removed.
     fn take(path: &str) -> Vec<u8> {
         let bytes = std::fs::read(path).unwrap();
@@ -990,8 +1007,10 @@ mod tests {
         let mut tr = CommTrace::new(4);
         tr.push(commchar_trace::CommEvent::new(0, 0, 0, 1, 8, commchar_trace::EventKind::Data));
         tr.push(commchar_trace::CommEvent::new(1, 9, 0, 1, 8, commchar_trace::EventKind::Data));
-        let err =
-            cmd_characterize_trace(tr.to_jsonl().as_bytes(), 1, net(MESH, DIM, REC)).unwrap_err();
+        let err = with_file("degenerate.jsonl", tr.to_jsonl().as_bytes(), |path| {
+            cmd_characterize_trace(path, 1, net(MESH, DIM, REC))
+        })
+        .unwrap_err();
         assert!(err.0.contains("degenerate"), "unexpected error: {err}");
     }
 
@@ -1006,10 +1025,11 @@ mod tests {
     #[test]
     fn trace_roundtrip_through_cli() {
         let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
-        let jsonl = trace.to_jsonl();
-        let report = cmd_characterize_trace(jsonl.as_bytes(), 2, net(MESH, DIM, REC)).unwrap();
+        let rec = net(MESH, DIM, REC);
+        let (report, replay) = with_file("roundtrip-cli.jsonl", trace.to_jsonl().as_bytes(), |p| {
+            (cmd_characterize_trace(p, 2, rec).unwrap(), cmd_replay(p, 2, rec).unwrap())
+        });
         assert!(report.contains("processors  : 4"));
-        let replay = cmd_replay(jsonl.as_bytes(), net(MESH, DIM, REC)).unwrap();
         assert!(replay.contains("causal:"));
         assert!(replay.contains("naive :"));
     }
@@ -1023,16 +1043,24 @@ mod tests {
         // cat inverts pack; packing the packed file is a no-op.
         assert_eq!(cat("roundtrip", &packed).unwrap(), jsonl.as_bytes());
         assert_eq!(pack("repack", &packed, 0), packed);
-        // every trace-consuming command accepts the packed form too.
+        // every trace-consuming command accepts the packed form too, and
+        // reads either one alike on any number of workers.
         let rec = net(MESH, DIM, REC);
-        let from_jsonl = cmd_characterize_trace(jsonl.as_bytes(), 1, rec).unwrap();
-        let from_packed = cmd_characterize_trace(&packed, 1, rec).unwrap();
-        assert_eq!(from_jsonl, from_packed);
-        assert_eq!(cmd_replay(jsonl.as_bytes(), rec).unwrap(), cmd_replay(&packed, rec).unwrap());
-        assert_eq!(
-            cmd_replay_streaming(jsonl.as_bytes(), rec).unwrap(),
-            cmd_replay_streaming(&packed, rec).unwrap()
-        );
+        let reports = |bytes: &[u8], jobs| {
+            with_file("both-formats", bytes, |path| {
+                [
+                    cmd_characterize_trace(path, jobs, rec).unwrap(),
+                    cmd_characterize_trace_only(path, jobs).unwrap(),
+                    cmd_replay(path, jobs, rec).unwrap(),
+                    cmd_replay_streaming(path, jobs, rec).unwrap(),
+                ]
+            })
+        };
+        let from_jsonl = reports(jsonl.as_bytes(), 1);
+        for jobs in [1, 3] {
+            assert_eq!(reports(jsonl.as_bytes(), jobs), from_jsonl);
+            assert_eq!(reports(&packed, jobs), from_jsonl);
+        }
     }
 
     #[test]
@@ -1067,16 +1095,13 @@ mod tests {
     fn stream_and_no_replay_reports_are_identical() {
         let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
         let packed = pack("stream", trace.to_jsonl().as_bytes(), 37);
-        let batch = cmd_characterize_trace_only(&packed, 1).unwrap();
+        let (batch, streamed) = with_file("stream.cct", &packed, |path| {
+            (cmd_characterize_trace_only(path, 1).unwrap(), cmd_characterize_stream(path, 3, 2))
+        });
         assert!(batch.contains("temporal attribute"));
         assert!(batch.contains("spatial attribute"));
         assert!(batch.contains("volume attribute"));
         assert!(!batch.contains("network behaviour"));
-        let path =
-            std::env::temp_dir().join(format!("commchar-cli-stream-{}.cct", std::process::id()));
-        std::fs::write(&path, &packed).unwrap();
-        let streamed = cmd_characterize_stream(path.to_str().unwrap(), 3, 2);
-        std::fs::remove_file(&path).unwrap();
         assert_eq!(batch, streamed.unwrap());
     }
 
@@ -1084,7 +1109,9 @@ mod tests {
     fn trace_commands_reject_garbage_with_typed_errors() {
         let err = cat("garbage", b"CCTRACE1\xffgarbage").unwrap_err();
         assert!(err.0.contains("stream kind"), "unexpected error: {err}");
-        let err = cmd_replay(b"not json at all", net(MESH, DIM, REC)).unwrap_err();
+        let err = with_file("garbage.jsonl", b"not json at all", |path| {
+            cmd_replay(path, 0, net(MESH, DIM, REC)).unwrap_err()
+        });
         assert!(err.0.contains("line 1"), "unexpected error: {err}");
         // Every packed reader names a stream kind other than 1 (events),
         // 2 included. The feeds fail before connecting.
@@ -1135,11 +1162,11 @@ mod tests {
         let sig = cmd_characterize_app(torus, 1).unwrap();
         assert!(sig.contains("network behaviour"));
         // Replay names the topology in its header.
-        let jsonl = trace.to_jsonl();
-        let out = cmd_replay(jsonl.as_bytes(), torus).unwrap();
+        let (out, streaming) = with_file("torus.jsonl", trace.to_jsonl().as_bytes(), |path| {
+            let streaming = cmd_replay_streaming(path, 1, net(Topology::Torus, DIM, REC));
+            (cmd_replay(path, 1, torus).unwrap(), streaming.unwrap())
+        });
         assert!(out.contains("-node torus"), "replay header: {out}");
-        let streaming =
-            cmd_replay_streaming(jsonl.as_bytes(), net(Topology::Torus, DIM, REC)).unwrap();
         assert!(streaming.contains("-node torus"), "streaming header: {streaming}");
     }
 
@@ -1156,7 +1183,9 @@ mod tests {
     #[test]
     fn streaming_replay_reports_summary() {
         let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
-        let out = cmd_replay_streaming(trace.to_jsonl().as_bytes(), net(MESH, DIM, REC)).unwrap();
+        let out = with_file("streaming.jsonl", trace.to_jsonl().as_bytes(), |path| {
+            cmd_replay_streaming(path, 1, net(MESH, DIM, REC)).unwrap()
+        });
         assert!(out.contains("streaming"));
         assert!(out.contains("mean latency"));
         assert!(out.contains("inter-arrival"));
@@ -1173,12 +1202,15 @@ mod tests {
         let sig = cmd_characterize_app(flit, 1).unwrap();
         assert!(sig.contains("temporal attribute"));
         // replay: the header names the engine; the recurrence header does not.
-        let jsonl = trace.to_jsonl();
-        let out = cmd_replay(jsonl.as_bytes(), flit).unwrap();
+        let [out, rec, streaming] = with_file("flit.jsonl", trace.to_jsonl().as_bytes(), |path| {
+            [
+                cmd_replay(path, 1, flit).unwrap(),
+                cmd_replay(path, 1, net(MESH, DIM, REC)).unwrap(),
+                cmd_replay_streaming(path, 1, flit).unwrap(),
+            ]
+        });
         assert!(out.contains("(flit engine)"));
-        let rec = cmd_replay(jsonl.as_bytes(), net(MESH, DIM, REC)).unwrap();
         assert!(!rec.contains("flit"));
-        let streaming = cmd_replay_streaming(jsonl.as_bytes(), flit).unwrap();
         assert!(streaming.contains("flit engine; streaming"));
     }
 
@@ -1205,9 +1237,8 @@ mod tests {
         reversed.extend(trace.events().iter().rev().copied());
         // Tiny blocks + mid-stream polls + a protocol shutdown at the end.
         for (name, tr, shutdown) in [("reversed", &reversed, false), ("in-order", &trace, true)] {
-            let jsonl = tr.to_jsonl();
-            let offline = cmd_characterize_trace_only(jsonl.as_bytes(), 1).unwrap();
-            let path = scratch_file(&format!("feed-{name}.jsonl"), jsonl.as_bytes());
+            let path = scratch_file(&format!("feed-{name}.jsonl"), tr.to_jsonl().as_bytes());
+            let offline = cmd_characterize_trace_only(&path, 1).unwrap();
             let (report, status) = cmd_serve_feed(&addr, &path, 7, 2, shutdown).unwrap();
             std::fs::remove_file(&path).unwrap();
             assert_eq!(report, offline, "{name}: served report must equal offline --no-replay");
@@ -1229,8 +1260,9 @@ mod tests {
         let addr = server.local_addr().to_string();
         let handle = server.spawn();
         let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
-        let jsonl = trace.to_jsonl();
-        let offline = cmd_characterize_trace_only(jsonl.as_bytes(), 1).unwrap();
+        let offline = with_file("feed-stream.jsonl", trace.to_jsonl().as_bytes(), |path| {
+            cmd_characterize_trace_only(path, 1).unwrap()
+        });
         // Pipe-style input: the packed bytes arrive through an io::Read,
         // tiny blocks force a multi-block stream with mid-stream polls.
         let packed = commchar_tracestore::writer::pack_trace_with_block_len(&trace, 11);

@@ -135,14 +135,6 @@ fn emit_trace(trace: &commchar::trace::CommTrace, args: &Args) -> Result<(), Str
     }
 }
 
-fn read_file(path: &str) -> Result<Vec<u8>, String> {
-    std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))
-}
-
-fn read_trace(args: &Args) -> Result<Vec<u8>, String> {
-    read_file(args.trace.as_ref().ok_or("this command needs --trace FILE")?)
-}
-
 /// The run flags with the application named by positional argument 1.
 fn app_spec(args: &Args, missing: &str) -> Result<RunSpec, String> {
     let app = args.positional.get(1).ok_or(missing)?;
@@ -167,12 +159,11 @@ fn run(argv: &[String]) -> Result<(), String> {
             let text = if args.stream {
                 let path = args.trace.as_ref().ok_or("--stream needs --trace FILE (packed)")?;
                 cli::cmd_characterize_stream(path, args.jobs, args.block_jobs).map_err(|e| e.0)?
-            } else if args.trace.is_some() {
-                let input = read_trace(&args)?;
+            } else if let Some(path) = &args.trace {
                 if args.no_replay {
-                    cli::cmd_characterize_trace_only(&input, args.jobs).map_err(|e| e.0)?
+                    cli::cmd_characterize_trace_only(path, args.jobs).map_err(|e| e.0)?
                 } else {
-                    cli::cmd_characterize_trace(&input, args.jobs, args.spec).map_err(|e| e.0)?
+                    cli::cmd_characterize_trace(path, args.jobs, args.spec).map_err(|e| e.0)?
                 }
             } else {
                 let spec = app_spec(&args, "characterize needs an app or --trace FILE")?;
@@ -187,11 +178,11 @@ fn run(argv: &[String]) -> Result<(), String> {
             emit_trace(&trace, &args)
         }
         Some("replay") => {
-            let input = read_trace(&args)?;
+            let path = args.trace.as_ref().ok_or("this command needs --trace FILE")?;
             let text = if args.streaming {
-                cli::cmd_replay_streaming(&input, args.spec).map_err(|e| e.0)?
+                cli::cmd_replay_streaming(path, args.jobs, args.spec).map_err(|e| e.0)?
             } else {
-                cli::cmd_replay(&input, args.spec).map_err(|e| e.0)?
+                cli::cmd_replay(path, args.jobs, args.spec).map_err(|e| e.0)?
             };
             emit(&text, &None)
         }

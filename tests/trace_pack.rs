@@ -2,14 +2,21 @@
 //! as if they had loaded it whole with `load_trace`: the same error text
 //! for every bad input (and then no output file), the same bytes for
 //! every good one, whatever the line endings or whether the input is a
-//! file or a pipe, and a re-pack in place.
+//! file or a pipe, and a re-pack in place. `characterize --trace` and
+//! `replay`, which read a file whole through the same loop, fail with the
+//! same text.
 
 #[path = "../crates/trace/tests/common/mod.rs"]
 mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use commchar::cli::{cmd_trace_cat, cmd_trace_pack, cmd_trace_stat};
+use commchar::apps::{AppId, Scale};
+use commchar::cli::{
+    cmd_characterize_trace, cmd_characterize_trace_only, cmd_replay, cmd_replay_streaming,
+    cmd_trace_cat, cmd_trace_pack, cmd_trace_stat,
+};
+use commchar::core::RunSpec;
 use commchar::trace::{CommEvent, CommTrace, EventKind};
 use commchar::tracestore::writer::pack_trace_with_block_len;
 use commchar::tracestore::{load_trace, TraceWriter, FOOTER_MAGIC, MAGIC};
@@ -43,22 +50,36 @@ fn expected(input: &[u8], block_len: usize) -> Result<(Vec<u8>, Vec<u8>), String
 
 /// Runs `trace pack` and `trace cat` with `jobs` workers on `input` from
 /// a file and returns what they wrote, asserting that a failure wrote no
-/// output file.
+/// output file, and that `characterize --trace` and `replay`, with and
+/// without `--no-replay` and `--streaming`, fail with the same text.
 fn streamed_on(input: &[u8], block_len: usize, jobs: usize) -> Result<(Vec<u8>, Vec<u8>), String> {
     let (src, packed, text) = (scratch("in"), scratch("cct"), scratch("jsonl"));
     std::fs::write(&src, input).unwrap();
     let pack = cmd_trace_pack(&src, &packed, block_len, jobs);
     let cat = cmd_trace_cat(&src, Some(&text), jobs);
-    std::fs::remove_file(&src).unwrap();
-    match (pack, cat) {
+    let spec = RunSpec::new(AppId::Is, 4, Scale::Tiny, 1);
+    let readers = || {
+        [
+            cmd_characterize_trace(&src, jobs, spec),
+            cmd_characterize_trace_only(&src, jobs),
+            cmd_replay(&src, jobs, spec),
+            cmd_replay_streaming(&src, jobs, spec),
+        ]
+    };
+    let result = match (pack, cat) {
         (Ok(()), Ok(())) => Ok((take(&packed), take(&text))),
         (Err(p), Err(c)) => {
             assert_eq!(p.0, c.0, "pack and cat disagree on {input:?}");
             assert!(!exists(&packed) && !exists(&text), "a failed command wrote output");
+            for read in readers() {
+                assert_eq!(read.map_err(|e| e.0).unwrap_err(), p.0, "on {input:?}");
+            }
             Err(p.0)
         }
         (p, c) => panic!("pack {p:?} but cat {c:?} on {input:?}"),
-    }
+    };
+    std::fs::remove_file(&src).unwrap();
+    result
 }
 
 /// [`streamed_on`] with two workers.
