@@ -38,7 +38,7 @@ use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::{pack_trace_with_block_len, TraceWriter};
-use commchar_tracestore::{FileReader, TraceReader};
+use commchar_tracestore::{FileReader, PackedReader};
 
 /// A synthetic multi-source workload with tick-quantized inter-arrival
 /// gaps — the shape real traces have (timestamps are integer cycles), and
@@ -294,7 +294,7 @@ fn main() {
     let shape = ident.mesh.shape;
     let batch = try_analyze_trace(&ident.trace, shape, 1).expect("batch analysis");
     let packed = pack_trace_with_block_len(&ident.trace, 101);
-    let reader = TraceReader::open(&packed).expect("open packed trace");
+    let reader = PackedReader::from_bytes(&packed).expect("open packed trace");
     let streamed = try_analyze_blocks(&reader, shape, 4, 3).expect("streamed analysis");
     assert_eq!(
         analysis_report(&batch, "bench"),

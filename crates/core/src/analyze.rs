@@ -9,8 +9,8 @@
 //! - [`try_analyze_trace`] — wraps an in-memory [`CommTrace`] as one
 //!   segment (sorting a copy of the events first if the trace is not in
 //!   time order).
-//! - [`try_analyze_blocks`] — walks a [`PackedReader`] (over in-memory
-//!   bytes or an open file) on an ordered pipeline: each worker decodes a
+//! - [`try_analyze_blocks`] — walks a [`PackedReader`] (over a regular
+//!   file or bytes in memory) on an ordered pipeline: each worker decodes a
 //!   block, condenses it into a [`SegmentExtract`] and folds the
 //!   order-free part into its own [`BlockTally`], while the calling
 //!   thread stitches the blocks' seams in file order. Memory is per
@@ -29,7 +29,7 @@ use commchar_trace::profile::{
     BlockTally, SegmentExtract, SegmentSeam, StreamAccum, StreamExtract, UnsortedError,
 };
 use commchar_trace::CommTrace;
-use commchar_tracestore::{PackedBytes, PackedReader};
+use commchar_tracestore::PackedReader;
 use commchar_traffic::LengthDist;
 
 use crate::{CharError, SpatialSig, TemporalSig, VolumeSig, MIN_SAMPLES};
@@ -109,8 +109,8 @@ pub fn try_analyze_trace(
 ///   boundary-gap stitching requires it; packed traces written by this
 ///   workspace are sorted).
 /// - [`CharError::Store`] for any decode/IO failure inside a block.
-pub fn try_analyze_blocks<B: PackedBytes>(
-    reader: &PackedReader<B>,
+pub fn try_analyze_blocks(
+    reader: &PackedReader,
     shape: MeshShape,
     jobs: usize,
     block_jobs: usize,

@@ -10,7 +10,7 @@ use commchar_stats::spatial::SpatialModel;
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
-use commchar_tracestore::TraceReader;
+use commchar_tracestore::PackedReader;
 use commchar_traffic::patterns::{hotspot, uniform_poisson};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -160,7 +160,7 @@ proptest! {
 
         let batch = try_analyze_trace(&trace, shape, 1).unwrap();
         let packed = pack_trace_with_block_len(&trace, block_len);
-        let reader = TraceReader::open(&packed).unwrap();
+        let reader = PackedReader::from_bytes(&packed).unwrap();
         let streamed = try_analyze_blocks(&reader, shape, jobs, block_jobs).unwrap();
 
         prop_assert_eq!(analysis_report(&batch, "t"), analysis_report(&streamed, "t"));
@@ -204,7 +204,7 @@ fn streamed_analysis_reports_the_first_bad_block() {
         w.push(e).unwrap();
     }
     let packed = w.finish().unwrap();
-    let reader = TraceReader::open(&packed).unwrap();
+    let reader = PackedReader::from_bytes(&packed).unwrap();
     // The header is 10 bytes; each block is an 8-byte frame header and
     // its payload. Flipping a payload byte breaks the block's checksum.
     let corrupt = |bytes: &mut Vec<u8>, block: usize| {
@@ -217,17 +217,15 @@ fn streamed_analysis_reports_the_first_bad_block() {
     corrupt(&mut early_corrupt, 9);
     let mut late_corrupt = packed.clone();
     corrupt(&mut late_corrupt, 8);
+    let early = PackedReader::from_bytes(&early_corrupt).unwrap();
+    let late = PackedReader::from_bytes(&late_corrupt).unwrap();
     for block_jobs in 0..5 {
-        let err =
-            try_analyze_blocks(&TraceReader::open(&early_corrupt).unwrap(), shape, 1, block_jobs)
-                .unwrap_err();
+        let err = try_analyze_blocks(&early, shape, 1, block_jobs).unwrap_err();
         assert!(
             matches!(&err, CharError::Store(msg) if msg.contains("block 2")),
             "{block_jobs} block workers: {err}"
         );
-        let err =
-            try_analyze_blocks(&TraceReader::open(&late_corrupt).unwrap(), shape, 1, block_jobs)
-                .unwrap_err();
+        let err = try_analyze_blocks(&late, shape, 1, block_jobs).unwrap_err();
         assert!(
             matches!(err, CharError::Unsorted { prev: 290, at: 30 }),
             "{block_jobs} block workers: {err}"

@@ -2,13 +2,15 @@
 //! client over TCP. Pins the headline guarantee — the final served
 //! report is **byte-identical** to the offline analysis of the same
 //! events — plus the protocol edges: mid-stream polling, backpressure,
-//! session poisoning, idle eviction and the stats counters.
+//! session poisoning, idle eviction, the stats counters and bad frames
+//! inside live sessions.
 
 use std::time::Duration;
 
 use commchar_core::analyze::try_analyze_trace;
 use commchar_core::report::analysis_report;
 use commchar_mesh::MeshConfig;
+use commchar_serve::protocol::{decode_frame, encode_frame, Msg, MAX_FRAME};
 use commchar_serve::{ServeClient, ServeConfig, ServeError, Server};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::encode_event_block;
@@ -360,4 +362,136 @@ fn corrupt_frames_are_answered_typed_and_the_connection_closed() {
     assert!(matches!(msg, Msg::Error(ServeError::ChecksumMismatch { .. })), "got {msg:?}");
     let stats = handle.shutdown();
     assert_eq!(stats.frame_errors, 1);
+}
+
+/// A raw connection past its handshake, with one session open, for
+/// sending frames no client would.
+struct RawSession {
+    stream: std::net::TcpStream,
+    buf: Vec<u8>,
+    session: u64,
+}
+
+impl RawSession {
+    fn open(addr: &str, nodes: u32) -> RawSession {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        // A server that neither answers nor closes fails the test, not hangs it.
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut raw = RawSession { stream, buf: Vec::new(), session: 0 };
+        let hello = Msg::Hello { version: commchar_serve::PROTOCOL_VERSION };
+        assert!(matches!(raw.call(&hello), Some(Msg::HelloOk { .. })));
+        match raw.call(&Msg::OpenSession { nodes }) {
+            Some(Msg::SessionOpened { session }) => raw.session = session,
+            other => panic!("expected SessionOpened, got {other:?}"),
+        }
+        raw
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        use std::io::Write;
+        self.stream.write_all(bytes).unwrap();
+    }
+
+    /// The next reply, or `None` once the server has closed the
+    /// connection cleanly, with no partial frame left.
+    fn reply(&mut self) -> Option<Msg> {
+        use std::io::Read;
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some((msg, used)) = decode_frame(&self.buf, MAX_FRAME).unwrap() {
+                self.buf.drain(..used);
+                return Some(msg);
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    assert!(self.buf.is_empty(), "{} bytes of a cut reply", self.buf.len());
+                    return None;
+                }
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+    }
+
+    /// The reply to `msg`, sent as a well-formed frame.
+    fn call(&mut self, msg: &Msg) -> Option<Msg> {
+        self.send(&encode_frame(msg));
+        self.reply()
+    }
+}
+
+/// Bad frames inside live sessions, one per connection. A frame that
+/// desynchronizes the stream (flipped checksum, oversize header, unknown
+/// opcode) is answered with its typed error and the connection closed; a
+/// frame cut short is closed cleanly; a well-framed block that does not
+/// decode, or names a node outside its session, poisons the session, which
+/// then answers `SessionFailed` to Poll and Close. A well-formed session on
+/// another connection meanwhile ends on the offline report.
+#[test]
+fn corrupt_frames_inside_live_sessions_are_answered_typed() {
+    use commchar_tracestore::{decode_event_block, fnv1a};
+
+    let (handle, addr) = spawn_server(small_cfg());
+    let trace = sample_trace(6, 300);
+    let blocks: Vec<Vec<u8>> = trace.events().chunks(23).map(encode_event_block).collect();
+    let (first, rest) = blocks.split_at(blocks.len() / 2);
+    let mut good = ServeClient::connect(&addr).unwrap();
+    let good_session = good.open_session(6).unwrap();
+    good.send_blocks(good_session, first.to_vec()).unwrap();
+
+    let blocks_frame =
+        |session| encode_frame(&Msg::TraceBlocks { session, blocks: vec![first[0].clone()] });
+    // Frames that desynchronize the stream: a typed error, then the close.
+    let mut raw = RawSession::open(&addr, 6);
+    let mut flipped = blocks_frame(raw.session);
+    flipped[4] ^= 0x01;
+    raw.send(&flipped);
+    match raw.reply() {
+        Some(Msg::Error(ServeError::ChecksumMismatch { stored, computed })) => {
+            assert_eq!(stored ^ computed, 0x01, "one flipped checksum bit")
+        }
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
+    assert_eq!(raw.reply(), None);
+
+    let mut raw = RawSession::open(&addr, 6);
+    raw.send(&[(MAX_FRAME + 1).to_le_bytes(), [0; 4]].concat());
+    let oversize = ServeError::Oversize { len: u64::from(MAX_FRAME) + 1, max: MAX_FRAME.into() };
+    assert_eq!(raw.reply(), Some(Msg::Error(oversize)));
+    assert_eq!(raw.reply(), None);
+
+    let mut raw = RawSession::open(&addr, 6);
+    let payload = [0x42u8];
+    raw.send(&[&1u32.to_le_bytes()[..], &fnv1a(&payload).to_le_bytes(), &payload].concat());
+    assert_eq!(raw.reply(), Some(Msg::Error(ServeError::BadOpcode(0x42))));
+    assert_eq!(raw.reply(), None);
+
+    // A frame cut short, then the end of the client's stream: no reply.
+    let mut raw = RawSession::open(&addr, 6);
+    let whole = blocks_frame(raw.session);
+    raw.send(&whole[..whole.len() / 2]);
+    raw.stream.shutdown(std::net::Shutdown::Write).unwrap();
+    assert_eq!(raw.reply(), None);
+
+    // Well-framed blocks that poison their session: garbage, and an event
+    // whose destination lies outside a 4-node session.
+    let outside = encode_event_block(&[CommEvent::new(0, 10, 0, 5, 8, EventKind::Data)]);
+    for (nodes, block) in [(6, vec![0xff; 16]), (4, outside)] {
+        let mut raw = RawSession::open(&addr, nodes);
+        let session = raw.session;
+        let reason = decode_event_block(&block, nodes as usize).unwrap_err();
+        let failed = Some(Msg::Error(ServeError::SessionFailed {
+            session,
+            reason: format!("block undecodable: {reason}"),
+        }));
+        assert_eq!(raw.call(&Msg::TraceBlocks { session, blocks: vec![block] }), failed);
+        assert_eq!(raw.call(&Msg::Poll { session }), failed);
+        assert_eq!(raw.call(&Msg::CloseSession { session }), failed);
+    }
+
+    good.send_blocks(good_session, rest.to_vec()).unwrap();
+    let (events, report) = good.close_session(good_session).unwrap();
+    assert_eq!(events as usize, trace.len());
+    assert_eq!(report, offline_report(&trace));
+    assert_eq!(handle.shutdown().frame_errors, 3);
 }

@@ -21,10 +21,10 @@
 //! encodings). The footer lists every block's payload length and event
 //! count, so a reader can locate all blocks without scanning the file and
 //! decode any one of them ([`PackedReader::decode_events`]). One reader
-//! type serves both homes of the bytes: [`TraceReader`] borrows each block
-//! from memory, [`FileReader`] reads each block from disk with one
-//! positioned read and keeps only the index in memory (the out-of-core
-//! path).
+//! type serves both homes of the bytes: [`FileReader::open`] reads a
+//! regular file one block at a time with one positioned read and keeps
+//! only the index in memory (the out-of-core path), a pipe whole, and
+//! [`PackedReader::from_bytes`] borrows each block from a slice.
 //!
 //! A whole trace, in either format, is read through one event loop:
 //! [`TraceFile`]'s, which decodes the blocks — or parses the JSON-lines
@@ -68,9 +68,7 @@ use std::path::Path;
 
 use commchar_trace::{CommEvent, CommTrace, JsonlChunk, JsonlError, JsonlReader, TraceChecker};
 
-pub use reader::{
-    FileReader, PackedBytes, PackedReader, PackedSource, StreamBlockReader, TraceReader,
-};
+pub use reader::{FileReader, PackedReader, StreamBlockReader};
 pub use writer::{pack_trace, TraceWriter, DEFAULT_BLOCK_LEN};
 
 /// Leading file magic (the trailing byte doubles as the format version).
@@ -249,10 +247,10 @@ impl Read for JsonlSource<'_> {
 /// at a time through a [`PackedReader`], JSON-lines one [`JsonlChunk`] of
 /// whole lines at a time through a [`JsonlReader`], and
 /// [`for_each_event`](Self::for_each_event) checks the trace as it streams;
-/// [`into_trace`](Self::into_trace) collects it. A packed regular file is
-/// read at offsets and never held; packed input that is not a regular file
-/// (a pipe) cannot be, so it is read whole into memory first — the packed
-/// format is the compact one.
+/// [`into_trace`](Self::into_trace) collects it. Packed input is opened as
+/// [`FileReader::open`] opens it: a regular file is read at offsets and
+/// never held, anything else (a pipe) whole — the packed format is the
+/// compact one.
 ///
 /// Every whole-trace read in the workspace runs this type's one event
 /// loop: [`load_trace`], the trace commands, `characterize --trace` and
@@ -261,35 +259,27 @@ impl Read for JsonlSource<'_> {
 #[derive(Debug)]
 pub enum TraceFile<'a> {
     /// A CCTRACE1 event stream, its header and footer index read.
-    Packed(PackedReader<PackedSource<'a>>),
+    Packed(PackedReader<'a>),
     /// A JSON-lines trace, its header line read.
     Jsonl(JsonlReader<JsonlSource<'a>>),
 }
 
 impl TraceFile<'static> {
-    /// Opens `path` and reads its header (for a packed file, also the
-    /// footer index).
+    /// Opens `path` as [`FileReader::open`] does and reads its header (for
+    /// packed input, also the footer index).
     ///
     /// # Errors
     ///
     /// I/O failures, and the errors [`load_trace`] gives for a bad header,
     /// stream kind or footer index.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceStoreError> {
-        let mut file = File::open(path)?;
-        // A pipe may hand over the magic in pieces: read until it is whole.
-        let mut head = Vec::with_capacity(MAGIC.len());
-        (&mut file).take(MAGIC.len() as u64).read_to_end(&mut head)?;
-        if !is_packed(&head) {
-            let source = JsonlSource::File(Cursor::new(head).chain(file));
-            return Ok(TraceFile::Jsonl(JsonlReader::new(source)?));
+        match FileReader::open_sniffed(path.as_ref())? {
+            Ok(reader) => Ok(TraceFile::Packed(reader)),
+            Err((head, file)) => {
+                let source = JsonlSource::File(Cursor::new(head).chain(file));
+                Ok(TraceFile::Jsonl(JsonlReader::new(source)?))
+            }
         }
-        let source = if file.metadata()?.is_file() {
-            PackedSource::File(file)
-        } else {
-            file.read_to_end(&mut head)?;
-            PackedSource::Memory(head.into())
-        };
-        Ok(TraceFile::Packed(PackedReader::new(source)?))
     }
 }
 
@@ -304,7 +294,7 @@ impl<'a> TraceFile<'a> {
     /// disk.
     pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, TraceStoreError> {
         if is_packed(bytes) {
-            return Ok(TraceFile::Packed(TraceReader::open(bytes)?));
+            return Ok(TraceFile::Packed(PackedReader::from_bytes(bytes)?));
         }
         Ok(TraceFile::Jsonl(JsonlReader::new(JsonlSource::Memory(bytes))?))
     }

@@ -1,17 +1,21 @@
 //! Block readers. [`PackedReader`] is the seekable one: footer index,
-//! checksum verification and one-block decode, over in-memory bytes
-//! ([`TraceReader`]) or an open file ([`FileReader`]); a whole trace is
-//! read block by block through [`TraceFile`](crate::TraceFile)'s event
-//! loop. [`StreamBlockReader`] walks the block frames of a non-seekable
-//! stream instead.
+//! checksum verification and one-block decode, over a regular file read
+//! at offsets or bytes in memory, opened by path
+//! ([`FileReader::open`]) or from a slice
+//! ([`PackedReader::from_bytes`]); a whole trace is read block by block
+//! through [`TraceFile`](crate::TraceFile)'s event loop.
+//! [`StreamBlockReader`] walks the block frames of a non-seekable stream
+//! instead.
 
 use std::borrow::Cow;
+use std::fs::File;
 use std::io::Read;
+use std::path::Path;
 
 use commchar_trace::CommEvent;
 
 use crate::varint::Cursor;
-use crate::{columns, fnv1a, TraceStoreError, EVENTS_KIND, FOOTER_MAGIC, MAGIC};
+use crate::{columns, fnv1a, is_packed, TraceStoreError, EVENTS_KIND, FOOTER_MAGIC, MAGIC};
 
 /// One block's location, from the footer index.
 #[derive(Clone, Copy, Debug)]
@@ -151,45 +155,38 @@ fn verify_block(frame: &[u8], block: usize, payload_len: usize) -> Result<&[u8],
     Ok(payload)
 }
 
-/// Where a [`PackedReader`]'s bytes live: a [`PackedSource`] or an open
-/// [`File`](std::fs::File). Every read is positioned, so concurrent block
-/// decodes from a worker pool share no cursor.
-pub trait PackedBytes: Sync {
-    /// Total length in bytes.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures of a file-backed source.
-    fn byte_len(&self) -> Result<u64, TraceStoreError>;
-
-    /// The `len` bytes at `offset` (a range inside
-    /// [`byte_len`](Self::byte_len)).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures of a file-backed source.
-    fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError>;
+/// Where a [`PackedReader`]'s bytes live: a regular file, read at offsets
+/// one block at a time, or bytes in memory (a caller's slice, or a pipe
+/// read whole). Every read is positioned, so concurrent block decodes
+/// share no cursor.
+#[derive(Debug)]
+enum PackedSource<'a> {
+    /// A regular file.
+    File(File),
+    /// Bytes in memory.
+    Memory(Cow<'a, [u8]>),
 }
 
-/// On disk, every read is one positioned read (`pread` on Unix), so the
-/// file must be a regular one: a pipe or a device has no length to find
-/// the footer by and cannot be read at an offset.
-impl PackedBytes for std::fs::File {
+impl PackedSource<'_> {
+    /// Total length in bytes.
     fn byte_len(&self) -> Result<u64, TraceStoreError> {
-        let meta = self.metadata()?;
-        if !meta.is_file() {
-            return Err(TraceStoreError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "a packed trace is read at offsets, so it must be a regular file",
-            )));
+        match self {
+            PackedSource::File(file) => Ok(file.metadata()?.len()),
+            PackedSource::Memory(bytes) => Ok(bytes.len() as u64),
         }
-        Ok(meta.len())
     }
 
+    /// The `len` bytes at `offset` (a range inside
+    /// [`byte_len`](Self::byte_len)): one positioned read (`pread` on
+    /// Unix) from a file.
     fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError> {
+        let file = match self {
+            PackedSource::File(file) => file,
+            PackedSource::Memory(bytes) => return Ok(Cow::Borrowed(&bytes[offset..offset + len])),
+        };
         let mut buf = vec![0u8; len];
         #[cfg(unix)]
-        std::os::unix::fs::FileExt::read_exact_at(self, &mut buf, offset as u64)?;
+        std::os::unix::fs::FileExt::read_exact_at(file, &mut buf, offset as u64)?;
         #[cfg(not(unix))]
         {
             // Fallback positioned read via seek. One process-wide lock
@@ -198,7 +195,7 @@ impl PackedBytes for std::fs::File {
             use std::io::{Seek, SeekFrom};
             static SEEK: std::sync::Mutex<()> = std::sync::Mutex::new(());
             let _held = SEEK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut file = self;
+            let mut file = file;
             file.seek(SeekFrom::Start(offset as u64))?;
             file.read_exact(&mut buf)?;
         }
@@ -206,105 +203,91 @@ impl PackedBytes for std::fs::File {
     }
 }
 
-/// The bytes of a packed trace: a regular file, read at offsets one block
-/// at a time, or bytes in memory — a caller's slice, or a pipe or terminal
-/// read whole when opened, since it cannot be read at offsets. In memory,
-/// every read borrows a slice and copies nothing.
-#[derive(Debug)]
-pub enum PackedSource<'a> {
-    /// A regular file.
-    File(std::fs::File),
-    /// Bytes in memory.
-    Memory(Cow<'a, [u8]>),
-}
-
-impl PackedBytes for PackedSource<'_> {
-    fn byte_len(&self) -> Result<u64, TraceStoreError> {
-        match self {
-            PackedSource::File(file) => file.byte_len(),
-            PackedSource::Memory(bytes) => Ok(bytes.len() as u64),
-        }
-    }
-
-    fn bytes_at(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, TraceStoreError> {
-        match self {
-            PackedSource::File(file) => file.bytes_at(offset, len),
-            PackedSource::Memory(bytes) => Ok(Cow::Borrowed(&bytes[offset..offset + len])),
-        }
-    }
-}
-
-/// A packed trace opened for seekable reading, over in-memory bytes
-/// ([`TraceReader`]) or an open file ([`FileReader`]).
+/// A packed trace opened for seekable reading: from a path
+/// ([`open`](FileReader::open)) or from bytes in memory
+/// ([`from_bytes`](Self::from_bytes)).
 ///
 /// Opening parses the magic, header and footer index only. Each block is
 /// fetched, checksum-verified and decoded on demand, so a reader can seek
-/// to any block without touching the others. A file-backed reader holds
-/// nothing but the index in memory, which is what lets
+/// to any block without touching the others. A reader over a regular file
+/// holds nothing but the index in memory, which is what lets
 /// `characterize --stream` process a multi-GB packed trace in constant
 /// memory.
 #[derive(Debug)]
-pub struct PackedReader<B> {
-    bytes: B,
+pub struct PackedReader<'a> {
+    source: PackedSource<'a>,
     len: usize,
     nodes: usize,
     blocks: Vec<BlockMeta>,
     records: u64,
 }
 
-/// A [`PackedReader`] over in-memory bytes: blocks are borrowed slices.
-pub type TraceReader<'a> = PackedReader<PackedSource<'a>>;
+/// A [`PackedReader`] opened by path, owning its bytes.
+pub type FileReader = PackedReader<'static>;
 
-/// A [`PackedReader`] over a file: each block is read from disk with one
-/// positioned read when it is decoded.
-pub type FileReader = PackedReader<std::fs::File>;
+impl FileReader {
+    /// Opens the packed trace at `path` and parses its header and footer
+    /// index, reading no block payload. A regular file is read at offsets,
+    /// anything else (a pipe) whole first.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures as [`TraceStoreError::Io`], input that is not packed as
+    /// a [`TraceStoreError::BadMagic`] naming its first bytes, and the
+    /// structural errors [`from_bytes`](Self::from_bytes) gives.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceStoreError> {
+        Self::open_sniffed(path.as_ref())?
+            .map_err(|(found, _)| TraceStoreError::BadMagic { found, expected: MAGIC })
+    }
 
-impl<'a> TraceReader<'a> {
-    /// Parses the file structure (header + footer index) without decoding
-    /// any block.
+    /// The one rule for opening a trace by path, behind [`open`](Self::open)
+    /// and [`TraceFile::open`](crate::TraceFile::open): packed input is
+    /// opened as a reader, and anything else handed back as the bytes read
+    /// to sniff it and the file behind them.
+    pub(crate) fn open_sniffed(
+        path: &Path,
+    ) -> Result<Result<Self, (Vec<u8>, File)>, TraceStoreError> {
+        let mut file = File::open(path)?;
+        // A pipe may hand over the magic in pieces: read until it is whole.
+        let mut head = Vec::with_capacity(MAGIC.len());
+        (&mut file).take(MAGIC.len() as u64).read_to_end(&mut head)?;
+        if !is_packed(&head) {
+            return Ok(Err((head, file)));
+        }
+        let source = if file.metadata()?.is_file() {
+            PackedSource::File(file)
+        } else {
+            file.read_to_end(&mut head)?;
+            PackedSource::Memory(head.into())
+        };
+        Self::new(source).map(Ok)
+    }
+}
+
+impl<'a> PackedReader<'a> {
+    /// Parses the structure (header and footer index) of the packed trace
+    /// in `bytes` without decoding any block; blocks are borrowed slices.
     ///
     /// # Errors
     ///
     /// Any structural problem — short file, bad magic at either end, a
-    /// footer that does not tile the block region — yields a typed
-    /// [`TraceStoreError`].
-    pub fn open(bytes: &'a [u8]) -> Result<Self, TraceStoreError> {
+    /// stream kind other than 1, a footer that does not tile the block
+    /// region — as a typed [`TraceStoreError`].
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, TraceStoreError> {
         Self::new(PackedSource::Memory(Cow::Borrowed(bytes)))
     }
-}
 
-impl FileReader {
-    /// Opens a packed file and parses its structure (header + footer
-    /// index) without reading any block payload.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures surface as [`TraceStoreError::Io`]; any structural
-    /// problem yields the same typed errors as [`TraceReader::open`].
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, TraceStoreError> {
-        Self::new(std::fs::File::open(path)?)
-    }
-}
-
-impl<B: PackedBytes> PackedReader<B> {
-    /// Parses the header and footer index through positioned reads,
-    /// without reading any block payload.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures, and any structural problem — short file, bad magic at
-    /// either end, a stream kind other than 1, a footer that does not tile
-    /// the block region — as a typed [`TraceStoreError`].
-    pub fn new(bytes: B) -> Result<Self, TraceStoreError> {
-        let len = usize::try_from(bytes.byte_len()?)
+    /// Parses the header and footer index through positioned reads.
+    fn new(source: PackedSource<'a>) -> Result<Self, TraceStoreError> {
+        let len = usize::try_from(source.byte_len()?)
             .map_err(|_| TraceStoreError::Corrupt("file exceeds the address space".into()))?;
-        let (nodes, header_end) = parse_header(&bytes.bytes_at(0, HEADER_PREFIX.min(len))?)?;
+        let (nodes, header_end) = parse_header(&source.bytes_at(0, HEADER_PREFIX.min(len))?)?;
         let tail = (FOOTER_MAGIC.len() + 4).min(len);
         let (footer_start, len_at) =
-            locate_footer(len, header_end, &bytes.bytes_at(len - tail, tail)?)?;
-        let footer = bytes.bytes_at(footer_start, len_at - footer_start)?;
+            locate_footer(len, header_end, &source.bytes_at(len - tail, tail)?)?;
+        let footer = source.bytes_at(footer_start, len_at - footer_start)?;
         let (blocks, records) = parse_footer(&footer, header_end, footer_start)?;
-        Ok(PackedReader { bytes, len, nodes, blocks, records })
+        Ok(PackedReader { source, len, nodes, blocks, records })
     }
 
     /// Processor count from the header.
@@ -363,7 +346,7 @@ impl<B: PackedBytes> PackedReader<B> {
     /// Panics if `block >= self.block_count()`.
     pub fn decode_events(&self, block: usize) -> Result<Vec<CommEvent>, TraceStoreError> {
         let meta = self.blocks[block];
-        let frame = self.bytes.bytes_at(meta.offset, 8 + meta.payload_len)?;
+        let frame = self.source.bytes_at(meta.offset, 8 + meta.payload_len)?;
         let payload = verify_block(&frame, block, meta.payload_len)?;
         let events = columns::decode_events(payload, self.nodes)?;
         if events.len() != meta.count {

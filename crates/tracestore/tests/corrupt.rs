@@ -1,7 +1,8 @@
 //! Corrupt-input hardening: every malformed-file shape must surface as a
 //! typed [`TraceStoreError`] — never a panic — and a packed trace read
 //! whole through [`TraceFile`]'s one event loop must fail the same way
-//! from memory and from disk, on any number of workers.
+//! from memory and from disk (opened by [`FileReader::open`]), on any
+//! number of workers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -11,8 +12,8 @@ use commchar_mesh::MeshConfig;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::{
-    load_trace, pack_trace, PackedReader, PackedSource, TraceFile, TraceReader, TraceStoreError,
-    FOOTER_MAGIC, MAGIC,
+    load_trace, pack_trace, FileReader, PackedReader, TraceFile, TraceStoreError, FOOTER_MAGIC,
+    MAGIC,
 };
 
 fn sample_trace() -> CommTrace {
@@ -56,13 +57,12 @@ fn on_disk<T>(bytes: &[u8], f: impl FnOnce(&std::path::Path) -> T) -> T {
 /// `bytes` read whole as a packed trace, without sniffing the format:
 /// the packed variant of a [`TraceFile`] over memory, on `jobs` workers.
 fn packed_in_memory(bytes: &[u8], jobs: usize) -> Result<CommTrace, TraceStoreError> {
-    TraceFile::Packed(TraceReader::open(bytes)?).into_trace(jobs)
+    TraceFile::Packed(PackedReader::from_bytes(bytes)?).into_trace(jobs)
 }
 
 /// The same read through the packed variant over the file at `path`.
 fn packed_from_disk(path: &std::path::Path, jobs: usize) -> Result<CommTrace, TraceStoreError> {
-    let file = std::fs::File::open(path)?;
-    TraceFile::Packed(PackedReader::new(PackedSource::File(file))?).into_trace(jobs)
+    TraceFile::Packed(FileReader::open(path)?).into_trace(jobs)
 }
 
 /// Worker counts every corrupt file is read at.
@@ -130,7 +130,7 @@ fn bad_magic_is_reported_with_the_found_bytes() {
 #[test]
 fn checksum_mismatch_names_the_block() {
     let packed = pack_with_blocks(64);
-    let reader = TraceReader::open(&packed).unwrap();
+    let reader = PackedReader::from_bytes(&packed).unwrap();
     assert!(reader.block_count() > 2, "need several blocks for this test");
     // Flip one payload byte in the middle of the file: the block headers
     // start right after the file header, so pick a byte inside block 1's
@@ -318,9 +318,10 @@ impl Layout {
 
 /// One hand-patched file per structural message of the packed reader,
 /// each read three ways: by `load_trace`, from disk through
-/// `TraceFile::open` at 1 and 3 workers, and by `try_analyze_blocks`,
-/// which fails either at open or, for a block, as `CharError::Store`.
-/// All three give the same text.
+/// `TraceFile::open` at 1 and 3 workers, and by `try_analyze_blocks` over
+/// the reader from memory and the one `FileReader::open` gives, which
+/// fails either at open or, for a block, as `CharError::Store`. All of
+/// them give the same text.
 #[test]
 fn every_structural_error_reads_the_same_three_ways() {
     let base = Layout::of(&pack_with_blocks(64));
@@ -384,26 +385,30 @@ fn every_structural_error_reads_the_same_three_ways() {
     for (bytes, msg, at_open) in cases {
         let want = format!("corrupt trace store: {msg}");
         assert_eq!(load_trace(&bytes).unwrap_err().to_string(), want);
+        let analyzed = |opened: Result<PackedReader, TraceStoreError>, from: &str| match opened {
+            Err(e) => {
+                assert!(at_open, "{msg}: failed at open from {from}");
+                assert_eq!(e.to_string(), want, "from {from}");
+            }
+            Ok(reader) => {
+                assert!(!at_open, "{msg}: opened from {from}");
+                for block_jobs in [1, 3] {
+                    match try_analyze_blocks(&reader, shape, 1, block_jobs) {
+                        Err(CharError::Store(e)) => {
+                            assert_eq!(e, want, "from {from}, {block_jobs} workers")
+                        }
+                        other => panic!("{msg}: expected CharError::Store, got {other:?}"),
+                    }
+                }
+            }
+        };
+        analyzed(PackedReader::from_bytes(&bytes), "memory");
         on_disk(&bytes, |path| {
             for jobs in [1, 3] {
                 let err = TraceFile::open(path).and_then(|f| f.into_trace(jobs)).unwrap_err();
                 assert_eq!(err.to_string(), want, "{jobs} workers");
             }
+            analyzed(FileReader::open(path), "disk");
         });
-        match TraceReader::open(&bytes) {
-            Err(e) => {
-                assert!(at_open, "{msg}: failed at open");
-                assert_eq!(e.to_string(), want);
-            }
-            Ok(reader) => {
-                assert!(!at_open, "{msg}: opened");
-                for block_jobs in [1, 3] {
-                    match try_analyze_blocks(&reader, shape, 1, block_jobs) {
-                        Err(CharError::Store(e)) => assert_eq!(e, want, "{block_jobs} workers"),
-                        other => panic!("{msg}: expected CharError::Store, got {other:?}"),
-                    }
-                }
-            }
-        }
     }
 }

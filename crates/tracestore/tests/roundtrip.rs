@@ -8,7 +8,7 @@ use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::{
-    load_trace, pack_trace, FileReader, TraceFile, TraceReader, TraceStoreError,
+    load_trace, pack_trace, FileReader, PackedReader, TraceFile, TraceStoreError,
 };
 use proptest::prelude::*;
 
@@ -61,7 +61,7 @@ fn arb_trace(nodes: usize, max: usize) -> impl Strategy<Value = CommTrace> {
 /// `packed` read whole through the packed variant of a [`TraceFile`] on
 /// `jobs` workers.
 fn unpack(packed: &[u8], jobs: usize) -> Result<CommTrace, TraceStoreError> {
-    TraceFile::Packed(TraceReader::open(packed)?).into_trace(jobs)
+    TraceFile::Packed(PackedReader::from_bytes(packed)?).into_trace(jobs)
 }
 
 proptest! {
@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn block_size_is_invisible(trace in arb_trace(8, 120), block_len in 1usize..64) {
         let packed = pack_trace_with_block_len(&trace, block_len);
-        let reader = TraceReader::open(&packed).unwrap();
+        let reader = PackedReader::from_bytes(&packed).unwrap();
         prop_assert_eq!(reader.len(), trace.len() as u64);
         prop_assert_eq!(reader.block_count(), trace.len().div_ceil(block_len));
         let back = TraceFile::Packed(reader).into_trace(1).unwrap();
@@ -119,7 +119,7 @@ proptest! {
         let packed = pack_trace_with_block_len(&trace, block_len);
         let path = std::env::temp_dir().join(format!("commchar-filereader-{seed:x}.cct"));
         std::fs::write(&path, &packed).unwrap();
-        let mem = TraceReader::open(&packed).unwrap();
+        let mem = PackedReader::from_bytes(&packed).unwrap();
         let file = FileReader::open(&path).unwrap();
         prop_assert_eq!(file.nodes(), mem.nodes());
         prop_assert_eq!(file.len(), mem.len());

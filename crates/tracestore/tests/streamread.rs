@@ -6,7 +6,7 @@
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::{
-    decode_event_block, pack_trace, StreamBlockReader, TraceReader, TraceStoreError,
+    decode_event_block, pack_trace, PackedReader, StreamBlockReader, TraceStoreError,
 };
 
 fn sample_trace(events: u64) -> CommTrace {
@@ -30,7 +30,7 @@ fn sample_trace(events: u64) -> CommTrace {
 fn stream_blocks_match_the_indexed_reader() {
     let tr = sample_trace(500);
     let packed = pack_trace_with_block_len(&tr, 37);
-    let indexed = TraceReader::open(&packed).unwrap();
+    let indexed = PackedReader::from_bytes(&packed).unwrap();
     let mut stream = StreamBlockReader::new(&packed[..]).unwrap();
     assert_eq!(stream.nodes(), 6);
     let mut all = Vec::new();

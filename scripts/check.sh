@@ -7,7 +7,8 @@
 # Always runs rustdoc with warnings denied (missing docs on a public
 # item fail the gate) and these CLI smokes: a trace round-trip (generate
 # a trace, pack it to the columnar binary format — with --jobs 1 and
-# --jobs 3 too, which must write the same bytes — cat it back to
+# --jobs 3 too, which must write the same bytes, and generate it packed
+# straight to --out, which must write them too — cat it back to
 # JSON-lines and diff against the original; re-pack the packed file to a
 # new file and in place, each byte-identical to it; pack with the
 # largest --block-len, which must neither reserve it nor change what cat
@@ -28,10 +29,10 @@
 # --jobs 1 and --jobs 3, and from the packed copy through a pipe and
 # from its file), a streaming smoke
 # (a packed trace with a deliberately small block budget characterized
-# out-of-core with --stream at --block-jobs 1 and 3 must print
-# byte-identically to the in-memory --no-replay pass over the same
-# events), a sharded-simulator smoke
-# (the same trace replayed with --engine flit at --sim-jobs 1 and
+# out-of-core with --stream at --block-jobs 1 and 3, and at 3 from a
+# pipe, which is read whole first, must print byte-identically to the
+# in-memory --no-replay pass over the same events), a sharded-simulator
+# smoke (the same trace replayed with --engine flit at --sim-jobs 1 and
 # --sim-jobs 4 must print byte-identically: the wavefront shards are
 # cycle-identical to the serial event loop), a sharded-machine smoke
 # (a shared-memory app acquired with --sim-jobs 1 and --sim-jobs 4 must
@@ -131,6 +132,8 @@ cargo run --release -q -- trace pack "$tmpdir/t.jsonl" --jobs 1 --out "$tmpdir/t
 cargo run --release -q -- trace pack "$tmpdir/t.jsonl" --jobs 3 --out "$tmpdir/t.j3.cct"
 cmp "$tmpdir/t.j1.cct" "$tmpdir/t.j3.cct"
 cmp "$tmpdir/t.cct" "$tmpdir/t.j1.cct"
+cargo run --release -q -- generate nbody --procs 4 --scale tiny --packed --out "$tmpdir/t.gen.cct"
+cmp "$tmpdir/t.cct" "$tmpdir/t.gen.cct"
 cargo run --release -q -- trace cat "$tmpdir/t.cct" --out "$tmpdir/t.roundtrip.jsonl"
 diff "$tmpdir/t.jsonl" "$tmpdir/t.roundtrip.jsonl"
 cargo run --release -q -- trace pack "$tmpdir/t.cct" --out "$tmpdir/t.repack.cct"
@@ -158,6 +161,8 @@ cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --stream --
 diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.j1.txt"
 cargo run --release -q -- characterize --trace "$tmpdir/t.small.cct" --stream --block-jobs 3 >"$tmpdir/sig.stream.txt"
 diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.txt"
+cat "$tmpdir/t.small.cct" | cargo run --release -q -- characterize --trace /dev/stdin --stream --block-jobs 3 >"$tmpdir/sig.stream.piped.txt"
+diff "$tmpdir/sig.batch.txt" "$tmpdir/sig.stream.piped.txt"
 
 echo "==> engine diff smoke (--engine recurrence and flit vs checked-in fixtures)"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine recurrence >"$tmpdir/replay.rec.txt"

@@ -18,8 +18,8 @@ use commchar_serve::{ServeClient, ServeError};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, JsonlWriter};
 use commchar_tracestore::{
-    encode_event_block, FileReader, PackedReader, PackedSource, StreamBlockReader, TraceFile,
-    TraceStoreError, TraceWriter, DEFAULT_BLOCK_LEN,
+    encode_event_block, FileReader, PackedReader, StreamBlockReader, TraceFile, TraceStoreError,
+    TraceWriter, DEFAULT_BLOCK_LEN,
 };
 
 /// Error type for CLI operations.
@@ -210,16 +210,16 @@ pub fn cmd_characterize_trace_only(path: &str, jobs: usize) -> Result<String, Cl
 /// `block_jobs` workers reads, condenses and folds blocks into its own
 /// tally while this thread stitches the blocks in file order, so memory
 /// stays bounded by the tallies and a few blocks per worker — the trace
-/// is never materialized. The report is byte-identical to
-/// [`cmd_characterize_trace_only`] on the same events (and, like it,
-/// omits the network-behaviour section, which would need an O(events)
-/// replay).
+/// is never materialized, unless it comes from a pipe, which is read
+/// whole first. The report is byte-identical to
+/// [`cmd_characterize_trace_only`] on the same events (and, like it, omits
+/// the network-behaviour section, which would need an O(events) replay).
 pub fn cmd_characterize_stream(
     path: &str,
     jobs: usize,
     block_jobs: usize,
 ) -> Result<String, CliError> {
-    let reader = FileReader::open(path)?;
+    let reader = FileReader::open(path).map_err(reading(path))?;
     let shape = MeshConfig::for_nodes(reader.nodes()).shape;
     let a = try_analyze_blocks(&reader, shape, jobs, block_jobs)
         .map_err(|e| CliError(e.to_string()))?;
@@ -372,13 +372,18 @@ fn replace_file(
     result
 }
 
+/// Names `path` in an I/O error reading it.
+fn reading(path: &str) -> impl Fn(TraceStoreError) -> CliError + '_ {
+    move |e| match e {
+        TraceStoreError::Io(e) => CliError(format!("reading {path}: {e}")),
+        e => e.into(),
+    }
+}
+
 /// Opens a trace file for one streaming pass, naming `path` in an I/O
 /// error.
 fn open_trace(path: &str) -> Result<TraceFile<'static>, CliError> {
-    TraceFile::open(path).map_err(|e| match e {
-        TraceStoreError::Io(e) => CliError(format!("reading {path}: {e}")),
-        e => e.into(),
-    })
+    TraceFile::open(path).map_err(reading(path))
 }
 
 /// Reads the trace file at `path` whole: [`TraceFile`]'s event loop on
@@ -393,8 +398,8 @@ fn load_trace_file(path: &str, jobs: usize) -> Result<CommTrace, CliError> {
 }
 
 /// Names `path` in an error writing it.
-fn writing(path: &str) -> impl Fn(TraceStoreError) -> CliError + '_ {
-    move |e| match e {
+fn writing<E: Into<TraceStoreError>>(path: &str) -> impl Fn(E) -> CliError + '_ {
+    move |e| match e.into() {
         // The bare OS error, as every other failed write names it.
         TraceStoreError::Io(e) => CliError(format!("writing {path}: {e}")),
         e => CliError(format!("writing {path}: {e}")),
@@ -431,6 +436,35 @@ pub fn cmd_trace_pack(
             TraceWriter::with_block_len(sink, src.nodes(), block_len).map_err(writing(out))?;
         src.for_each_event(jobs, |e| w.push(e).map_err(writing(out)))?;
         w.finish().map_err(writing(out))?;
+        Ok(())
+    })
+}
+
+/// `run` and `generate`'s `--out OUT`: writes `trace` to `out` all or
+/// nothing, as `trace pack` writes — packed with `block_len` events per
+/// block (`0` = the format default), or as JSON-lines.
+///
+/// # Errors
+///
+/// A failure writing `out`, which leaves an existing `out` as it was.
+pub fn save_trace(
+    trace: &CommTrace,
+    out: &str,
+    packed: bool,
+    block_len: usize,
+) -> Result<(), CliError> {
+    replace_file(out, |sink| {
+        if packed {
+            let block_len = if block_len == 0 { DEFAULT_BLOCK_LEN } else { block_len };
+            let mut w = TraceWriter::with_block_len(sink, trace.nodes(), block_len)
+                .map_err(writing(out))?;
+            trace.events().iter().try_for_each(|&e| w.push(e)).map_err(writing(out))?;
+            w.finish().map_err(writing(out))?;
+        } else {
+            let mut w = JsonlWriter::new(sink, trace.nodes()).map_err(writing(out))?;
+            trace.events().iter().try_for_each(|e| w.push(e)).map_err(writing(out))?;
+            w.finish().map_err(writing(out))?;
+        }
         Ok(())
     })
 }
@@ -495,7 +529,7 @@ impl Write for ByteCount {
 const STAT_BLOCKS_LISTED: usize = 16;
 
 /// `trace stat`'s lines about a packed file's block index.
-fn block_stats(reader: &PackedReader<PackedSource>) -> String {
+fn block_stats(reader: &PackedReader) -> String {
     let mut out = String::new();
     let nb = reader.block_count();
     let _ = writeln!(out, "blocks      : {nb}");
@@ -788,8 +822,9 @@ COMMANDS:
     characterize --trace FILE --stream
                                   same report, computed block-by-block from a
                                   packed file in constant memory (out-of-core;
-                                  accepts --block-jobs for parallel decoding
-                                  and folding)
+                                  a pipe is read whole first, as every command
+                                  reads a packed pipe; accepts --block-jobs for
+                                  parallel decoding and folding)
     generate <app> [--out FILE]   emit a synthetic trace from the fitted model
     replay --trace FILE           replay a saved trace (causal vs naive; accepts
                                   --jobs for parallel reading)
@@ -862,7 +897,10 @@ OPTIONS:
     --block-len N   events per block for trace pack / --packed output
                     (default 4096)
     --packed        write run/generate trace output in the packed binary format
-    --out FILE      write trace output to FILE instead of stdout
+    --out FILE      write trace output to FILE instead of stdout. run, generate,
+                    trace pack and trace cat write it all or nothing, through a
+                    temporary file beside FILE, so FILE's directory must be
+                    writable; a failed write leaves an existing FILE as it was.
     --addr A        serve / serve-feed: address to bind / connect to
                     (default 127.0.0.1:7411; serve accepts :0 for an
                     ephemeral port and prints the bound address)
@@ -885,7 +923,8 @@ value produces byte-identical stdout; wall-clock and messages/sec figures
 go to stderr.
 
 Trace files may be JSON-lines or the packed columnar format (CCTRACE1);
-every command that reads a trace sniffs the format from the magic bytes.
+every command that reads a trace sniffs the format from the magic bytes,
+and reads a packed trace from a pipe whole first.
 
 APPLICATIONS:
     1d-fft is cholesky nbody maxflow 3d-fft mg allreduce halo

@@ -120,21 +120,6 @@ fn check_packed_out(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes trace output in the format selected by `--packed` (checked by
-/// [`check_packed_out`] to have an `--out` file).
-fn emit_trace(trace: &commchar::trace::CommTrace, args: &Args) -> Result<(), String> {
-    if let (true, Some(path)) = (args.packed, &args.out) {
-        let bytes = if args.block_len == 0 {
-            commchar::tracestore::pack_trace(trace)
-        } else {
-            commchar::tracestore::writer::pack_trace_with_block_len(trace, args.block_len)
-        };
-        std::fs::write(path, bytes).map_err(|e| format!("writing {path}: {e}"))
-    } else {
-        emit(&trace.to_jsonl(), &args.out)
-    }
-}
-
 /// The run flags with the application named by positional argument 1.
 fn app_spec(args: &Args, missing: &str) -> Result<RunSpec, String> {
     let app = args.positional.get(1).ok_or(missing)?;
@@ -150,8 +135,8 @@ fn run(argv: &[String]) -> Result<(), String> {
             check_packed_out(&args)?;
             let (report, trace) = cli::cmd_run(spec).map_err(|e| e.0)?;
             emit(&report, &None)?;
-            if args.out.is_some() {
-                emit_trace(&trace, &args)?;
+            if let Some(path) = &args.out {
+                cli::save_trace(&trace, path, args.packed, args.block_len).map_err(|e| e.0)?;
             }
             Ok(())
         }
@@ -175,7 +160,8 @@ fn run(argv: &[String]) -> Result<(), String> {
             let spec = app_spec(&args, "generate needs an application name")?;
             check_packed_out(&args)?;
             let trace = cli::cmd_generate_trace(spec).map_err(|e| e.0)?;
-            emit_trace(&trace, &args)
+            let Some(path) = &args.out else { return emit(&trace.to_jsonl(), &None) };
+            cli::save_trace(&trace, path, args.packed, args.block_len).map_err(|e| e.0)
         }
         Some("replay") => {
             let path = args.trace.as_ref().ok_or("this command needs --trace FILE")?;

@@ -12,7 +12,7 @@ use commchar::sp2::{run_mp, Sp2Config};
 use commchar::spasm::{run, MachineConfig};
 use commchar::trace::replay::{CausalReplayer, ReplayError};
 use commchar::trace::{CommEvent, CommTrace, EventKind, MAX_NODES};
-use commchar::tracestore::{StreamBlockReader, TraceReader, TraceStoreError, TraceWriter};
+use commchar::tracestore::{PackedReader, StreamBlockReader, TraceStoreError, TraceWriter};
 
 fn catches_panic<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> bool {
     std::panic::catch_unwind(f).is_err()
@@ -330,9 +330,9 @@ fn jsonl_header_above_max_nodes_is_a_typed_error() {
 #[test]
 fn cctrace1_header_above_max_nodes_is_a_typed_error() {
     let bytes = packed_header(MAX_NODES + 1);
-    let err = TraceReader::open(&bytes).unwrap_err();
+    let err = PackedReader::from_bytes(&bytes).unwrap_err();
     assert!(matches!(err, TraceStoreError::TooManyNodes { nodes: 4097 }), "{err}");
-    assert!(TraceReader::open(&packed_header(MAX_NODES)).is_ok());
+    assert!(PackedReader::from_bytes(&packed_header(MAX_NODES)).is_ok());
 }
 
 #[test]
@@ -353,6 +353,24 @@ fn ccserve1_session_above_max_nodes_is_a_typed_error() {
     // The connection survives the refusal, and the limit itself is open.
     assert!(client.open_session(MAX_NODES as u32).is_ok());
     handle.shutdown();
+}
+
+/// A trace file that cannot be opened is named in the error, whichever
+/// reader `characterize` opens it with.
+#[test]
+fn a_missing_trace_file_is_named_by_every_characterize_reader() {
+    let path = std::env::temp_dir().join(format!("commchar-nope-{}.cct", std::process::id()));
+    let path = path.to_str().unwrap();
+    let os = std::fs::File::open(path).unwrap_err();
+    for mode in ["--stream", "--no-replay"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_commchar"))
+            .args(["characterize", "--trace", path, mode])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{mode}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr, format!("error: reading {path}: {os}\n"), "{mode}");
+    }
 }
 
 /// Every way the command line can be rejected exits 1 with one `error:`

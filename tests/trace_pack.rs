@@ -4,7 +4,8 @@
 //! every good one, whatever the line endings or whether the input is a
 //! file or a pipe, and a re-pack in place. `characterize --trace` and
 //! `replay`, which read a file whole through the same loop, fail with the
-//! same text.
+//! same text, and `run --out` and `generate --out` write as `trace pack`
+//! does.
 
 #[path = "../crates/trace/tests/common/mod.rs"]
 mod common;
@@ -13,8 +14,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use commchar::apps::{AppId, Scale};
 use commchar::cli::{
-    cmd_characterize_trace, cmd_characterize_trace_only, cmd_replay, cmd_replay_streaming,
-    cmd_trace_cat, cmd_trace_pack, cmd_trace_stat,
+    cmd_characterize_stream, cmd_characterize_trace, cmd_characterize_trace_only, cmd_replay,
+    cmd_replay_streaming, cmd_trace_cat, cmd_trace_pack, cmd_trace_stat, save_trace,
 };
 use commchar::core::RunSpec;
 use commchar::trace::{CommEvent, CommTrace, EventKind};
@@ -387,6 +388,25 @@ fn a_pack_failing_on_its_last_line_leaves_the_output_alone() {
     std::fs::remove_file(&src).unwrap();
 }
 
+/// `run --out` and `generate --out` write through the same temporary
+/// file: the bytes `pack_trace` and `to_jsonl` give, over a new file and
+/// over an existing one.
+#[test]
+fn a_saved_trace_is_what_pack_and_to_jsonl_give() {
+    let path = scratch("out");
+    for (packed, block_len, want) in [
+        (true, 0, pack_trace_with_block_len(&sample(), 4096)),
+        (true, 7, pack_trace_with_block_len(&sample(), 7)),
+        (false, 7, sample().to_jsonl().into_bytes()),
+    ] {
+        save_trace(&sample(), &path, packed, block_len).unwrap();
+        assert_eq!(take(&path), want, "packed {packed}, block length {block_len}");
+        std::fs::write(&path, b"earlier output").unwrap();
+        save_trace(&sample(), &path, packed, block_len).unwrap();
+        assert_eq!(take(&path), want, "over an existing file");
+    }
+}
+
 #[test]
 fn a_packed_file_repacks_in_place() {
     let path = scratch("cct");
@@ -460,7 +480,9 @@ fn piped<T>(input: &[u8], run: impl FnOnce(&str) -> T) -> T {
 
 /// Input from a pipe works in both formats and gives what the same bytes
 /// in a file give: JSON-lines streams in, and packed input, which cannot
-/// be read at offsets, is read whole first.
+/// be read at offsets, is read whole first — `characterize --stream`'s
+/// too, which reports on good packed input and fails on anything else
+/// with the file's error text.
 #[cfg(target_os = "linux")]
 #[test]
 fn a_pipe_input_reads_as_a_file_does() {
@@ -489,6 +511,12 @@ fn a_pipe_input_reads_as_a_file_does() {
         std::fs::write(&file, input).unwrap();
         let stat = piped(input, |src| cmd_trace_stat(src, 0)).map_err(|e| e.0);
         assert_eq!(stat, cmd_trace_stat(&file, 0).map_err(|e| e.0));
+        let stream = piped(input, |src| cmd_characterize_stream(src, 0, 2)).map_err(|e| e.0);
+        assert_eq!(stream, cmd_characterize_stream(&file, 0, 2).map_err(|e| e.0));
+        assert_eq!(stream.is_ok(), input == cct.as_slice(), "{stream:?}");
+        if input.starts_with(b"{") {
+            assert!(stream.unwrap_err().starts_with("bad magic [7b, 22,"));
+        }
         std::fs::remove_file(&file).unwrap();
     }
 }
