@@ -6,9 +6,14 @@
 //! Each workload is characterized three ways — the old sequential pipeline,
 //! the new pipeline at `--jobs 1` and the new pipeline at `--jobs 4` — and
 //! cross-checked before anything is timed: the two new runs must render
-//! byte-identical signature reports (the determinism contract), and both
-//! must agree with the reference statistically (same chosen family, KS and
-//! mean to fine tolerance; the pipelines differ only in summation order).
+//! byte-identical signature reports and bitwise-identical per-source fits
+//! (the determinism contract), and both must agree with the reference
+//! statistically (same chosen family, KS and mean to fine tolerance; the
+//! pipelines differ only in summation order). The reference fits every
+//! source inside `characterize`, the new pipeline only on demand
+//! ([`TemporalSig::source_fit`](commchar_core::TemporalSig::source_fit)),
+//! so each new run is timed as `characterize` plus every source's fit on
+//! the same `--jobs` workers: both columns do the same work.
 //! Wall-clock and speedups go to stdout and `BENCH_fit.json` at the repo
 //! root. `--quick` runs smaller workloads (the `scripts/check.sh
 //! --bench-smoke` mode) and times the unasserted ones once; the default,
@@ -35,6 +40,7 @@ use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
 use commchar_core::{characterize, CommSignature, Workload};
 use commchar_mesh::{EngineKind, MeshConfig};
+use commchar_stats::fit::FitResult;
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::{pack_trace_with_block_len, TraceWriter};
@@ -84,11 +90,27 @@ fn workloads(quick: bool) -> Vec<(&'static str, Workload)> {
     ]
 }
 
+/// The new pipeline's full temporal work: `characterize` on `jobs`
+/// workers, then every source's inter-arrival fit on as many — what the
+/// reference does inside its `characterize`.
+fn characterize_with_source_fits(
+    w: &Workload,
+    jobs: usize,
+) -> (CommSignature, Vec<Option<FitResult>>) {
+    let sig = characterize(w, jobs).unwrap();
+    let fits = commchar_pool::run_indexed(jobs, sig.nprocs, |s| sig.temporal.source_fit(s));
+    (sig, fits)
+}
+
 /// The old and new pipelines compute the same statistics with different
 /// summation orders (grouped vs per-sample), so fitted models must agree
 /// to fine float tolerance — exact bit equality is not owed, divergence
 /// beyond rounding noise is a bug.
-fn cross_check(name: &str, reference: &CommSignature, new: &CommSignature) {
+fn cross_check(
+    name: &str,
+    (reference, ref_fits): &(CommSignature, Vec<Option<FitResult>>),
+    (new, new_fits): &(CommSignature, Vec<Option<FitResult>>),
+) {
     // When both pipelines pick the same family the scores must agree to
     // rounding noise; when tiny rounding differences tip the secant
     // refinement into a different local optimum the winning family can
@@ -120,14 +142,8 @@ fn cross_check(name: &str, reference: &CommSignature, new: &CommSignature) {
             }
         };
     check_fit("aggregate", &reference.temporal.aggregate, &new.temporal.aggregate);
-    assert_eq!(
-        reference.temporal.per_source.len(),
-        new.temporal.per_source.len(),
-        "{name}: per-source fit count"
-    );
-    for (s, (r, n)) in
-        reference.temporal.per_source.iter().zip(&new.temporal.per_source).enumerate()
-    {
+    assert_eq!(ref_fits.len(), new_fits.len(), "{name}: per-source fit count");
+    for (s, (r, n)) in ref_fits.iter().zip(new_fits).enumerate() {
         match (r, n) {
             (None, None) => {}
             (Some(r), Some(n)) => check_fit(&format!("p{s}"), r, n),
@@ -236,29 +252,29 @@ fn main() {
         // Cross-check first: identical reports between worker counts, and
         // reference agreement, or the numbers are meaningless.
         let reference = characterize_reference(&w);
-        let seq = characterize(&w, 1).unwrap();
-        let par = characterize(&w, 4).unwrap();
+        let seq = characterize_with_source_fits(&w, 1);
+        let par = characterize_with_source_fits(&w, 4);
         assert_eq!(
-            signature_report(&seq),
-            signature_report(&par),
+            signature_report(&seq.0),
+            signature_report(&par.0),
             "{name}: jobs=1 and jobs=4 reports diverged"
         );
-        assert_eq!(format!("{seq:?}"), format!("{par:?}"), "{name}: signatures diverged");
+        assert_eq!(format!("{seq:?}"), format!("{par:?}"), "{name}: signatures or fits diverged");
         cross_check(name, &reference, &seq);
 
         let floors: &[Floor] = if name == HEADLINE { &[SPEEDUP_FLOOR] } else { &[] };
         let iters = bench.iters(floors);
         let t_ref = time_best(iters, || {
-            let sig = characterize_reference(&w);
-            assert_eq!(sig.nprocs, w.nprocs);
+            let (_, fits) = characterize_reference(&w);
+            assert_eq!(fits.len(), w.nprocs);
         });
         let t_seq = time_best(iters, || {
-            let sig = characterize(&w, 1).unwrap();
-            assert_eq!(sig.nprocs, w.nprocs);
+            let (_, fits) = characterize_with_source_fits(&w, 1);
+            assert_eq!(fits.len(), w.nprocs);
         });
         let t_par = time_best(iters, || {
-            let sig = characterize(&w, 4).unwrap();
-            assert_eq!(sig.nprocs, w.nprocs);
+            let (_, fits) = characterize_with_source_fits(&w, 4);
+            assert_eq!(fits.len(), w.nprocs);
         });
         let speedup = t_ref / t_par;
         println!(

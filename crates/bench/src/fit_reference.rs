@@ -28,8 +28,8 @@ use commchar_traffic::LengthDist;
 /// (identical to the live pipeline).
 const ANCHORS: usize = 64;
 
-/// Minimum messages from a source before its temporal fit is attempted
-/// (identical to the live pipeline).
+/// Minimum inter-send gaps from a source before its temporal fit is
+/// attempted (identical to the live pipeline).
 const MIN_SAMPLES: usize = 8;
 
 fn anchors(ecdf: &Ecdf) -> Vec<(f64, f64)> {
@@ -285,19 +285,25 @@ pub fn fit_best_reference(samples: &[f64]) -> Option<FitResult> {
 
 /// The old `characterize`: separate trace walks for the aggregate gaps,
 /// the per-source gaps and the profile, spatial counts and message lengths
-/// pulled from the network log, and every fit run sequentially through the
-/// per-family-re-sort pipeline above.
+/// pulled from the network log, and every fit — the aggregate and one per
+/// source — run sequentially through the per-family-re-sort pipeline
+/// above.
+///
+/// Returns the signature and the per-source fits (None below 8 gaps).
+/// The live pipeline keeps each source's gaps in `TemporalSig::per_source`
+/// and fits them only on demand (`TemporalSig::source_fit`); the reference
+/// fits them eagerly, so its signature's `per_source` is all `None`.
 ///
 /// # Panics
 ///
 /// Panics if the workload's trace is empty.
-pub fn characterize_reference(w: &Workload) -> CommSignature {
+pub fn characterize_reference(w: &Workload) -> (CommSignature, Vec<Option<FitResult>>) {
     assert!(!w.trace.is_empty(), "cannot characterize an empty trace");
     let n = w.nprocs;
 
     let agg = interarrival_aggregate(&w.trace);
     let aggregate = fit_best_reference(&agg).expect("aggregate inter-arrival fit");
-    let per_source = interarrival_by_source(&w.trace)
+    let source_fits = interarrival_by_source(&w.trace)
         .into_iter()
         .map(|gaps| if gaps.len() >= MIN_SAMPLES { fit_best_reference(&gaps) } else { None })
         .collect();
@@ -328,16 +334,19 @@ pub fn characterize_reference(w: &Workload) -> CommSignature {
         per_source_bytes: profile.sources.iter().map(|s| s.bytes).collect(),
     };
 
-    CommSignature {
-        name: w.name.clone(),
-        class: w.class,
-        nprocs: n,
-        temporal: TemporalSig { aggregate, per_source, burstiness },
-        spatial,
-        volume,
-        network: w.netlog.summary(),
-        exec_ticks: w.exec_ticks,
-    }
+    (
+        CommSignature {
+            name: w.name.clone(),
+            class: w.class,
+            nprocs: n,
+            temporal: TemporalSig { aggregate, per_source: vec![None; n], burstiness },
+            spatial,
+            volume,
+            network: w.netlog.summary(),
+            exec_ticks: w.exec_ticks,
+        },
+        source_fits,
+    )
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! memory, so the streaming path reports what one pass can know.
 
 use commchar_mesh::MeshShape;
-use commchar_stats::fit::{FitContext, FitResult};
+use commchar_stats::fit::FitContext;
 use commchar_stats::spatial::{classify_with_count, normalize};
 use commchar_trace::profile::{
     BlockTally, SegmentExtract, SegmentSeam, StreamAccum, StreamExtract, UnsortedError,
@@ -41,7 +41,7 @@ use crate::{CharError, SpatialSig, TemporalSig, VolumeSig, MIN_SAMPLES};
 pub struct TraceAnalysis {
     /// Processor count the trace was recorded over.
     pub nodes: usize,
-    /// Temporal attribute (aggregate + per-source fits, burstiness).
+    /// Temporal attribute (aggregate fit, per-source gaps, burstiness).
     pub temporal: TemporalSig,
     /// Spatial attribute, per source (None when the source sent nothing).
     pub spatial: Vec<Option<SpatialSig>>,
@@ -96,8 +96,8 @@ pub fn try_analyze_trace(
 /// merges the tallies once. Memory is per worker — its tally plus the
 /// pipeline's window of two blocks per worker — never the trace length.
 /// One worker runs inline on the calling thread. After the single pass,
-/// the distribution fits fan out across `jobs` workers exactly as in
-/// [`try_analyze_trace`].
+/// the spatial classifications fan out across `jobs` workers exactly as
+/// in [`try_analyze_trace`].
 ///
 /// # Errors
 ///
@@ -138,8 +138,8 @@ pub fn try_analyze_blocks(
     try_analyze_extract(accum.finish(), shape, jobs)
 }
 
-/// The shared back half: grouped gap runs → parallel fits → spatial
-/// classification → volume attribute.
+/// The shared back half: grouped gap runs → aggregate fit → parallel
+/// spatial classification → volume attribute.
 ///
 /// Public because it is also the **online** funnel: a live producer that
 /// owns a [`StreamAccum`] (the `commchar-serve` session state, an engine
@@ -147,6 +147,13 @@ pub fn try_analyze_blocks(
 /// it, and calls this — landing in exactly the fit path both offline
 /// drivers use, which is what makes a polled live report byte-identical
 /// to the offline analysis of the same events.
+///
+/// Only the aggregate inter-arrival sample is fitted: reports print no
+/// other fit. Each source's grouped gaps move into
+/// [`TemporalSig::per_source`] (`None` below 8 gaps) for
+/// [`TemporalSig::source_fit`]. The per-source spatial classifications
+/// are independent, so they run on at most `jobs` workers (`0` = one per
+/// hardware thread) and come back in source order.
 ///
 /// # Errors
 ///
@@ -161,54 +168,43 @@ pub fn try_analyze_extract(
     if gaps < 2 {
         return Err(CharError::DegenerateTemporal { gaps: gaps as usize });
     }
+    let StreamExtract { profile, per_source, aggregate, burstiness, length_counts } = x;
 
-    // Temporal: independent fits — task 0 is the aggregate, the rest one
-    // per source with enough samples — claimed by whichever worker is
-    // free, scattered back in deterministic source order.
-    let fit_sources: Vec<usize> = (0..x.per_source.len())
-        .filter(|&s| x.per_source[s].total() >= MIN_SAMPLES as u64)
-        .collect();
-    let mut fits = commchar_pool::run_indexed(jobs, fit_sources.len() + 1, |i| match i {
-        0 => FitContext::from_grouped(&x.aggregate).fit_best(),
-        _ => FitContext::from_grouped(&x.per_source[fit_sources[i - 1]]).fit_best(),
-    });
-    let aggregate = fits[0].take().expect("≥ 2 samples always admit a fit");
-    let mut per_source: Vec<Option<FitResult>> = vec![None; x.per_source.len()];
-    for (slot, fit) in fit_sources.iter().zip(fits.drain(1..)) {
-        per_source[*slot] = fit;
-    }
+    // Temporal: the aggregate fit; the sources' samples are kept whole.
+    let aggregate =
+        FitContext::from_grouped(&aggregate).fit_best().expect("≥ 2 samples always admit a fit");
+    let per_source =
+        per_source.into_iter().map(|g| (g.total() >= MIN_SAMPLES as u64).then_some(g)).collect();
 
     // Spatial: per-source destination histograms (the profile's
     // destination-count rows), classified by regression against
-    // uniform / bimodal-uniform / locality-decay.
+    // uniform / bimodal-uniform / locality-decay, claimed by whichever
+    // worker is free and returned in source order.
     let dist_fn = move |a: usize, b: usize| {
         shape.hop_distance(commchar_mesh::NodeId(a as u16), commchar_mesh::NodeId(b as u16)) as f64
     };
-    let profile = &x.profile;
     let nodes = profile.sources.len();
-    let spatial: Vec<Option<SpatialSig>> = (0..nodes)
-        .map(|s| {
-            let counts = &profile.sources.get(s)?.dest_counts;
-            let observed = normalize(counts, s)?;
-            let sent: u64 = counts.iter().sum();
-            let fit = classify_with_count(&observed, s, &dist_fn, Some(sent));
-            Some(SpatialSig { observed, fit })
-        })
-        .collect();
+    let spatial: Vec<Option<SpatialSig>> = commchar_pool::run_indexed(jobs, nodes, |s| {
+        let counts = &profile.sources[s].dest_counts;
+        let observed = normalize(counts, s)?;
+        let sent: u64 = counts.iter().sum();
+        let fit = classify_with_count(&observed, s, &dist_fn, Some(sent));
+        Some(SpatialSig { observed, fit })
+    });
 
     // Volume.
     let volume = VolumeSig {
         messages: profile.messages,
         bytes: profile.bytes,
         mean_bytes: profile.mean_bytes,
-        lengths: LengthDist::from_counts(&x.length_counts),
+        lengths: LengthDist::from_counts(&length_counts),
         per_source_msgs: profile.sources.iter().map(|s| s.messages).collect(),
         per_source_bytes: profile.sources.iter().map(|s| s.bytes).collect(),
     };
 
     Ok(TraceAnalysis {
         nodes,
-        temporal: TemporalSig { aggregate, per_source, burstiness: x.burstiness },
+        temporal: TemporalSig { aggregate, per_source, burstiness },
         spatial,
         volume,
     })

@@ -12,17 +12,19 @@
 //!    causally replayed through the same network (*static strategy*).
 //!    Invalid processor counts come back as a typed [`RunError`] before
 //!    anything runs.
-//! 2. **Analyze** the network log ([`characterize`]): fit the message
-//!    inter-arrival time distribution (per source and aggregate), classify
-//!    each source's spatial distribution, and summarize the volume
-//!    attribute — producing a [`CommSignature`]. The per-source fits fan
-//!    out over `jobs` worker threads (the CLI's `--jobs` knob) with results
+//! 2. **Analyze** the network log ([`characterize`]): fit the aggregate
+//!    message inter-arrival time distribution, keep each source's gaps for
+//!    fitting on demand ([`TemporalSig::source_fit`]), classify each
+//!    source's spatial distribution, and summarize the volume attribute —
+//!    producing a [`CommSignature`]. The spatial classifications fan out
+//!    over `jobs` worker threads (the CLI's `--jobs` knob) with results
 //!    identical to the serial path; degenerate inputs (an empty log) are a
 //!    typed [`CharError`].
-//! 3. **Synthesize** ([`synthesize`]): turn the signature back into an
-//!    open-loop [`commchar_traffic::TrafficModel`], usable to drive network
-//!    studies with realistic workloads (and to validate the fits against
-//!    the original trace).
+//! 3. **Synthesize** ([`synthesize`]): fit each source's inter-arrival
+//!    distribution and turn the signature back into an open-loop
+//!    [`commchar_traffic::TrafficModel`], usable to drive network studies
+//!    with realistic workloads (and to validate the fits against the
+//!    original trace).
 //!
 //! The whole matrix of (application × configuration × seed) cells runs in
 //! parallel through [`suite::SuiteRunner`], which fans cells across scoped
@@ -61,7 +63,8 @@ pub mod suite;
 
 use commchar_apps::{AppClass, AppError, AppId, Scale};
 use commchar_mesh::{EngineKind, MeshConfig, NetLog, NetSummary, Routing, Topology};
-use commchar_stats::fit::{fit_best, FitResult};
+use commchar_stats::fit::{fit_best, FitContext, FitResult};
+use commchar_stats::merge::GroupedSample;
 use commchar_stats::spatial::SpatialFit;
 use commchar_stats::Dist;
 use commchar_trace::replay::{CausalReplayer, ReplayError};
@@ -219,16 +222,33 @@ pub fn acquire(spec: &RunSpec) -> Result<Workload, RunError> {
     })
 }
 
-/// The temporal attribute: fitted inter-arrival distributions plus
-/// burstiness (correlation) measures a marginal fit cannot express.
+/// The temporal attribute: the fitted aggregate inter-arrival
+/// distribution, each source's inter-send gaps, and burstiness
+/// (correlation) measures a marginal fit cannot express.
 #[derive(Debug)]
 pub struct TemporalSig {
     /// Best fit over all messages entering the network.
     pub aggregate: FitResult,
-    /// Best fit per source (None when the source sent < 8 messages).
-    pub per_source: Vec<Option<FitResult>>,
+    /// Each source's inter-send gaps, grouped (None when the source has
+    /// fewer than 8 gaps). Reports print only the aggregate fit, so a
+    /// source is fitted only when asked, by [`TemporalSig::source_fit`].
+    pub per_source: Vec<Option<GroupedSample>>,
     /// Burstiness of the aggregate arrival process (CV², IDI(8), ρ₁).
     pub burstiness: commchar_stats::burstiness::Burstiness,
+}
+
+impl TemporalSig {
+    /// Best inter-arrival fit of source `s`'s gaps, or `None` when the
+    /// source has fewer than 8. Fitted afresh on every call (the same
+    /// grouped sample always gives the same fit, bit for bit); its reader
+    /// is [`synthesize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a source of the signature.
+    pub fn source_fit(&self, s: usize) -> Option<FitResult> {
+        FitContext::from_grouped(self.per_source[s].as_ref()?).fit_best()
+    }
 }
 
 /// The spatial attribute for one source.
@@ -279,7 +299,8 @@ pub struct CommSignature {
     pub exec_ticks: u64,
 }
 
-/// Minimum messages from a source before its temporal fit is attempted.
+/// Minimum inter-send gaps from a source before its temporal fit is
+/// attempted.
 pub(crate) const MIN_SAMPLES: usize = 8;
 
 /// Why a workload cannot be characterized.
@@ -304,7 +325,8 @@ pub enum CharError {
         at: u64,
     },
     /// A block of a packed trace failed to decode (I/O error, checksum
-    /// mismatch, corrupt payload) during streamed analysis.
+    /// mismatch, corrupt payload) during streamed analysis. Displays the
+    /// store's message alone, as the whole-trace readers report it.
     Store(String),
 }
 
@@ -322,7 +344,7 @@ impl std::fmt::Display for CharError {
                 "streamed trace is out of time order (t={at} after t={prev}); streaming \
                  characterization needs a time-sorted trace"
             ),
-            CharError::Store(msg) => write!(f, "packed trace unreadable: {msg}"),
+            CharError::Store(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -334,11 +356,12 @@ impl std::error::Error for CharError {}
 /// The trace attributes come from [`analyze::try_analyze_trace`] — the
 /// same grouped-run fit path the out-of-core driver
 /// [`analyze::try_analyze_blocks`] uses, so streamed and batch analyses
-/// of the same events agree to the byte. The independent distribution
-/// fits (the aggregate fit plus one per active source) fan out across at
-/// most `jobs` worker threads (`0` = one per hardware thread); results
-/// are scattered back by source index, so the signature — and any report
-/// rendered from it — is byte-identical for every `jobs` value.
+/// of the same events agree to the byte. Only the aggregate inter-arrival
+/// distribution is fitted here (each source's gaps are kept for
+/// [`TemporalSig::source_fit`]); the per-source spatial classifications
+/// fan out across at most `jobs` worker threads (`0` = one per hardware
+/// thread) and come back in source order, so the signature — and any
+/// report rendered from it — is byte-identical for every `jobs` value.
 ///
 /// # Errors
 ///
@@ -397,7 +420,8 @@ pub struct KindSig {
 }
 
 /// Turns a signature into an open-loop traffic model: per source, the
-/// fitted inter-arrival distribution, the *fitted* spatial model's
+/// fitted inter-arrival distribution ([`TemporalSig::source_fit`], fitted
+/// here once per source that sent), the *fitted* spatial model's
 /// predicted destination vector, and the empirical length distribution —
 /// exactly the "realistic performance model" input the paper advocates.
 ///
@@ -412,7 +436,7 @@ pub fn synthesize(sig: &CommSignature, mesh: MeshConfig) -> TrafficModel {
     let sources = (0..n)
         .map(|s| {
             let spatial_sig = sig.spatial[s].as_ref()?;
-            let interarrival = match &sig.temporal.per_source[s] {
+            let interarrival = match sig.temporal.source_fit(s) {
                 Some(fit) => fit.dist,
                 None => {
                     // Rescale the aggregate fit to this source's share.

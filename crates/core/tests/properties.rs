@@ -4,7 +4,7 @@
 use commchar_apps::AppClass;
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
-use commchar_core::{characterize, synthesize, Workload};
+use commchar_core::{characterize, synthesize, TemporalSig, Workload};
 use commchar_mesh::{EngineKind, MeshConfig};
 use commchar_stats::spatial::SpatialModel;
 use commchar_trace::replay::CausalReplayer;
@@ -29,6 +29,13 @@ fn workload_from(model: &commchar_traffic::TrafficModel, duration: u64, seed: u6
         netlog,
         exec_ticks: duration,
     }
+}
+
+/// Every source's inter-arrival fit, as Debug text: floats print
+/// shortest-roundtrip, so equal text is bitwise-equal fits.
+fn source_fits(temporal: &TemporalSig) -> String {
+    let fits: Vec<_> = (0..temporal.per_source.len()).map(|s| temporal.source_fit(s)).collect();
+    format!("{fits:?}")
 }
 
 proptest! {
@@ -91,11 +98,12 @@ proptest! {
         prop_assert!(favored * 3 >= classified * 2, "{favored}/{classified} found the hotspot");
     }
 
-    /// The parallel fit fan-out must be invisible: characterizing an
-    /// arbitrary small trace with any worker count yields a signature
-    /// identical to the sequential one field-for-field (Debug renders
-    /// floats shortest-roundtrip, so the comparison is bitwise on every
-    /// score and parameter) and an identical rendered report.
+    /// The parallel classification fan-out must be invisible:
+    /// characterizing an arbitrary small trace with any worker count
+    /// yields a signature identical to the sequential one field-for-field
+    /// (Debug renders floats shortest-roundtrip, so the comparison is
+    /// bitwise on every score and parameter), an identical rendered
+    /// report and bitwise-identical per-source fits.
     #[test]
     fn parallel_characterize_is_identical_to_sequential(
         n in 3usize..8,
@@ -129,13 +137,15 @@ proptest! {
         let par = characterize(&w, jobs).unwrap();
         prop_assert_eq!(signature_report(&seq), signature_report(&par));
         prop_assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+        prop_assert_eq!(source_fits(&seq.temporal), source_fits(&par.temporal));
     }
 
     /// The out-of-core promise: analyzing a packed trace block by block —
     /// for *any* block length and any worker count on either pool — must
     /// render the exact same report, byte for byte, as analyzing the
-    /// in-memory events in one piece, and the structured results must be
-    /// bitwise identical (Debug prints floats shortest-roundtrip).
+    /// in-memory events in one piece, and the structured results and
+    /// every source's fit must be bitwise identical (Debug prints floats
+    /// shortest-roundtrip).
     #[test]
     fn streamed_analysis_is_byte_identical_to_batch(
         n in 3usize..8,
@@ -165,6 +175,7 @@ proptest! {
 
         prop_assert_eq!(analysis_report(&batch, "t"), analysis_report(&streamed, "t"));
         prop_assert_eq!(format!("{batch:?}"), format!("{streamed:?}"));
+        prop_assert_eq!(source_fits(&batch.temporal), source_fits(&streamed.temporal));
     }
 
     /// Synthesis round-trip: fitting the synthetic traffic of a fitted

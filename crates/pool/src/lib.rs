@@ -13,12 +13,13 @@
 //!   characterization server (`commchar-serve`).
 //! - [`run_indexed`] is the work-claiming fan-out over independent
 //!   index-addressed work: suite cells (`commchar-core::suite`) and
-//!   per-source distribution fitting (`commchar-core::characterize`). Its workers
-//!   are [`run_concurrent`] items that claim indices `0..count` from a
-//!   shared atomic cursor (whichever worker is free takes the next item
-//!   — cheap work stealing that tolerates wildly uneven item costs), so
-//!   the returned `Vec` is in input order **regardless of worker count
-//!   or completion order** — callers get determinism for free.
+//!   per-source spatial classification (`commchar-core::characterize`).
+//!   Its workers are [`run_concurrent`] items that claim indices
+//!   `0..count` from a shared atomic cursor (whichever worker is free
+//!   takes the next item — cheap work stealing that tolerates wildly
+//!   uneven item costs), so the returned `Vec` is in input order
+//!   **regardless of worker count or completion order** — callers get
+//!   determinism for free.
 //! - [`run_ordered`] is the ordered pipeline over a stream too long to
 //!   hold: the calling thread pulls items one at a time, workers that
 //!   each keep their own state process them, and the results reach the

@@ -74,9 +74,10 @@ use crate::protocol::{
 pub struct ServeConfig {
     /// Connection worker threads (`0` = one per hardware thread).
     pub workers: usize,
-    /// Worker fan-out for the distribution fits answering one poll. The
-    /// default of 1 keeps a poll on its connection worker; raise it when
-    /// few sessions poll huge per-source counts.
+    /// Worker fan-out for the per-source spatial classifications answering
+    /// one poll (the report fits only the aggregate inter-arrival sample).
+    /// The default of 1 keeps a poll on its connection worker; raise it
+    /// when few sessions poll traces over many sources.
     pub fit_jobs: usize,
     /// Largest total block payload one `TraceBlocks` frame may carry,
     /// bytes — the backpressure bound.

@@ -16,7 +16,7 @@ use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::encode_event_block;
 
 /// A synthetic multi-node trace with mixed kinds and sizes — enough
-/// events for non-degenerate per-source fits.
+/// events for non-degenerate per-source samples.
 fn sample_trace(nodes: usize, events: usize) -> CommTrace {
     let mut tr = CommTrace::new(nodes);
     let mut id = 0u64;

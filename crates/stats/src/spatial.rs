@@ -174,6 +174,90 @@ fn r2(obs: &[f64], pred: &[f64], src: usize) -> f64 {
     }
 }
 
+/// The SSE of [`SpatialModel::LocalityDecay`] against one source's
+/// observed probabilities, for the pairs of decay rates the exponent
+/// search tries. The source's distances are read once, and each rate
+/// takes one `exp` and one division per *distinct* distance; the
+/// normalizing total and the SSE are still summed over every destination
+/// in destination order, exactly as [`SpatialModel::predict`] and `sse`
+/// compute them, so every value is bit-identical to theirs.
+struct DecaySse<'a> {
+    probs: &'a [f64],
+    src: usize,
+    /// The distinct distances from the source, sorted.
+    distinct: Vec<f64>,
+    /// Per destination, the index of its distance in `distinct` (unused
+    /// at `src`).
+    class: Vec<usize>,
+    /// Per distinct distance, its predicted probability at each rate of
+    /// the last pair.
+    decay: Vec<[f64; 2]>,
+}
+
+impl<'a> DecaySse<'a> {
+    fn new(probs: &'a [f64], src: usize, dist: &dyn Fn(usize, usize) -> f64) -> Self {
+        let d: Vec<f64> =
+            (0..probs.len()).map(|j| if j == src { 0.0 } else { dist(src, j) }).collect();
+        let mut distinct: Vec<f64> =
+            d.iter().enumerate().filter(|&(j, _)| j != src).map(|(_, &x)| x).collect();
+        distinct.sort_unstable_by(f64::total_cmp);
+        distinct.dedup_by(|a, b| a.to_bits() == b.to_bits());
+        let class =
+            d.iter().map(|x| distinct.binary_search_by(|y| y.total_cmp(x)).unwrap_or(0)).collect();
+        let decay = vec![[0.0; 2]; distinct.len()];
+        DecaySse { probs, src, distinct, class, decay }
+    }
+
+    /// `sse(probs, &LocalityDecay { alpha }.predict(src, n, dist))` for
+    /// both rates. The two sums are independent, so they share one pass
+    /// over the destinations and the processor overlaps them.
+    fn sse(&mut self, rates: [f64; 2]) -> [f64; 2] {
+        for (e, &d) in self.decay.iter_mut().zip(&self.distinct) {
+            *e = rates.map(|alpha| (-alpha * d).exp());
+        }
+        let mut total = [0.0f64; 2];
+        for (j, &k) in self.class.iter().enumerate() {
+            if j != self.src {
+                total[0] += self.decay[k][0];
+                total[1] += self.decay[k][1];
+            }
+        }
+        for e in &mut self.decay {
+            for (p, &t) in e.iter_mut().zip(&total) {
+                if t > 0.0 {
+                    *p /= t;
+                }
+            }
+        }
+        let mut sse = [0.0f64; 2];
+        for (j, (&o, &k)) in self.probs.iter().zip(&self.class).enumerate() {
+            let p = if j == self.src { [0.0; 2] } else { self.decay[k] };
+            sse[0] += (o - p[0]) * (o - p[0]);
+            sse[1] += (o - p[1]) * (o - p[1]);
+        }
+        sse
+    }
+}
+
+/// Golden-section search for the minimum of `f` on α ∈ [0, 8]: 60 steps,
+/// each evaluating both interior points (`f` takes them as a pair), and
+/// the midpoint of the final bracket.
+fn golden_section(mut f: impl FnMut([f64; 2]) -> [f64; 2]) -> f64 {
+    let (mut lo, mut hi) = (0.0f64, 8.0f64);
+    let phi = (5f64.sqrt() - 1.0) / 2.0;
+    for _ in 0..60 {
+        let a = hi - phi * (hi - lo);
+        let b = lo + phi * (hi - lo);
+        let [fa, fb] = f([a, b]);
+        if fa < fb {
+            hi = b;
+        } else {
+            lo = a;
+        }
+    }
+    0.5 * (lo + hi)
+}
+
 /// Fits the candidate spatial models to an observed probability vector and
 /// returns the best by SSE, with a parsimony preference for `Uniform`
 /// (chosen whenever it is within a small tolerance of the best, so a
@@ -212,22 +296,8 @@ pub fn classify_with_count(
     candidates.push(SpatialModel::BimodalUniform { favorite, p_fav: probs[favorite] });
 
     // Locality decay: golden-section search on α ∈ [0, 8].
-    let eval = |alpha: f64| {
-        let m = SpatialModel::LocalityDecay { alpha };
-        sse(probs, &m.predict(src, n, dist))
-    };
-    let (mut lo, mut hi) = (0.0f64, 8.0f64);
-    let phi = (5f64.sqrt() - 1.0) / 2.0;
-    for _ in 0..60 {
-        let a = hi - phi * (hi - lo);
-        let b = lo + phi * (hi - lo);
-        if eval(a) < eval(b) {
-            hi = b;
-        } else {
-            lo = a;
-        }
-    }
-    let alpha = 0.5 * (lo + hi);
+    let mut decay = DecaySse::new(probs, src, dist);
+    let alpha = golden_section(|rates| decay.sse(rates));
     candidates.push(SpatialModel::LocalityDecay { alpha });
     candidates.push(SpatialModel::NearestNeighbor);
 
@@ -379,6 +449,64 @@ mod tests {
         let fit = classify(&probs, 3, &d);
         assert_eq!(fit.model, SpatialModel::NearestNeighbor, "got {}", fit.model);
         assert!(fit.sse < 1e-9);
+    }
+
+    /// Mesh or torus hop distance on a `w × h` grid, nodes numbered
+    /// row-major, as `commchar-mesh`'s `MeshShape::hop_distance` counts it.
+    fn grid_dist(w: usize, h: usize, torus: bool) -> impl Fn(usize, usize) -> f64 {
+        move |a, b| {
+            let (dx, dy) = ((a % w).abs_diff(b % w), (a / w).abs_diff(b / w));
+            let (dx, dy) = if torus { (dx.min(w - dx), dy.min(h - dy)) } else { (dx, dy) };
+            (dx + dy) as f64
+        }
+    }
+
+    #[test]
+    fn the_decay_search_is_bit_identical_to_predict_and_sse() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let shapes =
+            [(3, 1), (2, 2), (4, 2), (3, 5), (4, 4), (8, 4), (8, 8), (16, 8), (16, 16), (7, 9)];
+        for (w, h) in shapes {
+            let n = w * h;
+            for torus in [false, true] {
+                let dist = grid_dist(w, h, torus);
+                for case in 0..6 {
+                    let src = (rng.gen::<u64>() % n as u64) as usize;
+                    // Dense, sparse (most destinations never hit) and
+                    // distance-decaying histograms.
+                    let counts: Vec<u64> = (0..n)
+                        .map(|j| match case % 3 {
+                            0 => rng.gen::<u64>() % 50,
+                            1 if rng.gen_bool(0.8) => 0,
+                            1 => 1 + rng.gen::<u64>() % 8,
+                            _ => {
+                                (400.0 * (-0.7 * dist(src, j)).exp()) as u64 + rng.gen::<u64>() % 3
+                            }
+                        })
+                        .collect();
+                    let Some(probs) = normalize(&counts, src) else { continue };
+                    let reference = |alpha: f64| {
+                        sse(&probs, &SpatialModel::LocalityDecay { alpha }.predict(src, n, &dist))
+                    };
+                    let mut fast = DecaySse::new(&probs, src, &dist);
+                    for _ in 0..20 {
+                        let rates = [8.0 * rng.gen::<f64>(), 8.0 * rng.gen::<f64>()];
+                        assert_eq!(
+                            fast.sse(rates).map(f64::to_bits),
+                            rates.map(reference).map(f64::to_bits)
+                        );
+                    }
+                    let ends = [0.0, 8.0];
+                    assert_eq!(
+                        fast.sse(ends).map(f64::to_bits),
+                        ends.map(reference).map(f64::to_bits)
+                    );
+                    let searched = golden_section(|rates| fast.sse(rates));
+                    let want = golden_section(|rates| rates.map(reference));
+                    assert_eq!(searched.to_bits(), want.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,10 @@
 # --packed: its stdout and the packed trace's cksum must match
 # tests/fixtures/halo4096.txt, captured from the thread-per-rank sp2
 # runtime; ~0.1 s since sp2 polls its ranks as coroutines, ~2 s before),
+# a synthesis smoke (the suite table at --jobs 1 and --jobs 3, and the
+# cksum of a generated trace, must match tests/fixtures/suite4.txt and
+# tests/fixtures/generate_nbody4.txt: the synth-ratio column and the
+# generated events are what the per-source inter-arrival fits feed),
 # a serve smoke (a server on an ephemeral port, the fixture replayed
 # through serve-feed — once from a file, once streamed over stdin with
 # --trace - — and each final report diffed against offline characterize
@@ -224,6 +228,14 @@ echo "==> scale smoke (halo on 4096 ranks vs checked-in fixture)"
     cksum <"$tmpdir/h.cct"
 } >"$tmpdir/halo4096.txt"
 diff tests/fixtures/halo4096.txt "$tmpdir/halo4096.txt"
+
+echo "==> synthesis smoke (suite table and generated trace vs checked-in fixtures)"
+cargo run --release -q -- suite --procs 4 --scale tiny --jobs 1 2>/dev/null >"$tmpdir/suite.j1.txt"
+diff tests/fixtures/suite4.txt "$tmpdir/suite.j1.txt"
+cargo run --release -q -- suite --procs 4 --scale tiny --jobs 3 2>/dev/null >"$tmpdir/suite.j3.txt"
+diff tests/fixtures/suite4.txt "$tmpdir/suite.j3.txt"
+cargo run --release -q -- generate nbody --procs 4 --scale tiny | cksum >"$tmpdir/generate.txt"
+diff tests/fixtures/generate_nbody4.txt "$tmpdir/generate.txt"
 
 echo "==> serve smoke (serve-feed final report vs offline characterize diff)"
 cargo run --release -q -- serve --addr 127.0.0.1:0 >"$tmpdir/serve.addr" 2>"$tmpdir/serve.log" &

@@ -135,8 +135,10 @@ fn engine_tag(engine: EngineKind) -> &'static str {
 }
 
 /// Renders a workload signature as the standard report, fanning the
-/// per-source distribution fits over `jobs` worker threads (`0` = one per
-/// hardware thread; the report is byte-identical for any value).
+/// per-source spatial classifications over `jobs` worker threads (`0` =
+/// one per hardware thread; the report is byte-identical for any value).
+/// The report prints the aggregate inter-arrival fit only, so no source
+/// is fitted.
 ///
 /// # Errors
 ///
@@ -162,8 +164,8 @@ pub fn cmd_run(spec: RunSpec) -> Result<(String, CommTrace), CliError> {
 }
 
 /// `commchar characterize <app> [--jobs N]`: full signature report for an
-/// application. `jobs` parallelizes the per-source fits; the report text
-/// does not depend on it.
+/// application. `jobs` parallelizes the per-source spatial
+/// classifications; the report text does not depend on it.
 pub fn cmd_characterize_app(spec: RunSpec, jobs: usize) -> Result<String, CliError> {
     report_signature(&acquire(&spec)?, jobs)
 }
@@ -172,8 +174,8 @@ pub fn cmd_characterize_app(spec: RunSpec, jobs: usize) -> Result<String, CliErr
 /// a saved trace (replayed causally through a fitted-size network of
 /// `spec`'s topology, routing policy and engine; the rest of `spec` is
 /// unused). Accepts either trace format, sniffed by magic bytes. `jobs`
-/// workers read the file through [`TraceFile`] and fit the per-source
-/// distributions; the report text does not depend on it.
+/// workers read the file through [`TraceFile`] and classify the sources'
+/// spatial distributions; the report text does not depend on it.
 pub fn cmd_characterize_trace(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace_file(path, jobs)?;
     let (mesh, netlog) = replay_with(&trace, spec, |_| NetLog::new())?;
@@ -772,8 +774,8 @@ fn feed(
 /// is deterministic (byte-identical for any worker count, so it can be
 /// diffed across runs); the timing text carries the wall-clock and
 /// messages/sec figures and belongs on stderr. Any worker budget left
-/// over by the cell fan-out flows down to each cell's per-source fits
-/// (see [`SuiteRunner::run`]).
+/// over by the cell fan-out flows down to each cell's per-source spatial
+/// classifications (see [`SuiteRunner::run`]).
 ///
 /// Every application runs on the network selected by
 /// `--topology`/`--routing`; the collective-shaped workloads (allreduce,
@@ -814,8 +816,9 @@ COMMANDS:
     run <app> [--out FILE]        run an application, optionally saving its trace
     characterize <app>            run and print the full communication signature
     characterize --trace FILE     characterize a saved trace (causal mesh replay)
-                                  (both forms accept --jobs for parallel fitting,
-                                  and --trace also for parallel reading)
+                                  (both forms accept --jobs for parallel spatial
+                                  classification, and --trace also for parallel
+                                  reading)
     characterize --trace FILE --no-replay
                                   trace-only report: temporal/spatial/volume, no
                                   network section (skips the causal replay)
@@ -857,13 +860,14 @@ OPTIONS:
     --procs N       processor count (default 8)
     --scale S       tiny | small | full (default small)
     --seed N        generation seed (default 42)
-    --jobs N        worker threads for suite cells and per-source distribution
-                    fits, and for reading a trace file (characterize --trace,
-                    replay, trace pack / cat / stat), whose workers parse
-                    JSON-lines chunks or decode blocks while one thread checks
-                    and writes in input order; 0 = one per hardware thread
-                    (default 0), 1 = no extra thread. Output is byte-identical
-                    for any value; only wall-clock changes.
+    --jobs N        worker threads for suite cells and per-source spatial
+                    classification, and for reading a trace file
+                    (characterize --trace, replay, trace pack / cat / stat),
+                    whose workers parse JSON-lines chunks or decode blocks
+                    while one thread checks and writes in input order; 0 =
+                    one per hardware thread (default 0), 1 = no extra
+                    thread. Output is byte-identical for any value; only
+                    wall-clock changes.
     --engine E      closed-loop network engine: recurrence (channel-recurrence
                     wormhole model, default) or flit (cycle-accurate flit-level
                     router run incrementally). The recurrence default keeps

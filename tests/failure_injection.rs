@@ -12,7 +12,9 @@ use commchar::sp2::{run_mp, Sp2Config};
 use commchar::spasm::{run, MachineConfig};
 use commchar::trace::replay::{CausalReplayer, ReplayError};
 use commchar::trace::{CommEvent, CommTrace, EventKind, MAX_NODES};
-use commchar::tracestore::{PackedReader, StreamBlockReader, TraceStoreError, TraceWriter};
+use commchar::tracestore::{
+    pack_trace, PackedReader, StreamBlockReader, TraceStoreError, TraceWriter,
+};
 
 fn catches_panic<F: FnOnce() + std::panic::UnwindSafe>(f: F) -> bool {
     std::panic::catch_unwind(f).is_err()
@@ -371,6 +373,42 @@ fn a_missing_trace_file_is_named_by_every_characterize_reader() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(stderr, format!("error: reading {path}: {os}\n"), "{mode}");
     }
+}
+
+/// One corrupt packed file gives one error line, whichever reader meets
+/// it: `characterize --stream` block by block, `characterize --no-replay`
+/// and `replay` whole through the trace loop.
+#[test]
+fn a_flipped_block_reads_as_one_error_in_every_reader() {
+    let trace = acquire(&RunSpec::new(AppId::Is, 4, Scale::Tiny, 42)).unwrap().trace;
+    let mut bytes = pack_trace(&trace);
+    // The 10-byte header and block 0's 8-byte frame header come first, so
+    // byte 20 is block 0's payload.
+    bytes[20] ^= 0xff;
+    let path = std::env::temp_dir().join(format!("commchar-flip-{}.cct", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let path_str = path.to_str().unwrap();
+    let readers: [&[&str]; 3] = [
+        &["characterize", "--trace", path_str, "--stream"],
+        &["characterize", "--trace", path_str, "--no-replay"],
+        &["replay", "--trace", path_str],
+    ];
+    let stderrs: Vec<String> = readers
+        .iter()
+        .map(|args| {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_commchar"))
+                .args(*args)
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+            String::from_utf8(out.stderr).unwrap()
+        })
+        .collect();
+    let _ = std::fs::remove_file(&path);
+    assert!(stderrs[0].starts_with("error: checksum mismatch in block 0"), "{}", stderrs[0]);
+    assert_eq!(stderrs[0].lines().count(), 1, "{}", stderrs[0]);
+    assert!(stderrs.iter().all(|e| *e == stderrs[0]), "{stderrs:#?}");
 }
 
 /// Every way the command line can be rejected exits 1 with one `error:`
