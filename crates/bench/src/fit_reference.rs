@@ -331,7 +331,6 @@ pub fn characterize_reference(w: &Workload) -> (CommSignature, Vec<Option<FitRes
         mean_bytes: profile.mean_bytes,
         lengths: LengthDist::from_observed(&lengths_raw),
         per_source_msgs: profile.sources.iter().map(|s| s.messages).collect(),
-        per_source_bytes: profile.sources.iter().map(|s| s.bytes).collect(),
     };
 
     (

@@ -199,7 +199,6 @@ pub fn try_analyze_extract(
         mean_bytes: profile.mean_bytes,
         lengths: LengthDist::from_counts(&length_counts),
         per_source_msgs: profile.sources.iter().map(|s| s.messages).collect(),
-        per_source_bytes: profile.sources.iter().map(|s| s.bytes).collect(),
     };
 
     Ok(TraceAnalysis {

@@ -273,8 +273,6 @@ pub struct VolumeSig {
     pub lengths: LengthDist,
     /// Per-source message counts.
     pub per_source_msgs: Vec<u64>,
-    /// Per-source byte counts.
-    pub per_source_bytes: Vec<u64>,
 }
 
 /// The complete communication signature of a workload — the paper's three

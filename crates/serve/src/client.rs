@@ -66,9 +66,9 @@ impl ServeClient {
         }
     }
 
-    /// Sends pre-encoded CCTRACE1 block payloads in one frame. Returns
-    /// `(events_absorbed_total, bytes_still_buffered)`; the server decodes
-    /// each frame before replying, so the second is 0.
+    /// Sends pre-encoded CCTRACE1 block payloads in one frame. Returns the
+    /// number of events the session has absorbed so far; the server
+    /// decodes each frame before replying.
     ///
     /// # Errors
     ///
@@ -76,13 +76,9 @@ impl ServeClient {
     /// payloads exceed the server's per-frame bound (nothing was applied —
     /// resend in smaller frames), or [`ServeError::SessionFailed`] once a
     /// session is poisoned.
-    pub fn send_blocks(
-        &mut self,
-        session: u64,
-        blocks: Vec<Vec<u8>>,
-    ) -> Result<(u64, u64), ServeError> {
+    pub fn send_blocks(&mut self, session: u64, blocks: Vec<Vec<u8>>) -> Result<u64, ServeError> {
         match self.call(&Msg::TraceBlocks { session, blocks })? {
-            Msg::BlocksAck { events, buffered, .. } => Ok((events, buffered)),
+            Msg::BlocksAck { events, .. } => Ok(events),
             other => Err(unexpected(other)),
         }
     }
@@ -94,11 +90,7 @@ impl ServeClient {
     /// # Errors
     ///
     /// As [`send_blocks`](Self::send_blocks).
-    pub fn send_events(
-        &mut self,
-        session: u64,
-        events: &[CommEvent],
-    ) -> Result<(u64, u64), ServeError> {
+    pub fn send_events(&mut self, session: u64, events: &[CommEvent]) -> Result<u64, ServeError> {
         self.send_blocks(session, vec![encode_event_block(events)])
     }
 

@@ -27,12 +27,15 @@
 
 use commchar_tracestore::fnv1a;
 
-/// Leading magic of the [`Msg::Hello`] body (the trailing byte doubles as
-/// the protocol version, like the CCTRACE1 file magic).
+/// Leading magic of the [`Msg::Hello`] body: the protocol's name. Its
+/// revision is the [`PROTOCOL_VERSION`] field that follows.
 pub const HELLO_MAGIC: [u8; 8] = *b"CCSERVE1";
 
-/// Protocol revision negotiated by `Hello`/`HelloOk`.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Protocol revision negotiated by `Hello`/`HelloOk`. Revision 2 dropped
+/// the always-zero `buffered` fields of `BlocksAck` and `Backpressure`,
+/// so a revision-1 peer is refused with [`ServeError::BadVersion`]
+/// rather than misreading their frames.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Cap on one frame's payload bytes (16 MiB): far above any sane block
 /// batch, far below an allocation attack. Every server enforces it and
@@ -99,9 +102,6 @@ pub enum ServeError {
     Backpressure {
         /// The session the frame was for.
         session: u64,
-        /// Bytes left buffered by earlier frames (always 0: each frame is
-        /// decoded before its reply).
-        buffered: u64,
         /// The per-frame bound, bytes.
         capacity: u64,
     },
@@ -164,10 +164,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Malformed { context } => write!(f, "malformed command: {context}"),
             ServeError::UnknownSession { session } => write!(f, "unknown session {session}"),
-            ServeError::Backpressure { session, buffered, capacity } => write!(
+            ServeError::Backpressure { session, capacity } => write!(
                 f,
-                "session {session} backpressure: frame over the {capacity}-byte block payload \
-                 bound ({buffered} bytes buffered)"
+                "session {session} backpressure: frame over the {capacity}-byte block payload bound"
             ),
             ServeError::SessionFailed { session, reason } => {
                 write!(f, "session {session} failed: {reason}")
@@ -279,9 +278,6 @@ pub enum Msg {
         session: u64,
         /// Events absorbed into the accumulator so far.
         events: u64,
-        /// Bytes still waiting to be decoded (always 0: each frame is
-        /// decoded before its reply).
-        buffered: u64,
     },
     /// A live or final characterization report.
     Report {
@@ -438,10 +434,9 @@ fn encode_error(out: &mut Vec<u8>, e: &ServeError) {
             out.push(E_UNKNOWN_SESSION);
             out.extend_from_slice(&session.to_le_bytes());
         }
-        ServeError::Backpressure { session, buffered, capacity } => {
+        ServeError::Backpressure { session, capacity } => {
             out.push(E_BACKPRESSURE);
             out.extend_from_slice(&session.to_le_bytes());
-            out.extend_from_slice(&buffered.to_le_bytes());
             out.extend_from_slice(&capacity.to_le_bytes());
         }
         ServeError::SessionFailed { session, reason } => {
@@ -494,7 +489,6 @@ fn decode_error(cur: &mut Cursor<'_>) -> Result<ServeError, ServeError> {
         E_UNKNOWN_SESSION => ServeError::UnknownSession { session: cur.u64("session id")? },
         E_BACKPRESSURE => ServeError::Backpressure {
             session: cur.u64("session id")?,
-            buffered: cur.u64("buffered bytes")?,
             capacity: cur.u64("buffer capacity")?,
         },
         E_SESSION_FAILED => ServeError::SessionFailed {
@@ -587,11 +581,10 @@ pub fn encode_payload(msg: &Msg) -> Vec<u8> {
             out.push(OP_OPENED);
             out.extend_from_slice(&session.to_le_bytes());
         }
-        Msg::BlocksAck { session, events, buffered } => {
+        Msg::BlocksAck { session, events } => {
             out.push(OP_ACK);
             out.extend_from_slice(&session.to_le_bytes());
             out.extend_from_slice(&events.to_le_bytes());
-            out.extend_from_slice(&buffered.to_le_bytes());
         }
         Msg::Report { session, events, is_final, text } => {
             out.push(OP_REPORT);
@@ -657,11 +650,9 @@ pub fn decode_payload(payload: &[u8]) -> Result<Msg, ServeError> {
             session_buffer: cur.u64("session buffer")?,
         },
         OP_OPENED => Msg::SessionOpened { session: cur.u64("session id")? },
-        OP_ACK => Msg::BlocksAck {
-            session: cur.u64("session id")?,
-            events: cur.u64("event count")?,
-            buffered: cur.u64("buffered bytes")?,
-        },
+        OP_ACK => {
+            Msg::BlocksAck { session: cur.u64("session id")?, events: cur.u64("event count")? }
+        }
         OP_REPORT => Msg::Report {
             session: cur.u64("session id")?,
             events: cur.u64("event count")?,

@@ -311,7 +311,6 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: Msg) -> Outcome {
             if incoming > shared.cfg.session_buffer {
                 return Outcome::reply(Msg::Error(ServeError::Backpressure {
                     session: id,
-                    buffered: 0,
                     capacity: shared.cfg.session_buffer,
                 }));
             }
@@ -324,7 +323,7 @@ fn handle_msg(shared: &Shared, conn: &mut Conn, msg: Msg) -> Outcome {
                     reason,
                 }));
             }
-            Outcome::reply(Msg::BlocksAck { session: id, events: inner.events, buffered: 0 })
+            Outcome::reply(Msg::BlocksAck { session: id, events: inner.events })
         }
         Msg::Poll { session: id } => {
             let Some(session) = lookup(shared, id) else {

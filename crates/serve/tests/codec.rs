@@ -38,7 +38,7 @@ fn arb_error() -> impl Strategy<Value = ServeError> {
             5 => ServeError::BadVersion { client: a as u32, server: b as u32 },
             6 => ServeError::Malformed { context: text },
             7 => ServeError::UnknownSession { session: a },
-            8 => ServeError::Backpressure { session: a, buffered: b, capacity: b + 1 },
+            8 => ServeError::Backpressure { session: a, capacity: b + 1 },
             9 => ServeError::SessionFailed { session: a, reason: text },
             10 => ServeError::Unsorted { prev: a, at: b },
             11 => ServeError::Store { reason: text },
@@ -67,7 +67,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
             6 => Msg::Shutdown,
             7 => Msg::HelloOk { version: c, max_frame: c.wrapping_add(7), session_buffer: b },
             8 => Msg::SessionOpened { session: a },
-            9 => Msg::BlocksAck { session: a, events: b, buffered: b / 2 },
+            9 => Msg::BlocksAck { session: a, events: b },
             10 => Msg::Report { session: a, events: b, is_final: a % 2 == 0, text },
             11 => Msg::StatsReport(ServerStats {
                 sessions_open: a,
@@ -207,7 +207,7 @@ fn error_frames_roundtrip_the_whole_taxonomy() {
         ServeError::BadVersion { client: 2, server: 1 },
         ServeError::Malformed { context: "why".into() },
         ServeError::UnknownSession { session: 17 },
-        ServeError::Backpressure { session: 1, buffered: 10, capacity: 11 },
+        ServeError::Backpressure { session: 1, capacity: 11 },
         ServeError::SessionFailed { session: 2, reason: "boom".into() },
         ServeError::Unsorted { prev: 9, at: 4 },
         ServeError::Store { reason: "short block".into() },

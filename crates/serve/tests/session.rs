@@ -67,8 +67,7 @@ fn final_report_is_byte_identical_to_offline() {
     // Deliberately awkward block sizes, several blocks per frame.
     let blocks: Vec<Vec<u8>> = trace.events().chunks(17).map(encode_event_block).collect();
     for pair in blocks.chunks(2) {
-        let (events, buffered) = client.send_blocks(session, pair.to_vec()).unwrap();
-        assert_eq!(buffered, 0, "inline digestion leaves nothing buffered");
+        let events = client.send_blocks(session, pair.to_vec()).unwrap();
         assert!(events as usize <= trace.len());
     }
     let (events, served) = client.close_session(session).unwrap();
@@ -143,9 +142,8 @@ fn backpressure_is_a_typed_refusal_and_applies_nothing() {
     let big = encode_event_block(trace.events());
     assert!(big.len() > 64);
     match client.send_blocks(session, vec![big]) {
-        Err(ServeError::Backpressure { session: s, buffered, capacity }) => {
+        Err(ServeError::Backpressure { session: s, capacity }) => {
             assert_eq!(s, session);
-            assert_eq!(buffered, 0);
             assert_eq!(capacity, 64);
         }
         other => panic!("expected Backpressure, got {other:?}"),
@@ -309,9 +307,10 @@ fn handshake_is_enforced_and_version_checked() {
         }
         other => panic!("expected Malformed, got {other:?}"),
     }
-    // A wrong version is a typed BadVersion.
+    // A wrong version is a typed BadVersion: a revision-1 peer, whose
+    // acks and backpressure errors carried a `buffered` field, is refused.
     let mut raw = std::net::TcpStream::connect(&addr).unwrap();
-    raw.write_all(&encode_frame(&Msg::Hello { version: 999 })).unwrap();
+    raw.write_all(&encode_frame(&Msg::Hello { version: 1 })).unwrap();
     let mut buf = Vec::new();
     loop {
         match raw.read(&mut chunk) {
@@ -328,10 +327,7 @@ fn handshake_is_enforced_and_version_checked() {
     let (msg, _) = decode_frame(&buf, MAX_FRAME).unwrap().unwrap();
     assert_eq!(
         msg,
-        Msg::Error(ServeError::BadVersion {
-            client: 999,
-            server: commchar_serve::PROTOCOL_VERSION
-        })
+        Msg::Error(ServeError::BadVersion { client: 1, server: commchar_serve::PROTOCOL_VERSION })
     );
     handle.shutdown();
 }

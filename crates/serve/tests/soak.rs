@@ -96,8 +96,8 @@ fn soak_hundreds_of_concurrent_sessions() {
                 // Randomly sized writes: 1..=37-event blocks.
                 let n = (1 + rng.below(37) as usize).min(trace.len() - sent);
                 let chunk = &trace.events()[sent..sent + n];
-                let (seen, buffered) = client.send_events(session, chunk).expect("send");
-                assert!(seen as usize >= sent + n || buffered > 0);
+                let seen = client.send_events(session, chunk).expect("send");
+                assert!(seen as usize >= sent + n);
                 if let Some(twin) = twin {
                     client.send_events(twin, chunk).expect("send twin");
                 }

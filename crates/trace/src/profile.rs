@@ -10,6 +10,11 @@
 //! the same gap multisets and profile integers as the plain passes,
 //! without ever materializing the event stream.
 //!
+//! The extraction counts only what characterization reads: messages per
+//! source and per (source, destination) pair, the byte total, the
+//! message lengths, the gap runs, and the burstiness of the aggregate
+//! gap sequence.
+//!
 //! A parallel pass splits each partial in two: the worker that extracted
 //! it folds the order-free part (counters, gap runs) into its own
 //! [`BlockTally`], and the thread that sees the blocks in order
@@ -22,7 +27,7 @@ use std::collections::{BTreeMap, HashMap};
 use commchar_stats::burstiness::{BurstAccum, Burstiness};
 use commchar_stats::merge::GroupedSample;
 
-use crate::{CommEvent, CommTrace, EventKind};
+use crate::{CommEvent, CommTrace};
 
 /// Per-source profile of a trace.
 #[derive(Clone, Debug)]
@@ -31,14 +36,8 @@ pub struct SourceProfile {
     pub src: u16,
     /// Messages sent.
     pub messages: u64,
-    /// Total payload bytes sent.
-    pub bytes: u64,
-    /// Mean inter-send gap (think time) in ticks.
-    pub mean_gap: f64,
     /// Destination message counts (index = destination).
     pub dest_counts: Vec<u64>,
-    /// Destination byte counts (index = destination).
-    pub dest_bytes: Vec<u64>,
 }
 
 /// Whole-trace profile.
@@ -52,10 +51,6 @@ pub struct TraceProfile {
     pub bytes: u64,
     /// Mean message length in bytes.
     pub mean_bytes: f64,
-    /// Span between first and last generation time.
-    pub span: u64,
-    /// Message counts by kind (control, data, sync).
-    pub kind_counts: [u64; 3],
 }
 
 /// Events were not in nondecreasing time order where the streaming
@@ -77,44 +72,41 @@ impl std::fmt::Display for UnsortedError {
 
 impl std::error::Error for UnsortedError {}
 
-/// Messages and payload bytes per (source, destination) pair seen: a
-/// block costs what its events touch, where a `nodes × nodes` matrix (one
-/// of 4096 nodes is 256 MiB) would dwarf them.
+/// Messages per (source, destination) pair seen: a block costs what its
+/// events touch, where a `nodes × nodes` matrix (128 MiB at 4,096 nodes)
+/// would dwarf them.
 #[derive(Clone, Debug, Default)]
-struct PairCounts(HashMap<(u16, u16), [u64; 2]>);
+struct PairCounts(HashMap<(u16, u16), u64>);
 
 impl PairCounts {
     /// The pairs of a matrix `src * nodes + dst` that saw a message.
-    fn from_matrix(nodes: usize, cells: Vec<[u64; 2]>) -> Self {
+    fn from_matrix(nodes: usize, cells: Vec<u64>) -> Self {
         let pair = |i: usize| ((i / nodes) as u16, (i % nodes) as u16);
         PairCounts(
             cells
                 .into_iter()
                 .enumerate()
-                .filter(|(_, c)| c[0] > 0)
+                .filter(|&(_, c)| c > 0)
                 .map(|(i, c)| (pair(i), c))
                 .collect(),
         )
     }
 
-    fn add(&mut self, pair: (u16, u16), [msgs, bytes]: [u64; 2]) {
-        let cell = self.0.entry(pair).or_default();
-        cell[0] += msgs;
-        cell[1] += bytes;
+    fn add(&mut self, pair: (u16, u16), msgs: u64) {
+        *self.0.entry(pair).or_default() += msgs;
     }
 
     fn merge(&mut self, other: &PairCounts) {
-        for (&pair, &cell) in &other.0 {
-            self.add(pair, cell);
+        for (&pair, &msgs) in &other.0 {
+            self.add(pair, msgs);
         }
     }
 
-    /// The destination message and byte rows, one pair of rows per source.
-    fn into_rows(self, nodes: usize) -> Vec<(Vec<u64>, Vec<u64>)> {
-        let mut rows = vec![(vec![0; nodes], vec![0; nodes]); nodes];
-        for ((src, dst), [msgs, bytes]) in self.0 {
-            rows[src as usize].0[dst as usize] = msgs;
-            rows[src as usize].1[dst as usize] = bytes;
+    /// The destination count rows, one per source.
+    fn into_rows(self, nodes: usize) -> Vec<Vec<u64>> {
+        let mut rows = vec![vec![0; nodes]; nodes];
+        for ((src, dst), msgs) in self.0 {
+            rows[src as usize][dst as usize] = msgs;
         }
         rows
     }
@@ -126,10 +118,8 @@ impl PairCounts {
 struct Counts {
     nodes: usize,
     msgs: Vec<u64>,
-    bytes: Vec<u64>,
     pairs: PairCounts,
     total_bytes: u64,
-    kind_counts: [u64; 3],
     length_counts: BTreeMap<u32, u64>,
 }
 
@@ -138,34 +128,25 @@ impl Counts {
         Counts {
             nodes,
             msgs: vec![0; nodes],
-            bytes: vec![0; nodes],
             pairs: PairCounts::default(),
             total_bytes: 0,
-            kind_counts: [0; 3],
             length_counts: BTreeMap::new(),
         }
     }
 
     /// Counts `e`, all but its pair, which the caller tallies.
     fn add(&mut self, e: &CommEvent) {
-        let s = e.src as usize;
-        self.msgs[s] += 1;
-        self.bytes[s] += e.bytes as u64;
+        self.msgs[e.src as usize] += 1;
         self.total_bytes += e.bytes as u64;
         *self.length_counts.entry(e.bytes).or_insert(0) += 1;
-        self.kind_counts[kind_slot(e.kind)] += 1;
     }
 
     fn merge(&mut self, other: &Counts) {
-        for s in 0..self.nodes {
-            self.msgs[s] += other.msgs[s];
-            self.bytes[s] += other.bytes[s];
+        for (mine, theirs) in self.msgs.iter_mut().zip(&other.msgs) {
+            *mine += theirs;
         }
         self.pairs.merge(&other.pairs);
         self.total_bytes += other.total_bytes;
-        for k in 0..3 {
-            self.kind_counts[k] += other.kind_counts[k];
-        }
         for (&len, &c) in &other.length_counts {
             *self.length_counts.entry(len).or_insert(0) += c;
         }
@@ -191,9 +172,10 @@ pub struct SegmentExtract {
 }
 
 /// The ordered part of one block's extraction: what only a fold that
-/// sees the blocks in time order can use. That is the block's span, each
-/// source's first and last send (for the boundary gaps to the blocks
-/// around it), and the block's aggregate gaps in time order (the
+/// sees the blocks in time order can use. That is the block's first and
+/// last event times and each source's first and last send (for the
+/// boundary gaps to the blocks around it), and the block's aggregate gaps
+/// in time order (the
 /// burstiness accumulator needs the order; the fit only needs the runs).
 #[derive(Clone, Debug)]
 pub struct SegmentSeam {
@@ -219,7 +201,7 @@ impl SegmentExtract {
         // instead of a hash (`suite`'s one-segment extraction took 0.19 s
         // hashing every event, 0.15 s with the matrix), at no more memory
         // than its events.
-        let mut matrix = (nodes * nodes <= events.len()).then(|| vec![[0u64; 2]; nodes * nodes]);
+        let mut matrix = (nodes * nodes <= events.len()).then(|| vec![0u64; nodes * nodes]);
         let mut src_gaps = vec![GroupedSample::new(); nodes];
         let mut seam = SegmentSeam {
             nodes,
@@ -244,14 +226,9 @@ impl SegmentExtract {
                 None => (e.t, e.t),
             });
             counts.add(e);
-            let counted = [1, u64::from(e.bytes)];
             match &mut matrix {
-                Some(cells) => {
-                    let cell = &mut cells[s * nodes + e.dst as usize];
-                    cell[0] += counted[0];
-                    cell[1] += counted[1];
-                }
-                None => counts.pairs.add((e.src, e.dst), counted),
+                Some(cells) => cells[s * nodes + e.dst as usize] += 1,
+                None => counts.pairs.add((e.src, e.dst), 1),
             }
         }
         if let Some(cells) = matrix {
@@ -259,11 +236,6 @@ impl SegmentExtract {
         }
         let agg_grouped = GroupedSample::from_samples(&seam.agg_gaps);
         Ok(SegmentExtract { counts, src_gaps, agg_grouped, seam })
-    }
-
-    /// Events in the block.
-    pub fn messages(&self) -> u64 {
-        self.counts.msgs.iter().sum()
     }
 }
 
@@ -374,11 +346,13 @@ pub struct StreamExtract {
 #[derive(Clone, Debug)]
 pub struct StreamAccum {
     counts: Counts,
-    src_span: Vec<Option<(u64, u64)>>,
+    /// Each source's last send so far.
+    src_last: Vec<Option<u64>>,
     src_gaps: Vec<GroupedSample>,
     aggregate: GroupedSample,
     burst: BurstAccum,
-    span: Option<(u64, u64)>,
+    /// The time of the last event absorbed.
+    last: Option<u64>,
 }
 
 impl StreamAccum {
@@ -386,11 +360,11 @@ impl StreamAccum {
     pub fn new(nodes: usize) -> Self {
         StreamAccum {
             counts: Counts::new(nodes),
-            src_span: vec![None; nodes],
+            src_last: vec![None; nodes],
             src_gaps: vec![GroupedSample::new(); nodes],
             aggregate: GroupedSample::new(),
             burst: BurstAccum::new(),
-            span: None,
+            last: None,
         }
     }
 
@@ -422,7 +396,7 @@ impl StreamAccum {
     pub fn stitch(&mut self, seam: &SegmentSeam) -> Result<(), UnsortedError> {
         assert_eq!(seam.nodes, self.counts.nodes, "segment node count mismatch");
         let Some((seg_first, seg_last)) = seam.span else { return Ok(()) };
-        if let Some((_, last)) = self.span {
+        if let Some(last) = self.last {
             if seg_first < last {
                 return Err(UnsortedError { prev: last, at: seg_first });
             }
@@ -437,19 +411,13 @@ impl StreamAccum {
         }
         for (s, span) in seam.src_span.iter().enumerate() {
             let Some((first, last)) = *span else { continue };
-            self.src_span[s] = Some(match self.src_span[s] {
-                // Global time order makes `first >= prev_last` here.
-                Some((global_first, prev_last)) => {
-                    self.src_gaps[s].insert((first - prev_last) as f64, 1);
-                    (global_first, last)
-                }
-                None => (first, last),
-            });
+            // Global time order makes `first >= prev` here.
+            if let Some(prev) = self.src_last[s] {
+                self.src_gaps[s].insert((first - prev) as f64, 1);
+            }
+            self.src_last[s] = Some(last);
         }
-        self.span = Some(match self.span {
-            Some((first, _)) => (first, seg_last),
-            None => (seg_first, seg_last),
-        });
+        self.last = Some(seg_last);
         Ok(())
     }
 
@@ -469,38 +437,26 @@ impl StreamAccum {
     }
 
     /// Completes the pass. The profile is identical to [`profile`]'s
-    /// output over the same events (per-source mean gaps telescope:
-    /// `(last − first) / (messages − 1)` equals the sum of the gaps, in
-    /// exact u64 arithmetic).
+    /// output over the same events.
     pub fn finish(self) -> StreamExtract {
-        let Counts { nodes, msgs, bytes, pairs, total_bytes, kind_counts, length_counts } =
-            self.counts;
+        let Counts { nodes, msgs, pairs, total_bytes, length_counts } = self.counts;
+        let messages: u64 = msgs.iter().sum();
         let sources = pairs
             .into_rows(nodes)
             .into_iter()
+            .zip(msgs)
             .enumerate()
-            .map(|(s, (dest_counts, dest_bytes))| SourceProfile {
+            .map(|(s, (dest_counts, messages))| SourceProfile {
                 src: s as u16,
-                messages: msgs[s],
-                bytes: bytes[s],
-                mean_gap: match self.src_span[s] {
-                    Some((first, last)) if msgs[s] >= 2 => {
-                        (last - first) as f64 / (msgs[s] - 1) as f64
-                    }
-                    _ => 0.0,
-                },
+                messages,
                 dest_counts,
-                dest_bytes,
             })
             .collect();
-        let messages: u64 = msgs.iter().sum();
         let profile = TraceProfile {
             sources,
             messages,
             bytes: total_bytes,
             mean_bytes: if messages == 0 { 0.0 } else { total_bytes as f64 / messages as f64 },
-            span: self.span.map_or(0, |(first, last)| last - first),
-            kind_counts,
         };
         StreamExtract {
             profile,
@@ -523,64 +479,26 @@ impl StreamAccum {
 /// tr.push(CommEvent::new(1, 100, 0, 1, 30, EventKind::Data));
 /// let p = profile(&tr);
 /// assert_eq!(p.messages, 2);
-/// assert_eq!(p.sources[0].mean_gap, 100.0);
+/// assert_eq!(p.sources[0].dest_counts, vec![0, 2]);
 /// ```
 pub fn profile(trace: &CommTrace) -> TraceProfile {
     let nodes = trace.nodes();
     let mut sources: Vec<SourceProfile> = (0..nodes)
-        .map(|s| SourceProfile {
-            src: s as u16,
-            messages: 0,
-            bytes: 0,
-            mean_gap: 0.0,
-            dest_counts: vec![0; nodes],
-            dest_bytes: vec![0; nodes],
-        })
+        .map(|s| SourceProfile { src: s as u16, messages: 0, dest_counts: vec![0; nodes] })
         .collect();
-    // Each source's earliest and latest send: the gaps between its sorted
-    // sends telescope, so their mean is `(last − first) / (messages − 1)`.
-    let mut first = vec![u64::MAX; nodes];
-    let mut last = vec![0u64; nodes];
     let mut bytes = 0u64;
-    let mut kind_counts = [0u64; 3];
     for e in trace.events() {
-        let s = e.src as usize;
-        let src = &mut sources[s];
+        let src = &mut sources[e.src as usize];
         src.messages += 1;
-        src.bytes += e.bytes as u64;
         src.dest_counts[e.dst as usize] += 1;
-        src.dest_bytes[e.dst as usize] += e.bytes as u64;
-        first[s] = first[s].min(e.t);
-        last[s] = last[s].max(e.t);
         bytes += e.bytes as u64;
-        kind_counts[kind_slot(e.kind)] += 1;
-    }
-    for (s, src) in sources.iter_mut().enumerate() {
-        if src.messages >= 2 {
-            src.mean_gap = (last[s] - first[s]) as f64 / (src.messages - 1) as f64;
-        }
     }
     let messages = trace.len() as u64;
-    let span = match (first.iter().min(), last.iter().max()) {
-        (Some(&lo), Some(&hi)) if messages > 0 => hi - lo,
-        _ => 0,
-    };
     TraceProfile {
         sources,
         messages,
         bytes,
         mean_bytes: if messages == 0 { 0.0 } else { bytes as f64 / messages as f64 },
-        span,
-        kind_counts,
-    }
-}
-
-/// Index of `kind` in [`TraceProfile::kind_counts`].
-fn kind_slot(kind: EventKind) -> usize {
-    match kind {
-        EventKind::Control => 0,
-        EventKind::Data => 1,
-        EventKind::Sync => 2,
     }
 }
 
@@ -612,7 +530,7 @@ pub fn interarrival_aggregate(trace: &CommTrace) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CommEvent;
+    use crate::EventKind;
 
     fn trace() -> CommTrace {
         let mut tr = CommTrace::new(3);
@@ -628,18 +546,15 @@ mod tests {
         let p = profile(&trace());
         assert_eq!(p.messages, 4);
         assert_eq!(p.bytes, 72);
-        assert_eq!(p.kind_counts, [1, 2, 1]);
-        assert_eq!(p.span, 30);
+        assert_eq!(p.mean_bytes, 18.0);
         assert_eq!(p.sources[0].messages, 3);
         assert_eq!(p.sources[0].dest_counts, vec![0, 2, 1]);
-        assert_eq!(p.sources[1].dest_bytes, vec![16, 0, 0]);
+        assert_eq!(p.sources[1].dest_counts, vec![1, 0, 0]);
         assert_eq!(p.sources[2].messages, 0);
     }
 
     #[test]
     fn gaps() {
-        let p = profile(&trace());
-        assert!((p.sources[0].mean_gap - 15.0).abs() < 1e-12);
         let by_src = interarrival_by_source(&trace());
         assert_eq!(by_src[0], vec![10.0, 20.0]);
         assert!(by_src[1].is_empty());
@@ -651,7 +566,6 @@ mod tests {
     fn empty_trace_profile() {
         let p = profile(&CommTrace::new(2));
         assert_eq!(p.messages, 0);
-        assert_eq!(p.span, 0);
         assert_eq!(p.mean_bytes, 0.0);
     }
 
@@ -693,52 +607,45 @@ mod tests {
         acc.finish()
     }
 
+    /// Asserts that every field of `st` is what the plain passes over
+    /// `tr` give.
+    fn assert_extract_is_batch(st: &StreamExtract, tr: &CommTrace, case: &str) {
+        // Profile integers are identical.
+        let batch = profile(tr);
+        assert_eq!(st.profile.messages, batch.messages, "{case}");
+        assert_eq!(st.profile.bytes, batch.bytes, "{case}");
+        assert_eq!(st.profile.mean_bytes, batch.mean_bytes, "{case}");
+        assert_eq!(st.profile.sources.len(), batch.sources.len(), "{case}");
+        for (sp, bp) in st.profile.sources.iter().zip(&batch.sources) {
+            assert_eq!(sp.messages, bp.messages, "src {}, {case}", sp.src);
+            assert_eq!(sp.dest_counts, bp.dest_counts, "src {}, {case}", sp.src);
+        }
+        // Gap multisets are exactly the batch samples, grouped.
+        for (s, gaps) in interarrival_by_source(tr).iter().enumerate() {
+            assert_eq!(st.per_source[s], GroupedSample::from_samples(gaps), "src {s}, {case}");
+        }
+        let aggregate = interarrival_aggregate(tr);
+        assert_eq!(st.aggregate, GroupedSample::from_samples(&aggregate), "{case}");
+        // Burstiness is fed the identical ordered sequence (Debug text
+        // holds NaN equal to NaN).
+        let b = commchar_stats::burstiness::burstiness(&aggregate);
+        assert_eq!(format!("{:?}", st.burstiness), format!("{b:?}"), "{case}");
+        // Length counts match the observed lengths.
+        let mut want = BTreeMap::new();
+        for e in tr.events() {
+            *want.entry(e.bytes).or_insert(0u64) += 1;
+        }
+        assert_eq!(st.length_counts, want, "{case}");
+    }
+
     #[test]
     fn streamed_extraction_equals_batch_for_any_block_size() {
         let tr = sorted_trace(257);
-        let per_source = interarrival_by_source(&tr);
-        let aggregate = interarrival_aggregate(&tr);
-        let batch = profile(&tr);
         for (block, workers) in
             [1, 2, 3, 7, 64, 1000].into_iter().flat_map(|b| (0..4).map(move |w| (b, w)))
         {
             let st = stream_over_blocks(&tr, block, workers);
-            // Gap multisets are exactly the batch samples, grouped.
-            for (s, gaps) in per_source.iter().enumerate() {
-                assert_eq!(
-                    st.per_source[s],
-                    GroupedSample::from_samples(gaps),
-                    "src {s}, {block}-event blocks, {workers} tallies"
-                );
-            }
-            assert_eq!(st.aggregate, GroupedSample::from_samples(&aggregate));
-            // Profile integers and telescoped mean gaps are identical.
-            assert_eq!(st.profile.messages, batch.messages);
-            assert_eq!(st.profile.bytes, batch.bytes);
-            assert_eq!(st.profile.span, batch.span);
-            assert_eq!(st.profile.kind_counts, batch.kind_counts);
-            assert_eq!(st.profile.mean_bytes, batch.mean_bytes);
-            for (sp, bp) in st.profile.sources.iter().zip(&batch.sources) {
-                assert_eq!(sp.messages, bp.messages);
-                assert_eq!(sp.dest_counts, bp.dest_counts);
-                assert_eq!(sp.dest_bytes, bp.dest_bytes);
-                assert_eq!(sp.mean_gap, bp.mean_gap, "src {}", sp.src);
-            }
-            // Burstiness is fed the identical ordered sequence.
-            let b = commchar_stats::burstiness::burstiness(&aggregate);
-            assert!(st.burstiness.cv2 == b.cv2);
-            assert!(
-                st.burstiness.idi8 == b.idi8 || (st.burstiness.idi8.is_nan() && b.idi8.is_nan())
-            );
-            assert!(
-                st.burstiness.rho1 == b.rho1 || (st.burstiness.rho1.is_nan() && b.rho1.is_nan())
-            );
-            // Length counts match the observed lengths.
-            let mut want = BTreeMap::new();
-            for e in tr.events() {
-                *want.entry(e.bytes).or_insert(0u64) += 1;
-            }
-            assert_eq!(st.length_counts, want);
+            assert_extract_is_batch(&st, &tr, &format!("{block}-event blocks, {workers} tallies"));
         }
     }
 
@@ -759,7 +666,8 @@ mod tests {
     }
 
     /// Destination counts kept per pair seen add up to the batch
-    /// profile's rows on a trace wider than a block touches.
+    /// profile's rows on a trace wider than a block touches, and every
+    /// other field of the extract is the batch one too.
     #[test]
     fn wide_traces_count_destinations_per_pair() {
         let nodes = 300;
@@ -771,13 +679,9 @@ mod tests {
                 tr.push(CommEvent::new(i, i / 3, src, dst, 8 + (i % 9) as u32, EventKind::Data));
             }
         }
-        let batch = profile(&tr);
         for workers in [0, 1, 3] {
             let st = stream_over_blocks(&tr, 97, workers);
-            for (sp, bp) in st.profile.sources.iter().zip(&batch.sources) {
-                assert_eq!(sp.dest_counts, bp.dest_counts, "src {}", sp.src);
-                assert_eq!(sp.dest_bytes, bp.dest_bytes, "src {}", sp.src);
-            }
+            assert_extract_is_batch(&st, &tr, &format!("{nodes} nodes, {workers} tallies"));
         }
     }
 
@@ -809,7 +713,6 @@ mod tests {
         acc.absorb(&SegmentExtract::from_events(3, &[]).unwrap()).unwrap();
         let st = acc.finish();
         assert_eq!(st.profile.messages, 0);
-        assert_eq!(st.profile.span, 0);
         assert!(st.aggregate.is_empty());
     }
 }

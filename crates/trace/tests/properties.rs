@@ -149,7 +149,9 @@ proptest! {
         prop_assert_eq!(p.bytes, bytes);
         let per_source: u64 = p.sources.iter().map(|s| s.messages).sum();
         prop_assert_eq!(per_source, p.messages);
-        prop_assert_eq!(p.kind_counts.iter().sum::<u64>(), p.messages);
+        for s in &p.sources {
+            prop_assert_eq!(s.dest_counts.iter().sum::<u64>(), s.messages, "src {}", s.src);
+        }
     }
 
     /// Inter-arrival gaps are nonnegative and count = msgs − active sources.

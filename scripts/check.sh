@@ -46,6 +46,11 @@
 # --packed: its stdout and the packed trace's cksum must match
 # tests/fixtures/halo4096.txt, captured from the thread-per-rank sp2
 # runtime; ~0.1 s since sp2 polls its ranks as coroutines, ~2 s before),
+# a wide-report smoke (the first 2,000 events of that halo trace
+# characterized with --no-replay at --jobs 2, and with --stream at
+# --block-jobs 2 from a copy packed in 97-event blocks, must each cksum to
+# tests/fixtures/halo4096_cut.txt: a report over 4,096 sources, whose
+# destination rows the stream folds per pair, stays what it was),
 # a synthesis smoke (the suite table at --jobs 1 and --jobs 3, and the
 # cksum of a generated trace, must match tests/fixtures/suite4.txt and
 # tests/fixtures/generate_nbody4.txt: the synth-ratio column and the
@@ -228,6 +233,17 @@ echo "==> scale smoke (halo on 4096 ranks vs checked-in fixture)"
     cksum <"$tmpdir/h.cct"
 } >"$tmpdir/halo4096.txt"
 diff tests/fixtures/halo4096.txt "$tmpdir/halo4096.txt"
+
+echo "==> wide-report smoke (first 2,000 halo4096 events vs checked-in cksum)"
+cargo run --release -q -- trace cat "$tmpdir/h.cct" --out "$tmpdir/h.jsonl"
+head -n 2001 "$tmpdir/h.jsonl" >"$tmpdir/h.cut.jsonl"
+cargo run --release -q -- characterize --trace "$tmpdir/h.cut.jsonl" --no-replay --jobs 2 \
+    | cksum >"$tmpdir/h.cut.batch.txt"
+diff tests/fixtures/halo4096_cut.txt "$tmpdir/h.cut.batch.txt"
+cargo run --release -q -- trace pack "$tmpdir/h.cut.jsonl" --block-len 97 --out "$tmpdir/h.cut.cct"
+cargo run --release -q -- characterize --trace "$tmpdir/h.cut.cct" --stream --block-jobs 2 \
+    | cksum >"$tmpdir/h.cut.stream.txt"
+diff tests/fixtures/halo4096_cut.txt "$tmpdir/h.cut.stream.txt"
 
 echo "==> synthesis smoke (suite table and generated trace vs checked-in fixtures)"
 cargo run --release -q -- suite --procs 4 --scale tiny --jobs 1 2>/dev/null >"$tmpdir/suite.j1.txt"

@@ -197,7 +197,7 @@ pub fn cmd_characterize_trace(path: &str, jobs: usize, spec: RunSpec) -> Result<
 /// the network-behaviour section (no causal replay is run). Accepts
 /// either trace format, sniffed by magic bytes, read through [`TraceFile`]
 /// on `jobs` workers. This is the in-memory twin of
-/// [`cmd_characterize_stream`]; for the same events the two render
+/// [`cmd_characterize_stream`]; for the same valid events the two render
 /// byte-identical text, which is what the streaming smoke test in
 /// `scripts/check.sh` diffs.
 pub fn cmd_characterize_trace_only(path: &str, jobs: usize) -> Result<String, CliError> {
@@ -213,9 +213,13 @@ pub fn cmd_characterize_trace_only(path: &str, jobs: usize) -> Result<String, Cl
 /// tally while this thread stitches the blocks in file order, so memory
 /// stays bounded by the tallies and a few blocks per worker — the trace
 /// is never materialized, unless it comes from a pipe, which is read
-/// whole first. The report is byte-identical to
-/// [`cmd_characterize_trace_only`] on the same events (and, like it, omits
-/// the network-behaviour section, which would need an O(events) replay).
+/// whole first. Each block is checked (checksum, decode, node range, time
+/// order), but not the trace-wide invariants
+/// [`cmd_characterize_trace_only`] checks, unique ids and known earlier
+/// dependencies, which would need 16 bytes per event. For a valid trace
+/// the report is byte-identical to [`cmd_characterize_trace_only`] on the
+/// same events (and, like it, omits the network-behaviour section, which
+/// would need an O(events) replay).
 pub fn cmd_characterize_stream(
     path: &str,
     jobs: usize,
@@ -254,10 +258,11 @@ fn replay_with<S: LogSink>(
 }
 
 /// `commchar replay --trace FILE --streaming [--jobs N]`: causal replay
-/// accumulating online statistics only — constant memory however long the
-/// trace, at the price of per-message records (quantiles become
-/// histogram-approximate). Accepts either trace format, sniffed by magic
-/// bytes, read through [`TraceFile`] on `jobs` workers.
+/// accumulating online statistics only. It drops the per-message record
+/// log (quantiles become histogram-approximate, means stay exact); the
+/// trace is still loaded whole and the replayer keeps state for every
+/// event. Accepts either trace format, sniffed by magic bytes, read
+/// through [`TraceFile`] on `jobs` workers.
 pub fn cmd_replay_streaming(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace_file(path, jobs)?;
     let (_, stream) = replay_with(&trace, spec, |m| StreamingLog::new(m.shape.nodes()))?;
@@ -890,8 +895,12 @@ OPTIONS:
                     the same way. 1 = serial (default), 0 = one per
                     hardware thread. Event-identical: output is
                     byte-identical for any value.
-    --streaming     replay with online statistics only (constant memory)
-    --stream        characterize a packed trace block-by-block (constant memory)
+    --streaming     replay with online statistics only: no per-message
+                    record log, approximate quantiles (the trace is still
+                    loaded whole)
+    --stream        characterize a packed trace block-by-block (bounded
+                    memory; checks each block, not unique ids or
+                    dependencies across the trace)
     --no-replay     characterize without the network-behaviour section
     --block-jobs N  worker threads under --stream, each decoding blocks and
                     folding their order-free statistics into its own tally
