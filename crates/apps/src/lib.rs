@@ -45,7 +45,7 @@ pub mod mp;
 pub mod sm;
 pub mod util;
 
-use commchar_mesh::NetLog;
+use commchar_mesh::{EngineKind, LogSink, MeshConfig, NetLog};
 use commchar_trace::{CommTrace, MAX_NODES};
 
 /// Which strategy runs the application.
@@ -89,9 +89,10 @@ impl Scale {
     }
 }
 
-/// The uniform output of one application run.
+/// The uniform output of one application run, with the network sink `S`
+/// of a dynamic-strategy run.
 #[derive(Debug)]
-pub struct AppOutput {
+pub struct AppOutput<S = NetLog> {
     /// Application name (lowercase, as in the paper's tables).
     pub name: &'static str,
     /// Strategy class.
@@ -100,9 +101,9 @@ pub struct AppOutput {
     pub nprocs: usize,
     /// The communication trace.
     pub trace: CommTrace,
-    /// Network log (dynamic strategy only; static traces are replayed
-    /// through the mesh separately).
-    pub netlog: Option<NetLog>,
+    /// The network's sink, filled in the execution loop (dynamic strategy
+    /// only; static traces are replayed through the mesh separately).
+    pub netlog: Option<S>,
     /// Simulated execution time in ticks (cycles or SP2 ticks).
     pub exec_ticks: u64,
     /// Application-specific correctness figure (e.g. residual, checksum).
@@ -295,43 +296,67 @@ impl AppId {
     /// network `mesh` (topology, routing policy and virtual-channel
     /// budget) with the closed-loop `engine`, sharding the
     /// execution-driven simulator over `sim_jobs` workers (1 = serial,
-    /// 0 = one per hardware thread; never changes results).
+    /// 0 = one per hardware thread; never changes results), and keeping
+    /// every message's network record in a [`NetLog`]. See
+    /// [`run_into`](AppId::run_into) for the parameters.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_into`](AppId::run_into).
+    pub fn run_net(
+        self,
+        nprocs: usize,
+        scale: Scale,
+        engine: EngineKind,
+        sim_jobs: usize,
+        mesh: MeshConfig,
+    ) -> AppOutput {
+        self.run_into(nprocs, scale, engine, sim_jobs, mesh, NetLog::new())
+    }
+
+    /// [`run_net`](AppId::run_net), delivering each network message into
+    /// `sink` instead of a [`NetLog`].
     ///
     /// Shared-memory kernels (dynamic strategy) run with `engine` and
-    /// `mesh` inside the execution-driven simulation, which they steer.
-    /// Message-passing kernels (static strategy) acquire their traces
-    /// network-free — the network applies when the trace is causally
-    /// replayed — so `engine`, `sim_jobs` and `mesh` are ignored there.
+    /// `mesh` inside the execution-driven simulation, which they steer,
+    /// and hand `sink` back in [`AppOutput::netlog`]. Message-passing
+    /// kernels (static strategy) acquire their traces network-free — the
+    /// network applies when the trace is causally replayed — so `engine`,
+    /// `sim_jobs`, `mesh` and `sink` are unused there and `netlog` is
+    /// `None`.
     ///
     /// # Panics
     ///
     /// Panics when [`AppId::check`] fails, or when `mesh` has fewer than
     /// `nprocs` nodes.
-    pub fn run_net(
+    pub fn run_into<S: LogSink + Send>(
         self,
         nprocs: usize,
         scale: Scale,
-        engine: commchar_mesh::EngineKind,
+        engine: EngineKind,
         sim_jobs: usize,
-        mesh: commchar_mesh::MeshConfig,
-    ) -> AppOutput {
+        mesh: MeshConfig,
+        sink: S,
+    ) -> AppOutput<S> {
         let cfg = || {
             commchar_spasm::MachineConfig::new(nprocs)
                 .with_mesh(mesh)
                 .with_engine(engine)
                 .with_sim_jobs(sim_jobs)
         };
-        match self {
-            AppId::Fft1d => sm::fft1d::run_cfg(cfg(), scale),
-            AppId::Is => sm::is::run_cfg(cfg(), scale),
-            AppId::Cholesky => sm::cholesky::run_cfg(cfg(), scale),
-            AppId::Nbody => sm::nbody::run_cfg(cfg(), scale),
-            AppId::Maxflow => sm::maxflow::run_cfg(cfg(), scale),
+        let traced = match self {
+            AppId::Fft1d => return sm::fft1d::run_cfg(cfg(), scale, sink),
+            AppId::Is => return sm::is::run_cfg(cfg(), scale, sink),
+            AppId::Cholesky => return sm::cholesky::run_cfg(cfg(), scale, sink),
+            AppId::Nbody => return sm::nbody::run_cfg(cfg(), scale, sink),
+            AppId::Maxflow => return sm::maxflow::run_cfg(cfg(), scale, sink),
             AppId::Fft3d => mp::fft3d::run(nprocs, scale),
             AppId::Mg => mp::mg::run(nprocs, scale),
             AppId::Allreduce => mp::allreduce::run(nprocs, scale),
             AppId::Halo => mp::halo::run(nprocs, scale),
-        }
+        };
+        let AppOutput { name, class, nprocs, trace, exec_ticks, check, .. } = traced;
+        AppOutput { name, class, nprocs, trace, netlog: None, exec_ticks, check }
     }
 }
 

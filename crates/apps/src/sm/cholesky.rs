@@ -9,6 +9,7 @@
 //! this kind of shared structure). Sparsity in the generated band makes
 //! the update work data-dependent.
 
+use commchar_mesh::LogSink;
 use commchar_spasm::{run as spasm_run, MachineConfig};
 
 use crate::util::{band_cholesky_reference, gen_band_spd};
@@ -29,11 +30,17 @@ const SPARSITY: f64 = 0.35;
 /// Runs the kernel with explicit sizes on an explicitly configured
 /// machine. The run asserts the factor matches the sequential reference;
 /// `check` is Σ|L| of the reference factor.
+/// Each network message is delivered into `sink`.
 ///
 /// # Panics
 ///
 /// Panics if `band < 2` or `n < band`.
-pub fn run_sized_with(cfg: MachineConfig, n: usize, band: usize) -> AppOutput {
+pub fn run_sized_with<S: LogSink + Send>(
+    cfg: MachineConfig,
+    n: usize,
+    band: usize,
+    sink: S,
+) -> AppOutput<S> {
     let nprocs = cfg.nprocs;
     assert!(band >= 2 && n >= band, "degenerate band");
     let reference = band_cholesky_reference(&gen_band_spd(n, band, SPARSITY, SEED), n, band);
@@ -116,6 +123,7 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, band: usize) -> AppOutput {
             }
             ctx.barrier(950).await;
         },
+        sink,
     );
 
     AppOutput {
@@ -123,33 +131,35 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, band: usize) -> AppOutput {
         class: AppClass::SharedMemory,
         nprocs,
         trace: out.trace,
-        netlog: Some(out.netlog),
+        netlog: Some(out.net),
         exec_ticks: out.exec_cycles,
         check: ref_sum,
     }
 }
 
 /// Runs at the default size for `scale` on a caller-configured machine
-/// (e.g. with a different network engine or coherence protocol).
-pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
+/// (e.g. with a different network engine or coherence protocol),
+/// delivering each network message into `sink`.
+pub fn run_cfg<S: LogSink + Send>(cfg: MachineConfig, scale: Scale, sink: S) -> AppOutput<S> {
     let (n, band) = sizes(scale);
-    run_sized_with(cfg, n, band)
+    run_sized_with(cfg, n, band, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commchar_mesh::NetTally;
 
     #[test]
     fn cholesky_factors_correctly() {
-        let out = run_sized_with(MachineConfig::new(4), 24, 5);
+        let out = run_sized_with(MachineConfig::new(4), 24, 5, NetTally::new());
         assert!(!out.trace.is_empty());
         assert!(out.check > 0.0);
     }
 
     #[test]
     fn cholesky_two_procs() {
-        let out = run_sized_with(MachineConfig::new(2), 16, 4);
+        let out = run_sized_with(MachineConfig::new(2), 16, 4, NetTally::new());
         assert_eq!(out.nprocs, 2);
     }
 }

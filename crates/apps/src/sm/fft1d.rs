@@ -7,6 +7,7 @@
 //! all stages over shared memory, so locality emerges naturally from the
 //! stage stride: stages with span inside a slice touch only local blocks).
 
+use commchar_mesh::LogSink;
 use commchar_spasm::{run as spasm_run, Ctx, MachineConfig, Region};
 
 use crate::{AppClass, AppError, AppOutput, Scale};
@@ -31,6 +32,7 @@ pub(crate) fn check(nprocs: usize, n: usize) -> Result<(), AppError> {
 /// Runs the kernel on an explicitly configured machine (processor count,
 /// protocol, cache geometry, network parameters): a forward FFT of a
 /// deterministic `n`-point signal.
+/// Each network message is delivered into `sink`.
 ///
 /// `check` is the total spectral magnitude Σ|X_k|² / n, which by Parseval
 /// equals Σ|x_j|² and is validated in tests.
@@ -39,7 +41,7 @@ pub(crate) fn check(nprocs: usize, n: usize) -> Result<(), AppError> {
 ///
 /// Panics unless `n` is a power of two and the processor count meets
 /// the kernel's precondition (a power of two, `2·nprocs ≤ n`).
-pub fn run_sized_with(cfg: MachineConfig, n: usize) -> AppOutput {
+pub fn run_sized_with<S: LogSink + Send>(cfg: MachineConfig, n: usize, sink: S) -> AppOutput<S> {
     let nprocs = cfg.nprocs;
     assert!(n.is_power_of_two(), "fft1d size must be a power of two");
     check(nprocs, n).unwrap_or_else(|e| panic!("{e}"));
@@ -94,6 +96,7 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize) -> AppOutput {
                 );
             }
         },
+        sink,
     );
 
     // Parseval energy of the deterministic input — the run above asserts
@@ -112,16 +115,17 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize) -> AppOutput {
         class: AppClass::SharedMemory,
         nprocs,
         trace: out.trace,
-        netlog: Some(out.netlog),
+        netlog: Some(out.net),
         exec_ticks: out.exec_cycles,
         check: expected,
     }
 }
 
 /// Runs at the default size for `scale` on a caller-configured machine
-/// (e.g. with a different network engine or coherence protocol).
-pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
-    run_sized_with(cfg, points(scale))
+/// (e.g. with a different network engine or coherence protocol),
+/// delivering each network message into `sink`.
+pub fn run_cfg<S: LogSink + Send>(cfg: MachineConfig, scale: Scale, sink: S) -> AppOutput<S> {
+    run_sized_with(cfg, points(scale), sink)
 }
 
 /// The parallel FFT body: bit-reversal then staged butterflies, with a
@@ -183,10 +187,11 @@ async fn fft_parallel(ctx: &mut Ctx, re: Region, im: Region, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commchar_mesh::NetTally;
 
     #[test]
     fn fft1d_runs_and_communicates() {
-        let out = run_sized_with(MachineConfig::new(4), 64);
+        let out = run_sized_with(MachineConfig::new(4), 64, NetTally::new());
         assert_eq!(out.name, "1d-fft");
         assert!(!out.trace.is_empty(), "staged FFT must communicate");
         assert!(out.exec_ticks > 0);
@@ -198,7 +203,7 @@ mod tests {
         // The kernel asserts Parseval internally via the barrier-synced
         // check accumulation; a wrong butterfly would panic the comparison
         // below at Tiny scale.
-        let out = run_sized_with(MachineConfig::new(2), 32);
+        let out = run_sized_with(MachineConfig::new(2), 32, NetTally::new());
         assert!(out.check > 0.0);
     }
 }

@@ -9,6 +9,7 @@
 //! favorite-processor spatial pattern), after which every processor ranks
 //! and places its own keys.
 
+use commchar_mesh::LogSink;
 use commchar_spasm::{run as spasm_run, MachineConfig};
 
 use crate::util::XorShift;
@@ -31,11 +32,17 @@ pub(crate) fn check(nprocs: usize, nkeys: usize) -> Result<(), AppError> {
 /// Runs the kernel with explicit sizes on an explicitly configured
 /// machine. The run internally asserts the output permutation is sorted;
 /// `check` is the number of keys.
+/// Each network message is delivered into `sink`.
 ///
 /// # Panics
 ///
 /// Panics unless the processor count divides `nkeys`.
-pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutput {
+pub fn run_sized_with<S: LogSink + Send>(
+    cfg: MachineConfig,
+    nkeys: usize,
+    range: usize,
+    sink: S,
+) -> AppOutput<S> {
     let nprocs = cfg.nprocs;
     check(nprocs, nkeys).unwrap_or_else(|e| panic!("{e}"));
 
@@ -128,6 +135,7 @@ pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutp
             }
             ctx.barrier(803).await;
         },
+        sink,
     );
 
     AppOutput {
@@ -135,33 +143,35 @@ pub fn run_sized_with(cfg: MachineConfig, nkeys: usize, range: usize) -> AppOutp
         class: AppClass::SharedMemory,
         nprocs,
         trace: out.trace,
-        netlog: Some(out.netlog),
+        netlog: Some(out.net),
         exec_ticks: out.exec_cycles,
         check: nkeys as f64,
     }
 }
 
 /// Runs at the default size for `scale` on a caller-configured machine
-/// (e.g. with a different network engine or coherence protocol).
-pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
+/// (e.g. with a different network engine or coherence protocol),
+/// delivering each network message into `sink`.
+pub fn run_cfg<S: LogSink + Send>(cfg: MachineConfig, scale: Scale, sink: S) -> AppOutput<S> {
     let (nkeys, range) = sizes(scale);
-    run_sized_with(cfg, nkeys, range)
+    run_sized_with(cfg, nkeys, range, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commchar_mesh::NetTally;
 
     #[test]
     fn is_sorts_and_communicates() {
-        let out = run_sized_with(MachineConfig::new(4), 512, 32);
+        let out = run_sized_with(MachineConfig::new(4), 512, 32, NetTally::new());
         assert!(!out.trace.is_empty());
         assert_eq!(out.check, 512.0);
     }
 
     #[test]
     fn is_works_on_two_procs() {
-        let out = run_sized_with(MachineConfig::new(2), 128, 16);
+        let out = run_sized_with(MachineConfig::new(2), 128, 16, NetTally::new());
         assert_eq!(out.nprocs, 2);
     }
 }

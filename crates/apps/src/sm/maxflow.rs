@@ -7,6 +7,7 @@
 //! data-dependent discharge pattern give this kernel the most irregular
 //! traffic of the suite.
 
+use commchar_mesh::LogSink;
 use commchar_spasm::{run as spasm_run, MachineConfig};
 
 use crate::util::{gen_layered_graph, max_flow_reference};
@@ -28,7 +29,13 @@ const VLOCK: u32 = 2000;
 /// Runs the kernel on a generated layered network, on an explicitly
 /// configured machine. The run asserts the computed flow equals the
 /// sequential Edmonds–Karp reference; `check` is that reference value.
-pub fn run_sized_with(cfg: MachineConfig, layers: usize, width: usize) -> AppOutput {
+/// Each network message is delivered into `sink`.
+pub fn run_sized_with<S: LogSink + Send>(
+    cfg: MachineConfig,
+    layers: usize,
+    width: usize,
+    sink: S,
+) -> AppOutput<S> {
     let nprocs = cfg.nprocs;
     let (n, edge_list) = gen_layered_graph(layers, width, SEED);
     let expected = max_flow_reference(n, &edge_list);
@@ -154,6 +161,7 @@ pub fn run_sized_with(cfg: MachineConfig, layers: usize, width: usize) -> AppOut
             }
             ctx.barrier(601).await;
         },
+        sink,
     );
 
     AppOutput {
@@ -161,7 +169,7 @@ pub fn run_sized_with(cfg: MachineConfig, layers: usize, width: usize) -> AppOut
         class: AppClass::SharedMemory,
         nprocs,
         trace: out.trace,
-        netlog: Some(out.netlog),
+        netlog: Some(out.net),
         exec_ticks: out.exec_cycles,
         check: expected as f64,
     }
@@ -258,26 +266,28 @@ async fn discharge(
 }
 
 /// Runs at the default size for `scale` on a caller-configured machine
-/// (e.g. with a different network engine or coherence protocol).
-pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
+/// (e.g. with a different network engine or coherence protocol),
+/// delivering each network message into `sink`.
+pub fn run_cfg<S: LogSink + Send>(cfg: MachineConfig, scale: Scale, sink: S) -> AppOutput<S> {
     let (layers, width) = sizes(scale);
-    run_sized_with(cfg, layers, width)
+    run_sized_with(cfg, layers, width, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commchar_mesh::NetTally;
 
     #[test]
     fn maxflow_matches_reference() {
-        let out = run_sized_with(MachineConfig::new(4), 3, 3);
+        let out = run_sized_with(MachineConfig::new(4), 3, 3, NetTally::new());
         assert!(out.check > 0.0);
         assert!(!out.trace.is_empty());
     }
 
     #[test]
     fn maxflow_two_procs_small() {
-        let out = run_sized_with(MachineConfig::new(2), 2, 2);
+        let out = run_sized_with(MachineConfig::new(2), 2, 2, NetTally::new());
         assert_eq!(out.nprocs, 2);
     }
 }

@@ -5,6 +5,7 @@
 //! positions (the communication-heavy phase), accumulates forces for its
 //! own bodies locally, then updates its bodies' positions and velocities.
 
+use commchar_mesh::LogSink;
 use commchar_spasm::{run as spasm_run, MachineConfig};
 
 use crate::util::XorShift;
@@ -64,11 +65,17 @@ pub(crate) fn check(nprocs: usize, n: usize) -> Result<(), AppError> {
 /// Runs the kernel with explicit sizes on an explicitly configured
 /// machine. The run asserts final positions match the sequential
 /// reference; `check` is that reference's Σ|pos|.
+/// Each network message is delivered into `sink`.
 ///
 /// # Panics
 ///
 /// Panics unless the processor count divides the body count.
-pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
+pub fn run_sized_with<S: LogSink + Send>(
+    cfg: MachineConfig,
+    n: usize,
+    steps: usize,
+    sink: S,
+) -> AppOutput<S> {
     let nprocs = cfg.nprocs;
     check(nprocs, n).unwrap_or_else(|e| panic!("{e}"));
     let expected = reference(n, steps);
@@ -155,6 +162,7 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
             }
             ctx.barrier(730).await;
         },
+        sink,
     );
 
     AppOutput {
@@ -162,33 +170,35 @@ pub fn run_sized_with(cfg: MachineConfig, n: usize, steps: usize) -> AppOutput {
         class: AppClass::SharedMemory,
         nprocs,
         trace: out.trace,
-        netlog: Some(out.netlog),
+        netlog: Some(out.net),
         exec_ticks: out.exec_cycles,
         check: expected,
     }
 }
 
 /// Runs at the default size for `scale` on a caller-configured machine
-/// (e.g. with a different network engine or coherence protocol).
-pub fn run_cfg(cfg: MachineConfig, scale: Scale) -> AppOutput {
+/// (e.g. with a different network engine or coherence protocol),
+/// delivering each network message into `sink`.
+pub fn run_cfg<S: LogSink + Send>(cfg: MachineConfig, scale: Scale, sink: S) -> AppOutput<S> {
     let (n, steps) = sizes(scale);
-    run_sized_with(cfg, n, steps)
+    run_sized_with(cfg, n, steps, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commchar_mesh::NetTally;
 
     #[test]
     fn nbody_matches_reference() {
-        let out = run_sized_with(MachineConfig::new(4), 24, 2);
+        let out = run_sized_with(MachineConfig::new(4), 24, 2, NetTally::new());
         assert!(!out.trace.is_empty());
         assert!(out.check > 0.0);
     }
 
     #[test]
     fn nbody_single_step() {
-        let out = run_sized_with(MachineConfig::new(2), 8, 1);
+        let out = run_sized_with(MachineConfig::new(2), 8, 1, NetTally::new());
         assert_eq!(out.nprocs, 2);
     }
 }

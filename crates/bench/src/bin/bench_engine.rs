@@ -100,7 +100,7 @@ fn fidelity(scale: Scale) -> Vec<AppRow> {
     for app in [AppId::Is, AppId::Nbody, AppId::Fft3d] {
         let run = |engine| acquire(&RunSpec { engine, ..RunSpec::new(app, 8, scale, 42) }).unwrap();
         let (rec, flit) = (run(EngineKind::Recurrence), run(EngineKind::flit()));
-        let (rs, fs) = (rec.netlog.summary(), flit.netlog.summary());
+        let (rs, fs) = (rec.network.summary(), flit.network.summary());
         let rec_sig = characterize(&rec, 1).unwrap();
         let flit_sig = characterize(&flit, 1).unwrap();
         rows.push(AppRow {

@@ -39,7 +39,7 @@ use commchar_bench::{time_best, Bench, Floor, Lcg, Obj};
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
 use commchar_core::{characterize, CommSignature, Workload};
-use commchar_mesh::{EngineKind, MeshConfig};
+use commchar_mesh::{EngineKind, MeshConfig, NetTally};
 use commchar_stats::fit::FitResult;
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
@@ -59,14 +59,16 @@ fn synthetic(seed: u64, nodes: usize, count: usize) -> Workload {
         trace.push(synth_event(&mut rng, i, &mut t, nodes));
     }
     let mesh = MeshConfig::for_nodes(nodes);
-    let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
+    let network = CausalReplayer::new(mesh)
+        .try_replay_into(&trace, EngineKind::Recurrence, 1, NetTally::new())
+        .unwrap();
     Workload {
         name: format!("synthetic_{nodes}src"),
         class: commchar_apps::AppClass::MessagePassing,
         nprocs: nodes,
         mesh,
         trace,
-        netlog,
+        network,
         exec_ticks: t,
     }
 }

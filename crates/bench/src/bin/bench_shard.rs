@@ -21,7 +21,9 @@ use commchar_apps::{AppId, Scale};
 use commchar_bench::{time_best, Bench, Floor, Lcg, Obj};
 use commchar_core::{acquire, characterize, RunSpec};
 use commchar_des::SimTime;
-use commchar_mesh::{FlitLevel, MeshConfig, NetMessage, NodeId};
+use commchar_mesh::{
+    EngineKind, FlitLevel, MeshConfig, NetLog, NetMessage, NodeId, Routing, Topology,
+};
 
 const WIDTH: u16 = 32;
 const HEIGHT: u16 = 32;
@@ -164,28 +166,32 @@ fn bench_spasm(bench: &Bench, jobs: usize) -> Section {
     let run = |sim_jobs| acquire(&RunSpec { sim_jobs, ..RunSpec::new(app, procs, scale, 42) });
     let run = |sim_jobs| run(sim_jobs).unwrap_or_else(|e| panic!("{e}"));
 
-    // Identity first, on the full acquisition output: trace bytes, netlog
-    // bytes and execution time must all survive sharding.
-    let serial_w = run(1);
+    // Identity first, on the full acquisition output with every network
+    // record kept: trace bytes, records and execution time must all
+    // survive sharding.
+    let mesh = MeshConfig::for_nodes_net(procs, Topology::Mesh, Routing::Dimension);
+    let records = |sim_jobs| app.run_net(procs, scale, EngineKind::Recurrence, sim_jobs, mesh);
+    let serial = records(1);
     let check_jobs: &[usize] = if quick { &[4] } else { &[2, 4, 8] };
     for &n in check_jobs {
-        let w = run(n);
-        assert_eq!(w.exec_ticks, serial_w.exec_ticks, "sim-jobs {n}: exec time diverged");
+        let out = records(n);
+        assert_eq!(out.exec_ticks, serial.exec_ticks, "sim-jobs {n}: exec time diverged");
         assert_eq!(
-            w.trace.events(),
-            serial_w.trace.events(),
+            out.trace.events(),
+            serial.trace.events(),
             "sim-jobs {n}: trace diverged from serial"
         );
         assert_eq!(
-            w.netlog.records(),
-            serial_w.netlog.records(),
-            "sim-jobs {n}: netlog diverged from serial"
+            out.netlog.as_ref().map(NetLog::records),
+            serial.netlog.as_ref().map(NetLog::records),
+            "sim-jobs {n}: network records diverged from serial"
         );
         println!(
             "identity: spasm --sim-jobs {n} event-identical to serial ({} messages)",
-            w.trace.len()
+            out.trace.len()
         );
     }
+    let serial_w = run(1);
 
     let t_serial = time_best(iters, || {
         let w = run(1);

@@ -7,7 +7,7 @@
 use commchar_apps::AppId;
 use commchar_bench::{run_and_characterize, to_msgs, ExpOptions};
 use commchar_core::report::table;
-use commchar_mesh::FlitLevel;
+use commchar_mesh::{FlitLevel, NetTally};
 use commchar_traffic::patterns::hotspot;
 
 fn main() {
@@ -27,17 +27,17 @@ fn main() {
     for (name, msgs) in [("hotspot(0.6) heavy", &hot_msgs), ("1d-fft trace", &app_msgs)] {
         for vcs in [1usize, 2, 4, 8] {
             let cfg = w.mesh.with_virtual_channels(vcs);
-            // Streaming sink: the cycle-accurate router folds each record
-            // into constant-memory moments instead of buffering a NetLog.
-            let mut model = FlitLevel::streaming(cfg);
+            // The cycle-accurate router folds each record into the summary
+            // sink instead of buffering a NetLog.
+            let mut model = FlitLevel::with_sink(cfg, NetTally::new());
             model.run(msgs);
-            let stream = model.sink();
+            let tally = model.sink();
             rows.push(vec![
                 name.to_string(),
                 vcs.to_string(),
-                format!("{:.1}", stream.latency().mean()),
-                format!("{:.0}", stream.latency().max()),
-                format!("{}", stream.span()),
+                format!("{:.1}", tally.latency().mean()),
+                format!("{:.0}", tally.latency().max()),
+                format!("{}", tally.span()),
             ]);
         }
     }

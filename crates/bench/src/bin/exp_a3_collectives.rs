@@ -7,7 +7,7 @@
 //! the spatial signature.
 
 use commchar_core::report::table;
-use commchar_mesh::{EngineKind, MeshConfig};
+use commchar_mesh::{EngineKind, MeshConfig, NetTally};
 use commchar_sp2::{run_mp, Sp2Config};
 use commchar_stats::spatial::{classify, normalize};
 use commchar_trace::replay::CausalReplayer;
@@ -26,8 +26,10 @@ fn spatial_peak(nprocs: usize, tree: bool) -> (f64, String, f64) {
         }
     });
     let mesh = MeshConfig::for_nodes(nprocs);
-    let log = CausalReplayer::new(mesh).try_replay(&out.trace, EngineKind::Recurrence).unwrap();
-    let counts = log.spatial_counts(nprocs);
+    let tally = CausalReplayer::new(mesh)
+        .try_replay_into(&out.trace, EngineKind::Recurrence, 1, NetTally::new())
+        .unwrap();
+    let counts = out.trace.spatial_counts();
     // Fraction of all messages destined to p0, and the consensus model of
     // a representative non-root source.
     let total: u64 = counts.iter().flatten().sum();
@@ -38,8 +40,8 @@ fn spatial_peak(nprocs: usize, tree: bool) -> (f64, String, f64) {
     };
     let src = nprocs - 1;
     let (model, lat) = match normalize(&counts[src], src) {
-        Some(p) => (classify(&p, src, &dist_fn).model.to_string(), log.summary().mean_latency),
-        None => ("no traffic".to_string(), log.summary().mean_latency),
+        Some(p) => (classify(&p, src, &dist_fn).model.to_string(), tally.summary().mean_latency),
+        None => ("no traffic".to_string(), tally.summary().mean_latency),
     };
     (to_p0 as f64 / total as f64, model, lat)
 }

@@ -7,6 +7,7 @@ use std::future::Future;
 use std::pin::Pin;
 
 use commchar_core::report::table;
+use commchar_mesh::NetTally;
 use commchar_spasm::{run, Ctx, MachineConfig, Protocol, Region};
 
 async fn private_rmw(mut ctx: Ctx, r: Region) {
@@ -64,7 +65,7 @@ fn main() {
     for (name, body) in patterns {
         for proto in [Protocol::Msi, Protocol::Mesi] {
             let cfg = MachineConfig::new(8).with_protocol(proto);
-            let out = run(cfg, |m| m.alloc(2048), body);
+            let out = run(cfg, |m| m.alloc(2048), body, NetTally::new());
             rows.push(vec![
                 name.to_string(),
                 format!("{proto:?}"),

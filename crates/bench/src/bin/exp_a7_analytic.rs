@@ -47,7 +47,7 @@ fn main() {
     for (w, sig) in run_suite(opts) {
         let model = synthesize(&sig, w.mesh);
         let a = AnalyticModel::new(w.mesh).predict(&model);
-        let s = simulate(&model, w.mesh, w.netlog.summary().span.max(1));
+        let s = simulate(&model, w.mesh, w.network.span().max(1));
         rows.push(vec![
             sig.name.clone(),
             format!("{:.3}", a.max_channel_util),

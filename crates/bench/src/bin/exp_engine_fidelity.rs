@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for kind in [EngineKind::Recurrence, EngineKind::flit()] {
             let w = acquire(&RunSpec { engine: kind, ..RunSpec::new(app, 8, Scale::Tiny, 42) })?;
             let sig = characterize(&w, 1)?;
-            let s = w.netlog.summary();
+            let s = w.network.summary();
             rows.push(vec![
                 app.name().to_string(),
                 kind.name().to_string(),

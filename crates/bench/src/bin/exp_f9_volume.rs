@@ -13,8 +13,8 @@ fn main() {
     println!("F9: 3D-FFT message count vs volume distribution ({} ranks)\n", opts.procs);
     let (w, sig) = run_and_characterize(AppId::Fft3d, opts);
     let n = sig.nprocs;
-    let counts = w.netlog.spatial_counts(n);
-    let bytes = w.netlog.volume_bytes(n);
+    let counts = w.trace.spatial_counts();
+    let bytes = w.trace.volume_bytes();
     let total_msgs: u64 = counts.iter().flatten().sum();
     let total_bytes: u64 = bytes.iter().flatten().sum();
 

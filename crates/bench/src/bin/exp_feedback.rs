@@ -9,6 +9,7 @@
 
 use commchar_apps::sm;
 use commchar_core::report::table;
+use commchar_mesh::NetTally;
 use commchar_spasm::MachineConfig;
 use commchar_stats::fit::fit_best;
 use commchar_trace::profile::interarrival_aggregate;
@@ -19,7 +20,7 @@ fn main() {
     for link_delay in [1u64, 4, 16] {
         let base = MachineConfig::new(8);
         let cfg = base.with_mesh(base.mesh.with_link_delay(link_delay));
-        let out = sm::is::run_sized_with(cfg, 4096, 64);
+        let out = sm::is::run_sized_with(cfg, 4096, 64, NetTally::new());
         let gaps = interarrival_aggregate(&out.trace);
         let fit = fit_best(&gaps).expect("fit");
         rows.push(vec![

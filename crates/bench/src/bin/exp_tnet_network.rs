@@ -16,7 +16,7 @@ fn main() {
     let mut hists = Vec::new();
     for (w, sig) in run_suite(opts) {
         let hist: Vec<String> = w
-            .netlog
+            .network
             .latency_histogram(6)
             .into_iter()
             .map(|(bound, count)| format!("≤{bound}:{count}"))
@@ -31,7 +31,7 @@ fn main() {
             format!("{:.2}", s.mean_hops),
             format!("{:.4}", s.throughput),
         ]);
-        let mut util: Vec<(u32, f64)> = w.netlog.utilization().to_vec();
+        let mut util: Vec<(u32, f64)> = w.network.utilization().to_vec();
         util.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
         let top: Vec<String> =
             util.iter().take(3).map(|(c, u)| format!("ch{c}:{:.1}%", 100.0 * u)).collect();

@@ -27,7 +27,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (w, sig) in run_suite(opts) {
-        let span = w.netlog.summary().span.max(1);
+        let span = w.network.span().max(1);
         let orig = replay_open_loop(&w.trace, w.mesh);
 
         let model = synthesize(&sig, w.mesh);

@@ -313,7 +313,7 @@ pub fn characterize_reference(w: &Workload) -> (CommSignature, Vec<Option<FitRes
     let dist_fn = move |a: usize, b: usize| {
         shape.hop_distance(commchar_mesh::NodeId(a as u16), commchar_mesh::NodeId(b as u16)) as f64
     };
-    let counts = w.netlog.spatial_counts(n);
+    let counts = w.trace.spatial_counts();
     let spatial: Vec<Option<SpatialSig>> = (0..n)
         .map(|s| {
             let observed = normalize(&counts[s], s)?;
@@ -323,7 +323,7 @@ pub fn characterize_reference(w: &Workload) -> (CommSignature, Vec<Option<FitRes
         })
         .collect();
 
-    let lengths_raw = w.netlog.lengths();
+    let lengths_raw: Vec<u32> = w.trace.events().iter().map(|e| e.bytes).collect();
     let profile = commchar_trace::profile::profile(&w.trace);
     let volume = VolumeSig {
         messages: profile.messages,
@@ -341,7 +341,7 @@ pub fn characterize_reference(w: &Workload) -> (CommSignature, Vec<Option<FitRes
             temporal: TemporalSig { aggregate, per_source: vec![None; n], burstiness },
             spatial,
             volume,
-            network: w.netlog.summary(),
+            network: w.network.summary(),
             exec_ticks: w.exec_ticks,
         },
         source_fits,

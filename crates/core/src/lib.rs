@@ -62,7 +62,7 @@ pub mod report;
 pub mod suite;
 
 use commchar_apps::{AppClass, AppError, AppId, Scale};
-use commchar_mesh::{EngineKind, MeshConfig, NetLog, NetSummary, Routing, Topology};
+use commchar_mesh::{EngineKind, MeshConfig, NetSummary, NetTally, Routing, Topology};
 use commchar_stats::fit::{fit_best, FitContext, FitResult};
 use commchar_stats::merge::GroupedSample;
 use commchar_stats::spatial::SpatialFit;
@@ -71,7 +71,8 @@ use commchar_trace::replay::{CausalReplayer, ReplayError};
 use commchar_trace::CommTrace;
 use commchar_traffic::{LengthDist, SourceModel, TrafficModel};
 
-/// An acquired communication workload: the trace plus its network log.
+/// An acquired communication workload: the trace plus the network's
+/// behaviour over it, as a summary sink.
 #[derive(Debug)]
 pub struct Workload {
     /// Application name.
@@ -80,12 +81,14 @@ pub struct Workload {
     pub class: AppClass,
     /// Processors.
     pub nprocs: usize,
-    /// Mesh the log was produced on.
+    /// Mesh the network ran on.
     pub mesh: MeshConfig,
     /// The communication trace.
     pub trace: CommTrace,
-    /// The network activity log.
-    pub netlog: NetLog,
+    /// The network's behaviour, folded as each message was delivered:
+    /// latency, contention, hops, span and channel utilization, with no
+    /// per-message record.
+    pub network: NetTally,
     /// Simulated execution time.
     pub exec_ticks: u64,
 }
@@ -192,8 +195,9 @@ impl From<CharError> for RunError {
 /// routing) pair needs for deadlock freedom. Dynamic-strategy
 /// applications execute with that network and `spec.engine` in the
 /// closed loop; static-strategy traces are acquired network-free and
-/// causally replayed through it. `spec.sim_jobs` never changes the
-/// workload, only the wall-clock time.
+/// causally replayed through it. Either way each delivered message is
+/// folded into [`Workload::network`] and not kept. `spec.sim_jobs` never
+/// changes the workload, only the wall-clock time.
 ///
 /// # Errors
 ///
@@ -203,12 +207,19 @@ impl From<CharError> for RunError {
 pub fn acquire(spec: &RunSpec) -> Result<Workload, RunError> {
     spec.app.check(spec.procs, spec.scale)?;
     let mesh = MeshConfig::for_nodes_net(spec.procs, spec.topology, spec.routing);
-    let out = spec.app.run_net(spec.procs, spec.scale, spec.engine, spec.sim_jobs, mesh);
-    let netlog = match out.netlog {
-        Some(log) => log, // dynamic strategy: closed-loop co-simulation
+    let out = spec.app.run_into(
+        spec.procs,
+        spec.scale,
+        spec.engine,
+        spec.sim_jobs,
+        mesh,
+        NetTally::new(),
+    );
+    let network = match out.netlog {
+        Some(tally) => tally, // dynamic strategy: closed-loop co-simulation
         None => {
             CausalReplayer::new(mesh) // static strategy
-                .try_replay_into(&out.trace, spec.engine, spec.sim_jobs, NetLog::new())?
+                .try_replay_into(&out.trace, spec.engine, spec.sim_jobs, NetTally::new())?
         }
     };
     Ok(Workload {
@@ -217,7 +228,7 @@ pub fn acquire(spec: &RunSpec) -> Result<Workload, RunError> {
         nprocs: spec.procs,
         mesh,
         trace: out.trace,
-        netlog,
+        network,
         exec_ticks: out.exec_ticks,
     })
 }
@@ -373,7 +384,7 @@ pub fn characterize(w: &Workload, jobs: usize) -> Result<CommSignature, CharErro
         temporal: a.temporal,
         spatial: a.spatial,
         volume: a.volume,
-        network: w.netlog.summary(),
+        network: w.network.summary(),
         exec_ticks: w.exec_ticks,
     })
 }
@@ -573,7 +584,7 @@ mod tests {
         let l1 =
             |a: &[f64], b: &[f64]| -> f64 { a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum() };
         let orig = envelope(&w.trace);
-        let flat_trace = synthesize(&sig, w.mesh).generate(w.netlog.summary().span, 5);
+        let flat_trace = synthesize(&sig, w.mesh).generate(w.network.span(), 5);
         let phased = l1(&envelope(&synth), &orig);
         let flat = l1(&envelope(&flat_trace), &orig);
         assert!(phased < 0.2 && 2.0 * phased < flat, "phased L1 {phased:.3} vs flat L1 {flat:.3}");
@@ -583,7 +594,7 @@ mod tests {
     fn pipeline_end_to_end_shared_memory() {
         let w = tiny(AppId::Is);
         assert_eq!(w.class, AppClass::SharedMemory);
-        assert_eq!(w.trace.len(), w.netlog.records().len());
+        assert_eq!(w.trace.len() as u64, w.network.messages());
         let sig = sig(&w);
         assert_eq!(sig.nprocs, 4);
         assert!(sig.temporal.aggregate.r2 > 0.5, "aggregate fit too poor");
@@ -596,7 +607,7 @@ mod tests {
         let w = tiny(AppId::Fft3d);
         assert_eq!(w.class, AppClass::MessagePassing);
         // Static strategy: trace replayed through the mesh.
-        assert_eq!(w.trace.len(), w.netlog.records().len());
+        assert_eq!(w.trace.len() as u64, w.network.messages());
         let sig = sig(&w);
         assert!(sig.network.mean_latency > 0.0);
     }
@@ -606,7 +617,7 @@ mod tests {
         let w = tiny(AppId::Nbody);
         let sig = sig(&w);
         let model = synthesize(&sig, w.mesh);
-        let span = w.netlog.summary().span;
+        let span = w.network.span();
         let synth = model.generate(span, 11);
         assert!(!synth.is_empty(), "synthetic trace empty");
         // Message rate within a factor of 3 of the original.
@@ -647,14 +658,16 @@ mod tests {
                 commchar_trace::EventKind::Data,
             ));
         }
-        let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
+        let network = CausalReplayer::new(mesh)
+            .try_replay_into(&trace, EngineKind::Recurrence, 1, NetTally::new())
+            .unwrap();
         Workload {
             name: "degenerate".into(),
             class: AppClass::MessagePassing,
             nprocs: 4,
             mesh,
             trace,
-            netlog,
+            network,
             exec_ticks: 0,
         }
     }
@@ -708,7 +721,7 @@ mod tests {
         let mesh = run(Topology::Mesh);
         let torus = run(Topology::Torus);
         assert_eq!(mesh.trace.to_jsonl(), torus.trace.to_jsonl());
-        let (mh, th) = (mesh.netlog.summary().mean_hops, torus.netlog.summary().mean_hops);
+        let (mh, th) = (mesh.network.summary().mean_hops, torus.network.summary().mean_hops);
         assert!(th < mh, "torus mean hops {th} should beat mesh {mh}");
     }
 

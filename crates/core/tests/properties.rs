@@ -5,7 +5,7 @@ use commchar_apps::AppClass;
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
 use commchar_core::{characterize, synthesize, TemporalSig, Workload};
-use commchar_mesh::{EngineKind, MeshConfig};
+use commchar_mesh::{EngineKind, MeshConfig, NetTally};
 use commchar_stats::spatial::SpatialModel;
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
@@ -19,14 +19,16 @@ fn workload_from(model: &commchar_traffic::TrafficModel, duration: u64, seed: u6
     let n = model.nodes();
     let mesh = MeshConfig::for_nodes(n);
     let trace = model.generate(duration, seed);
-    let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
+    let network = CausalReplayer::new(mesh)
+        .try_replay_into(&trace, EngineKind::Recurrence, 1, NetTally::new())
+        .unwrap();
     Workload {
         name: "synthetic".into(),
         class: AppClass::MessagePassing,
         nprocs: n,
         mesh,
         trace,
-        netlog,
+        network,
         exec_ticks: duration,
     }
 }
@@ -123,14 +125,16 @@ proptest! {
         }
         trace.sort();
         let mesh = MeshConfig::for_nodes(n);
-        let netlog = CausalReplayer::new(mesh).try_replay(&trace, EngineKind::Recurrence).unwrap();
+        let network = CausalReplayer::new(mesh)
+        .try_replay_into(&trace, EngineKind::Recurrence, 1, NetTally::new())
+        .unwrap();
         let w = Workload {
             name: "prop".into(),
             class: AppClass::MessagePassing,
             nprocs: n,
             mesh,
             trace,
-            netlog,
+            network,
             exec_ticks: 20_000,
         };
         let seq = characterize(&w, 1).unwrap();

@@ -25,15 +25,14 @@
 //! keeping the final log cycle-identical to a batch run. Drivers select
 //! between them at runtime via [`EngineKind`].
 //!
-//! All models produce a [`NetLog`]: one record per message with injection
-//! time, delivery time, hop count and blocked (contention) time — the raw
-//! material the statistical analysis operates on.
-//!
-//! For long-horizon runs where retaining per-message records is too
-//! expensive, [`OnlineWormhole`] and [`FlitLevel`] are generic over a
-//! [`LogSink`]: a [`StreamingLog`] folds each delivery into online
-//! moments, an auto-widening latency histogram and per-pair traffic
-//! matrices in O(bins + P²) memory, independent of message count.
+//! Every model delivers one [`MsgRecord`] per message — injection time,
+//! delivery time, hop count and blocked (contention) time — into a
+//! [`LogSink`]. A [`NetTally`] folds each record into the exact
+//! [`NetSummary`] the characterization reads (mean, median and p95
+//! latency, contention, hops, span, throughput) without keeping the
+//! record, so its memory does not grow with the message count; a
+//! [`NetLog`] keeps every record, for the checks where each message's
+//! identity is the point.
 //!
 //! # Example
 //!
@@ -72,7 +71,7 @@ pub use engine::{EngineError, EngineKind, NetEngine};
 pub use flit::{FlitLevel, FlitWork};
 pub use flit_ref::FlitCycleReference;
 pub use log::{MsgRecord, NetLog, NetSummary};
-pub use sink::{LogSink, StreamingLog};
+pub use sink::{LogSink, NetTally};
 pub use topology::{
     ChannelId, Coord, MeshShape, NodeId, Routing, Topology, HOP_PORT_BITS, HOP_PORT_LOCAL,
     HOP_PORT_MASK,

@@ -1,8 +1,8 @@
 //! The network activity log — the methodology's raw observable.
 
-use commchar_des::{RunningStats, SimTime};
+use commchar_des::SimTime;
 
-use crate::{MeshShape, NodeId};
+use crate::{LogSink, MeshShape, NetTally, NodeId};
 
 /// One completed message, as recorded by a network model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +37,7 @@ impl MsgRecord {
     }
 }
 
-/// Aggregate statistics over a [`NetLog`].
+/// Aggregate statistics over a network run, as a [`NetTally`] folds them.
 #[derive(Clone, Debug)]
 pub struct NetSummary {
     /// Number of messages.
@@ -62,8 +62,10 @@ pub struct NetSummary {
 
 /// The log of all network activity from one simulation.
 ///
-/// Records are kept in delivery order as produced by the model; accessors
-/// provide the per-source and per-pair views the characterization needs.
+/// Records are kept in delivery order as produced by the model. The
+/// pipeline reads only the [`summary`](NetLog::summary), which a
+/// [`NetTally`] folds without keeping the records; a log is for checks
+/// where each message's identity is the point.
 ///
 /// # Example
 ///
@@ -116,96 +118,14 @@ impl NetLog {
         self.records
     }
 
-    /// Messages sourced at `src`, in record order.
-    pub fn from_source(&self, src: NodeId) -> impl Iterator<Item = &MsgRecord> + '_ {
-        self.records.iter().filter(move |r| r.src == src)
-    }
-
-    /// `counts[src][dst]` message counts — the spatial distribution.
-    pub fn spatial_counts(&self, nodes: usize) -> Vec<Vec<u64>> {
-        let mut m = vec![vec![0u64; nodes]; nodes];
-        for r in &self.records {
-            m[r.src.index()][r.dst.index()] += 1;
-        }
-        m
-    }
-
-    /// `bytes[src][dst]` payload byte totals — the volume distribution.
-    pub fn volume_bytes(&self, nodes: usize) -> Vec<Vec<u64>> {
-        let mut m = vec![vec![0u64; nodes]; nodes];
-        for r in &self.records {
-            m[r.src.index()][r.dst.index()] += r.bytes as u64;
-        }
-        m
-    }
-
-    /// Message length observations in bytes.
-    pub fn lengths(&self) -> Vec<u32> {
-        self.records.iter().map(|r| r.bytes).collect()
-    }
-
-    /// Latency histogram as `(upper bound, count)` rows over `bins`
-    /// equal-width bins — the latency-distribution figures of network
-    /// evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0`.
-    pub fn latency_histogram(&self, bins: usize) -> Vec<(u64, u64)> {
-        assert!(bins > 0, "need at least one bin");
-        if self.records.is_empty() {
-            return Vec::new();
-        }
-        let max = self.records.iter().map(|r| r.latency()).max().unwrap_or(0).max(1);
-        let width = max.div_ceil(bins as u64).max(1);
-        let mut counts = vec![0u64; bins];
-        for r in &self.records {
-            let idx = ((r.latency() / width) as usize).min(bins - 1);
-            counts[idx] += 1;
-        }
-        counts.into_iter().enumerate().map(|(i, c)| ((i as u64 + 1) * width, c)).collect()
-    }
-
-    /// Aggregate summary statistics.
+    /// Aggregate summary statistics: the records folded, in log order,
+    /// through a [`NetTally`], the one place a summary is computed.
     pub fn summary(&self) -> NetSummary {
-        let mut lat = RunningStats::new();
-        let mut blk = RunningStats::new();
-        let mut len = RunningStats::new();
-        let mut hops = RunningStats::new();
-        let mut first = u64::MAX;
-        let mut last = 0u64;
-        let mut total_bytes = 0u64;
-        for r in &self.records {
-            lat.record(r.latency() as f64);
-            blk.record(r.blocked() as f64);
-            len.record(r.bytes as f64);
-            hops.record(r.hops as f64);
-            first = first.min(r.inject);
-            last = last.max(r.delivered);
-            total_bytes += r.bytes as u64;
+        let mut tally = NetTally::new();
+        for &r in &self.records {
+            tally.record(r);
         }
-        let span = if self.records.is_empty() { 0 } else { last - first };
-        let mut latencies: Vec<u64> = self.records.iter().map(|r| r.latency()).collect();
-        latencies.sort_unstable();
-        let pick = |q: f64| -> f64 {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                let idx = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-                latencies[idx - 1] as f64
-            }
-        };
-        NetSummary {
-            messages: self.records.len() as u64,
-            mean_latency: lat.mean(),
-            median_latency: pick(0.5),
-            p95_latency: pick(0.95),
-            mean_blocked: blk.mean(),
-            mean_bytes: len.mean(),
-            mean_hops: hops.mean(),
-            span,
-            throughput: if span == 0 { 0.0 } else { total_bytes as f64 / span as f64 },
-        }
+        tally.summary()
     }
 
     /// Validates internal consistency against a mesh shape (used by tests
@@ -288,19 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_and_volume_views() {
-        let log: NetLog =
-            vec![rec(0, 0, 1, 10, 0, 10), rec(1, 0, 1, 30, 5, 25), rec(2, 1, 0, 8, 6, 30)]
-                .into_iter()
-                .collect();
-        let counts = log.spatial_counts(2);
-        assert_eq!(counts[0][1], 2);
-        assert_eq!(counts[1][0], 1);
-        let vol = log.volume_bytes(2);
-        assert_eq!(vol[0][1], 40);
-    }
-
-    #[test]
     fn invariants_catch_bad_records() {
         let shape = MeshShape::new(2, 1);
         let ok: NetLog = vec![rec(0, 0, 1, 4, 0, 10)].into_iter().collect();
@@ -319,17 +226,6 @@ mod tests {
         assert_eq!(s.throughput, 0.0);
         assert_eq!(s.median_latency, 0.0);
         assert_eq!(s.p95_latency, 0.0);
-    }
-
-    #[test]
-    fn latency_histogram_covers_everything() {
-        let log: NetLog = (1..=100u64).map(|i| rec(i, 0, 1, 8, 0, i)).collect();
-        let hist = log.latency_histogram(10);
-        assert_eq!(hist.len(), 10);
-        let total: u64 = hist.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, 100);
-        assert!(hist.windows(2).all(|w| w[1].0 > w[0].0));
-        assert!(NetLog::new().latency_histogram(4).is_empty());
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Streaming consumption of network activity.
+//! What a network model does with each delivered message.
 //!
-//! The network models historically produced a [`NetLog`] — one retained
-//! [`MsgRecord`] per message. That is the right representation for the
-//! characterization pipeline (distribution fitting needs the raw sample),
-//! but it makes memory grow linearly with traffic, which rules out
-//! long-horizon runs. The [`LogSink`] trait decouples the wormhole model
-//! from what happens to each delivered message:
+//! The [`LogSink`] trait decouples the network models from what happens
+//! to each delivered message:
 //!
-//! - [`NetLog`] implements [`LogSink`] by retaining every record (the
-//!   default, fully backward compatible), and
-//! - [`StreamingLog`] folds each record into online moments
-//!   ([`RunningStats`]), an auto-widening latency histogram, and per-pair
-//!   traffic matrices — O(bins + P²) memory, independent of message count.
+//! - [`NetLog`] implements [`LogSink`] by retaining every record, for the
+//!   checks where per-message identity is the point (serial vs sharded,
+//!   flit vs its cycle oracle, the determinism goldens), and
+//! - [`NetTally`] folds each record into the exact [`NetSummary`] the
+//!   characterization reads — Welford moments, a count per distinct
+//!   latency, per-source injection gaps — in memory that grows with the
+//!   distinct latencies and the sources, never with the message count.
+
+use std::collections::HashMap;
 
 use commchar_des::RunningStats;
-use commchar_stats::StreamingHistogram;
 
 use crate::log::{MsgRecord, NetLog, NetSummary};
 
@@ -42,31 +41,24 @@ impl LogSink for NetLog {
     }
 }
 
-/// Bin count of the streaming latency histogram.
-const LATENCY_BINS: usize = 64;
-
-/// Online network statistics in O(bins + P²) memory.
+/// The exact network summary, folded one delivered message at a time.
 ///
-/// Each delivered message updates Welford accumulators (latency, blocked
-/// time, payload, hops, inter-arrival), a latency [`StreamingHistogram`],
-/// and P×P message/byte matrices.
-/// Nothing is retained per message, so a run of 10 million messages holds
-/// exactly as much memory as a run of ten — see
-/// [`approx_mem_bytes`](StreamingLog::approx_mem_bytes).
-///
-/// The moment accumulators see values in the same order a [`NetLog`]
-/// would record them, so means and variances agree with log-derived
-/// statistics to floating-point accuracy; median and p95 come from the
-/// histogram and are exact to within one bin width.
+/// Latency, blocked time, payload and hops feed Welford accumulators in
+/// delivery order — the order a [`NetLog`] keeps its records in — and each
+/// distinct latency keeps a count, from which median and p95 are the exact
+/// order statistics a sorted latency vector gives. [`NetLog::summary`]
+/// folds its records through this sink, so a summary is computed one way
+/// only. Nothing is kept per message: memory grows with the distinct
+/// latencies and the sources, not with the message count.
 ///
 /// # Example
 ///
 /// ```
 /// use commchar_des::SimTime;
-/// use commchar_mesh::{MeshConfig, NetMessage, NodeId, OnlineWormhole, StreamingLog};
+/// use commchar_mesh::{MeshConfig, NetMessage, NetTally, NodeId, OnlineWormhole};
 ///
 /// let cfg = MeshConfig::new(4, 2);
-/// let mut net = OnlineWormhole::with_sink(cfg, StreamingLog::new(cfg.shape.nodes()));
+/// let mut net = OnlineWormhole::with_sink(cfg, NetTally::new());
 /// net.send(NetMessage {
 ///     id: 0,
 ///     src: NodeId(0),
@@ -74,61 +66,50 @@ const LATENCY_BINS: usize = 64;
 ///     bytes: 40,
 ///     inject: SimTime::ZERO,
 /// });
-/// let stream = net.into_sink();
-/// assert_eq!(stream.messages(), 1);
-/// assert!(stream.summary().mean_latency > 0.0);
+/// let tally = net.into_sink();
+/// assert_eq!(tally.messages(), 1);
+/// assert_eq!(tally.summary().median_latency, tally.summary().mean_latency);
 /// ```
 #[derive(Clone, Debug)]
-pub struct StreamingLog {
-    nodes: usize,
+pub struct NetTally {
     latency: RunningStats,
     blocked: RunningStats,
     bytes: RunningStats,
     hops: RunningStats,
+    /// Messages per distinct latency (ticks).
+    latencies: HashMap<u64, u64>,
+    /// Gaps between consecutive injections from the same source.
     interarrival: RunningStats,
-    latency_hist: StreamingHistogram,
-    /// Per-source previous injection time (inter-arrival state).
+    /// Each source's latest injection, indexed by source node.
     last_inject: Vec<Option<u64>>,
-    /// Row-major P×P message counts (`src × nodes + dst`).
-    msg_counts: Vec<u64>,
-    /// Row-major P×P payload byte totals.
-    byte_counts: Vec<u64>,
-    total_bytes: u64,
     first_inject: Option<u64>,
     last_delivery: u64,
+    total_bytes: u64,
     utilization: Vec<(u32, f64)>,
 }
 
-impl StreamingLog {
-    /// Creates an empty accumulator for a `nodes`-processor network, with
-    /// a 64-bin latency histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes == 0`.
-    pub fn new(nodes: usize) -> StreamingLog {
-        assert!(nodes > 0, "streaming log needs at least one node");
-        StreamingLog {
-            nodes,
+impl Default for NetTally {
+    fn default() -> Self {
+        NetTally::new()
+    }
+}
+
+impl NetTally {
+    /// Creates an empty tally.
+    pub fn new() -> NetTally {
+        NetTally {
             latency: RunningStats::new(),
             blocked: RunningStats::new(),
             bytes: RunningStats::new(),
             hops: RunningStats::new(),
+            latencies: HashMap::new(),
             interarrival: RunningStats::new(),
-            latency_hist: StreamingHistogram::new(LATENCY_BINS),
-            last_inject: vec![None; nodes],
-            msg_counts: vec![0; nodes * nodes],
-            byte_counts: vec![0; nodes * nodes],
-            total_bytes: 0,
+            last_inject: Vec::new(),
             first_inject: None,
             last_delivery: 0,
+            total_bytes: 0,
             utilization: Vec::new(),
         }
-    }
-
-    /// Node count the accumulator was sized for.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Messages folded in so far.
@@ -136,60 +117,21 @@ impl StreamingLog {
         self.latency.count()
     }
 
-    /// Total payload bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Online latency moments (mean/variance/min/max in ticks).
+    /// Latency moments (mean/variance/min/max in ticks).
     pub fn latency(&self) -> &RunningStats {
         &self.latency
     }
 
-    /// Online blocked-time (contention) moments.
-    pub fn blocked(&self) -> &RunningStats {
-        &self.blocked
-    }
-
-    /// Online payload-length moments (bytes).
-    pub fn bytes(&self) -> &RunningStats {
-        &self.bytes
-    }
-
-    /// Online hop-count moments.
-    pub fn hops(&self) -> &RunningStats {
-        &self.hops
-    }
-
-    /// Online per-source inter-arrival moments (ticks between consecutive
-    /// injections from the same source).
+    /// Moments of the gaps between consecutive injections from the same
+    /// source (ticks).
     pub fn interarrival(&self) -> &RunningStats {
         &self.interarrival
     }
 
-    /// The auto-widening latency histogram.
-    pub fn latency_histogram(&self) -> &StreamingHistogram {
-        &self.latency_hist
-    }
-
-    /// `counts[src][dst]` message counts — same shape as
-    /// [`NetLog::spatial_counts`].
-    pub fn spatial_counts(&self) -> Vec<Vec<u64>> {
-        self.msg_counts.chunks(self.nodes).map(|row| row.to_vec()).collect()
-    }
-
-    /// `bytes[src][dst]` payload totals — same shape as
-    /// [`NetLog::volume_bytes`].
-    pub fn volume_bytes(&self) -> Vec<Vec<u64>> {
-        self.byte_counts.chunks(self.nodes).map(|row| row.to_vec()).collect()
-    }
-
-    /// Simulated span: last delivery − first injection (ticks).
+    /// Simulated span: last delivery − first injection (ticks; 0 when
+    /// empty).
     pub fn span(&self) -> u64 {
-        match self.first_inject {
-            Some(first) => self.last_delivery.saturating_sub(first),
-            None => 0,
-        }
+        self.first_inject.map_or(0, |first| self.last_delivery - first)
     }
 
     /// Per-channel utilization, available after the model calls
@@ -198,16 +140,51 @@ impl StreamingLog {
         &self.utilization
     }
 
-    /// Aggregate summary in the same shape a [`NetLog`] produces. Means
-    /// are exact (same accumulation the batch path uses); median and p95
-    /// are histogram approximations, exact to within one bin width.
+    /// Latency histogram as `(upper bound, count)` rows over `bins`
+    /// equal-width bins from 0 to the largest latency — the
+    /// latency-distribution figures of network evaluations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins == 0`.
+    pub fn latency_histogram(&self, bins: usize) -> Vec<(u64, u64)> {
+        assert!(bins > 0, "need at least one bin");
+        let Some(&max) = self.latencies.keys().max() else { return Vec::new() };
+        let width = max.max(1).div_ceil(bins as u64).max(1);
+        let mut counts = vec![0u64; bins];
+        for (&latency, &c) in &self.latencies {
+            counts[((latency / width) as usize).min(bins - 1)] += c;
+        }
+        counts.into_iter().enumerate().map(|(i, c)| ((i as u64 + 1) * width, c)).collect()
+    }
+
+    /// The aggregate summary. Median and p95 are the latencies of rank
+    /// ⌈q·n⌉ (clamped to 1..=n) in increasing order, exactly as picked
+    /// from a sorted vector of every latency.
     pub fn summary(&self) -> NetSummary {
+        let n = self.messages();
+        let mut sorted: Vec<(u64, u64)> = self.latencies.iter().map(|(&l, &c)| (l, c)).collect();
+        sorted.sort_unstable();
+        let pick = |q: f64| -> f64 {
+            if n == 0 {
+                return 0.0;
+            }
+            let rank = ((q * n as f64).ceil() as u64).clamp(1, n);
+            let mut seen = 0u64;
+            for &(latency, c) in &sorted {
+                seen += c;
+                if seen >= rank {
+                    return latency as f64;
+                }
+            }
+            unreachable!("the latency counts sum to the message count")
+        };
         let span = self.span();
         NetSummary {
-            messages: self.messages(),
+            messages: n,
             mean_latency: self.latency.mean(),
-            median_latency: self.latency_hist.quantile(0.5),
-            p95_latency: self.latency_hist.quantile(0.95),
+            median_latency: pick(0.5),
+            p95_latency: pick(0.95),
             mean_blocked: self.blocked.mean(),
             mean_bytes: self.bytes.mean(),
             mean_hops: self.hops.mean(),
@@ -215,42 +192,27 @@ impl StreamingLog {
             throughput: if span == 0 { 0.0 } else { self.total_bytes as f64 / span as f64 },
         }
     }
-
-    /// Heap bytes held by the accumulator's growable structures. Constant
-    /// for the accumulator's lifetime — O(bins + P²), never a function of
-    /// how many messages were recorded (the property the streaming path
-    /// exists to provide; asserted by tests at the 10M-message scale).
-    pub fn approx_mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.latency_hist.mem_bytes()
-            + self.last_inject.capacity() * size_of::<Option<u64>>()
-            + self.msg_counts.capacity() * size_of::<u64>()
-            + self.byte_counts.capacity() * size_of::<u64>()
-            + self.utilization.capacity() * size_of::<(u32, f64)>()
-    }
 }
 
-impl LogSink for StreamingLog {
+impl LogSink for NetTally {
     fn record(&mut self, rec: MsgRecord) {
-        let s = rec.src.index();
-        let d = rec.dst.index();
-        assert!(s < self.nodes && d < self.nodes, "record outside the configured node range");
         let latency = rec.latency();
         self.latency.record(latency as f64);
         self.blocked.record(rec.blocked() as f64);
         self.bytes.record(rec.bytes as f64);
         self.hops.record(rec.hops as f64);
-        self.latency_hist.record(latency);
+        *self.latencies.entry(latency).or_insert(0) += 1;
+        let s = rec.src.index();
+        if s >= self.last_inject.len() {
+            self.last_inject.resize(s + 1, None);
+        }
         if let Some(prev) = self.last_inject[s] {
-            let gap = rec.inject.saturating_sub(prev);
-            self.interarrival.record(gap as f64);
+            self.interarrival.record(rec.inject.saturating_sub(prev) as f64);
         }
         self.last_inject[s] = Some(rec.inject);
-        self.msg_counts[s * self.nodes + d] += 1;
-        self.byte_counts[s * self.nodes + d] += rec.bytes as u64;
-        self.total_bytes += rec.bytes as u64;
         self.first_inject = Some(self.first_inject.map_or(rec.inject, |f| f.min(rec.inject)));
         self.last_delivery = self.last_delivery.max(rec.delivered);
+        self.total_bytes += rec.bytes as u64;
     }
 
     fn finish(&mut self, utilization: Vec<(u32, f64)>) {
@@ -286,92 +248,46 @@ mod tests {
     }
 
     #[test]
-    fn streaming_summary_matches_netlog_on_identical_records() {
-        let records: Vec<MsgRecord> = (0..500u64)
-            .map(|i| {
-                rec(
-                    i,
-                    (i % 4) as u16,
-                    ((i + 1) % 4) as u16,
-                    8 + (i % 64) as u32,
-                    i * 3,
-                    i * 3 + 10 + i % 7,
-                )
-            })
-            .collect();
-        let mut log = NetLog::new();
-        let mut stream = StreamingLog::new(4);
-        for r in &records {
-            log.push(*r);
-            stream.record(*r);
-        }
-        let a = log.summary();
-        let b = stream.summary();
-        assert_eq!(a.messages, b.messages);
-        assert_eq!(a.span, b.span);
-        assert!((a.mean_latency - b.mean_latency).abs() < 1e-9);
-        assert!((a.mean_blocked - b.mean_blocked).abs() < 1e-9);
-        assert!((a.mean_bytes - b.mean_bytes).abs() < 1e-9);
-        assert!((a.mean_hops - b.mean_hops).abs() < 1e-9);
-        assert!((a.throughput - b.throughput).abs() < 1e-12);
-        // Quantiles are histogram approximations: within one bin width.
-        let w = stream.latency_histogram().width() as f64;
-        assert!((a.median_latency - b.median_latency).abs() <= w);
-        assert!((a.p95_latency - b.p95_latency).abs() <= w);
-    }
-
-    #[test]
-    fn streaming_matrices_match_netlog_views() {
-        let records = [
-            rec(0, 0, 1, 10, 0, 10),
-            rec(1, 0, 1, 30, 5, 25),
-            rec(2, 1, 0, 8, 6, 30),
-            rec(3, 2, 3, 100, 9, 40),
-        ];
-        let mut log = NetLog::new();
-        let mut stream = StreamingLog::new(4);
-        for r in &records {
-            log.push(*r);
-            stream.record(*r);
-        }
-        assert_eq!(stream.spatial_counts(), log.spatial_counts(4));
-        assert_eq!(stream.volume_bytes(), log.volume_bytes(4));
-        assert_eq!(stream.total_bytes(), 148);
-    }
-
-    #[test]
-    fn streaming_interarrival_is_per_source() {
-        let mut stream = StreamingLog::new(2);
-        // Source 0 injects at 0, 10, 30; source 1 at 5.
-        stream.record(rec(0, 0, 1, 8, 0, 9));
-        stream.record(rec(1, 1, 0, 8, 5, 14));
-        stream.record(rec(2, 0, 1, 8, 10, 19));
-        stream.record(rec(3, 0, 1, 8, 30, 39));
+    fn tally_interarrival_is_per_source() {
+        let mut tally = NetTally::new();
+        // Source 0 injects at 0, 10, 30; source 3 at 5.
+        tally.record(rec(0, 0, 1, 8, 0, 9));
+        tally.record(rec(1, 3, 0, 8, 5, 14));
+        tally.record(rec(2, 0, 1, 8, 10, 19));
+        tally.record(rec(3, 0, 1, 8, 30, 39));
         // Gaps: 10 − 0 and 30 − 10, both from source 0 only.
-        assert_eq!(stream.interarrival().count(), 2);
-        assert!((stream.interarrival().mean() - 15.0).abs() < 1e-12);
+        assert_eq!(tally.interarrival().count(), 2);
+        assert_eq!(tally.interarrival().mean(), 15.0);
+        assert_eq!(tally.span(), 39);
     }
 
     #[test]
-    fn streaming_memory_is_independent_of_message_count() {
-        let mut stream = StreamingLog::new(8);
-        for i in 0..1000u64 {
-            stream.record(rec(i, (i % 8) as u16, ((i + 3) % 8) as u16, 64, i * 5, i * 5 + 20));
-        }
-        let early = stream.approx_mem_bytes();
-        for i in 1000..100_000u64 {
-            stream.record(rec(i, (i % 8) as u16, ((i + 3) % 8) as u16, 64, i * 5, i * 5 + 20));
-        }
-        assert_eq!(stream.approx_mem_bytes(), early);
-        assert_eq!(stream.messages(), 100_000);
+    fn latency_histogram_covers_everything() {
+        let tally = (1..=100u64).fold(NetTally::new(), |mut t, i| {
+            t.record(rec(i, 0, 1, 8, 0, i));
+            t
+        });
+        let hist = tally.latency_histogram(10);
+        assert_eq!(hist.len(), 10);
+        assert_eq!(hist[0], (10, 9));
+        assert_eq!(hist[9], (100, 11));
+        let total: u64 = hist.iter().map(|&(_, c)| c).sum();
+        assert_eq!(total, 100);
+        assert!(hist.windows(2).all(|w| w[1].0 > w[0].0));
+        assert!(NetTally::new().latency_histogram(4).is_empty());
     }
 
     #[test]
-    fn empty_streaming_summary_is_zeroed() {
-        let s = StreamingLog::new(4).summary();
-        assert_eq!(s.messages, 0);
-        assert_eq!(s.span, 0);
-        assert_eq!(s.throughput, 0.0);
-        assert_eq!(s.median_latency, 0.0);
+    fn a_million_records_over_a_fixed_latency_range_keep_the_map_bounded() {
+        let mut tally = NetTally::new();
+        for i in 0..1_000_000u64 {
+            let src = (i % 16) as u16;
+            let inject = i * 3 + (i % 5) * 11;
+            tally.record(rec(i, src, (src + 1) % 16, 8, inject, inject + 20 + i % 97));
+        }
+        assert_eq!(tally.messages(), 1_000_000);
+        assert_eq!(tally.latencies.len(), 97);
+        assert_eq!(tally.last_inject.len(), 16);
+        assert_eq!(tally.interarrival().count(), 1_000_000 - 16);
     }
 }

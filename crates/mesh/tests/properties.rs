@@ -1,8 +1,9 @@
 //! Property-based tests for the mesh network models.
 
-use commchar_des::SimTime;
+use commchar_des::{RunningStats, SimTime};
 use commchar_mesh::{
-    FlitLevel, MeshConfig, MeshShape, NetMessage, NodeId, OnlineWormhole, Routing, Topology,
+    FlitLevel, LogSink, MeshConfig, MeshShape, MsgRecord, NetLog, NetMessage, NetSummary, NetTally,
+    NodeId, OnlineWormhole, Routing, Topology,
 };
 use proptest::prelude::*;
 
@@ -36,6 +37,145 @@ fn arb_msgs(nodes: usize, max: usize) -> impl Strategy<Value = Vec<NetMessage>> 
                 })
                 .collect()
         })
+}
+
+/// The summary as it was computed from a retained record log before the
+/// summary sink: Welford moments over the records in order, and median and
+/// p95 picked from the sorted latencies at rank ⌈q·n⌉ (clamped to 1..=n).
+/// Kept as the reference [`NetTally`] must reproduce bit for bit.
+fn reference_summary(records: &[MsgRecord]) -> NetSummary {
+    let mut lat = RunningStats::new();
+    let mut blk = RunningStats::new();
+    let mut len = RunningStats::new();
+    let mut hops = RunningStats::new();
+    let mut first = u64::MAX;
+    let mut last = 0u64;
+    let mut total_bytes = 0u64;
+    for r in records {
+        lat.record(r.latency() as f64);
+        blk.record(r.blocked() as f64);
+        len.record(r.bytes as f64);
+        hops.record(r.hops as f64);
+        first = first.min(r.inject);
+        last = last.max(r.delivered);
+        total_bytes += r.bytes as u64;
+    }
+    let span = if records.is_empty() { 0 } else { last - first };
+    let mut latencies: Vec<u64> = records.iter().map(|r| r.latency()).collect();
+    latencies.sort_unstable();
+    let pick = |q: f64| -> f64 {
+        if latencies.is_empty() {
+            0.0
+        } else {
+            let idx = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
+            latencies[idx - 1] as f64
+        }
+    };
+    NetSummary {
+        messages: records.len() as u64,
+        mean_latency: lat.mean(),
+        median_latency: pick(0.5),
+        p95_latency: pick(0.95),
+        mean_blocked: blk.mean(),
+        mean_bytes: len.mean(),
+        mean_hops: hops.mean(),
+        span,
+        throughput: if span == 0 { 0.0 } else { total_bytes as f64 / span as f64 },
+    }
+}
+
+/// Every field of a summary, each `f64` as its bits.
+fn summary_bits(s: &NetSummary) -> [u64; 9] {
+    [
+        s.messages,
+        s.mean_latency.to_bits(),
+        s.median_latency.to_bits(),
+        s.p95_latency.to_bits(),
+        s.mean_blocked.to_bits(),
+        s.mean_bytes.to_bits(),
+        s.mean_hops.to_bits(),
+        s.span,
+        s.throughput.to_bits(),
+    ]
+}
+
+/// Checks that a [`NetTally`] fed `records` in order, and a [`NetLog`]
+/// holding them, both summarize them bit for bit as the reference does.
+fn assert_tally_matches(records: &[MsgRecord]) -> [u64; 9] {
+    let mut tally = NetTally::new();
+    for &r in records {
+        tally.record(r);
+    }
+    let want = summary_bits(&reference_summary(records));
+    assert_eq!(summary_bits(&tally.summary()), want, "tally vs reference");
+    let log: NetLog = records.iter().copied().collect();
+    assert_eq!(summary_bits(&log.summary()), want, "log vs reference");
+    want
+}
+
+/// A record with the given source, injection and latency.
+fn rec(id: u64, src: u16, inject: u64, latency: u64) -> MsgRecord {
+    MsgRecord {
+        id,
+        src: NodeId(src),
+        dst: NodeId(src + 1),
+        bytes: 8 + (id % 5) as u32 * 8,
+        inject,
+        delivered: inject + latency,
+        hops: 1 + (id % 3) as u32,
+        zero_load: latency.min(7),
+    }
+}
+
+/// Random record streams, possibly empty, delivered in any order: a few
+/// sources, and latencies drawn either from a narrow range (so equal
+/// values form runs) or a wide one.
+fn arb_records(max: usize) -> impl Strategy<Value = Vec<MsgRecord>> {
+    let fields = (0u16..6, 0u64..10_000, 0u64..40, 0u32..300, 0u32..9, 0u64..30);
+    (prop::collection::vec(fields, 0..max), 0u8..2).prop_map(|(raw, wide)| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (src, inject, lat, bytes, hops, zero_load))| {
+                let latency = if wide == 1 { lat * 7_919 + (i as u64 % 13) } else { lat };
+                MsgRecord {
+                    id: i as u64,
+                    src: NodeId(src),
+                    dst: NodeId(src + 1),
+                    bytes,
+                    inject,
+                    delivered: inject + latency,
+                    hops,
+                    zero_load,
+                }
+            })
+            .collect()
+    })
+}
+
+#[test]
+fn tally_summary_edge_cases_match_the_reference() {
+    // Empty: everything zero.
+    assert_eq!(assert_tally_matches(&[]), summary_bits(&NetLog::new().summary()));
+    assert_eq!(NetTally::new().summary().median_latency, 0.0);
+    // One record.
+    let one = [rec(0, 0, 5, 12)];
+    assert_tally_matches(&one);
+    assert_eq!(NetTally::new().summary().span, 0);
+    // All-equal latencies: median and p95 are that latency.
+    let equal: Vec<MsgRecord> = (0..37).map(|i| rec(i, (i % 3) as u16, i * 4, 9)).collect();
+    let bits = assert_tally_matches(&equal);
+    assert_eq!((f64::from_bits(bits[2]), f64::from_bits(bits[3])), (9.0, 9.0));
+    // ⌈q·n⌉ on a run boundary: ten records, five at latency 2 then five
+    // at 8, so the median's rank 5 is the last of the first run.
+    let runs: Vec<MsgRecord> =
+        (0..10).map(|i| rec(i, 0, i * 3, if i % 2 == 0 { 2 } else { 8 })).collect();
+    let bits = assert_tally_matches(&runs);
+    assert_eq!((f64::from_bits(bits[2]), f64::from_bits(bits[3])), (2.0, 8.0));
+    // And p95's rank 19 of 20 as the last of a run of nineteen.
+    let tail: Vec<MsgRecord> =
+        (0..20).map(|i| rec(i, 1, 100 - i, if i == 7 { 50 } else { 3 })).collect();
+    let bits = assert_tally_matches(&tail);
+    assert_eq!((f64::from_bits(bits[2]), f64::from_bits(bits[3])), (3.0, 3.0));
 }
 
 proptest! {
@@ -178,5 +318,12 @@ proptest! {
         let cfg = MeshConfig::new(8, 8);
         prop_assert!(cfg.zero_load_latency(bytes + 2, hops) >= cfg.zero_load_latency(bytes, hops));
         prop_assert!(cfg.zero_load_latency(bytes, hops + 1) > cfg.zero_load_latency(bytes, hops));
+    }
+
+    /// The summary sink's summary equals the sort-based reference over any
+    /// record stream, every `f64` bit for bit.
+    #[test]
+    fn tally_summary_equals_the_sorted_reference(records in arb_records(300)) {
+        assert_tally_matches(&records);
     }
 }

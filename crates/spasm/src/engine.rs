@@ -18,21 +18,24 @@ use std::future::Future;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use commchar_mesh::{EngineKind, FlitLevel, NetEngine, NetLog, OnlineWormhole};
+use commchar_mesh::{EngineKind, FlitLevel, LogSink, NetEngine, OnlineWormhole};
 
 use crate::api::{Ctx, Setup};
 use crate::shard::{self, Body, ShardCore};
 use crate::MachineConfig;
 use commchar_trace::CommTrace;
 
-/// The output of an execution-driven run.
+/// The output of an execution-driven run, with the network engine's sink
+/// `S`.
 #[derive(Debug)]
-pub struct SpasmRun {
+pub struct SpasmRun<S> {
     /// Every network message injected during the run (the communication
     /// trace the methodology analyzes).
     pub trace: CommTrace,
-    /// The network simulator's log (latency/contention per message).
-    pub netlog: NetLog,
+    /// The network engine's sink: each message's record in a
+    /// [`NetLog`](commchar_mesh::NetLog), the exact summary in a
+    /// [`NetTally`](commchar_mesh::NetTally).
+    pub net: S,
     /// Total simulated execution time in cycles.
     pub exec_cycles: u64,
     /// Number of processors.
@@ -51,7 +54,7 @@ pub struct SpasmRun {
     pub locks: u64,
 }
 
-impl SpasmRun {
+impl<S> SpasmRun<S> {
     /// Miss ratio over all shared accesses.
     pub fn miss_ratio(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -100,7 +103,8 @@ impl std::error::Error for SpasmError {}
 /// future; it may await only [`Ctx`] operations.
 ///
 /// The network engine closing the co-simulation loop is chosen by
-/// `cfg.engine`; see [`run_with`] to supply one directly. The machine is
+/// `cfg.engine` and delivers each message into `sink`; see [`run_with`]
+/// to supply the engine directly. The machine is
 /// advanced by `cfg.sim_jobs` worker shards
 /// ([`MachineConfig::with_sim_jobs`]); the shard count never changes the
 /// results, only the wall-clock time.
@@ -112,34 +116,39 @@ impl std::error::Error for SpasmError {}
 /// ([`SpasmError::Wedged`]), if a body awaits a future that is not a
 /// [`Ctx`] trap, or on protocol-level misuse (e.g. unlocking a lock the
 /// caller does not hold).
-pub fn run<R, S, B, F>(cfg: MachineConfig, setup: S, body: B) -> SpasmRun
+pub fn run<R, S, B, F, L>(cfg: MachineConfig, setup: S, body: B, sink: L) -> SpasmRun<L>
 where
     R: Clone,
     S: FnOnce(&mut Setup) -> R,
     B: Fn(Ctx, R) -> F,
     F: Future<Output = ()> + Send + 'static,
+    L: LogSink + Send,
 {
     match cfg.engine {
-        EngineKind::Recurrence => run_with(cfg, setup, body, OnlineWormhole::new(cfg.mesh)),
-        EngineKind::FlitLevel => {
-            run_with(cfg, setup, body, FlitLevel::new(cfg.mesh).with_sim_jobs(cfg.sim_jobs))
+        EngineKind::Recurrence => {
+            run_with(cfg, setup, body, OnlineWormhole::with_sink(cfg.mesh, sink))
         }
+        EngineKind::FlitLevel => run_with(
+            cfg,
+            setup,
+            body,
+            FlitLevel::with_sink(cfg.mesh, sink).with_sim_jobs(cfg.sim_jobs),
+        ),
     }
 }
 
-/// [`run`] with a caller-supplied network engine (any [`NetEngine`]
-/// logging into a [`NetLog`]).
+/// [`run`] with a caller-supplied network engine (any [`NetEngine`]).
 ///
 /// # Panics
 ///
 /// As [`run`].
-pub fn run_with<R, S, B, F, N>(cfg: MachineConfig, setup: S, body: B, net: N) -> SpasmRun
+pub fn run_with<R, S, B, F, N>(cfg: MachineConfig, setup: S, body: B, net: N) -> SpasmRun<N::Sink>
 where
     R: Clone,
     S: FnOnce(&mut Setup) -> R,
     B: Fn(Ctx, R) -> F,
     F: Future<Output = ()> + Send + 'static,
-    N: NetEngine<Sink = NetLog> + Send,
+    N: NetEngine + Send,
 {
     try_run_with(cfg, setup, body, net).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -152,13 +161,13 @@ pub fn try_run_with<R, S, B, F, N>(
     setup: S,
     body: B,
     net: N,
-) -> Result<SpasmRun, SpasmError>
+) -> Result<SpasmRun<N::Sink>, SpasmError>
 where
     R: Clone,
     S: FnOnce(&mut Setup) -> R,
     B: Fn(Ctx, R) -> F,
     F: Future<Output = ()> + Send + 'static,
-    N: NetEngine<Sink = NetLog> + Send,
+    N: NetEngine + Send,
 {
     let mut s = Setup { mem: Vec::new(), nprocs: cfg.nprocs };
     let shared = setup(&mut s);
@@ -189,7 +198,7 @@ where
     let d = shard::drive(cfg, cores, net)?;
     Ok(SpasmRun {
         trace: d.trace,
-        netlog: d.netlog,
+        net: d.net,
         exec_cycles: d.exec_cycles,
         nprocs: cfg.nprocs,
         reads: d.reads,
@@ -203,6 +212,7 @@ where
 
 #[cfg(test)]
 mod tests {
+    use commchar_mesh::NetLog;
     use commchar_trace::EventKind;
 
     use super::*;
@@ -225,6 +235,7 @@ mod tests {
                     assert_eq!(ctx.read(r, i).await, i as u64);
                 }
             },
+            NetLog::new(),
         );
         assert_eq!(out.trace.len(), 0);
         assert!(out.exec_cycles > 0);
@@ -245,10 +256,11 @@ mod tests {
                     assert_eq!(ctx.read(r, q * 4).await, (q * 100) as u64);
                 }
             },
+            NetLog::new(),
         );
         assert!(!out.trace.is_empty(), "cross-processor traffic expected");
         assert_eq!(out.barriers, 1);
-        out.netlog.check_invariants(cfg(4).mesh.shape).unwrap();
+        out.net.check_invariants(cfg(4).mesh.shape).unwrap();
     }
 
     #[test]
@@ -264,6 +276,7 @@ mod tests {
                     }
                 }
             },
+            NetLog::new(),
         );
         // p0's writes/reads to block 0 (home p0): no network messages, and
         // after the first write, all accesses hit.
@@ -288,6 +301,7 @@ mod tests {
                 ctx.barrier(1).await;
                 assert_eq!(ctx.read(r, 0).await, 42);
             },
+            NetLog::new(),
         );
         let ctrl = out.trace.events().iter().filter(|e| e.kind == EventKind::Control).count();
         assert!(ctrl >= 2 * (n - 2), "invalidations + acks expected, saw {ctrl} control msgs");
@@ -309,6 +323,7 @@ mod tests {
                     ctx.unlock(0).await;
                 }
             },
+            NetLog::new(),
         );
         assert_eq!(out.locks, (n * iters) as u64);
         // Verify the final counter value via a fresh run reading it... we
@@ -335,6 +350,7 @@ mod tests {
                 let total = ctx.read(r, 0).await;
                 assert_eq!(total, (n * iters) as u64, "lost update under lock");
             },
+            NetLog::new(),
         );
     }
 
@@ -353,6 +369,7 @@ mod tests {
                     ctx.unlock(0).await;
                 }
             },
+            NetLog::new(),
         );
     }
 
@@ -375,6 +392,7 @@ mod tests {
                     }
                     ctx.write(r, p, acc).await;
                 },
+                NetLog::new(),
             )
         };
         let a = go();
@@ -403,6 +421,7 @@ mod tests {
                     ctx.barrier(100 + round as u32).await;
                 }
             },
+            NetLog::new(),
         );
     }
 
@@ -418,6 +437,7 @@ mod tests {
                     ctx.write(r, p, 1).await;
                 }
             },
+            NetLog::new(),
         );
         assert!(out.misses > 2, "ping-ponging block must miss repeatedly");
         assert!(!out.trace.is_empty());
@@ -437,6 +457,7 @@ mod tests {
                     ctx.read(r, i * 4).await;
                 }
             },
+            NetLog::new(),
         );
         // Direct-mapped 2-line cache, 256 distinct blocks: everything
         // misses both passes.
@@ -459,10 +480,11 @@ mod tests {
                         assert_eq!(ctx.read(r, q).await, q as u64);
                     }
                 },
+                NetLog::new(),
             )
         };
         let a = go();
-        assert_eq!(a.trace.len(), a.netlog.records().len());
+        assert_eq!(a.trace.len(), a.net.records().len());
         assert!(a.exec_cycles > 0);
         a.trace.check().unwrap();
         let b = go();
@@ -480,9 +502,13 @@ mod tests {
             ctx.barrier(0).await;
             let _ = ctx.read(r, ((p + 1) % 4) * 4).await;
         }
-        let rec = run(cfg(4), |m| m.alloc(64), body);
-        let flit =
-            run(cfg(4).with_engine(commchar_mesh::EngineKind::flit()), |m| m.alloc(64), body);
+        let rec = run(cfg(4), |m| m.alloc(64), body, NetLog::new());
+        let flit = run(
+            cfg(4).with_engine(commchar_mesh::EngineKind::flit()),
+            |m| m.alloc(64),
+            body,
+            NetLog::new(),
+        );
         assert_eq!(rec.reads, flit.reads);
         assert_eq!(rec.writes, flit.writes);
         assert_eq!(rec.barriers, flit.barriers);
@@ -500,8 +526,9 @@ mod tests {
                 ctx.barrier(0).await;
                 ctx.read(r, (p + 1) % 4).await;
             },
+            NetLog::new(),
         );
-        assert_eq!(out.trace.len(), out.netlog.records().len());
+        assert_eq!(out.trace.len(), out.net.records().len());
         out.trace.check().unwrap();
     }
 
@@ -517,8 +544,10 @@ mod tests {
                 ctx.write(r, slot, v + 1).await;
             }
         }
-        let msi = run(cfg(2).with_protocol(crate::Protocol::Msi), |m| m.alloc(256), body);
-        let mesi = run(cfg(2).with_protocol(crate::Protocol::Mesi), |m| m.alloc(256), body);
+        let msi =
+            run(cfg(2).with_protocol(crate::Protocol::Msi), |m| m.alloc(256), body, NetLog::new());
+        let mesi =
+            run(cfg(2).with_protocol(crate::Protocol::Mesi), |m| m.alloc(256), body, NetLog::new());
         assert!(
             mesi.misses < msi.misses,
             "MESI should remove upgrade misses: {} vs {}",
@@ -545,6 +574,7 @@ mod tests {
                     ctx.barrier(10 + round as u32).await;
                 }
             },
+            NetLog::new(),
         );
     }
 
@@ -560,8 +590,18 @@ mod tests {
                 }
             }
         }
-        let direct = run(cfg(1).with_cache_lines(4).with_associativity(1), |m| m.alloc(64), body);
-        let twoway = run(cfg(1).with_cache_lines(4).with_associativity(2), |m| m.alloc(64), body);
+        let direct = run(
+            cfg(1).with_cache_lines(4).with_associativity(1),
+            |m| m.alloc(64),
+            body,
+            NetLog::new(),
+        );
+        let twoway = run(
+            cfg(1).with_cache_lines(4).with_associativity(2),
+            |m| m.alloc(64),
+            body,
+            NetLog::new(),
+        );
         assert!(
             twoway.misses < direct.misses,
             "2-way should kill conflict misses: {} vs {}",

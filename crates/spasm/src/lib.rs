@@ -30,12 +30,14 @@
 //!   [`MachineConfig::with_engine`].
 //!
 //! The run produces a [`SpasmRun`]: the [`commchar_trace::CommTrace`] of
-//! injected messages, the network's [`commchar_mesh::NetLog`], and summary
-//! counters — the raw material of the characterization pipeline.
+//! injected messages, the network engine's sink (a
+//! [`commchar_mesh::NetLog`] of every message, or the exact
+//! [`commchar_mesh::NetTally`] summary), and summary counters — the raw material of the characterization pipeline.
 //!
 //! # Example
 //!
 //! ```
+//! use commchar_mesh::NetLog;
 //! use commchar_spasm::{run, MachineConfig};
 //!
 //! let cfg = MachineConfig::new(4);
@@ -46,7 +48,7 @@
 //!     // Read a neighbour's slot: guaranteed visible after the barrier.
 //!     let v = ctx.read(region, (p + 1) % ctx.nprocs()).await;
 //!     assert_eq!(v, ((p + 1) % ctx.nprocs()) as u64);
-//! });
+//! }, NetLog::new());
 //! assert!(!out.trace.is_empty());
 //! ```
 

@@ -34,7 +34,7 @@
 //! sequences depend only on that site's own action stream (every
 //! cross-site interaction travels through the network or the
 //! coordinator), so keys are identical for any shard count, and with them
-//! the event order, the trace bytes, the `NetLog`, and every statistic.
+//! the event order, the trace bytes, the network records, and every statistic.
 
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
@@ -44,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
 use commchar_des::{KeyedCalendar, SimTime};
-use commchar_mesh::{NetEngine, NetLog, NetMessage, NodeId};
+use commchar_mesh::{NetEngine, NetMessage, NodeId};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 
 use crate::api::{ProcRequest, Reply, Slot};
@@ -289,7 +289,7 @@ fn spin_wait(mut probe: impl FnMut() -> bool) {
 /// trace, the canonical message/emission counters, and the engine-level
 /// failure that stopped the run, if any. [`drive`] lends it to shard 0's
 /// worker and reads the run's products from it once the workers return.
-struct Coord<N: NetEngine<Sink = NetLog>> {
+struct Coord<N: NetEngine> {
     net: N,
     trace: CommTrace,
     msg_seq: u64,
@@ -299,7 +299,7 @@ struct Coord<N: NetEngine<Sink = NetLog>> {
     failure: Option<SpasmError>,
 }
 
-impl<N: NetEngine<Sink = NetLog>> Coord<N> {
+impl<N: NetEngine> Coord<N> {
     fn new(net: N, nprocs: usize) -> Self {
         let lookahead = net.min_latency();
         assert!(lookahead >= 1, "network engine lookahead must be positive");
@@ -941,7 +941,7 @@ impl<'m> ShardCore<'m> {
 /// The coordinator's window-edge phase: inject every shard's deferred
 /// sends in canonical order, route deliveries into destination mailboxes,
 /// and broadcast the next window (or a stop).
-fn coordinate<N: NetEngine<Sink = NetLog>>(
+fn coordinate<N: NetEngine>(
     co: &mut Coord<N>,
     shared: &Shared,
     shard_of: &[u32],
@@ -1042,7 +1042,7 @@ fn coordinate<N: NetEngine<Sink = NetLog>>(
 /// The body of one shard worker. Shard 0's worker doubles as the
 /// coordinator, owning the network engine and the trace. Returns the
 /// shard's verdict if the run drained, `None` if it stopped on a failure.
-fn run_worker<N: NetEngine<Sink = NetLog>>(
+fn run_worker<N: NetEngine>(
     mut core: ShardCore<'_>,
     shared: &Shared,
     mut coord: Option<&mut Coord<N>>,
@@ -1097,9 +1097,9 @@ fn run_worker<N: NetEngine<Sink = NetLog>>(
 
 /// The products of a drained sharded run, before assembly into
 /// [`crate::SpasmRun`].
-pub(crate) struct Drained {
+pub(crate) struct Drained<S> {
     pub trace: CommTrace,
-    pub netlog: NetLog,
+    pub net: S,
     pub exec_cycles: u64,
     pub reads: u64,
     pub writes: u64,
@@ -1117,9 +1117,9 @@ pub(crate) fn drive<N>(
     cfg: MachineConfig,
     cores: Vec<ShardCore<'_>>,
     net: N,
-) -> Result<Drained, SpasmError>
+) -> Result<Drained<N::Sink>, SpasmError>
 where
-    N: NetEngine<Sink = NetLog> + Send,
+    N: NetEngine + Send,
 {
     let shared = Shared::new(cores.len());
     let mut shard_of = vec![0u32; cfg.nprocs];
@@ -1167,7 +1167,7 @@ where
     }
     Ok(Drained {
         trace: coord.trace,
-        netlog: coord.net.finish(),
+        net: coord.net.finish(),
         exec_cycles: stats.max_time,
         reads: stats.reads,
         writes: stats.writes,

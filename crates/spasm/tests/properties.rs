@@ -2,6 +2,7 @@
 //! sequential consistency, coherence, and synchronization invariants under
 //! randomized workloads.
 
+use commchar_mesh::NetLog;
 use commchar_spasm::{run, MachineConfig};
 use proptest::prelude::*;
 
@@ -30,6 +31,7 @@ proptest! {
                 let total = ctx.read(r, stride).await;
                 assert_eq!(total as usize, nprocs * iters);
             },
+            NetLog::new(),
         );
     }
 
@@ -51,6 +53,7 @@ proptest! {
                     ctx.barrier(64 + round as u32).await;
                 }
             },
+            NetLog::new(),
         );
     }
 
@@ -82,6 +85,7 @@ proptest! {
                     }
                 }
             },
+            NetLog::new(),
         );
     }
 
@@ -115,13 +119,14 @@ proptest! {
                     }
                     ctx.barrier(9).await;
                 },
+                NetLog::new(),
             )
         };
         let a = go();
         let b = go();
-        prop_assert_eq!(a.trace.len(), a.netlog.records().len());
+        prop_assert_eq!(a.trace.len(), a.net.records().len());
         a.trace.check().unwrap();
-        a.netlog.check_invariants(MachineConfig::new(nprocs).mesh.shape).unwrap();
+        a.net.check_invariants(MachineConfig::new(nprocs).mesh.shape).unwrap();
         prop_assert_eq!(a.exec_cycles, b.exec_cycles);
         prop_assert_eq!(a.trace.events(), b.trace.events());
         prop_assert_eq!(a.reads + a.writes, a.hits + a.misses);

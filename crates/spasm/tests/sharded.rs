@@ -4,7 +4,7 @@
 //! statistics — because the windowed loop with canonical `(time, key)`
 //! ordering IS the engine at every shard count.
 
-use commchar_mesh::EngineKind;
+use commchar_mesh::{EngineKind, NetLog};
 use commchar_spasm::{run, try_run_with, Ctx, MachineConfig, Region, SpasmError, SpasmRun};
 use proptest::prelude::*;
 
@@ -39,17 +39,22 @@ async fn seeded_body(mut ctx: Ctx, r: Region, seed: u64, ops: usize, slots: usiz
     let _ = ctx.read(r, p % slots).await;
 }
 
-fn seeded_run(cfg: MachineConfig, seed: u64, ops: usize) -> SpasmRun {
-    run(cfg, move |m| (m.alloc(96), seed), move |ctx, (r, seed)| seeded_body(ctx, r, seed, ops, 96))
+fn seeded_run(cfg: MachineConfig, seed: u64, ops: usize) -> SpasmRun<NetLog> {
+    run(
+        cfg,
+        move |m| (m.alloc(96), seed),
+        move |ctx, (r, seed)| seeded_body(ctx, r, seed, ops, 96),
+        NetLog::new(),
+    )
 }
 
 /// Every observable of two runs, compared byte-for-byte.
-fn assert_identical(a: &SpasmRun, b: &SpasmRun, what: &str) {
+fn assert_identical(a: &SpasmRun<NetLog>, b: &SpasmRun<NetLog>, what: &str) {
     assert_eq!(a.exec_cycles, b.exec_cycles, "{what}: exec_cycles");
     assert_eq!(a.trace.nodes(), b.trace.nodes(), "{what}: trace nodes");
     assert_eq!(a.trace.events(), b.trace.events(), "{what}: trace events");
-    assert_eq!(a.netlog.records(), b.netlog.records(), "{what}: network records");
-    assert_eq!(a.netlog.utilization(), b.netlog.utilization(), "{what}: utilization");
+    assert_eq!(a.net.records(), b.net.records(), "{what}: network records");
+    assert_eq!(a.net.utilization(), b.net.utilization(), "{what}: utilization");
     assert_eq!(a.miss_ratio(), b.miss_ratio(), "{what}: miss ratio");
     assert_eq!(
         (a.reads, a.writes, a.hits, a.misses, a.barriers, a.locks),
@@ -143,6 +148,7 @@ fn kilo_processor_machine_characterizes_sharded() {
                 let right = (p + 1) % ctx.nprocs();
                 assert_eq!(ctx.read(r, right * 4).await, right as u64 + 1);
             },
+            NetLog::new(),
         )
     };
     let sharded = go(4);
@@ -187,6 +193,7 @@ fn run_panics_on_deadlock_like_the_serial_engine() {
                 ctx.barrier(0).await; // p0 exits without arriving: p1 waits forever
             }
         },
+        NetLog::new(),
     );
 }
 
@@ -205,6 +212,7 @@ fn protocol_misuse_panics_through_the_sharded_path() {
                 ctx.unlock(2).await;
             }
         },
+        NetLog::new(),
     );
 }
 
@@ -228,8 +236,8 @@ proptest! {
         );
         prop_assert_eq!(serial.exec_cycles, sharded.exec_cycles);
         prop_assert_eq!(serial.trace.events(), sharded.trace.events());
-        prop_assert_eq!(serial.netlog.records(), sharded.netlog.records());
-        prop_assert_eq!(serial.netlog.utilization(), sharded.netlog.utilization());
+        prop_assert_eq!(serial.net.records(), sharded.net.records());
+        prop_assert_eq!(serial.net.utilization(), sharded.net.utilization());
         prop_assert_eq!(serial.misses, sharded.misses);
     }
 }

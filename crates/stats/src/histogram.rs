@@ -91,160 +91,6 @@ impl Histogram {
     }
 }
 
-/// A fixed-capacity streaming histogram over `u64` observations whose
-/// memory never grows with the number of samples.
-///
-/// The bin count is fixed at construction; when an observation lands past
-/// the last bin, the bin *width* doubles and adjacent bins are folded
-/// together, so the histogram always covers `[0, bins × width)` in
-/// O(bins) memory without knowing the maximum value up front. Widening
-/// never loses counts — it only coarsens resolution, and every value ever
-/// recorded maps to the same bin it would land in if re-recorded at the
-/// final width (widths grow by exact doubling).
-///
-/// This is the accumulation structure behind streaming network statistics:
-/// latency and inter-arrival distributions of multi-million-message runs
-/// without retaining per-message records.
-///
-/// # Example
-///
-/// ```
-/// use commchar_stats::StreamingHistogram;
-/// let mut h = StreamingHistogram::new(8);
-/// for v in 0..1000u64 {
-///     h.record(v);
-/// }
-/// assert_eq!(h.total(), 1000);
-/// assert_eq!(h.bins(), 8); // capacity unchanged; width widened instead
-/// assert!(h.width() * 8 > 999);
-/// ```
-#[derive(Clone, Debug)]
-pub struct StreamingHistogram {
-    width: u64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl StreamingHistogram {
-    /// Creates a histogram with `bins` bins of initial width 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins < 2`.
-    pub fn new(bins: usize) -> StreamingHistogram {
-        StreamingHistogram::with_width(bins, 1)
-    }
-
-    /// Creates a histogram with `bins` bins of the given initial width —
-    /// use a coarser start when the expected magnitude is known, to avoid
-    /// early widening churn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins < 2` or `width == 0`.
-    pub fn with_width(bins: usize, width: u64) -> StreamingHistogram {
-        assert!(bins >= 2, "streaming histogram needs at least two bins");
-        assert!(width > 0, "bin width must be positive");
-        StreamingHistogram { width, counts: vec![0; bins], total: 0 }
-    }
-
-    /// Records one observation, widening bins as needed to keep it in
-    /// range. O(1) amortized; a widening pass is O(bins).
-    pub fn record(&mut self, value: u64) {
-        while (value / self.width) as usize >= self.counts.len() {
-            self.widen();
-        }
-        self.counts[(value / self.width) as usize] += 1;
-        self.total += 1;
-    }
-
-    /// Doubles the bin width, folding pairs of adjacent bins.
-    fn widen(&mut self) {
-        let n = self.counts.len();
-        for i in 0..n.div_ceil(2) {
-            self.counts[i] =
-                self.counts[2 * i] + if 2 * i + 1 < n { self.counts[2 * i + 1] } else { 0 };
-        }
-        for c in &mut self.counts[n.div_ceil(2)..] {
-            *c = 0;
-        }
-        self.width *= 2;
-    }
-
-    /// Current bin width. Bin `i` covers `[i × width, (i+1) × width)`.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// Number of bins (fixed at construction).
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bin `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// All bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Fraction of observations in bin `i` (0 when empty).
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / self.total as f64
-        }
-    }
-
-    /// `(upper bound, count)` rows, matching the shape of
-    /// `NetLog::latency_histogram` for side-by-side reporting.
-    pub fn rows(&self) -> Vec<(u64, u64)> {
-        self.counts.iter().enumerate().map(|(i, &c)| ((i as u64 + 1) * self.width, c)).collect()
-    }
-
-    /// Approximate quantile (`q` in [0, 1]) by linear interpolation inside
-    /// the containing bin; the error is bounded by one bin width. Returns
-    /// 0 for an empty histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside [0, 1].
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = q * self.total as f64;
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if cum as f64 + c as f64 >= target {
-                let within = ((target - cum as f64) / c as f64).clamp(0.0, 1.0);
-                return (i as f64 + within) * self.width as f64;
-            }
-            cum += c;
-        }
-        (self.counts.len() as u64 * self.width) as f64
-    }
-
-    /// Bytes of heap memory held — constant for the histogram's lifetime,
-    /// regardless of how many observations were recorded.
-    pub fn mem_bytes(&self) -> usize {
-        self.counts.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
 /// Empirical CDF of a sample.
 ///
 /// # Example
@@ -366,84 +212,5 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn empty_histogram_panics() {
         let _ = Histogram::from_samples(&[], 4);
-    }
-
-    #[test]
-    fn streaming_widens_without_losing_counts() {
-        let mut h = StreamingHistogram::new(4);
-        for v in [0u64, 1, 2, 3] {
-            h.record(v);
-        }
-        assert_eq!(h.width(), 1);
-        h.record(4); // forces one widening: width 2, bins cover [0, 8)
-        assert_eq!(h.width(), 2);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.count(0), 2); // 0, 1
-        assert_eq!(h.count(1), 2); // 2, 3
-        assert_eq!(h.count(2), 1); // 4
-        h.record(1000); // jumps several widenings at once
-        assert!(h.width() * h.bins() as u64 > 1000);
-        assert_eq!(h.total(), 6);
-        assert_eq!(h.counts().iter().sum::<u64>(), 6);
-    }
-
-    #[test]
-    fn streaming_matches_rebinned_batch() {
-        // Recording values one at a time must give the same final counts
-        // as binning them all at the final width in one pass.
-        let values: Vec<u64> = (0..5000u64).map(|i| (i * i) % 777).collect();
-        let mut h = StreamingHistogram::new(16);
-        for &v in &values {
-            h.record(v);
-        }
-        let w = h.width();
-        let mut batch = [0u64; 16];
-        for &v in &values {
-            batch[(v / w) as usize] += 1;
-        }
-        assert_eq!(h.counts(), &batch[..]);
-    }
-
-    #[test]
-    fn streaming_quantile_within_one_bin() {
-        let mut h = StreamingHistogram::new(64);
-        for v in 1..=10_000u64 {
-            h.record(v);
-        }
-        let w = h.width() as f64;
-        assert!((h.quantile(0.5) - 5000.0).abs() <= w, "median {}", h.quantile(0.5));
-        assert!((h.quantile(0.95) - 9500.0).abs() <= w, "p95 {}", h.quantile(0.95));
-        assert_eq!(h.quantile(0.0), 0.0);
-    }
-
-    #[test]
-    fn streaming_memory_is_constant() {
-        let mut h = StreamingHistogram::new(32);
-        let m0 = h.mem_bytes();
-        for v in 0..100_000u64 {
-            h.record(v * 31);
-        }
-        assert_eq!(h.mem_bytes(), m0);
-    }
-
-    #[test]
-    fn streaming_rows_and_fractions() {
-        let mut h = StreamingHistogram::with_width(4, 10);
-        h.record(5);
-        h.record(15);
-        h.record(15);
-        h.record(35);
-        let rows = h.rows();
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0], (10, 1));
-        assert_eq!(rows[1], (20, 2));
-        assert_eq!(rows[3], (40, 1));
-        assert!((h.fraction(1) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two bins")]
-    fn streaming_rejects_single_bin() {
-        let _ = StreamingHistogram::new(1);
     }
 }

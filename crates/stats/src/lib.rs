@@ -10,9 +10,6 @@
 //!   gamma, Weibull, lognormal, Pareto, normal, uniform, deterministic),
 //!   each with pdf, cdf, moments and seeded sampling.
 //! - [`Histogram`] / [`Ecdf`] — binned and empirical views of a sample.
-//! - [`StreamingHistogram`] — a fixed-memory, auto-widening histogram for
-//!   online accumulation over unbounded streams (the memory-independent
-//!   path used by the streaming network log).
 //! - Fitting: closed-form MLE / method-of-moments initializers per family
 //!   ([`fit`]), refined by non-linear least squares using the
 //!   **multivariate secant (Broyden) method** ([`secant`]) — the same
@@ -64,4 +61,4 @@ pub mod secant;
 pub mod spatial;
 
 pub use dist::{Dist, Family};
-pub use histogram::{Ecdf, Histogram, StreamingHistogram};
+pub use histogram::{Ecdf, Histogram};

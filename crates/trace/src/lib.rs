@@ -166,6 +166,26 @@ impl CommTrace {
         self.events.iter().filter(move |e| e.src == src)
     }
 
+    /// `counts[src][dst]` message counts — the spatial distribution.
+    pub fn spatial_counts(&self) -> Vec<Vec<u64>> {
+        self.pair_totals(|_| 1)
+    }
+
+    /// `bytes[src][dst]` payload byte totals — the volume distribution.
+    pub fn volume_bytes(&self) -> Vec<Vec<u64>> {
+        self.pair_totals(|e| e.bytes as u64)
+    }
+
+    /// `nodes × nodes` sums of `weight` over the events of each
+    /// (source, destination) pair.
+    fn pair_totals(&self, weight: impl Fn(&CommEvent) -> u64) -> Vec<Vec<u64>> {
+        let mut m = vec![vec![0u64; self.nodes]; self.nodes];
+        for e in &self.events {
+            m[e.src as usize][e.dst as usize] += weight(e);
+        }
+        m
+    }
+
     /// Serializes to JSON-lines (one event per line, header first); see
     /// [`JsonlWriter`] for the streaming form.
     pub fn to_jsonl(&self) -> String {
@@ -356,6 +376,20 @@ mod tests {
         assert_eq!(tr.from_source(1).count(), 1);
         tr.sort();
         assert_eq!(tr.events()[0].id, 1);
+    }
+
+    #[test]
+    fn spatial_and_volume_views() {
+        let mut tr = CommTrace::new(2);
+        tr.push(CommEvent::new(0, 0, 0, 1, 10, EventKind::Data));
+        tr.push(CommEvent::new(1, 5, 0, 1, 30, EventKind::Data));
+        tr.push(CommEvent::new(2, 6, 1, 0, 8, EventKind::Data));
+        let counts = tr.spatial_counts();
+        assert_eq!(counts[0][1], 2);
+        assert_eq!(counts[1][0], 1);
+        let vol = tr.volume_bytes();
+        assert_eq!(vol[0][1], 40);
+        assert_eq!(vol[1][0], 8);
     }
 
     #[test]

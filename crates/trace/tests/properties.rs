@@ -1,6 +1,6 @@
 //! Property-based tests for traces, profiling and causal replay.
 
-use commchar_mesh::{EngineKind, MeshConfig};
+use commchar_mesh::{EngineKind, MeshConfig, NetLog};
 use commchar_trace::profile::{interarrival_aggregate, interarrival_by_source, profile};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
@@ -218,7 +218,7 @@ proptest! {
     fn naive_replay_is_verbatim(trace in arb_trace(6, 40)) {
         prop_assume!(!trace.is_empty());
         let cfg = MeshConfig::for_nodes(6);
-        let log = CausalReplayer::new(cfg).replay_naive(&trace);
+        let log = CausalReplayer::new(cfg).replay_naive(&trace, NetLog::new());
         let by_id: HashMap<u64, u64> = log.records().iter().map(|r| (r.id, r.inject)).collect();
         for e in trace.events() {
             prop_assert_eq!(by_id[&e.id], e.t);

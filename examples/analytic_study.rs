@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Sanity-check the default design point against simulation.
     let analytic = AnalyticModel::new(w.mesh).predict(&model);
-    let trace = model.generate(w.netlog.summary().span.max(1), 3);
+    let trace = model.generate(w.network.span().max(1), 3);
     let msgs: Vec<NetMessage> = trace
         .events()
         .iter()

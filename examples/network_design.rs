@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let w = acquire(&RunSpec::new(AppId::Cholesky, 8, Scale::Small, 42))?;
     let sig = characterize(&w, 1)?;
     let model = synthesize(&sig, w.mesh);
-    let span = w.netlog.summary().span;
+    let span = w.network.span();
     let msgs = to_msgs(&model.generate(span, 7));
     println!(
         "workload: {} fitted as {} + {}\n",

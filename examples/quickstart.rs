@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Synthesize: a reusable open-loop traffic model.
     let model = commchar::core::synthesize(&sig, workload.mesh);
-    let synthetic = model.generate(workload.netlog.summary().span, 42);
+    let synthetic = model.generate(workload.network.span(), 42);
     println!(
         "\nsynthetic trace from the fitted model: {} messages (original {})",
         synthetic.len(),

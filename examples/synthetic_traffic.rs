@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = AppId::Cholesky;
     let w = acquire(&RunSpec::new(app, 8, Scale::Small, 42))?;
     let sig = characterize(&w, 1)?;
-    let span = w.netlog.summary().span.max(1);
+    let span = w.network.span().max(1);
 
     let original = replay(&w.trace, w.mesh);
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use commchar::mesh::{EngineKind, MeshConfig};
+use commchar::mesh::{EngineKind, MeshConfig, NetTally};
 use commchar::trace::replay::CausalReplayer;
 use commchar_apps::{AppId, Scale};
 
@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let causal_log = rep.try_replay(&out.trace, EngineKind::Recurrence)?;
 
     let causal = causal_log.summary();
-    let naive = rep.replay_naive(&out.trace).summary();
+    let naive = rep.replay_naive(&out.trace, NetTally::new()).summary();
 
     println!(
         "causal replay:  mean latency {:.1}, mean blocked {:.1}",

@@ -19,10 +19,16 @@
 # fixture trace with --engine recurrence must stay byte-identical to the
 # output captured before the NetEngine refactor, and with --engine flit
 # to the output captured before steady-stream skipping; the --streaming
-# replay with each engine must stay byte-identical to the output
-# captured before the flit closed loop was folded into FlitLevel; the
+# replay with each engine must match the output captured when its
+# quantiles became exact; the
 # recurrence replay read on --jobs 1 and --jobs 3, and of a packed copy
-# from a file and from a pipe, must print the same), a fit fixture diff
+# from a file and from a pipe, must print the same), a network-section
+# diff (characterize of a shared-memory app on the default network and
+# with --engine flit --topology torus --sim-jobs 2, and characterize
+# --trace of the fixture replayed with each engine, must stay
+# byte-identical to the reports captured before the pipeline stopped
+# keeping a per-message record log: the network behaviour section is
+# folded from the deliveries as they happen), a fit fixture diff
 # (characterize --no-replay of the same fixture must stay byte-identical
 # to the report captured before the allocation-free secant solver, so a
 # change to the fitted numbers shows up, and print the same read on
@@ -56,9 +62,10 @@
 # tests/fixtures/generate_nbody4.txt: the synth-ratio column and the
 # generated events are what the per-source inter-arrival fits feed),
 # a serve smoke (a server on an ephemeral port, the fixture replayed
-# through serve-feed — once from a file, once streamed over stdin with
-# --trace - — and each final report diffed against offline characterize
-# --no-replay: the wire must not change a byte), and a no-panic smoke
+# through serve-feed — once from a file, writing its report with --out
+# over an existing file, once streamed over stdin with --trace - — and
+# each final report diffed against offline characterize --no-replay: the
+# wire must not change a byte), and a no-panic smoke
 # (bad processor counts, an oversized trace header, a trace line whose
 # `src` and `bytes` overflow their fields, a trace whose last line
 # repeats an id packed with trace pack — which must also leave no --out
@@ -195,6 +202,17 @@ diff tests/fixtures/engine_diff.replay.streaming.txt "$tmpdir/replay.rec.streami
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --streaming >"$tmpdir/replay.flit.streaming.txt"
 diff tests/fixtures/engine_diff.replay.streaming.flit.txt "$tmpdir/replay.flit.streaming.txt"
 
+echo "==> network section diff (characterize with a replay or an execution loop vs checked-in reports)"
+cargo run --release -q -- characterize cholesky --procs 8 --scale tiny >"$tmpdir/net.chol.txt"
+diff tests/fixtures/cholesky8.characterize.txt "$tmpdir/net.chol.txt"
+cargo run --release -q -- characterize cholesky --procs 8 --scale tiny --engine flit --topology torus \
+    --sim-jobs 2 >"$tmpdir/net.chol.flit.txt"
+diff tests/fixtures/cholesky8.characterize.flit.torus.txt "$tmpdir/net.chol.flit.txt"
+cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --engine recurrence >"$tmpdir/net.trace.txt"
+diff tests/fixtures/engine_diff.characterize.replay.txt "$tmpdir/net.trace.txt"
+cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/net.trace.flit.txt"
+diff tests/fixtures/engine_diff.characterize.replay.flit.txt "$tmpdir/net.trace.flit.txt"
+
 echo "==> fit fixture diff (characterize --no-replay vs checked-in report)"
 cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --no-replay >"$tmpdir/fixture.sig.txt"
 diff tests/fixtures/engine_diff.characterize.txt "$tmpdir/fixture.sig.txt"
@@ -267,8 +285,11 @@ if [ -z "$addr" ]; then
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+# The first session's report goes to --out over an existing file, which
+# is replaced whole.
+echo stale >"$tmpdir/sig.served.txt"
 cargo run --release -q -- serve-feed --trace "$tmpdir/t.jsonl" --addr "$addr" \
-    --block-len 11 --poll-every 2 >"$tmpdir/sig.served.txt" 2>/dev/null
+    --block-len 11 --poll-every 2 --out "$tmpdir/sig.served.txt" >/dev/null 2>&1
 # Second session: the same events streamed block-by-block over stdin
 # (--trace -), the live-producer path, then a protocol shutdown.
 cargo run --release -q -- serve-feed --trace - --addr "$addr" \

@@ -13,7 +13,7 @@ use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, suite_table, suite_timing};
 use commchar_core::suite::SuiteRunner;
 use commchar_core::{acquire, characterize, synthesize, RunError, RunSpec, Workload};
-use commchar_mesh::{EngineKind, LogSink, MeshConfig, NetLog, Routing, StreamingLog, Topology};
+use commchar_mesh::{EngineKind, MeshConfig, NetTally, Routing, Topology};
 use commchar_serve::{ServeClient, ServeError};
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, JsonlWriter};
@@ -64,6 +64,22 @@ pub fn write_stdout(bytes: &[u8]) -> Result<(), CliError> {
         .write_all(bytes)
         .and_then(|()| stdout.flush())
         .map_err(|e| CliError(format!("writing stdout: {e}")))
+}
+
+/// Writes `text` to `out` all or nothing, as `trace pack` writes, or to
+/// stdout through [`write_stdout`].
+///
+/// # Errors
+///
+/// A failure writing `out` (which leaves an existing `out` as it was) or
+/// stdout.
+pub fn emit(text: &str, out: Option<&str>) -> Result<(), CliError> {
+    match out {
+        Some(path) => replace_file(path, |w| {
+            w.write_all(text.as_bytes()).map_err(|e| CliError(format!("writing {path}: {e}")))
+        }),
+        None => write_stdout(text.as_bytes()),
+    }
 }
 
 /// Writes `text` to stderr, ignoring a failed write: a diagnostic whose
@@ -178,16 +194,15 @@ pub fn cmd_characterize_app(spec: RunSpec, jobs: usize) -> Result<String, CliErr
 /// spatial distributions; the report text does not depend on it.
 pub fn cmd_characterize_trace(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace_file(path, jobs)?;
-    let (mesh, netlog) = replay_with(&trace, spec, |_| NetLog::new())?;
-    let exec = netlog.summary().span;
+    let (mesh, network) = replay(&trace, spec)?;
     let w = Workload {
         name: "trace".to_string(),
         class: commchar_apps::AppClass::MessagePassing,
         nprocs: trace.nodes(),
         mesh,
         trace,
-        netlog,
-        exec_ticks: exec,
+        exec_ticks: network.span(),
+        network,
     };
     report_signature(&w, jobs)
 }
@@ -233,60 +248,58 @@ pub fn cmd_characterize_stream(
 }
 
 /// `commchar generate <app>`: fit an application and produce a synthetic
-/// trace of the same span, seeded by `spec.seed`.
+/// trace of the same span, seeded by `spec.seed`. The acquired workload
+/// is dropped before the synthetic trace is generated, so one trace is
+/// held at a time.
 pub fn cmd_generate_trace(spec: RunSpec) -> Result<CommTrace, CliError> {
     let w = acquire(&spec)?;
     let sig = characterize(&w, 1).map_err(RunError::from)?;
-    let model = synthesize(&sig, w.mesh);
-    let span = w.netlog.summary().span.max(1);
-    Ok(model.generate(span, spec.seed))
+    let (span, mesh) = (w.network.span().max(1), w.mesh);
+    drop(w);
+    Ok(synthesize(&sig, mesh).generate(span, spec.seed))
 }
 
 /// Causally replays `trace` through a network sized for it with `spec`'s
-/// topology, routing policy, engine and simulator shards, delivering into
-/// the sink `make_sink` builds for that network.
-fn replay_with<S: LogSink>(
-    trace: &CommTrace,
-    spec: RunSpec,
-    make_sink: impl FnOnce(&MeshConfig) -> S,
-) -> Result<(MeshConfig, S), CliError> {
+/// topology, routing policy, engine and simulator shards, folding every
+/// delivered message into a [`NetTally`].
+fn replay(trace: &CommTrace, spec: RunSpec) -> Result<(MeshConfig, NetTally), CliError> {
     let mesh = MeshConfig::for_nodes_net(trace.nodes(), spec.topology, spec.routing);
-    let sink = CausalReplayer::new(mesh)
-        .try_replay_into(trace, spec.engine, spec.sim_jobs, make_sink(&mesh))
+    let tally = CausalReplayer::new(mesh)
+        .try_replay_into(trace, spec.engine, spec.sim_jobs, NetTally::new())
         .map_err(|e| CliError(e.to_string()))?;
-    Ok((mesh, sink))
+    Ok((mesh, tally))
 }
 
 /// `commchar replay --trace FILE --streaming [--jobs N]`: causal replay
-/// accumulating online statistics only. It drops the per-message record
-/// log (quantiles become histogram-approximate, means stay exact); the
-/// trace is still loaded whole and the replayer keeps state for every
-/// event. Accepts either trace format, sniffed by magic bytes, read
-/// through [`TraceFile`] on `jobs` workers.
+/// reporting the exact latency quantiles and the per-source injection
+/// inter-arrival moments in place of the naive comparison. Like
+/// [`cmd_replay`] it keeps no per-message record; the trace is loaded
+/// whole and the replayer keeps state for every event. Accepts either
+/// trace format, sniffed by magic bytes, read through [`TraceFile`] on
+/// `jobs` workers.
 pub fn cmd_replay_streaming(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace_file(path, jobs)?;
-    let (_, stream) = replay_with(&trace, spec, |m| StreamingLog::new(m.shape.nodes()))?;
-    let s = stream.summary();
+    let (_, tally) = replay(&trace, spec)?;
+    let s = tally.summary();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "replayed {} messages on a {} -node {} ({}streaming, {} histogram bins)",
+        "replayed {} messages on a {} -node {} ({}streaming)",
         s.messages,
         trace.nodes(),
         spec.topology.name(),
-        engine_tag(spec.engine),
-        stream.latency_histogram().bins()
+        engine_tag(spec.engine)
     );
     let _ = writeln!(
         out,
-        "causal: mean latency {:.1} (≈median {:.0}, ≈p95 {:.0}), blocked {:.1}",
+        "causal: mean latency {:.1} (median {:.0}, p95 {:.0}), blocked {:.1}",
         s.mean_latency, s.median_latency, s.p95_latency, s.mean_blocked
     );
     let _ = writeln!(
         out,
         "inter-arrival: mean {:.1}, cv {:.2}; throughput {:.4} bytes/tick",
-        stream.interarrival().mean(),
-        stream.interarrival().cv(),
+        tally.interarrival().mean(),
+        tally.interarrival().cv(),
         s.throughput
     );
     Ok(out)
@@ -299,9 +312,9 @@ pub fn cmd_replay_streaming(path: &str, jobs: usize, spec: RunSpec) -> Result<St
 /// bytes, read through [`TraceFile`] on `jobs` workers.
 pub fn cmd_replay(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace_file(path, jobs)?;
-    let (mesh, causal) = replay_with(&trace, spec, |_| NetLog::new())?;
+    let (mesh, causal) = replay(&trace, spec)?;
     let causal = causal.summary();
-    let naive = CausalReplayer::new(mesh).replay_naive(&trace).summary();
+    let naive = CausalReplayer::new(mesh).replay_naive(&trace, NetTally::new()).summary();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -460,20 +473,41 @@ pub fn save_trace(
     packed: bool,
     block_len: usize,
 ) -> Result<(), CliError> {
-    replace_file(out, |sink| {
-        if packed {
-            let block_len = if block_len == 0 { DEFAULT_BLOCK_LEN } else { block_len };
-            let mut w = TraceWriter::with_block_len(sink, trace.nodes(), block_len)
-                .map_err(writing(out))?;
-            trace.events().iter().try_for_each(|&e| w.push(e)).map_err(writing(out))?;
-            w.finish().map_err(writing(out))?;
-        } else {
-            let mut w = JsonlWriter::new(sink, trace.nodes()).map_err(writing(out))?;
-            trace.events().iter().try_for_each(|e| w.push(e)).map_err(writing(out))?;
-            w.finish().map_err(writing(out))?;
-        }
-        Ok(())
-    })
+    replace_file(out, |sink| write_trace(trace, sink, out, packed, block_len))
+}
+
+/// `generate` without `--out`: writes `trace` to stdout as JSON-lines, a
+/// buffer at a time, without building the whole text in memory.
+///
+/// # Errors
+///
+/// `writing stdout: …` with the I/O error.
+pub fn print_trace(trace: &CommTrace) -> Result<(), CliError> {
+    write_trace(trace, &mut BufWriter::new(std::io::stdout().lock()), "stdout", false, 0)
+}
+
+/// Writes `trace` to `sink` — packed with `block_len` events per block
+/// (`0` = the format default), or as JSON-lines — naming `name` in an
+/// error.
+fn write_trace(
+    trace: &CommTrace,
+    sink: &mut impl Write,
+    name: &str,
+    packed: bool,
+    block_len: usize,
+) -> Result<(), CliError> {
+    if packed {
+        let block_len = if block_len == 0 { DEFAULT_BLOCK_LEN } else { block_len };
+        let mut w =
+            TraceWriter::with_block_len(sink, trace.nodes(), block_len).map_err(writing(name))?;
+        trace.events().iter().try_for_each(|&e| w.push(e)).map_err(writing(name))?;
+        w.finish().map_err(writing(name))?;
+    } else {
+        let mut w = JsonlWriter::new(sink, trace.nodes()).map_err(writing(name))?;
+        trace.events().iter().try_for_each(|e| w.push(e)).map_err(writing(name))?;
+        w.finish().map_err(writing(name))?;
+    }
+    Ok(())
 }
 
 /// `commchar trace cat FILE [--out OUT] [--jobs N]`: print a trace

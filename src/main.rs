@@ -103,12 +103,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Writes `text` to `out`, or to stdout through [`cli::write_stdout`].
+/// Writes `text` to `out` all or nothing, or to stdout ([`cli::emit`]).
 fn emit(text: &str, out: &Option<String>) -> Result<(), String> {
-    match out {
-        Some(path) => std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}")),
-        None => cli::write_stdout(text.as_bytes()).map_err(|e| e.0),
-    }
+    cli::emit(text, out.as_deref()).map_err(|e| e.0)
 }
 
 /// Refuses `--packed` without `--out`: packed output is binary, so it
@@ -160,7 +157,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             let spec = app_spec(&args, "generate needs an application name")?;
             check_packed_out(&args)?;
             let trace = cli::cmd_generate_trace(spec).map_err(|e| e.0)?;
-            let Some(path) = &args.out else { return emit(&trace.to_jsonl(), &None) };
+            let Some(path) = &args.out else { return cli::print_trace(&trace).map_err(|e| e.0) };
             cli::save_trace(&trace, path, args.packed, args.block_len).map_err(|e| e.0)
         }
         Some("replay") => {

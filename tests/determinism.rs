@@ -2,6 +2,8 @@
 //! of host thread scheduling, and the shared-memory runs are pinned to
 //! golden values so a rewrite of the simulator cannot move one event.
 
+mod common;
+
 use commchar::core::{acquire, characterize, RunSpec};
 use commchar::mesh::{EngineKind, NetLog, Routing, Topology};
 use commchar::sp2::{run_mp, Sp2Config};
@@ -29,11 +31,16 @@ fn netlog_digest(log: &NetLog) -> u32 {
     fnv1a(&bytes)
 }
 
-/// `(exec ticks, messages, fnv1a(pack_trace), netlog_digest)` of an
-/// acquired workload.
+/// `(exec ticks, messages, fnv1a(pack_trace), netlog_digest)` of `spec`'s
+/// acquisition through the record path. The workload `acquire` gives for
+/// the same spec carries the same run, and its network summary equals the
+/// records' summary bit for bit (floats print shortest-roundtrip).
 fn fingerprint(spec: &RunSpec) -> (u64, usize, u32, u32) {
+    let (out, log) = common::acquire_records(spec);
     let w = acquire(spec).unwrap();
-    (w.exec_ticks, w.trace.len(), fnv1a(&pack_trace(&w.trace)), netlog_digest(&w.netlog))
+    assert_eq!((w.exec_ticks, w.trace.events()), (out.exec_ticks, out.trace.events()));
+    assert_eq!(format!("{:?}", w.network.summary()), format!("{:?}", log.summary()));
+    (out.exec_ticks, out.trace.len(), fnv1a(&pack_trace(&out.trace)), netlog_digest(&log))
 }
 
 #[test]
@@ -156,14 +163,14 @@ fn sp2_collectives_match_golden_values() {
 #[test]
 fn shared_memory_runs_are_deterministic() {
     for &app in &[AppId::Is, AppId::Cholesky, AppId::Maxflow] {
-        let a = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
-        let b = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
+        let (a, a_log) = common::acquire_records(&RunSpec::new(app, 4, Scale::Tiny, 42));
+        let (b, b_log) = common::acquire_records(&RunSpec::new(app, 4, Scale::Tiny, 42));
         assert_eq!(a.exec_ticks, b.exec_ticks, "{app}: exec time differs");
         assert_eq!(a.trace.len(), b.trace.len(), "{app}: trace length differs");
         for (x, y) in a.trace.events().iter().zip(b.trace.events()) {
             assert_eq!(x, y, "{app}: trace event differs");
         }
-        for (x, y) in a.netlog.records().iter().zip(b.netlog.records()) {
+        for (x, y) in a_log.records().iter().zip(b_log.records()) {
             assert_eq!(x, y, "{app}: network record differs");
         }
     }

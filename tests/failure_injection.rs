@@ -6,7 +6,7 @@
 use commchar::apps::{AppError, AppId, Scale};
 use commchar::core::suite::{cell_matrix, SuiteRunner};
 use commchar::core::{acquire, RunError, RunSpec};
-use commchar::mesh::{EngineError, EngineKind, MeshConfig, StreamingLog};
+use commchar::mesh::{EngineError, EngineKind, MeshConfig, NetTally};
 use commchar::serve::{ServeClient, ServeConfig, ServeError, Server};
 use commchar::sp2::{run_mp, Sp2Config};
 use commchar::spasm::{run, MachineConfig};
@@ -35,6 +35,7 @@ fn spasm_processor_panic_propagates() {
                 ctx.write(r, ctx.proc_id(), 1).await;
                 ctx.barrier(0).await;
             },
+            NetTally::new(),
         );
     });
     assert!(failed, "engine must propagate a processor panic");
@@ -51,6 +52,7 @@ fn spasm_panic_before_any_traffic_propagates() {
                     panic!("immediate fault");
                 }
             },
+            NetTally::new(),
         );
     });
     assert!(failed);
@@ -84,6 +86,7 @@ fn spasm_panic_carries_the_body_payload() {
                         }
                         ctx.barrier(0).await;
                     },
+                    NetTally::new(),
                 );
             });
             assert_eq!(msg, "injected application fault", "p{faulty} sim_jobs {sim_jobs}");
@@ -106,6 +109,7 @@ fn spasm_body_awaiting_a_foreign_future_is_named_as_misuse() {
                     }
                     ctx.barrier(0).await;
                 },
+                NetTally::new(),
             );
         });
         assert!(
@@ -168,6 +172,7 @@ fn out_of_bounds_shared_access_is_caught() {
             |mut ctx, r| async move {
                 let _ = ctx.read(r, 64).await; // past the region
             },
+            NetTally::new(),
         );
     });
     assert!(failed);
@@ -216,6 +221,7 @@ fn deadlocked_application_is_detected() {
                     ctx.lock(7).await; // waits forever
                 }
             },
+            NetTally::new(),
         );
     });
     assert!(failed, "engine must detect the blocked processor");
@@ -298,7 +304,7 @@ fn replay_errors_are_typed_through_the_consolidated_api() {
     let too_small = ReplayError::MeshTooSmall { trace_nodes: 16, mesh_nodes: 4 };
     for kind in [EngineKind::Recurrence, EngineKind::flit()] {
         assert_eq!(rep.try_replay(&wide, kind).unwrap_err(), too_small);
-        let sink = StreamingLog::new(4);
+        let sink = NetTally::new();
         assert_eq!(rep.try_replay_into(&wide, kind, 2, sink).unwrap_err(), too_small);
     }
     // A dependency on a never-sent message would stall the causal

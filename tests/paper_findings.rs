@@ -38,8 +38,8 @@ fn fft1d_is_spatially_spread() {
 fn fft3d_count_favorite_volume_uniform() {
     let w = acquire(&RunSpec::new(AppId::Fft3d, 8, Scale::Tiny, 42)).unwrap();
     let n = w.nprocs;
-    let counts = w.netlog.spatial_counts(n);
-    let bytes = w.netlog.volume_bytes(n);
+    let counts = w.trace.spatial_counts();
+    let bytes = w.trace.volume_bytes();
     let total_msgs: u64 = counts.iter().flatten().sum();
     let total_bytes: u64 = bytes.iter().flatten().sum();
     let m0: u64 = (0..n).map(|s| counts[s][0]).sum();
@@ -60,8 +60,8 @@ fn fft3d_count_favorite_volume_uniform() {
 fn mg_is_more_local_than_fft3d() {
     let mg = acquire(&RunSpec::new(AppId::Mg, 8, Scale::Tiny, 42)).unwrap();
     let fft = acquire(&RunSpec::new(AppId::Fft3d, 8, Scale::Tiny, 42)).unwrap();
-    let mg_hops = mg.netlog.summary().mean_hops;
-    let fft_hops = fft.netlog.summary().mean_hops;
+    let mg_hops = mg.network.summary().mean_hops;
+    let fft_hops = fft.network.summary().mean_hops;
     assert!(
         mg_hops < fft_hops,
         "MG ({mg_hops:.2} hops) should be more local than 3D-FFT ({fft_hops:.2})"
@@ -73,7 +73,7 @@ fn mg_is_more_local_than_fft3d() {
 #[test]
 fn sm_lengths_are_bimodal() {
     let w = acquire(&RunSpec::new(AppId::Cholesky, 4, Scale::Tiny, 42)).unwrap();
-    let mut lengths: Vec<u32> = w.netlog.lengths();
+    let mut lengths: Vec<u32> = w.trace.events().iter().map(|e| e.bytes).collect();
     lengths.sort_unstable();
     lengths.dedup();
     assert!(lengths.len() <= 3, "protocol traffic has few distinct sizes: {lengths:?}");

@@ -1,20 +1,25 @@
 //! Integration: the full characterization pipeline over every application
 //! at tiny scale.
 
+mod common;
+
 use commchar::core::{acquire, characterize, synthesize, RunSpec};
 use commchar_apps::{AppClass, AppId, Scale};
 
 #[test]
 fn every_application_characterizes() {
     for &app in AppId::all() {
-        let w = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
+        let spec = RunSpec::new(app, 4, Scale::Tiny, 42);
+        let w = acquire(&spec).unwrap();
         assert!(!w.trace.is_empty(), "{app}: empty trace");
+        let (_, log) = common::acquire_records(&spec);
         assert_eq!(
             w.trace.len(),
-            w.netlog.records().len(),
+            log.records().len(),
             "{app}: every traced message must appear in the network log"
         );
-        w.netlog.check_invariants(w.mesh.shape).unwrap_or_else(|e| panic!("{app}: {e}"));
+        assert_eq!(w.network.messages(), log.records().len() as u64, "{app}: tally count");
+        log.check_invariants(w.mesh.shape).unwrap_or_else(|e| panic!("{app}: {e}"));
         w.trace.check().unwrap_or_else(|e| panic!("{app}: {e}"));
 
         let sig = characterize(&w, 1).unwrap();
@@ -50,7 +55,7 @@ fn synthesis_round_trip_all_apps() {
         let w = acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap();
         let sig = characterize(&w, 1).unwrap();
         let model = synthesize(&sig, w.mesh);
-        let span = w.netlog.summary().span.max(1000);
+        let span = w.network.span().max(1000);
         let synth = model.generate(span, 3);
         assert!(!synth.is_empty(), "{app}: fitted model generated nothing");
         synth.check().unwrap();
