@@ -5,6 +5,7 @@
 
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::table;
+use commchar_stats::spatial::normalize;
 
 fn main() {
     let opts = ExpOptions::from_env();
@@ -14,8 +15,10 @@ fn main() {
     );
     for (w, sig) in run_suite(opts) {
         println!("\n--- {} ---", sig.name);
+        let counts = w.trace.spatial_counts();
         for src in [0usize, 1] {
-            let Some(sp) = &sig.spatial[src] else {
+            let (Some(sp), Some(observed)) = (&sig.spatial[src], normalize(&counts[src], src))
+            else {
                 println!("p{src}: sent no messages");
                 continue;
             };
@@ -24,17 +27,13 @@ fn main() {
                 shape.hop_distance(commchar_mesh::NodeId(a as u16), commchar_mesh::NodeId(b as u16))
                     as f64
             };
-            let pred = sp.fit.model.predict(src, sig.nprocs, &dist_fn);
+            let pred = sp.model.predict(src, sig.nprocs, &dist_fn);
             let rows: Vec<Vec<String>> = (0..sig.nprocs)
                 .map(|d| {
-                    vec![
-                        format!("p{d}"),
-                        format!("{:.4}", sp.observed[d]),
-                        format!("{:.4}", pred[d]),
-                    ]
+                    vec![format!("p{d}"), format!("{:.4}", observed[d]), format!("{:.4}", pred[d])]
                 })
                 .collect();
-            println!("p{src} -> model {} (SSE {:.5})", sp.fit.model, sp.fit.sse);
+            println!("p{src} -> model {} (SSE {:.5})", sp.model, sp.sse);
             println!("{}", table(&["dest", "observed", "model"], &rows));
         }
     }

@@ -5,6 +5,7 @@
 
 use commchar_bench::{run_suite, ExpOptions};
 use commchar_core::report::{spatial_consensus, table};
+use commchar_stats::spatial::{normalize, SpatialFit};
 
 fn main() {
     let opts = ExpOptions::from_env();
@@ -14,13 +15,16 @@ fn main() {
     );
     let rows: Vec<Vec<String>> = run_suite(opts)
         .iter()
-        .map(|(_, sig)| {
-            let fits: Vec<&commchar_core::SpatialSig> = sig.spatial.iter().flatten().collect();
-            let mean_sse = fits.iter().map(|s| s.fit.sse).sum::<f64>() / fits.len().max(1) as f64;
+        .map(|(w, sig)| {
+            let fits: Vec<&SpatialFit> = sig.spatial.iter().flatten().collect();
+            let mean_sse = fits.iter().map(|s| s.sse).sum::<f64>() / fits.len().max(1) as f64;
             // Favourite concentration: mean max destination probability.
-            let mean_peak =
-                fits.iter().map(|s| s.observed.iter().cloned().fold(0.0, f64::max)).sum::<f64>()
-                    / fits.len().max(1) as f64;
+            let counts = w.trace.spatial_counts();
+            let peaks: Vec<f64> = (0..sig.nprocs)
+                .filter_map(|s| normalize(&counts[s], s))
+                .map(|p| p.iter().cloned().fold(0.0, f64::max))
+                .collect();
+            let mean_peak = peaks.iter().sum::<f64>() / peaks.len().max(1) as f64;
             vec![
                 sig.name.clone(),
                 sig.class.name().to_string(),

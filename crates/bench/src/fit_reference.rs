@@ -15,11 +15,11 @@
 //!
 //! Nothing here should be used outside the benchmark harness.
 
-use commchar_core::{CommSignature, SpatialSig, TemporalSig, VolumeSig, Workload};
+use commchar_core::{CommSignature, TemporalSig, VolumeSig, Workload};
 use commchar_stats::fit::FitResult;
 use commchar_stats::gof::{ks_statistic, r_squared_cdf};
 use commchar_stats::secant::{minimize, SecantOptions};
-use commchar_stats::spatial::{classify_with_count, normalize};
+use commchar_stats::spatial::{classify_with_count, normalize, SpatialFit};
 use commchar_stats::{Dist, Ecdf, Family};
 use commchar_trace::profile::{interarrival_aggregate, interarrival_by_source};
 use commchar_traffic::LengthDist;
@@ -314,12 +314,11 @@ pub fn characterize_reference(w: &Workload) -> (CommSignature, Vec<Option<FitRes
         shape.hop_distance(commchar_mesh::NodeId(a as u16), commchar_mesh::NodeId(b as u16)) as f64
     };
     let counts = w.trace.spatial_counts();
-    let spatial: Vec<Option<SpatialSig>> = (0..n)
+    let spatial: Vec<Option<SpatialFit>> = (0..n)
         .map(|s| {
             let observed = normalize(&counts[s], s)?;
             let sent: u64 = counts[s].iter().sum();
-            let fit = classify_with_count(&observed, s, &dist_fn, Some(sent));
-            Some(SpatialSig { observed, fit })
+            Some(classify_with_count(&observed, s, &dist_fn, Some(sent)))
         })
         .collect();
 

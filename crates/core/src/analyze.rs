@@ -24,7 +24,7 @@
 
 use commchar_mesh::MeshShape;
 use commchar_stats::fit::FitContext;
-use commchar_stats::spatial::{classify_with_count, normalize};
+use commchar_stats::spatial::{classify_with_count, normalize, SpatialFit};
 use commchar_trace::profile::{
     BlockTally, SegmentExtract, SegmentSeam, StreamAccum, StreamExtract, UnsortedError,
 };
@@ -32,7 +32,7 @@ use commchar_trace::CommTrace;
 use commchar_tracestore::PackedReader;
 use commchar_traffic::LengthDist;
 
-use crate::{CharError, SpatialSig, TemporalSig, VolumeSig, MIN_SAMPLES};
+use crate::{CharError, TemporalSig, VolumeSig, MIN_SAMPLES};
 
 /// The trace-derived portion of a communication signature: the paper's
 /// temporal, spatial and volume attributes, without the network-behaviour
@@ -43,8 +43,9 @@ pub struct TraceAnalysis {
     pub nodes: usize,
     /// Temporal attribute (aggregate fit, per-source gaps, burstiness).
     pub temporal: TemporalSig,
-    /// Spatial attribute, per source (None when the source sent nothing).
-    pub spatial: Vec<Option<SpatialSig>>,
+    /// Spatial attribute: each source's fitted destination model (None
+    /// when the source sent nothing).
+    pub spatial: Vec<Option<SpatialFit>>,
     /// Volume attribute.
     pub volume: VolumeSig,
 }
@@ -179,17 +180,17 @@ pub fn try_analyze_extract(
     // Spatial: per-source destination histograms (the profile's
     // destination-count rows), classified by regression against
     // uniform / bimodal-uniform / locality-decay, claimed by whichever
-    // worker is free and returned in source order.
+    // worker is free and returned in source order. Only the fit is kept:
+    // each normalized row is dropped on its worker.
     let dist_fn = move |a: usize, b: usize| {
         shape.hop_distance(commchar_mesh::NodeId(a as u16), commchar_mesh::NodeId(b as u16)) as f64
     };
     let nodes = profile.sources.len();
-    let spatial: Vec<Option<SpatialSig>> = commchar_pool::run_indexed(jobs, nodes, |s| {
+    let spatial: Vec<Option<SpatialFit>> = commchar_pool::run_indexed(jobs, nodes, |s| {
         let counts = &profile.sources[s].dest_counts;
         let observed = normalize(counts, s)?;
         let sent: u64 = counts.iter().sum();
-        let fit = classify_with_count(&observed, s, &dist_fn, Some(sent));
-        Some(SpatialSig { observed, fit })
+        Some(classify_with_count(&observed, s, &dist_fn, Some(sent)))
     });
 
     // Volume.

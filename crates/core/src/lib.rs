@@ -262,15 +262,6 @@ impl TemporalSig {
     }
 }
 
-/// The spatial attribute for one source.
-#[derive(Debug)]
-pub struct SpatialSig {
-    /// Observed destination probabilities.
-    pub observed: Vec<f64>,
-    /// The fitted model classification.
-    pub fit: SpatialFit,
-}
-
 /// The volume attribute.
 #[derive(Debug)]
 pub struct VolumeSig {
@@ -298,8 +289,9 @@ pub struct CommSignature {
     pub nprocs: usize,
     /// Temporal attribute.
     pub temporal: TemporalSig,
-    /// Spatial attribute, per source (None when the source sent nothing).
-    pub spatial: Vec<Option<SpatialSig>>,
+    /// Spatial attribute: each source's fitted destination model (None
+    /// when the source sent nothing).
+    pub spatial: Vec<Option<SpatialFit>>,
     /// Volume attribute.
     pub volume: VolumeSig,
     /// Network behaviour summary (latency, contention, throughput).
@@ -444,7 +436,7 @@ pub fn synthesize(sig: &CommSignature, mesh: MeshConfig) -> TrafficModel {
     };
     let sources = (0..n)
         .map(|s| {
-            let spatial_sig = sig.spatial[s].as_ref()?;
+            let spatial_fit = sig.spatial[s].as_ref()?;
             let interarrival = match sig.temporal.source_fit(s) {
                 Some(fit) => fit.dist,
                 None => {
@@ -458,7 +450,7 @@ pub fn synthesize(sig: &CommSignature, mesh: MeshConfig) -> TrafficModel {
                     Dist::exponential(1.0 / mean.max(1.0))
                 }
             };
-            let spatial = spatial_sig.fit.model.predict(s, n, &dist_fn);
+            let spatial = spatial_fit.model.predict(s, n, &dist_fn);
             Some(SourceModel { interarrival, spatial, length: sig.volume.lengths.clone() })
         })
         .collect();
@@ -545,6 +537,7 @@ pub fn synthesize_phased(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commchar_stats::spatial::normalize;
 
     fn tiny(app: AppId) -> Workload {
         acquire(&RunSpec::new(app, 4, Scale::Tiny, 42)).unwrap()
@@ -738,21 +731,21 @@ mod tests {
     fn mp_collectives_make_p0_the_favorite() {
         let w = tiny(AppId::Fft3d);
         let sig = sig(&w);
-        // At least one non-zero source classifies p0 as favorite or shows
-        // p0-dominated observed traffic.
+        // At least two sources other than p0 send most of their messages
+        // to p0.
+        let counts = w.trace.spatial_counts();
         let mut favored = 0;
         for (s, sp) in sig.spatial.iter().enumerate() {
-            if s == 0 {
+            if s == 0 || sp.is_none() {
                 continue;
             }
-            if let Some(sp) = sp {
-                let max_j = (0..sig.nprocs)
-                    .filter(|&j| j != s)
-                    .max_by(|&a, &b| sp.observed[a].partial_cmp(&sp.observed[b]).unwrap())
-                    .unwrap();
-                if max_j == 0 {
-                    favored += 1;
-                }
+            let observed = normalize(&counts[s], s).unwrap();
+            let max_j = (0..sig.nprocs)
+                .filter(|&j| j != s)
+                .max_by(|&a, &b| observed[a].partial_cmp(&observed[b]).unwrap())
+                .unwrap();
+            if max_j == 0 {
+                favored += 1;
             }
         }
         assert!(favored >= 2, "p0 should dominate destination histograms, favored={favored}");

@@ -1,8 +1,11 @@
 //! Plain-text table rendering for the experiment regenerators.
 
+use commchar_mesh::NetSummary;
+use commchar_stats::spatial::SpatialFit;
+
 use crate::analyze::TraceAnalysis;
 use crate::suite::SuiteReport;
-use crate::{CommSignature, SpatialSig, TemporalSig, VolumeSig};
+use crate::{CommSignature, TemporalSig, VolumeSig};
 
 /// Renders a fixed-width table: header row plus data rows.
 ///
@@ -62,11 +65,11 @@ pub fn temporal_row(sig: &CommSignature) -> Vec<String> {
 
 /// Majority spatial classification across sources, e.g. `bimodal-uniform
 /// (6/8 sources)` — pass a signature's or analysis's `spatial` field.
-pub fn spatial_consensus(spatial: &[Option<SpatialSig>]) -> String {
+pub fn spatial_consensus(spatial: &[Option<SpatialFit>]) -> String {
     let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
     let mut total = 0;
     for sp in spatial.iter().flatten() {
-        *counts.entry(sp.fit.model.name()).or_insert(0) += 1;
+        *counts.entry(sp.model.name()).or_insert(0) += 1;
         total += 1;
     }
     match counts.iter().max_by_key(|&(_, &c)| c) {
@@ -167,18 +170,14 @@ fn temporal_section(out: &mut String, temporal: &TemporalSig) {
 
 /// Writes the spatial-attribute section shared by [`signature_report`]
 /// and [`analysis_report`].
-fn spatial_section(out: &mut String, spatial: &[Option<SpatialSig>]) {
+fn spatial_section(out: &mut String, spatial: &[Option<SpatialFit>]) {
     use std::fmt::Write as _;
     let _ = writeln!(out, "spatial attribute");
     let _ = writeln!(out, "  consensus: {}", spatial_consensus(spatial));
     let mut rows = Vec::new();
     for (s, sp) in spatial.iter().enumerate() {
         if let Some(sp) = sp {
-            rows.push(vec![
-                format!("p{s}"),
-                sp.fit.model.to_string(),
-                format!("{:.5}", sp.fit.sse),
-            ]);
+            rows.push(vec![format!("p{s}"), sp.model.to_string(), format!("{:.5}", sp.sse)]);
         }
     }
     let _ = writeln!(out, "{}", table(&["source", "model", "SSE"], &rows));
@@ -211,13 +210,18 @@ pub fn signature_report(sig: &CommSignature) -> String {
     volume_section(&mut out, &sig.volume);
     let _ = writeln!(out);
     let _ = writeln!(out, "network behaviour");
-    let n = &sig.network;
-    let _ = writeln!(
-        out,
-        "  mean latency {:.1} (median {:.0}, p95 {:.0}), blocked {:.1}, {:.2} hops, {:.4} bytes/tick",
-        n.mean_latency, n.median_latency, n.p95_latency, n.mean_blocked, n.mean_hops, n.throughput
-    );
+    let _ = writeln!(out, "  {}", network_line(&sig.network));
     out
+}
+
+/// The network-behaviour line of [`signature_report`], without its
+/// indent: mean, median and p95 latency, mean blocked time, mean hops
+/// and throughput. `replay` prints it for the causal and the naive run.
+pub fn network_line(n: &NetSummary) -> String {
+    format!(
+        "mean latency {:.1} (median {:.0}, p95 {:.0}), blocked {:.1}, {:.2} hops, {:.4} bytes/tick",
+        n.mean_latency, n.median_latency, n.p95_latency, n.mean_blocked, n.mean_hops, n.throughput
+    )
 }
 
 /// Renders the trace-only analysis report: the same temporal / spatial /

@@ -65,7 +65,7 @@ proptest! {
             .spatial
             .iter()
             .flatten()
-            .filter(|s| s.fit.model == SpatialModel::Uniform)
+            .filter(|s| s.model == SpatialModel::Uniform)
             .count();
         prop_assert!(uniform * 3 >= n * 2, "only {uniform}/{n} classified uniform");
 
@@ -90,7 +90,7 @@ proptest! {
             }
             if let Some(sp) = sp {
                 classified += 1;
-                if let SpatialModel::BimodalUniform { favorite, .. } = sp.fit.model {
+                if let SpatialModel::BimodalUniform { favorite, .. } = sp.model {
                     if favorite == hot {
                         favored += 1;
                     }

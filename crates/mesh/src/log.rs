@@ -50,8 +50,6 @@ pub struct NetSummary {
     pub p95_latency: f64,
     /// Mean contention (blocked) time per message (ticks).
     pub mean_blocked: f64,
-    /// Mean payload length (bytes).
-    pub mean_bytes: f64,
     /// Mean hop count.
     pub mean_hops: f64,
     /// Total simulated span: last delivery − first injection (ticks).
@@ -202,7 +200,6 @@ mod tests {
         let s = log.summary();
         assert_eq!(s.messages, 2);
         assert_eq!(s.mean_latency, 15.0);
-        assert_eq!(s.mean_bytes, 20.0);
         assert_eq!(s.span, 25);
         assert!((s.throughput - 40.0 / 25.0).abs() < 1e-12);
     }

@@ -43,7 +43,7 @@ impl LogSink for NetLog {
 
 /// The exact network summary, folded one delivered message at a time.
 ///
-/// Latency, blocked time, payload and hops feed Welford accumulators in
+/// Latency, blocked time and hops feed Welford accumulators in
 /// delivery order — the order a [`NetLog`] keeps its records in — and each
 /// distinct latency keeps a count, from which median and p95 are the exact
 /// order statistics a sorted latency vector gives. [`NetLog::summary`]
@@ -74,7 +74,6 @@ impl LogSink for NetLog {
 pub struct NetTally {
     latency: RunningStats,
     blocked: RunningStats,
-    bytes: RunningStats,
     hops: RunningStats,
     /// Messages per distinct latency (ticks).
     latencies: HashMap<u64, u64>,
@@ -100,7 +99,6 @@ impl NetTally {
         NetTally {
             latency: RunningStats::new(),
             blocked: RunningStats::new(),
-            bytes: RunningStats::new(),
             hops: RunningStats::new(),
             latencies: HashMap::new(),
             interarrival: RunningStats::new(),
@@ -186,7 +184,6 @@ impl NetTally {
             median_latency: pick(0.5),
             p95_latency: pick(0.95),
             mean_blocked: self.blocked.mean(),
-            mean_bytes: self.bytes.mean(),
             mean_hops: self.hops.mean(),
             span,
             throughput: if span == 0 { 0.0 } else { self.total_bytes as f64 / span as f64 },
@@ -199,7 +196,6 @@ impl LogSink for NetTally {
         let latency = rec.latency();
         self.latency.record(latency as f64);
         self.blocked.record(rec.blocked() as f64);
-        self.bytes.record(rec.bytes as f64);
         self.hops.record(rec.hops as f64);
         *self.latencies.entry(latency).or_insert(0) += 1;
         let s = rec.src.index();

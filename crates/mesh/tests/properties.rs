@@ -46,7 +46,6 @@ fn arb_msgs(nodes: usize, max: usize) -> impl Strategy<Value = Vec<NetMessage>> 
 fn reference_summary(records: &[MsgRecord]) -> NetSummary {
     let mut lat = RunningStats::new();
     let mut blk = RunningStats::new();
-    let mut len = RunningStats::new();
     let mut hops = RunningStats::new();
     let mut first = u64::MAX;
     let mut last = 0u64;
@@ -54,7 +53,6 @@ fn reference_summary(records: &[MsgRecord]) -> NetSummary {
     for r in records {
         lat.record(r.latency() as f64);
         blk.record(r.blocked() as f64);
-        len.record(r.bytes as f64);
         hops.record(r.hops as f64);
         first = first.min(r.inject);
         last = last.max(r.delivered);
@@ -77,7 +75,6 @@ fn reference_summary(records: &[MsgRecord]) -> NetSummary {
         median_latency: pick(0.5),
         p95_latency: pick(0.95),
         mean_blocked: blk.mean(),
-        mean_bytes: len.mean(),
         mean_hops: hops.mean(),
         span,
         throughput: if span == 0 { 0.0 } else { total_bytes as f64 / span as f64 },
@@ -85,14 +82,13 @@ fn reference_summary(records: &[MsgRecord]) -> NetSummary {
 }
 
 /// Every field of a summary, each `f64` as its bits.
-fn summary_bits(s: &NetSummary) -> [u64; 9] {
+fn summary_bits(s: &NetSummary) -> [u64; 8] {
     [
         s.messages,
         s.mean_latency.to_bits(),
         s.median_latency.to_bits(),
         s.p95_latency.to_bits(),
         s.mean_blocked.to_bits(),
-        s.mean_bytes.to_bits(),
         s.mean_hops.to_bits(),
         s.span,
         s.throughput.to_bits(),
@@ -101,7 +97,7 @@ fn summary_bits(s: &NetSummary) -> [u64; 9] {
 
 /// Checks that a [`NetTally`] fed `records` in order, and a [`NetLog`]
 /// holding them, both summarize them bit for bit as the reference does.
-fn assert_tally_matches(records: &[MsgRecord]) -> [u64; 9] {
+fn assert_tally_matches(records: &[MsgRecord]) -> [u64; 8] {
     let mut tally = NetTally::new();
     for &r in records {
         tally.record(r);

@@ -16,11 +16,10 @@
 # give the same bytes as from the file), a characterize determinism
 # check (the same workload characterized with --jobs 1 and --jobs 4 must
 # print identical reports), an engine diff (replaying the checked-in
-# fixture trace with --engine recurrence must stay byte-identical to the
-# output captured before the NetEngine refactor, and with --engine flit
-# to the output captured before steady-stream skipping; the --streaming
-# replay with each engine must match the output captured when its
-# quantiles became exact; the
+# fixture trace with --engine recurrence and with --engine flit must
+# stay byte-identical to the output captured when replay began printing
+# the report's network line, whose numbers predate it: the NetEngine
+# refactor, steady-stream skipping and exact quantiles; the
 # recurrence replay read on --jobs 1 and --jobs 3, and of a packed copy
 # from a file and from a pipe, must print the same), a network-section
 # diff (characterize of a shared-memory app on the default network and
@@ -28,7 +27,9 @@
 # --trace of the fixture replayed with each engine, must stay
 # byte-identical to the reports captured before the pipeline stopped
 # keeping a per-message record log: the network behaviour section is
-# folded from the deliveries as they happen), a fit fixture diff
+# folded from the deliveries as they happen; and with each engine,
+# replay's causal line must be the network line of characterize --trace
+# on the same file), a fit fixture diff
 # (characterize --no-replay of the same fixture must stay byte-identical
 # to the report captured before the allocation-free secant solver, so a
 # change to the fitted numbers shows up, and print the same read on
@@ -197,10 +198,6 @@ diff tests/fixtures/engine_diff.replay.txt "$tmpdir/replay.cct.txt"
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/replay.flit.txt"
 diff tests/fixtures/engine_diff.replay.flit.txt "$tmpdir/replay.flit.txt"
 sed 's/^/    /' "$tmpdir/replay.flit.txt"
-cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine recurrence --streaming >"$tmpdir/replay.rec.streaming.txt"
-diff tests/fixtures/engine_diff.replay.streaming.txt "$tmpdir/replay.rec.streaming.txt"
-cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --streaming >"$tmpdir/replay.flit.streaming.txt"
-diff tests/fixtures/engine_diff.replay.streaming.flit.txt "$tmpdir/replay.flit.streaming.txt"
 
 echo "==> network section diff (characterize with a replay or an execution loop vs checked-in reports)"
 cargo run --release -q -- characterize cholesky --procs 8 --scale tiny >"$tmpdir/net.chol.txt"
@@ -212,6 +209,18 @@ cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.
 diff tests/fixtures/engine_diff.characterize.replay.txt "$tmpdir/net.trace.txt"
 cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --engine flit >"$tmpdir/net.trace.flit.txt"
 diff tests/fixtures/engine_diff.characterize.replay.flit.txt "$tmpdir/net.trace.flit.txt"
+# replay and characterize --trace print one network line for one replay.
+same_network_line() {
+    local causal network
+    causal="$(sed -n 's/^causal: //p' "$1")"
+    network="$(sed -n '/^network behaviour$/{n;s/^  //p;}' "$2")"
+    if [ -z "$causal" ] || [ "$causal" != "$network" ]; then
+        echo "check.sh: replay's causal line '$causal' is not the report's '$network'" >&2
+        exit 1
+    fi
+}
+same_network_line "$tmpdir/replay.rec.txt" "$tmpdir/net.trace.txt"
+same_network_line "$tmpdir/replay.flit.txt" "$tmpdir/net.trace.flit.txt"
 
 echo "==> fit fixture diff (characterize --no-replay vs checked-in report)"
 cargo run --release -q -- characterize --trace tests/fixtures/engine_diff.trace.jsonl --no-replay >"$tmpdir/fixture.sig.txt"

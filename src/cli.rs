@@ -10,7 +10,7 @@ use std::io::{BufWriter, Write};
 
 use commchar_apps::{AppId, Scale};
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
-use commchar_core::report::{analysis_report, suite_table, suite_timing};
+use commchar_core::report::{analysis_report, network_line, suite_table, suite_timing};
 use commchar_core::suite::SuiteRunner;
 use commchar_core::{acquire, characterize, synthesize, RunError, RunSpec, Workload};
 use commchar_mesh::{EngineKind, MeshConfig, NetTally, Routing, Topology};
@@ -141,15 +141,6 @@ pub fn parse_routing(s: &str) -> Result<Routing, CliError> {
     Routing::parse(s).ok_or_else(|| CliError(format!("unknown routing {s:?} (dimension|adaptive)")))
 }
 
-/// Header fragment naming a non-default engine ("" for the default, so
-/// recurrence output stays byte-identical to earlier releases).
-fn engine_tag(engine: EngineKind) -> &'static str {
-    match engine {
-        EngineKind::Recurrence => "",
-        EngineKind::FlitLevel => "flit engine; ",
-    }
-}
-
 /// Renders a workload signature as the standard report, fanning the
 /// per-source spatial classifications over `jobs` worker threads (`0` =
 /// one per hardware thread; the report is byte-identical for any value).
@@ -270,70 +261,32 @@ fn replay(trace: &CommTrace, spec: RunSpec) -> Result<(MeshConfig, NetTally), Cl
     Ok((mesh, tally))
 }
 
-/// `commchar replay --trace FILE --streaming [--jobs N]`: causal replay
-/// reporting the exact latency quantiles and the per-source injection
-/// inter-arrival moments in place of the naive comparison. Like
-/// [`cmd_replay`] it keeps no per-message record; the trace is loaded
-/// whole and the replayer keeps state for every event. Accepts either
-/// trace format, sniffed by magic bytes, read through [`TraceFile`] on
-/// `jobs` workers.
-pub fn cmd_replay_streaming(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
-    let trace = load_trace_file(path, jobs)?;
-    let (_, tally) = replay(&trace, spec)?;
-    let s = tally.summary();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "replayed {} messages on a {} -node {} ({}streaming)",
-        s.messages,
-        trace.nodes(),
-        spec.topology.name(),
-        engine_tag(spec.engine)
-    );
-    let _ = writeln!(
-        out,
-        "causal: mean latency {:.1} (median {:.0}, p95 {:.0}), blocked {:.1}",
-        s.mean_latency, s.median_latency, s.p95_latency, s.mean_blocked
-    );
-    let _ = writeln!(
-        out,
-        "inter-arrival: mean {:.1}, cv {:.2}; throughput {:.4} bytes/tick",
-        tally.interarrival().mean(),
-        tally.interarrival().cv(),
-        s.throughput
-    );
-    Ok(out)
-}
-
 /// `commchar replay --trace FILE [--jobs N]`: causal replay through the
-/// chosen engine, returning the network summary (plus the naive
-/// comparison, which always uses the recurrence model as the fixed
-/// open-loop baseline). Accepts either trace format, sniffed by magic
-/// bytes, read through [`TraceFile`] on `jobs` workers.
+/// chosen engine beside the naive comparison, which always uses the
+/// recurrence model as the fixed open-loop baseline. Each run's summary
+/// prints as the network-behaviour line of `characterize --trace`
+/// ([`network_line`]), then the causal run's per-source injection
+/// inter-arrival moments. Neither run keeps a per-message record; the
+/// trace is loaded whole and the replayer keeps state for every event.
+/// Accepts either trace format, sniffed by magic bytes, read through
+/// [`TraceFile`] on `jobs` workers.
 pub fn cmd_replay(path: &str, jobs: usize, spec: RunSpec) -> Result<String, CliError> {
     let trace = load_trace_file(path, jobs)?;
     let (mesh, causal) = replay(&trace, spec)?;
-    let causal = causal.summary();
     let naive = CausalReplayer::new(mesh).replay_naive(&trace, NetTally::new()).summary();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "replayed {} messages on a {} -node {}{}",
-        causal.messages,
+        causal.messages(),
         trace.nodes(),
         spec.topology.name(),
         if spec.engine == EngineKind::FlitLevel { " (flit engine)" } else { "" }
     );
-    let _ = writeln!(
-        out,
-        "causal: mean latency {:.1} (p95 {:.0}), blocked {:.1}",
-        causal.mean_latency, causal.p95_latency, causal.mean_blocked
-    );
-    let _ = writeln!(
-        out,
-        "naive : mean latency {:.1} (p95 {:.0}), blocked {:.1}",
-        naive.mean_latency, naive.p95_latency, naive.mean_blocked
-    );
+    let _ = writeln!(out, "causal: {}", network_line(&causal.summary()));
+    let _ = writeln!(out, "naive : {}", network_line(&naive));
+    let gaps = causal.interarrival();
+    let _ = writeln!(out, "inter-arrival: mean {:.1}, cv {:.2}", gaps.mean(), gaps.cv());
     Ok(out)
 }
 
@@ -417,6 +370,17 @@ fn load_trace_file(path: &str, jobs: usize) -> Result<CommTrace, CliError> {
     Ok(open_trace(path)?.into_trace(jobs)?)
 }
 
+/// The events per block a `--block-len` value asks for: `0` means the
+/// packed format's default, [`DEFAULT_BLOCK_LEN`], for `trace pack`,
+/// `--packed` output and `serve-feed` alike.
+fn events_per_block(block_len: usize) -> usize {
+    if block_len == 0 {
+        DEFAULT_BLOCK_LEN
+    } else {
+        block_len
+    }
+}
+
 /// Names `path` in an error writing it.
 fn writing<E: Into<TraceStoreError>>(path: &str) -> impl Fn(E) -> CliError + '_ {
     move |e| match e.into() {
@@ -450,10 +414,9 @@ pub fn cmd_trace_pack(
     jobs: usize,
 ) -> Result<(), CliError> {
     let src = open_trace(input)?;
-    let block_len = if block_len == 0 { DEFAULT_BLOCK_LEN } else { block_len };
     replace_file(out, |sink| {
-        let mut w =
-            TraceWriter::with_block_len(sink, src.nodes(), block_len).map_err(writing(out))?;
+        let mut w = TraceWriter::with_block_len(sink, src.nodes(), events_per_block(block_len))
+            .map_err(writing(out))?;
         src.for_each_event(jobs, |e| w.push(e).map_err(writing(out)))?;
         w.finish().map_err(writing(out))?;
         Ok(())
@@ -497,9 +460,8 @@ fn write_trace(
     block_len: usize,
 ) -> Result<(), CliError> {
     if packed {
-        let block_len = if block_len == 0 { DEFAULT_BLOCK_LEN } else { block_len };
-        let mut w =
-            TraceWriter::with_block_len(sink, trace.nodes(), block_len).map_err(writing(name))?;
+        let mut w = TraceWriter::with_block_len(sink, trace.nodes(), events_per_block(block_len))
+            .map_err(writing(name))?;
         trace.events().iter().try_for_each(|&e| w.push(e)).map_err(writing(name))?;
         w.finish().map_err(writing(name))?;
     } else {
@@ -659,14 +621,11 @@ pub fn cmd_trace_stat(input: &str, jobs: usize) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Events per wire block when `serve-feed` re-encodes a trace (matches
-/// the packed format's default block length).
-const FEED_BLOCK_LEN: usize = 4096;
-
 /// `commchar serve-feed --trace FILE --addr HOST:PORT [--block-len N]
 /// [--poll-every N] [--shutdown]`: the client driver — replays the saved
 /// trace at `path` (either format) through a running characterization
-/// server as CCTRACE1 block frames of `block_len` events (`0` = 4096)
+/// server as CCTRACE1 block frames of `block_len` events (`0` = the
+/// packed format's default)
 /// and returns `(final_report, status)`. The final report is the
 /// server's `CloseSession` response, byte-identical to `characterize
 /// --trace FILE --no-replay` on the same events (the `check.sh` serve
@@ -696,7 +655,7 @@ pub fn cmd_serve_feed(
     poll_every: usize,
     shutdown: bool,
 ) -> Result<(String, String), CliError> {
-    let block_len = if block_len == 0 { FEED_BLOCK_LEN } else { block_len };
+    let block_len = events_per_block(block_len);
     let meta = std::fs::metadata(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
     if meta.is_file() {
         let src = open_trace(path)?;
@@ -868,8 +827,12 @@ COMMANDS:
                                   reads a packed pipe; accepts --block-jobs for
                                   parallel decoding and folding)
     generate <app> [--out FILE]   emit a synthetic trace from the fitted model
-    replay --trace FILE           replay a saved trace (causal vs naive; accepts
-                                  --jobs for parallel reading)
+    replay --trace FILE           replay a saved trace causally and naively:
+                                  each run's network line (latency mean,
+                                  median and p95, blocked time, hops,
+                                  throughput), then the causal run's
+                                  per-source inter-arrival mean and cv
+                                  (accepts --jobs for parallel reading)
     suite                         characterize every application in parallel, plus
                                   (topology × routing) contrast rows for the
                                   collective-shaped workloads (allreduce, halo)
@@ -929,9 +892,6 @@ OPTIONS:
                     the same way. 1 = serial (default), 0 = one per
                     hardware thread. Event-identical: output is
                     byte-identical for any value.
-    --streaming     replay with online statistics only: no per-message
-                    record log, approximate quantiles (the trace is still
-                    loaded whole)
     --stream        characterize a packed trace block-by-block (bounded
                     memory; checks each block, not unique ids or
                     dependencies across the trace)
@@ -1138,7 +1098,6 @@ mod tests {
                     cmd_characterize_trace(path, jobs, rec).unwrap(),
                     cmd_characterize_trace_only(path, jobs).unwrap(),
                     cmd_replay(path, jobs, rec).unwrap(),
-                    cmd_replay_streaming(path, jobs, rec).unwrap(),
                 ]
             })
         };
@@ -1247,13 +1206,12 @@ mod tests {
         assert!(report.contains("ran allreduce on 4 processors"));
         let sig = cmd_characterize_app(torus, 1).unwrap();
         assert!(sig.contains("network behaviour"));
-        // Replay names the topology in its header.
-        let (out, streaming) = with_file("torus.jsonl", trace.to_jsonl().as_bytes(), |path| {
-            let streaming = cmd_replay_streaming(path, 1, net(Topology::Torus, DIM, REC));
-            (cmd_replay(path, 1, torus).unwrap(), streaming.unwrap())
+        // Replay names the topology in its header, on either engine.
+        let [out, rec] = with_file("torus.jsonl", trace.to_jsonl().as_bytes(), |path| {
+            [torus, net(Topology::Torus, DIM, REC)].map(|spec| cmd_replay(path, 1, spec).unwrap())
         });
         assert!(out.contains("-node torus"), "replay header: {out}");
-        assert!(streaming.contains("-node torus"), "streaming header: {streaming}");
+        assert!(rec.contains("-node torus"), "recurrence replay header: {rec}");
     }
 
     #[test]
@@ -1267,14 +1225,24 @@ mod tests {
     }
 
     #[test]
-    fn streaming_replay_reports_summary() {
-        let (_, trace) = cmd_run(tiny(AppId::Fft3d)).unwrap();
-        let out = with_file("streaming.jsonl", trace.to_jsonl().as_bytes(), |path| {
-            cmd_replay_streaming(path, 1, net(MESH, DIM, REC)).unwrap()
-        });
-        assert!(out.contains("streaming"));
-        assert!(out.contains("mean latency"));
-        assert!(out.contains("inter-arrival"));
+    fn replay_prints_the_report_network_line() {
+        let torus = net(Topology::Torus, Routing::Adaptive, EngineKind::flit());
+        for spec in [net(MESH, DIM, REC), torus] {
+            let (_, trace) = cmd_run(RunSpec { app: AppId::Allreduce, ..spec }).unwrap();
+            let (replay, report) = with_file("net-line.jsonl", trace.to_jsonl().as_bytes(), |p| {
+                (cmd_replay(p, 1, spec).unwrap(), cmd_characterize_trace(p, 1, spec).unwrap())
+            });
+            // The causal line is the report's network line, median and all;
+            // the naive baseline and the inter-arrival moments follow.
+            let network = report.lines().skip_while(|&l| l != "network behaviour").nth(1);
+            let causal = network.and_then(|l| l.strip_prefix("  ")).map(|l| format!("causal: {l}"));
+            let lines: Vec<&str> = replay.lines().collect();
+            assert_eq!(lines.len(), 4, "{replay}");
+            assert_eq!(Some(lines[1]), causal.as_deref(), "{spec:?}");
+            assert!(lines[1].contains("(median "), "{replay}");
+            assert!(lines[2].starts_with("naive : mean latency ") && lines[2].contains("(median "));
+            assert!(lines[3].starts_with("inter-arrival: mean ") && lines[3].contains(", cv "));
+        }
     }
 
     #[test]
@@ -1288,16 +1256,11 @@ mod tests {
         let sig = cmd_characterize_app(flit, 1).unwrap();
         assert!(sig.contains("temporal attribute"));
         // replay: the header names the engine; the recurrence header does not.
-        let [out, rec, streaming] = with_file("flit.jsonl", trace.to_jsonl().as_bytes(), |path| {
-            [
-                cmd_replay(path, 1, flit).unwrap(),
-                cmd_replay(path, 1, net(MESH, DIM, REC)).unwrap(),
-                cmd_replay_streaming(path, 1, flit).unwrap(),
-            ]
+        let [out, rec] = with_file("flit.jsonl", trace.to_jsonl().as_bytes(), |path| {
+            [flit, net(MESH, DIM, REC)].map(|spec| cmd_replay(path, 1, spec).unwrap())
         });
         assert!(out.contains("(flit engine)"));
         assert!(!rec.contains("flit"));
-        assert!(streaming.contains("flit engine; streaming"));
     }
 
     #[test]

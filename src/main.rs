@@ -16,7 +16,6 @@ struct Args {
     jobs: usize,
     block_jobs: usize,
     block_len: usize,
-    streaming: bool,
     stream: bool,
     no_replay: bool,
     packed: bool,
@@ -50,7 +49,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         jobs: 0,
         block_jobs: 0,
         block_len: 0,
-        streaming: false,
         stream: false,
         no_replay: false,
         packed: false,
@@ -69,7 +67,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--sim-jobs" => args.spec.sim_jobs = number(&mut it, flag)?,
             "--block-jobs" => args.block_jobs = number(&mut it, flag)?,
             "--block-len" => args.block_len = number(&mut it, flag)?,
-            "--streaming" => args.streaming = true,
             "--stream" => args.stream = true,
             "--no-replay" => args.no_replay = true,
             "--packed" => args.packed = true,
@@ -162,12 +159,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         }
         Some("replay") => {
             let path = args.trace.as_ref().ok_or("this command needs --trace FILE")?;
-            let text = if args.streaming {
-                cli::cmd_replay_streaming(path, args.jobs, args.spec).map_err(|e| e.0)?
-            } else {
-                cli::cmd_replay(path, args.jobs, args.spec).map_err(|e| e.0)?
-            };
-            emit(&text, &None)
+            emit(&cli::cmd_replay(path, args.jobs, args.spec).map_err(|e| e.0)?, &None)
         }
         Some("trace") => {
             let sub = args.positional.get(1).map(String::as_str);

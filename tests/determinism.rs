@@ -197,7 +197,7 @@ fn characterization_is_deterministic() {
     assert_eq!(s1.volume.messages, s2.volume.messages);
     for (a, b) in s1.spatial.iter().zip(&s2.spatial) {
         match (a, b) {
-            (Some(x), Some(y)) => assert_eq!(x.fit.model, y.fit.model),
+            (Some(x), Some(y)) => assert_eq!(x.model, y.model),
             (None, None) => {}
             _ => panic!("spatial presence differs"),
         }

@@ -423,7 +423,7 @@ fn a_flipped_block_reads_as_one_error_in_every_reader() {
 fn rejected_command_lines_exit_1_with_one_error_line() {
     const TRACE: &str =
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/engine_diff.trace.jsonl");
-    let rows: [&[&str]; 20] = [
+    let rows: [&[&str]; 21] = [
         &["frobnicate"],
         &["run", "halo", "--frobnicate"],
         &["run", "halo", "--procs"],
@@ -442,6 +442,7 @@ fn rejected_command_lines_exit_1_with_one_error_line() {
         &["characterize", "--stream"],
         &["characterize", "--stream", "--trace", TRACE],
         &["replay", "--trace", "/nonexistent/trace.jsonl"],
+        &["replay", "--trace", TRACE, "--streaming"],
         &["run", "halo", "--procs", "4", "--scale", "tiny", "--packed"],
         &["generate", "nbody", "--procs", "4", "--scale", "tiny", "--packed"],
     ];

@@ -2,7 +2,7 @@
 //! the reproduction.
 
 use commchar::core::{acquire, characterize, RunSpec};
-use commchar::stats::spatial::SpatialModel;
+use commchar::stats::spatial::{normalize, SpatialModel};
 use commchar_apps::{AppId, Scale};
 
 /// IS has a favorite processor: the paper reports a bimodal-uniform
@@ -16,7 +16,7 @@ fn is_has_favorite_processor_pattern() {
         .spatial
         .iter()
         .flatten()
-        .filter(|s| matches!(s.fit.model, SpatialModel::BimodalUniform { .. }))
+        .filter(|s| matches!(s.model, SpatialModel::BimodalUniform { .. }))
         .count();
     assert!(bimodal >= 4, "IS should classify mostly bimodal-uniform, got {bimodal}/8");
 }
@@ -25,9 +25,10 @@ fn is_has_favorite_processor_pattern() {
 #[test]
 fn fft1d_is_spatially_spread() {
     let w = acquire(&RunSpec::new(AppId::Fft1d, 8, Scale::Tiny, 42)).unwrap();
-    let sig = characterize(&w, 1).unwrap();
-    for sp in sig.spatial.iter().flatten() {
-        let peak = sp.observed.iter().cloned().fold(0.0, f64::max);
+    let counts = w.trace.spatial_counts();
+    for (s, row) in counts.iter().enumerate() {
+        let Some(observed) = normalize(row, s) else { continue };
+        let peak = observed.iter().cloned().fold(0.0, f64::max);
         assert!(peak < 0.5, "a single destination dominates 1D-FFT: {peak}");
     }
 }

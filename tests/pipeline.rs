@@ -4,6 +4,7 @@
 mod common;
 
 use commchar::core::{acquire, characterize, synthesize, RunSpec};
+use commchar::stats::spatial::normalize;
 use commchar_apps::{AppClass, AppId, Scale};
 
 #[test]
@@ -30,10 +31,15 @@ fn every_application_characterizes() {
             "{app}: aggregate temporal fit is useless (R² = {})",
             sig.temporal.aggregate.r2
         );
-        // Spatial probabilities are distributions.
-        for sp in sig.spatial.iter().flatten() {
-            let sum: f64 = sp.observed.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "{app}: spatial not normalized");
+        // A source has a spatial fit exactly when it sent, and its
+        // destination probabilities are a distribution.
+        let counts = w.trace.spatial_counts();
+        for (s, sp) in sig.spatial.iter().enumerate() {
+            let observed = normalize(&counts[s], s);
+            assert_eq!(sp.is_some(), observed.is_some(), "{app}: p{s} has a fit iff it sent");
+            if let Some(p) = observed {
+                assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{app}: p{s} not normalized");
+            }
         }
         // Network numbers are sane.
         assert!(sig.network.mean_latency > 0.0, "{app}: zero latency");

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use commchar::apps::{AppId, Scale};
 use commchar::cli::{
     cmd_characterize_stream, cmd_characterize_trace, cmd_characterize_trace_only, cmd_replay,
-    cmd_replay_streaming, cmd_trace_cat, cmd_trace_pack, cmd_trace_stat, save_trace,
+    cmd_trace_cat, cmd_trace_pack, cmd_trace_stat, save_trace,
 };
 use commchar::core::RunSpec;
 use commchar::trace::{CommEvent, CommTrace, EventKind};
@@ -51,8 +51,8 @@ fn expected(input: &[u8], block_len: usize) -> Result<(Vec<u8>, Vec<u8>), String
 
 /// Runs `trace pack` and `trace cat` with `jobs` workers on `input` from
 /// a file and returns what they wrote, asserting that a failure wrote no
-/// output file, and that `characterize --trace` and `replay`, with and
-/// without `--no-replay` and `--streaming`, fail with the same text.
+/// output file, and that `characterize --trace` (with and without
+/// `--no-replay`) and `replay` fail with the same text.
 fn streamed_on(input: &[u8], block_len: usize, jobs: usize) -> Result<(Vec<u8>, Vec<u8>), String> {
     let (src, packed, text) = (scratch("in"), scratch("cct"), scratch("jsonl"));
     std::fs::write(&src, input).unwrap();
@@ -64,7 +64,6 @@ fn streamed_on(input: &[u8], block_len: usize, jobs: usize) -> Result<(Vec<u8>, 
             cmd_characterize_trace(&src, jobs, spec),
             cmd_characterize_trace_only(&src, jobs),
             cmd_replay(&src, jobs, spec),
-            cmd_replay_streaming(&src, jobs, spec),
         ]
     };
     let result = match (pack, cat) {
