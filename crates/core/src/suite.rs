@@ -138,19 +138,19 @@ impl SuiteRunner {
 
 /// Runs one cell end to end: acquire, characterize (fanning the
 /// per-source spatial classifications over `fit_jobs` threads), and
-/// validate the fit by synthesizing (which fits each source) and
-/// generating synthetic traffic from it.
+/// validate the fit by synthesizing (which fits each source) and counting
+/// the synthetic traffic it generates over the run's span.
 fn run_cell(cell: SuiteCell, fit_jobs: usize) -> Result<CellResult, RunError> {
     let started = Instant::now();
     let w = acquire(&cell)?;
     let signature = characterize(&w, fit_jobs)?;
     let (messages, span, mesh, exec_ticks) =
         (w.trace.len() as u64, w.network.span().max(1), w.mesh, w.exec_ticks);
-    // The acquired trace goes before the synthetic one is generated, so a
-    // cell holds one trace at a time.
+    // The acquired trace goes before synthesis, so a cell holds at most
+    // one trace; the synthetic stream is counted, never built.
     drop(w);
-    let synth = synthesize(&signature, mesh).generate(span, cell.seed);
-    let synth_ratio = synth.len() as f64 / messages.max(1) as f64;
+    let synth = synthesize(&signature, mesh).count(span, cell.seed);
+    let synth_ratio = synth as f64 / messages.max(1) as f64;
     let wall = started.elapsed();
     Ok(CellResult {
         cell,

@@ -1,17 +1,17 @@
 //! Property-based tests for the characterization pipeline, driven by
 //! synthetic traffic with known ground truth.
 
-use commchar_apps::AppClass;
+use commchar_apps::{AppClass, AppId, Scale};
 use commchar_core::analyze::{try_analyze_blocks, try_analyze_trace};
 use commchar_core::report::{analysis_report, signature_report};
-use commchar_core::{characterize, synthesize, TemporalSig, Workload};
+use commchar_core::{acquire, characterize, synthesize, RunSpec, TemporalSig, Workload};
 use commchar_mesh::{EngineKind, MeshConfig, NetTally};
 use commchar_stats::spatial::SpatialModel;
 use commchar_trace::replay::CausalReplayer;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use commchar_tracestore::writer::pack_trace_with_block_len;
 use commchar_tracestore::PackedReader;
-use commchar_traffic::patterns::{hotspot, uniform_poisson};
+use commchar_traffic::patterns::{bit_complement, hotspot, transpose, uniform_poisson};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -202,6 +202,35 @@ proptest! {
 /// earlier one in file order for any number of block workers, whichever
 /// worker meets which block first: a corrupt block before an
 /// out-of-order one, and an out-of-order block before a corrupt one.
+/// `TrafficModel::count` makes the draws `generate` makes and counts them,
+/// so it equals the generated trace's length: for every classic pattern
+/// and for a model synthesized from an acquired run's signature, at
+/// several seeds, over durations from 0 up to the run's span.
+#[test]
+fn synthetic_count_equals_the_generated_length() {
+    let w = acquire(&RunSpec::new(AppId::Is, 4, Scale::Tiny, 42)).unwrap();
+    let span = w.network.span();
+    let models = [
+        ("uniform", uniform_poisson(16, 0.002, 32)),
+        ("transpose", transpose(16, 0.002, 32)),
+        ("bit-complement", bit_complement(16, 0.002, 32)),
+        ("hotspot", hotspot(16, 3, 0.4, 0.002, 32)),
+        ("synthesized is", synthesize(&characterize(&w, 1).unwrap(), w.mesh)),
+    ];
+    for (name, model) in &models {
+        let mut total = 0;
+        for duration in [0, 1, 997, 50_000, span] {
+            for seed in [0u64, 7, 42] {
+                let count = model.count(duration, seed);
+                let generated = model.generate(duration, seed).len() as u64;
+                assert_eq!(count, generated, "{name}: {duration} ticks, seed {seed}");
+                total += count;
+            }
+        }
+        assert!(total > 0, "{name} generated nothing");
+    }
+}
+
 #[test]
 fn streamed_analysis_reports_the_first_bad_block() {
     use commchar_core::CharError;

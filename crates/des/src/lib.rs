@@ -11,6 +11,8 @@
 //!   re-sharding; each shard's calendar doubles as its local clock.
 //! - [`RunningStats`] — an online mean/variance/min/max accumulator used by
 //!   the network logs.
+//! - [`FixedMap`] — a `HashMap` under a fixed multiplicative hasher, for
+//!   maps keyed by integers the simulation itself produces.
 //!
 //! # Example
 //!
@@ -28,9 +30,11 @@
 #![warn(missing_docs)]
 
 mod calendar;
+mod hash;
 mod stats;
 mod time;
 
 pub use calendar::KeyedCalendar;
+pub use hash::{FixedHasher, FixedMap};
 pub use stats::RunningStats;
 pub use time::SimTime;

@@ -184,8 +184,14 @@ impl MeshConfig {
     /// charge for injection, each hop and ejection; the body streams behind
     /// at one flit per `link_delay`.
     pub fn zero_load_latency(&self, payload: u32, hops: u32) -> u64 {
+        self.zero_load_flits(self.flits_for(payload), hops)
+    }
+
+    /// [`zero_load_latency`](MeshConfig::zero_load_latency) of a message
+    /// already sized at `flits` ([`flits_for`](MeshConfig::flits_for)).
+    pub(crate) fn zero_load_flits(&self, flits: u64, hops: u32) -> u64 {
         let header_path = (hops as u64 + 2) * self.hop_latency();
-        let drain = (self.flits_for(payload) - 1) * self.link_delay;
+        let drain = (flits - 1) * self.link_delay;
         header_path + drain
     }
 }

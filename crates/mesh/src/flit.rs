@@ -102,7 +102,8 @@
 //!   moves every `link_delay` cycles and never repeats its previous
 //!   cycle, so the skip never fires there. Sharded windows always step.
 //!   The work counters ([`FlitWork`]) report stepped cycles, skipped
-//!   cycles and skips.
+//!   cycles and skips, and the closed loop's sends and the speculations
+//!   they discarded.
 //!
 //! With one virtual channel the model reduces to a plain wormhole router
 //! and cross-validates the [`OnlineWormhole`](crate::OnlineWormhole)
@@ -214,9 +215,10 @@ struct Move {
 }
 
 /// Deterministic work counters of the flit event loop: how many cycles it
-/// processed one at a time, and how many it applied in bulk through
-/// steady-stream skips (see the module docs). The counts depend only on
-/// the configuration and the injection schedule, never on timing.
+/// processed one at a time, how many it applied in bulk through
+/// steady-stream skips (see the module docs), and how the closed loop's
+/// speculations fared. The counts depend only on the configuration and
+/// the injection schedule, never on timing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlitWork {
     /// Cycles processed one at a time (a sharded drain counts each
@@ -226,6 +228,14 @@ pub struct FlitWork {
     pub cycles_skipped: u64,
     /// Steady-stream skips taken.
     pub skips: u64,
+    /// Messages injected through the closed loop
+    /// ([`FlitLevel::try_send`]).
+    pub closed_loop_sends: u64,
+    /// Speculations a closed-loop send threw away because its horizon
+    /// fell inside them: the committed state then steps those cycles
+    /// again. A send whose predecessor's speculation stayed below its
+    /// horizon promotes it instead.
+    pub speculations_discarded: u64,
 }
 
 impl FlitWork {
@@ -233,6 +243,8 @@ impl FlitWork {
         self.cycles_stepped += other.cycles_stepped;
         self.cycles_skipped += other.cycles_skipped;
         self.skips += other.skips;
+        self.closed_loop_sends += other.closed_loop_sends;
+        self.speculations_discarded += other.speculations_discarded;
     }
 }
 
@@ -659,6 +671,7 @@ impl<S: LogSink> FlitLevel<S> {
             None => self.restart(),
         }
         self.last_inject = Some(msg.inject);
+        self.work.closed_loop_sends += 1;
         // Cycles strictly below the horizon can no longer change: this
         // message's first flit cannot enter an NI before it, and neither
         // can any later message's.
@@ -672,7 +685,10 @@ impl<S: LogSink> FlitLevel<S> {
                 std::mem::replace(&mut self.committed, spec)
             }
             // Discarded speculation: its buffers are recycled.
-            Some(spec) => spec,
+            Some(spec) => {
+                self.work.speculations_discarded += 1;
+                spec
+            }
             None => LoopState::empty(),
         };
         self.committed.advance(&self.cfg, Goal::Before(horizon), &mut self.work)?;

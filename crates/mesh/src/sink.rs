@@ -11,9 +11,7 @@
 //!   latency, per-source injection gaps — in memory that grows with the
 //!   distinct latencies and the sources, never with the message count.
 
-use std::collections::HashMap;
-
-use commchar_des::RunningStats;
+use commchar_des::{FixedMap, RunningStats};
 
 use crate::log::{MsgRecord, NetLog, NetSummary};
 
@@ -76,7 +74,7 @@ pub struct NetTally {
     blocked: RunningStats,
     hops: RunningStats,
     /// Messages per distinct latency (ticks).
-    latencies: HashMap<u64, u64>,
+    latencies: FixedMap<u64, u64>,
     /// Gaps between consecutive injections from the same source.
     interarrival: RunningStats,
     /// Each source's latest injection, indexed by source node.
@@ -100,7 +98,7 @@ impl NetTally {
             latency: RunningStats::new(),
             blocked: RunningStats::new(),
             hops: RunningStats::new(),
-            latencies: HashMap::new(),
+            latencies: FixedMap::default(),
             interarrival: RunningStats::new(),
             last_inject: Vec::new(),
             first_inject: None,

@@ -369,10 +369,20 @@ impl MeshShape {
     /// Panics if `src == dst` — the network never sees self-messages.
     pub fn route(self, src: NodeId, dst: NodeId, routing: Routing) -> Vec<ChannelId> {
         let mut path = Vec::with_capacity(2 + self.hop_distance(src, dst) as usize);
-        path.push(self.injection(src));
-        self.walk(src, dst, routing, |node, dir, _wrap| path.push(self.channel(node, dir)));
-        path.push(self.ejection(dst));
+        self.route_into(src, dst, routing, &mut path);
         path
+    }
+
+    /// [`route`](MeshShape::route), appending into `out` (a buffer the
+    /// caller reuses from message to message) instead of allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dst` — the network never sees self-messages.
+    pub fn route_into(self, src: NodeId, dst: NodeId, routing: Routing, out: &mut Vec<ChannelId>) {
+        out.push(self.injection(src));
+        self.walk(src, dst, routing, |node, dir, _wrap| out.push(self.channel(node, dir)));
+        out.push(self.ejection(dst));
     }
 
     /// The route as packed per-hop bytes for the flit-accurate router:

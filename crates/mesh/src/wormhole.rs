@@ -4,7 +4,7 @@ use commchar_des::SimTime;
 
 use crate::log::ticks;
 use crate::sink::LogSink;
-use crate::{MeshConfig, MsgRecord, NetLog, NetMessage};
+use crate::{ChannelId, MeshConfig, MsgRecord, NetLog, NetMessage};
 
 /// The channel-granularity wormhole model.
 ///
@@ -46,6 +46,10 @@ pub struct OnlineWormhole<S: LogSink = NetLog> {
     last_inject: SimTime,
     first_inject: Option<u64>,
     last_delivery: u64,
+    /// Reused per message: the current route, and the header's entry time
+    /// into each of its channels.
+    path: Vec<ChannelId>,
+    entry: Vec<u64>,
 }
 
 impl OnlineWormhole {
@@ -84,6 +88,8 @@ impl<S: LogSink> OnlineWormhole<S> {
             last_inject: SimTime::ZERO,
             first_inject: None,
             last_delivery: 0,
+            path: Vec::new(),
+            entry: Vec::new(),
         }
     }
 
@@ -135,13 +141,16 @@ impl<S: LogSink> OnlineWormhole<S> {
             });
         }
         self.last_inject = msg.inject;
-        let path = self.cfg.shape.route(msg.src, msg.dst, self.cfg.routing);
+        let path = &mut self.path;
+        path.clear();
+        self.cfg.shape.route_into(msg.src, msg.dst, self.cfg.routing, path);
         let hop = self.cfg.hop_latency();
         let link = self.cfg.link_delay;
         let flits = self.cfg.flits_for(msg.bytes);
 
         // Header acquisition recurrence.
-        let mut entry = Vec::with_capacity(path.len());
+        let entry = &mut self.entry;
+        entry.clear();
         let mut t = ticks(msg.inject);
         for (i, ch) in path.iter().enumerate() {
             let earliest = if i == 0 { t } else { t + hop };
@@ -163,7 +172,8 @@ impl<S: LogSink> OnlineWormhole<S> {
             self.free[idx] = release;
         }
 
-        let hops = self.cfg.shape.hop_distance(msg.src, msg.dst);
+        // Routes are minimal: injection, one channel per hop, ejection.
+        let hops = (k - 2) as u32;
         self.first_inject.get_or_insert(ticks(msg.inject));
         self.last_delivery = self.last_delivery.max(delivered);
         self.sink.record(MsgRecord {
@@ -174,7 +184,7 @@ impl<S: LogSink> OnlineWormhole<S> {
             inject: ticks(msg.inject),
             delivered,
             hops,
-            zero_load: self.cfg.zero_load_latency(msg.bytes, hops),
+            zero_load: self.cfg.zero_load_flits(flits, hops),
         });
         Ok(SimTime::from_ticks(delivered))
     }

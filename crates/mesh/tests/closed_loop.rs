@@ -349,3 +349,47 @@ fn work_counters_repeat_and_long_worms_mostly_skip() {
         assert!(stepped_share(a) < 0.10, "{label}: {a:?} steps too many cycles");
     }
 }
+
+/// The closed loop counts its sends and the speculations they discard.
+/// A dependent chain, each message injected when the previous one is
+/// delivered, finds every speculation below its horizon and discards
+/// none. `k` sends at one tick each land inside the speculation the send
+/// before them ran to its delivery, so all but the first discard one. A
+/// batch run makes no closed-loop send.
+#[test]
+fn closed_loop_counts_sends_and_discarded_speculations() {
+    let cfg = MeshConfig::new(4, 4);
+    let msg = |id: u64, src: u16, dst: u16, inject: u64| NetMessage {
+        id,
+        src: NodeId(src),
+        dst: NodeId(dst),
+        bytes: 64,
+        inject: SimTime::from_ticks(inject),
+    };
+
+    let mut chain = FlitLevel::new(cfg);
+    let mut at = 0;
+    for i in 0..12u64 {
+        let (src, dst) = ((i * 5 % 16) as u16, ((i * 5 + 5) % 16) as u16);
+        at = chain.try_send(msg(i, src, dst, at)).unwrap().ticks();
+    }
+    chain.try_drain().unwrap();
+    let work = chain.work();
+    assert_eq!((work.closed_loop_sends, work.speculations_discarded), (12, 0), "{work:?}");
+
+    for k in [1u64, 2, 5, 9] {
+        let mut burst = FlitLevel::new(cfg);
+        for i in 0..k {
+            burst.try_send(msg(i, i as u16, 15 - i as u16, 100)).unwrap();
+        }
+        burst.try_drain().unwrap();
+        let work = burst.work();
+        assert_eq!(work.closed_loop_sends, k, "{k} sends: {work:?}");
+        assert_eq!(work.speculations_discarded, k - 1, "{k} sends: {work:?}");
+    }
+
+    let mut batch = FlitLevel::new(cfg);
+    batch.run(&[msg(0, 0, 15, 0), msg(1, 3, 12, 0)]);
+    let work = batch.work();
+    assert_eq!((work.closed_loop_sends, work.speculations_discarded), (0, 0), "{work:?}");
+}

@@ -2,8 +2,8 @@
 
 use commchar_des::{RunningStats, SimTime};
 use commchar_mesh::{
-    FlitLevel, LogSink, MeshConfig, MeshShape, MsgRecord, NetLog, NetMessage, NetSummary, NetTally,
-    NodeId, OnlineWormhole, Routing, Topology,
+    ChannelId, FlitLevel, LogSink, MeshConfig, MeshShape, MsgRecord, NetLog, NetMessage,
+    NetSummary, NetTally, NodeId, OnlineWormhole, Routing, Topology,
 };
 use proptest::prelude::*;
 
@@ -245,6 +245,38 @@ proptest! {
             for w in seq.windows(2) {
                 prop_assert!(w[1].1 >= w[0].1, "pair overtaking: {w:?}");
             }
+        }
+    }
+
+    /// The recurrence takes a record's `hops` from its route's length and
+    /// its `zero_load` from the flits it has already sized. Both equal what
+    /// `hop_distance` and `zero_load_latency` compute afresh, on
+    /// either topology under either routing, on square and non-square
+    /// shapes. The reusable `route_into` appends exactly what `route`
+    /// returns, after whatever the buffer already holds.
+    #[test]
+    fn recurrence_records_carry_the_derived_fields(net in arb_net(), raw in arb_msgs(64, 40)) {
+        let (shape, routing) = net;
+        let n = shape.nodes() as u16;
+        let msgs: Vec<NetMessage> = raw
+            .into_iter()
+            .map(|m| NetMessage { src: NodeId(m.src.0 % n), dst: NodeId(m.dst.0 % n), ..m })
+            .filter(|m| m.src != m.dst)
+            .collect();
+        prop_assume!(!msgs.is_empty());
+        let cfg = MeshConfig { shape, ..MeshConfig::new(1, 1) }.with_routing(routing);
+        let log = OnlineWormhole::new(cfg).simulate(&msgs);
+        prop_assert_eq!(log.records().len(), msgs.len());
+        for r in log.records() {
+            prop_assert_eq!(r.hops, shape.hop_distance(r.src, r.dst));
+            prop_assert_eq!(r.zero_load, cfg.zero_load_latency(r.bytes, r.hops));
+        }
+        let mut buf = vec![ChannelId(u32::MAX)];
+        for m in &msgs {
+            buf.truncate(1);
+            shape.route_into(m.src, m.dst, routing, &mut buf);
+            prop_assert_eq!(buf[0], ChannelId(u32::MAX));
+            prop_assert_eq!(&buf[1..], &shape.route(m.src, m.dst, routing)[..]);
         }
     }
 

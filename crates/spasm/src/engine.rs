@@ -9,10 +9,11 @@
 //! the shard loop rather than a thread handoff. The machine itself —
 //! bodies, caches, directory, event calendar — is partitioned into
 //! source-contiguous shards advanced in conservative time windows (see
-//! [`crate::shard`]); a single shard degenerates to the classic serial
-//! loop, and every shard count produces bit-identical results. Network
-//! messages are injected in nondecreasing time order at window edges, as
-//! the wormhole model requires.
+//! [`crate::shard`]); a single shard runs the same loop inline, one tick
+//! at a time, and every shard count produces bit-identical results.
+//! Network messages are injected in nondecreasing time order, at tick
+//! edges with one shard and at window edges with several, as the
+//! wormhole model requires.
 
 use std::future::Future;
 use std::sync::atomic::AtomicU64;

@@ -1,27 +1,37 @@
-//! Conservative-window sharded execution of the spasm machine.
+//! Execution of the spasm machine: one action loop, two injection points.
 //!
 //! The machine (processor bodies, caches, the directory, and the event
-//! calendar) is partitioned into source-contiguous shards, one scoped
-//! thread per shard for the whole simulation
-//! ([`commchar_pool::run_concurrent`]; a single shard runs inline on the
-//! caller). A shard owns its processors' body futures and polls them
-//! itself: a trap leaves its request in the processor's slot and
-//! suspends, returning control to the shard loop, so a shared access
-//! costs no thread switch. Each worker runs the serial
-//! event loop inside a conservative time window `[T, T + L)` whose width
-//! `L` is the network engine's minimum delivery latency
-//! ([`NetEngine::min_latency`]): an event less than `L` ahead of the
-//! window start cannot be affected by a message another shard has not
-//! injected yet, so shards advance independently inside the window and
-//! rendezvous only at its edge — the same fence/mailbox discipline as the
-//! flit simulator's row-band shards (`commchar-mesh`'s `flit::shard`).
+//! calendar) is partitioned into source-contiguous shards. A shard owns
+//! its processors' body futures and polls them itself: a trap leaves its
+//! request in the processor's slot and suspends, returning control to the
+//! shard loop, so a shared access costs no thread switch. Every shard runs
+//! the same action loop ([`ShardCore::run_window`]): gather trapped
+//! requests, pop the canonically least action before the window end,
+//! process it. A protocol message to another site is not injected when
+//! it is emitted; it is deferred, and the runs differ only in where the
+//! deferred sends enter the network engine.
 //!
-//! At each window edge the coordinator (shard 0's worker) drains every
-//! shard's outbox of deferred network sends, feeds them to the single
-//! network engine in a canonical order, and routes each delivery into the
-//! destination shard's `(time, key)`-ordered mailbox. The next window
-//! start jumps to the globally earliest pending action, so idle gaps cost
-//! one rendezvous instead of many empty windows.
+//! - **One shard** ([`run_serial`]) runs on the caller with windows one
+//!   tick wide. Once no action remains at tick `t`, it injects that
+//!   tick's sends in `(key, idx)` order and schedules their continuations
+//!   straight into its own calendar. There is no rendezvous state: no
+//!   fence, no mailbox, no thread.
+//! - **Several shards** ([`run_worker`]) run one scoped thread each for
+//!   the whole simulation ([`commchar_pool::run_concurrent`]), inside a
+//!   conservative time window `[T, T + L)` whose width `L` is the network
+//!   engine's minimum delivery latency ([`NetEngine::min_latency`]): an
+//!   event less than `L` ahead of the window start cannot be affected by
+//!   a message another shard has not injected yet, so shards advance
+//!   independently inside the window and rendezvous only at its edge —
+//!   the same fence/mailbox discipline as the flit simulator's row-band
+//!   shards (`commchar-mesh`'s `flit::shard`). At each edge the
+//!   coordinator (shard 0's worker) drains every shard's outbox, injects
+//!   the window's sends in `(t, key, idx)` order, and routes each delivery
+//!   into the destination shard's mailbox. The next window starts at the
+//!   globally earliest pending action, so idle gaps cost one rendezvous
+//!   instead of many empty windows.
+//!
+//! Both inject through the one per-send step, [`Coord::inject`].
 //!
 //! # Determinism
 //!
@@ -35,15 +45,25 @@
 //! cross-site interaction travels through the network or the
 //! coordinator), so keys are identical for any shard count, and with them
 //! the event order, the trace bytes, the network records, and every statistic.
+//!
+//! The two injection points give the engine the same sends in the same
+//! order. A window holds whole ticks and ends before any delivery of its
+//! own sends (each lands at least `L ≥ 1` ticks after its injection), so
+//! both inject tick by tick in `(t, key, idx)` order, assigning the same
+//! message ids and coordinator keys, and both schedule every
+//! continuation before its tick is reached. Sends must wait for the tick
+//! edge, not go out as they are emitted: an action can schedule an
+//! earlier-keyed action at its own tick (`unblock_home` re-admits a
+//! deferred `HomeReq` at `t`), so emission order is not key order.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 
-use commchar_des::{KeyedCalendar, SimTime};
+use commchar_des::{FixedMap, KeyedCalendar, SimTime};
 use commchar_mesh::{NetEngine, NetMessage, NodeId};
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 
@@ -157,8 +177,8 @@ impl Event {
     }
 }
 
-/// A network send recorded during a window and injected by the
-/// coordinator at the window edge, in canonical `(t, key, idx)` order.
+/// A network send recorded during a window and injected at its edge, in
+/// canonical `(t, key, idx)` order.
 struct DeferredSend {
     t: u64,
     src: u32,
@@ -287,8 +307,9 @@ fn spin_wait(mut probe: impl FnMut() -> bool) {
 
 /// The coordinator's exclusive state: the single network engine, the
 /// trace, the canonical message/emission counters, and the engine-level
-/// failure that stopped the run, if any. [`drive`] lends it to shard 0's
-/// worker and reads the run's products from it once the workers return.
+/// failure that stopped the run, if any. [`drive`] lends it to the one
+/// shard or to shard 0's worker, and reads the run's products from it once
+/// the workers return.
 struct Coord<N: NetEngine> {
     net: N,
     trace: CommTrace,
@@ -304,6 +325,44 @@ impl<N: NetEngine> Coord<N> {
         let lookahead = net.min_latency();
         assert!(lookahead >= 1, "network engine lookahead must be positive");
         Coord { net, trace: CommTrace::new(nprocs), msg_seq: 0, seq: 0, lookahead, failure: None }
+    }
+
+    /// Injects one deferred send into the network engine and the trace,
+    /// and hands `deliver` each resulting action as `(time, key, event)`
+    /// under a fresh key of the virtual coordinator site (`nprocs`): the
+    /// continuation at `delivered + extra`, then, for a reply, the home's
+    /// release at `delivered`.
+    fn inject(&mut self, d: DeferredSend, mut deliver: impl FnMut(u64, Key, Event)) {
+        let id = self.msg_seq;
+        self.msg_seq += 1;
+        // Injections are nondecreasing by construction; an ordering error
+        // here is an engine bug, not bad input.
+        let delivered = self
+            .net
+            .send(NetMessage {
+                id,
+                src: NodeId(d.src as u16),
+                dst: NodeId(d.dst as u16),
+                bytes: d.bytes,
+                inject: SimTime::from_ticks(d.t),
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
+        let delivered = delivered.ticks();
+        assert!(
+            delivered >= d.t + self.lookahead,
+            "network engine delivered below its min_latency lookahead \
+             (inject {}, delivered {delivered}, lookahead {})",
+            d.t,
+            self.lookahead
+        );
+        self.trace.push(CommEvent::new(id, d.t, d.src as u16, d.dst as u16, d.bytes, d.kind));
+        let coord_site = self.trace.nodes() as u32;
+        deliver(delivered + d.extra, (CLASS_EVENT, coord_site, self.seq), d.cont);
+        self.seq += 1;
+        if let Some(block) = d.unblock {
+            deliver(delivered, (CLASS_EVENT, coord_site, self.seq), Event::UnblockHome { block });
+            self.seq += 1;
+        }
     }
 }
 
@@ -332,11 +391,11 @@ pub(crate) struct ShardCore<'m> {
     hi: usize,
     mem: &'m [AtomicU64],
     caches: Vec<Cache>,
-    dir: HashMap<u64, DirState>,
-    active: HashMap<u64, ActiveTxn>,
-    deferred: HashMap<u64, VecDeque<TxnData>>,
-    locks: HashMap<u32, LockSt>,
-    bars: HashMap<u32, usize>,
+    dir: FixedMap<u64, DirState>,
+    active: FixedMap<u64, ActiveTxn>,
+    deferred: FixedMap<u64, VecDeque<TxnData>>,
+    locks: FixedMap<u32, LockSt>,
+    bars: FixedMap<u32, usize>,
     cal: KeyedCalendar<Key, Action>,
     /// Per-owned-site emission counters (canonical key sequence).
     seqs: Vec<u64>,
@@ -375,11 +434,11 @@ impl<'m> ShardCore<'m> {
             hi,
             mem,
             caches: (0..n).map(|_| Cache::new(cfg.cache_lines, cfg.associativity)).collect(),
-            dir: HashMap::new(),
-            active: HashMap::new(),
-            deferred: HashMap::new(),
-            locks: HashMap::new(),
-            bars: HashMap::new(),
+            dir: FixedMap::default(),
+            active: FixedMap::default(),
+            deferred: FixedMap::default(),
+            locks: FixedMap::default(),
+            bars: FixedMap::default(),
             cal: KeyedCalendar::new(),
             seqs: vec![0; n],
             bodies,
@@ -525,6 +584,15 @@ impl<'m> ShardCore<'m> {
     /// The earliest future action time after a drained window.
     fn next_time(&self) -> u64 {
         self.cal.peek_time().map_or(u64::MAX, SimTime::ticks)
+    }
+
+    /// The shard's verdict once the run has drained.
+    fn done(&self) -> ShardDone {
+        ShardDone {
+            stats: self.stats,
+            report: self.status_report(),
+            all_done: self.status.iter().all(|&s| s == Status::Done),
+        }
     }
 
     /// Runs the serial loop inside the window `[start, end)`: gather
@@ -967,51 +1035,13 @@ fn coordinate<N: NetEngine>(
     let acted: u64 = shared.acted.iter().map(|a| a.load(Ordering::Relaxed)).sum();
     let mut next = shared.next_times.iter().map(|a| a.load(Ordering::Relaxed)).min().unwrap();
     let had_sends = !sends.is_empty();
-    let coord_site = shard_of.len() as u32;
+    let nprocs = shard_of.len();
     for d in sends {
-        let id = co.msg_seq;
-        co.msg_seq += 1;
-        // Injections are nondecreasing across windows by construction; an
-        // ordering error here is an engine bug, not bad input.
-        let delivered = co
-            .net
-            .send(NetMessage {
-                id,
-                src: NodeId(d.src as u16),
-                dst: NodeId(d.dst as u16),
-                bytes: d.bytes,
-                inject: SimTime::from_ticks(d.t),
-            })
-            .unwrap_or_else(|e| panic!("{e}"));
-        let delivered = delivered.ticks();
-        assert!(
-            delivered >= d.t + co.lookahead,
-            "network engine delivered below its min_latency lookahead \
-             (inject {}, delivered {delivered}, lookahead {})",
-            d.t,
-            co.lookahead
-        );
-        co.trace.push(CommEvent::new(id, d.t, d.src as u16, d.dst as u16, d.bytes, d.kind));
-        let ct = delivered + d.extra;
-        let site = d.cont.site(shard_of.len());
-        let key = (CLASS_EVENT, coord_site, co.seq);
-        co.seq += 1;
-        shared.mail[shard_of[site] as usize]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((ct, key, d.cont));
-        next = next.min(ct);
-        if let Some(block) = d.unblock {
-            let home = (block % shard_of.len() as u64) as usize;
-            let key = (CLASS_EVENT, coord_site, co.seq);
-            co.seq += 1;
-            shared.mail[shard_of[home] as usize].lock().unwrap_or_else(|e| e.into_inner()).push((
-                delivered,
-                key,
-                Event::UnblockHome { block },
-            ));
-            next = next.min(delivered);
-        }
+        co.inject(d, |t, key, ev| {
+            let shard = shard_of[ev.site(nprocs)] as usize;
+            shared.mail[shard].lock().unwrap_or_else(|e| e.into_inner()).push((t, key, ev));
+            next = next.min(t);
+        });
     }
     if next == u64::MAX {
         shared.stop.store(STOP_DRAINED, Ordering::Relaxed);
@@ -1037,6 +1067,28 @@ fn coordinate<N: NetEngine>(
     shared.window_start.store(next, Ordering::Relaxed);
     shared.round.store(round + 1, Ordering::Release);
     true
+}
+
+/// Runs the whole machine as one shard on the calling thread, in windows
+/// one tick wide: process every action at the earliest pending tick `t`,
+/// then inject `t`'s sends in `(key, idx)` order and schedule their
+/// continuations into the shard's own calendar (all later than `t`).
+fn run_serial<N: NetEngine>(mut core: ShardCore<'_>, co: &mut Coord<N>) -> ShardDone {
+    let mut sends = Vec::new();
+    core.gather();
+    while let Some(t) = core.cal.peek_time() {
+        let t = t.ticks();
+        core.run_window(t + 1);
+        std::mem::swap(&mut sends, &mut core.outgoing);
+        sends.sort_unstable_by_key(|d: &DeferredSend| (d.key, d.idx));
+        for d in sends.drain(..) {
+            debug_assert_eq!(d.t, t, "a send left its tick");
+            co.inject(d, |at, key, ev| {
+                core.cal.schedule(SimTime::from_ticks(at), key, Action::Event(ev));
+            });
+        }
+    }
+    core.done()
 }
 
 /// The body of one shard worker. Shard 0's worker doubles as the
@@ -1088,11 +1140,7 @@ fn run_worker<N: NetEngine>(
         round += 1;
     }
     drop(guard);
-    (shared.stop.load(Ordering::Relaxed) == STOP_DRAINED).then(|| ShardDone {
-        stats: core.stats,
-        report: core.status_report(),
-        all_done: core.status.iter().all(|&s| s == Status::Done),
-    })
+    (shared.stop.load(Ordering::Relaxed) == STOP_DRAINED).then(|| core.done())
 }
 
 /// The products of a drained sharded run, before assembly into
@@ -1109,36 +1157,24 @@ pub(crate) struct Drained<S> {
     pub locks: u64,
 }
 
-/// Drives `shards` workers over the partitioned machine and merges their
-/// verdicts. Each shard runs on its own scoped thread for the whole
-/// simulation, rendezvousing on fences rather than re-spawning; a single
-/// shard runs the identical windowed loop inline.
+/// Drives the partitioned machine and merges the shards' verdicts. One
+/// shard runs inline ([`run_serial`]); several run one scoped thread each
+/// for the whole simulation, rendezvousing on fences rather than
+/// re-spawning ([`run_sharded`]).
 pub(crate) fn drive<N>(
     cfg: MachineConfig,
-    cores: Vec<ShardCore<'_>>,
+    mut cores: Vec<ShardCore<'_>>,
     net: N,
 ) -> Result<Drained<N::Sink>, SpasmError>
 where
     N: NetEngine + Send,
 {
-    let shared = Shared::new(cores.len());
-    let mut shard_of = vec![0u32; cfg.nprocs];
-    for (s, &(lo, hi)) in partition(cfg.nprocs, cores.len()).iter().enumerate() {
-        shard_of[lo..hi].fill(s as u32);
-    }
     let mut coord = Coord::new(net, cfg.nprocs);
-    let lookahead = coord.lookahead;
-    let mut lent = Some(&mut coord);
-    let workers: Vec<_> = cores
-        .into_iter()
-        .map(|core| {
-            let co = if core.shard == 0 { lent.take() } else { None };
-            (core, co)
-        })
-        .collect();
-    let verdicts = commchar_pool::run_concurrent(workers, |(core, co)| {
-        run_worker(core, &shared, co, &shard_of, lookahead)
-    });
+    let verdicts = if cores.len() == 1 {
+        vec![Some(run_serial(cores.pop().expect("one shard"), &mut coord))]
+    } else {
+        run_sharded(cfg, cores, &mut coord)
+    };
     if let Some(err) = coord.failure {
         return Err(err);
     }
@@ -1175,5 +1211,35 @@ where
         misses: stats.misses,
         barriers: stats.barrier_episodes,
         locks: stats.lock_grants,
+    })
+}
+
+/// Runs two or more shards, one scoped thread each, in conservative
+/// windows; shard 0's worker coordinates. Returns each shard's verdict in
+/// shard order.
+fn run_sharded<N>(
+    cfg: MachineConfig,
+    cores: Vec<ShardCore<'_>>,
+    coord: &mut Coord<N>,
+) -> Vec<Option<ShardDone>>
+where
+    N: NetEngine + Send,
+{
+    let shared = Shared::new(cores.len());
+    let mut shard_of = vec![0u32; cfg.nprocs];
+    for (s, &(lo, hi)) in partition(cfg.nprocs, cores.len()).iter().enumerate() {
+        shard_of[lo..hi].fill(s as u32);
+    }
+    let lookahead = coord.lookahead;
+    let mut lent = Some(coord);
+    let workers: Vec<_> = cores
+        .into_iter()
+        .map(|core| {
+            let co = if core.shard == 0 { lent.take() } else { None };
+            (core, co)
+        })
+        .collect();
+    commchar_pool::run_concurrent(workers, |(core, co)| {
+        run_worker(core, &shared, co, &shard_of, lookahead)
     })
 }

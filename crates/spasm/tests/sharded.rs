@@ -161,6 +161,51 @@ fn kilo_processor_machine_characterizes_sharded() {
     assert_identical(&serial, &sharded, "1024 procs");
 }
 
+/// The one-shard run injects a tick's sends at the tick edge in key
+/// order, not as they are emitted. Here p1 and p2 each dirty a block of
+/// their own (homed on the other), then write block 0 (homed on p0)
+/// through a one-line cache. p2's request reaches p0 while p1's is in
+/// progress and is deferred. At the tick p1's reply lands, p1 evicts its
+/// dirty block (a writeback, emitted first, under a coordinator key), and
+/// the home's release re-admits p2's request at that same tick under
+/// p0's smaller key, which recalls the block from p1 (emitted second).
+/// Both orders must agree: the serial and the 2-shard runs give the same
+/// trace and the same network records.
+#[test]
+fn a_readmitted_request_sends_in_key_order_at_its_tick() {
+    let go = |jobs| {
+        run(
+            MachineConfig::new(3).with_cache_lines(1).with_sim_jobs(jobs),
+            |m| m.alloc(12),
+            |mut ctx, r| async move {
+                // Block k is words 4k..4k+4 and is homed on p(k mod 3).
+                let own = match ctx.proc_id() {
+                    1 => 8, // block 2, homed on p2
+                    2 => 4, // block 1, homed on p1
+                    _ => return,
+                };
+                ctx.write(r, own, 1).await;
+                ctx.write(r, 0, ctx.proc_id() as u64).await;
+            },
+            NetLog::new(),
+        )
+    };
+    let serial = go(1);
+    assert_identical(&serial, &go(2), "contended block, 2 shards");
+    // The scenario happened: the recall (p0 -> p1, a control message) and
+    // p1's writeback (p1 -> p2, a data block) leave at one tick, the
+    // recall first.
+    let events = serial.trace.events();
+    let recall = events.iter().position(|e| (e.src, e.dst, e.bytes) == (0, 1, 8));
+    let recall = recall.expect("no recall");
+    let writeback = &events[recall + 1];
+    assert_eq!(
+        (writeback.src, writeback.dst, writeback.bytes, writeback.t),
+        (1, 2, 32, events[recall].t),
+        "no writeback right after the recall: {events:?}"
+    );
+}
+
 #[test]
 fn application_deadlock_is_a_typed_wedge() {
     // p1 waits on a barrier p0 never reaches (p0 exits immediately):

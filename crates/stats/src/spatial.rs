@@ -363,7 +363,17 @@ pub fn classify_with_count(
 ///
 /// Panics if the vector has no positive mass.
 pub fn sample_destination<R: Rng + ?Sized>(probs: &[f64], rng: &mut R) -> usize {
-    let total: f64 = probs.iter().sum();
+    sample_destination_of(probs, probs.iter().sum(), rng)
+}
+
+/// [`sample_destination`] with the vector's mass already summed: `total`
+/// must be `probs.iter().sum()`, so a generator drawing many destinations
+/// from one vector sums it once and draws the same destinations.
+///
+/// # Panics
+///
+/// Panics if `total` is not positive.
+pub fn sample_destination_of<R: Rng + ?Sized>(probs: &[f64], total: f64, rng: &mut R) -> usize {
     assert!(total > 0.0, "destination vector has no mass");
     let mut u = rng.gen::<f64>() * total;
     for (j, &p) in probs.iter().enumerate() {

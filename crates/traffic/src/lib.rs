@@ -26,7 +26,7 @@
 
 pub mod patterns;
 
-use commchar_stats::spatial::sample_destination;
+use commchar_stats::spatial::sample_destination_of;
 use commchar_stats::Dist;
 use commchar_trace::{CommEvent, CommTrace, EventKind};
 use rand::rngs::StdRng;
@@ -169,9 +169,34 @@ impl TrafficModel {
     pub fn generate(&self, duration: u64, seed: u64) -> CommTrace {
         let mut trace = CommTrace::new(self.nodes());
         let mut id = 0u64;
+        self.each_event(duration, seed, |t, src, dst, bytes| {
+            trace.push(CommEvent::new(id, t, src as u16, dst as u16, bytes, EventKind::Data));
+            id += 1;
+        });
+        trace.sort();
+        trace
+    }
+
+    /// The number of events [`generate`](TrafficModel::generate) makes for
+    /// the same `duration` and `seed`, without building or sorting them:
+    /// the same draws, counted.
+    pub fn count(&self, duration: u64, seed: u64) -> u64 {
+        let mut n = 0u64;
+        self.each_event(duration, seed, |_, _, _, _| n += 1);
+        n
+    }
+
+    /// The per-event loop behind [`generate`](TrafficModel::generate) and
+    /// [`count`](TrafficModel::count): each source in turn draws gaps,
+    /// destinations and lengths from its own seeded stream until its clock
+    /// passes `duration`, calling `event(t, src, dst, bytes)` per message.
+    fn each_event(&self, duration: u64, seed: u64, mut event: impl FnMut(u64, usize, usize, u32)) {
         for (s, model) in self.sources.iter().enumerate() {
             let Some(model) = model else { continue };
             let mut rng = StdRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            // The destination total, summed once per source in the order
+            // `sample_destination` sums it on every draw.
+            let total: f64 = model.spatial.iter().sum();
             let mut t = 0.0f64;
             loop {
                 let gap = model.interarrival.sample(&mut rng).max(0.0);
@@ -179,21 +204,11 @@ impl TrafficModel {
                 if t > duration as f64 {
                     break;
                 }
-                let dst = sample_destination(&model.spatial, &mut rng);
+                let dst = sample_destination_of(&model.spatial, total, &mut rng);
                 let bytes = model.length.sample(&mut rng);
-                trace.push(CommEvent::new(
-                    id,
-                    t as u64,
-                    s as u16,
-                    dst as u16,
-                    bytes,
-                    EventKind::Data,
-                ));
-                id += 1;
+                event(t as u64, s, dst, bytes);
             }
         }
-        trace.sort();
-        trace
     }
 }
 

@@ -42,9 +42,11 @@
 # smoke (the same trace replayed with --engine flit at --sim-jobs 1 and
 # --sim-jobs 4 must print byte-identically: the wavefront shards are
 # cycle-identical to the serial event loop), a sharded-machine smoke
-# (a shared-memory app acquired with --sim-jobs 1 and --sim-jobs 4 must
-# produce byte-identical packed traces and characterize reports: the
-# sharded execution-driven simulator is event-identical to serial), a
+# (is acquired with --sim-jobs 1 and --sim-jobs 4, and maxflow and
+# cholesky with --sim-jobs 1 and --sim-jobs 3, must produce
+# byte-identical packed traces and characterize reports: one shard
+# injects its sends at tick edges and several at window edges, yet the
+# execution-driven simulator is event-identical to serial), a
 # torus smoke (a workload run and characterized end-to-end with
 # --engine flit --topology torus, where the sharded flit router at
 # --sim-jobs 1 and --sim-jobs 4 must print byte-identical reports: band
@@ -239,14 +241,22 @@ cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl 
 cargo run --release -q -- replay --trace tests/fixtures/engine_diff.trace.jsonl --engine flit --sim-jobs 4 >"$tmpdir/replay.s4.txt"
 diff "$tmpdir/replay.s1.txt" "$tmpdir/replay.s4.txt"
 
-echo "==> sharded machine smoke (sm app --sim-jobs 4 vs --sim-jobs 1 diff)"
-cargo run --release -q -- run is --procs 8 --scale tiny --sim-jobs 1 --packed --out "$tmpdir/is.s1.cct" >"$tmpdir/is.s1.txt"
-cargo run --release -q -- run is --procs 8 --scale tiny --sim-jobs 4 --packed --out "$tmpdir/is.s4.cct" >"$tmpdir/is.s4.txt"
-diff "$tmpdir/is.s1.txt" "$tmpdir/is.s4.txt"
-cmp "$tmpdir/is.s1.cct" "$tmpdir/is.s4.cct"
-cargo run --release -q -- characterize is --procs 8 --scale tiny --sim-jobs 1 >"$tmpdir/is.sig.s1.txt"
-cargo run --release -q -- characterize is --procs 8 --scale tiny --sim-jobs 4 >"$tmpdir/is.sig.s4.txt"
-diff "$tmpdir/is.sig.s1.txt" "$tmpdir/is.sig.s4.txt"
+echo "==> sharded machine smoke (sm apps --sim-jobs N vs --sim-jobs 1 diff)"
+# One shard injects sends at tick edges, several at window edges: is at
+# 4 shards, and maxflow (locks, deferred home requests) and cholesky at 3.
+for spec in "is 4" "maxflow 3" "cholesky 3"; do
+    set -- $spec
+    app=$1 jobs=$2
+    for n in 1 "$jobs"; do
+        cargo run --release -q -- run "$app" --procs 8 --scale tiny --sim-jobs "$n" --packed \
+            --out "$tmpdir/$app.s$n.cct" >"$tmpdir/$app.s$n.txt"
+        cargo run --release -q -- characterize "$app" --procs 8 --scale tiny --sim-jobs "$n" \
+            >"$tmpdir/$app.sig.s$n.txt"
+    done
+    diff "$tmpdir/$app.s1.txt" "$tmpdir/$app.s$jobs.txt"
+    cmp "$tmpdir/$app.s1.cct" "$tmpdir/$app.s$jobs.cct"
+    diff "$tmpdir/$app.sig.s1.txt" "$tmpdir/$app.sig.s$jobs.txt"
+done
 
 echo "==> torus smoke (--topology torus, --sim-jobs 4 vs --sim-jobs 1 diff)"
 cargo run --release -q -- run allreduce --procs 8 --scale tiny --engine flit --topology torus --routing adaptive | sed 's/^/    /'
